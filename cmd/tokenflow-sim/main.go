@@ -269,7 +269,7 @@ func main() {
 		switchBW = flag.Float64("switch-gbps", 0, "shared-nic switch stage bandwidth (GB/s); 0 = non-blocking")
 		hostCach = flag.Bool("host-cache", false, "host-tier prefix cache: evicted session pins reload over h2d instead of recomputing")
 		hostPage = flag.Int("host-cache-pages", 0, "cap the host-tier prefix cache at this many mirrored pages (0 = unbounded)")
-		shards   = flag.Int("shards", 0, "partition replicas across this many parallel worker goroutines (0/1 = single-threaded; results are identical either way)")
+		shards   = flag.Int("shards", 0, "partition replicas across this many parallel worker goroutines (0 or 1 = one shard; results are identical at any count)")
 		pfxIndex = flag.Bool("prefix-index", false, "publish KV lifecycle events into the gateway prefix index (implied by the indexed routers and by any -index-* flag)")
 		idxDelay = flag.Float64("index-delay", 0, "prefix-index event propagation delay (s); 0 = synchronous")
 		idxDrop  = flag.Float64("index-drop", 0, "prefix-index KV event drop probability in [0,1)")
@@ -336,9 +336,10 @@ func main() {
 	wantIndex := *pfxIndex || *idxDelay > 0 || *idxDrop > 0 || *idxHeart > 0 || *idxStale > 0
 	// -host-cache routes through cluster mode even for one replica (a
 	// 1-replica round-robin cluster reproduces Run exactly) so the host
-	// prefix cache's reload/fallback stats are reported.
+	// prefix cache's reload/fallback stats are reported; so does -shards,
+	// so the cluster validates it.
 	wantChaos := *chaosN > 0 || *crashAt != "" || *flapAt != "" || *redund > 1
-	if *replicas > 1 || *hetero != "" || *scaler != "" || *hostCach || wantIndex || wantChaos {
+	if *replicas > 1 || *hetero != "" || *scaler != "" || *hostCach || *shards != 0 || wantIndex || wantChaos {
 		ccfg := tokenflow.ClusterConfig{
 			Config:          cfg,
 			Replicas:        *replicas,

@@ -1,8 +1,8 @@
 package cluster_test
 
 // Black-box chaos suite: end-to-end recovery scenarios checked against
-// the full invariant set, the chaos determinism grid (single-threaded ×
-// sharded, run under -race in CI), the zero-fault byte-identity gate,
+// the full invariant set, the chaos determinism grid (one shard ×
+// several, run under -race in CI), the zero-fault byte-identity gate,
 // and the recovery benchmark.
 
 import (
@@ -308,7 +308,7 @@ func TestChaosDeterminismGrid(t *testing.T) {
 						shards, got.Crashes, got.Retries, got.Replications,
 						single.Crashes, single.Retries, single.Replications)
 				default:
-					t.Fatalf("shards=%d: chaos result diverged from single-threaded run", shards)
+					t.Fatalf("shards=%d: chaos result diverged from one-shard run", shards)
 				}
 			}
 		})

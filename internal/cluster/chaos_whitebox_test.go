@@ -3,9 +3,9 @@ package cluster
 // White-box chaos recovery edge cases at the exact instants the
 // machinery must get right: a crash or link flap landing while a pin
 // transfer is on the wire, and the sole holder of a session's pin dying
-// with and without a surviving host mirror. These drive the coordinator
-// clock by hand (contention_test.go style) so the fault can be placed
-// mid-transfer deterministically.
+// with and without a surviving host mirror. These drive the executor one
+// coordinator event at a time (Cluster.step, contention_test.go style) so
+// the fault can be placed mid-transfer deterministically.
 
 import (
 	"testing"
@@ -74,7 +74,7 @@ func TestChaosCrashAbortsDrainHandoff(t *testing.T) {
 	c := chaosTransferCluster(t, &chaos.Spec{
 		Faults: []chaos.Fault{{Kind: chaos.Crash, At: simclock.FromSeconds(1), Replica: 0}},
 	}, 2, fabric.ClassDrain)
-	for c.clock.Step() {
+	for c.step(simclock.Forever) {
 	}
 	if !c.replicas[0].eng.Crashed() {
 		t.Fatal("donor did not crash")
@@ -105,7 +105,7 @@ func TestChaosLinkFlapAbortsMidMigration(t *testing.T) {
 	}, 1, fabric.ClassPrewarm)
 
 	// Step to the flap, then probe mid-window before recovery runs.
-	for len(c.chaos.linkDown) == 0 && c.clock.Step() {
+	for len(c.chaos.linkDown) == 0 && c.step(simclock.Forever) {
 	}
 	now := c.clock.Now()
 	if c.chaos.linkFlaps != 1 || c.chaos.migrationsAborted != 1 {
@@ -127,7 +127,7 @@ func TestChaosLinkFlapAbortsMidMigration(t *testing.T) {
 		t.Error("unrelated pair 0-2 reports down")
 	}
 
-	for c.clock.Step() {
+	for c.step(simclock.Forever) {
 	}
 	if len(c.chaos.linkDown) != 0 {
 		t.Error("link still down after recovery")
@@ -173,7 +173,7 @@ func TestChaosSolePinHolderCrash(t *testing.T) {
 				}
 			}
 			c.scheduleChaos()
-			for c.clock.Step() {
+			for c.step(simclock.Forever) {
 			}
 			if !c.replicas[0].eng.Crashed() {
 				t.Fatal("replica 0 did not crash")

@@ -1,8 +1,9 @@
 // Package cluster simulates a multi-replica serving deployment: N engine
 // replicas — possibly heterogeneous (mixed GPUs, pool sizes, compute
 // costs; the BuildEngine callback decides per index) — sharing one virtual
-// clock, fronted by a pluggable routing policy (internal/router) that
-// assigns each arriving request to a replica at its arrival instant.
+// timeline (shards.go), fronted by a pluggable routing policy
+// (internal/router) that assigns each arriving request to a replica at its
+// arrival instant.
 // Per-replica results are aggregated into a cluster-level report with
 // merged TTFT percentiles, total throughput, QoS, and load-imbalance
 // statistics (end-of-run and per-sample-tick).
@@ -76,17 +77,17 @@ type Config struct {
 	// Shards partitions the replicas across parallel worker goroutines
 	// (see shards.go): replica i runs its engine events on the sub-clock
 	// of shard i mod Shards, synchronized with the coordinator clock at
-	// every cross-replica event. 0 or 1 keeps the single-threaded loop.
-	// Results are identical either way (the determinism suite asserts deep
-	// equality), except that a sharded run which hits MaxSimTime stops at
-	// the deadline instead of one event past it. Clamped to Replicas.
-	// The flight recorder is sharded-safe: each shard records onto its own
-	// recorder and profiler, emissions route by the event's replica, and
-	// the streams merge deterministically at collect — event and trace
-	// exports are byte-identical to the single-threaded run.
+	// every cross-replica event. 0 or 1 = one shard; negative is an error.
+	// Results are identical at every shard count (the determinism suite
+	// asserts deep equality). Clamped to Replicas. The flight recorder is
+	// sharded-safe: each shard records onto its own recorder and profiler,
+	// emissions route by the event's replica, and the streams merge
+	// deterministically at collect — event and trace exports are
+	// byte-identical at every shard count.
 	Shards int
 
-	// MaxSimTime aborts runaway simulations (default 4 simulated hours).
+	// MaxSimTime aborts runaway simulations (default 4 simulated hours):
+	// no event later than it fires, and the run reports TimedOut.
 	MaxSimTime time.Duration
 
 	// Migrate enables cross-replica KV migration: when the policy routes a
@@ -280,7 +281,7 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// BuildEngine constructs replica i's engine on the shared clock and the
+// BuildEngine constructs replica i's engine on its shard's clock and the
 // replica's endpoint on the cluster's transfer fabric (pass it through as
 // engine.Config.Fabric so host transfers are class-accounted on the shared
 // topology). Each call must return a fresh engine with a fresh scheduler
@@ -482,10 +483,9 @@ type Result struct {
 	InitialInService int
 
 	// EventsProcessed counts the simulation events fired across every
-	// clock of the run (the coordinator clock plus any shard sub-clocks) —
+	// clock of the run (the coordinator clock plus the shard sub-clocks) —
 	// the denominator of per-event cost in the core benchmark and a
-	// determinism witness: a sharded run fires exactly the events of its
-	// single-threaded twin.
+	// determinism witness: every shard count fires exactly the same events.
 	EventsProcessed uint64
 
 	// PerReplica lists each replica's stats in replica order.
@@ -553,7 +553,7 @@ type Cluster struct {
 	arrivalsDone bool
 
 	// Sharded execution (see shards.go): shards[s] owns the sub-clock of
-	// replicas with id ≡ s (mod len(shards)); empty when single-threaded.
+	// replicas with id ≡ s (mod len(shards)); there is always at least one.
 	// busyShards and ttftScratch are reused barrier scratch buffers.
 	shards      []*shard
 	busyShards  []*shard
@@ -610,23 +610,20 @@ type Cluster struct {
 	// per-tick imbalance series.
 	svcMask [][]bool
 
-	// Flight recorder (see observe.go). rec/reg/prof are the nil-safe
-	// coordinator-side layers, cached so every emission site is one
-	// nil-guarded call. Sharded runs add one recorder and profiler per
-	// shard: every emission routes by the event's replica (recFor /
-	// profFor) so each sink has exactly one writing goroutine, and the
-	// streams merge deterministically at collect. The name slices
-	// precompute per-replica and per-link series names, so per-tick
-	// recording builds no strings.
 	// Chaos fault-injection runtime (chaos.go); nil when Config.Chaos is
 	// absent or inactive, which gates every chaos hook off the hot path.
 	chaos *chaosRuntime
 
+	// Flight recorder (see observe.go). rec/reg/prof are the nil-safe
+	// coordinator-side layers, cached so every emission site is one
+	// nil-guarded call. Each shard adds its own recorder and profiler:
+	// every emission routes by the event's replica (recFor / profFor) so
+	// each sink has exactly one writing goroutine, and the streams merge
+	// deterministically at collect. The name slices precompute per-replica
+	// and per-link series names, so per-tick recording builds no strings.
 	rec         *obs.Recorder
 	reg         *obs.Registry
 	prof        *obs.Profiler
-	shardRecs   []*obs.Recorder
-	shardProfs  []*obs.Profiler
 	collectors  []*attribution.Collector
 	repSeries   []replicaSeriesNames
 	linkBusy    []string
@@ -634,34 +631,46 @@ type Cluster struct {
 }
 
 // recFor returns the recorder that must capture an event scoped to the
-// given replica: the owning shard's recorder in sharded runs, the run's
-// single recorder otherwise. Cluster-scoped events (replica < 0) always
-// land on the coordinator recorder. The coordinator may write a shard
-// recorder directly — shards are quiescent while a coordinator event
-// runs (shards.go) — and each replica's events live in exactly one
-// recorder, so the merged order matches the single-threaded stream.
+// given replica: the owning shard's recorder. Cluster-scoped events
+// (replica < 0) land on the coordinator recorder. The coordinator may
+// write a shard recorder directly — shards are quiescent while a
+// coordinator event runs (shards.go) — and each replica's events live in
+// exactly one recorder, so the merged order is independent of the shard
+// count.
 func (c *Cluster) recFor(replica int) *obs.Recorder {
-	if replica >= 0 && len(c.shardRecs) > 0 {
-		return c.shardRecs[replica%len(c.shardRecs)]
+	if replica < 0 {
+		return c.rec
 	}
-	return c.rec
+	return c.shardOf(replica).rec
+}
+
+// recorders lists the coordinator recorder followed by the shards'.
+func (c *Cluster) recorders() []*obs.Recorder {
+	recs := []*obs.Recorder{c.rec}
+	for _, sh := range c.shards {
+		recs = append(recs, sh.rec)
+	}
+	return recs
 }
 
 // profFor mirrors recFor for the phase profiler.
 func (c *Cluster) profFor(replica int) *obs.Profiler {
-	if replica >= 0 && len(c.shardProfs) > 0 {
-		return c.shardProfs[replica%len(c.shardProfs)]
+	if replica < 0 {
+		return c.prof
 	}
-	return c.prof
+	return c.shardOf(replica).prof
 }
 
-// New builds a cluster of cfg.Replicas engines on one shared clock (with
-// autoscaling, Autoscale.Max engines of which Autoscale.Initial start
-// active).
+// New builds a cluster of cfg.Replicas engines on cfg.Shards shard clocks
+// (with autoscaling, Autoscale.Max engines of which Autoscale.Initial
+// start active).
 func New(cfg Config, build BuildEngine) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Replicas < 1 {
 		return nil, fmt.Errorf("cluster: replica count %d must be >= 1", cfg.Replicas)
+	}
+	if cfg.Shards < 0 {
+		return nil, fmt.Errorf("cluster: shard count %d must be >= 0 (0 or 1 = one shard)", cfg.Shards)
 	}
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("cluster: nil routing policy")
@@ -686,37 +695,31 @@ func New(cfg Config, build BuildEngine) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: unknown migration policy %q (have %v)",
 			cfg.MigrationPolicy, MigrationPolicies())
 	}
-	if cfg.Shards > cfg.Replicas {
-		cfg.Shards = cfg.Replicas
-	}
+	cfg.Shards = min(max(cfg.Shards, 1), cfg.Replicas)
 	topo, err := fabric.NewTopology(cfg.Replicas, *cfg.Topology)
 	if err != nil {
 		return nil, err
 	}
 	c := &Cluster{cfg: cfg, clock: simclock.New(), fab: fabric.NewScheduler(topo)}
-	if cfg.Shards > 1 {
-		for s := 0; s < cfg.Shards; s++ {
-			c.shards = append(c.shards, &shard{id: s, clock: simclock.New()})
-		}
+	for s := 0; s < cfg.Shards; s++ {
+		c.shards = append(c.shards, &shard{id: s, clock: simclock.New()})
 	}
 	// Flight recorder. Events and Attribution both need lifecycle
 	// emissions; when only attribution is on the recorders run
 	// store-disabled, feeding the span collectors without retaining the
-	// stream. Sharded runs add one recorder/profiler per shard so each
-	// sink has a single writing goroutine (recFor/profFor route every
-	// emission by the event's replica); collect merges them back into one
-	// canonical capture.
+	// stream. Each shard gets its own recorder/profiler so each sink has a
+	// single writing goroutine (recFor/profFor route every emission by the
+	// event's replica); collect merges them back into one canonical
+	// capture.
 	if cfg.Obs.Events || cfg.Obs.Attribution {
 		c.rec = obs.NewRecorder()
-		if !cfg.Obs.Events {
-			c.rec.DisableStore()
+		for _, sh := range c.shards {
+			sh.rec = obs.NewShardRecorder(1 + sh.id)
 		}
-		for s := range c.shards {
-			r := obs.NewShardRecorder(1 + s)
+		for _, r := range c.recorders() {
 			if !cfg.Obs.Events {
 				r.DisableStore()
 			}
-			c.shardRecs = append(c.shardRecs, r)
 		}
 	}
 	if cfg.Obs.Series {
@@ -724,32 +727,24 @@ func New(cfg Config, build BuildEngine) (*Cluster, error) {
 	}
 	if cfg.Obs.Profile {
 		c.prof = obs.NewProfiler()
-		for range c.shards {
-			c.shardProfs = append(c.shardProfs, obs.NewProfiler())
+		for _, sh := range c.shards {
+			sh.prof = obs.NewProfiler()
 		}
 	}
 	if cfg.Obs.Attribution {
-		// One collector per data-bearing recorder: lifecycle events are
+		// One collector per shard recorder: lifecycle events are
 		// replica-scoped, so each shard's collector sees complete request
 		// histories and the per-shard aggregators fold at collect.
-		taps := c.shardRecs
-		if len(taps) == 0 {
-			taps = []*obs.Recorder{c.rec}
-		}
-		for _, r := range taps {
+		for _, sh := range c.shards {
 			col := attribution.NewCollector(attribution.NewAggregator(cfg.Replicas))
-			r.SetTap(col.Observe)
+			sh.rec.SetTap(col.Observe)
 			c.collectors = append(c.collectors, col)
 		}
 	}
 	c.fab.SetObs(c.rec, c.prof)
 	for i := 0; i < cfg.Replicas; i++ {
-		clk := c.clock
-		if len(c.shards) > 0 {
-			clk = c.shardOf(i).clock
-			c.fab.SetReplicaObs(i, c.recFor(i), c.profFor(i))
-		}
-		eng, err := build(i, clk, c.fab.Endpoint(i))
+		c.fab.SetReplicaObs(i, c.recFor(i), c.profFor(i))
+		eng, err := build(i, c.shardOf(i).clock, c.fab.Endpoint(i))
 		if err != nil {
 			return nil, fmt.Errorf("cluster: replica %d: %w", i, err)
 		}
@@ -771,20 +766,13 @@ func New(cfg Config, build BuildEngine) (*Cluster, error) {
 		// skip the estimator (and its per-tick sort) entirely.
 		c.ttftWin = metrics.NewTTFTWindow(cfg.Autoscale.P99Window)
 		for _, rep := range c.replicas {
-			if len(c.shards) > 0 {
-				// First tokens fire on shard goroutines: buffer them
-				// shard-locally and merge at the next barrier (shards.go),
-				// so the shared window is only ever written by the
-				// coordinator.
-				id := rep.id
-				sh := c.shardOf(id)
-				rep.eng.SetFirstTokenObserver(func(r *request.Request, t simclock.Time) {
-					sh.ttft = append(sh.ttft, ttftSample{at: t, replica: id, ttft: t.Sub(r.Arrival)})
-				})
-				continue
-			}
+			// First tokens fire on shard goroutines: buffer them
+			// shard-locally and merge at the next barrier (shards.go), so
+			// the shared window is only ever written by the coordinator.
+			id := rep.id
+			sh := c.shardOf(id)
 			rep.eng.SetFirstTokenObserver(func(r *request.Request, t simclock.Time) {
-				c.ttftWin.Observe(t, t.Sub(r.Arrival))
+				sh.ttft = append(sh.ttft, ttftSample{at: t, replica: id, ttft: t.Sub(r.Arrival)})
 			})
 		}
 	}
@@ -816,12 +804,12 @@ func (c *Cluster) Run(w trace.Workload) (*Result, error) {
 	// the policy sees live replica state. Under scale-to-zero an arrival
 	// that finds no active replica goes through the gateway instead
 	// (gateway.go): buffered or shed, and always a cold-start trigger.
-	// A sharded run whose configuration needs no coordinator events at all
+	// A run whose configuration needs no coordinator events at all
 	// pre-routes arrivals straight onto the shard clocks instead.
+	deadline := simclock.Time(c.cfg.MaxSimTime)
 	if c.fastShardPath() {
 		c.primeSharded(w)
-		timedOut := c.runSharded(simclock.Time(c.cfg.MaxSimTime))
-		return c.collect(timedOut), nil
+		return c.collect(c.runSharded(deadline)), nil
 	}
 	c.scheduleHeartbeats()
 	c.scheduleChaos()
@@ -898,19 +886,7 @@ func (c *Cluster) Run(w trace.Workload) (*Result, error) {
 		c.clock.At(0, control)
 	}
 
-	timedOut := false
-	deadline := simclock.Time(c.cfg.MaxSimTime)
-	if len(c.shards) > 0 {
-		timedOut = c.runSharded(deadline)
-	} else {
-		for c.clock.Step() {
-			if c.clock.Now() > deadline {
-				timedOut = true
-				break
-			}
-		}
-	}
-	return c.collect(timedOut), nil
+	return c.collect(c.runSharded(deadline)), nil
 }
 
 // routable is the policy's view: only active replicas receive traffic.
@@ -1181,7 +1157,7 @@ func (c *Cluster) collect(timedOut bool) *Result {
 	// Attribution report first (timed on the coordinator profiler, so the
 	// finalize cost lands in the merged profile), then the capture: the
 	// per-shard recorder and profiler streams fold into one canonical
-	// view, byte-identical to a single-threaded run's.
+	// view, byte-identical at every shard count.
 	if len(c.collectors) > 0 {
 		t0 := c.prof.Begin()
 		agg := c.collectors[0].Aggregator()
@@ -1194,10 +1170,14 @@ func (c *Cluster) collect(timedOut bool) *Result {
 	if c.cfg.Obs.Events || c.cfg.Obs.Series || c.cfg.Obs.Profile {
 		cap := &obs.Capture{Series: c.reg}
 		if c.cfg.Obs.Events {
-			cap.Events = obs.Merge(append([]*obs.Recorder{c.rec}, c.shardRecs...)...)
+			cap.Events = obs.Merge(c.recorders()...)
 		}
 		if c.cfg.Obs.Profile {
-			cap.Profile = obs.MergeProfilers(append([]*obs.Profiler{c.prof}, c.shardProfs...)...)
+			profs := []*obs.Profiler{c.prof}
+			for _, sh := range c.shards {
+				profs = append(profs, sh.prof)
+			}
+			cap.Profile = obs.MergeProfilers(profs...)
 		}
 		res.Obs = cap
 	}

@@ -320,6 +320,9 @@ func TestClusterConfigErrors(t *testing.T) {
 	if _, err := cluster.New(cluster.Config{Replicas: 2, Policy: router.NewRoundRobin()}, nil); err == nil {
 		t.Error("nil builder should fail")
 	}
+	if _, err := cluster.New(cluster.Config{Replicas: 2, Policy: router.NewRoundRobin(), Shards: -1}, buildTokenFlow()); err == nil {
+		t.Error("negative shard count should fail")
+	}
 	cl, err := cluster.New(cluster.Config{Replicas: 2, Policy: router.NewRoundRobin()}, buildTokenFlow())
 	if err != nil {
 		t.Fatal(err)

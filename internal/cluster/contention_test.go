@@ -102,7 +102,7 @@ func TestPrewarmDrainShareUplinkExtendWarmup(t *testing.T) {
 
 	// End to end: the serialized pins still both arrive, and the ledger
 	// carries one transfer per class.
-	for shared.clock.Step() {
+	for shared.step(simclock.Forever) {
 	}
 	if shared.replicas[1].eng.CachedPrefixTokens(1) != 1024 ||
 		shared.replicas[2].eng.CachedPrefixTokens(2) != 1024 {

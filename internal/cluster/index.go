@@ -17,10 +17,10 @@ package cluster
 // Threading follows the cluster's single-writer discipline: a replica's
 // publications are produced either on its shard goroutine (engine events)
 // or by the coordinator while shards are quiescent (injection, migration
-// installs, heartbeats). Sharded runs buffer publications per shard and the
-// coordinator merges them at every barrier in (emission time, replica,
-// sequence) order — the same total order a single-threaded run produces —
-// so the index state at every read is identical across shard counts.
+// installs, heartbeats). Publications buffer per shard and the coordinator
+// merges them at every barrier in (emission time, replica, sequence) order
+// — a total order independent of the partition — so the index state at
+// every read is identical across shard counts.
 //
 // The degenerate spec (zero delay, zero drops, no heartbeat) applies every
 // publication at its emission instant and schedules no clock events, so the
@@ -84,15 +84,10 @@ func (c *Cluster) installPublishers() {
 	c.pubSeq = make([]uint64, len(c.replicas))
 	for _, rep := range c.replicas {
 		i := rep.id
-		clk := c.clock
-		var sh *shard
-		if len(c.shards) > 0 {
-			sh = c.shardOf(i)
-			clk = sh.clock
-		}
+		sh := c.shardOf(i)
 		rec := c.recFor(i) // recorders are fixed before publishers install
 		emit := func(kind prefixindex.EvKind, session int, val, aux int64) {
-			now := clk.Now()
+			now := sh.clock.Now()
 			p := prefixindex.Pub{
 				At:      now,
 				ApplyAt: now.Add(c.idxSpec.PropagationDelay),
@@ -113,14 +108,10 @@ func (c *Cluster) installPublishers() {
 				rec.Emit(now, obs.KindIndexPublish, i, -1, session,
 					int64(kind), val, dropped, 0, kind.String())
 			}
-			if sh != nil {
-				// Shard goroutines never touch the index: publications
-				// buffer locally and the coordinator merges them at the
-				// next barrier (mergePubs).
-				sh.pubs = append(sh.pubs, p)
-				return
-			}
-			c.idx.Publish(p)
+			// Shard goroutines never touch the index: publications buffer
+			// locally and the coordinator merges them at the next barrier
+			// (mergePubs).
+			sh.pubs = append(sh.pubs, p)
 		}
 		c.pubFns[i] = emit
 		rep.eng.SetPrefixPublisher(
@@ -151,9 +142,8 @@ func (c *Cluster) settleIndexTraffic() {
 
 // mergePubs folds the shard-buffered publications gathered since the
 // previous barrier into the index in (emission time, replica, sequence)
-// order — the total order a single-threaded run publishes in, so the index
-// trajectory is independent of shard scheduling. Runs on the coordinator
-// with every shard quiescent.
+// order, so the index trajectory is independent of shard scheduling. Runs
+// on the coordinator with every shard quiescent.
 func (c *Cluster) mergePubs() {
 	if c.idx == nil {
 		return

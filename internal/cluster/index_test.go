@@ -111,8 +111,8 @@ func TestIndexedDeterminismEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardedIndexedDeterminism: the sharded executor must produce the
-// exact Result of the single-threaded run with the index on — including
+// TestShardedIndexedDeterminism: every shard count must produce the
+// exact Result of the one-shard run with the index on — including
 // under propagation delay, drops, and heartbeats, where publications are
 // buffered per shard and merged at barriers. Run under -race in CI.
 func TestShardedIndexedDeterminism(t *testing.T) {
@@ -170,7 +170,7 @@ func TestShardedIndexedDeterminism(t *testing.T) {
 					t.Fatalf("spec %+v shards=%d: index stats differ:\n%+v\n%+v",
 						*spec, shards, single.PrefixIndex, a.PrefixIndex)
 				default:
-					t.Fatalf("spec %+v shards=%d: sharded run diverged from single-threaded",
+					t.Fatalf("spec %+v shards=%d: sharded run diverged from one shard",
 						*spec, shards)
 				}
 			}

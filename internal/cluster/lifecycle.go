@@ -80,8 +80,8 @@ func (c *Cluster) controlTick(now simclock.Time) {
 }
 
 // signalFold is one shard's partial sum of the per-replica signal sweep:
-// exact integer counts, so partial sums merge to the single-threaded
-// vector bit for bit.
+// exact integer counts, so partial sums merge to the same vector bit for
+// bit at any shard count.
 type signalFold struct {
 	active, warming, draining int
 	outstanding, used, total  int
@@ -97,13 +97,11 @@ func (f *signalFold) add(g signalFold) {
 }
 
 // foldSignals sums the signal contributions of the replicas owned by one
-// shard (every replica when shard < 0).
+// shard.
 func (c *Cluster) foldSignals(shard int) signalFold {
 	var f signalFold
-	for _, rep := range c.replicas {
-		if shard >= 0 && rep.id%len(c.shards) != shard {
-			continue
-		}
+	for i := shard; i < len(c.replicas); i += len(c.shards) {
+		rep := c.replicas[i]
 		switch rep.state {
 		case autoscale.Active:
 			f.active++
@@ -119,12 +117,12 @@ func (c *Cluster) foldSignals(shard int) signalFold {
 	return f
 }
 
-// signals assembles the per-tick cluster view the policy decides from. In
-// sharded runs the per-replica sweep fans out: each worker folds its own
+// signals assembles the per-tick cluster view the policy decides from. The
+// per-replica sweep fans out across shards: each worker folds its own
 // shard's replicas (the control tick is a coordinator event, so every
 // engine is quiescent and each goroutine reads only its shard's state) and
-// the exact integer partials merge in shard order — deep-equal to the
-// single-threaded sweep at any shard count.
+// the exact integer partials merge in shard order — deep-equal at any
+// shard count. One shard folds inline.
 func (c *Cluster) signals() autoscale.Signals {
 	var f signalFold
 	if len(c.shards) > 1 {
@@ -143,7 +141,7 @@ func (c *Cluster) signals() autoscale.Signals {
 			f.add(g)
 		}
 	} else {
-		f = c.foldSignals(-1)
+		f = c.foldSignals(0)
 	}
 	s := autoscale.Signals{
 		Min: c.cfg.Autoscale.Min, Max: c.cfg.Autoscale.Max,

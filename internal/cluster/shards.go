@@ -1,7 +1,7 @@
 package cluster
 
-// Sharded parallel execution: Config.Shards > 1 partitions the replicas
-// across worker goroutines. Replica i lives on shard i mod Shards, and each
+// Sharded execution, the cluster's only event loop: replica i lives on
+// shard i mod Shards (one shard when Config.Shards is 0 or 1), and each
 // shard owns a private simclock sub-clock carrying that replica subset's
 // engine events (iterations, consumption ticks, KV transfers on the
 // replica's own host links). The cluster's coordinator clock keeps
@@ -10,16 +10,17 @@ package cluster
 //
 // Execution alternates between the coordinator and the shards. Before the
 // coordinator fires its next event at time T, every shard runs its own
-// events strictly before T in parallel and then aligns its clock at T
-// (simclock.AdvanceTo), so a cross-shard effect landing at T — an injected
-// arrival, a migration install — observes a consistent "now" everywhere.
-// At an exact tie the coordinator goes first. Shards never touch the
-// coordinator clock, another shard's clock, or another shard's engines;
-// the only cross-shard state written from shard goroutines is the
-// per-shard first-token buffer, merged into the shared TTFT window at each
-// barrier in deterministic (time, replica) order. Fabric class accounting
-// is per-replica-row (single writer) and interconnect links are booked
-// only by the coordinator, so bookings from parallel shards never race.
+// events strictly before T — in parallel when several have work — and then
+// aligns its clock at T (simclock.AdvanceTo), so a cross-shard effect
+// landing at T — an injected arrival, a migration install — observes a
+// consistent "now" everywhere. At an exact tie the coordinator goes first.
+// Shards never touch the coordinator clock, another shard's clock, or
+// another shard's engines; the only cross-shard state written from shard
+// goroutines is the per-shard first-token and publication buffers, merged
+// on the coordinator at each barrier in deterministic order. Fabric class
+// accounting is per-replica-row (single writer) and interconnect links are
+// booked only by the coordinator, so bookings from parallel shards never
+// race.
 //
 // The flight recorder follows the same single-writer discipline: each
 // shard owns a recorder and profiler, and every emission routes by the
@@ -27,16 +28,13 @@ package cluster
 // written either by its shard goroutine or by the coordinator while the
 // shards are quiescent, never both at once. The per-shard streams merge
 // deterministically at collect on the total (time, replica, recorder,
-// sequence) order, producing exports byte-identical to the
-// single-threaded run.
+// sequence) order, so exports are byte-identical at any shard count.
 //
 // The result is deterministic and — because engine event times are
 // float-derived while coordinator timers tick at configured intervals, so
-// cross-clock ties do not arise in practice — identical to the
-// single-threaded run of the same configuration; the determinism suite
-// asserts deep equality across shard counts. The one intentional
-// divergence: a run that hits MaxSimTime stops sharded execution at the
-// deadline instead of one event past it, so only TimedOut runs may differ.
+// cross-clock ties do not arise in practice — identical at every shard
+// count; the determinism suite asserts deep equality, timed-out runs
+// included. No clock fires an event past MaxSimTime.
 //
 // When the configuration needs no coordinator events at all — static
 // replica set, round-robin routing, no migration, no sampling — arrivals
@@ -44,10 +42,12 @@ package cluster
 // one parallel drain with zero barriers.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/prefixindex"
 	"repro/internal/request"
 	"repro/internal/router"
@@ -68,6 +68,10 @@ type ttftSample struct {
 type shard struct {
 	id    int
 	clock *simclock.Clock
+	// rec and prof are the flight-recorder sinks of this shard's replicas
+	// (nil when the layer is off); see Cluster.recFor.
+	rec  *obs.Recorder
+	prof *obs.Profiler
 	// arena batch-allocates fast-path arrival requests on the shard that
 	// will serve them, keeping the hot-path allocator uncontended.
 	arena request.Arena
@@ -112,8 +116,7 @@ func (c *Cluster) shardOf(replica int) *shard {
 // Arrivals then pre-route straight onto the shard clocks and the whole
 // simulation is one barrier-free parallel drain.
 func (c *Cluster) fastShardPath() bool {
-	return len(c.shards) > 0 &&
-		c.cfg.Autoscale == nil &&
+	return c.cfg.Autoscale == nil &&
 		c.chaos == nil &&
 		!c.cfg.Migrate &&
 		c.cfg.SampleEvery == 0 &&
@@ -146,54 +149,49 @@ func (c *Cluster) primeSharded(w trace.Workload) {
 	}
 }
 
-// runSharded is the sharded main loop: run shards up to each coordinator
-// event, fire it, repeat; when the coordinator runs dry (or its next event
-// lies past the deadline), drain the shards and stop. It reports whether
-// the run timed out — sharded runs stop at the deadline rather than one
-// event past it, the only behavioral difference from the legacy loop.
+// runSharded is the cluster's main loop: step through the coordinator's
+// events up to the deadline, then drain the shards. It reports whether the
+// run timed out — work left on any clock past the deadline.
 func (c *Cluster) runSharded(deadline simclock.Time) (timedOut bool) {
-	for {
-		next := c.clock.Peek()
-		if next == simclock.Forever {
-			c.advanceShards(simclock.Forever, deadline)
-			break
-		}
-		if next > deadline {
-			c.advanceShards(simclock.Forever, deadline)
-			timedOut = true
-			break
-		}
-		c.advanceShards(next, deadline)
-		c.clock.Step()
+	for c.step(deadline) {
 	}
-	if !timedOut {
-		for _, sh := range c.shards {
-			if sh.clock.Peek() != simclock.Forever {
-				timedOut = true // shard work remains beyond the deadline
-				break
-			}
-		}
-	}
-	// Align every drained shard clock at the cluster's final instant. In a
-	// single-clock run every engine reads the same final time (an idle
-	// replica's report falls back to it for its makespan); shard clocks
-	// must agree or a zero-routed replica's numbers would depend on its
-	// shard assignment. Shards still holding events (timed out) keep their
-	// own position.
+	// Align every drained shard clock at the cluster's final instant, so an
+	// idle replica's report (whose makespan falls back to its clock) does
+	// not depend on its shard assignment. Shards still holding events
+	// (timed out) keep their own position.
 	end := c.endNow()
+	timedOut = c.clock.Peek() != simclock.Forever
 	for _, sh := range c.shards {
-		if sh.clock.Peek() == simclock.Forever {
+		if sh.clock.Peek() != simclock.Forever {
+			timedOut = true
+		} else {
 			sh.clock.AdvanceTo(end)
 		}
 	}
 	return timedOut
 }
 
+// step advances the run by one coordinator event: the shards first run
+// their events before it, then the coordinator fires it. When the
+// coordinator has nothing left at or before the deadline, step instead
+// drains the shards up to the deadline and reports false.
+func (c *Cluster) step(deadline simclock.Time) bool {
+	next := c.clock.Peek()
+	if next == simclock.Forever || next > deadline {
+		c.advanceShards(simclock.Forever, deadline)
+		return false
+	}
+	c.advanceShards(next, deadline)
+	c.clock.Step()
+	return true
+}
+
 // advanceShards brings every shard to the barrier: shards with runnable
 // work execute it (in parallel when more than one has any — the common
 // stretch between consecutive coordinator events has at most one, which
 // runs inline without spawning), idle shards just align their clocks. The
-// shard-buffered TTFT observations merge afterwards, on the coordinator.
+// shard-buffered TTFT observations and index publications merge
+// afterwards, on the coordinator.
 func (c *Cluster) advanceShards(barrier, deadline simclock.Time) {
 	busy := c.busyShards[:0]
 	for _, sh := range c.shards {
@@ -242,21 +240,20 @@ func (c *Cluster) mergeTTFT() {
 	if len(merged) == 0 {
 		return
 	}
-	sort.SliceStable(merged, func(i, j int) bool {
-		if merged[i].at != merged[j].at {
-			return merged[i].at < merged[j].at
+	slices.SortStableFunc(merged, func(a, b ttftSample) int {
+		if a.at != b.at {
+			return cmp.Compare(a.at, b.at)
 		}
-		return merged[i].replica < merged[j].replica
+		return cmp.Compare(a.replica, b.replica)
 	})
 	for _, s := range merged {
 		c.ttftWin.Observe(s.at, s.ttft)
 	}
 }
 
-// endNow is the final simulation instant: the coordinator clock in
-// single-threaded runs, the furthest clock across coordinator and shards
-// in sharded ones (a drained shard's last event can outlast the last
-// coordinator event).
+// endNow is the final simulation instant: the furthest clock across the
+// coordinator and the shards (a drained shard's last event can outlast the
+// last coordinator event).
 func (c *Cluster) endNow() simclock.Time {
 	t := c.clock.Now()
 	for _, sh := range c.shards {
@@ -268,8 +265,8 @@ func (c *Cluster) endNow() simclock.Time {
 }
 
 // eventsProcessed totals fired events across every clock of the run — a
-// determinism witness: a sharded run fires exactly the events of its
-// single-threaded twin, just distributed over sub-clocks.
+// determinism witness: every shard count fires exactly the same events,
+// just distributed over different sub-clocks.
 func (c *Cluster) eventsProcessed() uint64 {
 	n := c.clock.Processed()
 	for _, sh := range c.shards {

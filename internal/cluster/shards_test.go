@@ -1,9 +1,9 @@
 package cluster_test
 
-// Sharded-vs-single-threaded equivalence: for every row of the
-// determinism grid (autoscale × topology × migration), a run partitioned
-// across parallel shard goroutines must produce a Result deeply identical
-// to the single-threaded run of the same seed and spec — reports,
+// Shard-count equivalence: for every row of the determinism grid
+// (autoscale × topology × migration), a run partitioned across parallel
+// shard goroutines must produce a Result deeply identical to the one-shard
+// run of the same seed and spec — reports,
 // per-request token timelines, fabric ledgers, scale events, event
 // counts, everything. CI runs these under -race, so a shard touching
 // state it does not own fails even when the merged result happens to
@@ -22,7 +22,7 @@ import (
 
 // TestShardedDeterminismGrid proves sharded execution is a pure
 // performance change across the full grid: Shards ∈ {2, 3, 8} (8 clamps
-// to the replica count) against the single-threaded baseline.
+// to the replica count) against the one-shard baseline (Shards=0).
 func TestShardedDeterminismGrid(t *testing.T) {
 	w := sessionWorkload(t)
 	for _, row := range determinismGrid() {
@@ -58,52 +58,72 @@ func TestShardedDeterminismGrid(t *testing.T) {
 				case !reflect.DeepEqual(single.TransferClasses, got.TransferClasses):
 					t.Fatalf("shards=%d: transfer ledgers differ:\n%+v\n%+v", shards, single.TransferClasses, got.TransferClasses)
 				case single.EventsProcessed != got.EventsProcessed:
-					t.Fatalf("shards=%d: processed %d events, single-threaded processed %d",
+					t.Fatalf("shards=%d: processed %d events, one shard processed %d",
 						shards, got.EventsProcessed, single.EventsProcessed)
 				default:
-					t.Fatalf("shards=%d: result diverged from single-threaded run", shards)
+					t.Fatalf("shards=%d: result diverged from one-shard run", shards)
 				}
 			}
 		})
 	}
 }
 
-// TestShardedFastPathMatchesLegacy exercises the barrier-free fast path —
-// static pool, round-robin routing, no migration, no sampling — where
-// arrivals pre-route straight onto the shard clocks, and requires deep
-// equality with the single-threaded routed run.
-func TestShardedFastPathMatchesLegacy(t *testing.T) {
-	w := sessionWorkload(t)
-	run := func(shards int) *cluster.Result {
-		cfg := cluster.Config{
-			Replicas: 3,
-			Policy:   router.NewRoundRobin(),
-			Shards:   shards,
-		}
-		_, build := determinismGrid()[0].make()
-		cl, err := cluster.New(cfg, build)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := cl.Run(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+// routedReference runs the round-robin fast-path configuration on the
+// routed barrier path instead: event retention is the one layer
+// fastShardPath excludes, so arrivals go through the coordinator's routing
+// step. The capture is then set aside — Result.Obs is observation only —
+// leaving the reference every fast-path run must deep-equal. config builds
+// the run's configuration for a shard count; the reference uses one shard.
+func routedReference(t *testing.T, config func(shards int) (cluster.Config, cluster.BuildEngine)) *cluster.Result {
+	t.Helper()
+	cfg, build := config(0)
+	cfg.Obs.Events = true
+	cl, err := cluster.New(cfg, build)
+	if err != nil {
+		t.Fatal(err)
 	}
-	single := run(0)
-	for _, shards := range []int{2, 3} {
-		if got := run(shards); !reflect.DeepEqual(single, got) {
-			t.Fatalf("shards=%d: fast-path result diverged from single-threaded run", shards)
+	res, err := cl.Run(sessionWorkload(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Obs.Events.CountKind(obs.KindRouteDecision); n != len(res.Requests) {
+		t.Fatalf("reference routed %d of %d requests through the coordinator", n, len(res.Requests))
+	}
+	res.Obs = nil
+	return res
+}
+
+// TestShardedFastPathMatchesBarrierPath exercises the barrier-free fast
+// path — static pool, round-robin routing, no migration, no sampling —
+// where arrivals pre-route straight onto the shard clocks, and requires
+// deep equality with the routed barrier-path run at every shard count.
+func TestShardedFastPathMatchesBarrierPath(t *testing.T) {
+	w := sessionWorkload(t)
+	config := func(shards int) (cluster.Config, cluster.BuildEngine) {
+		_, build := determinismGrid()[0].make()
+		return cluster.Config{Replicas: 3, Policy: router.NewRoundRobin(), Shards: shards}, build
+	}
+	ref := routedReference(t, config)
+	for _, shards := range []int{0, 2, 3} {
+		cl, err := cluster.New(config(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := cl.Run(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ref, got) {
+			t.Fatalf("shards=%d: fast-path result diverged from the routed barrier path", shards)
 		}
 	}
 }
 
 // TestShardedObsByteIdentity is the sharded-safe-recording acceptance
 // gate: for every determinism-grid row, a sharded run with the full
-// flight recorder on must export the exact bytes of the single-threaded
-// run — the JSONL event stream, the Chrome trace, and the series CSV —
-// and derive a deeply identical attribution report. Per-shard recorders
+// flight recorder on must export the exact bytes of the one-shard run —
+// the JSONL event stream, the Chrome trace, and the series CSV — and
+// derive a deeply identical attribution report. Per-shard recorders
 // plus the deterministic (time, replica, recorder, sequence) merge are
 // what make this hold; CI runs it under -race so a shard writing a sink
 // it does not own fails even when the merged bytes happen to match.
@@ -150,7 +170,7 @@ func TestShardedObsByteIdentity(t *testing.T) {
 			}
 			single := run(0)
 			if single.events == 0 {
-				t.Fatal("single-threaded run recorded no events")
+				t.Fatal("one-shard run recorded no events")
 			}
 			if err := cluster.CheckInvariants(single.res, w.Len()); err != nil {
 				t.Fatal(err)
@@ -158,13 +178,13 @@ func TestShardedObsByteIdentity(t *testing.T) {
 			for _, shards := range []int{2, 3, 8} {
 				got := run(shards)
 				if got.jsonl != single.jsonl {
-					t.Fatalf("shards=%d: JSONL export differs from single-threaded run", shards)
+					t.Fatalf("shards=%d: JSONL export differs from one-shard run", shards)
 				}
 				if got.trace != single.trace {
-					t.Fatalf("shards=%d: Chrome trace export differs from single-threaded run", shards)
+					t.Fatalf("shards=%d: Chrome trace export differs from one-shard run", shards)
 				}
 				if got.csv != single.csv {
-					t.Fatalf("shards=%d: series CSV export differs from single-threaded run", shards)
+					t.Fatalf("shards=%d: series CSV export differs from one-shard run", shards)
 				}
 				if !reflect.DeepEqual(got.res.Attribution, single.res.Attribution) {
 					t.Fatalf("shards=%d: attribution report differs:\n%+v\n%+v",
@@ -180,38 +200,103 @@ func TestShardedObsByteIdentity(t *testing.T) {
 
 // TestShardedAttributionOnFastPath: attribution alone keeps the
 // barrier-free fast path (it needs no coordinator events), and its
-// streaming report still matches the single-threaded run's exactly.
+// streaming report still matches the routed barrier path's exactly.
 func TestShardedAttributionOnFastPath(t *testing.T) {
 	w := sessionWorkload(t)
-	run := func(shards int) *cluster.Result {
-		cfg := cluster.Config{
+	config := func(shards int) (cluster.Config, cluster.BuildEngine) {
+		_, build := determinismGrid()[0].make()
+		return cluster.Config{
 			Replicas: 3,
 			Policy:   router.NewRoundRobin(),
 			Shards:   shards,
 			Obs:      obs.Options{Attribution: true},
+		}, build
+	}
+	ref := routedReference(t, config)
+	if ref.Attribution == nil || ref.Attribution.Requests == 0 {
+		t.Fatal("routed reference produced no attribution report")
+	}
+	for _, shards := range []int{0, 2, 3} {
+		cl, err := cluster.New(config(shards))
+		if err != nil {
+			t.Fatal(err)
 		}
+		got, err := cl.Run(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Obs != nil {
+			t.Fatalf("shards=%d: attribution-only run retained a capture: %+v", shards, got.Obs)
+		}
+		if !reflect.DeepEqual(ref, got) {
+			t.Fatalf("shards=%d: attribution-only result diverged from the routed barrier path", shards)
+		}
+	}
+}
+
+// TestShardedTimeoutDeterminism: MaxSimTime has one meaning at every shard
+// count. A workload whose arrivals outlast the deadline times out with no
+// event fired past it, and the timed-out Result — partial reports, censored
+// requests, ledgers — is deep-equal at Shards 0, 1, 2, and 3 and still
+// satisfies every invariant. Covers the determinism grid on the barrier
+// path plus the round-robin fast path.
+func TestShardedTimeoutDeterminism(t *testing.T) {
+	w := sessionWorkload(t) // arrivals span 60 s
+	const deadline = 20 * time.Second
+	arrived := 0 // the invariants cover the arrivals that fired
+	for _, it := range w.Items {
+		if time.Duration(it.Arrival) <= deadline {
+			arrived++
+		}
+	}
+	type row struct {
+		name string
+		make func() (cluster.Config, cluster.BuildEngine)
+	}
+	rows := []row{{"round-robin-fast-path", func() (cluster.Config, cluster.BuildEngine) {
 		_, build := determinismGrid()[0].make()
-		cl, err := cluster.New(cfg, build)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := cl.Run(w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
+		return cluster.Config{Replicas: 3, Policy: router.NewRoundRobin()}, build
+	}}}
+	for _, g := range determinismGrid() {
+		g := g
+		rows = append(rows, row{g.name, func() (cluster.Config, cluster.BuildEngine) {
+			cfg, build := g.make()
+			cfg.SampleEvery = 250 * time.Millisecond
+			return cfg, build
+		}})
 	}
-	single := run(0)
-	if single.Attribution == nil || single.Attribution.Requests == 0 {
-		t.Fatal("attribution-only run produced no report")
-	}
-	if single.Obs != nil {
-		t.Fatalf("attribution-only run retained a capture: %+v", single.Obs)
-	}
-	for _, shards := range []int{2, 3} {
-		got := run(shards)
-		if !reflect.DeepEqual(single, got) {
-			t.Fatalf("shards=%d: attribution-only result diverged from single-threaded run", shards)
-		}
+	for _, r := range rows {
+		r := r
+		t.Run(r.name, func(t *testing.T) {
+			run := func(shards int) *cluster.Result {
+				cfg, build := r.make()
+				cfg.Shards = shards
+				cfg.MaxSimTime = deadline
+				cl, err := cluster.New(cfg, build)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := cl.Run(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.TimedOut {
+					t.Fatalf("shards=%d: run did not time out", shards)
+				}
+				if res.SimEnd > deadline {
+					t.Fatalf("shards=%d: clock ran to %v past the %v deadline", shards, res.SimEnd, deadline)
+				}
+				if err := cluster.CheckInvariants(res, arrived); err != nil {
+					t.Fatalf("shards=%d: %v", shards, err)
+				}
+				return res
+			}
+			ref := run(0)
+			for _, shards := range []int{1, 2, 3} {
+				if got := run(shards); !reflect.DeepEqual(ref, got) {
+					t.Fatalf("shards=%d: timed-out result diverged from Shards=0", shards)
+				}
+			}
+		})
 	}
 }

@@ -59,7 +59,7 @@ type ScaleRun struct {
 
 // RunScale executes the scale scenario — scaled(500) round-robin TokenFlow
 // replicas serving scaleWorkload — partitioned across the given number of
-// shard goroutines (0 = single-threaded).
+// shard goroutines (0 or 1 = one shard).
 func RunScale(shards int) (ScaleRun, error) {
 	run, _, err := runScale(shards, obs.Options{})
 	return run, err

@@ -340,8 +340,8 @@ func (r *Recorder) Emit(at simclock.Time, kind Kind, replica, request, session i
 // (At, Replica, recorder rank, per-recorder Seq), a total tie-break that
 // keeps exported output byte-stable across runs and across shard counts
 // even when several subsystems emit at the same virtual instant. Seq is
-// renumbered to the canonical position, so a merged sharded stream
-// exports byte-identically to its single-threaded twin. The returned
+// renumbered to the canonical position, so a merged stream exports
+// byte-identically whatever the shard count. The returned
 // slice is a fresh copy.
 func (r *Recorder) Events() []Event {
 	if r == nil {

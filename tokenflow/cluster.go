@@ -132,8 +132,8 @@ type ClusterConfig struct {
 	// wall-clock time changes. Clamped to the replica count. The flight
 	// recorder is sharded-safe: each shard records into its own sink and
 	// the streams merge deterministically, so every Obs layer — events,
-	// series, profile, attribution — exports byte-identically to the
-	// single-threaded run. 0 or 1 keeps the single-threaded loop.
+	// series, profile, attribution — exports byte-identically at every
+	// shard count. 0 or 1 = one shard; negative is an error.
 	Shards int
 
 	// Chaos injects faults on the virtual clock — replica crashes,
@@ -713,8 +713,8 @@ type ClusterResult struct {
 	PrefixIndex *PrefixIndexStats
 
 	// EventsProcessed totals the simulator events fired across every
-	// clock of the run — a determinism witness: a sharded run fires
-	// exactly the events of its single-threaded twin.
+	// clock of the run — a determinism witness: every shard count fires
+	// exactly the same events.
 	EventsProcessed uint64
 
 	// Obs holds the flight-recorder capture when the run was instrumented

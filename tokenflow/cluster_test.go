@@ -243,4 +243,11 @@ func TestRunClusterErrors(t *testing.T) {
 	}, w); err == nil {
 		t.Error("negative replica count should fail")
 	}
+	if _, err := tokenflow.RunCluster(tokenflow.ClusterConfig{
+		Config:   tokenflow.Config{GPU: "RTX-4090", Model: "Llama3-8B"},
+		Replicas: 2,
+		Shards:   -1,
+	}, w); err == nil {
+		t.Error("negative shard count should fail")
+	}
 }
