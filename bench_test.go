@@ -1,11 +1,13 @@
-// Package repro's root benchmarks regenerate every table and figure of the
-// paper's evaluation (one benchmark per artifact; see DESIGN.md §4 for the
-// index and EXPERIMENTS.md for paper-vs-measured results). Experiments are
+// Package repro's root benchmarks regenerate every registered experiment —
+// the paper's evaluation tables and figures plus the cluster studies — as
+// sub-benchmarks of BenchmarkExperiments, one per registry ID, next to a
+// few hand-written cluster and scheduler micro-benchmarks. Experiments are
 // deterministic simulations, so a single iteration reproduces the artifact;
-// sizes scale with TOKENFLOW_SCALE (default 1.0 = paper scale).
+// sizes scale with TOKENFLOW_SCALE (unset = 1.0, paper scale; a value that
+// is not a finite number above zero fails the benchmark).
 //
 //	go test -bench=. -benchmem
-//	go test -bench=Fig16 -v          # print the regenerated table
+//	go test -bench=Experiments/fig16 -v   # print the regenerated table
 package repro
 
 import (
@@ -24,54 +26,37 @@ import (
 	"repro/tokenflow"
 )
 
-// runExperiment wraps one experiment as a benchmark: each b.N iteration
-// regenerates the artifact; the table is logged under -v.
-func runExperiment(b *testing.B, id string) {
+// benchScale sets experiments.Scale from TOKENFLOW_SCALE and returns it,
+// failing the benchmark on a bad value.
+func benchScale(b *testing.B) float64 {
 	b.Helper()
-	e, ok := experiments.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
+	s, err := experiments.ScaleFromEnv()
+	if err != nil {
+		b.Fatal(err)
 	}
-	var tbl *experiments.Table
-	for i := 0; i < b.N; i++ {
-		var err error
-		tbl, err = e.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if tbl != nil {
-		b.Log("\n" + tbl.Format())
-	}
+	experiments.Scale = s
+	return s
 }
 
-func BenchmarkFig01ConsumptionRates(b *testing.B)       { runExperiment(b, "fig01") }
-func BenchmarkFig02SGLangBurst(b *testing.B)            { runExperiment(b, "fig02") }
-func BenchmarkFig06ToyExample(b *testing.B)             { runExperiment(b, "fig06") }
-func BenchmarkFig08WriteStrategies(b *testing.B)        { runExperiment(b, "fig08") }
-func BenchmarkFig09ChunkedWriting(b *testing.B)         { runExperiment(b, "fig09") }
-func BenchmarkFig10LoadEvictOverlap(b *testing.B)       { runExperiment(b, "fig10") }
-func BenchmarkFig11TraceDistribution(b *testing.B)      { runExperiment(b, "fig11") }
-func BenchmarkFig12EndToEndH200(b *testing.B)           { runExperiment(b, "fig12") }
-func BenchmarkFig13EndToEndA6000(b *testing.B)          { runExperiment(b, "fig13") }
-func BenchmarkFig14QueueTimeline(b *testing.B)          { runExperiment(b, "fig14") }
-func BenchmarkFig15RunningTimeline(b *testing.B)        { runExperiment(b, "fig15") }
-func BenchmarkTab01Configurations(b *testing.B)         { runExperiment(b, "tab01") }
-func BenchmarkFig16Burst(b *testing.B)                  { runExperiment(b, "fig16") }
-func BenchmarkFig17Poisson(b *testing.B)                { runExperiment(b, "fig17") }
-func BenchmarkFig18Timelines(b *testing.B)              { runExperiment(b, "fig18") }
-func BenchmarkFig19MultiRate(b *testing.B)              { runExperiment(b, "fig19") }
-func BenchmarkFig20SpeedSweep(b *testing.B)             { runExperiment(b, "fig20") }
-func BenchmarkFig21Ascend(b *testing.B)                 { runExperiment(b, "fig21") }
-func BenchmarkFig22RescheduleInterval(b *testing.B)     { runExperiment(b, "fig22") }
-func BenchmarkFig23BufferConservativeness(b *testing.B) { runExperiment(b, "fig23") }
-func BenchmarkTab02Ablation(b *testing.B)               { runExperiment(b, "tab02") }
-func BenchmarkClusterScaling(b *testing.B)              { runExperiment(b, "cluster") }
-func BenchmarkHeteroPools(b *testing.B)                 { runExperiment(b, "hetero") }
-func BenchmarkAutoscale(b *testing.B)                   { runExperiment(b, "autoscale") }
-func BenchmarkFabric(b *testing.B)                      { runExperiment(b, "fabric") }
-func BenchmarkSLOPolicies(b *testing.B)                 { runExperiment(b, "slo") }
-func BenchmarkScaleEnvelope(b *testing.B)               { runExperiment(b, "scale") }
+// BenchmarkExperiments regenerates every registered experiment, one
+// sub-benchmark per registry ID; each b.N iteration reruns it and the
+// table is logged under -v.
+func BenchmarkExperiments(b *testing.B) {
+	benchScale(b)
+	for _, e := range experiments.All() {
+		e := e
+		b.Run(e.ID, func(b *testing.B) {
+			var tbl *experiments.Table
+			for i := 0; i < b.N; i++ {
+				var err error
+				if tbl, err = e.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.Log("\n" + tbl.Format())
+		})
+	}
+}
 
 // BenchmarkRandomSpecInvariants drives seeded random cluster scenarios
 // (autoscale × topology × migration × gateway space) through the
@@ -105,7 +90,7 @@ func BenchmarkRandomSpecInvariants(b *testing.B) {
 // spike workload — the autoscaler subsystem's wall-clock cost per
 // simulated run.
 func BenchmarkAutoscaledSpikes(b *testing.B) {
-	s := experiments.Scale
+	s := benchScale(b)
 	sessions := int(300 * s)
 	if sessions < 1 {
 		sessions = 1
@@ -136,7 +121,7 @@ func BenchmarkAutoscaledSpikes(b *testing.B) {
 // duration, and spike period scale together so the load regime (arrival
 // rate) stays constant across TOKENFLOW_SCALE values.
 func BenchmarkCluster4xLeastQueue(b *testing.B) {
-	s := experiments.Scale
+	s := benchScale(b)
 	sessions := int(300 * s)
 	if sessions < 1 {
 		sessions = 1
@@ -164,7 +149,7 @@ func BenchmarkCluster4xLeastQueue(b *testing.B) {
 // pair for the migration-vs-recompute tradeoff.
 func benchHetero(b *testing.B, migrate bool) {
 	b.Helper()
-	s := experiments.Scale
+	s := benchScale(b)
 	sessions := int(300 * s)
 	if sessions < 1 {
 		sessions = 1

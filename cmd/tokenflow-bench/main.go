@@ -7,285 +7,49 @@
 //	tokenflow-bench fig16 tab02
 //	TOKENFLOW_SCALE=0.25 tokenflow-bench fig14
 //
-// -obs-profile runs the fixed observability reference scenario (an
-// autoscaling, migrating, host-cached cluster with the full flight
-// recorder on) and writes the simulator's self-profile as BENCH_obs.json
-// instead of the experiment tables; -obs-baseline compares it against a
-// committed baseline and exits non-zero when any phase's per-call average
-// regressed by more than 2x:
+// -csv also writes each selected experiment's table as DIR/<id>.csv, with
+// the table header as the first record:
 //
-//	tokenflow-bench -obs-profile BENCH_obs.json -obs-baseline old.json
+//	tokenflow-bench -csv experiment-csv routing chaos
 //
-// -core-profile runs the core scale scenario (the "scale" experiment: 500
-// round-robin replicas serving ~1M session-turn requests on the sharded
-// executor) and writes the simulator's throughput envelope as
-// BENCH_core.json; -core-baseline compares it against a committed baseline
-// with the same 2x rule:
-//
-//	tokenflow-bench -core-profile BENCH_core.json -core-baseline old.json
-//
-// -scale-trace runs the same scale scenario with the flight recorder's
-// event bus and attribution layer on and exports events.jsonl +
-// attribution.json into the directory — the input for `tokenflow-trace`.
-// Event recording retains everything in memory, so pair it with a reduced
-// TOKENFLOW_SCALE:
-//
-//	TOKENFLOW_SCALE=0.02 tokenflow-bench -scale-trace scale-trace/
-//
-// -routing-curve runs the routing experiment's staleness sweep (indexed
-// session-affinity vs the omniscient references across event-propagation
-// lags) and writes the curve as CSV — the CI artifact behind the "routing"
-// table:
-//
-//	tokenflow-bench -routing-curve routing-curve.csv
-//
-// -chaos-csv runs the chaos experiment's three cells (fault-free,
-// mid-spike crash, crash with 2-way pin redundancy) and writes the
-// recovery table as CSV — the CI artifact behind the "chaos" table:
-//
-//	tokenflow-bench -chaos-csv chaos.csv
+// TOKENFLOW_SCALE must be a finite number above zero; any other value
+// exits with status 2 instead of falling back to paper scale.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/obs"
-	"repro/tokenflow"
 )
 
-// obsRegressionFactor is the CI gate: a phase whose per-call average
-// exceeds this multiple of the committed baseline fails the run.
-const obsRegressionFactor = 2.0
-
-// runObsProfile runs the observability reference scenario, writes its
-// BENCH_obs.json to path, and gates it against baseline when given.
-func runObsProfile(path, baseline string) error {
-	// A fixed, deterministic scenario that exercises every profiled phase:
-	// autoscaling (control ticks), serving (engine steps), and migration +
-	// pre-warm + host-cache traffic on a contended NIC (fabric settles).
-	w := tokenflow.SessionSpikesWorkload(200, 180, 60, 20, 7)
-	cfg := tokenflow.ClusterConfig{
-		Config: tokenflow.Config{
-			System:             tokenflow.SystemTokenFlow,
-			HostPrefixCache:    true,
-			SampleEverySeconds: 0.25,
-			Obs: tokenflow.ObsSpec{
-				Events: true, Series: true, Profile: true, Attribution: true,
-			},
-		},
-		Replicas:        3,
-		Router:          tokenflow.RouterSessionAffinity,
-		Migrate:         true,
-		MigrationPolicy: tokenflow.MigrateCost,
-		Topology:        &tokenflow.TopologySpec{Kind: tokenflow.TopologySharedNIC, LinkGBps: 2},
-		Autoscale: &tokenflow.AutoscaleSpec{
-			Policy:        tokenflow.AutoscaleSLOTarget,
-			MaxReplicas:   3,
-			WarmupSeconds: 4,
-			Prewarm:       true,
-		},
-	}
-	res, err := tokenflow.RunCluster(cfg, w)
-	if err != nil {
-		return err
-	}
+// writeCSV writes one table to path as CSV.
+func writeCSV(path string, tbl *experiments.Table) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := res.Obs.WriteProfileJSON(f); err != nil {
+	if err := tbl.WriteCSV(f); err != nil {
 		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("obs profile: %d events, %d finished requests -> %s\n",
-		res.Obs.EventCount(), res.Cluster.Finished, path)
-	if baseline == "" {
-		return nil
-	}
-	curData, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	cur, err := obs.ReadBenchReport(curData)
-	if err != nil {
-		return err
-	}
-	baseData, err := os.ReadFile(baseline)
-	if err != nil {
-		return err
-	}
-	base, err := obs.ReadBenchReport(baseData)
-	if err != nil {
-		return err
-	}
-	if err := obs.CompareBench(cur, base, obsRegressionFactor); err != nil {
-		return err
-	}
-	fmt.Printf("obs profile: within %.1fx of baseline %s\n", obsRegressionFactor, baseline)
-	return nil
-}
-
-// benchPhase builds one BENCH_core phase: the run's wall time amortized
-// over calls (a run, a request, a token).
-func benchPhase(calls uint64, wall time.Duration) obs.BenchPhase {
-	p := obs.BenchPhase{Calls: calls, TotalNS: wall.Nanoseconds()}
-	if calls > 0 {
-		p.AvgNS = p.TotalNS / int64(calls)
-	}
-	return p
-}
-
-// runCoreProfile runs the core scale scenario, writes its BENCH_core.json
-// to path, and gates it against baseline when given. Unlike the obs
-// profile — per-phase internal timings — the core profile is the outside
-// view: wall time per run, per finished request, and per generated token.
-func runCoreProfile(path, baseline string, shards int) error {
-	run, err := experiments.RunScale(shards)
-	if err != nil {
-		return err
-	}
-	rep := obs.BenchReport{
-		Scenario: fmt.Sprintf("core-scale-%dx%d", run.Replicas, run.Shards),
-		Events:   int(run.Events),
-		WallNS:   run.Wall.Nanoseconds(),
-		Phases: map[string]obs.BenchPhase{
-			"run_total":   benchPhase(1, run.Wall),
-			"per_request": benchPhase(uint64(run.Requests), run.Wall),
-			"per_token":   benchPhase(uint64(run.OutputTokens), run.Wall),
-		},
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("core profile: %d replicas / %d shards, %d requests, %d tokens, %d events in %.1fs -> %s\n",
-		run.Replicas, run.Shards, run.Requests, run.OutputTokens, run.Events,
-		run.Wall.Seconds(), path)
-	if baseline == "" {
-		return nil
-	}
-	baseData, err := os.ReadFile(baseline)
-	if err != nil {
-		return err
-	}
-	base, err := obs.ReadBenchReport(baseData)
-	if err != nil {
-		return err
-	}
-	if err := obs.CompareBench(rep, base, obsRegressionFactor); err != nil {
-		return err
-	}
-	fmt.Printf("core profile: within %.1fx of baseline %s\n", obsRegressionFactor, baseline)
-	return nil
+	return f.Close()
 }
 
 func main() {
-	obsProfile := flag.String("obs-profile", "",
-		"run the observability reference scenario and write BENCH_obs.json to `file` (skips the experiment tables)")
-	obsBaseline := flag.String("obs-baseline", "",
-		"compare -obs-profile output against this committed BENCH_obs.json; exit non-zero on >2x per-phase regression")
-	coreProfile := flag.String("core-profile", "",
-		"run the core scale scenario (500 replicas / ~1M requests, sharded) and write BENCH_core.json to `file` (skips the experiment tables)")
-	coreBaseline := flag.String("core-baseline", "",
-		"compare -core-profile output against this committed BENCH_core.json; exit non-zero on >2x per-phase regression")
-	shards := flag.Int("shards", 8,
-		"shard goroutines for the -core-profile run (results are shard-count independent; this only sets parallelism)")
-	scaleTrace := flag.String("scale-trace", "",
-		"run the scale scenario with event tracing + attribution on and export events.jsonl and attribution.json into `dir` (use a reduced TOKENFLOW_SCALE)")
-	routingCurve := flag.String("routing-curve", "",
-		"run the routing staleness sweep and write the quality-vs-lag curve as CSV to `file` (skips the experiment tables)")
-	chaosCSV := flag.String("chaos-csv", "",
-		"run the chaos recovery cells and write the crash-damage-vs-redundancy table as CSV to `file` (skips the experiment tables)")
+	csvDir := flag.String("csv", "",
+		"also write each selected experiment's table as CSV to `dir`/<id>.csv")
 	flag.Parse()
-	if *obsProfile != "" {
-		if err := runObsProfile(*obsProfile, *obsBaseline); err != nil {
-			fmt.Fprintf(os.Stderr, "obs profile: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	scale, err := experiments.ScaleFromEnv()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-	if *coreProfile != "" {
-		if err := runCoreProfile(*coreProfile, *coreBaseline, *shards); err != nil {
-			fmt.Fprintf(os.Stderr, "core profile: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *scaleTrace != "" {
-		run, err := experiments.RunScaleTraced(*shards, *scaleTrace)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "scale trace: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("scale trace: %d replicas / %d shards, %d requests, %d events in %.1fs -> %s\n",
-			run.Replicas, run.Shards, run.Requests, run.Events, run.Wall.Seconds(), *scaleTrace)
-		return
-	}
-	if *routingCurve != "" {
-		curve, err := experiments.RunRoutingCurve()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "routing curve: %v\n", err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*routingCurve)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "routing curve: %v\n", err)
-			os.Exit(1)
-		}
-		if err := experiments.WriteRoutingCSV(f, curve); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "routing curve: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "routing curve: %v\n", err)
-			os.Exit(1)
-		}
-		freshWins, staleLoses := curve.Crossover()
-		fmt.Printf("routing curve: %d staleness points -> %s (fresh beats least-queue: %v; stalest loses: %v)\n",
-			len(curve.Points), *routingCurve, freshWins, staleLoses)
-		return
-	}
-	if *chaosCSV != "" {
-		cells, err := experiments.RunChaosCells()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaos csv: %v\n", err)
-			os.Exit(1)
-		}
-		f, err := os.Create(*chaosCSV)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaos csv: %v\n", err)
-			os.Exit(1)
-		}
-		if err := experiments.WriteChaosCSV(f, cells); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "chaos csv: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "chaos csv: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("chaos cells: crash P99 %.2fs vs K=2 %.2fs (baseline %.2fs) -> %s\n",
-			cells.PostCrashP99(cells.Crash).Seconds(),
-			cells.PostCrashP99(cells.Redundant).Seconds(),
-			cells.PostCrashP99(cells.Baseline).Seconds(), *chaosCSV)
-		return
-	}
+	experiments.Scale = scale
+
 	ids := flag.Args()
 	var exps []experiments.Experiment
 	if len(ids) == 0 {
@@ -304,6 +68,12 @@ func main() {
 			exps = append(exps, e)
 		}
 	}
+	if *csvDir != "" {
+		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}
 	fmt.Printf("TokenFlow evaluation harness (scale=%.2f)\n\n", experiments.Scale)
 	for _, e := range exps {
 		start := time.Now()
@@ -314,5 +84,11 @@ func main() {
 		}
 		fmt.Print(tbl.Format())
 		fmt.Printf("   (%s in %.1fs)\n\n", e.ID, time.Since(start).Seconds())
+		if *csvDir != "" {
+			if err := writeCSV(filepath.Join(*csvDir, e.ID+".csv"), tbl); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
+				os.Exit(1)
+			}
+		}
 	}
 }

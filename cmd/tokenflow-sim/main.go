@@ -61,22 +61,21 @@
 //	    -crash-at 1:30 -redundancy 2 \
 //	    -workload session-spikes -n 300 -duration 240
 //
-// -trace-out records the request lifecycle and writes Chrome trace_event
-// JSON (open in Perfetto at ui.perfetto.dev), -series-out dumps per-tick
-// telemetry series as CSV, and -obs-profile writes the simulator's
-// self-profile in the BENCH_obs.json shape:
+// -obs-out turns the whole flight recorder on and exports it into a
+// directory: events.jsonl (the lifecycle event log, input of
+// tokenflow-trace), trace.json (Chrome trace_event JSON — open in Perfetto
+// at ui.perfetto.dev), series.csv (per-tick telemetry), profile.json (the
+// simulator's self-profile) and, in cluster mode, attribution.json (the
+// critical-path latency breakdown):
 //
 //	tokenflow-sim -replicas 3 -router session-affinity -migrate \
-//	    -trace-out trace.json -series-out series.csv -obs-profile bench.json \
-//	    -workload session-spikes -n 300 -duration 240
+//	    -obs-out obs-out -workload session-spikes -n 300 -duration 240
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"log"
-	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -101,7 +100,7 @@ var flagGroups = []struct {
 	{"Autoscaling", []string{"autoscale", "min-replicas", "max-replicas", "warmup", "prewarm",
 		"slo-p99", "forecast-rate", "gateway-depth"}},
 	{"Chaos / fault injection", []string{"chaos", "crash-at", "flap", "redundancy"}},
-	{"Observability", []string{"trace-out", "series-out", "obs-profile"}},
+	{"Observability", []string{"obs-out"}},
 }
 
 // groupedUsage prints the flag sections of flagGroups, then any flag the
@@ -287,9 +286,7 @@ func main() {
 		crashAt  = flag.String("crash-at", "", "scripted replica crashes as `replica:atSeconds,...` (e.g. \"1:30,2:45\")")
 		flapAt   = flag.String("flap", "", "scripted link flaps as `from-to:atSeconds:durationSeconds,...` (e.g. \"0-1:20:5\")")
 		redund   = flag.Int("redundancy", 0, "pin-redundancy factor K: keep host mirrors of pinned prefixes on K-1 backup replicas, re-pinned after a crash (0/1 = off)")
-		traceOut = flag.String("trace-out", "", "record lifecycle events and write a Chrome trace_event JSON `file` (open in Perfetto); a .jsonl suffix writes the raw event log instead")
-		seriesOu = flag.String("series-out", "", "record per-tick telemetry series and write them as CSV to `file` (cluster mode)")
-		obsProf  = flag.String("obs-profile", "", "self-profile the simulator's phases and write BENCH_obs.json to `file`")
+		obsOut   = flag.String("obs-out", "", "record events, series, self-profile and attribution and write events.jsonl, trace.json, series.csv, profile.json and attribution.json into `dir`")
 	)
 	flag.Usage = groupedUsage
 	flag.Parse()
@@ -317,15 +314,13 @@ func main() {
 		MemFraction:          *memFrac,
 		HostPrefixCache:      *hostCach,
 		HostPrefixCachePages: *hostPage,
-		Obs: tokenflow.ObsSpec{
-			Events:  *traceOut != "",
-			Series:  *seriesOu != "",
-			Profile: *obsProf != "",
-		},
 	}
-	if cfg.Obs.Series && cfg.SampleEverySeconds == 0 {
-		// Series ride the sampling loop; give it a tick when the user
-		// asked for series but never enabled sampling.
+	if *obsOut != "" {
+		cfg.Obs = tokenflow.ObsSpec{
+			Events: true, Series: true, Profile: true, Attribution: true,
+			Out: *obsOut,
+		}
+		// Series ride the sampling loop, which is off by default.
 		cfg.SampleEverySeconds = 0.25
 	}
 
@@ -504,40 +499,7 @@ func main() {
 		res.MeanTTFT.Seconds(), res.P50TTFT.Seconds(), res.P99TTFT.Seconds())
 	fmt.Printf("total rebuffer      %.2fs across %d requests\n", res.TotalRebuffer.Seconds(), res.Total)
 	fmt.Printf("preemptions         %d\n", res.Preemptions)
-
-	writeObs(ocap, *traceOut, *seriesOu, *obsProf)
-}
-
-// writeObs writes the observability exports the flags requested. All the
-// writers are nil-safe, so an export requested on a path that recorded
-// nothing (series on a single-device run) writes an empty document rather
-// than failing.
-func writeObs(ocap *tokenflow.ObsCapture, traceOut, seriesOut, profOut string) {
-	write := func(path string, fn func(io.Writer) error) {
-		if path == "" {
-			return
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := fn(f); err != nil {
-			f.Close()
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote %s\n", path)
+	if *obsOut != "" {
+		fmt.Printf("events recorded     %d (exported to %s)\n", ocap.EventCount(), *obsOut)
 	}
-	if traceOut != "" {
-		fmt.Printf("events recorded     %d\n", ocap.EventCount())
-	}
-	if strings.HasSuffix(traceOut, ".jsonl") {
-		write(traceOut, ocap.WriteEventsJSONL)
-	} else {
-		write(traceOut, ocap.WriteTraceJSON)
-	}
-	write(seriesOut, ocap.WriteSeriesCSV)
-	write(profOut, ocap.WriteProfileJSON)
 }

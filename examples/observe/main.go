@@ -9,7 +9,7 @@
 //	events.jsonl     one lifecycle event per line (machine-readable log)
 //	trace.json       Chrome trace_event JSON — open at ui.perfetto.dev
 //	series.csv       named telemetry series (queue depth, KV util, links)
-//	BENCH_obs.json   the simulator's own per-phase wall-clock profile
+//	profile.json     the simulator's own per-phase wall-clock profile
 //	attribution.json critical-path latency breakdown (phase quantiles)
 //
 // From the attribution report it prints where the run's latency went —

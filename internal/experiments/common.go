@@ -1,15 +1,21 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§7) on the simulated substrate. Each Fig*/Tab* function runs
-// the workloads and returns a Table of the same rows/series the paper
-// plots; cmd/tokenflow-bench prints them all, and the root bench_test.go
-// wraps each in a testing.B benchmark.
+// evaluation (§7), plus the cluster studies built on top of it, on the
+// simulated substrate. Each registered experiment runs its workloads and
+// returns a Table of the same rows/series the paper plots;
+// cmd/tokenflow-bench prints the ones its arguments select (all of them by
+// default), and the root bench_test.go runs each as a sub-benchmark of
+// BenchmarkExperiments.
 //
-// Experiment sizes scale with the TOKENFLOW_SCALE environment variable
-// (default 1.0 = paper scale); EXPERIMENTS.md records a full-scale run.
+// Experiment sizes scale with Scale, which tokenflow-bench and the root
+// benchmarks set from the TOKENFLOW_SCALE environment variable
+// (ScaleFromEnv; unset = 1.0, paper scale).
 package experiments
 
 import (
+	"encoding/csv"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -26,16 +32,26 @@ import (
 )
 
 // Scale stretches or shrinks experiment sizes (burst counts, trace
-// durations). Initialized from TOKENFLOW_SCALE.
-var Scale = scaleFromEnv()
+// durations); 1.0 is paper scale.
+var Scale = 1.0
 
-func scaleFromEnv() float64 {
-	if v := os.Getenv("TOKENFLOW_SCALE"); v != "" {
-		if f, err := strconv.ParseFloat(v, 64); err == nil && f > 0 {
-			return f
-		}
+// ScaleFromEnv parses TOKENFLOW_SCALE for Scale: unset or empty means
+// paper scale (1.0), and any other value must be a finite number above
+// zero. A bad value is an error rather than a silent fall-back, because
+// the fall-back is the full-size run.
+func ScaleFromEnv() (float64, error) {
+	return parseScale(os.Getenv("TOKENFLOW_SCALE"))
+}
+
+func parseScale(v string) (float64, error) {
+	if v == "" {
+		return 1.0, nil
 	}
-	return 1.0
+	f, err := strconv.ParseFloat(v, 64)
+	if err != nil || !(f > 0) || math.IsInf(f, 0) {
+		return 0, fmt.Errorf("TOKENFLOW_SCALE=%q: want a finite number above 0", v)
+	}
+	return f, nil
 }
 
 // scaled applies Scale to a count with a floor of 1.
@@ -94,6 +110,16 @@ func (t *Table) Format() string {
 		fmt.Fprintf(&b, "-- %s\n", t.Notes)
 	}
 	return b.String()
+}
+
+// WriteCSV writes the header and rows as CSV (RFC 4180 quoting); the
+// title and notes are left out.
+func (t *Table) WriteCSV(w io.Writer) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(t.Header); err != nil {
+		return err
+	}
+	return cw.WriteAll(t.Rows)
 }
 
 // Deployment is a (device, model, memory) triple. MaxBatch optionally

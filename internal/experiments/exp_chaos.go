@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -113,49 +112,6 @@ func RunChaosCells() (*ChaosCells, error) {
 		Redundant: results[2],
 		CrashAt:   chaosCrashAt(),
 	}, nil
-}
-
-// WriteChaosCSV emits the chaos cells as CSV — the CI artifact behind
-// the "chaos" table.
-func WriteChaosCSV(w io.Writer, cells *ChaosCells) error {
-	rows := [][]string{{"variant", "post_crash_p99_s", "p99_ttft_s", "mean_ttft_s",
-		"retries", "failed", "backfills", "replications", "replicated_gb"}}
-	for _, c := range []struct {
-		name string
-		res  *cluster.Result
-	}{
-		{"no-fault", cells.Baseline},
-		{"crash", cells.Crash},
-		{"crash-k2", cells.Redundant},
-	} {
-		rows = append(rows, []string{
-			c.name,
-			ffloat(cells.PostCrashP99(c.res).Seconds(), 3),
-			ffloat(c.res.Report.P99TTFT.Seconds(), 3),
-			ffloat(c.res.Report.MeanTTFT.Seconds(), 3),
-			fint(c.res.Retries),
-			fint(c.res.RetryFailures),
-			fint(c.res.Backfills),
-			fint(c.res.Replications),
-			ffloat(float64(c.res.ReplicatedBytes)/1e9, 2),
-		})
-	}
-	for _, row := range rows {
-		for i, cell := range row {
-			if i > 0 {
-				if _, err := io.WriteString(w, ","); err != nil {
-					return err
-				}
-			}
-			if _, err := io.WriteString(w, cell); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ExpChaos studies fault injection and recovery: the P99-TTFT damage of

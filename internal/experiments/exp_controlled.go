@@ -43,7 +43,7 @@ func Tab01Setups() []controlledSetup {
 		// Poisson setups: a 20-second arrival window produces the transient
 		// overload regime of the paper's Figure 17 (sustained arrivals at
 		// these rates would exceed any scheduler's capacity and flatten the
-		// comparison into pure queue drain; see EXPERIMENTS.md).
+		// comparison into pure queue drain).
 		{name: "H200 (c)", dep: depH200Llama, lambda: 5, inMean: 512, outMean: 2048, rate: 20, durationS: 30},
 		{name: "H200 (d)", dep: depH200Llama, lambda: 10, inMean: 512, outMean: 2048, rate: 20, durationS: 20},
 		{name: "4090 (c)", dep: dep4090Llama, lambda: 2, inMean: 512, outMean: 1024, rate: 20, durationS: 30},

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"sync"
 
 	"repro/internal/cluster"
@@ -121,7 +120,7 @@ func (c *RoutingCurve) Crossover() (freshWins, staleLoses bool) {
 	return freshWins, staleLoses
 }
 
-// routingRow renders one result as a table/CSV row.
+// routingRow renders one result as a table row.
 func routingRow(name, lag string, res *cluster.Result) []string {
 	hits, fallbacks, pending := int64(0), int64(0), int64(0)
 	if st := res.PrefixIndex; st != nil {
@@ -177,32 +176,4 @@ func ExpRouting() (*Table, error) {
 		t.Notes += " (NOTE: at this scale the most-stale point still beat least-queue.)"
 	}
 	return t, nil
-}
-
-// WriteRoutingCSV writes the curve as CSV — the CI artifact form.
-func WriteRoutingCSV(w io.Writer, curve *RoutingCurve) error {
-	rows := [][]string{routingHeader}
-	rows = append(rows,
-		routingRow(router.NameLeastQueue+" (omniscient)", "-1", curve.LeastQueue),
-		routingRow(router.NameSessionAffinity+" (omniscient)", "-1", curve.Affinity))
-	for _, p := range curve.Points {
-		rows = append(rows,
-			routingRow(router.NameIndexedSessionAffinity, ffloat(p.LagSeconds, 2), p.Res))
-	}
-	for _, row := range rows {
-		for i, c := range row {
-			if i > 0 {
-				if _, err := io.WriteString(w, ","); err != nil {
-					return err
-				}
-			}
-			if _, err := io.WriteString(w, c); err != nil {
-				return err
-			}
-		}
-		if _, err := io.WriteString(w, "\n"); err != nil {
-			return err
-		}
-	}
-	return nil
 }

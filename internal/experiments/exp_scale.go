@@ -2,24 +2,19 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/obs"
-	"repro/internal/prefixindex"
 	"repro/internal/router"
 	"repro/internal/trace"
 )
 
 // The scale experiment proves the simulator's envelope rather than a paper
 // figure: a 500-replica cluster serving ~1M session-turn requests, run
-// through the sharded parallel executor. It is the reference scenario
-// behind BENCH_core.json — CI re-runs it and gates the committed baseline
-// at 2x, the same contract BENCH_obs.json holds for the flight recorder.
+// through the sharded parallel executor. The benchmark's scale-rr-500
+// workload times the same shape at a fraction of its size.
 
 // scaleShards is the fixed shard count of the reference run. The scenario
 // is static + round-robin, so it takes the barrier-free fast path; results
@@ -45,8 +40,8 @@ func scaleWorkload() trace.Workload {
 	})
 }
 
-// ScaleRun summarizes one run of the scale scenario, for the experiment
-// table and the BENCH_core gate.
+// ScaleRun summarizes one run of the scale scenario for the experiment
+// table.
 type ScaleRun struct {
 	Replicas     int
 	Shards       int
@@ -57,63 +52,17 @@ type ScaleRun struct {
 	Wall         time.Duration // real time the simulation took
 }
 
-// RunScale executes the scale scenario — scaled(500) round-robin TokenFlow
-// replicas serving scaleWorkload — partitioned across the given number of
-// shard goroutines (0 or 1 = one shard).
-func RunScale(shards int) (ScaleRun, error) {
-	run, _, err := runScale(shards, obs.Options{})
-	return run, err
-}
-
-// RunScaleTraced runs the scale scenario with the flight recorder's event
-// bus and attribution layer on and exports events.jsonl + attribution.json
-// into dir — the input of the tokenflow-trace CI smoke. Event recording
-// retains every lifecycle event in memory, so unlike RunScale this is
-// meant for reduced TOKENFLOW_SCALE runs.
-func RunScaleTraced(shards int, dir string) (ScaleRun, error) {
-	run, res, err := runScale(shards, obs.Options{Events: true, Attribution: true})
-	if err != nil {
-		return run, err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return run, err
-	}
-	f, err := os.Create(filepath.Join(dir, "events.jsonl"))
-	if err != nil {
-		return run, err
-	}
-	if err := res.Obs.Events.WriteJSONL(f); err != nil {
-		f.Close()
-		return run, err
-	}
-	if err := f.Close(); err != nil {
-		return run, err
-	}
-	f, err = os.Create(filepath.Join(dir, "attribution.json"))
-	if err != nil {
-		return run, err
-	}
-	if err := res.Attribution.WriteJSON(f); err != nil {
-		f.Close()
-		return run, err
-	}
-	return run, f.Close()
-}
-
-func runScale(shards int, o obs.Options) (ScaleRun, *cluster.Result, error) {
-	return runScaleWith(router.NewRoundRobin(), nil, shards, o)
-}
-
-func runScaleWith(pol router.Policy, spec *prefixindex.Spec, shards int, o obs.Options) (ScaleRun, *cluster.Result, error) {
+// runScale executes the scale scenario — scaled(500) TokenFlow
+// replicas behind pol serving scaleWorkload — partitioned across the given
+// number of shard goroutines (0 or 1 = one shard).
+func runScale(pol router.Policy, shards int) (ScaleRun, *cluster.Result, error) {
 	replicas := scaled(500)
 	w := scaleWorkload()
 	cl, err := cluster.New(cluster.Config{
-		Replicas:    replicas,
-		Policy:      pol,
-		PrefixIndex: spec,
-		Shards:      shards,
-		MaxSimTime:  4 * time.Hour,
-		Obs:         o,
+		Replicas:   replicas,
+		Policy:     pol,
+		Shards:     shards,
+		MaxSimTime: 4 * time.Hour,
 	}, buildReplica(dep4090Llama))
 	if err != nil {
 		return ScaleRun{}, nil, err
@@ -150,11 +99,11 @@ func runScaleWith(pol router.Policy, spec *prefixindex.Spec, shards int, o obs.O
 // BenchmarkRouterPick: same results, the wall-clock difference is what the
 // per-decision scan cost the gateway.
 func RunScaleRouted(shards int) (omni, indexed ScaleRun, err error) {
-	omni, omniRes, err := runScaleWith(router.NewLeastQueue(), nil, shards, obs.Options{})
+	omni, omniRes, err := runScale(router.NewLeastQueue(), shards)
 	if err != nil {
 		return omni, indexed, err
 	}
-	indexed, idxRes, err := runScaleWith(router.NewIndexedLeastQueue(), nil, shards, obs.Options{})
+	indexed, idxRes, err := runScale(router.NewIndexedLeastQueue(), shards)
 	if err != nil {
 		return omni, indexed, err
 	}
@@ -195,7 +144,7 @@ func scaleRow(name string, run ScaleRun) []string {
 // round-robin reference run plus the least-queue routed pair (omniscient
 // scan vs prefix-index) — and tabulates all three.
 func ExpScale() (*Table, error) {
-	run, err := RunScale(scaleShards)
+	run, _, err := runScale(router.NewRoundRobin(), scaleShards)
 	if err != nil {
 		return nil, err
 	}
@@ -214,7 +163,6 @@ func ExpScale() (*Table, error) {
 			scaleRow(router.NameIndexedLeastQueue, indexed),
 		},
 		Notes: "the simulator's envelope, not a paper artifact; " +
-			"BENCH_core.json gates the round-robin scenario at 2x in CI; " +
 			"the least-queue pair makes identical routing decisions — the wall gap " +
 			"is the omniscient per-pick replica scan the prefix index removes",
 	}, nil

@@ -190,7 +190,7 @@ func Tab02() (*Table, error) {
 	// PCIe-3.0-class host link (3 GB/s effective): consumer testbeds of
 	// the paper's class see constrained host links, and this surfaces the
 	// transfer-latency differences the ablation isolates; results are
-	// averaged over three workload seeds (see EXPERIMENTS.md).
+	// averaged over three workload seeds.
 	setup.dep.GPU.PCIeGBps = 3
 	variants := []struct {
 		name string

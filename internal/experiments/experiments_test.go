@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/csv"
 	"reflect"
 	"strconv"
 	"strings"
@@ -27,6 +29,69 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if _, ok := ByID("fig99"); ok {
 		t.Error("unknown ID should not resolve")
+	}
+}
+
+// TestRegistryIDsUnique: tokenflow-bench -csv names each file after its
+// registry ID, so IDs must be unique and each must resolve to itself.
+func TestRegistryIDsUnique(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range All() {
+		if seen[e.ID] {
+			t.Errorf("duplicate experiment ID %q", e.ID)
+		}
+		seen[e.ID] = true
+		if got, ok := ByID(e.ID); !ok || got.ID != e.ID {
+			t.Errorf("ByID(%q) = %q, %v", e.ID, got.ID, ok)
+		}
+	}
+}
+
+// TestTableWriteCSV: the CSV export parses back into the header plus the
+// rows, with a comma inside a cell quoted rather than splitting it.
+func TestTableWriteCSV(t *testing.T) {
+	tbl := &Table{
+		ID:     "X",
+		Title:  "demo",
+		Header: []string{"router", "P99-TTFT"},
+		Rows:   [][]string{{"least-queue (omniscient)", "1.23s"}, {"a,b", `say "hi"`}},
+		Notes:  "left out of the CSV",
+	}
+	var buf bytes.Buffer
+	if err := tbl.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([][]string{tbl.Header}, tbl.Rows...)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("CSV round trip = %q, want %q", got, want)
+	}
+}
+
+// TestParseScale: TOKENFLOW_SCALE is unset (paper scale) or a finite
+// number above zero; anything else is an error, never a silent 1.0.
+func TestParseScale(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want float64
+		ok   bool
+	}{
+		{"", 1, true},
+		{"0.2", 0.2, true},
+		{"abc", 0, false},
+		{"0,2", 0, false},
+		{"0", 0, false},
+		{"-1", 0, false},
+		{"NaN", 0, false},
+		{"Inf", 0, false},
+	} {
+		got, err := parseScale(tc.in)
+		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
+			t.Errorf("parseScale(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
 	}
 }
 

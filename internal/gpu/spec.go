@@ -2,8 +2,8 @@
 // provides per-device specifications, a roofline cost model for prefill and
 // decode iterations, and a PCIe link model for GPU<->CPU KV-cache transfers.
 //
-// The simulator substitutes this package for real CUDA execution (see
-// DESIGN.md §1): TokenFlow's scheduling and memory-management behaviour
+// The simulator substitutes this package for real CUDA execution:
+// TokenFlow's scheduling and memory-management behaviour
 // depends only on iteration latencies, memory capacity, and transfer
 // latencies, all of which the roofline and link models provide.
 package gpu

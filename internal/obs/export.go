@@ -298,7 +298,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 }
 
 // WriteFiles writes every captured layer into dir: events.jsonl,
-// trace.json, series.csv and BENCH_obs.json (only the layers that were
+// trace.json, series.csv and profile.json (only the layers that were
 // on). It creates dir if needed and returns the paths written.
 func (c *Capture) WriteFiles(dir, scenario string, wall time.Duration) ([]string, error) {
 	if c == nil {
@@ -339,7 +339,7 @@ func (c *Capture) WriteFiles(dir, scenario string, wall time.Duration) ([]string
 	}
 	if c.Profile != nil {
 		rep := c.Profile.Report(scenario, c.Events.Len(), wall)
-		if err := write("BENCH_obs.json", rep.WriteJSON); err != nil {
+		if err := write("profile.json", rep.WriteJSON); err != nil {
 			return paths, err
 		}
 	}

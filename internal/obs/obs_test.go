@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -164,8 +165,8 @@ func TestRegistryObserve(t *testing.T) {
 	}
 }
 
-// TestProfilerRoundTrip: phases accumulate, the report serializes, and
-// the regression gate trips only past the factor.
+// TestProfilerRoundTrip: phases accumulate and the report survives a
+// JSON round trip.
 func TestProfilerRoundTrip(t *testing.T) {
 	p := NewProfiler()
 	p.End(PhaseControlTick, p.Begin())
@@ -177,37 +178,12 @@ func TestProfilerRoundTrip(t *testing.T) {
 	if err := rep.WriteJSON(&sb); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadBenchReport([]byte(sb.String()))
-	if err != nil {
+	var back BenchReport
+	if err := json.Unmarshal([]byte(sb.String()), &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Scenario != "test" || back.Events != 5 {
+	if back.Scenario != "test" || back.Events != 5 || back.Phases["control_tick"].Calls != 1 {
 		t.Fatalf("report round-trip lost fields: %+v", back)
-	}
-
-	base := BenchReport{Phases: map[string]BenchPhase{
-		"engine_step": {Calls: 100, AvgNS: 10000},
-	}}
-	ok := BenchReport{Phases: map[string]BenchPhase{
-		"engine_step": {Calls: 100, AvgNS: 15000},
-	}}
-	bad := BenchReport{Phases: map[string]BenchPhase{
-		"engine_step": {Calls: 100, AvgNS: 30000},
-	}}
-	if err := CompareBench(ok, base, 2.0); err != nil {
-		t.Errorf("1.5x flagged as regression: %v", err)
-	}
-	if err := CompareBench(bad, base, 2.0); err == nil {
-		t.Error("3x regression not flagged")
-	}
-	noise := BenchReport{Phases: map[string]BenchPhase{
-		"engine_step": {Calls: 100, AvgNS: 400},
-	}}
-	noisier := BenchReport{Phases: map[string]BenchPhase{
-		"engine_step": {Calls: 100, AvgNS: 100},
-	}}
-	if err := CompareBench(noise, noisier, 2.0); err != nil {
-		t.Errorf("sub-floor phase gated: %v", err)
 	}
 }
 

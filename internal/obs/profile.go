@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"time"
 )
@@ -103,15 +102,15 @@ func MergeProfilers(ps ...*Profiler) *Profiler {
 	return m
 }
 
-// BenchPhase is one phase's entry in a BENCH_obs.json report.
+// BenchPhase is one phase's entry in a profile.json report.
 type BenchPhase struct {
 	Calls   uint64 `json:"calls"`
 	TotalNS int64  `json:"total_ns"`
 	AvgNS   int64  `json:"avg_ns"`
 }
 
-// BenchReport is the on-disk shape of BENCH_obs.json: the simulator's
-// self-measured perf trajectory for one reference run.
+// BenchReport is the on-disk shape of profile.json: the simulator's
+// self-measured per-phase wall time for one run.
 type BenchReport struct {
 	// Scenario names the reference run the numbers describe.
 	Scenario string `json:"scenario"`
@@ -147,41 +146,4 @@ func (r BenchReport) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// ReadBenchReport parses a BENCH_obs.json document.
-func ReadBenchReport(data []byte) (BenchReport, error) {
-	var r BenchReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return BenchReport{}, fmt.Errorf("obs: parsing bench report: %w", err)
-	}
-	return r, nil
-}
-
-// regressionFloorNS ignores phases whose per-call average is below this
-// floor when gating regressions: at sub-microsecond scale the comparison
-// measures timer noise, not the simulator.
-const regressionFloorNS = 500
-
-// CompareBench checks r (the fresh run) against a committed baseline and
-// returns an error describing the first phase whose per-call average
-// regressed by more than the given factor (e.g. 2.0 for the CI gate).
-// Phases absent from the baseline, with too few calls, or under the noise
-// floor are skipped.
-func CompareBench(r, baseline BenchReport, factor float64) error {
-	for name, base := range baseline.Phases {
-		cur, ok := r.Phases[name]
-		if !ok || base.Calls == 0 || cur.Calls == 0 {
-			continue
-		}
-		if base.AvgNS < regressionFloorNS && cur.AvgNS < regressionFloorNS {
-			continue
-		}
-		limit := int64(float64(base.AvgNS) * factor)
-		if base.AvgNS > 0 && cur.AvgNS > limit {
-			return fmt.Errorf("obs: phase %s regressed: avg %dns > %.1fx baseline %dns",
-				name, cur.AvgNS, factor, base.AvgNS)
-		}
-	}
-	return nil
 }

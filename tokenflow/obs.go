@@ -32,7 +32,7 @@ type ObsSpec struct {
 
 	// Profile times the simulator's own phases (control tick, engine
 	// step, fabric settle, attribution) with the wall clock, for the
-	// BENCH_obs.json self-profile. Wall time never feeds back into
+	// profile.json self-profile. Wall time never feeds back into
 	// virtual-time results.
 	Profile bool
 
@@ -52,7 +52,7 @@ type ObsSpec struct {
 
 	// Out, when non-empty, writes every captured layer into this
 	// directory after the run: events.jsonl, trace.json (Chrome
-	// trace_event JSON — open in Perfetto), series.csv, BENCH_obs.json,
+	// trace_event JSON — open in Perfetto), series.csv, profile.json,
 	// attribution.json.
 	Out string
 }
@@ -129,7 +129,7 @@ func (c *ObsCapture) WriteSeriesCSV(w io.Writer) error {
 }
 
 // WriteProfileJSON writes the run's self-profile (per-phase wall-clock
-// timings) in the BENCH_obs.json shape.
+// timings) in the profile.json shape.
 func (c *ObsCapture) WriteProfileJSON(w io.Writer) error {
 	if c == nil || c.cap.Profile == nil {
 		return nil
@@ -140,7 +140,7 @@ func (c *ObsCapture) WriteProfileJSON(w io.Writer) error {
 
 // WriteFiles writes every captured layer into dir (created if needed) and
 // returns the paths written: events.jsonl, trace.json, series.csv,
-// BENCH_obs.json — only the layers that were on.
+// profile.json — only the layers that were on.
 func (c *ObsCapture) WriteFiles(dir string) ([]string, error) {
 	if c == nil {
 		return nil, nil

@@ -170,7 +170,7 @@ func TestObsExportsAreValid(t *testing.T) {
 		}
 	}
 
-	// Profile: the BENCH_obs.json shape with the engine-step phase hot.
+	// Profile: the profile.json shape with the engine-step phase hot.
 	buf.Reset()
 	if err := res.Obs.WriteProfileJSON(&buf); err != nil {
 		t.Fatal(err)
@@ -217,7 +217,7 @@ func TestObsExportsAreValid(t *testing.T) {
 
 	// Out auto-wrote the files, attribution included.
 	for _, name := range []string{"events.jsonl", "trace.json", "series.csv",
-		"BENCH_obs.json", "attribution.json"} {
+		"profile.json", "attribution.json"} {
 		if _, err := os.Stat(filepath.Join(spec.Out, name)); err != nil {
 			t.Errorf("Out directory lacks %s: %v", name, err)
 		}
