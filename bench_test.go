@@ -102,7 +102,7 @@ func BenchmarkAutoscaledSpikes(b *testing.B) {
 			Replicas: 4,
 			Router:   tokenflow.RouterSessionAffinity,
 			Autoscale: &tokenflow.AutoscaleSpec{
-				MinReplicas: 1, MaxReplicas: 4,
+				MinReplicas:   1,
 				WarmupSeconds: 5, Prewarm: true,
 			},
 		}, w)

@@ -17,10 +17,11 @@
 //	    -router session-affinity -workload session-spikes -n 300 -duration 240
 //
 // -autoscale enables SLO-driven replica autoscaling between -min-replicas
-// and -max-replicas, with -warmup seconds of scale-up latency and -prewarm
-// shipping hot KV prefixes to warming replicas:
+// and the pool size (-replicas or the -hetero layout), with -warmup seconds
+// of scale-up latency and -prewarm shipping hot KV prefixes to warming
+// replicas:
 //
-//	tokenflow-sim -autoscale queue-pressure -min-replicas 1 -max-replicas 4 \
+//	tokenflow-sim -autoscale queue-pressure -min-replicas 1 -replicas 4 \
 //	    -warmup 8 -prewarm -router session-affinity \
 //	    -workload session-spikes -n 300 -duration 240
 //
@@ -31,7 +32,7 @@
 // replica warms:
 //
 //	tokenflow-sim -autoscale slo-target -slo-p99 2.5 -min-replicas 0 \
-//	    -max-replicas 4 -warmup 8 -router session-affinity \
+//	    -replicas 4 -warmup 8 -router session-affinity \
 //	    -workload sessions -n 200 -duration 240
 //
 // -router indexed-session-affinity (or indexed-least-queue) routes against
@@ -70,12 +71,16 @@
 //
 //	tokenflow-sim -replicas 3 -router session-affinity -migrate \
 //	    -obs-out obs-out -workload session-spikes -n 300 -duration 240
+//
+// Invalid input — an unknown name, a degenerate workload (-n 0 sessions,
+// -lambda 0), a non-positive -replicas, a configuration the cluster
+// rejects — prints one error line and exits with status 2.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -97,7 +102,7 @@ var flagGroups = []struct {
 		"index-heartbeat", "index-staleness"}},
 	{"Transfer fabric / KV movement", []string{"topology", "link-gbps", "switch-gbps", "host-cache",
 		"host-cache-pages"}},
-	{"Autoscaling", []string{"autoscale", "min-replicas", "max-replicas", "warmup", "prewarm",
+	{"Autoscaling", []string{"autoscale", "min-replicas", "warmup", "prewarm",
 		"slo-p99", "forecast-rate", "gateway-depth"}},
 	{"Chaos / fault injection", []string{"chaos", "crash-at", "flap", "redundancy"}},
 	{"Observability", []string{"obs-out"}},
@@ -243,7 +248,28 @@ func parseHetero(s string) ([]tokenflow.ReplicaSpec, error) {
 	return specs, nil
 }
 
+// checkFlags rejects the flag values the workload generators would panic
+// on and the replica counts the cluster would silently replace.
+func checkFlags(kind string, n int, lambda float64, replicas int) error {
+	switch {
+	case replicas < 1:
+		return fmt.Errorf("-replicas %d: the pool needs at least 1 replica", replicas)
+	case (kind == "burst" || kind == "sessions" || kind == "session-spikes") && n < 1:
+		return fmt.Errorf("-n %d: the %s workload needs at least 1 request or session", n, kind)
+	case (kind == "poisson" || kind == "burstgpt") && lambda <= 0:
+		return fmt.Errorf("-lambda %v: the %s workload needs a positive arrival rate", lambda, kind)
+	}
+	return nil
+}
+
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "tokenflow-sim:", err)
+		os.Exit(2)
+	}
+}
+
+func run() error {
 	var (
 		system   = flag.String("system", "tokenflow", "sglang | sglang-chunked | andes | tokenflow")
 		gpuName  = flag.String("gpu", "H200", "RTX-4090 | A6000 | H200 | Ascend-910B")
@@ -258,7 +284,7 @@ func main() {
 		output   = flag.Int("output", 1024, "mean output tokens")
 		rate     = flag.Float64("rate", 20, "client consumption rate (tok/s); 0 = instant")
 		seed     = flag.Int64("seed", 1, "workload seed")
-		replicas = flag.Int("replicas", 1, "engine replicas (cluster mode when > 1)")
+		replicas = flag.Int("replicas", 1, "engine replicas: the pool size; the autoscaling maximum (cluster mode when > 1)")
 		routerP  = flag.String("router", "round-robin", "round-robin | least-queue | least-kv | weighted-capacity | session-affinity | indexed-least-queue | indexed-session-affinity")
 		hetero   = flag.String("hetero", "", `heterogeneous pool as "GPU[:count[:memfrac]],..." (cluster mode)`)
 		migrate  = flag.Bool("migrate", false, "enable cross-replica KV migration over the interconnect")
@@ -276,7 +302,6 @@ func main() {
 		idxStale = flag.Float64("index-staleness", 0, "prefix-index digest staleness bound (s) before routing falls back; 0 = derived from heartbeat+delay")
 		scaler   = flag.String("autoscale", "", "autoscaling policy: queue-pressure | kv-utilization | slo-target | predictive (empty = static pool)")
 		minReps  = flag.Int("min-replicas", 1, "autoscaling lower bound on in-service replicas; 0 enables scale-to-zero with the gateway queue")
-		maxReps  = flag.Int("max-replicas", 0, "autoscaling upper bound (default: the replica layout size)")
 		warmup   = flag.Float64("warmup", 8, "autoscaling scale-up warm-up latency (s); 0 = instant")
 		prewarm  = flag.Bool("prewarm", false, "pre-warm scaling-up replicas with hot KV prefixes over the interconnect")
 		sloP99   = flag.Float64("slo-p99", 2, "slo-target policy: windowed P99 TTFT goal (s)")
@@ -290,6 +315,9 @@ func main() {
 	)
 	flag.Usage = groupedUsage
 	flag.Parse()
+	if err := checkFlags(*kind, *n, *lambda, *replicas); err != nil {
+		return err
+	}
 
 	var w tokenflow.Workload
 	switch *kind {
@@ -304,7 +332,7 @@ func main() {
 	case "session-spikes":
 		w = tokenflow.SessionSpikesWorkload(*n, *duration, *spike, *rate, *seed)
 	default:
-		log.Fatalf("unknown workload kind %q", *kind)
+		return fmt.Errorf("unknown workload kind %q", *kind)
 	}
 
 	cfg := tokenflow.Config{
@@ -351,7 +379,7 @@ func main() {
 		if *hetero != "" {
 			specs, err := parseHetero(*hetero)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			ccfg.ReplicaSpecs = specs
 		}
@@ -374,14 +402,14 @@ func main() {
 			if *crashAt != "" {
 				faults, err := parseCrashes(*crashAt)
 				if err != nil {
-					log.Fatal(err)
+					return err
 				}
 				cs.Faults = append(cs.Faults, faults...)
 			}
 			if *flapAt != "" {
 				faults, err := parseFlaps(*flapAt)
 				if err != nil {
-					log.Fatal(err)
+					return err
 				}
 				cs.Faults = append(cs.Faults, faults...)
 			}
@@ -398,7 +426,6 @@ func main() {
 			ccfg.Autoscale = &tokenflow.AutoscaleSpec{
 				Policy:        tokenflow.AutoscalePolicy(*scaler),
 				MinReplicas:   *minReps,
-				MaxReplicas:   *maxReps,
 				WarmupSeconds: ws,
 				Prewarm:       *prewarm,
 				ScaleToZero:   *minReps == 0,
@@ -411,7 +438,7 @@ func main() {
 		}
 		cres, err := tokenflow.RunCluster(ccfg, w)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		res = cres.Cluster
 		ocap = cres.Obs
@@ -484,7 +511,7 @@ func main() {
 		var err error
 		res, err = tokenflow.Run(cfg, w)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		ocap = res.Obs
 	}
@@ -502,4 +529,5 @@ func main() {
 	if *obsOut != "" {
 		fmt.Printf("events recorded     %d (exported to %s)\n", ocap.EventCount(), *obsOut)
 	}
+	return nil
 }

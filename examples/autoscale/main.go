@@ -49,10 +49,12 @@ func main() {
 		return res
 	}
 
+	// The replica layout run builds (4 below) is the pool, so it is also
+	// the autoscaling maximum; the spec only sets the floor.
 	auto := func(prewarm bool) *tokenflow.AutoscaleSpec {
 		return &tokenflow.AutoscaleSpec{
-			Policy:      tokenflow.AutoscaleQueuePressure,
-			MinReplicas: 1, MaxReplicas: 4,
+			Policy:        tokenflow.AutoscaleQueuePressure,
+			MinReplicas:   1,
 			WarmupSeconds: 5,
 			Prewarm:       prewarm,
 		}
@@ -72,15 +74,15 @@ func main() {
 	warm := run(4, auto(true))
 	row("autoscaled 1..4 warm", warm)
 	row("slo-target 2.5s", run(4, &tokenflow.AutoscaleSpec{
-		Policy:      tokenflow.AutoscaleSLOTarget,
-		MinReplicas: 1, MaxReplicas: 4,
+		Policy:        tokenflow.AutoscaleSLOTarget,
+		MinReplicas:   1,
 		WarmupSeconds: 5,
 		TargetP99TTFT: 2500 * time.Millisecond,
 		Prewarm:       true,
 	}))
 	pred := run(4, &tokenflow.AutoscaleSpec{
-		Policy:      tokenflow.AutoscalePredictive,
-		MinReplicas: 1, MaxReplicas: 4,
+		Policy:        tokenflow.AutoscalePredictive,
+		MinReplicas:   1,
 		WarmupSeconds: 5,
 		Prewarm:       true,
 	})

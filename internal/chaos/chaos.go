@@ -63,7 +63,7 @@ type Fault struct {
 
 // Spec is the fault plan plus the recovery knobs. The zero value (and a
 // nil pointer) injects nothing and must leave a run byte-identical to one
-// that never saw the spec.
+// that never saw the spec. Normalize resolves the recovery-knob defaults.
 type Spec struct {
 	// Faults is the scripted plan.
 	Faults []Fault
@@ -113,94 +113,66 @@ func (s *Spec) Active() bool {
 	return len(s.Faults) > 0 || s.RandomFaults > 0 || s.Redundancy > 1
 }
 
-// RetryMaxOrDefault resolves the retry cap.
-func (s *Spec) RetryMaxOrDefault() int {
-	if s.RetryMax > 0 {
-		return s.RetryMax
+// Normalize gives every non-positive recovery knob its default and
+// validates the plan against a replica count.
+func (s Spec) Normalize(replicas int) (Spec, error) {
+	if s.RetryMax <= 0 {
+		s.RetryMax = DefaultRetryMax
 	}
-	return DefaultRetryMax
-}
-
-// RetryBackoffOrDefault resolves the base retry backoff.
-func (s *Spec) RetryBackoffOrDefault() time.Duration {
-	if s.RetryBackoff > 0 {
-		return s.RetryBackoff
+	if s.RetryBackoff <= 0 {
+		s.RetryBackoff = DefaultRetryBackoff
 	}
-	return DefaultRetryBackoff
-}
-
-// DetectDelayOrDefault resolves the crash-detection delay.
-func (s *Spec) DetectDelayOrDefault() time.Duration {
-	if s.DetectDelay > 0 {
-		return s.DetectDelay
+	if s.DetectDelay <= 0 {
+		s.DetectDelay = DefaultDetectDelay
 	}
-	return DefaultDetectDelay
-}
-
-// ReplicateEveryOrDefault resolves the redundancy refresh period.
-func (s *Spec) ReplicateEveryOrDefault() time.Duration {
-	if s.ReplicateEvery > 0 {
-		return s.ReplicateEvery
+	if s.ReplicateEvery <= 0 {
+		s.ReplicateEvery = DefaultReplicateEvery
 	}
-	return DefaultReplicateEvery
-}
-
-// ReplicateConcurrencyOrDefault resolves the replication concurrency bound.
-func (s *Spec) ReplicateConcurrencyOrDefault() int {
-	if s.ReplicateConcurrency > 0 {
-		return s.ReplicateConcurrency
-	}
-	return DefaultReplicateConcurrency
-}
-
-// Validate reports plan errors against a replica count.
-func (s *Spec) Validate(replicas int) error {
-	if s == nil {
-		return nil
+	if s.ReplicateConcurrency <= 0 {
+		s.ReplicateConcurrency = DefaultReplicateConcurrency
 	}
 	for i, f := range s.Faults {
 		if f.At < 0 {
-			return fmt.Errorf("chaos: fault %d at negative time %v", i, f.At)
+			return s, fmt.Errorf("chaos: fault %d at negative time %v", i, f.At)
 		}
 		switch f.Kind {
 		case Crash:
 			if f.Replica < 0 || f.Replica >= replicas {
-				return fmt.Errorf("chaos: fault %d crashes replica %d outside pool of %d",
+				return s, fmt.Errorf("chaos: fault %d crashes replica %d outside pool of %d",
 					i, f.Replica, replicas)
 			}
 		case Brownout:
 			if f.Replica < 0 || f.Replica >= replicas {
-				return fmt.Errorf("chaos: fault %d browns out replica %d outside pool of %d",
+				return s, fmt.Errorf("chaos: fault %d browns out replica %d outside pool of %d",
 					i, f.Replica, replicas)
 			}
 			if f.Factor <= 1 {
-				return fmt.Errorf("chaos: fault %d brownout factor %v must exceed 1", i, f.Factor)
+				return s, fmt.Errorf("chaos: fault %d brownout factor %v must exceed 1", i, f.Factor)
 			}
 			if f.Duration <= 0 {
-				return fmt.Errorf("chaos: fault %d brownout needs a positive duration", i)
+				return s, fmt.Errorf("chaos: fault %d brownout needs a positive duration", i)
 			}
 		case LinkFlap:
 			if f.From < 0 || f.From >= replicas || f.To < 0 || f.To >= replicas || f.From == f.To {
-				return fmt.Errorf("chaos: fault %d flaps invalid link %d-%d in pool of %d",
+				return s, fmt.Errorf("chaos: fault %d flaps invalid link %d-%d in pool of %d",
 					i, f.From, f.To, replicas)
 			}
 			if f.Duration <= 0 {
-				return fmt.Errorf("chaos: fault %d link flap needs a positive duration", i)
+				return s, fmt.Errorf("chaos: fault %d link flap needs a positive duration", i)
 			}
 		default:
-			return fmt.Errorf("chaos: fault %d has unknown kind %d", i, int(f.Kind))
+			return s, fmt.Errorf("chaos: fault %d has unknown kind %d", i, int(f.Kind))
 		}
 	}
-	if s.RandomFaults > 0 && s.Horizon <= 0 {
-		return fmt.Errorf("chaos: %d random faults need a positive horizon", s.RandomFaults)
+	switch {
+	case s.RandomFaults > 0 && s.Horizon <= 0:
+		return s, fmt.Errorf("chaos: %d random faults need a positive horizon", s.RandomFaults)
+	case s.RandomFaults > 0 && replicas < 2:
+		return s, fmt.Errorf("chaos: random faults need at least 2 replicas")
+	case s.Redundancy < 0:
+		return s, fmt.Errorf("chaos: negative redundancy %d", s.Redundancy)
 	}
-	if s.RandomFaults > 0 && replicas < 2 {
-		return fmt.Errorf("chaos: random faults need at least 2 replicas")
-	}
-	if s.Redundancy < 0 {
-		return fmt.Errorf("chaos: negative redundancy %d", s.Redundancy)
-	}
-	return nil
+	return s, nil
 }
 
 // Resolved returns the full fault plan — scripted faults plus the seeded-

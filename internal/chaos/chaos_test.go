@@ -30,66 +30,69 @@ func TestActive(t *testing.T) {
 	}
 }
 
-func TestValidate(t *testing.T) {
+// TestNormalize: every non-positive recovery knob takes its default, set
+// knobs stay, the fault plan is validated against the pool, and
+// normalizing twice changes nothing.
+func TestNormalize(t *testing.T) {
 	flap := func(from, to int, d time.Duration) Fault {
 		return Fault{Kind: LinkFlap, From: from, To: to, Duration: d}
 	}
+	// defaulted is s with every recovery knob at its default.
+	defaulted := func(s Spec) *Spec {
+		s.RetryMax, s.RetryBackoff, s.DetectDelay = DefaultRetryMax, DefaultRetryBackoff, DefaultDetectDelay
+		s.ReplicateEvery, s.ReplicateConcurrency = DefaultReplicateEvery, DefaultReplicateConcurrency
+		return &s
+	}
+	set := Spec{RetryMax: 7, RetryBackoff: time.Second, DetectDelay: 2 * time.Second,
+		ReplicateEvery: 3 * time.Second, ReplicateConcurrency: 9}
+	crash := Spec{Faults: []Fault{{Kind: Crash, At: 1, Replica: 2}}}
+	brownout := Spec{Faults: []Fault{{Kind: Brownout, Replica: 0, Factor: 2, Duration: time.Second}}}
+	flapOK := Spec{Faults: []Fault{flap(0, 1, time.Second)}}
+	random := Spec{RandomFaults: 2, Horizon: simclock.FromSeconds(10)}
 	cases := []struct {
 		name     string
-		spec     *Spec
+		spec     Spec
 		replicas int
-		ok       bool
+		want     *Spec // nil: Normalize must fail
 	}{
-		{"nil", nil, 0, true},
-		{"zero", &Spec{}, 1, true},
-		{"crash-ok", &Spec{Faults: []Fault{{Kind: Crash, At: 1, Replica: 2}}}, 3, true},
-		{"crash-out-of-pool", &Spec{Faults: []Fault{{Kind: Crash, Replica: 3}}}, 3, false},
-		{"negative-time", &Spec{Faults: []Fault{{Kind: Crash, At: -1}}}, 3, false},
-		{"brownout-ok", &Spec{Faults: []Fault{{Kind: Brownout, Replica: 0, Factor: 2, Duration: time.Second}}}, 1, true},
-		{"brownout-factor-1", &Spec{Faults: []Fault{{Kind: Brownout, Factor: 1, Duration: time.Second}}}, 1, false},
-		{"brownout-no-duration", &Spec{Faults: []Fault{{Kind: Brownout, Factor: 2}}}, 1, false},
-		{"flap-ok", &Spec{Faults: []Fault{flap(0, 1, time.Second)}}, 2, true},
-		{"flap-self-link", &Spec{Faults: []Fault{flap(1, 1, time.Second)}}, 3, false},
-		{"flap-out-of-pool", &Spec{Faults: []Fault{flap(0, 2, time.Second)}}, 2, false},
-		{"flap-no-duration", &Spec{Faults: []Fault{flap(0, 1, 0)}}, 2, false},
-		{"unknown-kind", &Spec{Faults: []Fault{{Kind: numKinds}}}, 2, false},
-		{"random-needs-horizon", &Spec{RandomFaults: 2}, 4, false},
-		{"random-needs-survivors", &Spec{RandomFaults: 2, Horizon: simclock.FromSeconds(10)}, 1, false},
-		{"random-ok", &Spec{RandomFaults: 2, Horizon: simclock.FromSeconds(10)}, 2, true},
-		{"negative-redundancy", &Spec{Redundancy: -1}, 2, false},
+		{"zero-takes-defaults", Spec{}, 1, defaulted(Spec{})},
+		{"negative-knobs-take-defaults", Spec{RetryMax: -1, RetryBackoff: -1, DetectDelay: -1,
+			ReplicateEvery: -1, ReplicateConcurrency: -1}, 1, defaulted(Spec{})},
+		{"set-knobs-stay", set, 1, &set},
+		{"crash-ok", crash, 3, defaulted(crash)},
+		{"crash-out-of-pool", Spec{Faults: []Fault{{Kind: Crash, Replica: 3}}}, 3, nil},
+		{"negative-time", Spec{Faults: []Fault{{Kind: Crash, At: -1}}}, 3, nil},
+		{"brownout-ok", brownout, 1, defaulted(brownout)},
+		{"brownout-factor-1", Spec{Faults: []Fault{{Kind: Brownout, Factor: 1, Duration: time.Second}}}, 1, nil},
+		{"brownout-no-duration", Spec{Faults: []Fault{{Kind: Brownout, Factor: 2}}}, 1, nil},
+		{"flap-ok", flapOK, 2, defaulted(flapOK)},
+		{"flap-self-link", Spec{Faults: []Fault{flap(1, 1, time.Second)}}, 3, nil},
+		{"flap-out-of-pool", Spec{Faults: []Fault{flap(0, 2, time.Second)}}, 2, nil},
+		{"flap-no-duration", Spec{Faults: []Fault{flap(0, 1, 0)}}, 2, nil},
+		{"unknown-kind", Spec{Faults: []Fault{{Kind: numKinds}}}, 2, nil},
+		{"random-needs-horizon", Spec{RandomFaults: 2}, 4, nil},
+		{"random-needs-survivors", random, 1, nil},
+		{"random-ok", random, 2, defaulted(random)},
+		{"negative-redundancy", Spec{Redundancy: -1}, 2, nil},
 	}
 	for _, c := range cases {
-		err := c.spec.Validate(c.replicas)
-		if (err == nil) != c.ok {
-			t.Errorf("%s: Validate(%d) = %v, want ok=%v", c.name, c.replicas, err, c.ok)
+		got, err := c.spec.Normalize(c.replicas)
+		if c.want == nil {
+			if err == nil {
+				t.Errorf("%s: Normalize(%d) succeeded, want an error", c.name, c.replicas)
+			}
+			continue
 		}
-	}
-}
-
-func TestDefaults(t *testing.T) {
-	zero := &Spec{}
-	if got := zero.RetryMaxOrDefault(); got != DefaultRetryMax {
-		t.Errorf("RetryMaxOrDefault() = %d, want %d", got, DefaultRetryMax)
-	}
-	if got := zero.RetryBackoffOrDefault(); got != DefaultRetryBackoff {
-		t.Errorf("RetryBackoffOrDefault() = %v, want %v", got, DefaultRetryBackoff)
-	}
-	if got := zero.DetectDelayOrDefault(); got != DefaultDetectDelay {
-		t.Errorf("DetectDelayOrDefault() = %v, want %v", got, DefaultDetectDelay)
-	}
-	if got := zero.ReplicateEveryOrDefault(); got != DefaultReplicateEvery {
-		t.Errorf("ReplicateEveryOrDefault() = %v, want %v", got, DefaultReplicateEvery)
-	}
-	if got := zero.ReplicateConcurrencyOrDefault(); got != DefaultReplicateConcurrency {
-		t.Errorf("ReplicateConcurrencyOrDefault() = %d, want %d", got, DefaultReplicateConcurrency)
-	}
-	set := &Spec{RetryMax: 7, RetryBackoff: time.Second, DetectDelay: 2 * time.Second,
-		ReplicateEvery: 3 * time.Second, ReplicateConcurrency: 9}
-	if set.RetryMaxOrDefault() != 7 || set.RetryBackoffOrDefault() != time.Second ||
-		set.DetectDelayOrDefault() != 2*time.Second ||
-		set.ReplicateEveryOrDefault() != 3*time.Second ||
-		set.ReplicateConcurrencyOrDefault() != 9 {
-		t.Error("explicit recovery knobs must resolve to themselves")
+		if err != nil {
+			t.Errorf("%s: Normalize(%d) = %v", c.name, c.replicas, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, *c.want) {
+			t.Errorf("%s: Normalize(%d) = %+v, want %+v", c.name, c.replicas, got, *c.want)
+		}
+		if again, err := got.Normalize(c.replicas); err != nil || !reflect.DeepEqual(again, got) {
+			t.Errorf("%s: normalizing twice = %+v, %v; want %+v", c.name, again, err, got)
+		}
 	}
 }
 
@@ -118,7 +121,7 @@ func TestResolvedDeterministic(t *testing.T) {
 	}
 	// The resolved plan must pass its own validation — the generator may
 	// not draw faults the scripted path would reject.
-	if err := (&Spec{Faults: a}).Validate(replicas); err != nil {
+	if _, err := (Spec{Faults: a}).Normalize(replicas); err != nil {
 		t.Errorf("resolved plan fails validation: %v", err)
 	}
 	// At most one crash in the whole plan: the pool must keep survivors

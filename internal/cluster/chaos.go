@@ -90,7 +90,7 @@ type copyKey struct {
 // inactive — every chaos hook is gated on that nil, which is what makes a
 // zero-fault spec byte-identical to no spec at all.
 type chaosRuntime struct {
-	spec *chaos.Spec
+	spec chaos.Spec // normalized
 	plan []chaos.Fault
 
 	// retryPending counts orphans between crash and re-entry;
@@ -110,16 +110,15 @@ type chaosRuntime struct {
 	// the in-flight pin-transfer registry aborts tear down.
 	linkDown map[linkKey]simclock.Time
 	flights  []*flight
-
-	crashes, retries, retryFailures, backfills int64
-	replications, replicatedBytes              int64
-	brownouts, linkFlaps, migrationsAborted    int64
 }
 
-// initChaos validates the spec and arms the runtime when it is active.
+// initChaos normalizes the spec and arms the runtime when it is active.
 func (c *Cluster) initChaos() error {
-	spec := c.cfg.Chaos
-	if err := spec.Validate(len(c.replicas)); err != nil {
+	if c.cfg.Chaos == nil {
+		return nil
+	}
+	spec, err := c.cfg.Chaos.Normalize(len(c.replicas))
+	if err != nil {
 		return err
 	}
 	if !spec.Active() {
@@ -158,7 +157,7 @@ func (c *Cluster) scheduleChaos() {
 		}
 	}
 	if c.chaos.spec.Redundancy > 1 {
-		every := c.chaos.spec.ReplicateEveryOrDefault()
+		every := c.chaos.spec.ReplicateEvery
 		var tick func(now simclock.Time)
 		tick = func(now simclock.Time) {
 			c.replicateTick(now)
@@ -197,7 +196,7 @@ func (c *Cluster) injectCrash(rep *replica, now simclock.Time) {
 	rep.state = autoscale.Off
 	c.noteActive(rep.id, false)
 	c.event(now, ScaleCrash, rep.id)
-	c.chaos.crashes++
+	c.ctr.Crashes++
 	c.recFor(rep.id).Emit(now, obs.KindCrash, rep.id, -1, 0,
 		int64(len(orphans)), int64(pinsLost), int64(mirrorsLost), 0, "")
 
@@ -206,8 +205,8 @@ func (c *Cluster) injectCrash(rep *replica, now simclock.Time) {
 		c.abortFlight(fl, now)
 	}
 
-	detect := now.Add(c.chaos.spec.DetectDelayOrDefault())
-	backoff := c.chaos.spec.RetryBackoffOrDefault()
+	detect := now.Add(c.chaos.spec.DetectDelay)
+	backoff := c.chaos.spec.RetryBackoff
 	for _, r := range orphans {
 		attempt := r.Retries + 1
 		c.scheduleRetry(r, attempt, detect.Add(retryDelay(backoff, attempt)))
@@ -271,21 +270,21 @@ func (c *Cluster) retryNow(r *request.Request, attempt int, now simclock.Time) {
 				// admission counters: this request was already admitted.
 				r.ResetForRetry(c.clock)
 				c.gateway = append(c.gateway, r)
-				c.chaos.retries++
+				c.ctr.Retries++
 				c.rec.Emit(now, obs.KindRetry, -1, r.ID, r.Session,
 					int64(attempt), 0, 0, 0, "gateway")
 				return
 			}
 		}
-		if attempt < spec.RetryMaxOrDefault() {
+		if attempt < spec.RetryMax {
 			// No capacity yet (a double crash before backfill lands here):
 			// burn one attempt and back off again.
-			c.scheduleRetry(r, attempt+1, now.Add(retryDelay(spec.RetryBackoffOrDefault(), attempt+1)))
+			c.scheduleRetry(r, attempt+1, now.Add(retryDelay(spec.RetryBackoff, attempt+1)))
 			return
 		}
 		r.ResetForRetry(c.clock)
 		c.chaos.failed = append(c.chaos.failed, r)
-		c.chaos.retryFailures++
+		c.ctr.RetryFailures++
 		c.rec.Emit(now, obs.KindRetry, -1, r.ID, r.Session,
 			int64(attempt), 0, 0, 0, "failed")
 		return
@@ -311,7 +310,7 @@ func (c *Cluster) retryNow(r *request.Request, attempt int, now simclock.Time) {
 	}
 	r.ResetForRetry(c.clock)
 	rep.routed++
-	c.chaos.retries++
+	c.ctr.Retries++
 	c.recFor(rep.id).Emit(now, obs.KindRetry, rep.id, r.ID, r.Session,
 		int64(attempt), 0, 0, 0, "reroute")
 	rep.eng.InjectCause(r, now, obs.QueueCauseRetry)
@@ -322,7 +321,7 @@ func (c *Cluster) retryNow(r *request.Request, attempt int, now simclock.Time) {
 // ledger (and its event kind), so the admission conservation laws hold
 // unchanged.
 func (c *Cluster) shedCrashed(id int, it trace.Item, now simclock.Time) {
-	c.gatewayShed++
+	c.ctr.GatewayShed++
 	c.rec.Emit(now, obs.KindGatewayShed, -1, id, it.Session,
 		int64(it.PromptLen), int64(it.OutputLen), 0, 0, "crash")
 }
@@ -330,7 +329,7 @@ func (c *Cluster) shedCrashed(id int, it trace.Item, now simclock.Time) {
 // injectBrownout opens one slow-node window: iterations launched inside it
 // cost Factor times their modelled duration.
 func (c *Cluster) injectBrownout(rep *replica, f chaos.Fault, now simclock.Time) {
-	c.chaos.brownouts++
+	c.ctr.Brownouts++
 	rep.eng.SetSlowdown(f.Factor)
 	c.recFor(rep.id).Emit(now, obs.KindBrownout, rep.id, -1, 0, 0, 0, 0, f.Factor, "begin")
 	c.clock.At(now.Add(f.Duration), func(t simclock.Time) {
@@ -349,7 +348,7 @@ func (c *Cluster) injectLinkFlap(f chaos.Fault, now simclock.Time) {
 	if cur, ok := c.chaos.linkDown[key]; !ok || until > cur {
 		c.chaos.linkDown[key] = until
 	}
-	c.chaos.linkFlaps++
+	c.ctr.LinkFlaps++
 	aborted := 0
 	for _, fl := range c.flightsCrossing(key) {
 		c.abortFlight(fl, now)
@@ -421,7 +420,7 @@ func (c *Cluster) abortFlight(fl *flight, now simclock.Time) {
 	c.migrationsInFlight--
 	fl.donor.outMigrations--
 	fl.target.inMigrations--
-	c.chaos.migrationsAborted++
+	c.ctr.MigrationsAborted++
 	if !fl.donor.eng.Crashed() {
 		fl.donor.eng.AbortPrefixMigration(fl.session)
 	}
@@ -435,9 +434,9 @@ func (c *Cluster) abortFlight(fl *flight, now simclock.Time) {
 		return
 	}
 	attempt := fl.req.Retries + 1
-	detect := now.Add(c.chaos.spec.DetectDelayOrDefault())
+	detect := now.Add(c.chaos.spec.DetectDelay)
 	c.scheduleRetry(fl.req, attempt,
-		detect.Add(retryDelay(c.chaos.spec.RetryBackoffOrDefault(), attempt)))
+		detect.Add(retryDelay(c.chaos.spec.RetryBackoff, attempt)))
 }
 
 // startRepins drains the post-crash re-pin queue under the replication
@@ -445,7 +444,7 @@ func (c *Cluster) abortFlight(fl *flight, now simclock.Time) {
 // its mirror, over that replica's own h2d link on the replicate class.
 // Completions free a slot and pull the next job.
 func (c *Cluster) startRepins(now simclock.Time) {
-	conc := c.chaos.spec.ReplicateConcurrencyOrDefault()
+	conc := c.chaos.spec.ReplicateConcurrency
 	for c.chaos.replicationsInFlight < conc && len(c.chaos.repinQueue) > 0 {
 		job := c.chaos.repinQueue[0]
 		c.chaos.repinQueue = c.chaos.repinQueue[1:]
@@ -457,8 +456,8 @@ func (c *Cluster) startRepins(now simclock.Time) {
 			continue
 		}
 		c.chaos.replicationsInFlight++
-		c.chaos.replications++
-		c.chaos.replicatedBytes += bytes
+		c.ctr.Replications++
+		c.ctr.ReplicatedBytes += bytes
 		c.recFor(job.rep.id).Emit(now, obs.KindReplicate, job.rep.id, -1, job.session,
 			int64(job.rep.id), int64(tokens), bytes, 0, "repin")
 		c.clock.At(done, func(t simclock.Time) {
@@ -475,7 +474,7 @@ func (c *Cluster) startRepins(now simclock.Time) {
 // at least as large are skipped, as are pairs currently flapped down.
 func (c *Cluster) replicateTick(now simclock.Time) {
 	spec := c.chaos.spec
-	conc := spec.ReplicateConcurrencyOrDefault()
+	conc := spec.ReplicateConcurrency
 	for _, src := range c.replicas {
 		if src.eng.Crashed() {
 			continue
@@ -505,8 +504,8 @@ func (c *Cluster) replicateTick(now simclock.Time) {
 				_, done := c.fab.BookBetween(fabric.ClassReplicate, src.id, dst.id, now, bytes)
 				c.chaos.copying[key] = true
 				c.chaos.replicationsInFlight++
-				c.chaos.replications++
-				c.chaos.replicatedBytes += bytes
+				c.ctr.Replications++
+				c.ctr.ReplicatedBytes += bytes
 				c.recFor(src.id).Emit(now, obs.KindReplicate, src.id, -1, info.Session,
 					int64(dst.id), int64(tokens), bytes, 0, "copy")
 				dst := dst

@@ -79,8 +79,8 @@ func TestChaosCrashAbortsDrainHandoff(t *testing.T) {
 	if !c.replicas[0].eng.Crashed() {
 		t.Fatal("donor did not crash")
 	}
-	if c.chaos.crashes != 1 || c.chaos.migrationsAborted != 1 {
-		t.Errorf("crashes=%d aborted=%d, want 1/1", c.chaos.crashes, c.chaos.migrationsAborted)
+	if c.ctr.Crashes != 1 || c.ctr.MigrationsAborted != 1 {
+		t.Errorf("crashes=%d aborted=%d, want 1/1", c.ctr.Crashes, c.ctr.MigrationsAborted)
 	}
 	if len(c.chaos.flights) != 0 {
 		t.Errorf("flight registry still holds %d entries", len(c.chaos.flights))
@@ -108,8 +108,8 @@ func TestChaosLinkFlapAbortsMidMigration(t *testing.T) {
 	for len(c.chaos.linkDown) == 0 && c.step(simclock.Forever) {
 	}
 	now := c.clock.Now()
-	if c.chaos.linkFlaps != 1 || c.chaos.migrationsAborted != 1 {
-		t.Fatalf("flaps=%d aborted=%d, want 1/1", c.chaos.linkFlaps, c.chaos.migrationsAborted)
+	if c.ctr.LinkFlaps != 1 || c.ctr.MigrationsAborted != 1 {
+		t.Fatalf("flaps=%d aborted=%d, want 1/1", c.ctr.LinkFlaps, c.ctr.MigrationsAborted)
 	}
 	if c.linkUp(0, 1, now) || c.linkUp(1, 0, now) {
 		t.Error("downed pair reports up mid-window")
@@ -183,16 +183,16 @@ func TestChaosSolePinHolderCrash(t *testing.T) {
 				if got != 1024 {
 					t.Errorf("repin restored %d tokens on the survivor, want 1024", got)
 				}
-				if c.chaos.replications != 1 || c.chaos.replicatedBytes == 0 {
+				if c.ctr.Replications != 1 || c.ctr.ReplicatedBytes == 0 {
 					t.Errorf("repins=%d bytes=%d, want one repin with bytes",
-						c.chaos.replications, c.chaos.replicatedBytes)
+						c.ctr.Replications, c.ctr.ReplicatedBytes)
 				}
 			} else {
 				if got != 0 {
 					t.Errorf("survivor conjured %d pinned tokens from nowhere", got)
 				}
-				if c.chaos.replications != 0 {
-					t.Errorf("repins=%d without any mirror", c.chaos.replications)
+				if c.ctr.Replications != 0 {
+					t.Errorf("repins=%d without any mirror", c.ctr.Replications)
 				}
 			}
 			if c.chaos.replicationsInFlight != 0 {

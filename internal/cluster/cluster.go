@@ -102,15 +102,11 @@ type Config struct {
 	// declines when the wire loses.
 	MigrationPolicy MigrationPolicy
 
-	// InterconnectGBps is the interconnect link bandwidth in GB/s (default
-	// 25, RDMA-class): per directed pair under the default full mesh, per
-	// NIC direction under a shared-NIC Topology.
-	InterconnectGBps float64
-
-	// Topology selects the interconnect layout. Nil selects the full mesh
-	// of dedicated per-pair links at InterconnectGBps — the configuration
-	// earlier revisions hard-coded, under which no two transfers between
-	// different replica pairs ever contend.
+	// Topology selects the interconnect layout and its link bandwidth. Nil
+	// selects the full mesh of dedicated per-pair links at the fabric's
+	// default bandwidth — the configuration earlier revisions hard-coded,
+	// under which no two transfers between different replica pairs ever
+	// contend.
 	Topology *fabric.Spec
 
 	// Autoscale enables the dynamic replica lifecycle: the cluster builds
@@ -146,6 +142,10 @@ type Config struct {
 	// chaos.go). Nil, or a spec with no faults and no redundancy, leaves
 	// the run byte-identical to a cluster without the field.
 	Chaos *chaos.Spec
+
+	// normalized marks a Config returned by Normalize, whose defaults are
+	// already applied: a normalized zero Warmup means instant, not 8s.
+	normalized bool
 }
 
 // AutoscaleConfig parameterizes the cluster's dynamic replica lifecycle.
@@ -155,8 +155,8 @@ type AutoscaleConfig struct {
 	Policy autoscale.Policy
 
 	// Min and Max bound the in-service replica set (defaults 1 and the
-	// Config's Replicas). Initial is the active count at t=0 (default
-	// Min).
+	// Config's Replicas; Min above Max is an error). Initial is the active
+	// count at t=0 (default Min).
 	Min, Max, Initial int
 
 	// ScaleToZero forces Min to 0 and fronts the cluster with a gateway
@@ -176,10 +176,12 @@ type AutoscaleConfig struct {
 	P99Window time.Duration
 
 	// Warmup is the latency a scale-up pays before the new replica
-	// accepts traffic — model load plus allocator init (default 8s).
+	// accepts traffic — model load plus allocator init (default 8s;
+	// negative means instant).
 	Warmup time.Duration
 
-	// ControlEvery is the control-loop tick (default 1s).
+	// ControlEvery is the control-loop tick (default 1s; zero or negative
+	// would spin the clock in place, so both select the default).
 	ControlEvery time.Duration
 
 	// Prewarm overlaps each warm-up with KV pre-warming: the hottest
@@ -190,44 +192,6 @@ type AutoscaleConfig struct {
 
 	// PrewarmTopK caps the pins shipped per pre-warm (default 8).
 	PrewarmTopK int
-}
-
-func (a *AutoscaleConfig) withDefaults(replicas int) *AutoscaleConfig {
-	out := *a
-	if out.ScaleToZero {
-		out.Min = 0
-	} else if out.Min == 0 {
-		out.Min = 1
-	}
-	if out.Max == 0 {
-		out.Max = replicas
-	}
-	if out.Max < out.Min {
-		out.Max = out.Min
-	}
-	if out.Max < 1 {
-		out.Max = 1
-	}
-	if out.Initial == 0 {
-		out.Initial = out.Min
-	}
-	if out.GatewayDepth == 0 {
-		out.GatewayDepth = 512
-	}
-	if out.Warmup == 0 {
-		out.Warmup = 8 * time.Second
-	} else if out.Warmup < 0 {
-		out.Warmup = 0 // negative means "free warm-up", not a clock error
-	}
-	// The control loop reschedules itself every ControlEvery; zero or
-	// negative would spin the clock in place, so both select the default.
-	if out.ControlEvery <= 0 {
-		out.ControlEvery = time.Second
-	}
-	if out.PrewarmTopK == 0 {
-		out.PrewarmTopK = 8
-	}
-	return &out
 }
 
 // MigrationPolicy selects how cross-replica migrations are committed.
@@ -250,35 +214,85 @@ func MigrationPolicies() []MigrationPolicy {
 	return []MigrationPolicy{MigrateAlways, MigrateCost}
 }
 
-func (c Config) withDefaults() Config {
-	if c.Replicas == 0 {
-		c.Replicas = 1
-	}
-	if c.MaxSimTime == 0 {
-		c.MaxSimTime = 4 * time.Hour
-	}
-	if c.InterconnectGBps == 0 {
-		c.InterconnectGBps = 25
-	}
-	if c.MigrationPolicy == "" {
-		c.MigrationPolicy = MigrateAlways
-	}
-	spec := fabric.Spec{Kind: fabric.FullMesh, LinkGBps: c.InterconnectGBps}
-	if c.Topology != nil {
-		spec = *c.Topology
-		if spec.Kind == "" {
-			spec.Kind = fabric.FullMesh
+// Normalize fills zero fields with defaults and validates the result.
+// Under autoscaling the cluster builds Autoscale.Max replicas (default
+// Replicas), so the normalized Replicas is Max; the normalized Autoscale is
+// a copy, never the caller's spec. Shards is clamped to [1, Replicas]. The
+// topology is defaulted and validated by fabric.NewTopology, the chaos plan
+// by chaos.Spec.Normalize. Defaults apply once: normalizing a normalized
+// Config returns it unchanged.
+func (c Config) Normalize() (Config, error) {
+	if !c.normalized {
+		c.normalized = true
+		if c.Replicas == 0 {
+			c.Replicas = 1
 		}
-		if spec.LinkGBps == 0 {
-			spec.LinkGBps = c.InterconnectGBps
+		if c.MaxSimTime == 0 {
+			c.MaxSimTime = 4 * time.Hour
+		}
+		if c.MigrationPolicy == "" {
+			c.MigrationPolicy = MigrateAlways
+		}
+		if c.Autoscale != nil {
+			a := *c.Autoscale
+			if a.ScaleToZero {
+				a.Min = 0
+			} else if a.Min == 0 {
+				a.Min = 1
+			}
+			if a.Max == 0 {
+				a.Max = c.Replicas
+			}
+			if a.Initial == 0 {
+				a.Initial = a.Min
+			}
+			if a.GatewayDepth == 0 {
+				a.GatewayDepth = 512
+			}
+			if a.Warmup == 0 {
+				a.Warmup = 8 * time.Second
+			} else if a.Warmup < 0 {
+				a.Warmup = 0
+			}
+			if a.ControlEvery <= 0 {
+				a.ControlEvery = time.Second
+			}
+			if a.PrewarmTopK == 0 {
+				a.PrewarmTopK = 8
+			}
+			c.Autoscale = &a
+			c.Replicas = a.Max
 		}
 	}
-	c.Topology = &spec
-	if c.Autoscale != nil {
-		c.Autoscale = c.Autoscale.withDefaults(c.Replicas)
-		c.Replicas = c.Autoscale.Max
+	if a := c.Autoscale; a != nil {
+		switch {
+		case a.Policy == nil:
+			return c, fmt.Errorf("cluster: autoscaling enabled with nil policy")
+		case !a.ScaleToZero && a.Min < 1:
+			return c, fmt.Errorf("cluster: autoscale min %d must be >= 1 (set ScaleToZero for min 0)", a.Min)
+		case a.Min > a.Max:
+			return c, fmt.Errorf("cluster: autoscale min %d exceeds max %d", a.Min, a.Max)
+		case a.Initial < a.Min || a.Initial > a.Max:
+			return c, fmt.Errorf("cluster: autoscale initial %d outside [%d, %d]",
+				a.Initial, a.Min, a.Max)
+		}
 	}
-	return c
+	switch {
+	case c.Replicas < 1:
+		return c, fmt.Errorf("cluster: replica count %d must be >= 1", c.Replicas)
+	case c.Shards < 0:
+		return c, fmt.Errorf("cluster: shard count %d must be >= 0 (0 or 1 = one shard)", c.Shards)
+	case c.Policy == nil:
+		return c, fmt.Errorf("cluster: nil routing policy")
+	}
+	switch c.MigrationPolicy {
+	case MigrateAlways, MigrateCost:
+	default:
+		return c, fmt.Errorf("cluster: unknown migration policy %q (have %v)",
+			c.MigrationPolicy, MigrationPolicies())
+	}
+	c.Shards = min(max(c.Shards, 1), c.Replicas)
+	return c, nil
 }
 
 // BuildEngine constructs replica i's engine on its shard's clock and the
@@ -354,9 +368,8 @@ type Result struct {
 	// TimedOut is set when the run hit MaxSimTime before completing.
 	TimedOut bool
 
-	// Imbalance is the peak-to-mean ratio of per-replica generated output
-	// tokens (1.0 = perfectly balanced).
-	Imbalance float64
+	// Counters are the run's scalar outcome counters.
+	Counters
 
 	// ImbalanceSeries samples the per-replica load imbalance over time:
 	// at each sampling tick, the peak-to-mean ratio of outstanding
@@ -364,76 +377,20 @@ type Result struct {
 	// disabled.
 	ImbalanceSeries []ImbalancePoint
 
-	// Migrations counts cross-replica prefix migrations the cluster
-	// performed; MigratedTokens the KV tokens shipped over the fabric;
-	// MigrationDrops the installs the target replica had to reject for
-	// lack of memory. MigrationsDeclined counts diverts where MigrateCost
-	// judged the queued wire slower than recomputing and skipped the
-	// transfer (always zero under MigrateAlways).
-	Migrations         int64
-	MigratedTokens     int64
-	MigrationDrops     int64
-	MigrationsDeclined int64
-
 	// TransferClasses totals the fabric traffic per transfer class (sync,
 	// evict, load, reload, migrate, prewarm, drain) across every link of
 	// the topology — the movement-cost ledger of the run.
 	TransferClasses []fabric.ClassStats
 
-	// HostReloads / HostReloadTokens total the host-tier prefix reloads
-	// across replicas (evicted pins brought back over h2d instead of
-	// recomputed); HostReloadFallbacks the reloads declined by the
-	// recompute-vs-reload break-even; HostReloadDrops the reloads whose
-	// pin could not be installed when the transfer landed (the wire was
-	// paid but the turn recomputed anyway).
-	HostReloads         int64
-	HostReloadTokens    int64
-	HostReloadFallbacks int64
-	HostReloadDrops     int64
-
-	// PrefixHits and PrefixHitTokens total the session prefix-cache hits
-	// across replicas (the reuse affinity routing preserved).
-	PrefixHits      int64
-	PrefixHitTokens int64
-
-	// Autoscaling outcome (zero / empty in a static cluster).
-	//
 	// ScaleEvents logs every lifecycle transition the control loop drove;
 	// ReplicaSeries samples the per-state replica counts at every control
-	// tick. GPUSeconds totals the simulated time replicas spent in
-	// service (warming, active, or draining) — the cost axis autoscaling
-	// trades against tail latency; a static cluster reports
-	// replicas × final-clock-time. WarmupStalls counts arrivals routed
-	// while at least one replica was still warming: demand the pool had
-	// already answered but could not serve yet. Prewarms / PrewarmedTokens
-	// total the pre-warm migrations that seeded warming replicas;
-	// DrainMigrations / DrainDroppedPins account the pinned prefixes a
-	// draining replica handed off or discarded.
-	ScaleEvents      []ScaleEvent
-	ReplicaSeries    []ReplicaCountPoint
-	GPUSeconds       float64
-	WarmupStalls     int64
-	Prewarms         int64
-	PrewarmedTokens  int64
-	DrainMigrations  int64
-	DrainDroppedPins int64
+	// tick (both empty in a static cluster).
+	ScaleEvents   []ScaleEvent
+	ReplicaSeries []ReplicaCountPoint
 
-	// Scale-to-zero gateway outcome (zero / empty unless ScaleToZero).
-	//
-	// GatewayBuffered counts arrivals held in the gateway while no replica
-	// was active; GatewayShed the arrivals dropped because the gateway was
-	// full — or, under chaos, because every replica was crash-dead with no
-	// gateway to wait in (they never enter Requests). GatewaySeries
-	// samples the gateway depth at every control tick.
-	GatewayBuffered int64
-	GatewayShed     int64
-	GatewaySeries   []GatewayPoint
-
-	// ForecastError is the predictive policy's mean absolute arrival-rate
-	// forecast error in req/s over ForecastSamples scored forecasts (zero
-	// for non-forecasting policies).
-	ForecastError   float64
-	ForecastSamples int
+	// GatewaySeries samples the scale-to-zero gateway depth at every
+	// control tick (empty unless ScaleToZero).
+	GatewaySeries []GatewayPoint
 
 	// PrefixIndex is the gateway index's end-of-run accounting: the
 	// publication ledger (published / dropped / applied / pending), the
@@ -446,28 +403,6 @@ type Result struct {
 	// off. The capture is observation only — nilling this field yields a
 	// Result deep-equal to the same run without the recorder.
 	Obs *obs.Capture
-
-	// Chaos outcome (all zero without an active Config.Chaos; see
-	// chaos.go). Crashes counts replica crash faults that landed on a live
-	// replica; Retries the orphaned requests re-entered (re-routed to a
-	// survivor or re-buffered through the gateway); RetryFailures the
-	// requests that exhausted the retry budget and failed permanently
-	// (they stay in Requests, unfinished, with censored TTFT). Backfills
-	// counts crashed replicas the autoscaler resurrected through the
-	// warm-up path. Replications / ReplicatedBytes total the redundancy
-	// traffic (proactive mirror copies plus post-crash re-pins) on the
-	// fabric's replicate class. Brownouts and LinkFlaps count the faults
-	// injected; MigrationsAborted the pin transfers a crash or flap tore
-	// off the wire.
-	Crashes           int64
-	Retries           int64
-	RetryFailures     int64
-	Backfills         int64
-	Replications      int64
-	ReplicatedBytes   int64
-	Brownouts         int64
-	LinkFlaps         int64
-	MigrationsAborted int64
 
 	// Attribution is the critical-path latency attribution report
 	// (Config.Obs.Attribution): per-phase latency distributions split by
@@ -482,17 +417,110 @@ type Result struct {
 	SimEnd           time.Duration
 	InitialInService int
 
-	// EventsProcessed counts the simulation events fired across every
-	// clock of the run (the coordinator clock plus the shard sub-clocks) —
-	// the denominator of per-event cost in the core benchmark and a
-	// determinism witness: every shard count fires exactly the same events.
-	EventsProcessed uint64
-
 	// PerReplica lists each replica's stats in replica order.
 	PerReplica []ReplicaStats
 
 	// Requests holds every request across replicas, ordered by ID.
 	Requests []*request.Request
+}
+
+// Counters are the scalar outcome counters of one cluster run. Result
+// embeds them, and so does the public facade's cluster result.
+type Counters struct {
+	// Imbalance is the peak-to-mean ratio of per-replica generated output
+	// tokens (1.0 = perfectly balanced). Under autoscaling only replicas
+	// that were routed at least one request count.
+	Imbalance float64
+
+	// PrefixHits counts requests admitted with a session prefix-cache hit
+	// across replicas (the reuse affinity routing preserved);
+	// PrefixHitTokens is the prefill work those hits skipped.
+	PrefixHits      int64
+	PrefixHitTokens int64
+
+	// Migrations counts cross-replica prefix migrations the cluster
+	// performed; MigratedTokens the KV tokens shipped over the fabric;
+	// MigrationDrops the installs the target replica had to reject for
+	// lack of memory. MigrationsDeclined counts diverts where MigrateCost
+	// judged the queued wire slower than recomputing and skipped the
+	// transfer (always zero under MigrateAlways).
+	Migrations         int64
+	MigratedTokens     int64
+	MigrationDrops     int64
+	MigrationsDeclined int64
+
+	// HostReloads / HostReloadTokens total the host-tier prefix reloads
+	// across replicas (evicted pins brought back over h2d instead of
+	// recomputed, charged inside TTFT); HostReloadFallbacks the reloads
+	// declined by the recompute-vs-reload break-even on a backlogged link;
+	// HostReloadDrops the reloads whose pin could not be installed when
+	// the transfer landed (the wire was paid but the turn recomputed
+	// anyway).
+	HostReloads         int64
+	HostReloadTokens    int64
+	HostReloadFallbacks int64
+	HostReloadDrops     int64
+
+	// Autoscaling outcome (zero in a static cluster, except GPUSeconds).
+	//
+	// GPUSeconds totals the simulated time replicas spent in service
+	// (warming, active, or draining) — the cost axis autoscaling trades
+	// against tail latency; a static cluster reports
+	// replicas × final-clock-time. WarmupStalls counts arrivals routed
+	// while at least one replica was still warming: demand the pool had
+	// already answered but could not serve yet. Prewarms / PrewarmedTokens
+	// total the pre-warm migrations that seeded warming replicas;
+	// DrainMigrations / DrainDroppedPins account the pinned prefixes a
+	// draining replica handed off or discarded.
+	GPUSeconds       float64
+	WarmupStalls     int64
+	Prewarms         int64
+	PrewarmedTokens  int64
+	DrainMigrations  int64
+	DrainDroppedPins int64
+
+	// Scale-to-zero gateway outcome (zero unless ScaleToZero or chaos).
+	//
+	// GatewayBuffered counts arrivals held in the gateway while no replica
+	// was active; GatewayShed the arrivals dropped because the gateway was
+	// full — or, under chaos, because every replica was crash-dead with no
+	// gateway to wait in (they appear in no replica's results).
+	GatewayBuffered int64
+	GatewayShed     int64
+
+	// Chaos outcome (all zero without an active Config.Chaos; see
+	// chaos.go). Crashes counts replica crash faults that landed on a live
+	// replica; Retries the orphaned requests re-entered (re-routed to a
+	// survivor or re-buffered through the gateway); RetryFailures the
+	// requests that exhausted the retry budget and failed permanently
+	// (they stay in the merged report, unfinished, with censored TTFT).
+	// Backfills counts crashed replicas the autoscaler resurrected through
+	// the warm-up path. Replications / ReplicatedBytes total the
+	// redundancy traffic (proactive mirror copies plus post-crash re-pins)
+	// on the fabric's replicate class. Brownouts and LinkFlaps count the
+	// faults injected; MigrationsAborted the pin transfers a crash or flap
+	// tore off the wire.
+	Crashes           int64
+	Retries           int64
+	RetryFailures     int64
+	Backfills         int64
+	Replications      int64
+	ReplicatedBytes   int64
+	Brownouts         int64
+	LinkFlaps         int64
+	MigrationsAborted int64
+
+	// ForecastError is the predictive policy's mean absolute arrival-rate
+	// forecast error in req/s over ForecastSamples scored forecasts (both
+	// zero for non-forecasting policies).
+	ForecastError   float64
+	ForecastSamples int
+
+	// EventsProcessed counts the simulation events fired across every
+	// clock of the run (the coordinator clock plus the shard sub-clocks) —
+	// the denominator of per-event cost in the core benchmark and a
+	// determinism witness: every shard count fires exactly the same events.
+	EventsProcessed uint64
 }
 
 // GatewayPoint samples the scale-to-zero gateway depth at one control tick.
@@ -567,27 +595,16 @@ type Cluster struct {
 	fab *fabric.TransferScheduler
 
 	migrationsInFlight int
-	migrations         int64
-	migratedTokens     int64
-	migrationDrops     int64
-	migrationsDeclined int64
 
 	// Autoscaler bookkeeping (see lifecycle.go).
-	scaleEvents      []ScaleEvent
-	replicaSeries    []ReplicaCountPoint
-	warmupStalls     int64
-	prewarms         int64
-	prewarmedTokens  int64
-	drainMigrations  int64
-	drainDroppedPins int64
+	scaleEvents   []ScaleEvent
+	replicaSeries []ReplicaCountPoint
 
 	// Scale-to-zero gateway (see gateway.go) and the windowed TTFT
 	// estimator feeding latency-driven policies. arrivalsThisTick counts
 	// arrivals between control ticks — the predictive policy's rate
 	// sample.
 	gateway          []*request.Request
-	gatewayBuffered  int64
-	gatewayShed      int64
 	gatewaySeries    []GatewayPoint
 	ttftWin          *metrics.TTFTWindow
 	arrivalsThisTick int
@@ -628,6 +645,10 @@ type Cluster struct {
 	repSeries   []replicaSeriesNames
 	linkBusy    []string
 	linkBacklog []string
+
+	// ctr accumulates the run's event counters (migrations, autoscaling,
+	// gateway, chaos); collect adds the per-replica totals.
+	ctr Counters
 }
 
 // recFor returns the recorder that must capture an event scoped to the
@@ -665,38 +686,18 @@ func (c *Cluster) profFor(replica int) *obs.Profiler {
 // (with autoscaling, Autoscale.Max engines of which Autoscale.Initial
 // start active).
 func New(cfg Config, build BuildEngine) (*Cluster, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Replicas < 1 {
-		return nil, fmt.Errorf("cluster: replica count %d must be >= 1", cfg.Replicas)
-	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("cluster: shard count %d must be >= 0 (0 or 1 = one shard)", cfg.Shards)
-	}
-	if cfg.Policy == nil {
-		return nil, fmt.Errorf("cluster: nil routing policy")
+	cfg, err := cfg.Normalize()
+	if err != nil {
+		return nil, err
 	}
 	if build == nil {
 		return nil, fmt.Errorf("cluster: nil engine builder")
 	}
-	if a := cfg.Autoscale; a != nil {
-		switch {
-		case a.Policy == nil:
-			return nil, fmt.Errorf("cluster: autoscaling enabled with nil policy")
-		case !a.ScaleToZero && a.Min < 1:
-			return nil, fmt.Errorf("cluster: autoscale min %d must be >= 1 (set ScaleToZero for min 0)", a.Min)
-		case a.Initial < a.Min || a.Initial > a.Max:
-			return nil, fmt.Errorf("cluster: autoscale initial %d outside [%d, %d]",
-				a.Initial, a.Min, a.Max)
-		}
+	var spec fabric.Spec
+	if cfg.Topology != nil {
+		spec = *cfg.Topology
 	}
-	switch cfg.MigrationPolicy {
-	case MigrateAlways, MigrateCost:
-	default:
-		return nil, fmt.Errorf("cluster: unknown migration policy %q (have %v)",
-			cfg.MigrationPolicy, MigrationPolicies())
-	}
-	cfg.Shards = min(max(cfg.Shards, 1), cfg.Replicas)
-	topo, err := fabric.NewTopology(cfg.Replicas, *cfg.Topology)
+	topo, err := fabric.NewTopology(cfg.Replicas, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -931,7 +932,7 @@ func (c *Cluster) route(id int, it trace.Item) *replica {
 		for _, rep := range c.replicas {
 			if rep.state == autoscale.Warming {
 				// Capacity this arrival could have used is still loading.
-				c.warmupStalls++
+				c.ctr.WarmupStalls++
 				break
 			}
 		}
@@ -1025,7 +1026,7 @@ func (c *Cluster) maybeMigrate(r *request.Request, it trace.Item, target *replic
 		// beyond what it already caches.
 		recompute := target.eng.EstimatePrefill(best - targetOwn)
 		if eta >= recompute {
-			c.migrationsDeclined++
+			c.ctr.MigrationsDeclined++
 			c.recFor(donor).Emit(now, obs.KindMigrateDecline, donor, r.ID, it.Session,
 				int64(target.id), int64(eta), int64(recompute),
 				float64(best-targetOwn), "")
@@ -1035,7 +1036,7 @@ func (c *Cluster) maybeMigrate(r *request.Request, it trace.Item, target *replic
 	// The deferred inject rides the transfer completion: the request is
 	// delivered together with its KV, so the wire time lands inside TTFT.
 	return c.migratePin(c.replicas[donor], target, it.Session, fabric.ClassMigrate, now,
-		&c.migrations, &c.migratedTokens, r, func(t simclock.Time) {
+		&c.ctr.Migrations, &c.ctr.MigratedTokens, r, func(t simclock.Time) {
 			target.eng.InjectCause(r, t, obs.QueueCauseMigrate)
 		})
 }
@@ -1066,6 +1067,7 @@ func (c *Cluster) collect(timedOut bool) *Result {
 		Policy:   c.cfg.Policy.Name(),
 		Replicas: len(c.replicas),
 		TimedOut: timedOut,
+		Counters: c.ctr,
 	}
 	// Under autoscaling, Imbalance is computed over the replicas that
 	// participated (routed at least one request): a replica that stayed
@@ -1090,6 +1092,10 @@ func (c *Cluster) collect(timedOut bool) *Result {
 		res.Requests = append(res.Requests, er.Requests...)
 		res.PrefixHits += er.PrefixHits
 		res.PrefixHitTokens += er.PrefixHitTokens
+		res.HostReloads += er.KV.HostReloads
+		res.HostReloadTokens += er.KV.HostReloadTokens
+		res.HostReloadFallbacks += er.HostReloadFallbacks
+		res.HostReloadDrops += er.KV.HostReloadDrops
 		res.GPUSeconds += rep.busy.Seconds()
 		if c.cfg.Autoscale == nil || rep.routed > 0 {
 			loads = append(loads, float64(er.Report.TotalOut))
@@ -1100,15 +1106,6 @@ func (c *Cluster) collect(timedOut bool) *Result {
 		// they enter the population unfinished (censored TTFT, zero output)
 		// so the cluster report prices the failures it caused.
 		res.Requests = append(res.Requests, ch.failed...)
-		res.Crashes = ch.crashes
-		res.Retries = ch.retries
-		res.RetryFailures = ch.retryFailures
-		res.Backfills = ch.backfills
-		res.Replications = ch.replications
-		res.ReplicatedBytes = ch.replicatedBytes
-		res.Brownouts = ch.brownouts
-		res.LinkFlaps = ch.linkFlaps
-		res.MigrationsAborted = ch.migrationsAborted
 	}
 	sort.SliceStable(res.Requests, func(i, j int) bool { return res.Requests[i].ID < res.Requests[j].ID })
 
@@ -1132,27 +1129,10 @@ func (c *Cluster) collect(timedOut bool) *Result {
 	res.Imbalance = metrics.Imbalance(loads)
 	res.Samples = mergeSamples(res.PerReplica)
 	res.ImbalanceSeries = imbalanceSeries(res.PerReplica, c.svcMask)
-	res.Migrations = c.migrations
-	res.MigratedTokens = c.migratedTokens
-	res.MigrationDrops = c.migrationDrops
-	res.MigrationsDeclined = c.migrationsDeclined
 	c.settleIndexTraffic()
 	res.TransferClasses = c.fab.ClassStats()
-	for _, rs := range res.PerReplica {
-		res.HostReloads += rs.Result.KV.HostReloads
-		res.HostReloadTokens += rs.Result.KV.HostReloadTokens
-		res.HostReloadFallbacks += rs.Result.HostReloadFallbacks
-		res.HostReloadDrops += rs.Result.KV.HostReloadDrops
-	}
 	res.ScaleEvents = c.scaleEvents
 	res.ReplicaSeries = c.replicaSeries
-	res.WarmupStalls = c.warmupStalls
-	res.Prewarms = c.prewarms
-	res.PrewarmedTokens = c.prewarmedTokens
-	res.DrainMigrations = c.drainMigrations
-	res.DrainDroppedPins = c.drainDroppedPins
-	res.GatewayBuffered = c.gatewayBuffered
-	res.GatewayShed = c.gatewayShed
 	res.GatewaySeries = c.gatewaySeries
 	// Attribution report first (timed on the coordinator profiler, so the
 	// finalize cost lands in the merged profile), then the capture: the

@@ -1,0 +1,160 @@
+package cluster_test
+
+import (
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/autoscale"
+	"repro/internal/cluster"
+	"repro/internal/router"
+)
+
+// configView projects the Config fields Normalize resolves, flattening the
+// autoscale block (zero when the config is static).
+type configView struct {
+	Replicas, Shards int
+	MaxSimTime       time.Duration
+	MigrationPolicy  cluster.MigrationPolicy
+
+	Min, Max, Initial, GatewayDepth, PrewarmTopK int
+	Warmup, ControlEvery                         time.Duration
+}
+
+func viewOf(c cluster.Config) configView {
+	v := configView{Replicas: c.Replicas, Shards: c.Shards, MaxSimTime: c.MaxSimTime,
+		MigrationPolicy: c.MigrationPolicy}
+	if a := c.Autoscale; a != nil {
+		v.Min, v.Max, v.Initial, v.GatewayDepth, v.PrewarmTopK = a.Min, a.Max, a.Initial, a.GatewayDepth, a.PrewarmTopK
+		v.Warmup, v.ControlEvery = a.Warmup, a.ControlEvery
+	}
+	return v
+}
+
+// TestConfigNormalizeDefaults: zero fields take their defaults, set fields
+// stay, Shards clamps into [1, Replicas], Autoscale.Max sizes the pool, the
+// caller's autoscale spec is never written through, and normalizing twice
+// changes nothing.
+func TestConfigNormalizeDefaults(t *testing.T) {
+	rr := router.NewRoundRobin()
+	scaler := autoscale.NewQueuePressure(autoscale.QueuePressureConfig{})
+	auto := func(a cluster.AutoscaleConfig) *cluster.AutoscaleConfig {
+		a.Policy = scaler
+		return &a
+	}
+	static := configView{Replicas: 1, Shards: 1, MaxSimTime: 4 * time.Hour, MigrationPolicy: cluster.MigrateAlways}
+	// scaled is the fully defaulted autoscale view of a pool of n.
+	scaled := func(n int) configView {
+		v := static
+		v.Replicas, v.Min, v.Max, v.Initial = n, 1, n, 1
+		v.GatewayDepth, v.PrewarmTopK = 512, 8
+		v.Warmup, v.ControlEvery = 8*time.Second, time.Second
+		return v
+	}
+	with := func(v configView, edit func(*configView)) configView {
+		edit(&v)
+		return v
+	}
+	cases := []struct {
+		name string
+		in   cluster.Config
+		want configView
+	}{
+		{"zero", cluster.Config{Policy: rr}, static},
+		{"set-fields-stay",
+			cluster.Config{Policy: rr, Replicas: 3, Shards: 2, MaxSimTime: time.Hour, MigrationPolicy: cluster.MigrateCost},
+			configView{Replicas: 3, Shards: 2, MaxSimTime: time.Hour, MigrationPolicy: cluster.MigrateCost}},
+		{"shards-clamp-to-replicas", cluster.Config{Policy: rr, Replicas: 3, Shards: 8},
+			with(static, func(v *configView) { v.Replicas, v.Shards = 3, 3 })},
+		{"shards-one", cluster.Config{Policy: rr, Replicas: 3, Shards: 1},
+			with(static, func(v *configView) { v.Replicas = 3 })},
+		{"autoscale-defaults", cluster.Config{Policy: rr, Replicas: 4, Autoscale: auto(cluster.AutoscaleConfig{})},
+			scaled(4)},
+		{"autoscale-max-sizes-the-pool",
+			cluster.Config{Policy: rr, Replicas: 2, Shards: 8, Autoscale: auto(cluster.AutoscaleConfig{Max: 5})},
+			with(scaled(5), func(v *configView) { v.Shards = 5 })},
+		{"autoscale-set-fields-stay",
+			cluster.Config{Policy: rr, Replicas: 4, Autoscale: auto(cluster.AutoscaleConfig{
+				Min: 2, Max: 4, Initial: 3, GatewayDepth: -1, Warmup: 3 * time.Second,
+				ControlEvery: 500 * time.Millisecond, PrewarmTopK: 2})},
+			with(scaled(4), func(v *configView) {
+				v.Min, v.Initial, v.GatewayDepth, v.PrewarmTopK = 2, 3, -1, 2
+				v.Warmup, v.ControlEvery = 3*time.Second, 500*time.Millisecond
+			})},
+		{"scale-to-zero-forces-min-0",
+			cluster.Config{Policy: rr, Replicas: 3, Autoscale: auto(cluster.AutoscaleConfig{Min: 2, ScaleToZero: true})},
+			with(scaled(3), func(v *configView) { v.Min, v.Initial = 0, 0 })},
+		{"initial-defaults-to-min",
+			cluster.Config{Policy: rr, Replicas: 4, Autoscale: auto(cluster.AutoscaleConfig{Min: 3})},
+			with(scaled(4), func(v *configView) { v.Min, v.Initial = 3, 3 })},
+		{"negative-warmup-is-instant",
+			cluster.Config{Policy: rr, Replicas: 2, Autoscale: auto(cluster.AutoscaleConfig{Warmup: -time.Second})},
+			with(scaled(2), func(v *configView) { v.Warmup = 0 })},
+		{"non-positive-control-tick-defaults",
+			cluster.Config{Policy: rr, Replicas: 2, Autoscale: auto(cluster.AutoscaleConfig{ControlEvery: -time.Second})},
+			scaled(2)},
+	}
+	for _, c := range cases {
+		var spec cluster.AutoscaleConfig
+		if c.in.Autoscale != nil {
+			spec = *c.in.Autoscale
+		}
+		got, err := c.in.Normalize()
+		if err != nil {
+			t.Errorf("%s: Normalize() = %v", c.name, err)
+			continue
+		}
+		if v := viewOf(got); v != c.want {
+			t.Errorf("%s: Normalize() = %+v, want %+v", c.name, v, c.want)
+		}
+		if c.in.Autoscale != nil && !reflect.DeepEqual(*c.in.Autoscale, spec) {
+			t.Errorf("%s: Normalize wrote into the caller's autoscale spec", c.name)
+		}
+		again, err := got.Normalize()
+		if err != nil || !reflect.DeepEqual(again, got) {
+			t.Errorf("%s: normalizing twice = %+v, %v; want %+v", c.name, viewOf(again), err, viewOf(got))
+		}
+	}
+}
+
+// TestConfigNormalizeRejectsBadValues: every invalid config is an error
+// that names what is wrong.
+func TestConfigNormalizeRejectsBadValues(t *testing.T) {
+	rr := router.NewRoundRobin()
+	scaler := autoscale.NewQueuePressure(autoscale.QueuePressureConfig{})
+	auto := func(a cluster.AutoscaleConfig) *cluster.AutoscaleConfig {
+		a.Policy = scaler
+		return &a
+	}
+	cases := []struct {
+		name string
+		in   cluster.Config
+		want string // substring of the error
+	}{
+		{"negative-replicas", cluster.Config{Policy: rr, Replicas: -2}, "replica count -2"},
+		{"negative-shards", cluster.Config{Policy: rr, Replicas: 2, Shards: -1}, "shard count -1"},
+		{"nil-policy", cluster.Config{Replicas: 2}, "nil routing policy"},
+		{"unknown-migration-policy", cluster.Config{Policy: rr, MigrationPolicy: "sometimes"}, `"sometimes"`},
+		{"nil-autoscale-policy", cluster.Config{Policy: rr, Replicas: 2, Autoscale: &cluster.AutoscaleConfig{}},
+			"nil policy"},
+		{"negative-min", cluster.Config{Policy: rr, Replicas: 2, Autoscale: auto(cluster.AutoscaleConfig{Min: -1})},
+			"min -1 must be >= 1"},
+		{"min-over-max", cluster.Config{Policy: rr, Replicas: 2, Autoscale: auto(cluster.AutoscaleConfig{Min: 3, Max: 2})},
+			"min 3 exceeds max 2"},
+		{"min-over-default-max", cluster.Config{Policy: rr, Replicas: 2, Autoscale: auto(cluster.AutoscaleConfig{Min: 3})},
+			"min 3 exceeds max 2"},
+		{"negative-max", cluster.Config{Policy: rr, Replicas: 2, Autoscale: auto(cluster.AutoscaleConfig{Max: -1})},
+			"min 1 exceeds max -1"},
+		{"initial-above-max", cluster.Config{Policy: rr, Replicas: 2, Autoscale: auto(cluster.AutoscaleConfig{Initial: 3})},
+			"initial 3 outside [1, 2]"},
+		{"initial-below-min", cluster.Config{Policy: rr, Replicas: 4,
+			Autoscale: auto(cluster.AutoscaleConfig{Min: 2, Initial: -1})}, "initial -1 outside [2, 4]"},
+	}
+	for _, c := range cases {
+		_, err := c.in.Normalize()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Normalize() = %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+}

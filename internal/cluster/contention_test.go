@@ -54,11 +54,11 @@ func contentionCluster(t *testing.T, spec *fabric.Spec) *Cluster {
 		}
 	}
 	if !c.migratePin(c.replicas[0], c.replicas[1], 1, fabric.ClassPrewarm, 0,
-		&c.prewarms, &c.prewarmedTokens, nil, nil) {
+		&c.ctr.Prewarms, &c.ctr.PrewarmedTokens, nil, nil) {
 		t.Fatal("prewarm migration did not start")
 	}
 	if !c.migratePin(c.replicas[0], c.replicas[2], 2, fabric.ClassDrain, 0,
-		&c.drainMigrations, nil, nil, nil) {
+		&c.ctr.DrainMigrations, nil, nil, nil) {
 		t.Fatal("drain migration did not start")
 	}
 	return c

@@ -78,7 +78,7 @@ func (c *Cluster) ensureColdStart(now simclock.Time) {
 // simulation: they appear in no replica's results, only in GatewayShed.
 func (c *Cluster) gatewayAdmit(id int, it trace.Item, now simclock.Time) {
 	if len(c.gateway) >= c.gatewayCap() {
-		c.gatewayShed++
+		c.ctr.GatewayShed++
 		c.rec.Emit(now, obs.KindGatewayShed, -1, id, it.Session,
 			int64(it.PromptLen), int64(it.OutputLen), 0, 0, "")
 		return
@@ -86,13 +86,13 @@ func (c *Cluster) gatewayAdmit(id int, it trace.Item, now simclock.Time) {
 	r := request.New(id, now, it.PromptLen, it.OutputLen, it.Rate)
 	r.Session, r.Turn = it.Session, it.Turn
 	c.gateway = append(c.gateway, r)
-	c.gatewayBuffered++
+	c.ctr.GatewayBuffered++
 	c.rec.Emit(now, obs.KindGatewayBuffer, -1, id, it.Session,
 		int64(len(c.gateway)), 0, 0, 0, "")
 	for _, rep := range c.replicas {
 		if rep.state == autoscale.Warming {
 			// Demand the cold start has answered but cannot serve yet.
-			c.warmupStalls++
+			c.ctr.WarmupStalls++
 			break
 		}
 	}

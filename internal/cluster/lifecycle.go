@@ -186,7 +186,7 @@ func (c *Cluster) scaleUp(now simclock.Time) {
 		// Backfill: the warm-up path resurrects a crash-dead engine — the
 		// replacement replica boots on the same slot.
 		target.eng.ClearCrashed()
-		c.chaos.backfills++
+		c.ctr.Backfills++
 	}
 	if c.cfg.Autoscale.Prewarm {
 		c.prewarm(target, now)
@@ -238,7 +238,7 @@ func (c *Cluster) prewarm(target *replica, now simclock.Time) {
 			break
 		}
 		if c.migratePin(cd.donor, target, cd.info.Session, fabric.ClassPrewarm, now,
-			&c.prewarms, &c.prewarmedTokens, nil, nil) {
+			&c.ctr.Prewarms, &c.ctr.PrewarmedTokens, nil, nil) {
 			shipped++
 		}
 	}
@@ -293,12 +293,12 @@ func (c *Cluster) drainPins(rep *replica, now simclock.Time) {
 		}
 		if dst == nil {
 			if rep.eng.DropPrefix(info.Session, now) {
-				c.drainDroppedPins++
+				c.ctr.DrainDroppedPins++
 			}
 			continue
 		}
 		if c.migratePin(rep, dst, info.Session, fabric.ClassDrain, now,
-			&c.drainMigrations, nil, nil, nil) {
+			&c.ctr.DrainMigrations, nil, nil, nil) {
 			planned[dst] += info.Pages
 		}
 	}
@@ -350,7 +350,7 @@ func (c *Cluster) migratePin(donor, target *replica, session int, class fabric.C
 		donor.outMigrations--
 		target.inMigrations--
 		if !target.eng.InstallMigratedPrefix(session, tokens, t) {
-			c.migrationDrops++
+			c.ctr.MigrationDrops++
 		}
 		c.migrationsInFlight--
 		if onDone != nil {

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/autoscale"
 	"repro/internal/cluster"
+	"repro/internal/fabric"
 	"repro/internal/router"
 	"repro/internal/trace"
 )
@@ -97,7 +98,7 @@ func ExpAutoscale() (*Table, error) {
 			case "fixed-4":
 				// static pool at max size
 			default:
-				cfg.InterconnectGBps = v.icGBps
+				cfg.Topology = &fabric.Spec{LinkGBps: v.icGBps}
 				cfg.Autoscale = &cluster.AutoscaleConfig{
 					Policy:  autoscale.NewQueuePressure(autoscale.QueuePressureConfig{}),
 					Min:     minReps,

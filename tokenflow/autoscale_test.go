@@ -39,7 +39,7 @@ func TestAutoscaleStaticReproducesRunCluster(t *testing.T) {
 	static := runCluster(t, base, w)
 
 	scaled := base
-	scaled.Autoscale = &tokenflow.AutoscaleSpec{MinReplicas: 3, MaxReplicas: 3}
+	scaled.Autoscale = &tokenflow.AutoscaleSpec{MinReplicas: 3}
 	auto := runCluster(t, scaled, w)
 
 	if !reflect.DeepEqual(static.Cluster, auto.Cluster) {
@@ -60,6 +60,7 @@ func TestAutoscaleStaticReproducesRunCluster(t *testing.T) {
 func TestAutoscaleSpecReusable(t *testing.T) {
 	w := tokenflow.SessionWorkload(20, 60, 20, 9)
 	spec := &tokenflow.AutoscaleSpec{MinReplicas: 1, WarmupSeconds: 2}
+	before := *spec
 	for _, n := range []int{2, 4} {
 		res := runCluster(t, tokenflow.ClusterConfig{
 			Config:    tokenflow.Config{GPU: "RTX-4090", Model: "Llama3-8B"},
@@ -71,22 +72,25 @@ func TestAutoscaleSpecReusable(t *testing.T) {
 			t.Errorf("Replicas=%d run built a %d-replica pool", n, got)
 		}
 	}
-	if spec.MaxReplicas != 0 {
-		t.Errorf("RunCluster wrote MaxReplicas=%d into the caller's spec", spec.MaxReplicas)
+	if !reflect.DeepEqual(*spec, before) {
+		t.Errorf("RunCluster wrote into the caller's spec: %+v, was %+v", *spec, before)
 	}
 }
 
-// TestAutoscaleMinOverMaxErrors: an explicit MinReplicas > MaxReplicas is
-// a configuration error, not a panic.
+// TestAutoscaleMinOverMaxErrors: a MinReplicas above the replica layout
+// size (the autoscaling maximum) is a configuration error, not a panic.
 func TestAutoscaleMinOverMaxErrors(t *testing.T) {
 	w := tokenflow.SessionWorkload(5, 30, 20, 9)
-	_, err := tokenflow.RunCluster(tokenflow.ClusterConfig{
-		Config:    tokenflow.Config{GPU: "RTX-4090", Model: "Llama3-8B"},
-		Router:    tokenflow.RouterLeastQueue,
-		Autoscale: &tokenflow.AutoscaleSpec{MinReplicas: 4, MaxReplicas: 2},
-	}, w)
-	if err == nil {
-		t.Fatal("min > max should fail")
+	for _, cfg := range []tokenflow.ClusterConfig{
+		{Replicas: 2},
+		{ReplicaSpecs: []tokenflow.ReplicaSpec{{GPU: "RTX-4090", Count: 3}}},
+	} {
+		cfg.Config = tokenflow.Config{GPU: "RTX-4090", Model: "Llama3-8B"}
+		cfg.Router = tokenflow.RouterLeastQueue
+		cfg.Autoscale = &tokenflow.AutoscaleSpec{MinReplicas: 4}
+		if _, err := tokenflow.RunCluster(cfg, w); err == nil {
+			t.Errorf("MinReplicas 4 over a %d+%v layout should fail", cfg.Replicas, cfg.ReplicaSpecs)
+		}
 	}
 }
 
@@ -108,7 +112,7 @@ func TestAutoscaleBeatsFixedPools(t *testing.T) {
 	auto := runCluster(t, tokenflow.ClusterConfig{
 		Config: base, Replicas: large, Router: tokenflow.RouterSessionAffinity,
 		Autoscale: &tokenflow.AutoscaleSpec{
-			MinReplicas: small, MaxReplicas: large,
+			MinReplicas:   small,
 			WarmupSeconds: 5, Prewarm: true,
 		},
 	}, w)
@@ -157,7 +161,7 @@ func TestPrewarmBeatsColdWarmup(t *testing.T) {
 			Replicas: 4,
 			Router:   tokenflow.RouterSessionAffinity,
 			Autoscale: &tokenflow.AutoscaleSpec{
-				MinReplicas: 1, MaxReplicas: 4,
+				MinReplicas:   1,
 				WarmupSeconds: 5, Prewarm: prewarm, PrewarmTopK: 8,
 			},
 		}, w)

@@ -98,23 +98,16 @@ type ClusterConfig struct {
 	// prefix recompute time and skips the migration when the wire loses.
 	MigrationPolicy MigrationPolicy
 
-	// InterconnectGBps is the interconnect link bandwidth in GB/s (default
-	// 25, RDMA-class): per directed pair under the default full mesh, per
-	// NIC direction under a shared-NIC Topology. Used with Migrate and
-	// with autoscaling (pre-warm and drain hand-off travel the same
-	// fabric).
-	InterconnectGBps float64
-
-	// Topology selects the interconnect layout of the transfer fabric.
-	// Nil keeps the full mesh of dedicated per-pair links at
-	// InterconnectGBps, under which transfers between different replica
+	// Topology selects the interconnect layout of the transfer fabric and
+	// its link bandwidth. Nil keeps the full mesh of dedicated per-pair
+	// links at 25 GB/s, under which transfers between different replica
 	// pairs never contend — the configuration earlier revisions
 	// hard-coded.
 	Topology *TopologySpec
 
 	// Autoscale enables SLO-driven replica autoscaling: a control loop on
 	// the virtual clock grows and shrinks the active replica set between
-	// MinReplicas and MaxReplicas. Nil keeps the static pool.
+	// MinReplicas and the replica layout size. Nil keeps the static pool.
 	Autoscale *AutoscaleSpec
 
 	// PrefixIndex configures the event-published global prefix index: the
@@ -242,23 +235,21 @@ func (s *ChaosSpec) chaosSpec() (*chaos.Spec, error) {
 }
 
 // MigrationPolicy selects how cross-replica KV migrations are committed.
-type MigrationPolicy string
+type MigrationPolicy = cluster.MigrationPolicy
 
 // Migration policies.
 const (
 	// MigrateAlways ships a pinned prefix on every divert that finds a
 	// better donor, regardless of interconnect backlog.
-	MigrateAlways MigrationPolicy = "always"
+	MigrateAlways = cluster.MigrateAlways
 	// MigrateCost prices the queued transfer on the real topology against
 	// the target replica's estimated prefix recompute time and declines
 	// migrations the wire would lose.
-	MigrateCost MigrationPolicy = "cost"
+	MigrateCost = cluster.MigrateCost
 )
 
 // MigrationPolicies lists the migration policies.
-func MigrationPolicies() []MigrationPolicy {
-	return []MigrationPolicy{MigrateAlways, MigrateCost}
-}
+func MigrationPolicies() []MigrationPolicy { return cluster.MigrationPolicies() }
 
 // PrefixIndexSpec configures the gateway's event-published prefix index:
 // how stale the routing view is allowed to get. The zero value is the
@@ -305,83 +296,33 @@ func (s *PrefixIndexSpec) indexSpec() *prefixindex.Spec {
 }
 
 // PrefixIndexStats reports the gateway index's end-of-run accounting.
-type PrefixIndexStats struct {
-	// Published counts every publication put on the wire (dropped ones
-	// included — they consumed fabric bytes); Dropped the subset lost in
-	// flight; Applied the subset absorbed into the index; Pending the
-	// publications still in flight when the run ended.
-	Published, Dropped, Applied, Pending int64
-	// Heartbeats counts applied digest publications.
-	Heartbeats int64
-	// AffinityHits counts indexed affinity decisions that stuck a session
-	// to its indexed holder; the four fallback counters classify the
-	// diversions (no holder indexed, digest too stale, no KV headroom,
-	// holder overloaded).
-	AffinityHits      int64
-	AffinityMisses    int64
-	StaleFallbacks    int64
-	HeadroomFallbacks int64
-	OverloadFallbacks int64
-	// Sessions is the distinct sessions indexed at the end of the run.
-	Sessions int64
-}
+type PrefixIndexStats = prefixindex.Stats
 
 // TopologyKind selects the interconnect layout of the transfer fabric.
-type TopologyKind string
+type TopologyKind = fabric.Kind
 
 // Interconnect layouts.
 const (
 	// TopologyFullMesh: a dedicated link per directed replica pair — no
 	// contention between different pairs (the degenerate default).
-	TopologyFullMesh TopologyKind = "full-mesh"
+	TopologyFullMesh = fabric.FullMesh
 	// TopologySharedNIC: one egress and one ingress NIC link per replica,
 	// behind an optional shared switch. Concurrent migrations, pre-warms,
 	// and drain hand-offs that share an endpoint serialize.
-	TopologySharedNIC TopologyKind = "shared-nic"
+	TopologySharedNIC = fabric.SharedNIC
 )
 
 // TopologyKinds lists the interconnect layouts.
-func TopologyKinds() []TopologyKind {
-	return []TopologyKind{TopologyFullMesh, TopologySharedNIC}
-}
+func TopologyKinds() []TopologyKind { return fabric.Kinds() }
 
 // TopologySpec describes the interconnect layout of the cluster's
-// transfer fabric. Every KV byte the cluster moves between replicas —
+// transfer fabric: Kind (default full mesh), LinkGBps (one link's
+// bandwidth, default 25), and SwitchGBps (the shared-NIC switch stage;
+// zero is non-blocking). Every KV byte the cluster moves between replicas —
 // routing migrations, pre-warm, drain hand-off — is booked on this
 // topology's links with FIFO contention, so a shared NIC makes concurrent
 // transfers honest about queueing.
-type TopologySpec struct {
-	// Kind selects the layout (default TopologyFullMesh).
-	Kind TopologyKind
-
-	// LinkGBps is the bandwidth of one interconnect link in GB/s: per
-	// directed pair under full-mesh, per NIC direction under shared-nic.
-	// Zero inherits InterconnectGBps.
-	LinkGBps float64
-
-	// SwitchGBps bounds the aggregate switch bandwidth under shared-nic:
-	// all transfers additionally serialize through one switch stage of
-	// this bandwidth. Zero models a non-blocking switch.
-	SwitchGBps float64
-}
-
-// fabricSpec maps the public topology spec onto the internal fabric spec.
-func (s *TopologySpec) fabricSpec() (*fabric.Spec, error) {
-	if s == nil {
-		return nil, nil
-	}
-	switch s.Kind {
-	case "", TopologyFullMesh, TopologySharedNIC:
-	default:
-		return nil, fmt.Errorf("tokenflow: unknown topology kind %q (have %v)",
-			s.Kind, TopologyKinds())
-	}
-	return &fabric.Spec{
-		Kind:       fabric.Kind(s.Kind),
-		LinkGBps:   s.LinkGBps,
-		SwitchGBps: s.SwitchGBps,
-	}, nil
-}
+type TopologySpec = fabric.Spec
 
 // AutoscalePolicy selects how the autoscaler decides scale actions.
 type AutoscalePolicy string
@@ -425,18 +366,17 @@ type ForecastSpec struct {
 }
 
 // AutoscaleSpec parameterizes SLO-driven replica autoscaling. The replica
-// layout (Replicas or ReplicaSpecs) sizes the maximum pool: a homogeneous
-// layout stretches to MaxReplicas automatically, a heterogeneous layout
-// must list exactly MaxReplicas replicas.
+// layout (Replicas or ReplicaSpecs) is the pool, so its size is also the
+// autoscaling maximum.
 type AutoscaleSpec struct {
 	// Policy selects the scale-decision policy (default
 	// AutoscaleQueuePressure).
 	Policy AutoscalePolicy
 
-	// MinReplicas and MaxReplicas bound the in-service replica set
-	// (defaults: 1 and the replica layout size). InitialReplicas is the
-	// active count at t=0 (default MinReplicas).
-	MinReplicas, MaxReplicas, InitialReplicas int
+	// MinReplicas bounds the in-service replica set from below (default 1;
+	// above the layout size is an error). InitialReplicas is the active
+	// count at t=0 (default MinReplicas).
+	MinReplicas, InitialReplicas int
 
 	// ScaleToZero forces MinReplicas to 0 and fronts the cluster with a
 	// gateway queue: arrivals while no replica is active are buffered
@@ -583,6 +523,11 @@ type ImbalanceSample struct {
 	Imbalance float64
 }
 
+// ClusterCounters are a cluster run's scalar outcome counters: load
+// imbalance, prefix hits, migrations, host reloads, autoscaling cost,
+// gateway and chaos outcomes, forecast error, and the events processed.
+type ClusterCounters = cluster.Counters
+
 // ClusterResult reports a completed cluster simulation.
 type ClusterResult struct {
 	// Router is the policy that served the run.
@@ -596,47 +541,19 @@ type ClusterResult struct {
 	// Replicas lists per-replica results in replica order.
 	Replicas []ReplicaResult
 
-	// Imbalance is the peak-to-mean ratio of per-replica output tokens
-	// (1.0 = perfectly balanced).
-	Imbalance float64
+	// ClusterCounters holds the scalar counters; their fields are promoted
+	// (res.Migrations, res.GPUSeconds, ...).
+	ClusterCounters
 
 	// ImbalanceSeries samples the per-replica load imbalance over time
 	// (requires SampleEverySeconds).
 	ImbalanceSeries []ImbalanceSample
-
-	// PrefixHits counts requests admitted with a session prefix-cache hit;
-	// PrefixHitTokens is the prefill work those hits skipped.
-	PrefixHits      int64
-	PrefixHitTokens int64
 
 	// PrefixEvictions totals pinned prefixes evicted under memory pressure
 	// across replicas; PinnedPrefixPages the pages still pinned at the end
 	// of the run (prefix residency charged to the pools).
 	PrefixEvictions   int64
 	PinnedPrefixPages int
-
-	// Migrations counts cross-replica KV migrations; MigratedTokens the
-	// prefix tokens shipped over the interconnect; MigrationDrops installs
-	// the target replica rejected for lack of memory.
-	// MigrationsDeclined counts diverts where the "cost" policy judged the
-	// queued wire slower than recomputing and skipped the transfer.
-	Migrations         int64
-	MigratedTokens     int64
-	MigrationDrops     int64
-	MigrationsDeclined int64
-
-	// HostReloads / HostReloadTokens total the host-tier prefix cache
-	// reloads across replicas (evicted pins brought back over the
-	// host-to-device link instead of recomputed, charged inside TTFT);
-	// HostReloadFallbacks the arrivals whose recompute-vs-reload
-	// break-even declined the reload on a backlogged link;
-	// HostReloadDrops the reloads that paid the wire but could not
-	// install their pin when the transfer landed (memory pressure) and
-	// recomputed anyway.
-	HostReloads         int64
-	HostReloadTokens    int64
-	HostReloadFallbacks int64
-	HostReloadDrops     int64
 
 	// HostMirrorBytes totals the host-tier prefix-mirror footprint across
 	// replicas at the end of the run — the host memory still holding
@@ -648,74 +565,22 @@ type ClusterResult struct {
 	// prewarm, drain).
 	Transfers []TransferClassStats
 
-	// Autoscaling outcome (zero / empty in a static cluster).
-	//
-	// GPUSeconds totals the simulated time replicas spent in service
-	// (warming, active, or draining) — the cost axis autoscaling trades
-	// against tail latency; a static cluster reports replicas × run time.
-	// WarmupStalls counts arrivals routed while a replica was still
-	// warming (capacity the pool had answered but could not serve yet).
-	// Prewarms / PrewarmedTokens total the pre-warm migrations seeding
-	// warming replicas; DrainMigrations / DrainDroppedPins account the
-	// pins draining replicas handed off or discarded.
+	// ScaleUps and ScaleDowns count the autoscaler's scale actions (a
+	// cancelled drain counts as a scale-up); ScaleEvents logs every
+	// lifecycle transition and ReplicaSeries samples the per-state replica
+	// counts per control tick. All zero / empty in a static cluster.
 	ScaleUps, ScaleDowns int
 	ScaleEvents          []ScaleEvent
 	ReplicaSeries        []ReplicaCountSample
-	GPUSeconds           float64
-	WarmupStalls         int64
-	Prewarms             int64
-	PrewarmedTokens      int64
-	DrainMigrations      int64
-	DrainDroppedPins     int64
 
-	// Scale-to-zero gateway outcome (zero / empty without ScaleToZero).
-	//
-	// GatewayBuffered counts arrivals held while no replica was active;
-	// GatewayShed those dropped on a full gateway (they appear in no
-	// replica's results). GatewayDepthSeries samples the buffer depth per
-	// control tick.
-	GatewayBuffered    int64
-	GatewayShed        int64
+	// GatewayDepthSeries samples the scale-to-zero gateway buffer depth per
+	// control tick (empty without ScaleToZero).
 	GatewayDepthSeries []GatewaySample
-
-	// Chaos outcome (all zero without an active Config.Chaos).
-	//
-	// Crashes counts replica crash faults that hit a live replica;
-	// Retries the orphaned requests re-entered (re-routed to a survivor
-	// or re-buffered through the gateway); RetryFailures the requests
-	// that exhausted the retry budget and failed (they stay in the merged
-	// report, unfinished, with censored TTFT). Backfills counts crashed
-	// replicas the autoscaler resurrected through the warm-up path.
-	// Replications / ReplicatedBytes total the pin-redundancy traffic
-	// (proactive mirror copies plus post-crash re-pins) on the fabric's
-	// replicate class. Brownouts and LinkFlaps count the faults injected;
-	// MigrationsAborted the pin transfers a crash or flap tore off the
-	// wire.
-	Crashes           int64
-	Retries           int64
-	RetryFailures     int64
-	Backfills         int64
-	Replications      int64
-	ReplicatedBytes   int64
-	Brownouts         int64
-	LinkFlaps         int64
-	MigrationsAborted int64
-
-	// ForecastError is the predictive policy's mean absolute arrival-rate
-	// forecast error (req/s) over ForecastSamples scored forecasts; both
-	// zero for non-forecasting policies.
-	ForecastError   float64
-	ForecastSamples int
 
 	// PrefixIndex is the gateway index's accounting when the run
 	// maintained one (Config.PrefixIndex or an indexed Router); nil
 	// otherwise.
 	PrefixIndex *PrefixIndexStats
-
-	// EventsProcessed totals the simulator events fired across every
-	// clock of the run — a determinism witness: every shard count fires
-	// exactly the same events.
-	EventsProcessed uint64
 
 	// Obs holds the flight-recorder capture when the run was instrumented
 	// (Config.Obs); nil otherwise. Setting it aside, an instrumented
@@ -809,30 +674,7 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 		return nil, err
 	}
 	var asCfg *cluster.AutoscaleConfig
-	if cfg.Autoscale != nil {
-		spec := *cfg.Autoscale // defaults are resolved on a copy; the caller's spec is reusable
-		if spec.MaxReplicas == 0 {
-			spec.MaxReplicas = len(reps)
-			if spec.MaxReplicas < spec.MinReplicas {
-				spec.MaxReplicas = spec.MinReplicas
-			}
-		}
-		if len(cfg.ReplicaSpecs) == 0 && len(reps) != spec.MaxReplicas {
-			// A homogeneous layout stretches to the autoscaling bound.
-			base := reps[0]
-			reps = make([]ReplicaSpec, spec.MaxReplicas)
-			for i := range reps {
-				reps[i] = base
-			}
-		}
-		if spec.MinReplicas > spec.MaxReplicas {
-			return nil, fmt.Errorf("tokenflow: autoscale min %d exceeds max %d",
-				spec.MinReplicas, spec.MaxReplicas)
-		}
-		if len(reps) != spec.MaxReplicas {
-			return nil, fmt.Errorf("tokenflow: replica layout has %d replicas, autoscale max is %d",
-				len(reps), spec.MaxReplicas)
-		}
+	if spec := cfg.Autoscale; spec != nil {
 		pol, err := spec.policy()
 		if err != nil {
 			return nil, err
@@ -840,7 +682,7 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 		asCfg = &cluster.AutoscaleConfig{
 			Policy:       pol,
 			Min:          spec.MinReplicas,
-			Max:          spec.MaxReplicas,
+			Max:          len(reps),
 			Initial:      spec.InitialReplicas,
 			Warmup:       simclock.Duration(spec.WarmupSeconds),
 			ControlEvery: simclock.Duration(spec.ControlEverySeconds),
@@ -854,34 +696,23 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch cfg.MigrationPolicy {
-	case "", MigrateAlways, MigrateCost:
-	default:
-		return nil, fmt.Errorf("tokenflow: unknown migration policy %q (have %v)",
-			cfg.MigrationPolicy, MigrationPolicies())
-	}
-	topoSpec, err := cfg.Topology.fabricSpec()
-	if err != nil {
-		return nil, err
-	}
 	chaosSpec, err := cfg.Chaos.chaosSpec()
 	if err != nil {
 		return nil, err
 	}
 	cl, err := cluster.New(cluster.Config{
-		Replicas:         len(reps),
-		Policy:           pol,
-		SampleEvery:      simclock.Duration(cfg.SampleEverySeconds),
-		MaxSimTime:       simclock.Duration(cfg.MaxSimTimeSeconds),
-		Migrate:          cfg.Migrate,
-		MigrationPolicy:  cluster.MigrationPolicy(cfg.MigrationPolicy),
-		InterconnectGBps: cfg.InterconnectGBps,
-		Topology:         topoSpec,
-		Autoscale:        asCfg,
-		PrefixIndex:      cfg.PrefixIndex.indexSpec(),
-		Shards:           cfg.Shards,
-		Obs:              cfg.Obs.options(),
-		Chaos:            chaosSpec,
+		Replicas:        len(reps),
+		Policy:          pol,
+		SampleEvery:     simclock.Duration(cfg.SampleEverySeconds),
+		MaxSimTime:      simclock.Duration(cfg.MaxSimTimeSeconds),
+		Migrate:         cfg.Migrate,
+		MigrationPolicy: cfg.MigrationPolicy,
+		Topology:        cfg.Topology,
+		Autoscale:       asCfg,
+		PrefixIndex:     cfg.PrefixIndex.indexSpec(),
+		Shards:          cfg.Shards,
+		Obs:             cfg.Obs.options(),
+		Chaos:           chaosSpec,
 	}, func(i int, clock *simclock.Clock, ep *fabric.Endpoint) (*engine.Engine, error) {
 		rcfg := cfg.Config
 		rcfg.GPU = reps[i].GPU
@@ -909,55 +740,9 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 		Router: cfg.Router,
 		Cluster: convertParts(cfg.System, res.Report, res.Requests, res.Samples,
 			res.Makespan, res.TimedOut),
-		Imbalance:       res.Imbalance,
-		PrefixHits:      res.PrefixHits,
-		PrefixHitTokens: res.PrefixHitTokens,
-		Migrations:      res.Migrations,
-		MigratedTokens:  res.MigratedTokens,
-		MigrationDrops:  res.MigrationDrops,
-
-		MigrationsDeclined:  res.MigrationsDeclined,
-		HostReloads:         res.HostReloads,
-		HostReloadTokens:    res.HostReloadTokens,
-		HostReloadFallbacks: res.HostReloadFallbacks,
-		HostReloadDrops:     res.HostReloadDrops,
-
-		GPUSeconds:       res.GPUSeconds,
-		WarmupStalls:     res.WarmupStalls,
-		Prewarms:         res.Prewarms,
-		PrewarmedTokens:  res.PrewarmedTokens,
-		DrainMigrations:  res.DrainMigrations,
-		DrainDroppedPins: res.DrainDroppedPins,
-
-		GatewayBuffered: res.GatewayBuffered,
-		GatewayShed:     res.GatewayShed,
-
-		Crashes:           res.Crashes,
-		Retries:           res.Retries,
-		RetryFailures:     res.RetryFailures,
-		Backfills:         res.Backfills,
-		Replications:      res.Replications,
-		ReplicatedBytes:   res.ReplicatedBytes,
-		Brownouts:         res.Brownouts,
-		LinkFlaps:         res.LinkFlaps,
-		MigrationsAborted: res.MigrationsAborted,
-
-		ForecastError:   res.ForecastError,
-		ForecastSamples: res.ForecastSamples,
-		EventsProcessed: res.EventsProcessed,
-	}
-	if st := res.PrefixIndex; st != nil {
-		out.PrefixIndex = &PrefixIndexStats{
-			Published: st.Published, Dropped: st.Dropped,
-			Applied: st.Applied, Pending: st.Pending,
-			Heartbeats:        st.Heartbeats,
-			AffinityHits:      st.AffinityHits,
-			AffinityMisses:    st.AffinityMisses,
-			StaleFallbacks:    st.StaleFallbacks,
-			HeadroomFallbacks: st.HeadroomFallbacks,
-			OverloadFallbacks: st.OverloadFallbacks,
-			Sessions:          st.Sessions,
-		}
+		ClusterCounters: res.Counters,
+		PrefixIndex:     res.PrefixIndex,
+		Attribution:     res.Attribution,
 	}
 	for _, p := range res.GatewaySeries {
 		out.GatewayDepthSeries = append(out.GatewayDepthSeries, GatewaySample{
@@ -1026,12 +811,9 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 			}
 		}
 	}
-	if res.Attribution != nil {
-		out.Attribution = res.Attribution
-		if cfg.Obs.Out != "" {
-			if err := writeAttributionJSON(cfg.Obs.Out, res.Attribution); err != nil {
-				return nil, err
-			}
+	if res.Attribution != nil && cfg.Obs.Out != "" {
+		if err := writeAttributionJSON(cfg.Obs.Out, res.Attribution); err != nil {
+			return nil, err
 		}
 	}
 	return out, nil

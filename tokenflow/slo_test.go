@@ -55,8 +55,8 @@ func TestSLOTargetHoldsBand(t *testing.T) {
 	slo := runCluster(t, tokenflow.ClusterConfig{
 		Config: base, Replicas: 4, Router: tokenflow.RouterSessionAffinity,
 		Autoscale: &tokenflow.AutoscaleSpec{
-			Policy:      tokenflow.AutoscaleSLOTarget,
-			MinReplicas: 1, MaxReplicas: 4,
+			Policy:        tokenflow.AutoscaleSLOTarget,
+			MinReplicas:   1,
 			WarmupSeconds: 5,
 			TargetP99TTFT: target,
 		},
@@ -95,8 +95,8 @@ func TestPredictiveBeatsReactiveOnRamp(t *testing.T) {
 	base := tokenflow.Config{GPU: "RTX-4090", Model: "Llama3-8B"}
 	spec := func(p tokenflow.AutoscalePolicy) *tokenflow.AutoscaleSpec {
 		return &tokenflow.AutoscaleSpec{
-			Policy:      p,
-			MinReplicas: 1, MaxReplicas: 4,
+			Policy:        p,
+			MinReplicas:   1,
 			WarmupSeconds: 10,
 		}
 	}
