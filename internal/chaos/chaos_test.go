@@ -30,21 +30,48 @@ func TestActive(t *testing.T) {
 	}
 }
 
-// TestNormalize: every non-positive recovery knob takes its default, set
-// knobs stay, the fault plan is validated against the pool, and
-// normalizing twice changes nothing.
-func TestNormalize(t *testing.T) {
+// defaulted is s with every recovery knob at its default.
+func defaulted(s Spec) Spec {
+	s.RetryMax, s.RetryBackoff, s.DetectDelay = DefaultRetryMax, DefaultRetryBackoff, DefaultDetectDelay
+	s.ReplicateEvery, s.ReplicateConcurrency = DefaultReplicateEvery, DefaultReplicateConcurrency
+	return s
+}
+
+// checkNormalize runs Normalize on spec and, when want is non-nil, checks
+// the result against it and that normalizing twice changes nothing. A nil
+// want means Normalize must fail.
+func checkNormalize(t *testing.T, name string, spec Spec, replicas int, want *Spec) {
+	t.Helper()
+	got, err := spec.Normalize(replicas)
+	if want == nil {
+		if err == nil {
+			t.Errorf("%s: Normalize(%d) succeeded, want an error", name, replicas)
+		}
+		return
+	}
+	if err != nil {
+		t.Errorf("%s: Normalize(%d) = %v", name, replicas, err)
+		return
+	}
+	if !reflect.DeepEqual(got, *want) {
+		t.Errorf("%s: Normalize(%d) = %+v, want %+v", name, replicas, got, *want)
+	}
+	if again, err := got.Normalize(replicas); err != nil || !reflect.DeepEqual(again, got) {
+		t.Errorf("%s: normalizing twice = %+v, %v; want %+v", name, again, err, got)
+	}
+}
+
+// TestValidate: Normalize checks the fault plan against the pool; a valid
+// plan comes back unchanged apart from the recovery-knob defaults.
+func TestValidate(t *testing.T) {
 	flap := func(from, to int, d time.Duration) Fault {
 		return Fault{Kind: LinkFlap, From: from, To: to, Duration: d}
 	}
-	// defaulted is s with every recovery knob at its default.
-	defaulted := func(s Spec) *Spec {
-		s.RetryMax, s.RetryBackoff, s.DetectDelay = DefaultRetryMax, DefaultRetryBackoff, DefaultDetectDelay
-		s.ReplicateEvery, s.ReplicateConcurrency = DefaultReplicateEvery, DefaultReplicateConcurrency
-		return &s
+	// ok marks a plan Normalize must accept.
+	ok := func(s Spec) *Spec {
+		d := defaulted(s)
+		return &d
 	}
-	set := Spec{RetryMax: 7, RetryBackoff: time.Second, DetectDelay: 2 * time.Second,
-		ReplicateEvery: 3 * time.Second, ReplicateConcurrency: 9}
 	crash := Spec{Faults: []Fault{{Kind: Crash, At: 1, Replica: 2}}}
 	brownout := Spec{Faults: []Fault{{Kind: Brownout, Replica: 0, Factor: 2, Duration: time.Second}}}
 	flapOK := Spec{Faults: []Fault{flap(0, 1, time.Second)}}
@@ -55,45 +82,38 @@ func TestNormalize(t *testing.T) {
 		replicas int
 		want     *Spec // nil: Normalize must fail
 	}{
-		{"zero-takes-defaults", Spec{}, 1, defaulted(Spec{})},
-		{"negative-knobs-take-defaults", Spec{RetryMax: -1, RetryBackoff: -1, DetectDelay: -1,
-			ReplicateEvery: -1, ReplicateConcurrency: -1}, 1, defaulted(Spec{})},
-		{"set-knobs-stay", set, 1, &set},
-		{"crash-ok", crash, 3, defaulted(crash)},
+		{"zero", Spec{}, 1, ok(Spec{})},
+		{"crash-ok", crash, 3, ok(crash)},
 		{"crash-out-of-pool", Spec{Faults: []Fault{{Kind: Crash, Replica: 3}}}, 3, nil},
 		{"negative-time", Spec{Faults: []Fault{{Kind: Crash, At: -1}}}, 3, nil},
-		{"brownout-ok", brownout, 1, defaulted(brownout)},
+		{"brownout-ok", brownout, 1, ok(brownout)},
 		{"brownout-factor-1", Spec{Faults: []Fault{{Kind: Brownout, Factor: 1, Duration: time.Second}}}, 1, nil},
 		{"brownout-no-duration", Spec{Faults: []Fault{{Kind: Brownout, Factor: 2}}}, 1, nil},
-		{"flap-ok", flapOK, 2, defaulted(flapOK)},
+		{"flap-ok", flapOK, 2, ok(flapOK)},
 		{"flap-self-link", Spec{Faults: []Fault{flap(1, 1, time.Second)}}, 3, nil},
 		{"flap-out-of-pool", Spec{Faults: []Fault{flap(0, 2, time.Second)}}, 2, nil},
 		{"flap-no-duration", Spec{Faults: []Fault{flap(0, 1, 0)}}, 2, nil},
 		{"unknown-kind", Spec{Faults: []Fault{{Kind: numKinds}}}, 2, nil},
 		{"random-needs-horizon", Spec{RandomFaults: 2}, 4, nil},
 		{"random-needs-survivors", random, 1, nil},
-		{"random-ok", random, 2, defaulted(random)},
+		{"random-ok", random, 2, ok(random)},
 		{"negative-redundancy", Spec{Redundancy: -1}, 2, nil},
 	}
 	for _, c := range cases {
-		got, err := c.spec.Normalize(c.replicas)
-		if c.want == nil {
-			if err == nil {
-				t.Errorf("%s: Normalize(%d) succeeded, want an error", c.name, c.replicas)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("%s: Normalize(%d) = %v", c.name, c.replicas, err)
-			continue
-		}
-		if !reflect.DeepEqual(got, *c.want) {
-			t.Errorf("%s: Normalize(%d) = %+v, want %+v", c.name, c.replicas, got, *c.want)
-		}
-		if again, err := got.Normalize(c.replicas); err != nil || !reflect.DeepEqual(again, got) {
-			t.Errorf("%s: normalizing twice = %+v, %v; want %+v", c.name, again, err, got)
-		}
+		checkNormalize(t, c.name, c.spec, c.replicas, c.want)
 	}
+}
+
+// TestDefaults: Normalize gives every non-positive recovery knob its
+// default and leaves set knobs alone.
+func TestDefaults(t *testing.T) {
+	zero := defaulted(Spec{})
+	checkNormalize(t, "zero-takes-defaults", Spec{}, 1, &zero)
+	checkNormalize(t, "negative-knobs-take-defaults", Spec{RetryMax: -1, RetryBackoff: -1,
+		DetectDelay: -1, ReplicateEvery: -1, ReplicateConcurrency: -1}, 1, &zero)
+	set := Spec{RetryMax: 7, RetryBackoff: time.Second, DetectDelay: 2 * time.Second,
+		ReplicateEvery: 3 * time.Second, ReplicateConcurrency: 9}
+	checkNormalize(t, "set-knobs-stay", set, 1, &set)
 }
 
 // TestResolvedDeterministic pins the random-plan contract: the draw is a
