@@ -473,3 +473,66 @@ func TestTransferClassLedger(t *testing.T) {
 		t.Error("write-through traffic missing from the sync class")
 	}
 }
+
+// TestClientReadingIsNotPerTokenEvents guards the closed-form client
+// reading model (internal/request): a reading client costs the clock one
+// end-of-reading event per request, not one event per token read. Read
+// ticks alone would outnumber the output tokens, so a return to per-token
+// events fails the quarter-token bound on this small BurstGPT run.
+func TestClientReadingIsNotPerTokenEvents(t *testing.T) {
+	w := trace.BurstGPT("burst-events", trace.BurstGPTConfig{
+		Duration:   simclock.FromSeconds(30),
+		BaseRate:   4,
+		GammaShape: 0.35,
+		Lengths: trace.NormalLengths{
+			PromptMean: 512, PromptStd: 128,
+			OutputMean: 256, OutputStd: 64,
+			Min: 16, Max: 1024,
+		},
+		Rates: trace.FixedRate(20),
+		Seed:  7,
+	})
+	res := runPolicy(t, 2, router.NewLeastQueue(), w)
+	if res.TimedOut || res.Report.Finished != w.Len() {
+		t.Fatalf("run did not finish: timed out %v, %d/%d finished", res.TimedOut, res.Report.Finished, w.Len())
+	}
+	tokens := res.Report.TotalOut
+	t.Logf("%d events for %d output tokens of %d requests", res.EventsProcessed, tokens, w.Len())
+	if int64(res.EventsProcessed) >= tokens/4 {
+		t.Errorf("%d events for %d output tokens, want fewer than %d", res.EventsProcessed, tokens, tokens/4)
+	}
+}
+
+// TestTimedOutRunEndsAtLastReadTick: client reads are computed rather than
+// put on the clock, yet a run that times out mid-read ends where it would
+// had every read been an event — at the client's latest read tick before
+// the deadline, long after the last token was generated.
+func TestTimedOutRunEndsAtLastReadTick(t *testing.T) {
+	w := trace.Workload{Name: "slow-reader", Items: []trace.Item{{PromptLen: 64, OutputLen: 200, Rate: 1}}}
+	deadline := simclock.FromSeconds(50.5)
+	cl, err := cluster.New(cluster.Config{
+		Replicas:   1,
+		Policy:     router.NewRoundRobin(),
+		MaxSimTime: time.Duration(deadline),
+	}, buildTokenFlow())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cl.Run(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := res.Requests[0]
+	if !res.TimedOut || !r.GenerationDone() || r.FinishedAt > simclock.FromSeconds(20) {
+		t.Fatalf("want generation done early and reading cut by the deadline: timed out %v, finished at %v",
+			res.TimedOut, r.FinishedAt)
+	}
+	second := simclock.Time(time.Second)
+	want := r.FirstTokenAt + (deadline-r.FirstTokenAt)/second*second
+	if res.SimEnd != time.Duration(want) {
+		t.Errorf("run ended at %v, want the last read tick %v", simclock.Time(res.SimEnd), want)
+	}
+	if got := r.Consumed(); got != int((want-r.FirstTokenAt)/second)+1 {
+		t.Errorf("client read %d tokens by the deadline, want %d", got, int((want-r.FirstTokenAt)/second)+1)
+	}
+}

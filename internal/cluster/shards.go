@@ -3,7 +3,7 @@ package cluster
 // Sharded execution, the cluster's only event loop: replica i lives on
 // shard i mod Shards (one shard when Config.Shards is 0 or 1), and each
 // shard owns a private simclock sub-clock carrying that replica subset's
-// engine events (iterations, consumption ticks, KV transfers on the
+// engine events (iterations, end-of-reading events, KV transfers on the
 // replica's own host links). The cluster's coordinator clock keeps
 // everything cross-replica: arrivals and routing, the sampling and
 // autoscale control loops, gateway drains, and migration completions.
@@ -154,6 +154,13 @@ func (c *Cluster) primeSharded(w trace.Workload) {
 // run timed out — work left on any clock past the deadline.
 func (c *Cluster) runSharded(deadline simclock.Time) (timedOut bool) {
 	for c.step(deadline) {
+	}
+	// Client read ticks are computed, not events (engine.ReadTicks): move
+	// each shard clock on to its latest tick at or before the deadline.
+	for _, rep := range c.replicas {
+		if last, _ := rep.eng.ReadTicks(deadline); last > rep.eng.Clock().Now() {
+			rep.eng.Clock().AdvanceTo(last)
+		}
 	}
 	// Align every drained shard clock at the cluster's final instant, so an
 	// idle replica's report (whose makespan falls back to its clock) does

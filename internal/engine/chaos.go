@@ -46,8 +46,8 @@ func (e *Engine) ClearCrashed() { e.crashed = false }
 
 // Crash kills the engine at now: all in-flight work is orphaned, every
 // pending engine event (iteration completion, boundary stall, scheduler
-// wakeup, deferred reload injects, client consumption ticks) is cancelled,
-// and the KV manager loses every byte it held. Orphans are removed from
+// wakeup, deferred reload injects, client end-of-reading events) is
+// cancelled, and the KV manager loses every byte it held. Orphans are removed from
 // the tracker — the dead replica's results must not count requests that
 // will retry elsewhere — and returned in request-id order. Requests that
 // already finished stay in the tracker: their tokens were delivered.

@@ -436,13 +436,35 @@ func (e *Engine) Run(w trace.Workload) (*Result, error) {
 		return nil, err
 	}
 	deadline := simclock.Time(e.cfg.MaxSimTime)
-	for e.clock.Step() {
-		if e.clock.Now() > deadline {
-			e.timedOut = true
-			break
+	for e.clock.Peek() <= deadline {
+		e.clock.Step()
+	}
+	// The run times out on the first instant past the deadline, which
+	// fires: the next event, or a client read tick that comes first.
+	_, tick := e.ReadTicks(deadline)
+	if next := e.clock.Peek(); min(next, tick) != simclock.Forever {
+		e.timedOut = true
+		if tick <= next {
+			e.clock.AdvanceTo(tick)
+		} else {
+			e.clock.Step()
 		}
 	}
 	return e.Collect(), nil
+}
+
+// ReadTicks reports, over the engine's clients, the latest read tick at or
+// before t and the earliest one after it (request.Request.ReadTicks). Read
+// ticks are computed, not clock events, so whoever drives the clock folds
+// them in at the end of a run, where it would have fired them as events:
+// the last one before the deadline, or the first one past it.
+func (e *Engine) ReadTicks(t simclock.Time) (last, next simclock.Time) {
+	next = simclock.Forever
+	for _, r := range e.track.All() {
+		l, n := r.ReadTicks(t)
+		last, next = max(last, l), min(next, n)
+	}
+	return last, next
 }
 
 // ValidateWorkload checks that every request of the workload individually
@@ -722,8 +744,8 @@ func (e *Engine) PrefixFootprint(session int) (tokens int, bytes int64) {
 // QoSParams exposes the report parameterization (for cluster-level merges).
 func (e *Engine) QoSParams() metrics.QoSParams { return e.cfg.QoS }
 
-// Collect tears down outstanding consumption events and assembles the
-// Result after the clock has been driven to completion (or a deadline).
+// Collect stops outstanding client reading and assembles the Result after
+// the clock has been driven to completion (or a deadline).
 func (e *Engine) Collect() *Result {
 	e.teardown()
 
@@ -767,7 +789,8 @@ func (e *Engine) done() bool {
 	return e.arrivalsDone && e.pendingInjects == 0 && e.track.FinishedAll()
 }
 
-// teardown cancels outstanding consumption events after an aborted run.
+// teardown stops every client's reading at the clock's current instant,
+// so the collected requests hold no clock and no pending event.
 func (e *Engine) teardown() {
 	for _, r := range e.track.All() {
 		r.CancelConsumption(e.clock)

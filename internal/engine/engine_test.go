@@ -291,3 +291,31 @@ func BenchmarkBurstTokenFlow(b *testing.B) {
 		}
 	}
 }
+
+// TestRunTimesOutOnFirstReadTickPastDeadline: Run stops on the first
+// instant past MaxSimTime, and client read ticks count as instants even
+// though they are computed rather than queued — a reader still going at
+// the deadline moves the clock to its next tick and times the run out.
+func TestRunTimesOutOnFirstReadTickPastDeadline(t *testing.T) {
+	cfg := testConfig(sched.NewSGLang(), BaselineKVPolicy())
+	deadline := simclock.FromSeconds(50.5)
+	cfg.MaxSimTime = time.Duration(deadline)
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run(burst(1, 64, 200, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := res.Requests[0]
+	if !res.TimedOut || !r.GenerationDone() || r.FinishedAt > simclock.FromSeconds(20) {
+		t.Fatalf("want generation done early and reading cut by the deadline: timed out %v, finished at %v",
+			res.TimedOut, r.FinishedAt)
+	}
+	second := simclock.Time(time.Second)
+	want := r.FirstTokenAt + ((deadline-r.FirstTokenAt)/second+1)*second
+	if got := e.Clock().Now(); got != want {
+		t.Errorf("clock stopped at %v, want the first read tick past the deadline %v", got, want)
+	}
+}

@@ -1,8 +1,9 @@
 package kvcache
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/fabric"
@@ -82,8 +83,8 @@ func (m *Manager) syncCandidates() []*entry {
 		}
 	}
 	if m.cfg.PriorityWrites && len(out) > 1 {
-		sort.SliceStable(out, func(i, j int) bool {
-			return out[i].req.BufferLen() > out[j].req.BufferLen()
+		slices.SortStableFunc(out, func(a, b *entry) int {
+			return cmp.Compare(b.req.BufferLen(), a.req.BufferLen())
 		})
 	}
 	m.syncScratch = out

@@ -4,6 +4,19 @@
 // the buffer at the request's required rate. The buffer dynamics here are
 // the substrate for both the TokenFlow scheduler (buffer-aware priorities)
 // and the QoS metrics (stalls, token usefulness).
+//
+// Client reading is computed in closed form rather than simulated token by
+// token. The client reads its first token the instant it arrives and then
+// one token per read tick, every interval = simclock.Duration(1/Rate) — a
+// fixed integer-nanosecond grid. A tick that finds the buffer empty starts
+// a stall; the delivery that ends it is read at once and restarts the grid
+// from that instant. Because the grid is exact, every tick at or before an
+// instant is applied in O(1), and each method that reads or changes the
+// reading state first catches it up to the driving clock's instant. Tie
+// rule: a read tick at exactly a delivery or cancel instant is applied
+// before it. The clock carries one no-op end-of-reading event per request,
+// scheduled when generation completes at the instant of the final read, so
+// a run's end instant and time-out still cover every read.
 package request
 
 import (
@@ -76,10 +89,11 @@ type Request struct {
 	// The prompt is fully processed when PrefilledTokens == PromptLen.
 	PrefilledTokens int
 
-	// Generated counts output tokens produced so far; Consumed counts
-	// tokens the client has read. Buffer occupancy = Generated - Consumed.
+	// Generated counts output tokens produced so far; consumed counts
+	// tokens the client has read (read it through Consumed, which catches
+	// reading up first). Buffer occupancy = Generated - Consumed().
 	Generated int
-	Consumed  int
+	consumed  int
 
 	// FirstTokenAt is when the first output token was generated (valid
 	// once Generated > 0). FinishedAt is when the last token was generated.
@@ -93,11 +107,20 @@ type Request struct {
 	BufferAtGen []int32
 
 	// Stall accounting: RebufferTotal accumulates time the client spent
-	// waiting on an empty buffer after starting to read.
-	RebufferTotal   time.Duration
+	// waiting on an empty buffer after starting to read. A stall is added
+	// when the delivery that ends it arrives.
+	RebufferTotal time.Duration
+
+	// Reading state, caught up lazily (see the package comment). clock is
+	// the clock driving an unfinished read: nil before the first token,
+	// for instant consumers, once every token is read, and after
+	// CancelConsumption. While waitingForToken (a stall), tick is the read
+	// tick that found the buffer empty; otherwise it is the next read
+	// tick. endEvent is the pending end-of-reading event.
 	waitingForToken bool
-	stallStart      simclock.Time
-	consumeEvent    simclock.Handle
+	tick            simclock.Time
+	clock           *simclock.Clock
+	endEvent        simclock.Handle
 
 	// Preemptions and Resumes count context-switch cycles; LoadedResumes
 	// counts resumes served from host memory (vs recompute).
@@ -164,8 +187,15 @@ func (r *Request) ContextLen() int { return r.PrefilledTokens + r.Generated }
 // capacity reservations.
 func (r *Request) FullContextLen() int { return r.PromptLen + r.OutputLen }
 
+// Consumed reports how many tokens the client has read by the driving
+// clock's current instant.
+func (r *Request) Consumed() int {
+	r.settle()
+	return r.consumed
+}
+
 // BufferLen reports the client-side buffer occupancy in tokens.
-func (r *Request) BufferLen() int { return r.Generated - r.Consumed }
+func (r *Request) BufferLen() int { return r.Generated - r.Consumed() }
 
 // BufferSeconds reports how long the current buffer sustains playback at
 // the request's consumption rate. Infinite-rate (Rate<=0) clients always
@@ -181,7 +211,7 @@ func (r *Request) BufferSeconds() float64 {
 func (r *Request) GenerationDone() bool { return r.Generated >= r.OutputLen }
 
 // ConsumptionDone reports whether the client has read every token.
-func (r *Request) ConsumptionDone() bool { return r.Consumed >= r.OutputLen }
+func (r *Request) ConsumptionDone() bool { return r.Consumed() >= r.OutputLen }
 
 // PrefillDone reports whether the prompt is fully processed.
 func (r *Request) PrefillDone() bool { return r.PrefilledTokens >= r.PromptLen }
@@ -195,11 +225,16 @@ func (r *Request) TTFT() time.Duration { return r.FirstTokenAt.Sub(r.Arrival) }
 
 // Stalled reports whether the client is currently blocked on an empty
 // buffer.
-func (r *Request) Stalled() bool { return r.waitingForToken }
+func (r *Request) Stalled() bool {
+	r.settle()
+	return r.waitingForToken
+}
 
-// DeliverTokens appends n freshly generated tokens at time now, recording
-// timestamps and buffer occupancies, and wakes the consumption process if
-// the client was stalled. The clock drives subsequent consume events.
+// DeliverTokens appends n freshly generated tokens at time now — the
+// clock's current instant — recording timestamps and buffer occupancies,
+// and starts the client reading at the first token or resumes a stalled
+// client. Once the last token is delivered, the clock gets the request's
+// end-of-reading event.
 func (r *Request) DeliverTokens(clock *simclock.Clock, now simclock.Time, n int) {
 	if n <= 0 {
 		return
@@ -207,6 +242,9 @@ func (r *Request) DeliverTokens(clock *simclock.Clock, now simclock.Time, n int)
 	if r.Generated+n > r.OutputLen {
 		panic(fmt.Sprintf("request %d: delivering %d tokens past output length %d (have %d)",
 			r.ID, n, r.OutputLen, r.Generated))
+	}
+	if r.clock != nil {
+		r.catchUp(now)
 	}
 	first := r.Generated == 0
 	if r.TokenTimes == nil {
@@ -219,62 +257,122 @@ func (r *Request) DeliverTokens(clock *simclock.Clock, now simclock.Time, n int)
 	for i := 0; i < n; i++ {
 		r.Generated++
 		r.TokenTimes = append(r.TokenTimes, now)
-		r.BufferAtGen = append(r.BufferAtGen, int32(r.Generated-r.Consumed))
+		r.BufferAtGen = append(r.BufferAtGen, int32(r.Generated-r.consumed))
 	}
 	if first {
 		r.FirstTokenAt = now
 	}
 	if r.Rate <= 0 {
 		// Instant consumer: drain everything as it arrives.
-		r.Consumed = r.Generated
+		r.consumed = r.Generated
 	} else if first {
-		r.startConsumption(clock, now)
+		// The user starts reading at t_ttft (the paper's model).
+		r.clock = clock
+		r.readAt(now)
 	} else if r.waitingForToken {
 		// Client was mid-stall; it reads the new token immediately.
-		r.RebufferTotal += now.Sub(r.stallStart)
+		r.RebufferTotal += now.Sub(r.tick)
 		r.waitingForToken = false
-		r.consumeOne(clock, now)
+		r.readAt(now)
 	}
 	if r.GenerationDone() {
 		r.FinishedAt = now
+		if r.clock != nil {
+			// No further stall is possible: the last read is the one that
+			// drains the buffer at one token per tick from here.
+			last := r.tick + simclock.Time(r.OutputLen-r.consumed-1)*simclock.Time(r.interval())
+			r.endEvent = clock.At(last, endOfReading)
+		}
 	}
 }
 
-// startConsumption begins the client reading process at the moment the
-// first token arrives (the paper's model: the user starts reading at
-// t_ttft and consumes one token every 1/r seconds).
-func (r *Request) startConsumption(clock *simclock.Clock, now simclock.Time) {
-	r.consumeOne(clock, now)
-}
+// endOfReading is the end-of-reading event's callback. It has nothing to
+// do — the reads are computed — and, being a package-level func, costs no
+// allocation to schedule.
+func endOfReading(simclock.Time) {}
 
-// consumeOne consumes a single buffered token at now and schedules the next
-// consume event 1/Rate later.
-func (r *Request) consumeOne(clock *simclock.Clock, now simclock.Time) {
-	r.Consumed++
-	if r.ConsumptionDone() {
+// interval is the read-tick spacing.
+func (r *Request) interval() time.Duration { return simclock.Duration(1 / r.Rate) }
+
+// readAt reads one buffered token at now and puts the next tick one
+// interval later; the last read ends the reading process.
+func (r *Request) readAt(now simclock.Time) {
+	r.consumed++
+	if r.consumed >= r.OutputLen {
+		r.clock = nil
 		return
 	}
-	interval := simclock.Duration(1 / r.Rate)
-	r.consumeEvent = clock.After(interval, func(t simclock.Time) { r.consumeTick(clock, t) })
+	r.tick = now.Add(r.interval())
 }
 
-// consumeTick fires when the client wants its next token.
-func (r *Request) consumeTick(clock *simclock.Clock, now simclock.Time) {
-	if r.Consumed < r.Generated {
-		r.consumeOne(clock, now)
+// settle catches reading up to the driving clock's current instant.
+func (r *Request) settle() {
+	if r.clock != nil {
+		r.catchUp(r.clock.Now())
+	}
+}
+
+// catchUp applies every read tick at or before now in O(1). The ticks due
+// are tick, tick+interval, ..., at most now; each reads one buffered token
+// until the buffer runs dry, and the first tick that finds it empty starts
+// a stall at that tick's instant.
+func (r *Request) catchUp(now simclock.Time) {
+	if r.waitingForToken || r.tick > now {
 		return
 	}
-	// Buffer empty: stall until the next delivery.
-	r.waitingForToken = true
-	r.stallStart = now
+	iv := simclock.Time(r.interval())
+	buffered := r.Generated - r.consumed
+	due := buffered + 1
+	if iv > 0 {
+		if d := int((now-r.tick)/iv) + 1; d < due {
+			due = d
+		}
+	}
+	if due <= buffered {
+		r.consumed += due
+		r.tick += simclock.Time(due) * iv
+	} else {
+		r.consumed = r.Generated
+		r.waitingForToken = true
+		r.tick += simclock.Time(buffered) * iv
+	}
+	if r.consumed >= r.OutputLen {
+		r.clock = nil
+		r.waitingForToken = false
+	}
 }
 
-// CancelConsumption cancels any pending consume event; used when a
-// simulation tears down early. The handle is generation-checked, so this
-// is safe even when the event already fired and its slot was recycled.
+// ReadTicks catches reading up to t (no delivery may come before t after
+// this) and reports the client's latest read tick at or before t and its
+// next one after t — Zero and Forever when there is none: reading not
+// started, done or cancelled, or no next tick while stalled. Reads are not
+// clock events, so whatever drives the clock folds these instants in where
+// the run ends or times out. The latest tick may instead be the delivery
+// instant the client last read at, which its clock has passed anyway.
+func (r *Request) ReadTicks(t simclock.Time) (last, next simclock.Time) {
+	if r.clock != nil {
+		r.catchUp(t)
+	}
+	switch {
+	case r.clock == nil:
+		return simclock.Zero, simclock.Forever
+	case r.waitingForToken:
+		return r.tick, simclock.Forever
+	default:
+		return r.tick - simclock.Time(r.interval()), r.tick
+	}
+}
+
+// CancelConsumption catches reading up to the clock's current instant,
+// then stops it there and cancels the end-of-reading event; used when a
+// simulation tears down or a replica crashes. Afterwards the request holds
+// no reference to the clock. The handle is generation-checked, so this is
+// safe even when the event already fired and its slot was recycled.
 func (r *Request) CancelConsumption(clock *simclock.Clock) {
-	clock.Cancel(r.consumeEvent)
-	r.consumeEvent = simclock.Handle{}
+	r.settle()
+	r.clock = nil
+	clock.Cancel(r.endEvent)
+	r.endEvent = simclock.Handle{}
 }
 
 // InstantConsumer reports whether the request drains its buffer instantly.
@@ -283,24 +381,24 @@ func (r *Request) InstantConsumer() bool { return r.Rate <= 0 }
 // ResetForRetry rewinds the request to a fresh queued state after its
 // serving replica crashed: all generation progress, per-token records, and
 // client-buffer state are discarded (the partial output died with the
-// replica) and any pending consume event is cancelled on the clock that
-// was driving it. Arrival is preserved — the retried request's TTFT spans
-// the crash and the backoff, which is exactly the damage the chaos
-// experiments measure — and Retries increments.
+// replica) and reading is cancelled (CancelConsumption). Arrival is
+// preserved — the retried request's TTFT spans the crash and the backoff,
+// which is exactly the damage the chaos experiments measure — and Retries
+// increments.
 func (r *Request) ResetForRetry(clock *simclock.Clock) {
 	r.CancelConsumption(clock)
 	r.State = StateQueued
 	r.CachedPrompt = 0
 	r.PrefilledTokens = 0
 	r.Generated = 0
-	r.Consumed = 0
+	r.consumed = 0
 	r.FirstTokenAt = 0
 	r.FinishedAt = 0
 	r.TokenTimes = nil
 	r.BufferAtGen = nil
 	r.RebufferTotal = 0
 	r.waitingForToken = false
-	r.stallStart = 0
+	r.tick = 0
 	r.Preemptions = 0
 	r.Resumes = 0
 	r.LoadedResumes = 0

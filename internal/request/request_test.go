@@ -2,6 +2,7 @@ package request
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -65,13 +66,13 @@ func TestConsumptionDrainsAtRate(t *testing.T) {
 	r := New(0, 0, 10, 10, 10) // reads 10 tok/s
 	// Deliver all 10 tokens at t=0.
 	r.DeliverTokens(clock, 0, 10)
-	if r.Consumed != 1 {
-		t.Fatalf("first token consumed immediately at TTFT; consumed=%d", r.Consumed)
+	if r.Consumed() != 1 {
+		t.Fatalf("first token consumed immediately at TTFT; consumed=%d", r.Consumed())
 	}
 	clock.RunUntil(simclock.FromSeconds(0.45))
 	// At 0.45s: tokens at t=0, .1, .2, .3, .4 -> 5 consumed.
-	if r.Consumed != 5 {
-		t.Errorf("consumed = %d at 0.45s, want 5", r.Consumed)
+	if r.Consumed() != 5 {
+		t.Errorf("consumed = %d at 0.45s, want 5", r.Consumed())
 	}
 	clock.Run()
 	if !r.ConsumptionDone() {
@@ -193,8 +194,8 @@ func TestCancelConsumption(t *testing.T) {
 	r.DeliverTokens(clock, 0, 5)
 	r.CancelConsumption(clock)
 	clock.Run()
-	if r.Consumed != 1 {
-		t.Errorf("consumed = %d after cancel, want 1", r.Consumed)
+	if r.Consumed() != 1 {
+		t.Errorf("consumed = %d after cancel, want 1", r.Consumed())
 	}
 }
 
@@ -215,7 +216,7 @@ func TestPropertyConsumptionInvariants(t *testing.T) {
 			now = now.Add(time.Duration(rng.Intn(300)) * time.Millisecond)
 			clock.RunUntil(now)
 			r.DeliverTokens(clock, now, n)
-			if r.Consumed > r.Generated || r.BufferLen() < 0 {
+			if r.Consumed() > r.Generated || r.BufferLen() < 0 {
 				return false
 			}
 		}
@@ -311,5 +312,190 @@ func TestTrackerEmptyNotFinished(t *testing.T) {
 	tr := NewTracker()
 	if tr.FinishedAll() {
 		t.Error("empty tracker should not report finished")
+	}
+}
+
+// refReader is the reference client the closed-form model is checked
+// against: it puts one clock event on the queue per read tick, and each
+// tick reads a buffered token or, finding the buffer empty, starts a stall
+// that the next delivery ends.
+type refReader struct {
+	rate        float64
+	out         int
+	generated   int
+	consumed    int
+	stalled     bool
+	stallStart  simclock.Time
+	rebuffer    time.Duration
+	bufferAtGen []int32
+	lastTick    simclock.Time // latest read tick fired
+	next        simclock.Handle
+}
+
+func (f *refReader) deliver(clock *simclock.Clock, now simclock.Time, n int) {
+	first := f.generated == 0
+	for i := 0; i < n; i++ {
+		f.generated++
+		f.bufferAtGen = append(f.bufferAtGen, int32(f.generated-f.consumed))
+	}
+	if first {
+		f.consumeOne(clock)
+	} else if f.stalled {
+		f.rebuffer += now.Sub(f.stallStart)
+		f.stalled = false
+		f.consumeOne(clock)
+	}
+}
+
+func (f *refReader) consumeOne(clock *simclock.Clock) {
+	f.consumed++
+	if f.consumed < f.out {
+		f.next = clock.After(simclock.Duration(1/f.rate), func(now simclock.Time) { f.tick(clock, now) })
+	}
+}
+
+func (f *refReader) tick(clock *simclock.Clock, now simclock.Time) {
+	f.lastTick = now
+	if f.consumed < f.generated {
+		f.consumeOne(clock)
+		return
+	}
+	f.stalled = true
+	f.stallStart = now
+}
+
+// Property: on random delivery schedules — rates 5-40 tok/s, batches and
+// gaps at random nanosecond instants off the read grid — the closed-form
+// reader matches the event-per-token reference at every delivery (tokens
+// read, buffer occupancies recorded, stall state, next read tick) and at
+// the end (rebuffer total, stall state, and the clock's final instant,
+// which the end-of-reading event must still reach).
+func TestPropertyClosedFormMatchesEventPerToken(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		out := rng.Intn(300) + 1
+		rate := 5 + 35*rng.Float64()
+		lazyClock, refClock := simclock.New(), simclock.New()
+		r := New(0, 0, 16, out, rate)
+		ref := &refReader{rate: rate, out: out}
+		now, lastDelivery := simclock.Time(0), simclock.Time(0)
+		for r.Generated < out {
+			n := rng.Intn(min(out-r.Generated, 16)) + 1
+			now += simclock.Time(rng.Int63n(int64(400 * time.Millisecond)))
+			lazyClock.RunUntil(now)
+			refClock.RunUntil(now)
+			r.DeliverTokens(lazyClock, now, n)
+			ref.deliver(refClock, now, n)
+			lastDelivery = now
+			last, next := r.ReadTicks(now)
+			if r.Consumed() != ref.consumed || r.Stalled() != ref.stalled ||
+				next != ref.next.At() || max(last, lastDelivery) != max(ref.lastTick, lastDelivery) {
+				t.Logf("seed %d at %v: consumed %d/%d stalled %v/%v next %v/%v last %v/%v",
+					seed, now, r.Consumed(), ref.consumed, r.Stalled(), ref.stalled,
+					next, ref.next.At(), last, ref.lastTick)
+				return false
+			}
+		}
+		lazyClock.Run()
+		refClock.Run()
+		if !reflect.DeepEqual(r.BufferAtGen, ref.bufferAtGen) {
+			t.Logf("seed %d: buffer at generation %v, reference %v", seed, r.BufferAtGen, ref.bufferAtGen)
+			return false
+		}
+		return r.RebufferTotal == ref.rebuffer && r.Stalled() == ref.stalled &&
+			r.ConsumptionDone() && lazyClock.Now() == refClock.Now()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestReadTickTieRule pins the tie rule: a read tick at exactly a delivery
+// or cancel instant is applied before the delivery or cancel.
+func TestReadTickTieRule(t *testing.T) {
+	clock := simclock.New()
+	r := New(0, 0, 10, 10, 10) // one read tick every 100ms
+	r.DeliverTokens(clock, 0, 3)
+	at := simclock.FromSeconds(0.1)
+	clock.RunUntil(at)
+	r.DeliverTokens(clock, at, 1)
+	// The 0.1s tick read token 2 before token 4 landed: 4 - 2 buffered.
+	if got := r.BufferAtGen[3]; got != 2 {
+		t.Errorf("buffer at the tied delivery = %d, want 2", got)
+	}
+	clock.RunUntil(simclock.FromSeconds(0.2))
+	r.CancelConsumption(clock)
+	if got := r.Consumed(); got != 3 {
+		t.Errorf("consumed = %d after a cancel tied with the 0.2s tick, want 3", got)
+	}
+}
+
+// The per-op guard (aibrix pkg/cache pattern): a 1,024-token stream read
+// at 20 tok/s and delivered in 8-token batches, the buffer probed after
+// each batch as a scheduler would, costs zero allocations after its first
+// delivery and at most one clock event — the end-of-reading event.
+const (
+	streamLen   = 1024
+	streamRate  = 20
+	streamBatch = 8
+	streamGap   = 300 * time.Millisecond // batches arrive faster than they are read
+)
+
+// newStream returns a client that has taken the stream's first batch, on
+// a clock in steady state: one recycled event slot ready, as any clock in
+// a running simulation has.
+func newStream() (*Request, *simclock.Clock) {
+	clock := simclock.New()
+	clock.At(0, func(simclock.Time) {})
+	clock.Run()
+	r := New(0, 0, 16, streamLen, streamRate)
+	r.DeliverTokens(clock, 0, streamBatch)
+	return r, clock
+}
+
+// readStream delivers the rest of the stream and runs the clock until the
+// client has read every token.
+func readStream(r *Request, clock *simclock.Clock) {
+	for !r.GenerationDone() {
+		clock.RunUntil(clock.Now().Add(streamGap))
+		r.DeliverTokens(clock, clock.Now(), streamBatch)
+		_ = r.BufferSeconds()
+	}
+	clock.Run()
+}
+
+func TestStreamReadAllocsAndEvents(t *testing.T) {
+	const runs = 20
+	reqs := make([]*Request, runs+1)
+	clocks := make([]*simclock.Clock, runs+1)
+	for i := range reqs {
+		reqs[i], clocks[i] = newStream()
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		readStream(reqs[i], clocks[i])
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("reading a stream allocates %.2f objects after its first delivery, want 0", allocs)
+	}
+	for i, r := range reqs {
+		if !r.ConsumptionDone() || r.RebufferTotal != 0 {
+			t.Fatalf("stream %d: done %v, rebuffer %v", i, r.ConsumptionDone(), r.RebufferTotal)
+		}
+		// The warm-up event of newStream is not the stream's.
+		if fired := clocks[i].Processed() - 1; fired > 1 {
+			t.Errorf("stream %d fired %d clock events, want <= 1", i, fired)
+		}
+	}
+}
+
+func BenchmarkStreamRead(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		r, clock := newStream()
+		b.StartTimer()
+		readStream(r, clock)
 	}
 }

@@ -103,7 +103,7 @@ type Clock struct {
 
 // compactAt bounds how much of the heap cancelled events may occupy before
 // a compaction sweep reclaims them, so long-horizon cancels (drain timers,
-// consumption ticks of torn-down requests) cannot bloat the queue.
+// end-of-reading events of torn-down requests) cannot bloat the queue.
 const compactAt = 64
 
 // New returns a Clock positioned at time Zero with an empty queue.
