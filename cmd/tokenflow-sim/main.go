@@ -66,8 +66,8 @@
 // directory: events.jsonl (the lifecycle event log, input of
 // tokenflow-trace), trace.json (Chrome trace_event JSON — open in Perfetto
 // at ui.perfetto.dev), series.csv (per-tick telemetry), profile.json (the
-// simulator's self-profile) and, in cluster mode, attribution.json (the
-// critical-path latency breakdown):
+// simulator's self-profile) and attribution.json (the critical-path
+// latency breakdown):
 //
 //	tokenflow-sim -replicas 3 -router session-affinity -migrate \
 //	    -obs-out obs-out -workload session-spikes -n 300 -duration 240

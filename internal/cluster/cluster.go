@@ -35,10 +35,11 @@
 // pre-warming the hottest pinned prefixes over the interconnect; scale-down
 // drains a replica and hands its pins to the survivors.
 //
-// A single-replica cluster with round-robin routing reduces exactly to the
-// single-device engine.Run path: same clock, same admission sequence, same
-// metrics — byte for byte. Likewise a min=max autoscaled cluster reduces
-// exactly to the static cluster of the same size.
+// The cluster is the simulator's only executor: a single-device run is a
+// one-replica cluster with round-robin routing, which reproduces the
+// engine's reference driver (its test code) byte for byte. Likewise a
+// min=max autoscaled cluster reduces exactly to the static cluster of the
+// same size.
 package cluster
 
 import (
@@ -299,8 +300,7 @@ func (c Config) Normalize() (Config, error) {
 // replica's endpoint on the cluster's transfer fabric (pass it through as
 // engine.Config.Fabric so host transfers are class-accounted on the shared
 // topology). Each call must return a fresh engine with a fresh scheduler
-// (schedulers are stateful). The engine must not enable its own
-// SampleEvery: the cluster drives sampling.
+// (schedulers are stateful).
 type BuildEngine func(replica int, clock *simclock.Clock, ep *fabric.Endpoint) (*engine.Engine, error)
 
 // replica pairs an engine with its routing and lifecycle bookkeeping; it
@@ -792,13 +792,8 @@ func (c *Cluster) Fabric() *fabric.TransferScheduler { return c.fab }
 
 // Run simulates the workload across the cluster to completion.
 func (c *Cluster) Run(w trace.Workload) (*Result, error) {
-	// Every request must individually fit every replica: in a
-	// heterogeneous pool any policy may route any request anywhere, so the
-	// smallest replica bounds admissible request sizes.
-	for _, rep := range c.replicas {
-		if err := rep.eng.ValidateWorkload(w); err != nil {
-			return nil, fmt.Errorf("replica %d: %w", rep.id, err)
-		}
+	if err := c.validate(w); err != nil {
+		return nil, err
 	}
 
 	// Arrivals: the routing decision happens at the arrival instant, when
@@ -823,9 +818,6 @@ func (c *Cluster) Run(w trace.Workload) (*Result, error) {
 				int64(it.PromptLen), int64(it.OutputLen), int64(it.Turn), 0, "")
 			if id == w.Len()-1 {
 				c.arrivalsDone = true
-				for _, rp := range c.replicas {
-					rp.eng.SetArrivalsDone()
-				}
 			}
 			if c.gatewayEnabled() && c.activeCount() == 0 {
 				// A draining replica is still warm; reactivating it beats
@@ -888,6 +880,35 @@ func (c *Cluster) Run(w trace.Workload) (*Result, error) {
 	}
 
 	return c.collect(c.runSharded(deadline)), nil
+}
+
+// validate checks the workload once for the whole pool: it must be
+// well-formed and non-empty, and every request must individually fit every
+// replica — in a heterogeneous pool any policy may route any request
+// anywhere, so the smallest KV pool (the lowest-id one on a tie) bounds
+// admissible request sizes and is the replica an oversized request names.
+func (c *Cluster) validate(w trace.Workload) error {
+	if err := w.Validate(); err != nil {
+		return err
+	}
+	if w.Len() == 0 {
+		return fmt.Errorf("cluster: empty workload")
+	}
+	kvTokens := func(rep *replica) int { return rep.eng.TotalKVPages() * rep.eng.KVPageTokens() }
+	small := c.replicas[0]
+	for _, rep := range c.replicas[1:] {
+		if kvTokens(rep) < kvTokens(small) {
+			small = rep
+		}
+	}
+	capTokens := kvTokens(small)
+	for i, it := range w.Items {
+		if it.PromptLen+it.OutputLen+1 > capTokens {
+			return fmt.Errorf("replica %d: request %d context %d exceeds KV capacity %d tokens",
+				small.id, i, it.PromptLen+it.OutputLen, capTokens)
+		}
+	}
+	return nil
 }
 
 // routable is the policy's view: only active replicas receive traffic.

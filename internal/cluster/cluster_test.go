@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -122,32 +123,6 @@ func TestClusterDeterminism(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a.Imbalance, b.Imbalance) || a.PrefixHits != b.PrefixHits {
 		t.Error("cluster routing stats are not deterministic")
-	}
-}
-
-// TestSingleReplicaMatchesEngine checks that a 1-replica cluster with
-// round-robin routing reproduces the standalone engine run exactly.
-func TestSingleReplicaMatchesEngine(t *testing.T) {
-	w := sessionWorkload(t)
-	res := runPolicy(t, 1, router.NewRoundRobin(), w)
-
-	eng, err := buildTokenFlow()(0, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solo, err := eng.Run(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Report, solo.Report) {
-		t.Errorf("1-replica cluster report differs from engine report:\ncluster: %+v\nengine:  %+v",
-			res.Report, solo.Report)
-	}
-	if res.Makespan != solo.Makespan {
-		t.Errorf("makespan %v != %v", res.Makespan, solo.Makespan)
-	}
-	if res.PrefixHits != solo.PrefixHits {
-		t.Errorf("prefix hits %d != %d", res.PrefixHits, solo.PrefixHits)
 	}
 }
 
@@ -329,6 +304,37 @@ func TestClusterConfigErrors(t *testing.T) {
 	}
 	if _, err := cl.Run(trace.Workload{Name: "empty"}); err == nil {
 		t.Error("empty workload should fail")
+	}
+}
+
+// TestRunValidatesWorkload: one validation pass covers the whole pool. On
+// the heterogeneous pool (an H200 ahead of two RTX-4090s, ~200k and ~42k
+// KV tokens) a request that fits the H200 but not a 4090 is rejected, and
+// the error names the lowest-id smallest replica.
+func TestRunValidatesWorkload(t *testing.T) {
+	cases := []struct {
+		name string
+		w    trace.Workload
+		want string // substring of the error
+	}{
+		{"empty", trace.Workload{Name: "empty"}, "empty workload"},
+		{"invalid", trace.Workload{Name: "disorder", Items: []trace.Item{
+			{Arrival: simclock.FromSeconds(2), PromptLen: 64, OutputLen: 64},
+			{Arrival: simclock.FromSeconds(1), PromptLen: 64, OutputLen: 64},
+		}}, "item 1 arrives"},
+		{"fits-large-not-small", trace.Workload{Name: "big", Items: []trace.Item{
+			{PromptLen: 64, OutputLen: 64},
+			{PromptLen: 30000, OutputLen: 20000},
+		}}, "replica 1: request 1 context 50000 exceeds KV capacity"},
+	}
+	for _, c := range cases {
+		cl, err := cluster.New(cluster.Config{Replicas: 3, Policy: router.NewRoundRobin()}, buildHetero())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Run(c.w); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Run() = %v, want an error containing %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -144,9 +144,6 @@ func (c *Cluster) primeSharded(w trace.Workload) {
 		})
 	}
 	c.arrivalsDone = true
-	for _, rep := range c.replicas {
-		rep.eng.SetArrivalsDone()
-	}
 }
 
 // runSharded is the cluster's main loop: step through the coordinator's
@@ -155,10 +152,10 @@ func (c *Cluster) primeSharded(w trace.Workload) {
 func (c *Cluster) runSharded(deadline simclock.Time) (timedOut bool) {
 	for c.step(deadline) {
 	}
-	// Client read ticks are computed, not events (engine.ReadTicks): move
-	// each shard clock on to its latest tick at or before the deadline.
+	// Client read ticks are computed, not events (engine.LastReadTick):
+	// move each shard clock on to its latest tick at or before the deadline.
 	for _, rep := range c.replicas {
-		if last, _ := rep.eng.ReadTicks(deadline); last > rep.eng.Clock().Now() {
+		if last := rep.eng.LastReadTick(deadline); last > rep.eng.Clock().Now() {
 			rep.eng.Clock().AdvanceTo(last)
 		}
 	}

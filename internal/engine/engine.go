@@ -3,7 +3,9 @@
 // or chunked-prefill iterations, reactive OOM eviction) driven by a
 // pluggable scheduler, wired to the hierarchical KV cache manager and the
 // client consumption processes. One Engine simulates one device serving
-// one workload; runs are deterministic.
+// the requests injected into it; runs are deterministic. The engine only
+// schedules events on the clock it is given: internal/cluster drives every
+// simulation, a single device being a one-replica cluster.
 package engine
 
 import (
@@ -19,7 +21,6 @@ import (
 	"repro/internal/request"
 	"repro/internal/sched"
 	"repro/internal/simclock"
-	"repro/internal/trace"
 )
 
 // KVPolicy selects the memory-management feature set (the Table 2
@@ -80,15 +81,8 @@ type Config struct {
 	// KV selects the memory-management policies.
 	KV KVPolicy
 
-	// SampleEvery enables queued/running time-series sampling (Figures
-	// 14-15); zero disables it.
-	SampleEvery time.Duration
-
 	// QoS parameterizes the report metrics; zero value selects defaults.
 	QoS metrics.QoSParams
-
-	// MaxSimTime aborts runaway simulations (default 4 simulated hours).
-	MaxSimTime time.Duration
 
 	// PrefixCacheFraction caps the session prefix cache as a share of KV
 	// capacity: finished turns of multi-turn sessions keep their context
@@ -100,22 +94,25 @@ type Config struct {
 	// unaffected.
 	PrefixCacheFraction float64
 
-	// Clock optionally injects a shared virtual clock. When nil the engine
-	// owns a fresh clock and Run drives it to completion; when set (the
-	// multi-replica cluster case) the owner of the clock drives the
-	// simulation and feeds the engine through Inject/Collect.
+	// Clock is the virtual clock the engine schedules its events on.
+	// Required. Its owner drives the simulation and feeds the engine
+	// through Inject/Collect: internal/cluster runs every simulation, a
+	// single device being a one-replica cluster.
 	Clock *simclock.Clock
 
-	// Fabric optionally injects this replica's endpoint on a shared
-	// transfer fabric (the cluster case: host links and the replica
-	// interconnect live in one topology, so every transfer class contends
-	// on explicitly modelled wires). When nil the engine builds the
-	// degenerate single-host fabric. Either way the engine attaches the
-	// host link pair at its GPU's PCIe bandwidth.
+	// Fabric is this replica's endpoint on the transfer fabric: host links
+	// and the replica interconnect live in one topology, so every transfer
+	// class contends on explicitly modelled wires. Required. The engine
+	// attaches the host link pair at its GPU's PCIe bandwidth unless the
+	// endpoint already has one.
 	Fabric *fabric.Endpoint
 }
 
-func (c Config) withDefaults() Config {
+// Normalize fills zero fields with defaults and validates the result: a
+// nil scheduler, clock or fabric, a mem fraction outside [0, 1], and
+// negative page, batch or prefill-token caps are errors. Defaults apply
+// once: normalizing a normalized Config returns it unchanged.
+func (c Config) Normalize() (Config, error) {
 	if c.MemFraction == 0 {
 		c.MemFraction = 0.9
 	}
@@ -128,33 +125,35 @@ func (c Config) withDefaults() Config {
 	if c.MaxPrefillTokens == 0 {
 		c.MaxPrefillTokens = 8192
 	}
-	if c.MaxSimTime == 0 {
-		c.MaxSimTime = 4 * time.Hour
-	}
 	if c.PrefixCacheFraction == 0 {
 		c.PrefixCacheFraction = 0.5
 	}
 	if c.QoS == (metrics.QoSParams{}) {
 		c.QoS = metrics.DefaultQoSParams()
 	}
-	return c
-}
-
-// Validate reports configuration errors.
-func (c Config) Validate() error {
-	if c.Scheduler == nil {
-		return fmt.Errorf("engine: nil scheduler")
+	switch {
+	case c.Scheduler == nil:
+		return c, fmt.Errorf("engine: nil scheduler")
+	case c.Clock == nil:
+		return c, fmt.Errorf("engine: nil clock")
+	case c.Fabric == nil:
+		return c, fmt.Errorf("engine: nil fabric endpoint")
+	case c.MemFraction < 0 || c.MemFraction > 1:
+		return c, fmt.Errorf("engine: mem fraction %v out of range [0, 1]", c.MemFraction)
+	case c.PageTokens < 0:
+		return c, fmt.Errorf("engine: negative page tokens %d", c.PageTokens)
+	case c.MaxBatch < 0:
+		return c, fmt.Errorf("engine: negative max batch %d", c.MaxBatch)
+	case c.MaxPrefillTokens < 0:
+		return c, fmt.Errorf("engine: negative max prefill tokens %d", c.MaxPrefillTokens)
 	}
 	if err := c.GPU.Validate(); err != nil {
-		return err
+		return c, err
 	}
 	if err := c.Model.Validate(); err != nil {
-		return err
+		return c, err
 	}
-	if c.MemFraction < 0 || c.MemFraction > 1 {
-		return fmt.Errorf("engine: mem fraction %v out of range", c.MemFraction)
-	}
-	return nil
+	return c, nil
 }
 
 // Result is the outcome of one simulation run.
@@ -193,7 +192,8 @@ type Result struct {
 	// Makespan is the time of the last generated token (T in Eq. 2).
 	Makespan time.Duration
 
-	// TimedOut is set when the run hit MaxSimTime before completing.
+	// TimedOut is set when the driving cluster stopped the run at its
+	// deadline before it completed.
 	TimedOut bool
 }
 
@@ -259,10 +259,6 @@ type Engine struct {
 	retryTick simclock.Handle
 	retryAt   simclock.Time
 
-	// arena batch-allocates this engine's self-primed requests; cluster
-	// runs inject externally-built requests instead.
-	arena request.Arena
-
 	// viewBuf/viewBacklog/batchBuf are reused per-kick scratch: the view
 	// and decode batch are rebuilt on every scheduling step, which on
 	// million-request traces would otherwise dominate allocation. The
@@ -315,8 +311,7 @@ type Engine struct {
 	mixedIters    int64
 	boundaryStall time.Duration
 
-	arrivalsDone bool
-	timedOut     bool
+	timedOut bool
 
 	// Session prefix-cache accounting. The cache itself lives in the KV
 	// manager as pinned page-pool reservations (kvcache prefix pins); hits
@@ -329,8 +324,8 @@ type Engine struct {
 
 // New builds an engine for the given deployment.
 func New(cfg Config) (*Engine, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
+	cfg, err := cfg.Normalize()
+	if err != nil {
 		return nil, err
 	}
 	cost, err := gpu.NewCostModel(cfg.GPU, cfg.Model)
@@ -342,21 +337,15 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("engine: %s with mem fraction %.2f leaves no KV capacity for %s",
 			cfg.GPU.Name, cfg.MemFraction, cfg.Model.Name)
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = simclock.New()
-	}
 	ep := cfg.Fabric
-	if ep == nil {
-		ep = fabric.NewSingleHost(cfg.GPU.PCIeBytesPerSec(), cfg.GPU.PCIeBytesPerSec())
-	} else if !ep.HostAttached() {
+	if !ep.HostAttached() {
 		// A pre-attached endpoint (e.g. an asymmetric host link pair built
 		// for a study) keeps its own bandwidths.
 		ep.AttachHost(cfg.GPU.PCIeBytesPerSec())
 	}
 	e := &Engine{
 		cfg:   cfg,
-		clock: clock,
+		clock: cfg.Clock,
 		cost:  cost,
 		ep:    ep,
 		track: request.NewTracker(),
@@ -427,99 +416,21 @@ func (e *Engine) QueueLengths() (waiting, backlog, running, preempted, loading i
 	return len(e.waiting), len(e.backlog), len(e.running), len(e.preempted), len(e.loading)
 }
 
-// Run simulates the workload to completion and returns the result. It is
-// the single-device entry point: Prime the workload, drive the clock, then
-// Collect. Engines built on an injected shared clock are driven by their
-// owner instead (see internal/cluster).
-func (e *Engine) Run(w trace.Workload) (*Result, error) {
-	if err := e.Prime(w); err != nil {
-		return nil, err
-	}
-	deadline := simclock.Time(e.cfg.MaxSimTime)
-	for e.clock.Peek() <= deadline {
-		e.clock.Step()
-	}
-	// The run times out on the first instant past the deadline, which
-	// fires: the next event, or a client read tick that comes first.
-	_, tick := e.ReadTicks(deadline)
-	if next := e.clock.Peek(); min(next, tick) != simclock.Forever {
-		e.timedOut = true
-		if tick <= next {
-			e.clock.AdvanceTo(tick)
-		} else {
-			e.clock.Step()
-		}
-	}
-	return e.Collect(), nil
-}
-
-// ReadTicks reports, over the engine's clients, the latest read tick at or
-// before t and the earliest one after it (request.Request.ReadTicks). Read
-// ticks are computed, not clock events, so whoever drives the clock folds
-// them in at the end of a run, where it would have fired them as events:
-// the last one before the deadline, or the first one past it.
-func (e *Engine) ReadTicks(t simclock.Time) (last, next simclock.Time) {
-	next = simclock.Forever
+// LastReadTick reports the latest read tick at or before t over the
+// engine's clients (request.Request.ReadTicks). Read ticks are computed, not
+// clock events, so whoever drives the clock folds the last one before its
+// deadline in at the end of a run, where it would have fired as an event.
+func (e *Engine) LastReadTick(t simclock.Time) simclock.Time {
+	var last simclock.Time
 	for _, r := range e.track.All() {
-		l, n := r.ReadTicks(t)
-		last, next = max(last, l), min(next, n)
+		l, _ := r.ReadTicks(t)
+		last = max(last, l)
 	}
-	return last, next
-}
-
-// ValidateWorkload checks that every request of the workload individually
-// fits the engine's KV capacity.
-func (e *Engine) ValidateWorkload(w trace.Workload) error {
-	if err := w.Validate(); err != nil {
-		return err
-	}
-	if w.Len() == 0 {
-		return fmt.Errorf("engine: empty workload")
-	}
-	capTokens := e.mem.TotalPages() * e.cfg.PageTokens
-	for i, it := range w.Items {
-		if it.PromptLen+it.OutputLen+1 > capTokens {
-			return fmt.Errorf("engine: request %d context %d exceeds KV capacity %d tokens",
-				i, it.PromptLen+it.OutputLen, capTokens)
-		}
-	}
-	return nil
-}
-
-// Prime validates the workload and schedules its arrival events (plus the
-// sampling loop) on the engine's clock.
-func (e *Engine) Prime(w trace.Workload) error {
-	if err := e.ValidateWorkload(w); err != nil {
-		return err
-	}
-	for i, it := range w.Items {
-		it := it
-		id := i
-		e.clock.At(it.Arrival, func(now simclock.Time) {
-			r := e.arena.New(id, now, it.PromptLen, it.OutputLen, it.Rate)
-			r.Session, r.Turn = it.Session, it.Turn
-			if id == w.Len()-1 {
-				e.arrivalsDone = true
-			}
-			e.Inject(r, now)
-		})
-	}
-	if e.cfg.SampleEvery > 0 {
-		var sample func(now simclock.Time)
-		sample = func(now simclock.Time) {
-			e.track.Sample(now)
-			if !e.done() {
-				e.clock.After(e.cfg.SampleEvery, sample)
-			}
-		}
-		e.clock.At(0, sample)
-	}
-	return nil
+	return last
 }
 
 // Inject submits an externally created request at the current virtual time.
-// The cluster router uses it to deliver routed arrivals; Prime uses it for
-// the single-device path so both paths share one admission sequence. A
+// The cluster delivers every arrival through it, routed or pre-routed. A
 // session prefix-cache hit is assessed here, at arrival — and when the
 // device pin is gone but a host-tier mirror survives, the arrival may
 // first wait for a host-to-device reload (the wire time lands inside its
@@ -606,10 +517,6 @@ func (e *Engine) tryHostReload(r *request.Request, now simclock.Time, cause int6
 	e.deferred = append(e.deferred, deferredInject{req: r, handle: h})
 	return true
 }
-
-// SetArrivalsDone marks that no further arrivals will be injected, letting
-// the sampling loop terminate once all registered requests finish.
-func (e *Engine) SetArrivalsDone() { e.arrivalsDone = true }
 
 // SetFirstTokenObserver installs a callback fired when a request generates
 // its first output token (TTFT is measurable at that instant). The
@@ -780,13 +687,6 @@ func (e *Engine) Collect() *Result {
 		Makespan:            time.Duration(makespan),
 		TimedOut:            e.timedOut,
 	}
-}
-
-// done reports whether all registered requests finished generating and no
-// more arrivals are pending — including arrivals still waiting on an
-// in-flight host-tier prefix reload, which are not registered yet.
-func (e *Engine) done() bool {
-	return e.arrivalsDone && e.pendingInjects == 0 && e.track.FinishedAll()
 }
 
 // teardown stops every client's reading at the clock's current instant,

@@ -32,48 +32,32 @@ func testConfig(s sched.Scheduler, kv KVPolicy) Config {
 
 func runWorkload(t *testing.T, cfg Config, w trace.Workload) *Result {
 	t.Helper()
-	e, err := New(cfg)
+	e, err := newStandalone(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return drive(e, w, 0)
 }
 
 func burst(n, prompt, output int, rate float64) trace.Workload {
 	return trace.Burst("b", n, 0, trace.FixedLengths{Prompt: prompt, Output: output}, trace.FixedRate(rate), 1)
 }
 
+// TestConfigValidation: New surfaces Normalize's errors and rejects a
+// deployment whose weights leave no KV capacity.
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Error("nil scheduler should fail")
 	}
 	cfg := testConfig(sched.NewSGLang(), BaselineKVPolicy())
 	cfg.MemFraction = 1.5
-	if _, err := New(cfg); err == nil {
+	if _, err := newStandalone(cfg); err == nil {
 		t.Error("bad mem fraction should fail")
 	}
 	cfg = testConfig(sched.NewSGLang(), BaselineKVPolicy())
 	cfg.MemFraction = 0.5 // weights alone exceed 0.5 * 18.2 GB
-	if _, err := New(cfg); err == nil {
+	if _, err := newStandalone(cfg); err == nil {
 		t.Error("no KV capacity should fail")
-	}
-}
-
-func TestRunRejectsBadWorkloads(t *testing.T) {
-	e, err := New(testConfig(sched.NewSGLang(), BaselineKVPolicy()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(trace.Workload{}); err == nil {
-		t.Error("empty workload should fail")
-	}
-	huge := burst(1, 5000, 5000, 20)
-	if _, err := e.Run(huge); err == nil {
-		t.Error("oversized request should fail upfront")
 	}
 }
 
@@ -192,9 +176,11 @@ func TestTokenFlowImprovesTTFTOverSGLang(t *testing.T) {
 }
 
 func TestSamplesRecorded(t *testing.T) {
-	cfg := testConfig(sched.NewSGLang(), BaselineKVPolicy())
-	cfg.SampleEvery = 100 * time.Millisecond
-	res := runWorkload(t, cfg, burst(6, 192, 128, 20))
+	e, err := newStandalone(testConfig(sched.NewSGLang(), BaselineKVPolicy()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := drive(e, burst(6, 192, 128, 20), 100*time.Millisecond)
 	if len(res.Samples) < 5 {
 		t.Fatalf("samples = %d", len(res.Samples))
 	}
@@ -269,7 +255,7 @@ func TestAblationOrdering(t *testing.T) {
 }
 
 func TestViewConsistency(t *testing.T) {
-	e, err := New(testConfig(sched.NewSGLang(), BaselineKVPolicy()))
+	e, err := newStandalone(testConfig(sched.NewSGLang(), BaselineKVPolicy()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,40 +268,10 @@ func TestViewConsistency(t *testing.T) {
 func BenchmarkBurstTokenFlow(b *testing.B) {
 	w := burst(12, 192, 256, 12)
 	for i := 0; i < b.N; i++ {
-		e, err := New(testConfig(core.MustNew(core.DefaultConfig()), TokenFlowKVPolicy()))
+		e, err := newStandalone(testConfig(core.MustNew(core.DefaultConfig()), TokenFlowKVPolicy()))
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := e.Run(w); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// TestRunTimesOutOnFirstReadTickPastDeadline: Run stops on the first
-// instant past MaxSimTime, and client read ticks count as instants even
-// though they are computed rather than queued — a reader still going at
-// the deadline moves the clock to its next tick and times the run out.
-func TestRunTimesOutOnFirstReadTickPastDeadline(t *testing.T) {
-	cfg := testConfig(sched.NewSGLang(), BaselineKVPolicy())
-	deadline := simclock.FromSeconds(50.5)
-	cfg.MaxSimTime = time.Duration(deadline)
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run(burst(1, 64, 200, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := res.Requests[0]
-	if !res.TimedOut || !r.GenerationDone() || r.FinishedAt > simclock.FromSeconds(20) {
-		t.Fatalf("want generation done early and reading cut by the deadline: timed out %v, finished at %v",
-			res.TimedOut, r.FinishedAt)
-	}
-	second := simclock.Time(time.Second)
-	want := r.FirstTokenAt + ((deadline-r.FirstTokenAt)/second+1)*second
-	if got := e.Clock().Now(); got != want {
-		t.Errorf("clock stopped at %v, want the first read tick past the deadline %v", got, want)
+		drive(e, w, 0)
 	}
 }

@@ -37,7 +37,7 @@ func runHostCache(t *testing.T, ep *fabric.Endpoint, hostCache bool, w trace.Wor
 	t.Helper()
 	kv := engine.TokenFlowKVPolicy()
 	kv.HostCache = hostCache
-	e, err := engine.New(engine.Config{
+	e, err := engine.NewStandalone(engine.Config{
 		GPU:         gpu.RTX4090,
 		Model:       model.Llama3_8B,
 		MemFraction: 0.9,
@@ -48,10 +48,7 @@ func runHostCache(t *testing.T, ep *fabric.Endpoint, hostCache bool, w trace.Wor
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(w)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := engine.Drive(e, w, 0)
 	if res.TimedOut || res.Report.Finished != w.Len() {
 		t.Fatalf("finished %d/%d (timed out %v)", res.Report.Finished, w.Len(), res.TimedOut)
 	}

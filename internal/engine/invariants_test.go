@@ -40,12 +40,12 @@ func TestPropertyRunInvariants(t *testing.T) {
 			})
 		}
 		s, kv := mk[rng.Intn(len(mk))]()
-		e, err := New(testConfig(s, kv))
+		e, err := newStandalone(testConfig(s, kv))
 		if err != nil {
 			return false
 		}
-		res, err := e.Run(w)
-		if err != nil || res.TimedOut {
+		res := drive(e, w, 0)
+		if res.TimedOut {
 			return false
 		}
 		if res.Report.Finished != n {
@@ -85,43 +85,14 @@ func TestPropertyEffectiveLEQRaw(t *testing.T) {
 		}
 		w := trace.Burst("p", n+4, 0,
 			trace.FixedLengths{Prompt: 128, Output: 128}, trace.FixedRate(15), seed)
-		e, err := New(testConfig(core.MustNew(core.DefaultConfig()), TokenFlowKVPolicy()))
+		e, err := newStandalone(testConfig(core.MustNew(core.DefaultConfig()), TokenFlowKVPolicy()))
 		if err != nil {
 			return false
 		}
-		res, err := e.Run(w)
-		if err != nil {
-			return false
-		}
+		res := drive(e, w, 0)
 		return res.Report.EffectiveThroughput <= res.Report.Throughput+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Failure-mode coverage: an abandoned run (deadline hit) still tears down
-// cleanly and reports honestly.
-func TestTimedOutRunReportsPartialState(t *testing.T) {
-	cfg := testConfig(sched.NewSGLang(), BaselineKVPolicy())
-	cfg.MaxSimTime = simclock.Duration(1.0)
-	e, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.Run(burst(10, 256, 512, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.TimedOut {
-		t.Fatal("1s cap must time out")
-	}
-	if res.Report.Finished == res.Report.N {
-		t.Error("timed-out run should leave unfinished requests")
-	}
-	for _, rm := range res.Report.Requests {
-		if !rm.Finished && rm.Tokens == 0 && !rm.TTFTCensored {
-			t.Error("unserved requests must be TTFT-censored")
-		}
 	}
 }

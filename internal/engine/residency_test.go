@@ -117,13 +117,11 @@ func TestPrefixEvictionUnderPressure(t *testing.T) {
 		Session: 1, Turn: 2,
 	})
 
-	e, err := New(testConfig(sched.NewSGLang(), BaselineKVPolicy()))
+	e, err := newStandalone(testConfig(sched.NewSGLang(), BaselineKVPolicy()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Prime(w); err != nil {
-		t.Fatal(err)
-	}
+	prime(e, w, 0)
 	for e.clock.Step() {
 		free, used, total := e.mem.FreePages(), e.mem.UsedPages(), e.mem.TotalPages()
 		if free < 0 || used > total {

@@ -22,10 +22,13 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/fabric"
 	"repro/internal/gpu"
 	"repro/internal/model"
+	"repro/internal/router"
 	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/trace"
@@ -172,22 +175,31 @@ func tokenFlowWith(cfg core.Config) SystemSpec {
 	}}
 }
 
-// runOne simulates one system on one workload.
+// runOne simulates one system on one workload: a one-replica round-robin
+// cluster, whose only replica's result is the device's own.
 func runOne(dep Deployment, spec SystemSpec, w trace.Workload, sampleEvery time.Duration) (*engine.Result, error) {
-	s, kv := spec.Make()
-	e, err := engine.New(engine.Config{
-		GPU:         dep.GPU,
-		Model:       dep.Model,
-		MemFraction: dep.MemFraction,
-		MaxBatch:    dep.MaxBatch,
-		Scheduler:   s,
-		KV:          kv,
-		SampleEvery: sampleEvery,
-	})
+	cl, err := cluster.New(cluster.Config{Policy: router.NewRoundRobin(), SampleEvery: sampleEvery},
+		func(_ int, clock *simclock.Clock, ep *fabric.Endpoint) (*engine.Engine, error) {
+			s, kv := spec.Make()
+			return engine.New(engine.Config{
+				GPU:         dep.GPU,
+				Model:       dep.Model,
+				MemFraction: dep.MemFraction,
+				MaxBatch:    dep.MaxBatch,
+				Scheduler:   s,
+				KV:          kv,
+				Clock:       clock,
+				Fabric:      ep,
+			})
+		})
 	if err != nil {
 		return nil, err
 	}
-	return e.Run(w)
+	res, err := cl.Run(w)
+	if err != nil {
+		return nil, err
+	}
+	return res.PerReplica[0].Result, nil
 }
 
 // runAll simulates every system on the workload concurrently (each run is

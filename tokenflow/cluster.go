@@ -721,9 +721,7 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		ecfg.Clock = clock
-		ecfg.SampleEvery = 0 // the cluster drives sampling
-		ecfg.Fabric = ep
+		ecfg.Clock, ecfg.Fabric = clock, ep
 		return engine.New(ecfg)
 	})
 	if err != nil {
@@ -797,7 +795,8 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 			HostMirrorBytes:   kv.HostMirrorBytes,
 			State:             rs.State.String(),
 			GPUSeconds:        rs.GPUSeconds,
-			Result:            convert(cfg.System, rs.Result),
+			Result: convertParts(cfg.System, rs.Result.Report, rs.Result.Requests, rs.Result.Samples,
+				rs.Result.Makespan, rs.Result.TimedOut),
 		})
 		out.PrefixEvictions += kv.PrefixEvictions
 		out.PinnedPrefixPages += kv.PinnedPages

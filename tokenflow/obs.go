@@ -26,8 +26,8 @@ type ObsSpec struct {
 	// depth, KV utilization and host-mirror bytes, per-link fabric
 	// busy/backlog, active replica count, gateway depth, and the
 	// autoscaler's full signal vector. Series ride the cluster's sampling
-	// loop, so they need SampleEverySeconds set and a RunCluster run;
-	// single-device Run records no series.
+	// loop, so they need SampleEverySeconds set; Run records them like a
+	// one-replica RunCluster.
 	Series bool
 
 	// Profile times the simulator's own phases (control tick, engine
@@ -42,8 +42,9 @@ type ObsSpec struct {
 	// preemption gaps) folded into bounded-memory quantile sketches per
 	// phase × request class × replica. The result is
 	// ClusterResult.Attribution; memory is independent of request count,
-	// so it stays on for 1M-request runs where Events would not fit.
-	// Cluster-level only: single-device Run ignores it.
+	// so it stays on for 1M-request runs where Events would not fit. Run
+	// records it too, but its Result has no report field: set Out to get
+	// attribution.json.
 	Attribution bool
 
 	// SampleEvery thins series recording to every Nth sampling tick

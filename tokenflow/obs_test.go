@@ -78,8 +78,8 @@ func TestObsSpecZeroValueIsPure(t *testing.T) {
 		if off.Obs != nil {
 			t.Fatal("zero ObsSpec attached a capture")
 		}
-		// Attribution is cluster-level: on its own it must leave the
-		// single-device run uninstrumented.
+		// Attribution alone attaches no capture: its report lands in
+		// ClusterResult.Attribution (or Out), which Run's Result lacks.
 		cfg.Obs = tokenflow.ObsSpec{Attribution: true}
 		aoff, err := tokenflow.Run(cfg, w)
 		if err != nil {

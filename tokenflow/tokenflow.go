@@ -27,7 +27,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/request"
 	"repro/internal/sched"
 	"repro/internal/simclock"
@@ -193,40 +192,16 @@ type Result struct {
 	Obs *ObsCapture
 }
 
-// Run simulates the deployment serving the workload.
+// Run simulates the deployment serving the workload: a one-replica
+// RunCluster behind round-robin routing, whose merged report is the
+// device's own. The flight-recorder capture, if any, rides on the Result.
 func Run(cfg Config, w Workload) (*Result, error) {
-	if cfg.System == "" {
-		cfg.System = SystemTokenFlow
-	}
-	ecfg, err := buildEngineConfig(cfg)
+	res, err := RunCluster(ClusterConfig{Config: cfg, Replicas: 1}, w)
 	if err != nil {
 		return nil, err
 	}
-	e, err := engine.New(ecfg)
-	if err != nil {
-		return nil, err
-	}
-	spec := cfg.Obs
-	spec.Attribution = false // cluster-level only; see ObsSpec.Attribution
-	cap := obs.NewCapture(spec.options())
-	if cap != nil {
-		e.SetObs(cap.Recorder(), cap.Prof(), 0)
-	}
-	start := time.Now()
-	res, err := e.Run(toTrace(w))
-	if err != nil {
-		return nil, err
-	}
-	out := convert(cfg.System, res)
-	if cap != nil {
-		out.Obs = newObsCapture(cap, string(cfg.System), time.Since(start))
-		if cfg.Obs.Out != "" {
-			if _, err := out.Obs.WriteFiles(cfg.Obs.Out); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
+	res.Cluster.Obs = res.Obs
+	return res.Cluster, nil
 }
 
 func buildEngineConfig(cfg Config) (engine.Config, error) {
@@ -251,8 +226,6 @@ func buildEngineConfig(cfg Config) (engine.Config, error) {
 		GPU:         g,
 		Model:       m,
 		MemFraction: cfg.MemFraction,
-		SampleEvery: simclock.Duration(cfg.SampleEverySeconds),
-		MaxSimTime:  simclock.Duration(cfg.MaxSimTimeSeconds),
 		QoS:         metrics.DefaultQoSParams(),
 	}
 	switch cfg.System {
@@ -313,12 +286,8 @@ func toTrace(w Workload) trace.Workload {
 	return out
 }
 
-func convert(sys System, res *engine.Result) *Result {
-	return convertParts(sys, res.Report, res.Requests, res.Samples, res.Makespan, res.TimedOut)
-}
-
-// convertParts assembles the public Result from report pieces; the single-
-// device and cluster paths share it so their outputs stay comparable
+// convertParts assembles the public Result from report pieces; the merged
+// cluster report and each replica's own share it, so they stay comparable
 // field for field.
 func convertParts(sys System, rep metrics.Report, reqs []*request.Request,
 	samples []request.Sample, makespan time.Duration, timedOut bool) *Result {

@@ -141,3 +141,33 @@ func TestMaxSimTime(t *testing.T) {
 		t.Error("2-second cap should time out this workload")
 	}
 }
+
+// TestTimedOutRunFiresNothingPastDeadline: MaxSimTime means the same on
+// Run as on RunCluster — no event past it. The burst below is still
+// generating at 3.3 s; the run must stop there, with no token generated
+// and no request finished after the deadline.
+func TestTimedOutRunFiresNothingPastDeadline(t *testing.T) {
+	const deadline = 3.3
+	res, err := Run(Config{GPU: "RTX-4090", MaxSimTimeSeconds: deadline}, BurstWorkload(48, 512, 1024, 20, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.TimedOut {
+		t.Fatal("a 3.3 s cap should time out this burst")
+	}
+	// The makespan is the latest token time or finish instant.
+	if res.MakespanSec > deadline {
+		t.Errorf("makespan %.3f s is past the %.1f s deadline", res.MakespanSec, deadline)
+	}
+	late := 0
+	for _, r := range res.Requests {
+		for _, at := range r.TokenTimesSeconds {
+			if at > deadline {
+				late++
+			}
+		}
+	}
+	if late > 0 {
+		t.Errorf("%d tokens generated after the %.1f s deadline", late, deadline)
+	}
+}
