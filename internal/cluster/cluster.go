@@ -800,8 +800,12 @@ func (c *Cluster) Run(w trace.Workload) (*Result, error) {
 	// the policy sees live replica state. Under scale-to-zero an arrival
 	// that finds no active replica goes through the gateway instead
 	// (gateway.go): buffered or shed, and always a cold-start trigger.
-	// A run whose configuration needs no coordinator events at all
-	// pre-routes arrivals straight onto the shard clocks instead.
+	// The arrivals are one stream on the coordinator clock, opened after
+	// the heartbeats and chaos faults and before the sample and control
+	// loops, so at an equal instant they fire after the former and before
+	// the latter (simclock.Stream's tie rule). A run whose configuration
+	// needs no coordinator events at all pre-routes arrivals straight onto
+	// the shard clocks instead.
 	deadline := simclock.Time(c.cfg.MaxSimTime)
 	if c.fastShardPath() {
 		c.primeSharded(w)
@@ -809,10 +813,10 @@ func (c *Cluster) Run(w trace.Workload) (*Result, error) {
 	}
 	c.scheduleHeartbeats()
 	c.scheduleChaos()
-	for i, it := range w.Items {
-		it := it
-		id := i
-		c.clock.At(it.Arrival, func(now simclock.Time) {
+	c.clock.Stream(w.Len(),
+		func(id int) simclock.Time { return w.Items[id].Arrival },
+		func(id int, now simclock.Time) {
+			it := w.Items[id]
 			c.arrivalsThisTick++
 			c.rec.Emit(now, obs.KindArrival, -1, id, it.Session,
 				int64(it.PromptLen), int64(it.OutputLen), int64(it.Turn), 0, "")
@@ -843,7 +847,6 @@ func (c *Cluster) Run(w trace.Workload) (*Result, error) {
 			}
 			rep.eng.Inject(r, now)
 		})
-	}
 
 	if c.cfg.SampleEvery > 0 {
 		var sample func(now simclock.Time)

@@ -38,8 +38,11 @@ package cluster
 //
 // When the configuration needs no coordinator events at all — static
 // replica set, round-robin routing, no migration, no sampling — arrivals
-// are pre-routed onto the shard clocks at prime time and the whole run is
-// one parallel drain with zero barriers.
+// are pre-routed at prime time: each shard clock gets one arrival stream
+// (simclock.Stream) over the ids of its replicas' arrivals, and the whole
+// run is one parallel drain with zero barriers. Otherwise the arrivals
+// are one stream on the coordinator clock. Either way a clock holds one
+// pending arrival at a time, not one heap entry and closure per request.
 
 import (
 	"cmp"
@@ -125,23 +128,39 @@ func (c *Cluster) fastShardPath() bool {
 		c.cfg.Policy.Name() == router.NameRoundRobin
 }
 
-// primeSharded schedules the workload's arrivals directly on the shard
-// clocks (fast path only). Equivalent to the routed path: round-robin
-// assigns arrival k to replica k mod N, requests allocate from the owning
-// shard's arena, and arrival order within a shard follows arrival id.
+// primeSharded opens one arrival stream per shard clock (fast path only).
+// Equivalent to the routed path: round-robin assigns arrival k to replica
+// k mod N, requests allocate from the owning shard's arena, and arrival
+// order within a shard follows arrival id. The arrival ids are bucketed
+// per shard into one backing array; no closure or clock event is
+// allocated per arrival.
 func (c *Cluster) primeSharded(w trace.Workload) {
 	n := len(c.replicas)
-	for i, it := range w.Items {
-		it := it
-		id := i
-		rep := c.replicas[i%n]
-		rep.routed++
-		sh := c.shardOf(rep.id)
-		sh.clock.At(it.Arrival, func(now simclock.Time) {
-			r := sh.arena.New(id, now, it.PromptLen, it.OutputLen, it.Rate)
-			r.Session, r.Turn = it.Session, it.Turn
-			rep.eng.Inject(r, now)
-		})
+	counts := make([]int, len(c.shards))
+	for i := range w.Items {
+		c.replicas[i%n].routed++
+		counts[c.shardOf(i%n).id]++
+	}
+	ids := make([]int, len(w.Items))
+	buckets := make([][]int, len(c.shards))
+	for s, k := range counts {
+		buckets[s], ids = ids[:0:k], ids[k:]
+	}
+	for i := range w.Items {
+		s := c.shardOf(i % n).id
+		buckets[s] = append(buckets[s], i)
+	}
+	for _, sh := range c.shards {
+		sh, ids := sh, buckets[sh.id]
+		sh.clock.Stream(len(ids),
+			func(k int) simclock.Time { return w.Items[ids[k]].Arrival },
+			func(k int, now simclock.Time) {
+				id := ids[k]
+				it := &w.Items[id]
+				r := sh.arena.New(id, now, it.PromptLen, it.OutputLen, it.Rate)
+				r.Session, r.Turn = it.Session, it.Turn
+				c.replicas[id%n].eng.Inject(r, now)
+			})
 	}
 	c.arrivalsDone = true
 }

@@ -6,15 +6,35 @@
 // advances when events are processed, so simulations are exactly
 // reproducible for a given workload seed regardless of host speed.
 //
-// The event queue is allocation-free in steady state: fired and cancelled
+// Every event carries the clock's next sequence number when it is
+// scheduled, and events fire in (time, sequence) order: by time, and at an
+// equal instant in the order they were scheduled. The order is strict and
+// total, so the firing sequence is fully determined by the calls made.
+//
+// The queue is a 4-ary min-heap of inline (time, sequence, slot) entries,
+// compared without interface calls; a 4-ary heap is half as deep as a
+// binary one, which matters at the ~50k pending events of a large cluster.
+// Cancellation is lazy: Cancel marks the slot, which is swept when it
+// surfaces at the top, or by a compaction that filters the heap and
+// re-heapifies it in place once cancelled slots make up most of it.
+//
+// The queue is allocation-free in steady state: fired and cancelled
 // events return to a per-clock free list and are recycled by the next At or
 // After. Handles are generation-counted, so holding a Handle past its
 // event's firing is always safe — Cancel and Pending on a stale handle are
 // no-ops rather than acting on whatever event reused the slot.
+//
+// A workload's arrivals do not go on the heap. Stream opens an arrival
+// cursor over n pre-sorted instants that holds only the next arrival, so
+// priming a run costs O(1) queue space instead of one heap entry and one
+// closure per arrival. Stream reserves the sequence block [s, s+n) when it
+// is called, and arrival k competes with the heap top as (at(k), s+k). The
+// tie rule therefore matches scheduling each arrival with At in one loop:
+// an event scheduled before the stream opened fires before an arrival at
+// the same instant, and one scheduled after it fires after.
 package simclock
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -55,11 +75,32 @@ func (t Time) String() string {
 // recycled through a free list; external code only ever sees Handles.
 type event struct {
 	at       Time
-	seq      uint64 // insertion order; breaks ties deterministically
 	gen      uint64 // bumped on recycle; stale Handles fail the gen check
-	index    int    // heap index, -1 when not queued
 	fn       func(now Time)
 	canceled bool
+}
+
+// entry is one heap element. The ordering key is stored inline, so sifting
+// compares entries without dereferencing their slots.
+type entry struct {
+	at  Time
+	seq uint64 // scheduling order; breaks ties deterministically
+	ev  *event
+}
+
+// before is the queue order: by time, then by sequence.
+func (a entry) before(b entry) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// stream is the clock's arrival cursor (see Stream). It is open while
+// k < n; the zero value is closed.
+type stream struct {
+	n, k int
+	base uint64 // sequence number of arrival 0
+	next Time   // at(k), cached
+	at   func(k int) Time
+	fire func(k int, now Time)
 }
 
 // Handle identifies a scheduled event. The zero Handle is valid and refers
@@ -91,14 +132,16 @@ func (h Handle) Pending() bool {
 // usable; call New.
 type Clock struct {
 	now Time
-	pq  eventHeap
+	pq  []entry
 	seq uint64
-	// processed counts events that have fired (not cancelled ones).
+	// processed counts events that have fired (not cancelled ones),
+	// stream arrivals included.
 	processed uint64
 	// canceled counts queue slots holding lazily-cancelled events; when the
 	// fraction grows past compactAt the heap is rebuilt without them.
 	canceled int
 	free     []*event
+	stream   stream
 }
 
 // compactAt bounds how much of the heap cancelled events may occupy before
@@ -114,8 +157,9 @@ func New() *Clock {
 // Now reports the current virtual time.
 func (c *Clock) Now() Time { return c.now }
 
-// Len reports the number of pending (non-cancelled) events.
-func (c *Clock) Len() int { return len(c.pq) - c.canceled }
+// Len reports the number of pending (non-cancelled) events, counting each
+// arrival still to come from an open stream.
+func (c *Clock) Len() int { return len(c.pq) - c.canceled + c.stream.n - c.stream.k }
 
 // Processed reports how many events have fired since the clock was created.
 func (c *Clock) Processed() uint64 { return c.processed }
@@ -128,7 +172,7 @@ func (c *Clock) alloc() *event {
 		c.free = c.free[:n-1]
 		return e
 	}
-	return &event{index: -1}
+	return &event{}
 }
 
 // recycle retires a fired or swept event slot: the generation bump
@@ -137,7 +181,6 @@ func (c *Clock) recycle(e *event) {
 	e.gen++
 	e.fn = nil
 	e.canceled = false
-	e.index = -1
 	c.free = append(c.free, e)
 }
 
@@ -153,10 +196,10 @@ func (c *Clock) At(at Time, fn func(now Time)) Handle {
 	}
 	e := c.alloc()
 	e.at = at
-	e.seq = c.seq
 	e.fn = fn
+	c.pq = append(c.pq, entry{at: at, seq: c.seq, ev: e})
 	c.seq++
-	heap.Push(&c.pq, e)
+	c.up(len(c.pq) - 1)
 	return Handle{ev: e, gen: e.gen}
 }
 
@@ -166,6 +209,44 @@ func (c *Clock) After(d time.Duration, fn func(now Time)) Handle {
 		panic(fmt.Sprintf("simclock: negative delay %v", d))
 	}
 	return c.At(c.now.Add(d), fn)
+}
+
+// Stream opens the clock's arrival cursor: fire(k, at(k)) runs at instant
+// at(k) for k = 0..n-1, in order, each counted as one processed event. The
+// instants must not decrease and must not precede Now; Stream checks all
+// of them before it returns and panics otherwise, as At does for a past
+// time. It also panics while a previous stream still has arrivals to fire
+// (one cursor per clock). Stream holds one pending arrival at a time, so
+// it allocates nothing and queues nothing however large n is. It reserves
+// the sequence block [s, s+n) at the call, so arrival k ties with heap
+// events exactly as if At had scheduled it with sequence s+k (see the
+// package comment).
+func (c *Clock) Stream(n int, at func(k int) Time, fire func(k int, now Time)) {
+	if at == nil || fire == nil {
+		panic("simclock: nil stream callback")
+	}
+	if n < 0 {
+		panic(fmt.Sprintf("simclock: negative stream length %d", n))
+	}
+	if c.stream.k < c.stream.n {
+		panic("simclock: opening a stream while another is open")
+	}
+	prev := c.now
+	for k := 0; k < n; k++ {
+		t := at(k)
+		if t < prev {
+			if k == 0 {
+				panic(fmt.Sprintf("simclock: scheduling stream arrival at %v before now %v", t, c.now))
+			}
+			panic(fmt.Sprintf("simclock: stream arrival %d at %v precedes arrival %d at %v", k, t, k-1, prev))
+		}
+		prev = t
+	}
+	if n == 0 {
+		return
+	}
+	c.stream = stream{n: n, base: c.seq, next: at(0), at: at, fire: fire}
+	c.seq += uint64(n)
 }
 
 // Cancel removes a pending event from the queue. Cancelling a fired,
@@ -183,78 +264,86 @@ func (c *Clock) Cancel(h Handle) {
 	}
 }
 
-// compact rebuilds the heap without cancelled events, recycling their slots.
+// compact filters cancelled events out of the heap, recycling their slots,
+// and re-heapifies the survivors in place.
 func (c *Clock) compact() {
 	live := c.pq[:0]
-	for _, e := range c.pq {
-		if e.canceled {
-			c.recycle(e)
+	for _, x := range c.pq {
+		if x.ev.canceled {
+			c.recycle(x.ev)
 			continue
 		}
-		live = append(live, e)
+		live = append(live, x)
 	}
-	for i := len(live); i < len(c.pq); i++ {
-		c.pq[i] = nil
-	}
+	clear(c.pq[len(live):])
 	c.pq = live
 	c.canceled = 0
-	heap.Init(&c.pq)
+	for i := (len(live) - 2) / 4; i >= 0 && len(live) > 1; i-- {
+		c.down(i)
+	}
 }
 
-// Reschedule moves a pending event to a new absolute time, preserving its
-// callback, and returns its handle. If the event already fired or was
-// cancelled, Reschedule panics — the callback is gone with the slot, so
-// the caller must schedule afresh with At.
-func (c *Clock) Reschedule(h Handle, at Time) Handle {
-	if at < c.now {
-		panic(fmt.Sprintf("simclock: rescheduling event at %v before now %v", at, c.now))
+// sweep pops cancelled events off the top of the heap, so the top, if
+// any, is live.
+func (c *Clock) sweep() {
+	for len(c.pq) > 0 && c.pq[0].ev.canceled {
+		c.recycle(c.pop())
+		c.canceled--
 	}
-	if !h.Pending() {
-		panic("simclock: rescheduling a fired or cancelled event")
+}
+
+// streamFirst reports whether the stream's next arrival precedes the
+// (swept) heap top.
+func (c *Clock) streamFirst() bool {
+	s := &c.stream
+	if s.k >= s.n {
+		return false
 	}
-	e := h.ev
-	e.at = at
-	e.seq = c.seq
-	c.seq++
-	heap.Fix(&c.pq, e.index)
-	return h
+	return len(c.pq) == 0 || entry{at: s.next, seq: s.base + uint64(s.k)}.before(c.pq[0])
 }
 
 // Peek reports the time of the next pending event, or Forever if the queue
 // is empty. Cancelled events surfacing at the top are swept as a side
 // effect, so the reported time is always that of a live event.
 func (c *Clock) Peek() Time {
-	for len(c.pq) > 0 {
-		top := c.pq[0]
-		if !top.canceled {
-			return top.at
-		}
-		heap.Pop(&c.pq)
-		c.canceled--
-		c.recycle(top)
+	c.sweep()
+	next := Forever
+	if len(c.pq) > 0 {
+		next = c.pq[0].at
 	}
-	return Forever
+	if s := &c.stream; s.k < s.n && s.next < next {
+		next = s.next
+	}
+	return next
 }
 
 // Step fires the earliest pending event, advancing the clock to its time.
 // It reports false when the queue is empty.
 func (c *Clock) Step() bool {
-	for len(c.pq) > 0 {
-		e := heap.Pop(&c.pq).(*event)
-		e.index = -1
-		if e.canceled {
-			c.canceled--
-			c.recycle(e)
-			continue
+	c.sweep()
+	if c.streamFirst() {
+		s := &c.stream
+		k, now, fire := s.k, s.next, s.fire
+		if s.k++; s.k < s.n {
+			s.next = s.at(s.k)
+		} else {
+			c.stream = stream{} // closed before fire, which may open the next
 		}
-		c.now = e.at
+		c.now = now
 		c.processed++
-		fn := e.fn
-		c.recycle(e)
-		fn(c.now)
+		fire(k, now)
 		return true
 	}
-	return false
+	if len(c.pq) == 0 {
+		return false
+	}
+	e := c.pop()
+	c.now = e.at
+	c.processed++
+	fn := e.fn
+	c.recycle(e)
+	fn(c.now)
+	return true
 }
 
 // AdvanceTo moves the clock forward to t without firing anything. It
@@ -294,37 +383,56 @@ func (c *Clock) Run() {
 	}
 }
 
-// eventHeap orders events by (time, insertion sequence), so events scheduled
-// for the same instant fire in the order they were scheduled.
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// pop removes the heap top and returns its slot.
+func (c *Clock) pop() *event {
+	h := c.pq
+	e := h[0].ev
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = entry{}
+	c.pq = h[:n]
+	if n > 1 {
+		c.down(0)
 	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
 	return e
+}
+
+// up restores the heap order after the entry at i moved earlier.
+func (c *Clock) up(i int) {
+	h := c.pq
+	x := h[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = x
+}
+
+// down restores the heap order after the entry at i moved later.
+func (c *Clock) down(i int) {
+	h := c.pq
+	n := len(h)
+	x := h[i]
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		m := first
+		for j, end := first+1, min(first+4, n); j < end; j++ {
+			if h[j].before(h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(x) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = x
 }

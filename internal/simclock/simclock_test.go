@@ -121,29 +121,6 @@ func TestCancelMiddleOfHeap(t *testing.T) {
 	}
 }
 
-func TestRescheduleMovesEvent(t *testing.T) {
-	c := New()
-	var at Time
-	e := c.At(FromSeconds(1), func(now Time) { at = now })
-	c.Reschedule(e, FromSeconds(4))
-	c.Run()
-	if at != FromSeconds(4) {
-		t.Errorf("rescheduled event fired at %v, want 4s", at)
-	}
-}
-
-func TestRescheduleCancelledEventPanics(t *testing.T) {
-	c := New()
-	e := c.At(FromSeconds(1), func(Time) {})
-	c.Cancel(e)
-	defer func() {
-		if recover() == nil {
-			t.Error("rescheduling a cancelled event should panic")
-		}
-	}()
-	c.Reschedule(e, FromSeconds(2))
-}
-
 func TestRunUntilAdvancesClock(t *testing.T) {
 	c := New()
 	fired := 0
@@ -438,4 +415,53 @@ func BenchmarkScheduleCancel(b *testing.B) {
 		}
 	}
 	c.Run()
+}
+
+// Opening a stream allocates nothing per arrival, and firing its arrivals
+// allocates nothing at all: the cursor holds one pending arrival, not one
+// heap entry and closure per arrival.
+func TestStreamDoesNotAllocatePerArrival(t *testing.T) {
+	at := func(k int) Time { return Time(k) }
+	fire := func(int, Time) {}
+	open := func(n int) float64 {
+		return testing.AllocsPerRun(10, func() { New().Stream(n, at, fire) })
+	}
+	if small, large := open(10), open(100_000); small != large {
+		t.Errorf("opening a stream allocates %.1f objects at n=10 but %.1f at n=100,000", small, large)
+	}
+	c := New()
+	c.Stream(1000, at, fire)
+	if avg := testing.AllocsPerRun(500, func() { c.Step() }); avg > 0 {
+		t.Errorf("firing a stream arrival allocates %.1f objects, want 0", avg)
+	}
+}
+
+// deepHeapSize is the pending-event depth of a shard clock on the
+// 500-replica round-robin benchmark when every arrival was its own event.
+const deepHeapSize = 55_000
+
+// BenchmarkStepDeepHeap fires events off a heap held at deepHeapSize
+// pending events: every fired event schedules a replacement at a random
+// offset, so each Step pays a full-depth pop and push.
+func BenchmarkStepDeepHeap(b *testing.B) {
+	c := New()
+	rng := rand.New(rand.NewSource(1))
+	delays := make([]time.Duration, 4096)
+	for i := range delays {
+		delays[i] = time.Duration(rng.Int63n(int64(time.Second)))
+	}
+	var i int
+	var fn func(Time)
+	fn = func(Time) {
+		i++
+		c.After(delays[i%len(delays)], fn)
+	}
+	for k := 0; k < deepHeapSize; k++ {
+		c.After(delays[k%len(delays)], fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		c.Step()
+	}
 }
