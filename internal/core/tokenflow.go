@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/request"
 	"repro/internal/sched"
@@ -21,6 +22,15 @@ type Scheduler struct {
 	LightPasses     int64
 	FallbackPasses  int64
 	SwapsApplied    int64
+
+	// Full-pass scratch, grown on first use and reused by every later
+	// pass, so a pass allocates only the Decision it returns. It makes a
+	// Scheduler unsafe for concurrent use: each engine owns its own.
+	admitted  []*request.Request
+	cands     []candidate
+	order     []int
+	sel, best []bool
+	ordered   []candidate
 }
 
 // New constructs the scheduler, normalizing the config.
@@ -262,7 +272,7 @@ func (s *Scheduler) fcfsFallback(v *sched.View) sched.Decision {
 	slots := v.SlotsFree()
 	// Resume preempted in arrival order first, then fresh arrivals.
 	pre := append([]*request.Request(nil), v.Preempted...)
-	sort.SliceStable(pre, func(i, j int) bool { return pre[i].Arrival < pre[j].Arrival })
+	slices.SortStableFunc(pre, func(a, b *request.Request) int { return cmp.Compare(a.Arrival, b.Arrival) })
 	for _, r := range pre {
 		need := r.PromptLen + r.Generated
 		if need > avail || slots <= 0 {
@@ -388,7 +398,7 @@ func (s *Scheduler) fullPass(v *sched.View) sched.Decision {
 	// fat-buffer stream in step 2. Admission requires the swap-feasibility
 	// criterion — enough running streams must be able to cover a swap —
 	// unless the device has outright free memory.
-	var admitted []*request.Request
+	admitted := s.admitted[:0]
 	free := v.FreeTokens - v.BacklogTokens()
 	swappable := 0
 	for _, r := range v.Running {
@@ -413,9 +423,10 @@ func (s *Scheduler) fullPass(v *sched.View) sched.Decision {
 		}
 		break
 	}
+	s.admitted = admitted
 
 	// --- Step 2: buffer balancing inside the working set ----------------
-	cands := make([]candidate, 0, members+len(admitted))
+	cands := s.cands[:0]
 	for _, r := range v.Running {
 		c := candidate{req: r, utility: s.utility(v, r), tokens: s.expectedTokens(v, r), resident: true}
 		// Streams that cannot survive a swap, or are still prefilling,
@@ -436,6 +447,7 @@ func (s *Scheduler) fullPass(v *sched.View) sched.Decision {
 	for _, r := range admitted {
 		cands = append(cands, candidate{req: r, utility: s.utility(v, r), tokens: s.expectedTokens(v, r)})
 	}
+	s.cands = cands
 
 	// Loading and backlog requests are committed consumers of memory and
 	// batch slots.
@@ -454,24 +466,42 @@ func (s *Scheduler) fullPass(v *sched.View) sched.Decision {
 		}
 	}
 
-	selected := s.selectCandidates(cands, budget, slots)
+	// Candidate IDs are distinct (Running, Preempted and the admitted
+	// Waiting requests are disjoint), so the selection is kept by
+	// candidate position.
+	selected, _ := s.selectCandidates(cands, budget, slots)
 
+	// The Decision's slices are sized up front: they are the only
+	// allocations of a warmed pass.
 	var d sched.Decision
+	victim := func(i int) bool { return cands[i].resident && !selected[i] && !cands[i].committed }
+	nPreempt := 0
 	for i := range cands {
-		c := &cands[i]
-		if c.resident && !selected[c.req.ID] && !c.committed {
-			d.Preempt = append(d.Preempt, c.req)
+		if victim(i) {
+			nPreempt++
+		}
+	}
+	if nPreempt > 0 {
+		d.Preempt = make([]*request.Request, 0, nPreempt)
+		for i := range cands {
+			if victim(i) {
+				d.Preempt = append(d.Preempt, cands[i].req)
+			}
 		}
 	}
 	// Admissions in utility order so the engine applies the most urgent
 	// first when memory is tight.
-	ordered := make([]candidate, 0, len(cands))
-	for _, c := range cands {
-		if !c.resident && selected[c.req.ID] {
+	ordered := s.ordered[:0]
+	for i, c := range cands {
+		if !c.resident && selected[i] {
 			ordered = append(ordered, c)
 		}
 	}
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].utility > ordered[j].utility })
+	s.ordered = ordered
+	slices.SortStableFunc(ordered, func(a, b candidate) int { return orderBy(a, b, utilityBefore) })
+	if len(ordered) > 0 {
+		d.Admit = make([]sched.Admission, 0, len(ordered))
+	}
 	for _, c := range ordered {
 		adm := sched.Admission{Req: c.req}
 		if c.req.State == request.StatePreempted {
@@ -482,58 +512,80 @@ func (s *Scheduler) fullPass(v *sched.View) sched.Decision {
 	return d
 }
 
+// orderBy turns a strict "sorts before" predicate into a three-way
+// comparator that reports a tie exactly when neither element sorts before
+// the other. A stable sort under it therefore makes the same comparisons
+// and moves as one under less itself, NaN utilities included.
+func orderBy[T any](a, b T, less func(a, b T) bool) int {
+	switch {
+	case less(a, b):
+		return -1
+	case less(b, a):
+		return 1
+	}
+	return 0
+}
+
+// utilityBefore orders admissions by descending utility.
+func utilityBefore(a, b candidate) bool { return a.utility > b.utility }
+
+// priorityBefore is the greedy packing order: committed candidates first
+// (they consume budget regardless), then descending utility.
+func priorityBefore(a, b candidate) bool {
+	if a.committed != b.committed {
+		return a.committed
+	}
+	return a.utility > b.utility
+}
+
 // selectCandidates greedily picks candidates by descending utility under
 // the token budget, then applies the §4.2.2 local search: adjacent pairs
 // in the priority queue are tentatively swapped and the greedy packing is
 // re-evaluated; a swap sticks when it raises the total selected utility
 // within the memory constraint. (A single large high-utility request can
-// otherwise block several slightly-lower-utility small ones.)
-func (s *Scheduler) selectCandidates(cands []candidate, budget, slots int) map[int]bool {
-	order := make([]int, len(cands))
+// otherwise block several slightly-lower-utility small ones.) It returns
+// the selection indexed by candidate position, valid until the next call,
+// and its utility.
+func (s *Scheduler) selectCandidates(cands []candidate, budget, slots int) ([]bool, float64) {
+	n := len(cands)
+	order := slices.Grow(s.order[:0], n)[:n]
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ca, cb := cands[order[a]], cands[order[b]]
-		if ca.committed != cb.committed {
-			return ca.committed // committed first: they consume budget regardless
-		}
-		return ca.utility > cb.utility
-	})
-
-	bestSel, bestUtil := s.pack(cands, order, budget, slots)
-	if !s.cfg.LocalSearch {
-		return bestSel
-	}
-	for k := 0; k+1 < len(order); k++ {
+	slices.SortStableFunc(order, func(a, b int) int { return orderBy(cands[a], cands[b], priorityBefore) })
+	best := slices.Grow(s.best[:0], n)[:n]
+	sel := slices.Grow(s.sel[:0], n)[:n]
+	bestUtil := pack(cands, order, budget, slots, best)
+	for k := 0; s.cfg.LocalSearch && k+1 < len(order); k++ {
 		if cands[order[k]].committed || cands[order[k+1]].committed {
 			continue // committed entries are fixed consumers of budget
 		}
 		order[k], order[k+1] = order[k+1], order[k]
-		sel, util := s.pack(cands, order, budget, slots)
-		if util > bestUtil {
-			bestSel, bestUtil = sel, util
+		if util := pack(cands, order, budget, slots, sel); util > bestUtil {
+			best, sel = sel, best
+			bestUtil = util
 			s.SwapsApplied++
 		} else {
 			order[k], order[k+1] = order[k+1], order[k] // revert
 		}
 	}
-	return bestSel
+	s.order, s.best, s.sel = order, best, sel
+	return best, bestUtil
 }
 
 // pack runs the greedy packing over a candidate order under the token
 // budget and the batch-slot cap (Σx_i ≤ B of §3.3; slots <= 0 means
-// unbounded), returning the selected IDs and the total utility of the
-// discretionary selections.
-func (s *Scheduler) pack(cands []candidate, order []int, budget, slots int) (map[int]bool, float64) {
-	selected := make(map[int]bool, len(order))
+// unbounded). It overwrites selected, indexed by candidate position, and
+// returns the total utility of the discretionary selections.
+func pack(cands []candidate, order []int, budget, slots int, selected []bool) float64 {
+	clear(selected)
 	remaining := budget
 	left := slots
 	util := 0.0
 	for _, i := range order {
-		c := cands[i]
+		c := &cands[i]
 		if c.committed {
-			selected[c.req.ID] = true
+			selected[i] = true
 			remaining -= c.tokens
 			left--
 			continue
@@ -542,11 +594,11 @@ func (s *Scheduler) pack(cands []candidate, order []int, budget, slots int) (map
 			continue
 		}
 		if c.tokens <= remaining {
-			selected[c.req.ID] = true
+			selected[i] = true
 			remaining -= c.tokens
 			left--
 			util += c.utility
 		}
 	}
-	return selected, util
+	return util
 }

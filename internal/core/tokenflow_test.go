@@ -302,8 +302,8 @@ func TestLocalSearchSwapsInHigherUtility(t *testing.T) {
 		{req: request.New(2, 0, 10, 10, 20), utility: 4.9, tokens: 500},
 		{req: request.New(3, 0, 10, 10, 20), utility: 4.8, tokens: 500},
 	}
-	sel := s.selectCandidates(cands, 1000, 0)
-	if sel[1] || !sel[2] || !sel[3] {
+	sel, _ := s.selectCandidates(cands, 1000, 0)
+	if sel[0] || !sel[1] || !sel[2] {
 		t.Errorf("local search should select {2,3}: %v", sel)
 	}
 	if s.SwapsApplied == 0 {
@@ -313,8 +313,8 @@ func TestLocalSearchSwapsInHigherUtility(t *testing.T) {
 	cfg2 := DefaultConfig()
 	cfg2.LocalSearch = false
 	s2 := MustNew(cfg2)
-	sel2 := s2.selectCandidates(cands, 1000, 0)
-	if !sel2[1] || sel2[2] || sel2[3] {
+	sel2, _ := s2.selectCandidates(cands, 1000, 0)
+	if !sel2[0] || sel2[1] || sel2[2] {
 		t.Errorf("pure greedy should keep only #1: %v", sel2)
 	}
 }
@@ -325,11 +325,11 @@ func TestSelectRespectsCommitted(t *testing.T) {
 		{req: request.New(1, 0, 10, 10, 20), utility: 0.1, tokens: 900, committed: true},
 		{req: request.New(2, 0, 10, 10, 20), utility: 9, tokens: 500},
 	}
-	sel := s.selectCandidates(cands, 1000, 0)
-	if !sel[1] {
+	sel, _ := s.selectCandidates(cands, 1000, 0)
+	if !sel[0] {
 		t.Error("committed candidates are always selected")
 	}
-	if sel[2] {
+	if sel[1] {
 		t.Error("budget after committed (100) cannot fit candidate 2")
 	}
 }

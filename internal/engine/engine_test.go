@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/model"
+	"repro/internal/request"
 	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/trace"
@@ -273,5 +274,40 @@ func BenchmarkBurstTokenFlow(b *testing.B) {
 			b.Fatal(err)
 		}
 		drive(e, w, 0)
+	}
+}
+
+// TestAdvanceDecodeNeedsResidency: a decode step hands a token only to a
+// batch member whose KV is resident, growing its allocation when the
+// token crosses a page.
+func TestAdvanceDecodeNeedsResidency(t *testing.T) {
+	e, err := newStandalone(testConfig(sched.NewSGLang(), BaselineKVPolicy()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := e.cfg.PageTokens
+	running := func(id int) *request.Request {
+		r := request.New(id, 0, page, 100, 20)
+		r.State = request.StateRunning
+		r.PrefilledTokens = r.PromptLen
+		return r
+	}
+	stranger := running(1)
+	e.advanceDecode([]*request.Request{stranger}, 0)
+	if stranger.Generated != 0 {
+		t.Errorf("non-resident request decoded %d tokens", stranger.Generated)
+	}
+	r := running(2)
+	if err := e.mem.AllocateResident(r, r.PromptLen); err != nil {
+		t.Fatal(err)
+	}
+	used := e.mem.UsedPages()
+	e.advanceDecode([]*request.Request{r}, 0) // crosses into a second page
+	e.advanceDecode([]*request.Request{r}, 0) // stays inside it
+	if r.Generated != 2 {
+		t.Errorf("resident request decoded %d tokens, want 2", r.Generated)
+	}
+	if got := e.mem.UsedPages() - used; got != 1 {
+		t.Errorf("two decode steps from a full page claimed %d pages, want 1", got)
 	}
 }

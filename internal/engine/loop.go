@@ -433,10 +433,14 @@ func (e *Engine) advanceDecode(batch []*request.Request, now simclock.Time) {
 		if r.State != request.StateRunning || r.GenerationDone() {
 			continue // preempted or finished mid-iteration bookkeeping
 		}
-		if e.mem.NeedsGrowth(r) {
+		resident, needPage := e.mem.CheckGrowth(r)
+		if !resident {
+			continue
+		}
+		if needPage {
 			grew := false
 			for {
-				if err := e.mem.GrowOne(r); err == nil {
+				if e.mem.GrowOne(r) {
 					grew = true
 					break
 				}
@@ -453,8 +457,6 @@ func (e *Engine) advanceDecode(batch []*request.Request, now simclock.Time) {
 			if !grew {
 				continue // stalled this iteration; retries next time
 			}
-		} else if err := e.mem.GrowOne(r); err != nil {
-			continue
 		}
 		r.DeliverTokens(e.clock, now, 1)
 		if r.GenerationDone() {

@@ -145,7 +145,10 @@ func Fig22() (*Table, error) {
 // like SGLang (stable, fewer preemptions); SGLang itself is the reference.
 func Fig23() (*Table, error) {
 	// Same regime selection as Figure 22: near-capacity demand with
-	// memory overcommit keeps buffer balancing (and hence μ) in play.
+	// memory overcommit. Buffers here run far deeper than a swap cycle,
+	// so canSurviveSwap passes for nearly every stream at both μ and the
+	// two TokenFlow rows come out identical: μ does not decide anything
+	// in this regime.
 	w := trace.Burst("fig23", scaled(40), 0, lengthDist(512, 2048), trace.FixedRate(10), 23)
 	dep := dep4090Llama
 	t := &Table{

@@ -338,35 +338,37 @@ func (m *Manager) AllocateResident(r *request.Request, contextTokens int) error 
 	return m.AllocateWithPrefix(r, contextTokens, 0)
 }
 
-// NeedsGrowth reports whether appending one token to the request's context
-// requires a new page.
-func (m *Manager) NeedsGrowth(r *request.Request) bool {
+// CheckGrowth is the decode step's one lookup per token: it reports
+// whether the request is resident on the device and, if so, whether
+// appending one token to its context needs a new page (claimed with
+// GrowOne). A resident request that needs no page takes the token as is.
+func (m *Manager) CheckGrowth(r *request.Request) (resident, needPage bool) {
+	e, ok := m.entries[r.ID]
+	if !ok || e.res != ResGPU {
+		return false, false
+	}
+	return true, m.Pages(r.ContextLen()+1) > e.pages
+}
+
+// GrowOne extends a resident request's allocation for one appended token,
+// claiming a new page when the context crosses a page boundary. It reports
+// false when the request is not resident or the pool is exhausted, which
+// signals the engine's OOM path.
+func (m *Manager) GrowOne(r *request.Request) bool {
 	e, ok := m.entries[r.ID]
 	if !ok || e.res != ResGPU {
 		return false
 	}
-	return m.Pages(r.ContextLen()+1) > e.pages
-}
-
-// GrowOne extends a resident request's allocation for one appended token,
-// claiming a new page when the context crosses a page boundary. It fails
-// when the pool is exhausted, signalling the engine's OOM path.
-func (m *Manager) GrowOne(r *request.Request) error {
-	e, ok := m.entries[r.ID]
-	if !ok || e.res != ResGPU {
-		return fmt.Errorf("kvcache: growing non-resident request %d", r.ID)
-	}
-	need := m.Pages(r.ContextLen() + 1)
-	if need <= e.pages {
-		return nil
+	if m.Pages(r.ContextLen()+1) <= e.pages {
+		return true
 	}
 	if m.free < 1 {
-		return fmt.Errorf("kvcache: pool exhausted growing request %d", r.ID)
+		return false
 	}
 	m.free--
 	e.pages++
 	e.gpuHeld++
-	return nil
+	return true
 }
 
 // dirtyPages reports pages without a clean host mirror and not on the wire.

@@ -130,11 +130,11 @@ func TestAllocateAndGrow(t *testing.T) {
 		t.Fatalf("residency = %v", rig.m.Residency(r))
 	}
 	// Context is exactly 2 pages; appending token 33 needs growth.
-	if !rig.m.NeedsGrowth(r) {
-		t.Error("context at page boundary should need growth")
+	if resident, needPage := rig.m.CheckGrowth(r); !resident || !needPage {
+		t.Errorf("context at page boundary: resident=%v needPage=%v, want both", resident, needPage)
 	}
-	if err := rig.m.GrowOne(r); err != nil {
-		t.Fatal(err)
+	if !rig.m.GrowOne(r) {
+		t.Fatal("growth with free pages should succeed")
 	}
 	if rig.m.UsedPages() != 3 {
 		t.Errorf("used after grow = %d", rig.m.UsedPages())
@@ -142,8 +142,36 @@ func TestAllocateAndGrow(t *testing.T) {
 	// Mid-page growth is free.
 	clock := simclock.New()
 	r.DeliverTokens(clock, 0, 1)
-	if rig.m.NeedsGrowth(r) {
-		t.Error("mid-page token should not need growth")
+	if resident, needPage := rig.m.CheckGrowth(r); !resident || needPage {
+		t.Errorf("mid-page token: resident=%v needPage=%v, want resident without a page", resident, needPage)
+	}
+	// A request the manager does not hold is neither resident nor grown.
+	stranger := newReq(2, 16, 10)
+	if resident, needPage := rig.m.CheckGrowth(stranger); resident || needPage {
+		t.Errorf("unknown request: resident=%v needPage=%v", resident, needPage)
+	}
+	if rig.m.GrowOne(stranger) {
+		t.Error("growing a non-resident request should fail")
+	}
+}
+
+// TestCheckGrowthAllocatesNothing pins the decode step's per-token check
+// on a resident request that stays inside its last page at zero
+// allocations.
+func TestCheckGrowthAllocatesNothing(t *testing.T) {
+	rig := newRig(t, fullConfig())
+	r := newReq(1, 20, 100)
+	if err := rig.m.AllocateResident(r, 20); err != nil {
+		t.Fatal(err)
+	}
+	r.PrefilledTokens = 20
+	allocs := testing.AllocsPerRun(100, func() {
+		if resident, needPage := rig.m.CheckGrowth(r); !resident || needPage {
+			t.Fatalf("resident=%v needPage=%v", resident, needPage)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("CheckGrowth allocated %v times per call, want 0", allocs)
 	}
 }
 
@@ -179,8 +207,14 @@ func TestGrowExhaustionSignalsOOM(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.PrefilledTokens = r.PromptLen
-	if err := rig.m.GrowOne(r); err == nil {
+	if resident, needPage := rig.m.CheckGrowth(r); !resident || !needPage {
+		t.Fatalf("full pool at page boundary: resident=%v needPage=%v", resident, needPage)
+	}
+	if rig.m.GrowOne(r) {
 		t.Error("growth past pool should fail")
+	}
+	if rig.m.FreePages() != 0 || rig.m.UsedPages() != 64 {
+		t.Errorf("failed growth moved pages: used=%d free=%d", rig.m.UsedPages(), rig.m.FreePages())
 	}
 }
 
@@ -623,7 +657,7 @@ func TestPropertyPageAccounting(t *testing.T) {
 			case 1: // grow a random resident request
 				for _, r := range reqs {
 					if rig.m.Residency(r) == ResGPU && rig.m.FreePages() > 0 {
-						_ = rig.m.GrowOne(r)
+						rig.m.GrowOne(r)
 						break
 					}
 				}

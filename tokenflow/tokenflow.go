@@ -241,12 +241,9 @@ func buildEngineConfig(cfg Config) (engine.Config, error) {
 	case SystemTokenFlow:
 		ccfg := core.DefaultConfig()
 		o := cfg.TokenFlow
-		if o.RescheduleIntervalSeconds > 0 {
-			ccfg.RescheduleInterval = simclock.Duration(o.RescheduleIntervalSeconds)
-		}
-		if o.BufferConservativeness > 0 {
-			ccfg.BufferConservativeness = o.BufferConservativeness
-		}
+		// Zero defaults and bad values are rejected in core.Config.Normalize.
+		ccfg.RescheduleInterval = simclock.Duration(o.RescheduleIntervalSeconds)
+		ccfg.BufferConservativeness = o.BufferConservativeness
 		ccfg.LocalSearch = !o.DisableLocalSearch
 		ccfg.FallbackFCFS = !o.DisableFallback
 		s, err := core.New(ccfg)

@@ -89,6 +89,26 @@ func TestTokenFlowOptionsApply(t *testing.T) {
 	}
 }
 
+func TestTokenFlowOptionsValidate(t *testing.T) {
+	w := BurstWorkload(2, 128, 64, 20, 4)
+	cases := []struct {
+		name    string
+		opts    TokenFlowOptions
+		wantErr bool
+	}{
+		{"zero values default", TokenFlowOptions{}, false},
+		{"explicit values", TokenFlowOptions{RescheduleIntervalSeconds: 0.5, BufferConservativeness: 20}, false},
+		{"negative reschedule interval", TokenFlowOptions{RescheduleIntervalSeconds: -1}, true},
+		{"negative buffer conservativeness", TokenFlowOptions{BufferConservativeness: -1}, true},
+	}
+	for _, tc := range cases {
+		_, err := Run(Config{System: SystemTokenFlow, TokenFlow: tc.opts}, w)
+		if (err != nil) != tc.wantErr {
+			t.Errorf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
 func TestKVAblationOptions(t *testing.T) {
 	w := BurstWorkload(6, 256, 512, 15, 5)
 	res, err := Run(Config{System: SystemTokenFlow, TokenFlow: TokenFlowOptions{
