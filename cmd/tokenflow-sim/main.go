@@ -424,16 +424,14 @@ func run() error {
 				ws = -1
 			}
 			ccfg.Autoscale = &tokenflow.AutoscaleSpec{
-				Policy:        tokenflow.AutoscalePolicy(*scaler),
-				MinReplicas:   *minReps,
-				WarmupSeconds: ws,
-				Prewarm:       *prewarm,
-				ScaleToZero:   *minReps == 0,
-				GatewayDepth:  *gwDepth,
-				TargetP99TTFT: time.Duration(*sloP99 * float64(time.Second)),
-			}
-			if *fcRate > 0 {
-				ccfg.Autoscale.Forecast = &tokenflow.ForecastSpec{RatePerReplica: *fcRate}
+				Policy:                 tokenflow.AutoscalePolicy(*scaler),
+				MinReplicas:            *minReps,
+				WarmupSeconds:          ws,
+				Prewarm:                *prewarm,
+				ScaleToZero:            *minReps == 0,
+				GatewayDepth:           *gwDepth,
+				TargetP99TTFT:          time.Duration(*sloP99 * float64(time.Second)),
+				ForecastRatePerReplica: *fcRate,
 			}
 		}
 		cres, err := tokenflow.RunCluster(ccfg, w)

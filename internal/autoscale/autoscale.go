@@ -177,13 +177,13 @@ func Names() []string {
 func ByName(name string) (Policy, error) {
 	switch name {
 	case NameQueuePressure:
-		return NewQueuePressure(QueuePressureConfig{}), nil
+		return NewQueuePressure(), nil
 	case NameKVUtilization:
-		return NewKVUtilization(KVUtilizationConfig{}), nil
+		return NewKVUtilization(), nil
 	case NameSLOTarget:
-		return NewSLOTarget(SLOTargetConfig{}), nil
+		return NewSLOTarget(0), nil
 	case NamePredictive:
-		return NewPredictive(PredictiveConfig{}), nil
+		return NewPredictive(0), nil
 	default:
 		return nil, fmt.Errorf("autoscale: unknown policy %q (have %v)", name, Names())
 	}
@@ -212,6 +212,14 @@ func ObservesTTFT(p Policy) bool {
 	return ok && o.ObservesTTFT()
 }
 
+// Hysteresis streak and cooldown lengths in control ticks: the reactive
+// policies scale up briskly and down reluctantly.
+const (
+	upTicks       = 2
+	downTicks     = 8
+	cooldownTicks = 4
+)
+
 // hysteresis is the shared flap damper: an action fires only after its
 // trigger condition held for a streak of consecutive ticks, and after any
 // action the policy holds for a cooldown regardless of signals.
@@ -219,6 +227,12 @@ type hysteresis struct {
 	upTicks, downTicks, cooldownTicks int
 
 	upStreak, downStreak, cooldown int
+}
+
+// reactiveHysteresis is the damper the queue-pressure, kv-utilization and
+// slo-target policies share.
+func reactiveHysteresis() hysteresis {
+	return hysteresis{upTicks: upTicks, downTicks: downTicks, cooldownTicks: cooldownTicks}
 }
 
 // decide folds this tick's trigger readings into the streaks and returns
@@ -256,58 +270,26 @@ func (h *hysteresis) fired() {
 	h.cooldown = h.cooldownTicks
 }
 
-// QueuePressureConfig tunes the queue/TTFT-pressure policy. Zero values
-// select the defaults noted per field.
-type QueuePressureConfig struct {
-	// UpPressure is the outstanding-per-provisioned-replica level above
-	// which the pool is under-provisioned (default 8 — roughly one decode
-	// batch of headroom before TTFT starts stretching).
-	UpPressure float64
-	// DownPressure is the level below which the pool is over-provisioned
-	// (default 1). Must stay below UpPressure for the hysteresis band.
-	DownPressure float64
-	// UpTicks / DownTicks are the consecutive control ticks a level must
-	// hold before acting (defaults 2 and 8: scale up briskly, scale down
-	// reluctantly).
-	UpTicks, DownTicks int
-	// CooldownTicks holds after any action (default 4).
-	CooldownTicks int
-}
-
-func (c QueuePressureConfig) withDefaults() QueuePressureConfig {
-	if c.UpPressure == 0 {
-		c.UpPressure = 8
-	}
-	if c.DownPressure == 0 {
-		c.DownPressure = 1
-	}
-	if c.UpTicks == 0 {
-		c.UpTicks = 2
-	}
-	if c.DownTicks == 0 {
-		c.DownTicks = 8
-	}
-	if c.CooldownTicks == 0 {
-		c.CooldownTicks = 4
-	}
-	return c
-}
+// Queue-pressure thresholds in outstanding requests per provisioned
+// replica: above upPressure the pool is under-provisioned (roughly one
+// decode batch of headroom before TTFT starts stretching), below
+// downPressure it is over-provisioned.
+const (
+	upPressure   float64 = 8
+	downPressure float64 = 1
+)
 
 // QueuePressure scales on queue depth per provisioned replica — the
 // TTFT-pressure proxy: outstanding requests beyond what the provisioned
 // replicas can batch stretch time-to-first-token linearly. Hysteresis
 // (streaks + cooldown) keeps oscillating load from flapping the pool.
 type QueuePressure struct {
-	cfg QueuePressureConfig
-	h   hysteresis
+	h hysteresis
 }
 
-// NewQueuePressure returns a queue-pressure policy with the given tuning.
-func NewQueuePressure(cfg QueuePressureConfig) *QueuePressure {
-	cfg = cfg.withDefaults()
-	return &QueuePressure{cfg: cfg, h: hysteresis{
-		upTicks: cfg.UpTicks, downTicks: cfg.DownTicks, cooldownTicks: cfg.CooldownTicks,
-	}}
+// NewQueuePressure returns a queue-pressure policy.
+func NewQueuePressure() *QueuePressure {
+	return &QueuePressure{h: reactiveHysteresis()}
 }
 
 // Name implements Policy.
@@ -315,7 +297,7 @@ func (p *QueuePressure) Name() string { return NameQueuePressure }
 
 // Decide implements Policy.
 func (p *QueuePressure) Decide(s Signals) Decision {
-	wantUp := s.Pressure() >= p.cfg.UpPressure && s.Provisioned() < s.Max
+	wantUp := s.Pressure() >= upPressure && s.Provisioned() < s.Max
 	// Shrinking is judged against the post-shrink pool: the remaining
 	// replicas must still sit below the scale-up band, or the pool would
 	// flap straight back up. Shrinking to zero replicas (Min = 0) is only
@@ -325,7 +307,7 @@ func (p *QueuePressure) Decide(s Signals) Decision {
 	if s.Active > s.Min && s.Warming == 0 {
 		if rest := s.Provisioned() - 1; rest > 0 {
 			after := float64(s.Outstanding) / float64(rest)
-			wantDown = s.Pressure() <= p.cfg.DownPressure && after < p.cfg.UpPressure
+			wantDown = s.Pressure() <= downPressure && after < upPressure
 		} else {
 			wantDown = s.Outstanding == 0
 		}
@@ -333,41 +315,13 @@ func (p *QueuePressure) Decide(s Signals) Decision {
 	return p.h.decide(wantUp, wantDown)
 }
 
-// KVUtilizationConfig tunes the KV-utilization policy. Zero values select
-// the defaults noted per field.
-type KVUtilizationConfig struct {
-	// HighUtil is the pooled used-page fraction above which the pool is
-	// memory-pressured (default 0.85 — past it, admissions start stalling
-	// and pinned prefixes get evicted).
-	HighUtil float64
-	// LowUtil is the fraction below which the pool is over-provisioned
-	// (default 0.30).
-	LowUtil float64
-	// UpTicks / DownTicks are the consecutive control ticks a level must
-	// hold before acting (defaults 2 and 8).
-	UpTicks, DownTicks int
-	// CooldownTicks holds after any action (default 4).
-	CooldownTicks int
-}
-
-func (c KVUtilizationConfig) withDefaults() KVUtilizationConfig {
-	if c.HighUtil == 0 {
-		c.HighUtil = 0.85
-	}
-	if c.LowUtil == 0 {
-		c.LowUtil = 0.30
-	}
-	if c.UpTicks == 0 {
-		c.UpTicks = 2
-	}
-	if c.DownTicks == 0 {
-		c.DownTicks = 8
-	}
-	if c.CooldownTicks == 0 {
-		c.CooldownTicks = 4
-	}
-	return c
-}
+// KV-utilization thresholds as pooled used-page fractions: above
+// highUtil the pool is memory-pressured (admissions start stalling and
+// pinned prefixes get evicted), below lowUtil it is over-provisioned.
+const (
+	highUtil float64 = 0.85
+	lowUtil  float64 = 0.30
+)
 
 // KVUtilization scales on pooled KV-page utilization: a pool running hot on
 // KV memory evicts pinned prefixes and stalls admissions long before queues
@@ -376,16 +330,12 @@ func (c KVUtilizationConfig) withDefaults() KVUtilizationConfig {
 // near-empty — low memory use with a deep queue means short contexts, not
 // idle capacity.
 type KVUtilization struct {
-	cfg KVUtilizationConfig
-	h   hysteresis
+	h hysteresis
 }
 
-// NewKVUtilization returns a KV-utilization policy with the given tuning.
-func NewKVUtilization(cfg KVUtilizationConfig) *KVUtilization {
-	cfg = cfg.withDefaults()
-	return &KVUtilization{cfg: cfg, h: hysteresis{
-		upTicks: cfg.UpTicks, downTicks: cfg.DownTicks, cooldownTicks: cfg.CooldownTicks,
-	}}
+// NewKVUtilization returns a KV-utilization policy.
+func NewKVUtilization() *KVUtilization {
+	return &KVUtilization{h: reactiveHysteresis()}
 }
 
 // Name implements Policy.
@@ -393,14 +343,14 @@ func (p *KVUtilization) Name() string { return NameKVUtilization }
 
 // Decide implements Policy.
 func (p *KVUtilization) Decide(s Signals) Decision {
-	wantUp := s.KVUtil >= p.cfg.HighUtil && s.Provisioned() < s.Max && s.Warming == 0
+	wantUp := s.KVUtil >= highUtil && s.Provisioned() < s.Max && s.Warming == 0
 	wantDown := s.Active > s.Min && s.Warming == 0 &&
-		s.KVUtil <= p.cfg.LowUtil && float64(s.Outstanding) <= float64(s.Active)
+		s.KVUtil <= lowUtil && float64(s.Outstanding) <= float64(s.Active)
 	if s.Min == 0 && s.Warming == 0 && s.Active > 0 &&
 		s.Outstanding == 0 && s.Arrivals == 0 && s.Gateway == 0 {
 		// Scale-to-zero: a pool with no work anywhere is idle no matter
 		// what its pinned prefixes hold the utilization at — without this
-		// override warm pins (often > LowUtil) would keep an empty pool
+		// override warm pins (often above lowUtil) would keep an empty pool
 		// alive forever.
 		wantDown = true
 	}

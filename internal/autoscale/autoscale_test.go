@@ -39,11 +39,38 @@ func runScript(t *testing.T, p autoscale.Policy, script []tick) {
 	}
 }
 
-func TestQueuePressureHysteresis(t *testing.T) {
-	cfg := autoscale.QueuePressureConfig{
-		UpPressure: 8, DownPressure: 1,
-		UpTicks: 2, DownTicks: 3, CooldownTicks: 2,
+// script concatenates script segments.
+func script(parts ...[]tick) []tick {
+	var out []tick
+	for _, p := range parts {
+		out = append(out, p...)
 	}
+	return out
+}
+
+// repeat is n copies of one scripted tick.
+func repeat(n int, tk tick) []tick {
+	out := make([]tick, n)
+	for i := range out {
+		out[i] = tk
+	}
+	return out
+}
+
+// The reactive policies' hysteresis: scale up after a 2-tick streak, down
+// after an 8-tick streak, then hold for a 4-tick cooldown.
+const (
+	upStreak   = 2
+	downStreak = 8
+	cooldown   = 4
+)
+
+// fires is a trigger held for a full streak: n-1 holds, then the action.
+func fires(n int, s autoscale.Signals, d autoscale.Decision) []tick {
+	return append(repeat(n-1, tick{s, autoscale.Hold}), tick{s, d})
+}
+
+func TestQueuePressureHysteresis(t *testing.T) {
 	cases := []struct {
 		name   string
 		script []tick
@@ -52,14 +79,13 @@ func TestQueuePressureHysteresis(t *testing.T) {
 			// Sustained pressure scales up only after the streak, then the
 			// cooldown swallows continued pressure.
 			name: "sustained-pressure-one-scale-up",
-			script: []tick{
-				{sig(1, 0, 20), autoscale.Hold},    // streak 1/2
-				{sig(1, 0, 20), autoscale.ScaleUp}, // streak 2/2 fires
-				{sig(1, 1, 20), autoscale.Hold},    // cooldown 1
-				{sig(1, 1, 20), autoscale.Hold},    // cooldown 2
-				{sig(1, 1, 20), autoscale.Hold},    // warming counts as provisioned: 20/2 >= 8, streak 1/2
-				{sig(1, 1, 20), autoscale.ScaleUp}, // still pressured with the warm-up counted: fire again
-			},
+			script: script(
+				fires(upStreak, sig(1, 0, 20), autoscale.ScaleUp),
+				repeat(cooldown, tick{sig(1, 1, 20), autoscale.Hold}),
+				// Warming counts as provisioned: 20/2 >= 8 is still
+				// pressured with the warm-up counted, so it fires again.
+				fires(upStreak, sig(1, 1, 20), autoscale.ScaleUp),
+			),
 		},
 		{
 			// Load oscillating across the up threshold every tick never
@@ -75,74 +101,70 @@ func TestQueuePressureHysteresis(t *testing.T) {
 			},
 		},
 		{
-			// Idle pool shrinks only after the (longer) down streak.
+			// Idle pool shrinks only after the (longer) down streak, and
+			// again only after the cooldown plus a fresh streak.
 			name: "idle-scales-down-after-streak",
-			script: []tick{
-				{sig(3, 0, 0), autoscale.Hold},
-				{sig(3, 0, 0), autoscale.Hold},
-				{sig(3, 0, 0), autoscale.ScaleDown},
-				{sig(2, 0, 0), autoscale.Hold}, // cooldown 1
-				{sig(2, 0, 0), autoscale.Hold}, // cooldown 2
-				{sig(2, 0, 0), autoscale.Hold}, // streak 1/3
-				{sig(2, 0, 0), autoscale.Hold},
-				{sig(2, 0, 0), autoscale.ScaleDown},
-			},
+			script: script(
+				fires(downStreak, sig(3, 0, 0), autoscale.ScaleDown),
+				repeat(cooldown, tick{sig(2, 0, 0), autoscale.Hold}),
+				fires(downStreak, sig(2, 0, 0), autoscale.ScaleDown),
+			),
 		},
 		{
 			// At Min the pool never shrinks; at Max (counting warming) it
 			// never grows.
 			name: "min-max-bounds-hold",
-			script: []tick{
-				{sig(1, 0, 0), autoscale.Hold},
-				{sig(1, 0, 0), autoscale.Hold},
-				{sig(1, 0, 0), autoscale.Hold},
-				{sig(1, 0, 0), autoscale.Hold},
-				{sig(3, 1, 100), autoscale.Hold}, // provisioned == max
-				{sig(3, 1, 100), autoscale.Hold},
-				{sig(3, 1, 100), autoscale.Hold},
-			},
+			script: script(
+				repeat(2*downStreak, tick{sig(1, 0, 0), autoscale.Hold}),
+				repeat(2*upStreak, tick{sig(3, 1, 100), autoscale.Hold}), // provisioned == max
+			),
 		},
 		{
-			// A shrink that would push the survivors back over the up
-			// threshold is refused: no up/down flapping at moderate load.
+			// A shrink is judged against the post-shrink pool (4/3 < 8:
+			// allowed). Afterwards, load alternating between shrinkable
+			// and pressured resets both streaks every tick: no up/down
+			// flapping at moderate load.
 			name: "no-shrink-into-pressure",
-			script: []tick{
-				{sig(4, 0, 4), autoscale.Hold}, // pressure 1 <= down, but 4/3 load after... fine
-				{sig(4, 0, 4), autoscale.Hold},
-				{sig(4, 0, 4), autoscale.ScaleDown}, // after: 4/3 < 8: allowed
-				{sig(3, 0, 30), autoscale.Hold},     // cooldown 1
-				{sig(3, 0, 30), autoscale.Hold},     // cooldown 2
-				{sig(3, 0, 3), autoscale.Hold},      // pressure 1, but after-shrink 3/2=1.5 < 8: streak 1/3
-				{sig(3, 0, 24), autoscale.Hold},     // pressure 8: up streak 1/2, down reset
-				{sig(3, 0, 3), autoscale.Hold},      // down streak 1/3 again
-				{sig(3, 0, 24), autoscale.Hold},
-			},
+			script: script(
+				fires(downStreak, sig(4, 0, 4), autoscale.ScaleDown),
+				repeat(cooldown, tick{sig(3, 0, 30), autoscale.Hold}),
+				[]tick{
+					{sig(3, 0, 3), autoscale.Hold},  // down streak 1
+					{sig(3, 0, 24), autoscale.Hold}, // pressure 8: up streak 1, down reset
+					{sig(3, 0, 3), autoscale.Hold},  // down streak 1 again
+					{sig(3, 0, 24), autoscale.Hold},
+					{sig(3, 0, 3), autoscale.Hold},
+					{sig(3, 0, 24), autoscale.Hold},
+					{sig(3, 0, 3), autoscale.Hold},
+					{sig(3, 0, 24), autoscale.Hold},
+					{sig(3, 0, 3), autoscale.Hold},
+					{sig(3, 0, 24), autoscale.Hold},
+				},
+			),
 		},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			runScript(t, autoscale.NewQueuePressure(cfg), tc.script)
+			runScript(t, autoscale.NewQueuePressure(), tc.script)
 		})
 	}
 }
 
 func TestKVUtilizationHysteresis(t *testing.T) {
-	cfg := autoscale.KVUtilizationConfig{
-		HighUtil: 0.8, LowUtil: 0.3,
-		UpTicks: 2, DownTicks: 3, CooldownTicks: 1,
-	}
 	cases := []struct {
 		name   string
 		script []tick
 	}{
 		{
+			// Hot memory scales up after the streak; the cooldown then
+			// holds, and a fresh streak fires again.
 			name: "hot-memory-scales-up",
-			script: []tick{
-				{kvsig(2, 0.9, 10), autoscale.Hold},
-				{kvsig(2, 0.9, 10), autoscale.ScaleUp},
-				{kvsig(2, 0.9, 10), autoscale.Hold}, // cooldown
-			},
+			script: script(
+				fires(upStreak, kvsig(2, 0.9, 10), autoscale.ScaleUp),
+				repeat(cooldown, tick{kvsig(2, 0.9, 10), autoscale.Hold}),
+				fires(upStreak, kvsig(2, 0.9, 10), autoscale.ScaleUp),
+			),
 		},
 		{
 			// Utilization bouncing across the high-water mark never fires.
@@ -157,27 +179,18 @@ func TestKVUtilizationHysteresis(t *testing.T) {
 		{
 			// Low memory with a deep queue is short contexts, not idle
 			// capacity: no scale-down.
-			name: "low-util-deep-queue-holds",
-			script: []tick{
-				{kvsig(2, 0.1, 50), autoscale.Hold},
-				{kvsig(2, 0.1, 50), autoscale.Hold},
-				{kvsig(2, 0.1, 50), autoscale.Hold},
-				{kvsig(2, 0.1, 50), autoscale.Hold},
-			},
+			name:   "low-util-deep-queue-holds",
+			script: repeat(2*downStreak, tick{kvsig(2, 0.1, 50), autoscale.Hold}),
 		},
 		{
-			name: "cold-idle-pool-scales-down",
-			script: []tick{
-				{kvsig(2, 0.1, 1), autoscale.Hold},
-				{kvsig(2, 0.1, 1), autoscale.Hold},
-				{kvsig(2, 0.1, 1), autoscale.ScaleDown},
-			},
+			name:   "cold-idle-pool-scales-down",
+			script: fires(downStreak, kvsig(2, 0.1, 1), autoscale.ScaleDown),
 		},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			runScript(t, autoscale.NewKVUtilization(cfg), tc.script)
+			runScript(t, autoscale.NewKVUtilization(), tc.script)
 		})
 	}
 }

@@ -13,80 +13,38 @@ import (
 	"time"
 )
 
-// SLOTargetConfig tunes the slo-target policy. Zero values select the
-// defaults noted per field.
-type SLOTargetConfig struct {
-	// TargetP99 is the windowed P99 TTFT the controller drives toward
-	// (default 2s).
-	TargetP99 time.Duration
+// defaultSLOTarget is the slo-target policy's P99 TTFT goal when none is
+// given.
+const defaultSLOTarget = 2 * time.Second
 
-	// Kp and Ki are the proportional and integral gains over the relative
-	// error (observed − target)/target (defaults 1.0 and 0.1). The
-	// integral term accumulates per tick (scaled by the tick length) and
-	// is clamped to ±IntegralClamp to stop windup across a long warm-up.
-	Kp, Ki float64
+// SLO-target controller tuning.
+const (
+	// kp and ki are the proportional and integral gains over the relative
+	// error (observed − target)/target. The integral term accumulates per
+	// tick (scaled by the tick length) and is clamped to ±integralClamp
+	// to stop windup across a long warm-up.
+	kp            float64 = 1.0
+	ki            float64 = 0.1
+	integralClamp float64 = 4
 
-	// IntegralClamp bounds the integral term (default 4).
-	IntegralClamp float64
+	// downBand is how far below zero the control signal must sit before
+	// the pool shrinks: observed P99 must be comfortably inside the
+	// target, not merely touching it.
+	downBand float64 = 0.5
 
-	// DownBand is how far below zero the control signal must sit before
-	// the pool shrinks (default 0.5): observed P99 must be comfortably
-	// inside the target, not merely touching it.
-	DownBand float64
+	// stackBand is the control-signal level above which growth no longer
+	// waits for an in-flight warm-up (observed P99 at 3× the target):
+	// when the excursion is that deep, serial warm-ups would converge too
+	// slowly and warm-ups may stack.
+	stackBand float64 = 2
 
-	// StackBand is the control-signal level above which growth no longer
-	// waits for an in-flight warm-up (default 2 — observed P99 at 3× the
-	// target): when the excursion is that deep, serial warm-ups would
-	// converge too slowly and warm-ups may stack.
-	StackBand float64
-
-	// ShrinkPressure caps the post-shrink outstanding requests per
-	// remaining replica (default 2). Latency is a cliff function of
-	// capacity — a comfortable P99 says nothing about the P99 one replica
-	// fewer would produce — so shrinking additionally requires the
-	// surviving replicas to stay lightly loaded by queue count.
-	ShrinkPressure float64
-
-	// UpTicks / DownTicks are the consecutive control ticks a level must
-	// hold before acting (defaults 2 and 8); CooldownTicks holds after any
-	// action (default 4).
-	UpTicks, DownTicks int
-	CooldownTicks      int
-}
-
-func (c SLOTargetConfig) withDefaults() SLOTargetConfig {
-	if c.TargetP99 == 0 {
-		c.TargetP99 = 2 * time.Second
-	}
-	if c.Kp == 0 {
-		c.Kp = 1.0
-	}
-	if c.Ki == 0 {
-		c.Ki = 0.1
-	}
-	if c.IntegralClamp == 0 {
-		c.IntegralClamp = 4
-	}
-	if c.DownBand == 0 {
-		c.DownBand = 0.5
-	}
-	if c.StackBand == 0 {
-		c.StackBand = 2
-	}
-	if c.ShrinkPressure == 0 {
-		c.ShrinkPressure = 2
-	}
-	if c.UpTicks == 0 {
-		c.UpTicks = 2
-	}
-	if c.DownTicks == 0 {
-		c.DownTicks = 8
-	}
-	if c.CooldownTicks == 0 {
-		c.CooldownTicks = 4
-	}
-	return c
-}
+	// shrinkPressure caps the post-shrink outstanding requests per
+	// remaining replica. Latency is a cliff function of capacity — a
+	// comfortable P99 says nothing about the P99 one replica fewer would
+	// produce — so shrinking additionally requires the surviving replicas
+	// to stay lightly loaded by queue count.
+	shrinkPressure float64 = 2
+)
 
 // SLOTarget is a PID-style controller on the observed windowed P99 TTFT:
 // the error is the relative excursion from the target, the control signal
@@ -96,24 +54,25 @@ func (c SLOTargetConfig) withDefaults() SLOTargetConfig {
 // latency — so it holds the target band on workloads where a fixed queue
 // threshold would be mistuned.
 type SLOTarget struct {
-	cfg      SLOTargetConfig
+	target   time.Duration
 	h        hysteresis
 	integral float64
 }
 
-// NewSLOTarget returns an slo-target policy with the given tuning.
-func NewSLOTarget(cfg SLOTargetConfig) *SLOTarget {
-	cfg = cfg.withDefaults()
-	return &SLOTarget{cfg: cfg, h: hysteresis{
-		upTicks: cfg.UpTicks, downTicks: cfg.DownTicks, cooldownTicks: cfg.CooldownTicks,
-	}}
+// NewSLOTarget returns an slo-target policy driving the windowed P99 TTFT
+// toward target (zero selects defaultSLOTarget).
+func NewSLOTarget(target time.Duration) *SLOTarget {
+	if target == 0 {
+		target = defaultSLOTarget
+	}
+	return &SLOTarget{target: target, h: reactiveHysteresis()}
 }
 
 // Name implements Policy.
 func (p *SLOTarget) Name() string { return NameSLOTarget }
 
 // Target reports the configured P99 TTFT goal.
-func (p *SLOTarget) Target() time.Duration { return p.cfg.TargetP99 }
+func (p *SLOTarget) Target() time.Duration { return p.target }
 
 // ObservesTTFT implements TTFTObserver: the controller's feedback signal
 // is the windowed P99.
@@ -121,7 +80,7 @@ func (p *SLOTarget) ObservesTTFT() bool { return true }
 
 // Decide implements Policy.
 func (p *SLOTarget) Decide(s Signals) Decision {
-	target := p.cfg.TargetP99.Seconds()
+	target := p.target.Seconds()
 	tick := s.TickSeconds
 	if tick <= 0 {
 		tick = 1
@@ -135,13 +94,13 @@ func (p *SLOTarget) Decide(s Signals) Decision {
 	if s.P99TTFT > 0 {
 		err = (s.P99TTFT.Seconds() - target) / target
 		p.integral += err * tick
-		if p.integral > p.cfg.IntegralClamp {
-			p.integral = p.cfg.IntegralClamp
-		} else if p.integral < -p.cfg.IntegralClamp {
-			p.integral = -p.cfg.IntegralClamp
+		if p.integral > integralClamp {
+			p.integral = integralClamp
+		} else if p.integral < -integralClamp {
+			p.integral = -integralClamp
 		}
 	}
-	u := p.cfg.Kp*err + p.cfg.Ki*p.integral
+	u := kp*err + ki*p.integral
 
 	// A non-empty gateway means demand with zero capacity: latency is
 	// accruing that no window sample shows yet. Growth requires live
@@ -150,18 +109,18 @@ func (p *SLOTarget) Decide(s Signals) Decision {
 	// warm-up. It normally also waits for any in-flight warm-up (the P99
 	// signal lags the capacity it asked for; stacking warm-ups on a
 	// sticky-high percentile over-scales) — unless the excursion is deep
-	// enough (StackBand) that serial warm-ups would converge too slowly.
+	// enough (stackBand) that serial warm-ups would converge too slowly.
 	demand := s.Outstanding > 0 || s.Arrivals > 0 || s.Gateway > 0
 	wantUp := (u > 0 || s.Gateway > 0) && demand && s.Provisioned() < s.Max &&
-		(s.Warming == 0 || u > p.cfg.StackBand)
+		(s.Warming == 0 || u > stackBand)
 	idle := s.Outstanding == 0 && s.Arrivals == 0 && s.Gateway == 0
 	wantDown := s.Active > s.Min && s.Warming == 0 &&
-		(u < -p.cfg.DownBand || idle) && s.Gateway == 0
+		(u < -downBand || idle) && s.Gateway == 0
 	if wantDown && !idle {
 		if rest := s.Provisioned() - 1; rest > 0 {
 			// The queue guard: survivors must stay lightly loaded, or the
 			// pool would fall off the latency cliff and flap back up.
-			wantDown = float64(s.Outstanding)/float64(rest) <= p.cfg.ShrinkPressure
+			wantDown = float64(s.Outstanding)/float64(rest) <= shrinkPressure
 		} else {
 			// The last replica only leaves when the pool is truly idle; a
 			// below-target P99 with work in flight is success, not surplus.
@@ -171,55 +130,25 @@ func (p *SLOTarget) Decide(s Signals) Decision {
 	return p.h.decide(wantUp, wantDown)
 }
 
-// PredictiveConfig tunes the predictive policy. Zero values select the
-// defaults noted per field.
-type PredictiveConfig struct {
-	// Alpha and Beta are the Holt double-exponential smoothing gains for
-	// the arrival-rate level and trend (defaults 0.35 and 0.15).
-	Alpha, Beta float64
+// defaultRatePerReplica is the predictive policy's capacity model when
+// none is given: the steady arrival rate (req/s) one replica absorbs
+// without queue growth, roughly one RTX-4090 Llama3-8B replica on the
+// multi-turn session workloads.
+const defaultRatePerReplica = 0.6
 
-	// RatePerReplica is the steady arrival rate (req/s) one replica
-	// absorbs without queue growth — the capacity model the forecast is
-	// divided by (default 0.6, roughly one RTX-4090 Llama3-8B replica on
-	// the multi-turn session workloads; tune per deployment).
-	RatePerReplica float64
+// Predictive-policy tuning.
+const (
+	// holtAlpha and holtBeta are the Holt double-exponential smoothing
+	// gains for the arrival-rate level and trend.
+	holtAlpha float64 = 0.35
+	holtBeta  float64 = 0.15
 
-	// Headroom scales the forecast before sizing the pool (default 1.0;
-	// 1.2 provisions 20% above the forecast).
-	Headroom float64
-
-	// UpTicks / DownTicks are the consecutive ticks a pool-size verdict
-	// must hold before acting (defaults 1 and 8 — the forecast is already
-	// smoothed, so growth acts fast); CooldownTicks holds after any action
-	// (default 2, short so a steep ramp can stack warm-ups).
-	UpTicks, DownTicks int
-	CooldownTicks      int
-}
-
-func (c PredictiveConfig) withDefaults() PredictiveConfig {
-	if c.Alpha == 0 {
-		c.Alpha = 0.35
-	}
-	if c.Beta == 0 {
-		c.Beta = 0.15
-	}
-	if c.RatePerReplica == 0 {
-		c.RatePerReplica = 0.6
-	}
-	if c.Headroom == 0 {
-		c.Headroom = 1.0
-	}
-	if c.UpTicks == 0 {
-		c.UpTicks = 1
-	}
-	if c.DownTicks == 0 {
-		c.DownTicks = 8
-	}
-	if c.CooldownTicks == 0 {
-		c.CooldownTicks = 2
-	}
-	return c
-}
+	// The forecast is already smoothed, so growth acts on the first tick
+	// that asks for it, and the cooldown is short so a steep ramp can
+	// stack warm-ups. Shrinking waits the reactive policies' downTicks.
+	predictiveUpTicks       = 1
+	predictiveCooldownTicks = 2
+)
 
 // pendingForecast is a rate prediction waiting for its due tick, scored
 // against the rate actually observed then.
@@ -236,8 +165,8 @@ type pendingForecast struct {
 // forecast error (MAE of rate predictions at their due ticks) is exposed
 // through Forecaster.
 type Predictive struct {
-	cfg PredictiveConfig
-	h   hysteresis
+	ratePerReplica float64
+	h              hysteresis
 
 	init         bool
 	level, trend float64
@@ -248,11 +177,14 @@ type Predictive struct {
 	scored  int
 }
 
-// NewPredictive returns a predictive policy with the given tuning.
-func NewPredictive(cfg PredictiveConfig) *Predictive {
-	cfg = cfg.withDefaults()
-	return &Predictive{cfg: cfg, h: hysteresis{
-		upTicks: cfg.UpTicks, downTicks: cfg.DownTicks, cooldownTicks: cfg.CooldownTicks,
+// NewPredictive returns a predictive policy that sizes the pool at
+// ratePerReplica req/s per replica (zero selects defaultRatePerReplica).
+func NewPredictive(ratePerReplica float64) *Predictive {
+	if ratePerReplica == 0 {
+		ratePerReplica = defaultRatePerReplica
+	}
+	return &Predictive{ratePerReplica: ratePerReplica, h: hysteresis{
+		upTicks: predictiveUpTicks, downTicks: downTicks, cooldownTicks: predictiveCooldownTicks,
 	}}
 }
 
@@ -287,8 +219,8 @@ func (p *Predictive) Decide(s Signals) Decision {
 		p.level = rate
 	} else {
 		prev := p.level
-		p.level = p.cfg.Alpha*rate + (1-p.cfg.Alpha)*(p.level+p.trend)
-		p.trend = p.cfg.Beta*(p.level-prev) + (1-p.cfg.Beta)*p.trend
+		p.level = holtAlpha*rate + (1-holtAlpha)*(p.level+p.trend)
+		p.trend = holtBeta*(p.level-prev) + (1-holtBeta)*p.trend
 	}
 
 	// Forecast at the warm-up horizon: the rate expected when a replica
@@ -313,7 +245,7 @@ func (p *Predictive) Decide(s Signals) Decision {
 	}
 	p.tick++
 
-	need := int(math.Ceil(forecast * p.cfg.Headroom / p.cfg.RatePerReplica))
+	need := int(math.Ceil(forecast / p.ratePerReplica))
 	if s.Gateway > 0 && need < 1 {
 		need = 1 // buffered demand is demand, whatever the smoothed rate says
 	}

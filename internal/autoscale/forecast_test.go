@@ -19,10 +19,6 @@ func slosig(active int, p99 time.Duration, outstanding, arrivals, gateway int) a
 }
 
 func TestSLOTargetControl(t *testing.T) {
-	cfg := autoscale.SLOTargetConfig{
-		TargetP99: 2 * time.Second,
-		UpTicks:   2, DownTicks: 3, CooldownTicks: 2,
-	}
 	cases := []struct {
 		name   string
 		script []tick
@@ -31,43 +27,30 @@ func TestSLOTargetControl(t *testing.T) {
 			// P99 above target for the streak scales up; the cooldown then
 			// swallows the (lagging) high percentile.
 			name: "over-target-scales-up",
-			script: []tick{
-				{slosig(1, 4*time.Second, 10, 5, 0), autoscale.Hold},
-				{slosig(1, 4*time.Second, 10, 5, 0), autoscale.ScaleUp},
-				{slosig(1, 4*time.Second, 10, 5, 0), autoscale.Hold}, // cooldown 1
-				{slosig(1, 4*time.Second, 10, 5, 0), autoscale.Hold}, // cooldown 2
-			},
+			script: script(
+				fires(upStreak, slosig(1, 4*time.Second, 10, 5, 0), autoscale.ScaleUp),
+				repeat(cooldown, tick{slosig(1, 4*time.Second, 10, 5, 0), autoscale.Hold}),
+			),
 		},
 		{
 			// A warm-up in flight blocks stacking even with P99 still high.
-			name: "warming-blocks-stacking",
-			script: []tick{
-				{sigWarm(1, 1, 4*time.Second), autoscale.Hold},
-				{sigWarm(1, 1, 4*time.Second), autoscale.Hold},
-				{sigWarm(1, 1, 4*time.Second), autoscale.Hold},
-			},
+			name:   "warming-blocks-stacking",
+			script: repeat(2*downStreak, tick{sigWarm(1, 1, 4*time.Second), autoscale.Hold}),
 		},
 		{
 			// P99 inside the target band holds; only well below it (or
 			// idle) shrinks, and never the last loaded replica.
 			name: "in-band-holds-last-replica-stays",
-			script: []tick{
-				{slosig(1, 1900*time.Millisecond, 5, 2, 0), autoscale.Hold},
-				{slosig(1, 1900*time.Millisecond, 5, 2, 0), autoscale.Hold},
-				{slosig(1, 100*time.Millisecond, 5, 2, 0), autoscale.Hold}, // far below, but loaded
-				{slosig(1, 100*time.Millisecond, 5, 2, 0), autoscale.Hold},
-				{slosig(1, 100*time.Millisecond, 5, 2, 0), autoscale.Hold},
-				{slosig(1, 100*time.Millisecond, 5, 2, 0), autoscale.Hold},
-			},
+			script: script(
+				repeat(2*downStreak, tick{slosig(1, 1900*time.Millisecond, 5, 2, 0), autoscale.Hold}),
+				// Far below the target, but loaded.
+				repeat(2*downStreak, tick{slosig(1, 100*time.Millisecond, 5, 2, 0), autoscale.Hold}),
+			),
 		},
 		{
 			// A fully idle pool walks down to zero replicas.
-			name: "idle-scales-to-zero",
-			script: []tick{
-				{slosig(1, 0, 0, 0, 0), autoscale.Hold},
-				{slosig(1, 0, 0, 0, 0), autoscale.Hold},
-				{slosig(1, 0, 0, 0, 0), autoscale.ScaleDown},
-			},
+			name:   "idle-scales-to-zero",
+			script: fires(downStreak, slosig(1, 0, 0, 0, 0), autoscale.ScaleDown),
 		},
 		{
 			// Buffered gateway demand forces growth from zero even though
@@ -82,7 +65,7 @@ func TestSLOTargetControl(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			runScript(t, autoscale.NewSLOTarget(cfg), tc.script)
+			runScript(t, autoscale.NewSLOTarget(2*time.Second), tc.script)
 		})
 	}
 }
@@ -107,9 +90,7 @@ func ratesig(active, arrivals int) autoscale.Signals {
 // checks the policy grows the pool before the instantaneous rate alone
 // would justify it — the forecast horizon covers the warm-up.
 func TestPredictivePreScalesOnTrend(t *testing.T) {
-	p := autoscale.NewPredictive(autoscale.PredictiveConfig{
-		RatePerReplica: 2, UpTicks: 1, DownTicks: 8, CooldownTicks: 1,
-	})
+	p := autoscale.NewPredictive(2)
 	scaledAt, rate := -1, 0.0
 	for i := 0; i < 30; i++ {
 		rate += 0.25 // ramp: +0.25 req/s per tick
@@ -135,7 +116,7 @@ func TestPredictivePreScalesOnTrend(t *testing.T) {
 // rate forecasts converge to (near) zero error, and scored sample counts
 // grow once the horizon has passed.
 func TestPredictiveForecastError(t *testing.T) {
-	p := autoscale.NewPredictive(autoscale.PredictiveConfig{RatePerReplica: 10})
+	p := autoscale.NewPredictive(10)
 	for i := 0; i < 40; i++ {
 		p.Decide(ratesig(1, 4))
 	}
@@ -154,9 +135,7 @@ func TestPredictiveForecastError(t *testing.T) {
 // TestPredictiveScaleToZero: a rate that decays to nothing walks the pool
 // down, but never drains the last replica while work is outstanding.
 func TestPredictiveScaleToZero(t *testing.T) {
-	p := autoscale.NewPredictive(autoscale.PredictiveConfig{
-		RatePerReplica: 2, DownTicks: 2, CooldownTicks: 1,
-	})
+	p := autoscale.NewPredictive(2)
 	// Prime with load, then go idle.
 	for i := 0; i < 5; i++ {
 		p.Decide(ratesig(2, 4))
@@ -169,7 +148,9 @@ func TestPredictiveScaleToZero(t *testing.T) {
 			t.Fatalf("tick %d: drained the last replica with work outstanding", i)
 		}
 	}
-	for i := 0; i < 20; i++ {
+	// Holt's trend overshoots after the drop and turns briefly positive,
+	// which blocks shrinking; the down streak starts once it settles.
+	for i := 0; i < 60; i++ {
 		if d := p.Decide(ratesig(1, 0)); d == autoscale.ScaleDown {
 			sawDown = true
 			break
@@ -183,10 +164,8 @@ func TestPredictiveScaleToZero(t *testing.T) {
 // TestSLOTargetGatewayBlocksShrink: buffered arrivals pin the pool up even
 // when the stale window reads far below target.
 func TestSLOTargetGatewayBlocksShrink(t *testing.T) {
-	p := autoscale.NewSLOTarget(autoscale.SLOTargetConfig{
-		TargetP99: time.Second, DownTicks: 1, CooldownTicks: 1,
-	})
-	for i := 0; i < 10; i++ {
+	p := autoscale.NewSLOTarget(time.Second)
+	for i := 0; i < 4*downStreak; i++ {
 		s := slosig(2, 10*time.Millisecond, 0, 0, 4)
 		if d := p.Decide(s); d == autoscale.ScaleDown {
 			t.Fatalf("tick %d: scaled down with %d requests buffered in the gateway", i, s.Gateway)

@@ -1,8 +1,7 @@
 // Package chaos defines the fault-injection plan the cluster simulator
 // schedules on its virtual clock: replica crashes, slow-node brownouts,
-// and interconnect link flaps, plus the recovery knobs (retry budget,
-// detection delay, pin redundancy) the cluster's recovery machinery
-// consumes. The package is pure data + deterministic plan generation —
+// and interconnect link flaps, plus the pin-redundancy factor the
+// cluster's recovery machinery consumes. The package is pure data + deterministic plan generation —
 // all wiring lives in internal/cluster, so a zero-value or nil Spec
 // leaves every subsystem byte-identical to a fault-free run.
 package chaos
@@ -61,9 +60,9 @@ type Fault struct {
 	From, To int
 }
 
-// Spec is the fault plan plus the recovery knobs. The zero value (and a
-// nil pointer) injects nothing and must leave a run byte-identical to one
-// that never saw the spec. Normalize resolves the recovery-knob defaults.
+// Spec is the fault plan plus pin redundancy. The zero value (and a nil
+// pointer) injects nothing and must leave a run byte-identical to one that
+// never saw the spec. Normalize validates it.
 type Spec struct {
 	// Faults is the scripted plan.
 	Faults []Fault
@@ -74,34 +73,11 @@ type Spec struct {
 	Seed         int64
 	Horizon      simclock.Time
 
-	// RetryMax caps re-routing attempts per orphaned request before it is
-	// counted failed (default 3).
-	RetryMax int
-	// RetryBackoff is the first retry delay; it doubles per attempt
-	// (default 250ms).
-	RetryBackoff time.Duration
-	// DetectDelay models the gateway noticing the crash via missed prefix-
-	// index heartbeats: orphan re-routing starts this long after the crash
-	// (default 250ms).
-	DetectDelay time.Duration
-
 	// Redundancy is the pin-redundancy factor K: the cluster keeps host-
-	// tier mirrors of every pinned session prefix on K-1 backup replicas,
-	// refreshed every ReplicateEvery under ReplicateConcurrency in-flight
-	// copies. 0 or 1 disables redundancy.
-	Redundancy           int
-	ReplicateEvery       time.Duration
-	ReplicateConcurrency int
+	// tier mirrors of every pinned session prefix on K-1 backup replicas
+	// and re-pins from them after a crash. 0 or 1 disables redundancy.
+	Redundancy int
 }
-
-// Defaults for the recovery knobs.
-const (
-	DefaultRetryMax             = 3
-	DefaultRetryBackoff         = 250 * time.Millisecond
-	DefaultDetectDelay          = 250 * time.Millisecond
-	DefaultReplicateEvery       = 5 * time.Second
-	DefaultReplicateConcurrency = 2
-)
 
 // Active reports whether the spec asks for any behavior change at all.
 // Inactive specs (nil, or zero faults and no redundancy) must be treated
@@ -113,24 +89,9 @@ func (s *Spec) Active() bool {
 	return len(s.Faults) > 0 || s.RandomFaults > 0 || s.Redundancy > 1
 }
 
-// Normalize gives every non-positive recovery knob its default and
-// validates the plan against a replica count.
+// Normalize validates the plan against a replica count. The spec has no
+// defaults to fill, so a valid spec comes back unchanged.
 func (s Spec) Normalize(replicas int) (Spec, error) {
-	if s.RetryMax <= 0 {
-		s.RetryMax = DefaultRetryMax
-	}
-	if s.RetryBackoff <= 0 {
-		s.RetryBackoff = DefaultRetryBackoff
-	}
-	if s.DetectDelay <= 0 {
-		s.DetectDelay = DefaultDetectDelay
-	}
-	if s.ReplicateEvery <= 0 {
-		s.ReplicateEvery = DefaultReplicateEvery
-	}
-	if s.ReplicateConcurrency <= 0 {
-		s.ReplicateConcurrency = DefaultReplicateConcurrency
-	}
 	for i, f := range s.Faults {
 		if f.At < 0 {
 			return s, fmt.Errorf("chaos: fault %d at negative time %v", i, f.At)

@@ -18,7 +18,7 @@ func TestActive(t *testing.T) {
 		{"nil", nil, false},
 		{"zero", &Spec{}, false},
 		{"redundancy-1-is-off", &Spec{Redundancy: 1}, false},
-		{"recovery-knobs-alone-inactive", &Spec{RetryMax: 5, DetectDelay: time.Second}, false},
+		{"seed-and-horizon-alone-inactive", &Spec{Seed: 5, Horizon: simclock.FromSeconds(10)}, false},
 		{"scripted-fault", &Spec{Faults: []Fault{{Kind: Crash, Replica: 0}}}, true},
 		{"random-faults", &Spec{RandomFaults: 1, Horizon: simclock.FromSeconds(10)}, true},
 		{"redundancy-2", &Spec{Redundancy: 2}, true},
@@ -28,13 +28,6 @@ func TestActive(t *testing.T) {
 			t.Errorf("%s: Active() = %v, want %v", c.name, got, c.want)
 		}
 	}
-}
-
-// defaulted is s with every recovery knob at its default.
-func defaulted(s Spec) Spec {
-	s.RetryMax, s.RetryBackoff, s.DetectDelay = DefaultRetryMax, DefaultRetryBackoff, DefaultDetectDelay
-	s.ReplicateEvery, s.ReplicateConcurrency = DefaultReplicateEvery, DefaultReplicateConcurrency
-	return s
 }
 
 // checkNormalize runs Normalize on spec and, when want is non-nil, checks
@@ -62,16 +55,13 @@ func checkNormalize(t *testing.T, name string, spec Spec, replicas int, want *Sp
 }
 
 // TestValidate: Normalize checks the fault plan against the pool; a valid
-// plan comes back unchanged apart from the recovery-knob defaults.
+// plan comes back unchanged.
 func TestValidate(t *testing.T) {
 	flap := func(from, to int, d time.Duration) Fault {
 		return Fault{Kind: LinkFlap, From: from, To: to, Duration: d}
 	}
 	// ok marks a plan Normalize must accept.
-	ok := func(s Spec) *Spec {
-		d := defaulted(s)
-		return &d
-	}
+	ok := func(s Spec) *Spec { return &s }
 	crash := Spec{Faults: []Fault{{Kind: Crash, At: 1, Replica: 2}}}
 	brownout := Spec{Faults: []Fault{{Kind: Brownout, Replica: 0, Factor: 2, Duration: time.Second}}}
 	flapOK := Spec{Faults: []Fault{flap(0, 1, time.Second)}}
@@ -104,16 +94,13 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-// TestDefaults: Normalize gives every non-positive recovery knob its
-// default and leaves set knobs alone.
+// TestDefaults: the spec has no defaults to fill — the recovery tuning is
+// fixed in the cluster — so Normalize returns every valid spec unchanged,
+// the zero spec included.
 func TestDefaults(t *testing.T) {
-	zero := defaulted(Spec{})
-	checkNormalize(t, "zero-takes-defaults", Spec{}, 1, &zero)
-	checkNormalize(t, "negative-knobs-take-defaults", Spec{RetryMax: -1, RetryBackoff: -1,
-		DetectDelay: -1, ReplicateEvery: -1, ReplicateConcurrency: -1}, 1, &zero)
-	set := Spec{RetryMax: 7, RetryBackoff: time.Second, DetectDelay: 2 * time.Second,
-		ReplicateEvery: 3 * time.Second, ReplicateConcurrency: 9}
-	checkNormalize(t, "set-knobs-stay", set, 1, &set)
+	checkNormalize(t, "zero-stays-zero", Spec{}, 1, &Spec{})
+	set := Spec{RandomFaults: 3, Seed: 9, Horizon: simclock.FromSeconds(30), Redundancy: 2}
+	checkNormalize(t, "set-fields-stay", set, 4, &set)
 }
 
 // TestResolvedDeterministic pins the random-plan contract: the draw is a

@@ -37,7 +37,7 @@ func TestAutoscaleStaticEquality(t *testing.T) {
 		Replicas: 2,
 		Policy:   router.NewSessionAffinity(),
 		Autoscale: &cluster.AutoscaleConfig{
-			Policy: autoscale.NewQueuePressure(autoscale.QueuePressureConfig{}),
+			Policy: autoscale.NewQueuePressure(),
 			Min:    2, Max: 2,
 		},
 	}, buildTokenFlow())

@@ -10,14 +10,14 @@ package cluster
 // Crash: the replica's engine is killed in place (internal/engine Crash):
 // every in-flight request is orphaned, its pins and host mirrors vanish,
 // and routing stops seeing the replica immediately. The gateway notices
-// after DetectDelay (the missed-heartbeat model) and re-enters each orphan
+// after detectDelay (the missed-heartbeat model) and re-enters each orphan
 // through a capped exponential-backoff retry: a survivor is picked by
 // least outstanding work, the request resets (its partial output died with
 // the replica; its arrival stamp survives, so TTFT stays honest), and it
 // injects under QueueCauseRetry so attribution charges the loss to the
 // retry phase. When no survivor exists the orphan re-enters the
 // scale-to-zero gateway if there is one, otherwise it backs off and tries
-// again until RetryMax, after which it counts failed. Under autoscaling
+// again until retryMax, after which it counts failed. Under autoscaling
 // the crashed replica is off; the normal control loop backfills it through
 // the warm-up path (Backfills counts crashed replicas resurrected that
 // way).
@@ -34,7 +34,7 @@ package cluster
 //
 // Redundancy (Spec.Redundancy K >= 2): a coordinator loop copies every
 // pinned session prefix to K-1 backup replicas' host-mirror tiers over the
-// fabric's replicate class, bounded by ReplicateConcurrency. After a
+// fabric's replicate class, bounded by replicateConcurrency. After a
 // crash, sessions whose pins died but whose mirrors survive on a backup
 // re-pin from that mirror over the backup's own h2d link — retried turns
 // reload instead of recomputing, which is exactly the post-crash tail
@@ -50,6 +50,22 @@ import (
 	"repro/internal/request"
 	"repro/internal/simclock"
 	"repro/internal/trace"
+)
+
+// Recovery tuning.
+const (
+	// retryMax caps re-routing attempts per orphaned request before it is
+	// counted failed.
+	retryMax = 3
+	// retryBackoff is the first retry delay; it doubles per attempt.
+	retryBackoff = 250 * time.Millisecond
+	// detectDelay models the gateway noticing a crash via missed prefix-
+	// index heartbeats: orphan re-routing starts this long after it.
+	detectDelay = 250 * time.Millisecond
+	// replicateEvery is the pin-redundancy refresh period, and
+	// replicateConcurrency bounds the replication copies in flight.
+	replicateEvery       = 5 * time.Second
+	replicateConcurrency = 2
 )
 
 // linkKey canonicalizes an unordered interconnect pair (a < b).
@@ -157,15 +173,14 @@ func (c *Cluster) scheduleChaos() {
 		}
 	}
 	if c.chaos.spec.Redundancy > 1 {
-		every := c.chaos.spec.ReplicateEvery
 		var tick func(now simclock.Time)
 		tick = func(now simclock.Time) {
 			c.replicateTick(now)
 			if !c.done() {
-				c.clock.After(every, tick)
+				c.clock.After(replicateEvery, tick)
 			}
 		}
-		c.clock.After(every, tick)
+		c.clock.After(replicateEvery, tick)
 	}
 }
 
@@ -205,11 +220,10 @@ func (c *Cluster) injectCrash(rep *replica, now simclock.Time) {
 		c.abortFlight(fl, now)
 	}
 
-	detect := now.Add(c.chaos.spec.DetectDelay)
-	backoff := c.chaos.spec.RetryBackoff
+	detect := now.Add(detectDelay)
 	for _, r := range orphans {
 		attempt := r.Retries + 1
-		c.scheduleRetry(r, attempt, detect.Add(retryDelay(backoff, attempt)))
+		c.scheduleRetry(r, attempt, detect.Add(retryDelay(attempt)))
 	}
 
 	// Queue the mirror-driven re-pins: for each lost pin, the first
@@ -239,8 +253,8 @@ func (c *Cluster) injectCrash(rep *replica, now simclock.Time) {
 }
 
 // retryDelay is the exponential backoff for the attempt-th re-entry.
-func retryDelay(base time.Duration, attempt int) time.Duration {
-	return base << uint(attempt-1)
+func retryDelay(attempt int) time.Duration {
+	return retryBackoff << uint(attempt-1)
 }
 
 // scheduleRetry arms one orphan's re-entry. retryPending holds the run
@@ -256,11 +270,10 @@ func (c *Cluster) scheduleRetry(r *request.Request, attempt int, at simclock.Tim
 // retryNow re-enters one orphaned request: re-route to the survivor with
 // the least outstanding work, fall back to the scale-to-zero gateway when
 // nothing survives, back off and try again while the budget lasts, and
-// fail permanently past RetryMax. Re-entries never emit a route decision —
+// fail permanently past retryMax. Re-entries never emit a route decision —
 // the request was already routed once at arrival — so the admission ledger
 // counts each request exactly once.
 func (c *Cluster) retryNow(r *request.Request, attempt int, now simclock.Time) {
-	spec := c.chaos.spec
 	views := c.routable()
 	if len(views) == 0 {
 		if c.gatewayEnabled() {
@@ -276,10 +289,10 @@ func (c *Cluster) retryNow(r *request.Request, attempt int, now simclock.Time) {
 				return
 			}
 		}
-		if attempt < spec.RetryMax {
+		if attempt < retryMax {
 			// No capacity yet (a double crash before backfill lands here):
 			// burn one attempt and back off again.
-			c.scheduleRetry(r, attempt+1, now.Add(retryDelay(spec.RetryBackoff, attempt+1)))
+			c.scheduleRetry(r, attempt+1, now.Add(retryDelay(attempt+1)))
 			return
 		}
 		r.ResetForRetry(c.clock)
@@ -434,9 +447,7 @@ func (c *Cluster) abortFlight(fl *flight, now simclock.Time) {
 		return
 	}
 	attempt := fl.req.Retries + 1
-	detect := now.Add(c.chaos.spec.DetectDelay)
-	c.scheduleRetry(fl.req, attempt,
-		detect.Add(retryDelay(c.chaos.spec.RetryBackoff, attempt)))
+	c.scheduleRetry(fl.req, attempt, now.Add(detectDelay).Add(retryDelay(attempt)))
 }
 
 // startRepins drains the post-crash re-pin queue under the replication
@@ -444,8 +455,7 @@ func (c *Cluster) abortFlight(fl *flight, now simclock.Time) {
 // its mirror, over that replica's own h2d link on the replicate class.
 // Completions free a slot and pull the next job.
 func (c *Cluster) startRepins(now simclock.Time) {
-	conc := c.chaos.spec.ReplicateConcurrency
-	for c.chaos.replicationsInFlight < conc && len(c.chaos.repinQueue) > 0 {
+	for c.chaos.replicationsInFlight < replicateConcurrency && len(c.chaos.repinQueue) > 0 {
 		job := c.chaos.repinQueue[0]
 		c.chaos.repinQueue = c.chaos.repinQueue[1:]
 		if job.rep.eng.Crashed() {
@@ -474,7 +484,6 @@ func (c *Cluster) startRepins(now simclock.Time) {
 // at least as large are skipped, as are pairs currently flapped down.
 func (c *Cluster) replicateTick(now simclock.Time) {
 	spec := c.chaos.spec
-	conc := spec.ReplicateConcurrency
 	for _, src := range c.replicas {
 		if src.eng.Crashed() {
 			continue
@@ -484,7 +493,7 @@ func (c *Cluster) replicateTick(now simclock.Time) {
 		}
 		for _, info := range src.eng.HottestPrefixes(0) {
 			for _, dst := range c.backupsFor(src, spec.Redundancy-1) {
-				if c.chaos.replicationsInFlight >= conc {
+				if c.chaos.replicationsInFlight >= replicateConcurrency {
 					return
 				}
 				key := copyKey{target: dst.id, session: info.Session}

@@ -71,7 +71,7 @@ func TestChaosRecoveryScenarios(t *testing.T) {
 					Policy:   router.NewSessionAffinity(),
 					Chaos:    &chaos.Spec{Faults: []chaos.Fault{crashFault(0, 1.0)}},
 					Autoscale: &cluster.AutoscaleConfig{
-						Policy:      autoscale.NewQueuePressure(autoscale.QueuePressureConfig{}),
+						Policy:      autoscale.NewQueuePressure(),
 						Max:         2,
 						Warmup:      3 * time.Second,
 						ScaleToZero: true,
@@ -139,7 +139,7 @@ func TestChaosRecoveryScenarios(t *testing.T) {
 						Faults: []chaos.Fault{crashFault(0, 8), crashFault(1, 8.2)},
 					},
 					Autoscale: &cluster.AutoscaleConfig{
-						Policy:      autoscale.NewQueuePressure(autoscale.QueuePressureConfig{}),
+						Policy:      autoscale.NewQueuePressure(),
 						Max:         2,
 						Warmup:      2 * time.Second,
 						ScaleToZero: true,
@@ -251,7 +251,7 @@ func chaosDeterminismGrid() []struct {
 				Replicas: 3, Policy: router.NewSessionAffinity(),
 				Chaos: &chaos.Spec{Faults: []chaos.Fault{crashFault(0, 8), crashFault(2, 12)}},
 				Autoscale: &cluster.AutoscaleConfig{
-					Policy:      autoscale.NewQueuePressure(autoscale.QueuePressureConfig{}),
+					Policy:      autoscale.NewQueuePressure(),
 					Max:         3,
 					Warmup:      2 * time.Second,
 					ScaleToZero: true,

@@ -72,7 +72,7 @@ type Config struct {
 
 	// SampleEvery enables cluster-wide queued/running time-series sampling
 	// (per replica plus the merged series and the imbalance series); zero
-	// disables it.
+	// disables it and negative is an error.
 	SampleEvery time.Duration
 
 	// Shards partitions the replicas across parallel worker goroutines
@@ -87,8 +87,9 @@ type Config struct {
 	// byte-identical at every shard count.
 	Shards int
 
-	// MaxSimTime aborts runaway simulations (default 4 simulated hours):
-	// no event later than it fires, and the run reports TimedOut.
+	// MaxSimTime aborts runaway simulations (default 4 simulated hours;
+	// negative is an error): no event later than it fires, and the run
+	// reports TimedOut.
 	MaxSimTime time.Duration
 
 	// Migrate enables cross-replica KV migration: when the policy routes a
@@ -172,18 +173,10 @@ type AutoscaleConfig struct {
 	// sheds, though each still triggers the cold start.
 	GatewayDepth int
 
-	// P99Window is the observation horizon of the windowed P99 TTFT fed
-	// to latency-driven policies (default metrics.DefaultTTFTWindow).
-	P99Window time.Duration
-
 	// Warmup is the latency a scale-up pays before the new replica
 	// accepts traffic — model load plus allocator init (default 8s;
 	// negative means instant).
 	Warmup time.Duration
-
-	// ControlEvery is the control-loop tick (default 1s; zero or negative
-	// would spin the clock in place, so both select the default).
-	ControlEvery time.Duration
 
 	// Prewarm overlaps each warm-up with KV pre-warming: the hottest
 	// pinned session prefixes of the active replicas migrate to the
@@ -255,9 +248,6 @@ func (c Config) Normalize() (Config, error) {
 			} else if a.Warmup < 0 {
 				a.Warmup = 0
 			}
-			if a.ControlEvery <= 0 {
-				a.ControlEvery = time.Second
-			}
 			if a.PrewarmTopK == 0 {
 				a.PrewarmTopK = 8
 			}
@@ -283,6 +273,10 @@ func (c Config) Normalize() (Config, error) {
 		return c, fmt.Errorf("cluster: replica count %d must be >= 1", c.Replicas)
 	case c.Shards < 0:
 		return c, fmt.Errorf("cluster: shard count %d must be >= 0 (0 or 1 = one shard)", c.Shards)
+	case c.MaxSimTime < 0:
+		return c, fmt.Errorf("cluster: max sim time %v must not be negative", c.MaxSimTime)
+	case c.SampleEvery < 0:
+		return c, fmt.Errorf("cluster: sample period %v must not be negative (0 disables sampling)", c.SampleEvery)
 	case c.Policy == nil:
 		return c, fmt.Errorf("cluster: nil routing policy")
 	}
@@ -765,7 +759,7 @@ func New(cfg Config, build BuildEngine) (*Cluster, error) {
 		// Observation only — it adds no clock events, so the simulation
 		// itself is byte-unaffected. Policies that never read the signal
 		// skip the estimator (and its per-tick sort) entirely.
-		c.ttftWin = metrics.NewTTFTWindow(cfg.Autoscale.P99Window)
+		c.ttftWin = metrics.NewTTFTWindow(metrics.DefaultTTFTWindow)
 		for _, rep := range c.replicas {
 			// First tokens fire on shard goroutines: buffer them
 			// shard-locally and merge at the next barrier (shards.go), so
@@ -876,7 +870,7 @@ func (c *Cluster) Run(w trace.Workload) (*Result, error) {
 			// should include the idle tail the policy takes to decide the
 			// pool is dead, not stop at the last token.
 			if !c.done() || c.scaleToZeroPending() {
-				c.clock.After(c.cfg.Autoscale.ControlEvery, control)
+				c.clock.After(controlEvery, control)
 			}
 		}
 		c.clock.At(0, control)
@@ -1149,7 +1143,7 @@ func (c *Cluster) collect(timedOut bool) *Result {
 		makespan = end
 	}
 	res.Makespan = time.Duration(makespan)
-	res.Report = metrics.Analyze(res.Requests, makespan, c.replicas[0].eng.QoSParams())
+	res.Report = metrics.Analyze(res.Requests, makespan, metrics.DefaultQoSParams())
 	res.Imbalance = metrics.Imbalance(loads)
 	res.Samples = mergeSamples(res.PerReplica)
 	res.ImbalanceSeries = imbalanceSeries(res.PerReplica, c.svcMask)

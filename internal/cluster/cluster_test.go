@@ -379,7 +379,7 @@ func TestFullMeshTopologyMatchesDefault(t *testing.T) {
 			Policy:   router.NewSessionAffinity(),
 			Topology: topo,
 			Autoscale: &cluster.AutoscaleConfig{
-				Policy: autoscale.NewQueuePressure(autoscale.QueuePressureConfig{}),
+				Policy: autoscale.NewQueuePressure(),
 				Min:    1, Max: 3,
 				Warmup:  2 * time.Second,
 				Prewarm: true,

@@ -14,20 +14,20 @@ import (
 // configView projects the Config fields Normalize resolves, flattening the
 // autoscale block (zero when the config is static).
 type configView struct {
-	Replicas, Shards int
-	MaxSimTime       time.Duration
-	MigrationPolicy  cluster.MigrationPolicy
+	Replicas, Shards        int
+	MaxSimTime, SampleEvery time.Duration
+	MigrationPolicy         cluster.MigrationPolicy
 
 	Min, Max, Initial, GatewayDepth, PrewarmTopK int
-	Warmup, ControlEvery                         time.Duration
+	Warmup                                       time.Duration
 }
 
 func viewOf(c cluster.Config) configView {
 	v := configView{Replicas: c.Replicas, Shards: c.Shards, MaxSimTime: c.MaxSimTime,
-		MigrationPolicy: c.MigrationPolicy}
+		SampleEvery: c.SampleEvery, MigrationPolicy: c.MigrationPolicy}
 	if a := c.Autoscale; a != nil {
 		v.Min, v.Max, v.Initial, v.GatewayDepth, v.PrewarmTopK = a.Min, a.Max, a.Initial, a.GatewayDepth, a.PrewarmTopK
-		v.Warmup, v.ControlEvery = a.Warmup, a.ControlEvery
+		v.Warmup = a.Warmup
 	}
 	return v
 }
@@ -38,7 +38,7 @@ func viewOf(c cluster.Config) configView {
 // changes nothing.
 func TestConfigNormalizeDefaults(t *testing.T) {
 	rr := router.NewRoundRobin()
-	scaler := autoscale.NewQueuePressure(autoscale.QueuePressureConfig{})
+	scaler := autoscale.NewQueuePressure()
 	auto := func(a cluster.AutoscaleConfig) *cluster.AutoscaleConfig {
 		a.Policy = scaler
 		return &a
@@ -48,8 +48,7 @@ func TestConfigNormalizeDefaults(t *testing.T) {
 	scaled := func(n int) configView {
 		v := static
 		v.Replicas, v.Min, v.Max, v.Initial = n, 1, n, 1
-		v.GatewayDepth, v.PrewarmTopK = 512, 8
-		v.Warmup, v.ControlEvery = 8*time.Second, time.Second
+		v.GatewayDepth, v.PrewarmTopK, v.Warmup = 512, 8, 8*time.Second
 		return v
 	}
 	with := func(v configView, edit func(*configView)) configView {
@@ -63,8 +62,10 @@ func TestConfigNormalizeDefaults(t *testing.T) {
 	}{
 		{"zero", cluster.Config{Policy: rr}, static},
 		{"set-fields-stay",
-			cluster.Config{Policy: rr, Replicas: 3, Shards: 2, MaxSimTime: time.Hour, MigrationPolicy: cluster.MigrateCost},
-			configView{Replicas: 3, Shards: 2, MaxSimTime: time.Hour, MigrationPolicy: cluster.MigrateCost}},
+			cluster.Config{Policy: rr, Replicas: 3, Shards: 2, MaxSimTime: time.Hour, SampleEvery: time.Second,
+				MigrationPolicy: cluster.MigrateCost},
+			configView{Replicas: 3, Shards: 2, MaxSimTime: time.Hour, SampleEvery: time.Second,
+				MigrationPolicy: cluster.MigrateCost}},
 		{"shards-clamp-to-replicas", cluster.Config{Policy: rr, Replicas: 3, Shards: 8},
 			with(static, func(v *configView) { v.Replicas, v.Shards = 3, 3 })},
 		{"shards-one", cluster.Config{Policy: rr, Replicas: 3, Shards: 1},
@@ -76,11 +77,9 @@ func TestConfigNormalizeDefaults(t *testing.T) {
 			with(scaled(5), func(v *configView) { v.Shards = 5 })},
 		{"autoscale-set-fields-stay",
 			cluster.Config{Policy: rr, Replicas: 4, Autoscale: auto(cluster.AutoscaleConfig{
-				Min: 2, Max: 4, Initial: 3, GatewayDepth: -1, Warmup: 3 * time.Second,
-				ControlEvery: 500 * time.Millisecond, PrewarmTopK: 2})},
+				Min: 2, Max: 4, Initial: 3, GatewayDepth: -1, Warmup: 3 * time.Second, PrewarmTopK: 2})},
 			with(scaled(4), func(v *configView) {
-				v.Min, v.Initial, v.GatewayDepth, v.PrewarmTopK = 2, 3, -1, 2
-				v.Warmup, v.ControlEvery = 3*time.Second, 500*time.Millisecond
+				v.Min, v.Initial, v.GatewayDepth, v.PrewarmTopK, v.Warmup = 2, 3, -1, 2, 3*time.Second
 			})},
 		{"scale-to-zero-forces-min-0",
 			cluster.Config{Policy: rr, Replicas: 3, Autoscale: auto(cluster.AutoscaleConfig{Min: 2, ScaleToZero: true})},
@@ -91,9 +90,6 @@ func TestConfigNormalizeDefaults(t *testing.T) {
 		{"negative-warmup-is-instant",
 			cluster.Config{Policy: rr, Replicas: 2, Autoscale: auto(cluster.AutoscaleConfig{Warmup: -time.Second})},
 			with(scaled(2), func(v *configView) { v.Warmup = 0 })},
-		{"non-positive-control-tick-defaults",
-			cluster.Config{Policy: rr, Replicas: 2, Autoscale: auto(cluster.AutoscaleConfig{ControlEvery: -time.Second})},
-			scaled(2)},
 	}
 	for _, c := range cases {
 		var spec cluster.AutoscaleConfig
@@ -122,7 +118,7 @@ func TestConfigNormalizeDefaults(t *testing.T) {
 // that names what is wrong.
 func TestConfigNormalizeRejectsBadValues(t *testing.T) {
 	rr := router.NewRoundRobin()
-	scaler := autoscale.NewQueuePressure(autoscale.QueuePressureConfig{})
+	scaler := autoscale.NewQueuePressure()
 	auto := func(a cluster.AutoscaleConfig) *cluster.AutoscaleConfig {
 		a.Policy = scaler
 		return &a
@@ -134,6 +130,8 @@ func TestConfigNormalizeRejectsBadValues(t *testing.T) {
 	}{
 		{"negative-replicas", cluster.Config{Policy: rr, Replicas: -2}, "replica count -2"},
 		{"negative-shards", cluster.Config{Policy: rr, Replicas: 2, Shards: -1}, "shard count -1"},
+		{"negative-max-sim-time", cluster.Config{Policy: rr, MaxSimTime: -5 * time.Second}, "max sim time -5s"},
+		{"negative-sample-every", cluster.Config{Policy: rr, SampleEvery: -time.Second}, "sample period -1s"},
 		{"nil-policy", cluster.Config{Replicas: 2}, "nil routing policy"},
 		{"unknown-migration-policy", cluster.Config{Policy: rr, MigrationPolicy: "sometimes"}, `"sometimes"`},
 		{"nil-autoscale-policy", cluster.Config{Policy: rr, Replicas: 2, Autoscale: &cluster.AutoscaleConfig{}},

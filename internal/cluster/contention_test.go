@@ -41,7 +41,7 @@ func contentionCluster(t *testing.T, spec *fabric.Spec) *Cluster {
 		Migrate:  true,
 		Topology: spec,
 		Autoscale: &AutoscaleConfig{
-			Policy: autoscale.NewQueuePressure(autoscale.QueuePressureConfig{}),
+			Policy: autoscale.NewQueuePressure(),
 			Min:    1, Max: 3, Initial: 3,
 		},
 	}, buildSmall)

@@ -53,7 +53,7 @@ func determinismGrid() []struct {
 			return cluster.Config{
 				Replicas: 3, Policy: router.NewSessionAffinity(), Migrate: true,
 				Autoscale: &cluster.AutoscaleConfig{
-					Policy:  autoscale.NewQueuePressure(autoscale.QueuePressureConfig{}),
+					Policy:  autoscale.NewQueuePressure(),
 					Max:     3,
 					Warmup:  2 * time.Second,
 					Prewarm: true,
@@ -65,7 +65,7 @@ func determinismGrid() []struct {
 				Replicas: 3, Policy: router.NewLeastQueue(),
 				Topology: topoFor(fabric.SharedNIC, 2, 0),
 				Autoscale: &cluster.AutoscaleConfig{
-					Policy:      autoscale.NewSLOTarget(autoscale.SLOTargetConfig{}),
+					Policy:      autoscale.NewSLOTarget(0),
 					Max:         3,
 					Warmup:      2 * time.Second,
 					ScaleToZero: true,
@@ -77,7 +77,7 @@ func determinismGrid() []struct {
 				Replicas: 3, Policy: router.NewSessionAffinity(), Migrate: true,
 				MigrationPolicy: cluster.MigrateCost,
 				Autoscale: &cluster.AutoscaleConfig{
-					Policy:      autoscale.NewPredictive(autoscale.PredictiveConfig{}),
+					Policy:      autoscale.NewPredictive(0),
 					Max:         3,
 					Warmup:      3 * time.Second,
 					Prewarm:     true,

@@ -310,9 +310,7 @@ func TestScaleToZeroRoundTrip(t *testing.T) {
 		Replicas: 2,
 		Policy:   router.NewLeastQueue(),
 		Autoscale: &cluster.AutoscaleConfig{
-			Policy: autoscale.NewSLOTarget(autoscale.SLOTargetConfig{
-				TargetP99: 2 * time.Second, DownTicks: 4, CooldownTicks: 2,
-			}),
+			Policy:      autoscale.NewSLOTarget(2 * time.Second),
 			Max:         2,
 			Warmup:      2 * time.Second,
 			ScaleToZero: true,

@@ -55,19 +55,19 @@ func experimentSpecs() []struct {
 		}, buildHetero()},
 		{"autoscale-queue-pressure-prewarm", cluster.Config{
 			Replicas: 3, Policy: router.NewSessionAffinity(),
-			Autoscale: asCfg(autoscale.NewQueuePressure(autoscale.QueuePressureConfig{}), false, true),
+			Autoscale: asCfg(autoscale.NewQueuePressure(), false, true),
 		}, buildTokenFlow()},
 		{"autoscale-kv-utilization", cluster.Config{
 			Replicas: 3, Policy: router.NewLeastQueue(),
-			Autoscale: asCfg(autoscale.NewKVUtilization(autoscale.KVUtilizationConfig{}), false, false),
+			Autoscale: asCfg(autoscale.NewKVUtilization(), false, false),
 		}, buildTokenFlow()},
 		{"autoscale-slo-target-scale-to-zero", cluster.Config{
 			Replicas: 3, Policy: router.NewSessionAffinity(),
-			Autoscale: asCfg(autoscale.NewSLOTarget(autoscale.SLOTargetConfig{}), true, true),
+			Autoscale: asCfg(autoscale.NewSLOTarget(0), true, true),
 		}, buildTokenFlow()},
 		{"autoscale-predictive-scale-to-zero", cluster.Config{
 			Replicas: 3, Policy: router.NewLeastQueue(),
-			Autoscale: asCfg(autoscale.NewPredictive(autoscale.PredictiveConfig{}), true, false),
+			Autoscale: asCfg(autoscale.NewPredictive(0), true, false),
 		}, buildTokenFlow()},
 		{"migrate-shared-nic-switch", cluster.Config{
 			Replicas: 4, Policy: router.NewSessionAffinity(), Migrate: true,

@@ -1,7 +1,7 @@
 package cluster
 
 // Replica lifecycle: the autoscaler control loop. Runs on the cluster's
-// virtual clock (Config.Autoscale.ControlEvery); each tick sweeps draining
+// virtual clock every controlEvery; each tick sweeps draining
 // replicas, gathers cluster signals, and executes the policy's decision.
 //
 //	off ──scaleUp──▶ warming ──Warmup elapses──▶ active
@@ -19,6 +19,7 @@ package cluster
 import (
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/autoscale"
 	"repro/internal/fabric"
@@ -27,6 +28,9 @@ import (
 	"repro/internal/request"
 	"repro/internal/simclock"
 )
+
+// controlEvery is the autoscaler control-loop tick.
+const controlEvery = time.Second
 
 // event appends one lifecycle transition to the scale-event log.
 func (c *Cluster) event(at simclock.Time, kind ScaleKind, replica int) {
@@ -42,7 +46,7 @@ func (c *Cluster) controlTick(now simclock.Time) {
 	s.Arrivals = c.arrivalsThisTick
 	c.arrivalsThisTick = 0
 	s.Gateway = len(c.gateway)
-	s.TickSeconds = c.cfg.Autoscale.ControlEvery.Seconds()
+	s.TickSeconds = controlEvery.Seconds()
 	s.WarmupSeconds = c.cfg.Autoscale.Warmup.Seconds()
 	if c.ttftWin != nil {
 		s.P99TTFT = c.ttftWin.Quantile(now, 0.99)

@@ -66,15 +66,13 @@ func RandomScenario(rng *rand.Rand) Scenario {
 		var ap autoscale.Policy
 		switch rng.Intn(4) {
 		case 0:
-			ap = autoscale.NewQueuePressure(autoscale.QueuePressureConfig{})
+			ap = autoscale.NewQueuePressure()
 		case 1:
-			ap = autoscale.NewKVUtilization(autoscale.KVUtilizationConfig{})
+			ap = autoscale.NewKVUtilization()
 		case 2:
-			ap = autoscale.NewSLOTarget(autoscale.SLOTargetConfig{
-				TargetP99: time.Duration(1+rng.Intn(4)) * time.Second,
-			})
+			ap = autoscale.NewSLOTarget(time.Duration(1+rng.Intn(4)) * time.Second)
 		case 3:
-			ap = autoscale.NewPredictive(autoscale.PredictiveConfig{})
+			ap = autoscale.NewPredictive(0)
 		}
 		// A zero draw means instant warm-up, which the config spells as
 		// negative (zero itself would select the 8s default).

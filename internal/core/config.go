@@ -28,15 +28,6 @@ type Config struct {
 	// SGLang (§7.5 studies 1.0 and 20.0; default 2.0).
 	BufferConservativeness float64
 
-	// Gamma weighs the starvation-avoidance term in the utility function
-	// (the γ of Eq. 3; default 4).
-	Gamma float64
-
-	// BufferScaleSeconds normalizes buffered playback seconds inside the
-	// exponential φ(b)=e^(−b/scale) so the penalty is meaningful across
-	// consumption rates (default 2s).
-	BufferScaleSeconds float64
-
 	// AdjustRate is λ in the dynamic working-set shrink
 	// W_sched = W_static − λ·(W_static − N_running) (Eq. 5; default 0.5).
 	AdjustRate float64
@@ -46,26 +37,10 @@ type Config struct {
 	// request population.
 	ExpectedContextTokens int
 
-	// Overcommit scales the working-set bound beyond device memory
-	// (§4.2.2's overcommitment mechanism: the working set may exceed GPU
-	// memory, with the excess transparently offloaded to host memory).
-	// Eq. 4's M is therefore the host-extended capacity: W_static =
-	// ⌊Overcommit·M_gpu/β⌋. Default 2.5.
-	Overcommit float64
-
 	// TargetBufferSeconds is the buffered-playback level beyond which a
 	// running stream becomes a preemption candidate (the "buffer ≥
 	// threshold" of the Figure 6 example; default 3s).
 	TargetBufferSeconds float64
-
-	// CriticalBufferSeconds is T_critical: a running stream dropping below
-	// this much buffered playback triggers rescheduling even between
-	// intervals (§4.2.1; default 1s).
-	CriticalBufferSeconds float64
-
-	// TTFTTarget scales the urgency of unserved requests (the 1.3s
-	// engagement threshold of §2.2).
-	TTFTTarget time.Duration
 
 	// LocalSearch enables the adjacent-swap refinement after the greedy
 	// selection (§4.2.2); disable to ablate.
@@ -75,28 +50,50 @@ type Config struct {
 	// admission when Σ r_i exceeds the throughput capacity Γ (§4.3);
 	// disable to ablate.
 	FallbackFCFS bool
-
-	// MaxBatchTokens caps the total context the balancer packs onto the
-	// device, as a fraction of pool capacity (default 0.95, leaving room
-	// for per-iteration growth).
-	PackFraction float64
 }
+
+// Fixed scheduler constants the paper does not vary.
+const (
+	// gamma weighs the starvation-avoidance term in the utility function
+	// (the γ of Eq. 3).
+	gamma float64 = 4.0
+
+	// bufferScaleSeconds normalizes buffered playback seconds inside the
+	// exponential φ(b)=e^(−b/scale) so the penalty is meaningful across
+	// consumption rates.
+	bufferScaleSeconds float64 = 2.0
+
+	// overcommit scales the working-set bound beyond device memory
+	// (§4.2.2's overcommitment mechanism: the working set may exceed GPU
+	// memory, with the excess transparently offloaded to host memory).
+	// Eq. 4's M is therefore the host-extended capacity: W_static =
+	// ⌊overcommit·M_gpu/β⌋.
+	overcommit float64 = 2.5
+
+	// criticalBufferSeconds is T_critical: a running stream dropping
+	// below this much buffered playback triggers rescheduling even
+	// between intervals (§4.2.1).
+	criticalBufferSeconds float64 = 1.0
+
+	// ttftTarget scales the urgency of unserved requests (the 1.3s
+	// engagement threshold of §2.2).
+	ttftTarget = 1300 * time.Millisecond
+
+	// packFraction caps the total context the balancer packs onto the
+	// device, as a fraction of pool capacity, leaving room for
+	// per-iteration growth.
+	packFraction float64 = 0.95
+)
 
 // DefaultConfig returns the paper's default TokenFlow settings.
 func DefaultConfig() Config {
 	return Config{
 		RescheduleInterval:     time.Second,
 		BufferConservativeness: 2.0,
-		Gamma:                  4.0,
-		BufferScaleSeconds:     2.0,
 		AdjustRate:             0.5,
 		TargetBufferSeconds:    3.0,
-		CriticalBufferSeconds:  1.0,
-		TTFTTarget:             1300 * time.Millisecond,
-		Overcommit:             2.5,
 		LocalSearch:            true,
 		FallbackFCFS:           true,
-		PackFraction:           0.95,
 	}
 }
 
@@ -109,45 +106,21 @@ func (c Config) Normalize() (Config, error) {
 	if c.BufferConservativeness == 0 {
 		c.BufferConservativeness = d.BufferConservativeness
 	}
-	if c.Gamma == 0 {
-		c.Gamma = d.Gamma
-	}
-	if c.BufferScaleSeconds == 0 {
-		c.BufferScaleSeconds = d.BufferScaleSeconds
-	}
 	if c.AdjustRate == 0 {
 		c.AdjustRate = d.AdjustRate
 	}
 	if c.TargetBufferSeconds == 0 {
 		c.TargetBufferSeconds = d.TargetBufferSeconds
 	}
-	if c.CriticalBufferSeconds == 0 {
-		c.CriticalBufferSeconds = d.CriticalBufferSeconds
-	}
-	if c.TTFTTarget == 0 {
-		c.TTFTTarget = d.TTFTTarget
-	}
-	if c.PackFraction == 0 {
-		c.PackFraction = d.PackFraction
-	}
-	if c.Overcommit == 0 {
-		c.Overcommit = d.Overcommit
-	}
 	switch {
 	case c.RescheduleInterval < 0:
 		return c, fmt.Errorf("core: negative reschedule interval %v", c.RescheduleInterval)
 	case c.BufferConservativeness < 1:
 		return c, fmt.Errorf("core: buffer conservativeness %v must be >= 1", c.BufferConservativeness)
-	case c.Gamma < 0 || c.BufferScaleSeconds <= 0:
-		return c, fmt.Errorf("core: invalid utility parameters (gamma=%v scale=%v)", c.Gamma, c.BufferScaleSeconds)
 	case c.AdjustRate < 0 || c.AdjustRate > 1:
 		return c, fmt.Errorf("core: adjust rate %v must be in [0,1]", c.AdjustRate)
-	case c.PackFraction <= 0 || c.PackFraction > 1:
-		return c, fmt.Errorf("core: pack fraction %v must be in (0,1]", c.PackFraction)
 	case c.ExpectedContextTokens < 0:
 		return c, fmt.Errorf("core: negative expected context %d", c.ExpectedContextTokens)
-	case c.Overcommit < 1:
-		return c, fmt.Errorf("core: overcommit %v must be >= 1", c.Overcommit)
 	}
 	return c, nil
 }

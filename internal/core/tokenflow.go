@@ -106,7 +106,7 @@ func (s *Scheduler) Decide(v *sched.View) sched.Decision {
 // T_critical (§4.2.1's stress condition).
 func (s *Scheduler) anyCritical(v *sched.View) bool {
 	for _, r := range v.Running {
-		if r.Generated > 0 && !r.GenerationDone() && r.BufferSeconds() < s.cfg.CriticalBufferSeconds {
+		if r.Generated > 0 && !r.GenerationDone() && r.BufferSeconds() < criticalBufferSeconds {
 			return true
 		}
 	}
@@ -321,10 +321,10 @@ type candidate struct {
 func (s *Scheduler) utility(v *sched.View, r *request.Request) float64 {
 	if r.Generated == 0 {
 		wait := v.Now.Sub(r.Arrival).Seconds()
-		return s.cfg.Gamma * (1 + wait/s.cfg.TTFTTarget.Seconds())
+		return gamma * (1 + wait/ttftTarget.Seconds())
 	}
 	buf := r.BufferSeconds()
-	starvation := s.cfg.Gamma * math.Exp(-buf/s.cfg.BufferScaleSeconds)
+	starvation := gamma * math.Exp(-buf/bufferScaleSeconds)
 	// v_i·t′: tokens generated over the next interval are worth up to the
 	// client's consumption during that interval; a fat buffer devalues
 	// them to zero.
@@ -379,7 +379,7 @@ func (s *Scheduler) fullPass(v *sched.View) sched.Decision {
 	if beta <= 0 {
 		beta = 1024
 	}
-	wStatic := int(s.cfg.Overcommit*float64(v.TotalTokens)) / beta
+	wStatic := int(overcommit*float64(v.TotalTokens)) / beta
 	if wStatic < 1 {
 		wStatic = 1
 	}
@@ -451,7 +451,7 @@ func (s *Scheduler) fullPass(v *sched.View) sched.Decision {
 
 	// Loading and backlog requests are committed consumers of memory and
 	// batch slots.
-	budget := int(s.cfg.PackFraction * float64(v.TotalTokens))
+	budget := int(packFraction * float64(v.TotalTokens))
 	for _, r := range v.Loading {
 		budget -= s.expectedTokens(v, r)
 	}

@@ -17,8 +17,9 @@ func TestConfigNormalizeDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := DefaultConfig()
-	if c.RescheduleInterval != d.RescheduleInterval || c.Gamma != d.Gamma ||
-		c.BufferConservativeness != d.BufferConservativeness {
+	if c.RescheduleInterval != d.RescheduleInterval || c.AdjustRate != d.AdjustRate ||
+		c.BufferConservativeness != d.BufferConservativeness ||
+		c.TargetBufferSeconds != d.TargetBufferSeconds {
 		t.Errorf("normalize did not apply defaults: %+v", c)
 	}
 	// Note: explicit false for LocalSearch/FallbackFCFS stays false; they
@@ -29,10 +30,7 @@ func TestConfigNormalizeRejectsBadValues(t *testing.T) {
 	bad := []Config{
 		{RescheduleInterval: -time.Second},
 		{BufferConservativeness: 0.5},
-		{Gamma: -1},
-		{BufferScaleSeconds: -1},
 		{AdjustRate: 1.5},
-		{PackFraction: 1.5},
 		{ExpectedContextTokens: -1},
 	}
 	for i, c := range bad {
@@ -43,7 +41,7 @@ func TestConfigNormalizeRejectsBadValues(t *testing.T) {
 }
 
 func TestNewValidates(t *testing.T) {
-	if _, err := New(Config{Gamma: -1}); err == nil {
+	if _, err := New(Config{BufferConservativeness: 0.5}); err == nil {
 		t.Error("bad config should error")
 	}
 	s := MustNew(DefaultConfig())
@@ -61,7 +59,7 @@ func TestMustNewPanics(t *testing.T) {
 			t.Error("MustNew with bad config should panic")
 		}
 	}()
-	MustNew(Config{Gamma: -1})
+	MustNew(Config{BufferConservativeness: 0.5})
 }
 
 // view builds a minimal scheduler view with an H200/Llama3-8B cost model.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/fabric"
-	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/sched"
 	"repro/internal/simclock"
@@ -32,13 +31,10 @@ func TestConfigNormalizeDefaults(t *testing.T) {
 	}
 	defaulted := func(edit func(*Config)) Config {
 		return with(func(c *Config) {
-			c.MemFraction, c.PageTokens, c.MaxBatch, c.MaxPrefillTokens = 0.9, 16, 256, 8192
-			c.PrefixCacheFraction, c.QoS = 0.5, metrics.DefaultQoSParams()
+			c.MemFraction, c.MaxBatch, c.PrefixCacheFraction = 0.9, 256, 0.5
 			edit(c)
 		})
 	}
-	qos := metrics.DefaultQoSParams()
-	qos.Lambda *= 2
 	cases := []struct {
 		name string
 		in   Config
@@ -46,14 +42,8 @@ func TestConfigNormalizeDefaults(t *testing.T) {
 	}{
 		{"zero", base, defaulted(func(*Config) {})},
 		{"set-fields-stay",
-			with(func(c *Config) {
-				c.MemFraction, c.PageTokens, c.MaxBatch, c.MaxPrefillTokens = 0.8, 32, 64, 4096
-				c.PrefixCacheFraction, c.QoS = 0.25, qos
-			}),
-			defaulted(func(c *Config) {
-				c.MemFraction, c.PageTokens, c.MaxBatch, c.MaxPrefillTokens = 0.8, 32, 64, 4096
-				c.PrefixCacheFraction, c.QoS = 0.25, qos
-			})},
+			with(func(c *Config) { c.MemFraction, c.MaxBatch, c.PrefixCacheFraction = 0.8, 64, 0.25 }),
+			defaulted(func(c *Config) { c.MemFraction, c.MaxBatch, c.PrefixCacheFraction = 0.8, 64, 0.25 })},
 		{"negative-prefix-cache-disables",
 			with(func(c *Config) { c.PrefixCacheFraction = -1 }),
 			defaulted(func(c *Config) { c.PrefixCacheFraction = -1 })},
@@ -94,9 +84,7 @@ func TestConfigNormalizeRejectsBadValues(t *testing.T) {
 		{"nil-fabric", with(func(c *Config) { c.Fabric = nil }), "nil fabric"},
 		{"mem-fraction-below-0", with(func(c *Config) { c.MemFraction = -0.1 }), "mem fraction -0.1"},
 		{"mem-fraction-above-1", with(func(c *Config) { c.MemFraction = 1.5 }), "mem fraction 1.5"},
-		{"negative-page-tokens", with(func(c *Config) { c.PageTokens = -16 }), "page tokens -16"},
 		{"negative-max-batch", with(func(c *Config) { c.MaxBatch = -1 }), "max batch -1"},
-		{"negative-max-prefill", with(func(c *Config) { c.MaxPrefillTokens = -8 }), "max prefill tokens -8"},
 		{"bad-model", with(func(c *Config) { c.Model = model.Spec{} }), "model"},
 	}
 	for _, c := range cases {

@@ -65,24 +65,14 @@ type Config struct {
 	// (SGLang's --mem-fraction-static; default 0.9).
 	MemFraction float64
 
-	// PageTokens is the KV page granularity (default 16).
-	PageTokens int
-
 	// MaxBatch caps the decode batch (default 256).
 	MaxBatch int
-
-	// MaxPrefillTokens caps the tokens of one prefill iteration batch
-	// (default 8192).
-	MaxPrefillTokens int
 
 	// Scheduler decides admissions and preemptions. Required.
 	Scheduler sched.Scheduler
 
 	// KV selects the memory-management policies.
 	KV KVPolicy
-
-	// QoS parameterizes the report metrics; zero value selects defaults.
-	QoS metrics.QoSParams
 
 	// PrefixCacheFraction caps the session prefix cache as a share of KV
 	// capacity: finished turns of multi-turn sessions keep their context
@@ -108,28 +98,26 @@ type Config struct {
 	Fabric *fabric.Endpoint
 }
 
+// Engine constants: the KV page granularity in tokens, and the cap on the
+// tokens of one prefill iteration batch.
+const (
+	pageTokens       = 16
+	maxPrefillTokens = 8192
+)
+
 // Normalize fills zero fields with defaults and validates the result: a
-// nil scheduler, clock or fabric, a mem fraction outside [0, 1], and
-// negative page, batch or prefill-token caps are errors. Defaults apply
-// once: normalizing a normalized Config returns it unchanged.
+// nil scheduler, clock or fabric, a mem fraction outside [0, 1], and a
+// negative batch cap are errors. Defaults apply once: normalizing a
+// normalized Config returns it unchanged.
 func (c Config) Normalize() (Config, error) {
 	if c.MemFraction == 0 {
 		c.MemFraction = 0.9
 	}
-	if c.PageTokens == 0 {
-		c.PageTokens = 16
-	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 256
 	}
-	if c.MaxPrefillTokens == 0 {
-		c.MaxPrefillTokens = 8192
-	}
 	if c.PrefixCacheFraction == 0 {
 		c.PrefixCacheFraction = 0.5
-	}
-	if c.QoS == (metrics.QoSParams{}) {
-		c.QoS = metrics.DefaultQoSParams()
 	}
 	switch {
 	case c.Scheduler == nil:
@@ -140,12 +128,8 @@ func (c Config) Normalize() (Config, error) {
 		return c, fmt.Errorf("engine: nil fabric endpoint")
 	case c.MemFraction < 0 || c.MemFraction > 1:
 		return c, fmt.Errorf("engine: mem fraction %v out of range [0, 1]", c.MemFraction)
-	case c.PageTokens < 0:
-		return c, fmt.Errorf("engine: negative page tokens %d", c.PageTokens)
 	case c.MaxBatch < 0:
 		return c, fmt.Errorf("engine: negative max batch %d", c.MaxBatch)
-	case c.MaxPrefillTokens < 0:
-		return c, fmt.Errorf("engine: negative max prefill tokens %d", c.MaxPrefillTokens)
 	}
 	if err := c.GPU.Validate(); err != nil {
 		return c, err
@@ -333,7 +317,7 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	capTokens := cost.KVCapacityTokens(cfg.MemFraction)
-	if capTokens < int64(cfg.PageTokens) {
+	if capTokens < pageTokens {
 		return nil, fmt.Errorf("engine: %s with mem fraction %.2f leaves no KV capacity for %s",
 			cfg.GPU.Name, cfg.MemFraction, cfg.Model.Name)
 	}
@@ -364,8 +348,8 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.kickFn = func(t simclock.Time) { e.kick(t) }
 	kvcfg := kvcache.Config{
-		PageTokens:       cfg.PageTokens,
-		GPUPages:         int(capTokens) / cfg.PageTokens,
+		PageTokens:       pageTokens,
+		GPUPages:         int(capTokens) / pageTokens,
 		BytesPerToken:    cfg.Model.KVBytesPerToken(),
 		Offload:          cfg.KV.Offload,
 		WriteThrough:     cfg.KV.WriteThrough,
@@ -564,11 +548,11 @@ func (e *Engine) FreeKVPages() int { return e.mem.FreePages() }
 func (e *Engine) TotalKVPages() int { return e.mem.TotalPages() }
 
 // FreeKVTokens reports the free device KV capacity in tokens.
-func (e *Engine) FreeKVTokens() int { return e.mem.FreePages() * e.cfg.PageTokens }
+func (e *Engine) FreeKVTokens() int { return e.mem.FreePages() * pageTokens }
 
 // KVPageTokens reports the KV page granularity in tokens (the conversion
 // factor between the prefix index's page digests and token headroom).
-func (e *Engine) KVPageTokens() int { return e.cfg.PageTokens }
+func (e *Engine) KVPageTokens() int { return pageTokens }
 
 // SetPrefixPublisher forwards the cluster's prefix-index publication hooks
 // to the KV manager (see kvcache.Manager.SetPrefixPublisher).
@@ -648,9 +632,6 @@ func (e *Engine) PrefixFootprint(session int) (tokens int, bytes int64) {
 	return e.mem.PrefixFootprint(session)
 }
 
-// QoSParams exposes the report parameterization (for cluster-level merges).
-func (e *Engine) QoSParams() metrics.QoSParams { return e.cfg.QoS }
-
 // Collect stops outstanding client reading and assembles the Result after
 // the clock has been driven to completion (or a deadline).
 func (e *Engine) Collect() *Result {
@@ -671,7 +652,7 @@ func (e *Engine) Collect() *Result {
 
 	return &Result{
 		Scheduler:           e.cfg.Scheduler.Name(),
-		Report:              metrics.Analyze(e.track.All(), makespan, e.cfg.QoS),
+		Report:              metrics.Analyze(e.track.All(), makespan, metrics.DefaultQoSParams()),
 		Samples:             e.track.Samples(),
 		KV:                  e.mem.Stats(),
 		Requests:            e.track.All(),
@@ -710,9 +691,9 @@ func (e *Engine) view(now simclock.Time) *sched.View {
 		Running:            e.running,
 		Preempted:          e.preempted,
 		Loading:            e.loading,
-		FreeTokens:         e.mem.FreePages() * e.cfg.PageTokens,
-		TotalTokens:        e.mem.TotalPages() * e.cfg.PageTokens,
-		PageTokens:         e.cfg.PageTokens,
+		FreeTokens:         e.mem.FreePages() * pageTokens,
+		TotalTokens:        e.mem.TotalPages() * pageTokens,
+		PageTokens:         pageTokens,
 		MaxBatch:           e.cfg.MaxBatch,
 		Mem:                e.mem,
 		Cost:               e.cost,

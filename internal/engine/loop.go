@@ -206,7 +206,7 @@ func (e *Engine) startIteration(now simclock.Time) bool {
 // backlog jobs as fit the token budget and device memory.
 func (e *Engine) startPrefillIteration(now simclock.Time) bool {
 	jobs := e.iterJobs[:0]
-	budget := e.cfg.MaxPrefillTokens
+	budget := maxPrefillTokens
 	for _, j := range e.backlog {
 		if len(jobs) > 0 && j.target > budget {
 			break

@@ -100,7 +100,7 @@ func ExpAutoscale() (*Table, error) {
 			default:
 				cfg.Topology = &fabric.Spec{LinkGBps: v.icGBps}
 				cfg.Autoscale = &cluster.AutoscaleConfig{
-					Policy:  autoscale.NewQueuePressure(autoscale.QueuePressureConfig{}),
+					Policy:  autoscale.NewQueuePressure(),
 					Min:     minReps,
 					Max:     maxReps,
 					Warmup:  time.Duration(v.warmup * float64(time.Second)),

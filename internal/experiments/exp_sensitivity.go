@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gpu"
-	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/request"
 	"repro/internal/sched"
@@ -296,6 +295,3 @@ func Overhead() (*Table, error) {
 	}
 	return t, nil
 }
-
-// Analyze exposes report computation for external harnesses.
-var _ = metrics.DefaultQoSParams

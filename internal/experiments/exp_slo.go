@@ -108,13 +108,11 @@ func ExpSLO() (*Table, error) {
 				var pol autoscale.Policy
 				switch v.mode {
 				case "reactive":
-					pol = autoscale.NewQueuePressure(autoscale.QueuePressureConfig{})
+					pol = autoscale.NewQueuePressure()
 				case "predictive":
-					pol = autoscale.NewPredictive(autoscale.PredictiveConfig{})
+					pol = autoscale.NewPredictive(0)
 				case "slo":
-					pol = autoscale.NewSLOTarget(autoscale.SLOTargetConfig{
-						TargetP99: time.Duration(v.target * float64(time.Second)),
-					})
+					pol = autoscale.NewSLOTarget(time.Duration(v.target * float64(time.Second)))
 				}
 				cfg.Autoscale = &cluster.AutoscaleConfig{
 					Policy: pol,

@@ -70,30 +70,27 @@ type Spec struct {
 	SwitchGBps float64
 }
 
-func (s Spec) withDefaults() Spec {
+// Normalize fills zero fields with defaults and reports layout errors.
+// Defaults apply once: normalizing a normalized Spec returns it unchanged.
+func (s Spec) Normalize() (Spec, error) {
 	if s.Kind == "" {
 		s.Kind = FullMesh
 	}
 	if s.LinkGBps == 0 {
 		s.LinkGBps = 25
 	}
-	return s
-}
-
-// Validate reports layout errors.
-func (s Spec) Validate() error {
 	switch s.Kind {
 	case FullMesh, SharedNIC:
 	default:
-		return fmt.Errorf("fabric: unknown topology kind %q (have %v)", s.Kind, Kinds())
+		return s, fmt.Errorf("fabric: unknown topology kind %q (have %v)", s.Kind, Kinds())
 	}
-	if s.LinkGBps <= 0 {
-		return fmt.Errorf("fabric: non-positive link bandwidth %v GB/s", s.LinkGBps)
+	if s.LinkGBps < 0 {
+		return s, fmt.Errorf("fabric: negative link bandwidth %v GB/s", s.LinkGBps)
 	}
 	if s.SwitchGBps < 0 {
-		return fmt.Errorf("fabric: negative switch bandwidth %v GB/s", s.SwitchGBps)
+		return s, fmt.Errorf("fabric: negative switch bandwidth %v GB/s", s.SwitchGBps)
 	}
-	return nil
+	return s, nil
 }
 
 // Topology is the named link set of one deployment: per-replica host PCIe
@@ -121,8 +118,8 @@ type Topology struct {
 
 // NewTopology builds the interconnect for the given replica count.
 func NewTopology(replicas int, spec Spec) (*Topology, error) {
-	spec = spec.withDefaults()
-	if err := spec.Validate(); err != nil {
+	spec, err := spec.Normalize()
+	if err != nil {
 		return nil, err
 	}
 	if replicas < 1 {

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -17,14 +18,70 @@ func mustTopo(t *testing.T, replicas int, spec Spec) *Topology {
 	return topo
 }
 
+// specCase is one Normalize input and the spec it must resolve to.
+type specCase struct {
+	name     string
+	in, want Spec
+}
+
+// checkNormalize runs Normalize on each case, compares the result with
+// want, and checks that normalizing twice changes nothing.
+func checkNormalize(t *testing.T, cases []specCase) {
+	t.Helper()
+	for _, c := range cases {
+		got, err := c.in.Normalize()
+		if err != nil {
+			t.Errorf("%s: Normalize() = %v", c.name, err)
+			continue
+		}
+		if got != c.want {
+			t.Errorf("%s: Normalize() = %+v, want %+v", c.name, got, c.want)
+		}
+		if again, err := got.Normalize(); err != nil || again != got {
+			t.Errorf("%s: normalizing twice = %+v, %v; want %+v", c.name, again, err, got)
+		}
+	}
+}
+
+// TestSpecNormalizeDefaults: a zero kind is the full mesh and a zero link
+// bandwidth is 25 GB/s; a zero switch stays non-blocking.
+func TestSpecNormalizeDefaults(t *testing.T) {
+	checkNormalize(t, []specCase{
+		{"zero", Spec{}, Spec{Kind: FullMesh, LinkGBps: 25}},
+		{"shared-nic-default-link", Spec{Kind: SharedNIC}, Spec{Kind: SharedNIC, LinkGBps: 25}},
+		{"link-without-kind", Spec{LinkGBps: 2}, Spec{Kind: FullMesh, LinkGBps: 2}},
+	})
+}
+
+// TestSpecNormalize: set fields stay, a switch under the full mesh is kept
+// (and ignored by the layout), and normalizing twice changes nothing.
+func TestSpecNormalize(t *testing.T) {
+	nic := Spec{Kind: SharedNIC, LinkGBps: 2, SwitchGBps: 5}
+	mesh := Spec{Kind: FullMesh, LinkGBps: 10, SwitchGBps: 5}
+	checkNormalize(t, []specCase{
+		{"shared-nic-set-fields-stay", nic, nic},
+		{"full-mesh-set-fields-stay", mesh, mesh},
+	})
+}
+
+// TestSpecValidate: every bad layout is an error that names what is
+// wrong, from Normalize and from NewTopology alike.
 func TestSpecValidate(t *testing.T) {
-	for _, bad := range []Spec{
-		{Kind: "ring", LinkGBps: 1},
-		{Kind: FullMesh, LinkGBps: -1},
-		{Kind: SharedNIC, LinkGBps: 1, SwitchGBps: -2},
-	} {
-		if bad.Validate() == nil {
-			t.Errorf("spec %+v should fail", bad)
+	cases := []struct {
+		name string
+		in   Spec
+		want string // substring of the error
+	}{
+		{"unknown-kind", Spec{Kind: "ring", LinkGBps: 1}, `"ring"`},
+		{"negative-link", Spec{Kind: FullMesh, LinkGBps: -1}, "link bandwidth -1"},
+		{"negative-switch", Spec{Kind: SharedNIC, LinkGBps: 1, SwitchGBps: -2}, "switch bandwidth -2"},
+	}
+	for _, c := range cases {
+		if _, err := c.in.Normalize(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Normalize() = %v, want an error containing %q", c.name, err, c.want)
+		}
+		if _, err := NewTopology(2, c.in); err == nil {
+			t.Errorf("%s: NewTopology accepted the spec", c.name)
 		}
 	}
 	if _, err := NewTopology(0, Spec{}); err == nil {

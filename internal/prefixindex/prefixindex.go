@@ -58,19 +58,24 @@ type Spec struct {
 	Seed int64
 }
 
-// Validate reports an error for out-of-range knobs.
-func (s Spec) Validate() error {
+// Normalize resolves the MaxStaleness default and reports an error for
+// out-of-range knobs. Defaults apply once: normalizing a normalized Spec
+// returns it unchanged.
+func (s Spec) Normalize() (Spec, error) {
 	switch {
 	case s.PropagationDelay < 0:
-		return fmt.Errorf("prefixindex: negative propagation delay %v", s.PropagationDelay)
+		return s, fmt.Errorf("prefixindex: negative propagation delay %v", s.PropagationDelay)
 	case s.DropRate < 0 || s.DropRate >= 1:
-		return fmt.Errorf("prefixindex: drop rate %v outside [0, 1)", s.DropRate)
+		return s, fmt.Errorf("prefixindex: drop rate %v outside [0, 1)", s.DropRate)
 	case s.HeartbeatEvery < 0:
-		return fmt.Errorf("prefixindex: negative heartbeat stride %v", s.HeartbeatEvery)
+		return s, fmt.Errorf("prefixindex: negative heartbeat stride %v", s.HeartbeatEvery)
 	case s.MaxStaleness < 0:
-		return fmt.Errorf("prefixindex: negative staleness bound %v", s.MaxStaleness)
+		return s, fmt.Errorf("prefixindex: negative staleness bound %v", s.MaxStaleness)
 	}
-	return nil
+	if s.MaxStaleness == 0 && s.HeartbeatEvery > 0 {
+		s.MaxStaleness = 3*s.HeartbeatEvery + s.PropagationDelay
+	}
+	return s, nil
 }
 
 // Sync reports whether the spec degenerates to a synchronous index: every
@@ -78,17 +83,6 @@ func (s Spec) Validate() error {
 // index equals the live state at every read.
 func (s Spec) Sync() bool {
 	return s.PropagationDelay == 0 && s.DropRate == 0 && s.HeartbeatEvery == 0
-}
-
-// effectiveStaleness resolves the MaxStaleness default.
-func (s Spec) effectiveStaleness() time.Duration {
-	if s.MaxStaleness > 0 {
-		return s.MaxStaleness
-	}
-	if s.HeartbeatEvery > 0 {
-		return 3*s.HeartbeatEvery + s.PropagationDelay
-	}
-	return 0
 }
 
 // EvKind labels one published event.
@@ -240,8 +234,7 @@ type repState struct {
 // from the coordinator goroutine (shards buffer publications and the
 // coordinator merges them at barriers).
 type Index struct {
-	spec      Spec
-	staleness time.Duration
+	spec Spec // normalized
 
 	reps []repState
 
@@ -280,7 +273,8 @@ type Index struct {
 // with SeedReplica and mark the initial serving set with SetActive before
 // routing.
 func New(spec Spec, n int) (*Index, error) {
-	if err := spec.Validate(); err != nil {
+	spec, err := spec.Normalize()
+	if err != nil {
 		return nil, err
 	}
 	if n <= 0 {
@@ -288,7 +282,6 @@ func New(spec Spec, n int) (*Index, error) {
 	}
 	x := &Index{
 		spec:          spec,
-		staleness:     spec.effectiveStaleness(),
 		reps:          make([]repState, n),
 		sessions:      make(map[int][]holderEnt),
 		mirrors:       make(map[int][]holderEnt),
@@ -583,10 +576,10 @@ func (x *Index) FreeTokensOf(i int) int {
 // at the index's read clock. With no bound (per-change signalling) every
 // digest is fresh.
 func (x *Index) Fresh(i int) bool {
-	if x.staleness == 0 {
+	if x.spec.MaxStaleness == 0 {
 		return true
 	}
-	return x.now.Sub(x.reps[i].updatedAt) <= x.staleness
+	return x.now.Sub(x.reps[i].updatedAt) <= x.spec.MaxStaleness
 }
 
 // Note records a routing outcome: the counters feed Stats and the latest

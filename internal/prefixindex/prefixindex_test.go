@@ -2,6 +2,7 @@ package prefixindex
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,27 +28,89 @@ func pub(at simclock.Time, replica int, kind EvKind, session int, val, aux int64
 		Session: session, Val: val, Aux: aux}
 }
 
-func TestValidate(t *testing.T) {
-	bad := []Spec{
-		{PropagationDelay: -time.Second},
-		{DropRate: -0.1},
-		{DropRate: 1},
-		{HeartbeatEvery: -time.Second},
-		{MaxStaleness: -time.Second},
-	}
-	for i, s := range bad {
-		if err := s.Validate(); err == nil {
-			t.Errorf("spec %d: want error, got nil", i)
+// normCase is one Normalize input and the spec it must resolve to.
+type normCase struct {
+	name     string
+	in, want Spec
+}
+
+// checkNormalize runs Normalize on each case, compares the result with
+// want, and checks that normalizing twice changes nothing.
+func checkNormalize(t *testing.T, cases []normCase) {
+	t.Helper()
+	for _, c := range cases {
+		got, err := c.in.Normalize()
+		if err != nil {
+			t.Errorf("%s: Normalize() = %v", c.name, err)
+			continue
+		}
+		if got != c.want {
+			t.Errorf("%s: Normalize() = %+v, want %+v", c.name, got, c.want)
+		}
+		if again, err := got.Normalize(); err != nil || again != got {
+			t.Errorf("%s: normalizing twice = %+v, %v; want %+v", c.name, again, err, got)
 		}
 	}
-	if err := (Spec{PropagationDelay: time.Second, DropRate: 0.5, HeartbeatEvery: time.Second}).Validate(); err != nil {
-		t.Errorf("valid spec rejected: %v", err)
-	}
+}
+
+// TestSpecNormalizeDefaults: the zero spec is the synchronous index and
+// stays zero; under heartbeats a zero staleness bound resolves to three
+// heartbeats plus the propagation delay.
+func TestSpecNormalizeDefaults(t *testing.T) {
+	checkNormalize(t, []normCase{
+		{"zero", Spec{}, Spec{}},
+		{"heartbeat-derives-staleness",
+			Spec{HeartbeatEvery: time.Second},
+			Spec{HeartbeatEvery: time.Second, MaxStaleness: 3 * time.Second}},
+		{"heartbeat-and-delay-derive-staleness",
+			Spec{HeartbeatEvery: time.Second, PropagationDelay: 200 * time.Millisecond},
+			Spec{HeartbeatEvery: time.Second, PropagationDelay: 200 * time.Millisecond,
+				MaxStaleness: 3200 * time.Millisecond}},
+	})
 	if !(Spec{}).Sync() {
 		t.Error("zero spec must be synchronous")
 	}
 	if (Spec{PropagationDelay: time.Second}).Sync() {
 		t.Error("delayed spec must not be synchronous")
+	}
+}
+
+// TestSpecNormalize: set fields stay, and without heartbeats a zero
+// staleness bound stays zero (per-change signals cannot go stale).
+func TestSpecNormalize(t *testing.T) {
+	set := Spec{PropagationDelay: time.Second, DropRate: 0.5, HeartbeatEvery: time.Second,
+		MaxStaleness: 10 * time.Second, Seed: 7}
+	checkNormalize(t, []normCase{
+		{"set-fields-stay", set, set},
+		{"no-heartbeat-no-staleness",
+			Spec{PropagationDelay: time.Second, DropRate: 0.25},
+			Spec{PropagationDelay: time.Second, DropRate: 0.25}},
+		{"explicit-staleness-without-heartbeat-stays",
+			Spec{MaxStaleness: time.Second}, Spec{MaxStaleness: time.Second}},
+	})
+}
+
+// TestValidate: every out-of-range knob is an error that names it.
+func TestValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		in   Spec
+		want string // substring of the error
+	}{
+		{"negative-delay", Spec{PropagationDelay: -time.Second}, "propagation delay -1s"},
+		{"negative-drop-rate", Spec{DropRate: -0.1}, "drop rate -0.1"},
+		{"drop-rate-1", Spec{DropRate: 1}, "drop rate 1"},
+		{"negative-heartbeat", Spec{HeartbeatEvery: -time.Second}, "heartbeat stride -1s"},
+		{"negative-staleness", Spec{MaxStaleness: -time.Second}, "staleness bound -1s"},
+	}
+	for _, c := range cases {
+		_, err := c.in.Normalize()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Normalize() = %v, want an error containing %q", c.name, err, c.want)
+		}
+		if _, err := New(c.in, 2); err == nil {
+			t.Errorf("%s: New accepted the spec", c.name)
+		}
 	}
 }
 

@@ -238,7 +238,8 @@ func (p *WeightedCapacity) Score(_ Request, r Replica) float64 {
 // session) — the AIBrix-style prefix-cache-aware routing policy. Under the
 // unified residency model the prefix competes with live requests for
 // pages, so the policy consults the target before sticking and falls back
-// to least-queue when the target cannot serve the session well:
+// to the capacity-weighted pick when the target cannot serve the session
+// well:
 //
 //   - Memory: a replica too full to hold the request's full lifetime
 //     context (prompt plus decode growth, counting the pinned prefix

@@ -26,34 +26,30 @@ type Andes struct {
 	// Quantum is the rescheduling period.
 	Quantum time.Duration
 
-	// TTFTTarget is the responsiveness SLO; waiting requests gain urgency
-	// as they approach and exceed it (the 1.3s threshold of §2.2).
-	TTFTTarget time.Duration
-
-	// BufferHorizon is the playback depth (in seconds of client
-	// consumption) Andes tries to maintain per stream; running requests
-	// with more buffered than this are preemption candidates.
-	BufferHorizon float64
-
-	// ProtectSeconds guards streams whose buffer is below this many
-	// seconds from preemption (preempting them would stall playback
-	// within the quantum).
-	ProtectSeconds float64
-
 	lastDecision simclock.Time
 	decided      bool
 }
 
+// Andes tuning used in the paper's comparisons.
+const (
+	// andesTTFTTarget is the responsiveness SLO; waiting requests gain
+	// urgency as they approach and exceed it (the 1.3s threshold of §2.2).
+	andesTTFTTarget = 1300 * time.Millisecond
+
+	// andesBufferHorizon is the playback depth (in seconds of client
+	// consumption) Andes tries to maintain per stream; running requests
+	// with more buffered than this are preemption candidates.
+	andesBufferHorizon float64 = 4.0
+
+	// andesProtectSeconds guards streams whose buffer is below this many
+	// seconds from preemption (preempting them would stall playback
+	// within the quantum).
+	andesProtectSeconds float64 = 2.0
+)
+
 // NewAndes returns the Andes baseline with the defaults used in the
 // paper's comparisons.
-func NewAndes() *Andes {
-	return &Andes{
-		Quantum:        time.Second,
-		TTFTTarget:     1300 * time.Millisecond,
-		BufferHorizon:  4.0,
-		ProtectSeconds: 2.0,
-	}
-}
+func NewAndes() *Andes { return &Andes{Quantum: time.Second} }
 
 // Name implements Scheduler.
 func (a *Andes) Name() string { return "andes" }
@@ -67,12 +63,12 @@ func (a *Andes) score(v *View, r *request.Request, running bool) float64 {
 		// Not yet responsive: urgency grows with queueing relative to the
 		// TTFT target.
 		wait := v.Now.Sub(r.Arrival).Seconds()
-		return 2 + wait/a.TTFTTarget.Seconds()
+		return 2 + wait/andesTTFTTarget.Seconds()
 	}
 	// Streaming: urgency decays exponentially with buffered playback
 	// seconds — an empty buffer stalls within 1/r seconds.
 	buf := r.BufferSeconds()
-	s := 2 * math.Exp(-buf/a.BufferHorizon)
+	s := 2 * math.Exp(-buf/andesBufferHorizon)
 	if running {
 		// Mild stickiness: switching costs a recompute, so prefer keeping
 		// a running request over resuming an equal-urgency preempted one.
@@ -140,7 +136,7 @@ func (a *Andes) Decide(v *View) Decision {
 		if selected[r.ID] {
 			continue
 		}
-		if !r.PrefillDone() || r.BufferSeconds() < a.ProtectSeconds {
+		if !r.PrefillDone() || r.BufferSeconds() < andesProtectSeconds {
 			continue // never strand a stream mid-prefill or near-empty
 		}
 		d.Preempt = append(d.Preempt, r)

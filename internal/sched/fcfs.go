@@ -14,22 +14,22 @@ type FCFS struct {
 	// ChunkTokens bounds prompt tokens per mixed iteration; 0 disables
 	// chunking.
 	ChunkTokens int
-
-	// Headroom reserves a fraction of the pool at admission time so that
-	// running requests have room to grow before the reactive OOM path
-	// kicks in (SGLang's new-token ratio reservation).
-	Headroom float64
 }
 
+// fcfsHeadroom reserves a fraction of the pool at admission time so that
+// running requests have room to grow before the reactive OOM path kicks
+// in (SGLang's new-token ratio reservation).
+const fcfsHeadroom float64 = 0.05
+
 // NewSGLang returns the unchunked SGLang baseline.
-func NewSGLang() *FCFS { return &FCFS{Headroom: 0.05} }
+func NewSGLang() *FCFS { return &FCFS{} }
 
 // NewSGLangChunked returns the chunked-prefill SGLang baseline.
 func NewSGLangChunked(chunkTokens int) *FCFS {
 	if chunkTokens <= 0 {
 		chunkTokens = 512
 	}
-	return &FCFS{ChunkTokens: chunkTokens, Headroom: 0.05}
+	return &FCFS{ChunkTokens: chunkTokens}
 }
 
 // Name implements Scheduler.
@@ -49,7 +49,7 @@ func (f *FCFS) PrefillChunkTokens() int { return f.ChunkTokens }
 // when one exists.
 func (f *FCFS) Decide(v *View) Decision {
 	var d Decision
-	avail := v.FreeTokens - v.BacklogTokens() - int(f.Headroom*float64(v.TotalTokens))
+	avail := v.FreeTokens - v.BacklogTokens() - int(fcfsHeadroom*float64(v.TotalTokens))
 	slots := v.SlotsFree()
 
 	// Victims of reactive eviction resume first (FCFS by arrival among

@@ -2,7 +2,9 @@ package tokenflow_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/tokenflow"
 )
@@ -94,6 +96,39 @@ func TestAutoscaleMinOverMaxErrors(t *testing.T) {
 	}
 }
 
+// TestAutoscaleRejectsNegativeTuning: a negative SLO target or forecast
+// rate is an error under every policy, not a controller that runs with
+// its sign flipped and never scales up.
+func TestAutoscaleRejectsNegativeTuning(t *testing.T) {
+	w := tokenflow.SessionWorkload(5, 30, 20, 9)
+	cases := []struct {
+		name string
+		spec tokenflow.AutoscaleSpec
+		want string // substring of the error
+	}{
+		{"negative-slo-target", tokenflow.AutoscaleSpec{
+			Policy: tokenflow.AutoscaleSLOTarget, TargetP99TTFT: -2 * time.Second}, "target P99 TTFT -2s"},
+		{"negative-slo-target-other-policy", tokenflow.AutoscaleSpec{
+			Policy: tokenflow.AutoscaleQueuePressure, TargetP99TTFT: -time.Second}, "target P99 TTFT -1s"},
+		{"negative-forecast-rate", tokenflow.AutoscaleSpec{
+			Policy: tokenflow.AutoscalePredictive, ForecastRatePerReplica: -1}, "forecast rate -1"},
+		{"negative-forecast-rate-other-policy", tokenflow.AutoscaleSpec{
+			Policy: tokenflow.AutoscaleKVUtilization, ForecastRatePerReplica: -0.5}, "forecast rate -0.5"},
+	}
+	for _, c := range cases {
+		spec := c.spec
+		_, err := tokenflow.RunCluster(tokenflow.ClusterConfig{
+			Config:    tokenflow.Config{GPU: "RTX-4090", Model: "Llama3-8B"},
+			Replicas:  2,
+			Router:    tokenflow.RouterLeastQueue,
+			Autoscale: &spec,
+		}, w)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: RunCluster = %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+}
+
 // TestAutoscaleBeatsFixedPools is the headline trade: under the spike
 // workload, the autoscaled pool with KV pre-warming must beat the fixed
 // small pool on P99 TTFT (it adds capacity when spikes land) and the fixed
@@ -162,7 +197,7 @@ func TestPrewarmBeatsColdWarmup(t *testing.T) {
 			Router:   tokenflow.RouterSessionAffinity,
 			Autoscale: &tokenflow.AutoscaleSpec{
 				MinReplicas:   1,
-				WarmupSeconds: 5, Prewarm: prewarm, PrewarmTopK: 8,
+				WarmupSeconds: 5, Prewarm: prewarm,
 			},
 		}, w)
 	}

@@ -31,8 +31,9 @@ const (
 	// heterogeneous pools.
 	RouterWeightedCapacity RouterPolicy = "weighted-capacity"
 	// RouterSessionAffinity sticks multi-turn sessions to the replica
-	// holding their pinned prefix KV, falling back to least-queue for
-	// stateless requests and overloaded targets.
+	// holding their pinned prefix KV, falling back to weighted-capacity
+	// for stateless requests and overloaded targets (on a homogeneous pool
+	// that is the least-queue pick).
 	RouterSessionAffinity RouterPolicy = "session-affinity"
 	// RouterIndexedLeastQueue is least-queue against the event-published
 	// prefix index: the winner is an O(1) tree-root read, so the
@@ -161,8 +162,10 @@ type FaultSpec struct {
 	From, To int
 }
 
-// ChaosSpec is the fault-injection plan plus the recovery knobs. The zero
-// value injects nothing.
+// ChaosSpec is the fault-injection plan plus pin redundancy. The zero
+// value injects nothing. Recovery itself is fixed: a crash is detected
+// after 0.25 s of missed heartbeats, and each orphaned request is
+// re-routed up to 3 times with a backoff of 0.25 s doubling per attempt.
 type ChaosSpec struct {
 	// Faults is the scripted fault plan.
 	Faults []FaultSpec
@@ -174,23 +177,11 @@ type ChaosSpec struct {
 	Seed           int64
 	HorizonSeconds float64
 
-	// RetryMax caps re-routing attempts per crash-orphaned request before
-	// it counts failed (default 3). RetryBackoffSeconds is the first retry
-	// delay, doubling per attempt (default 0.25). DetectDelaySeconds
-	// models the gateway noticing a crash via missed heartbeats (default
-	// 0.25).
-	RetryMax            int
-	RetryBackoffSeconds float64
-	DetectDelaySeconds  float64
-
 	// Redundancy is the pin-redundancy factor K: host-tier mirrors of
 	// every pinned session prefix are kept on K-1 backup replicas
-	// (refreshed every ReplicateEverySeconds, at most
-	// ReplicateConcurrency copies in flight) and re-pinned from the
-	// backups after a crash. 0 or 1 disables redundancy.
-	Redundancy            int
-	ReplicateEverySeconds float64
-	ReplicateConcurrency  int
+	// (refreshed every 5 s, at most 2 copies in flight) and re-pinned
+	// from the backups after a crash. 0 or 1 disables redundancy.
+	Redundancy int
 }
 
 // chaosSpec maps the public spec onto the internal chaos spec.
@@ -199,15 +190,10 @@ func (s *ChaosSpec) chaosSpec() (*chaos.Spec, error) {
 		return nil, nil
 	}
 	out := &chaos.Spec{
-		RandomFaults:         s.RandomFaults,
-		Seed:                 s.Seed,
-		Horizon:              simclock.FromSeconds(s.HorizonSeconds),
-		RetryMax:             s.RetryMax,
-		RetryBackoff:         time.Duration(s.RetryBackoffSeconds * float64(time.Second)),
-		DetectDelay:          time.Duration(s.DetectDelaySeconds * float64(time.Second)),
-		Redundancy:           s.Redundancy,
-		ReplicateEvery:       time.Duration(s.ReplicateEverySeconds * float64(time.Second)),
-		ReplicateConcurrency: s.ReplicateConcurrency,
+		RandomFaults: s.RandomFaults,
+		Seed:         s.Seed,
+		Horizon:      simclock.FromSeconds(s.HorizonSeconds),
+		Redundancy:   s.Redundancy,
 	}
 	for i, f := range s.Faults {
 		g := chaos.Fault{
@@ -350,33 +336,22 @@ func AutoscalePolicies() []AutoscalePolicy {
 		AutoscaleSLOTarget, AutoscalePredictive}
 }
 
-// ForecastSpec tunes the predictive policy's arrival-rate model. The zero
-// value selects the defaults noted per field.
-type ForecastSpec struct {
-	// Alpha and Beta are the Holt double-exponential smoothing gains for
-	// the rate level and trend (defaults 0.35 and 0.15).
-	Alpha, Beta float64
-	// RatePerReplica is the steady arrival rate in req/s one replica
-	// absorbs without queue growth (default 0.6, roughly one RTX-4090
-	// Llama3-8B replica on the session workloads) — the capacity model
-	// the forecast is divided by to size the pool.
-	RatePerReplica float64
-	// Headroom scales the forecast before sizing the pool (default 1.0).
-	Headroom float64
-}
-
 // AutoscaleSpec parameterizes SLO-driven replica autoscaling. The replica
 // layout (Replicas or ReplicaSpecs) is the pool, so its size is also the
-// autoscaling maximum.
+// autoscaling maximum. The control loop ticks once per second, every run
+// starts with MinReplicas active, and a pre-warm ships at most the 8
+// hottest pins per donor.
 type AutoscaleSpec struct {
 	// Policy selects the scale-decision policy (default
-	// AutoscaleQueuePressure).
+	// AutoscaleQueuePressure). Queue-pressure grows at 8 or more
+	// outstanding requests per provisioned replica and shrinks at 1 or
+	// fewer; kv-utilization grows at 85% pooled KV use or more and shrinks
+	// at 30% or less.
 	Policy AutoscalePolicy
 
 	// MinReplicas bounds the in-service replica set from below (default 1;
-	// above the layout size is an error). InitialReplicas is the active
-	// count at t=0 (default MinReplicas).
-	MinReplicas, InitialReplicas int
+	// above the layout size is an error).
+	MinReplicas int
 
 	// ScaleToZero forces MinReplicas to 0 and fronts the cluster with a
 	// gateway queue: arrivals while no replica is active are buffered
@@ -390,69 +365,48 @@ type AutoscaleSpec struct {
 	// though each still triggers the cold start).
 	GatewayDepth int
 
-	// TargetP99TTFT is the slo-target policy's latency goal (default 2s).
+	// TargetP99TTFT is the slo-target policy's latency goal (default 2s;
+	// negative is an error).
 	TargetP99TTFT time.Duration
 
-	// Forecast tunes the predictive policy's arrival-rate model; nil
-	// selects the defaults.
-	Forecast *ForecastSpec
+	// ForecastRatePerReplica is the predictive policy's capacity model:
+	// the steady arrival rate in req/s one replica absorbs without queue
+	// growth, which the Holt forecast is divided by to size the pool
+	// (default 0.6, roughly one RTX-4090 Llama3-8B replica on the session
+	// workloads; negative is an error).
+	ForecastRatePerReplica float64
 
 	// WarmupSeconds is the latency a scale-up pays before the new replica
 	// accepts traffic — model load plus allocator init (default 8;
 	// negative means instant).
 	WarmupSeconds float64
 
-	// ControlEverySeconds is the autoscaler control-loop tick (default 1).
-	ControlEverySeconds float64
-
 	// Prewarm overlaps each warm-up with KV pre-warming: the hottest
 	// pinned session prefixes migrate from the active replicas to the
 	// warming one over the interconnect, so its first requests hit the
 	// prefix cache instead of recomputing.
 	Prewarm bool
-
-	// PrewarmTopK caps the pins shipped per pre-warm (default 8).
-	PrewarmTopK int
-
-	// ScaleUpPressure / ScaleDownPressure tune the queue-pressure policy:
-	// outstanding requests per provisioned replica above which to grow
-	// (default 8) and below which to shrink (default 1).
-	ScaleUpPressure, ScaleDownPressure float64
-
-	// KVUtilHigh / KVUtilLow tune the kv-utilization policy: pooled
-	// used-page fractions above which to grow (default 0.85) and below
-	// which to shrink (default 0.30).
-	KVUtilHigh, KVUtilLow float64
 }
 
-// policy constructs the internal autoscale policy the spec names.
+// policy validates the spec's policy tuning and constructs the internal
+// autoscale policy it names.
 func (s AutoscaleSpec) policy() (autoscale.Policy, error) {
+	switch {
+	case s.TargetP99TTFT < 0:
+		return nil, fmt.Errorf("tokenflow: autoscale target P99 TTFT %v must not be negative", s.TargetP99TTFT)
+	case s.ForecastRatePerReplica < 0:
+		return nil, fmt.Errorf("tokenflow: autoscale forecast rate %v req/s per replica must not be negative",
+			s.ForecastRatePerReplica)
+	}
 	switch s.Policy {
 	case "", AutoscaleQueuePressure:
-		return autoscale.NewQueuePressure(autoscale.QueuePressureConfig{
-			UpPressure:   s.ScaleUpPressure,
-			DownPressure: s.ScaleDownPressure,
-		}), nil
+		return autoscale.NewQueuePressure(), nil
 	case AutoscaleKVUtilization:
-		return autoscale.NewKVUtilization(autoscale.KVUtilizationConfig{
-			HighUtil: s.KVUtilHigh,
-			LowUtil:  s.KVUtilLow,
-		}), nil
+		return autoscale.NewKVUtilization(), nil
 	case AutoscaleSLOTarget:
-		return autoscale.NewSLOTarget(autoscale.SLOTargetConfig{
-			TargetP99: s.TargetP99TTFT,
-		}), nil
+		return autoscale.NewSLOTarget(s.TargetP99TTFT), nil
 	case AutoscalePredictive:
-		var f ForecastSpec
-		if s.Forecast != nil {
-			f = *s.Forecast
-		}
-		return autoscale.NewPredictive(autoscale.PredictiveConfig{
-			Alpha:          f.Alpha,
-			Beta:           f.Beta,
-			RatePerReplica: f.RatePerReplica,
-			Headroom:       f.Headroom,
-		}), nil
+		return autoscale.NewPredictive(s.ForecastRatePerReplica), nil
 	default:
 		return nil, fmt.Errorf("tokenflow: unknown autoscale policy %q (have %v)",
 			s.Policy, AutoscalePolicies())
@@ -683,11 +637,8 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 			Policy:       pol,
 			Min:          spec.MinReplicas,
 			Max:          len(reps),
-			Initial:      spec.InitialReplicas,
 			Warmup:       simclock.Duration(spec.WarmupSeconds),
-			ControlEvery: simclock.Duration(spec.ControlEverySeconds),
 			Prewarm:      spec.Prewarm,
-			PrewarmTopK:  spec.PrewarmTopK,
 			ScaleToZero:  spec.ScaleToZero,
 			GatewayDepth: spec.GatewayDepth,
 		}

@@ -226,7 +226,6 @@ func buildEngineConfig(cfg Config) (engine.Config, error) {
 		GPU:         g,
 		Model:       m,
 		MemFraction: cfg.MemFraction,
-		QoS:         metrics.DefaultQoSParams(),
 	}
 	switch cfg.System {
 	case SystemSGLang:

@@ -1,6 +1,7 @@
 package tokenflow
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -159,6 +160,26 @@ func TestMaxSimTime(t *testing.T) {
 	}
 	if !res.TimedOut {
 		t.Error("2-second cap should time out this workload")
+	}
+}
+
+// TestRunRejectsNegativeTimes: a negative deadline or sample period is an
+// error, not a run that times out at once or silently records nothing.
+func TestRunRejectsNegativeTimes(t *testing.T) {
+	w := BurstWorkload(8, 128, 64, 20, 3)
+	cases := []struct {
+		name string
+		cfg  Config
+		want string // substring of the error
+	}{
+		{"negative-max-sim-time", Config{MaxSimTimeSeconds: -5}, "max sim time -5s"},
+		{"negative-sample-every", Config{SampleEverySeconds: -1}, "sample period -1s"},
+	}
+	for _, c := range cases {
+		res, err := Run(c.cfg, w)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Run = %+v, %v; want an error containing %q", c.name, res, err, c.want)
+		}
 	}
 }
 
