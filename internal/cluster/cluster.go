@@ -574,6 +574,16 @@ type Cluster struct {
 	views        []router.Replica
 	arrivalsDone bool
 
+	// viewScratch backs routable's filtered view under autoscaling or
+	// chaos; each routing decision is done with it before the next.
+	viewScratch []router.Replica
+
+	// Pin-holder table readers (holders.go): holdersForPick marks a policy
+	// that routes on Request.PrefixHolders; holderScratch is the merged
+	// holder list prefixHolders returns.
+	holdersForPick bool
+	holderScratch  []int
+
 	// Sharded execution (see shards.go): shards[s] owns the sub-clock of
 	// replicas with id ≡ s (mod len(shards)); there is always at least one.
 	// busyShards and ttftScratch are reused barrier scratch buffers.
@@ -774,6 +784,7 @@ func New(cfg Config, build BuildEngine) (*Cluster, error) {
 	if err := c.initPrefixIndex(); err != nil {
 		return nil, err
 	}
+	c.initPinHolders()
 	if err := c.initChaos(); err != nil {
 		return nil, err
 	}
@@ -826,7 +837,7 @@ func (c *Cluster) Run(w trace.Workload) (*Result, error) {
 				c.gatewayAdmit(id, it, now)
 				return
 			}
-			if c.chaos != nil && len(c.routable()) == 0 {
+			if c.chaos != nil && !c.anyRoutable() {
 				// Every replica is crash-dead and there is no gateway to
 				// wait in: the arrival sheds at the cluster edge.
 				c.shedCrashed(id, it, now)
@@ -912,27 +923,41 @@ func (c *Cluster) validate(w trace.Workload) error {
 // Warming, draining, and off replicas are invisible to routing — the
 // drain guarantee (no request ever lands on a draining replica) is
 // enforced here, by construction. The slice preserves replica-ID order, so
-// the router's by-ID tie-breaking matches by-index iteration.
+// the router's by-ID tie-breaking matches by-index iteration. Under
+// autoscaling or chaos it is the cluster's scratch view, valid until the
+// next call.
 func (c *Cluster) routable() []router.Replica {
-	if c.cfg.Autoscale == nil {
-		if c.chaos == nil {
-			return c.views
-		}
-		out := make([]router.Replica, 0, len(c.replicas))
-		for _, rep := range c.replicas {
-			if !rep.eng.Crashed() {
-				out = append(out, rep)
-			}
-		}
-		return out
+	if c.cfg.Autoscale == nil && c.chaos == nil {
+		return c.views
 	}
-	out := make([]router.Replica, 0, len(c.replicas))
+	out := c.viewScratch[:0]
 	for _, rep := range c.replicas {
-		if rep.state == autoscale.Active {
+		if c.isRoutable(rep) {
 			out = append(out, rep)
 		}
 	}
+	c.viewScratch = out
 	return out
+}
+
+// isRoutable reports whether rep belongs in the routing view: active under
+// autoscaling, otherwise alive.
+func (c *Cluster) isRoutable(rep *replica) bool {
+	if c.cfg.Autoscale != nil {
+		return rep.state == autoscale.Active
+	}
+	return !rep.eng.Crashed()
+}
+
+// anyRoutable reports whether routable would be non-empty, without
+// building the view.
+func (c *Cluster) anyRoutable() bool {
+	for _, rep := range c.replicas {
+		if c.isRoutable(rep) {
+			return true
+		}
+	}
+	return false
 }
 
 // route asks the policy to pick among the currently active replicas,
@@ -961,6 +986,9 @@ func (c *Cluster) route(id int, it trace.Item) *replica {
 		Turn:      it.Turn,
 		PromptLen: it.PromptLen,
 		OutputLen: it.OutputLen,
+	}
+	if c.holdersForPick && it.Session != 0 {
+		rr.PrefixHolders = c.prefixHolders(it.Session)
 	}
 	if c.idx != nil {
 		// Absorb every publication due by now, so the policy reads a
@@ -1008,32 +1036,8 @@ func (c *Cluster) maybeMigrate(r *request.Request, it trace.Item, target *replic
 	if !c.cfg.Migrate || it.Session == 0 {
 		return false
 	}
-	// The donor is the replica pinning the most of this session's prefix —
-	// but only a strictly extendable prefix (smaller than the prompt) is
-	// worth shipping, and only if it beats what the target already holds.
-	// Off replicas hold no pins; warming and draining replicas may (a
-	// pre-warmed or not-yet-drained pin), and donating is exactly what
-	// they should do.
 	targetOwn := target.eng.CachedPrefixTokens(it.Session)
-	donor, best := -1, targetOwn
-	if c.idx != nil {
-		// The index's holder map replaces the full pool scan: O(holders)
-		// instead of O(replicas), and the gateway decides on its own
-		// (possibly stale) view — a believed donor whose pin is already
-		// gone fails BeginPrefixMigration below and the turn recomputes.
-		if r, t, ok := c.idx.DonorFor(it.Session, target.id, targetOwn, it.PromptLen); ok {
-			donor, best = r, t
-		}
-	} else {
-		for _, rep := range c.replicas {
-			if rep == target {
-				continue
-			}
-			if t := rep.eng.CachedPrefixTokens(it.Session); t > best && t < it.PromptLen {
-				donor, best = rep.id, t
-			}
-		}
-	}
+	donor, best := c.pinDonor(it.Session, target, targetOwn, it.PromptLen)
 	if donor < 0 {
 		return false
 	}
@@ -1057,6 +1061,37 @@ func (c *Cluster) maybeMigrate(r *request.Request, it trace.Item, target *replic
 		&c.ctr.Migrations, &c.ctr.MigratedTokens, r, func(t simclock.Time) {
 			target.eng.InjectCause(r, t, obs.QueueCauseMigrate)
 		})
+}
+
+// pinDonor picks the replica to ship a session's pinned prefix from: the
+// one pinning the most of it (the lowest ID on a tie) — but only a
+// strictly extendable prefix (smaller than the prompt) is worth shipping,
+// and only if it beats targetOwn, what the target already holds. Off
+// replicas hold no pins; warming and draining replicas may (a pre-warmed
+// or not-yet-drained pin), and donating is exactly what they should do. It
+// returns donor -1 and best targetOwn when no replica qualifies.
+func (c *Cluster) pinDonor(session int, target *replica, targetOwn, promptLen int) (donor, best int) {
+	if c.idx != nil {
+		// The gateway decides on the index's own (possibly stale) view —
+		// a believed donor whose pin is already gone fails
+		// BeginPrefixMigration and the turn recomputes.
+		if r, t, ok := c.idx.DonorFor(session, target.id, targetOwn, promptLen); ok {
+			return r, t
+		}
+		return -1, targetOwn
+	}
+	// Only the exact pin holders can donate: O(holders), in ascending ID
+	// order like a scan of the whole pool.
+	donor, best = -1, targetOwn
+	for _, id := range c.prefixHolders(session) {
+		if id == target.id {
+			continue
+		}
+		if t := c.replicas[id].eng.CachedPrefixTokens(session); t > best && t < promptLen {
+			donor, best = id, t
+		}
+	}
+	return donor, best
 }
 
 // done reports whether all arrivals were injected (including requests

@@ -70,8 +70,9 @@ func (c *Cluster) initPrefixIndex() error {
 	return nil
 }
 
-// installPublishers hooks every replica's KV manager and engine into the
-// publication stream. Each replica owns a sequence counter (pubSeq); the
+// installPublishers hooks every replica's engine load signal into the
+// publication stream and builds the per-replica emitters the KV hooks
+// publish through. Each replica owns a sequence counter (pubSeq); the
 // drop decision is a deterministic function of (seed, replica, sequence),
 // so a run reproduces its losses whatever the shard count. Fabric
 // accounting for the publication stream is deferred: pubSeq already counts
@@ -113,11 +114,9 @@ func (c *Cluster) installPublishers() {
 			// (mergePubs).
 			sh.pubs = append(sh.pubs, p)
 		}
+		// The KV pin and mirror hooks publish through emit too; they are
+		// installed with the pin-holder table's (initPinHolders).
 		c.pubFns[i] = emit
-		rep.eng.SetPrefixPublisher(
-			func(session, tokens int) { emit(prefixindex.EvPin, session, int64(tokens), 0) },
-			func(session, tokens int) { emit(prefixindex.EvMirror, session, int64(tokens), 0) },
-		)
 		if c.idxSpec.HeartbeatEvery == 0 {
 			rep.eng.SetLoadObserver(func(outstanding int) {
 				emit(prefixindex.EvLoad, 0, int64(outstanding), 0)

@@ -86,6 +86,9 @@ type shard struct {
 	// replicas since the last barrier; the coordinator merges them into
 	// the index in (time, replica, sequence) order (index.go).
 	pubs []prefixindex.Pub
+	// holders is the pin-holder table of this shard's replicas (nil when
+	// nothing reads it); see holders.go.
+	holders holderTable
 }
 
 // advance runs every shard event strictly before barrier — never past the

@@ -554,8 +554,8 @@ func (e *Engine) FreeKVTokens() int { return e.mem.FreePages() * pageTokens }
 // factor between the prefix index's page digests and token headroom).
 func (e *Engine) KVPageTokens() int { return pageTokens }
 
-// SetPrefixPublisher forwards the cluster's prefix-index publication hooks
-// to the KV manager (see kvcache.Manager.SetPrefixPublisher).
+// SetPrefixPublisher forwards the cluster's pin and mirror publication
+// hooks (prefix index, pin-holder table) to the KV manager (see kvcache.Manager.SetPrefixPublisher).
 func (e *Engine) SetPrefixPublisher(pin, mirror func(session, tokens int)) {
 	e.mem.SetPrefixPublisher(pin, mirror)
 }

@@ -203,11 +203,12 @@ type Manager struct {
 	obsReplica int
 
 	// pubPin / pubMirror publish pin and host-mirror lifecycle changes to
-	// the cluster's prefix index (nil = no index, free). pubPin fires with
-	// the session's pinned tokens after every transition that changes what
-	// a router probe would see — insert, eviction, adoption, supersession,
-	// migration staking — with tokens 0 when the prefix leaves the device.
-	// pubMirror is the host-tier analogue.
+	// the cluster's prefix index and pin-holder table (nil = nobody
+	// listens, free). pubPin fires with the new PeekPrefix value after
+	// every transition that changes it — insert, eviction, adoption,
+	// supersession, migration staking and its abort, crash — with tokens 0
+	// when the prefix leaves the device, so a subscriber can keep an exact
+	// holder set. pubMirror is the host-tier analogue.
 	pubPin    func(session, tokens int)
 	pubMirror func(session, tokens int)
 
@@ -269,9 +270,10 @@ func (m *Manager) SetObs(rec *obs.Recorder, replica int) {
 	m.obsReplica = replica
 }
 
-// SetPrefixPublisher installs the prefix-index publication hooks. Both
-// are optional (nil = no publication); installation happens before the
-// run starts, so the index sees every lifecycle transition. The hooks
+// SetPrefixPublisher installs the pin and host-mirror publication hooks
+// (the cluster's prefix index and pin-holder table). Both are optional
+// (nil = no publication); installation happens before the run starts, so
+// the subscriber sees every lifecycle transition. The hooks
 // run synchronously inside cache mutations — propagation delay and drops
 // are the subscriber's model, not the manager's.
 func (m *Manager) SetPrefixPublisher(pin, mirror func(session, tokens int)) {

@@ -93,23 +93,15 @@ func (m *Manager) insertPin(p *pin) {
 // removePin unregisters a pin without releasing its pool pages. insertPin
 // and removePin are the pin set's only mutation choke points, so
 // publishing here covers every lifecycle path — eviction, adoption,
-// supersession, migration completion, install replacement.
+// supersession, migration completion, install replacement, crash.
 func (m *Manager) removePin(p *pin) {
-	m.removePinQuiet(p)
-	if m.pubPin != nil {
-		m.pubPin(p.session, 0)
-	}
-}
-
-// removePinQuiet is removePin without the index publication — for the
-// supersede path only, where insertPin publishes the session's new pin at
-// the same instant: the wire sees one pin update, not a remove/re-add
-// pair, and the index mutates the holder entry in place.
-func (m *Manager) removePinQuiet(p *pin) {
 	delete(m.pins, p.session)
 	m.pinOrder.Remove(p.elem)
 	p.elem = nil
 	m.pinnedPages -= p.pages
+	if m.pubPin != nil {
+		m.pubPin(p.session, 0)
+	}
 }
 
 // ReleaseAsPrefix converts a finished request's resident pages into a

@@ -12,7 +12,7 @@ import (
 // load, plus a bound degenerate prefix index carrying the same view: every
 // session 1..n is pinned somewhere, so affinity picks exercise the holder
 // lookup rather than short-circuiting on a miss.
-func benchState(n int) ([]Replica, *prefixindex.Index) {
+func benchState(n int) ([]Replica, *prefixindex.Index, []int) {
 	reps := make([]Replica, n)
 	x, err := prefixindex.New(prefixindex.Spec{}, n)
 	if err != nil {
@@ -27,13 +27,23 @@ func benchState(n int) ([]Replica, *prefixindex.Index) {
 		x.Publish(prefixindex.Pub{Replica: i, Kind: prefixindex.EvLoad,
 			Session: -1, Val: int64(f.queue)})
 	}
+	holders := make([]int, n) // session s's single holder is holders[s-1]
 	for s := 1; s <= n; s++ {
 		holder := (s * 13) % n
+		holders[s-1] = holder
 		reps[holder].(*fakeReplica).cached[s] = 640
 		x.Publish(prefixindex.Pub{Replica: holder, Kind: prefixindex.EvPin,
 			Session: s, Val: 640})
 	}
-	return reps, x
+	return reps, x, holders
+}
+
+// benchRequest is the i-th benchmark request over n replicas, carrying its
+// session's holder as the cluster would.
+func benchRequest(i, n int, holders []int) Request {
+	s := 1 + i%n
+	return Request{ID: i, Session: s, Turn: 2, PromptLen: 512, OutputLen: 128,
+		PrefixHolders: holders[s-1 : s]}
 }
 
 func benchPolicies(x *prefixindex.Index) []Policy {
@@ -44,19 +54,17 @@ func benchPolicies(x *prefixindex.Index) []Policy {
 }
 
 // BenchmarkRouterPick measures one routing decision at 4, 64, and 500
-// replicas. The omniscient policies scan the pool, so their per-decision
-// cost grows with N; the indexed policies read the prefix index's maps and
-// tournament-tree roots, so theirs must stay flat — the property
-// TestRouterPickFlatness gates in CI.
+// replicas. The omniscient policies scan the pool's load signals, so
+// their per-decision cost grows with N; the indexed policies read the
+// prefix index's maps and tournament-tree roots, so theirs must stay flat
+// — the property TestRouterPickFlatness gates in CI.
 func BenchmarkRouterPick(b *testing.B) {
 	for _, n := range []int{4, 64, 500} {
-		reps, x := benchState(n)
+		reps, x, holders := benchState(n)
 		for _, p := range benchPolicies(x) {
 			b.Run(fmt.Sprintf("%s/replicas=%d", p.Name(), n), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					req := Request{ID: i, Session: 1 + i%n, Turn: 2,
-						PromptLen: 512, OutputLen: 128}
-					_ = p.Pick(req, reps)
+					_ = p.Pick(benchRequest(i, n, holders), reps)
 				}
 			})
 		}
@@ -77,15 +85,13 @@ func TestRouterPickFlatness(t *testing.T) {
 	}
 	const flatness = 1.5
 	cost := func(mk func(*prefixindex.Index) Policy, n int) float64 {
-		reps, x := benchState(n)
+		reps, x, holders := benchState(n)
 		p := mk(x)
 		best := 0.0
 		for trial := 0; trial < 3; trial++ {
 			r := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					req := Request{ID: i, Session: 1 + i%n, Turn: 2,
-						PromptLen: 512, OutputLen: 128}
-					_ = p.Pick(req, reps)
+					_ = p.Pick(benchRequest(i, n, holders), reps)
 				}
 			})
 			ns := float64(r.T.Nanoseconds()) / float64(r.N)

@@ -30,6 +30,21 @@ type IndexBinder interface {
 // O(log N) on the hot path; the linear sweep only backstops synthetic
 // test views that shuffle replicas arbitrarily.
 func viewIndexOf(replicas []Replica, id int) int {
+	if i := sortedViewIndexOf(replicas, id); i >= 0 {
+		return i
+	}
+	for i, r := range replicas {
+		if r.ID() == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// sortedViewIndexOf is viewIndexOf for a view in ascending ID order: the
+// direct probe, then a binary search, and -1 when the replica is not in
+// the view.
+func sortedViewIndexOf(replicas []Replica, id int) int {
 	if id >= 0 && id < len(replicas) && replicas[id].ID() == id {
 		return id
 	}
@@ -44,11 +59,6 @@ func viewIndexOf(replicas []Replica, id int) int {
 	}
 	if lo < len(replicas) && replicas[lo].ID() == id {
 		return lo
-	}
-	for i, r := range replicas {
-		if r.ID() == id {
-			return i
-		}
 	}
 	return -1
 }
@@ -114,7 +124,8 @@ func (p *IndexedLeastQueue) Score(_ Request, r Replica) float64 {
 // guards divert to the capacity-weighted tree winner.
 type IndexedSessionAffinity struct {
 	idx *prefixindex.Index
-	// scan backstops unbound use and index/view disagreement.
+	// scan backstops unbound use and index/view disagreement; like any
+	// SessionAffinity it reads the holders from Request.PrefixHolders.
 	scan SessionAffinity
 }
 

@@ -24,6 +24,12 @@ type Request struct {
 	Turn    int
 	// PromptLen and OutputLen are the request's token lengths.
 	PromptLen, OutputLen int
+	// PrefixHolders lists, in ascending ID order, the replicas whose
+	// device KV pins a prefix of Session — every replica for which
+	// CachedPrefixTokens(Session) > 0, in the view or not. The cluster
+	// fills it from its pin-holder table for the session-affinity policy;
+	// it is empty for stateless requests and for sessions nobody pins.
+	PrefixHolders []int
 }
 
 // Replica is the router's read-only view of one engine replica.
@@ -255,6 +261,14 @@ func (p *WeightedCapacity) Score(_ Request, r Replica) float64 {
 // fallback is capacity-weighted: on a homogeneous pool it reduces to
 // least-queue, and on a mixed pool it steers displaced sessions toward
 // the replicas with the room to hold them.
+//
+// The prefix lookup is O(holders): Pick probes only the replicas named in
+// Request.PrefixHolders (usually zero to two), each located in the view by
+// ID, and the holder in the view with the most pinned tokens is the target
+// (the lowest ID on a tie). The view must be in ascending ID order, as the
+// cluster passes it. What stays O(N) in the view size is the load side:
+// the lightest-queue scan behind the overload guard, run only once a
+// holder passes the memory check, and the capacity-weighted fallback.
 type SessionAffinity struct {
 	fallback WeightedCapacity
 }
@@ -274,12 +288,12 @@ func (p *SessionAffinity) Name() string { return NameSessionAffinity }
 func (p *SessionAffinity) Pick(req Request, replicas []Replica) int {
 	if req.Session != 0 {
 		best, bestTokens := -1, 0
-		minQueue := replicas[0].QueueDepth()
-		for i, r := range replicas {
-			if q := r.QueueDepth(); q < minQueue {
-				minQueue = q
+		for _, id := range req.PrefixHolders {
+			i := sortedViewIndexOf(replicas, id)
+			if i < 0 {
+				continue // warming, draining, or crashed: not routable
 			}
-			if t := r.CachedPrefixTokens(req.Session); t > bestTokens {
+			if t := replicas[i].CachedPrefixTokens(req.Session); t > bestTokens {
 				best, bestTokens = i, t
 			}
 		}
@@ -288,11 +302,22 @@ func (p *SessionAffinity) Pick(req Request, replicas []Replica) int {
 		// output during decode.
 		if best >= 0 &&
 			replicas[best].FreeKVTokens()+bestTokens >= req.PromptLen+req.OutputLen &&
-			replicas[best].QueueDepth() <= 2*minQueue+affinityOverloadSlack {
+			replicas[best].QueueDepth() <= 2*minQueueDepth(replicas)+affinityOverloadSlack {
 			return best
 		}
 	}
 	return p.fallback.Pick(req, replicas)
+}
+
+// minQueueDepth is the lightest outstanding queue across the view.
+func minQueueDepth(replicas []Replica) int {
+	m := replicas[0].QueueDepth()
+	for _, r := range replicas[1:] {
+		if q := r.QueueDepth(); q < m {
+			m = q
+		}
+	}
+	return m
 }
 
 // Score implements Scorer: the pinned prefix tokens the replica holds for

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/prefixindex"
@@ -38,6 +39,22 @@ func replicas(fs ...*fakeReplica) []Replica {
 	return out
 }
 
+// withHolders fills req.PrefixHolders the way the cluster does: the
+// ascending IDs of every replica pinning a prefix of the session.
+func withHolders(req Request, reps []Replica) Request {
+	req.PrefixHolders = nil
+	if req.Session == 0 {
+		return req
+	}
+	for _, r := range reps {
+		if r.CachedPrefixTokens(req.Session) > 0 {
+			req.PrefixHolders = append(req.PrefixHolders, r.ID())
+		}
+	}
+	slices.Sort(req.PrefixHolders)
+	return req
+}
+
 func TestPoliciesPick(t *testing.T) {
 	// Three replicas: 0 busy but memory-rich, 1 idle but memory-poor,
 	// 2 middling but holding session 7's prefix.
@@ -68,7 +85,8 @@ func TestPoliciesPick(t *testing.T) {
 		{NewSessionAffinity(), Request{ID: 3, Session: 8, Turn: 2}, 1},
 	}
 	for _, c := range cases {
-		if got := c.policy.Pick(c.req, state()); got != c.want {
+		views := state()
+		if got := c.policy.Pick(withHolders(c.req, views), views); got != c.want {
 			t.Errorf("%s.Pick(session=%d) = %d, want %d", c.policy.Name(), c.req.Session, got, c.want)
 		}
 	}
@@ -108,7 +126,7 @@ func TestAffinityPrefersLargestPrefix(t *testing.T) {
 		&fakeReplica{id: 1, freeKV: 500, cached: map[int]int{5: 800}},
 		&fakeReplica{id: 2, freeKV: 500, queue: 0},
 	)
-	if got := NewSessionAffinity().Pick(Request{Session: 5, Turn: 3, PromptLen: 900}, reps); got != 1 {
+	if got := NewSessionAffinity().Pick(withHolders(Request{Session: 5, Turn: 3, PromptLen: 900}, reps), reps); got != 1 {
 		t.Errorf("affinity = %d, want 1 (largest cached prefix)", got)
 	}
 }
@@ -123,18 +141,18 @@ func TestAffinityFallsBackWhenTargetFull(t *testing.T) {
 		&fakeReplica{id: 1, queue: 5, freeKV: 2, cached: map[int]int{5: 800}},
 		&fakeReplica{id: 2, queue: 1, freeKV: 500},
 	)
-	req := Request{Session: 5, Turn: 3, PromptLen: 900}
+	req := withHolders(Request{Session: 5, Turn: 3, PromptLen: 900}, reps)
 	if got := NewSessionAffinity().Pick(req, reps); got != 2 {
 		t.Errorf("affinity with full target = %d, want 2 (least-queue fallback)", got)
 	}
 	// A prompt the target can still hold sticks as before.
-	small := Request{Session: 5, Turn: 3, PromptLen: 32}
+	small := withHolders(Request{Session: 5, Turn: 3, PromptLen: 32}, reps)
 	if got := NewSessionAffinity().Pick(small, reps); got != 1 {
 		t.Errorf("affinity with fitting prompt = %d, want 1", got)
 	}
 	// The pinned prefix itself counts as headroom: 32 free tokens + 800
 	// adoptable cover an 830-token prompt.
-	adoptable := Request{Session: 5, Turn: 3, PromptLen: 830}
+	adoptable := withHolders(Request{Session: 5, Turn: 3, PromptLen: 830}, reps)
 	if got := NewSessionAffinity().Pick(adoptable, reps); got != 1 {
 		t.Errorf("affinity with adoptable pin = %d, want 1", got)
 	}
@@ -148,7 +166,7 @@ func TestAffinityFallsBackWhenTargetOverloaded(t *testing.T) {
 		&fakeReplica{id: 0, queue: 0, freeKV: 500},
 		&fakeReplica{id: 1, queue: 12, freeKV: 500, cached: map[int]int{5: 800}},
 	)
-	req := Request{Session: 5, Turn: 3, PromptLen: 900}
+	req := withHolders(Request{Session: 5, Turn: 3, PromptLen: 900}, reps)
 	if got := NewSessionAffinity().Pick(req, reps); got != 0 {
 		t.Errorf("affinity with overloaded target = %d, want 0 (least-queue fallback)", got)
 	}

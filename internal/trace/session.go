@@ -59,7 +59,14 @@ type SessionConfig struct {
 	Seed int64
 }
 
-func (c SessionConfig) withDefaults() SessionConfig {
+// Normalize fills zero fields with their defaults and validates the
+// result: the session count must be positive and the turn bounds must
+// satisfy 1 <= MinTurns <= MaxTurns. A zero FirstPromptMean, FollowupMean
+// or OutputMean selects its default mean and standard deviation together.
+// Arrival-time problems (a negative Duration) surface from
+// Workload.Validate on the generated trace, as for every generator.
+// Normalizing a normalized config returns it unchanged.
+func (c SessionConfig) Normalize() (SessionConfig, error) {
 	if c.MinTurns == 0 {
 		c.MinTurns = 3
 	}
@@ -90,7 +97,13 @@ func (c SessionConfig) withDefaults() SessionConfig {
 	if c.Rates == nil {
 		c.Rates = FixedRate(20)
 	}
-	return c
+	switch {
+	case c.Sessions <= 0:
+		return c, fmt.Errorf("trace: non-positive session count %d", c.Sessions)
+	case c.MinTurns < 1 || c.MaxTurns < c.MinTurns:
+		return c, fmt.Errorf("trace: bad turn bounds [%d, %d]", c.MinTurns, c.MaxTurns)
+	}
+	return c, nil
 }
 
 // Sessions generates a multi-turn conversation workload. Items carry
@@ -98,14 +111,12 @@ func (c SessionConfig) withDefaults() SessionConfig {
 // prompt equals turn t-1's prompt + output + a followup message, so
 // consecutive turns share a prefix of the full previous context. Turn
 // arrivals are spaced by the time the client spends consuming the previous
-// response plus an exponential think-time gap. Deterministic per seed.
+// response plus an exponential think-time gap. Deterministic per seed. It
+// panics with Normalize's error on an invalid config.
 func Sessions(name string, cfg SessionConfig) Workload {
-	cfg = cfg.withDefaults()
-	if cfg.Sessions <= 0 {
-		panic(fmt.Sprintf("trace: non-positive session count %d", cfg.Sessions))
-	}
-	if cfg.MinTurns < 1 || cfg.MaxTurns < cfg.MinTurns {
-		panic(fmt.Sprintf("trace: bad turn bounds [%d, %d]", cfg.MinTurns, cfg.MaxTurns))
+	cfg, err := cfg.Normalize()
+	if err != nil {
+		panic(err.Error())
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/simclock"
@@ -32,7 +33,10 @@ func TestSessionsShape(t *testing.T) {
 	if len(bySession) != cfg.Sessions {
 		t.Fatalf("trace has %d sessions, want %d", len(bySession), cfg.Sessions)
 	}
-	norm := cfg.withDefaults()
+	norm, err := cfg.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for s, turns := range bySession {
 		if n := len(turns); n < norm.MinTurns || n > norm.MaxTurns {
 			t.Errorf("session %d has %d turns, want within [%d,%d]", s, n, norm.MinTurns, norm.MaxTurns)
@@ -98,5 +102,112 @@ func TestSessionsSpikesClusterStarts(t *testing.T) {
 	spiked := starts[simclock.FromSeconds(50)] + starts[simclock.FromSeconds(100)]
 	if spiked != 20 {
 		t.Errorf("%d sessions start at spike instants, want 20", spiked)
+	}
+}
+
+// normalizedDefaults is the zero config (plus the required session count)
+// after Normalize.
+var normalizedDefaults = SessionConfig{
+	Sessions: 1, MinTurns: 3, MaxTurns: 8,
+	FirstPromptMean: 512, FirstPromptStd: 128,
+	FollowupMean: 64, FollowupStd: 16,
+	OutputMean: 256, OutputStd: 64,
+	MinLen: 16, MaxLen: 8192,
+	ThinkMeanSeconds: 10,
+	Rates:            FixedRate(20),
+}
+
+// checkSessionNormalize runs Normalize on each case, compares the result
+// with the wanted config, and checks that normalizing again changes
+// nothing.
+func checkSessionNormalize(t *testing.T, cases []struct {
+	name     string
+	in, want SessionConfig
+}) {
+	t.Helper()
+	for _, c := range cases {
+		got, err := c.in.Normalize()
+		if err != nil {
+			t.Errorf("%s: Normalize() = %v", c.name, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: Normalize() = %+v, want %+v", c.name, got, c.want)
+		}
+		if again, err := got.Normalize(); err != nil || !reflect.DeepEqual(again, got) {
+			t.Errorf("%s: normalizing twice = %+v, %v", c.name, again, err)
+		}
+	}
+}
+
+// TestSessionConfigNormalizeDefaults: every zero field takes its default;
+// spikes get their default cohort share only when they are enabled.
+func TestSessionConfigNormalizeDefaults(t *testing.T) {
+	spiky := normalizedDefaults
+	spiky.SpikeEvery, spiky.SpikeFraction = simclock.FromSeconds(30), 0.5
+	checkSessionNormalize(t, []struct {
+		name     string
+		in, want SessionConfig
+	}{
+		{"zero", SessionConfig{Sessions: 1}, normalizedDefaults},
+		{"spikes", SessionConfig{Sessions: 1, SpikeEvery: simclock.FromSeconds(30)}, spiky},
+	})
+}
+
+// TestSessionConfigNormalize: set fields stay, and a zero mean resets its
+// standard deviation together with it.
+func TestSessionConfigNormalize(t *testing.T) {
+	set := SessionConfig{
+		Sessions: 40, Duration: simclock.FromSeconds(90),
+		SpikeEvery: simclock.FromSeconds(30), SpikeFraction: 0.25, RampUp: true,
+		MinTurns: 2, MaxTurns: 2,
+		FirstPromptMean: 100, FirstPromptStd: 10,
+		FollowupMean: 20, FollowupStd: 2,
+		OutputMean: 50, OutputStd: 5,
+		MinLen: 8, MaxLen: 1024,
+		ThinkMeanSeconds: 3,
+		Rates:            UniformRate{Lo: 5, Hi: 9},
+		Seed:             4,
+	}
+	stdOnly := normalizedDefaults
+	stdOnly.Sessions = 2
+	checkSessionNormalize(t, []struct {
+		name     string
+		in, want SessionConfig
+	}{
+		{"set-fields-stay", set, set},
+		{"std-without-mean-takes-default-pair",
+			SessionConfig{Sessions: 2, FirstPromptStd: 1, FollowupStd: 1, OutputStd: 1}, stdOnly},
+	})
+}
+
+// TestSessionConfigNormalizeInvalid: a bad session count or turn range is
+// an error naming it, and Sessions panics with that error.
+func TestSessionConfigNormalizeInvalid(t *testing.T) {
+	cases := []struct {
+		name string
+		in   SessionConfig
+		want string // substring of the error
+	}{
+		{"no-sessions", SessionConfig{}, "non-positive session count 0"},
+		{"negative-sessions", SessionConfig{Sessions: -3}, "non-positive session count -3"},
+		{"negative-min-turns", SessionConfig{Sessions: 1, MinTurns: -1}, "bad turn bounds [-1, 8]"},
+		{"max-below-min", SessionConfig{Sessions: 1, MinTurns: 5, MaxTurns: 4}, "bad turn bounds [5, 4]"},
+		{"max-below-default-min", SessionConfig{Sessions: 1, MaxTurns: 2}, "bad turn bounds [3, 2]"},
+	}
+	for _, c := range cases {
+		_, err := c.in.Normalize()
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Normalize() = %v, want an error containing %q", c.name, err, c.want)
+			continue
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != err.Error() {
+					t.Errorf("%s: Sessions panicked with %v, want %q", c.name, r, err)
+				}
+			}()
+			Sessions("bad", c.in)
+		}()
 	}
 }
