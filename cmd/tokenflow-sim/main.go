@@ -142,6 +142,9 @@ func groupedUsage() {
 	})
 }
 
+// seconds converts a flag's seconds value to a duration.
+func seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
+
 // parseCrashes parses a "replica:atSeconds" comma list into scripted crash
 // faults, e.g. "1:30,2:45".
 func parseCrashes(s string) ([]tokenflow.FaultSpec, error) {
@@ -163,7 +166,7 @@ func parseCrashes(s string) ([]tokenflow.FaultSpec, error) {
 		if err != nil || at < 0 {
 			return nil, fmt.Errorf("bad time in crash spec %q", part)
 		}
-		out = append(out, tokenflow.FaultSpec{Kind: "crash", Replica: rep, AtSeconds: at})
+		out = append(out, tokenflow.FaultSpec{Kind: tokenflow.FaultCrash, Replica: rep, At: tokenflow.Time(seconds(at))})
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("empty -crash-at spec %q", s)
@@ -202,8 +205,8 @@ func parseFlaps(s string) ([]tokenflow.FaultSpec, error) {
 			return nil, fmt.Errorf("bad duration in flap spec %q", part)
 		}
 		out = append(out, tokenflow.FaultSpec{
-			Kind: "link-flap", From: from, To: to,
-			AtSeconds: at, DurationSeconds: dur,
+			Kind: tokenflow.FaultLinkFlap, From: from, To: to,
+			At: tokenflow.Time(seconds(at)), Duration: seconds(dur),
 		})
 	}
 	if len(out) == 0 {
@@ -385,19 +388,19 @@ func run() error {
 		}
 		if wantIndex {
 			ccfg.PrefixIndex = &tokenflow.PrefixIndexSpec{
-				PropagationDelaySeconds: *idxDelay,
-				DropRate:                *idxDrop,
-				HeartbeatEverySeconds:   *idxHeart,
-				MaxStalenessSeconds:     *idxStale,
-				Seed:                    *seed,
+				PropagationDelay: seconds(*idxDelay),
+				DropRate:         *idxDrop,
+				HeartbeatEvery:   seconds(*idxHeart),
+				MaxStaleness:     seconds(*idxStale),
+				Seed:             *seed,
 			}
 		}
 		if wantChaos {
 			cs := &tokenflow.ChaosSpec{
-				RandomFaults:   *chaosN,
-				Seed:           *seed,
-				HorizonSeconds: *duration,
-				Redundancy:     *redund,
+				RandomFaults: *chaosN,
+				Seed:         *seed,
+				Horizon:      tokenflow.Time(seconds(*duration)),
+				Redundancy:   *redund,
 			}
 			if *crashAt != "" {
 				faults, err := parseCrashes(*crashAt)
@@ -430,7 +433,7 @@ func run() error {
 				Prewarm:                *prewarm,
 				ScaleToZero:            *minReps == 0,
 				GatewayDepth:           *gwDepth,
-				TargetP99TTFT:          time.Duration(*sloP99 * float64(time.Second)),
+				TargetP99TTFT:          seconds(*sloP99),
 				ForecastRatePerReplica: *fcRate,
 			}
 		}
@@ -476,7 +479,7 @@ func run() error {
 				continue
 			}
 			fmt.Printf("  %-8s %6d transfers, %8.1f MB, %7.3fs wire-busy\n",
-				cs.Class, cs.Transfers, float64(cs.Bytes)/1e6, cs.BusySeconds)
+				cs.Class.String(), cs.Transfers, float64(cs.Bytes)/1e6, cs.Busy.Seconds())
 		}
 		if *scaler != "" {
 			fmt.Printf("autoscaling         %s: %d scale-ups, %d scale-downs, %d warm-up-stalled arrivals\n",
@@ -497,13 +500,13 @@ func run() error {
 					cres.ForecastError, cres.ForecastSamples)
 			}
 			for _, ev := range cres.ScaleEvents {
-				fmt.Printf("  t=%7.2fs  replica %d  %s\n", ev.AtSeconds, ev.Replica, ev.Kind)
+				fmt.Printf("  t=%7.2fs  replica %d  %s\n", ev.At.Seconds(), ev.Replica, ev.Kind)
 			}
 		}
 		for _, rr := range cres.Replicas {
 			fmt.Printf("  replica %d (%s)  %d routed, %d finished, p99 TTFT %.2fs, %d pages pinned, %s\n",
 				rr.ID, rr.GPU, rr.Routed, rr.Result.Finished, rr.Result.P99TTFT.Seconds(),
-				rr.PinnedPrefixPages, rr.State)
+				rr.KV.PinnedPages, rr.State)
 		}
 	} else {
 		var err error

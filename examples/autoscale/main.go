@@ -94,7 +94,7 @@ func main() {
 	// flash crowds land, drains when they pass.
 	fmt.Printf("\nautoscaled (pre-warmed) lifecycle:\n")
 	for _, ev := range warm.ScaleEvents {
-		fmt.Printf("  t=%7.2fs  replica %d  %s\n", ev.AtSeconds, ev.Replica, ev.Kind)
+		fmt.Printf("  t=%7.2fs  replica %d  %s\n", ev.At.Seconds(), ev.Replica, ev.Kind)
 	}
 
 	// Pre-warming pays on the replicas that scaled in: their first
@@ -145,6 +145,6 @@ func main() {
 	fmt.Printf("  p99 TTFT %.2fs (the ~5s cold start is inside it)\n",
 		zero.Cluster.P99TTFT.Seconds())
 	for _, ev := range zero.ScaleEvents {
-		fmt.Printf("  t=%7.2fs  replica %d  %s\n", ev.AtSeconds, ev.Replica, ev.Kind)
+		fmt.Printf("  t=%7.2fs  replica %d  %s\n", ev.At.Seconds(), ev.Replica, ev.Kind)
 	}
 }

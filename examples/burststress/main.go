@@ -66,7 +66,7 @@ func main() {
 		for _, s := range all {
 			if i < len(s.samples) {
 				if !printed {
-					fmt.Printf("%6.0f", s.samples[i].AtSeconds)
+					fmt.Printf("%6.0f", s.samples[i].At.Seconds())
 					printed = true
 				}
 				fmt.Printf(" %15d", s.samples[i].Queued)

@@ -129,7 +129,7 @@ func main() {
 			fmt.Printf("  transfer ledger:")
 			for _, cs := range res.Transfers {
 				if cs.Transfers > 0 {
-					fmt.Printf(" %s=%0.1fMB", cs.Class, float64(cs.Bytes)/1e6)
+					fmt.Printf(" %s=%0.1fMB", cs.Class.String(), float64(cs.Bytes)/1e6)
 				}
 			}
 			fmt.Println()

@@ -40,6 +40,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"time"
 
 	"repro/tokenflow"
 )
@@ -227,7 +228,7 @@ func chaosRecovery(w tokenflow.Workload) {
 		},
 		Router: tokenflow.RouterSessionAffinity,
 		Chaos: &tokenflow.ChaosSpec{
-			Faults:     []tokenflow.FaultSpec{{Kind: "crash", AtSeconds: 65, Replica: 1}},
+			Faults:     []tokenflow.FaultSpec{{Kind: tokenflow.FaultCrash, At: tokenflow.Time(65 * time.Second), Replica: 1}},
 			Redundancy: 2,
 		},
 	}, w)

@@ -205,9 +205,8 @@ func TestPrewarmSeedsWarmingReplica(t *testing.T) {
 			Autoscale: &cluster.AutoscaleConfig{
 				Policy: &scriptPolicy{decisions: map[int]autoscale.Decision{25: autoscale.ScaleUp}},
 				Min:    1, Max: 2,
-				Warmup:      5 * time.Second,
-				Prewarm:     prewarm,
-				PrewarmTopK: 4,
+				Warmup:  5 * time.Second,
+				Prewarm: prewarm,
 			},
 		}, buildTokenFlow())
 		if err != nil {

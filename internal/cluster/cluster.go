@@ -183,9 +183,6 @@ type AutoscaleConfig struct {
 	// warming replica over the interconnect, so its first requests hit
 	// the prefix cache instead of recomputing.
 	Prewarm bool
-
-	// PrewarmTopK caps the pins shipped per pre-warm (default 8).
-	PrewarmTopK int
 }
 
 // MigrationPolicy selects how cross-replica migrations are committed.
@@ -247,9 +244,6 @@ func (c Config) Normalize() (Config, error) {
 				a.Warmup = 8 * time.Second
 			} else if a.Warmup < 0 {
 				a.Warmup = 0
-			}
-			if a.PrewarmTopK == 0 {
-				a.PrewarmTopK = 8
 			}
 			c.Autoscale = &a
 			c.Replicas = a.Max

@@ -18,15 +18,15 @@ type configView struct {
 	MaxSimTime, SampleEvery time.Duration
 	MigrationPolicy         cluster.MigrationPolicy
 
-	Min, Max, Initial, GatewayDepth, PrewarmTopK int
-	Warmup                                       time.Duration
+	Min, Max, Initial, GatewayDepth int
+	Warmup                          time.Duration
 }
 
 func viewOf(c cluster.Config) configView {
 	v := configView{Replicas: c.Replicas, Shards: c.Shards, MaxSimTime: c.MaxSimTime,
 		SampleEvery: c.SampleEvery, MigrationPolicy: c.MigrationPolicy}
 	if a := c.Autoscale; a != nil {
-		v.Min, v.Max, v.Initial, v.GatewayDepth, v.PrewarmTopK = a.Min, a.Max, a.Initial, a.GatewayDepth, a.PrewarmTopK
+		v.Min, v.Max, v.Initial, v.GatewayDepth = a.Min, a.Max, a.Initial, a.GatewayDepth
 		v.Warmup = a.Warmup
 	}
 	return v
@@ -48,7 +48,7 @@ func TestConfigNormalizeDefaults(t *testing.T) {
 	scaled := func(n int) configView {
 		v := static
 		v.Replicas, v.Min, v.Max, v.Initial = n, 1, n, 1
-		v.GatewayDepth, v.PrewarmTopK, v.Warmup = 512, 8, 8*time.Second
+		v.GatewayDepth, v.Warmup = 512, 8*time.Second
 		return v
 	}
 	with := func(v configView, edit func(*configView)) configView {
@@ -77,9 +77,9 @@ func TestConfigNormalizeDefaults(t *testing.T) {
 			with(scaled(5), func(v *configView) { v.Shards = 5 })},
 		{"autoscale-set-fields-stay",
 			cluster.Config{Policy: rr, Replicas: 4, Autoscale: auto(cluster.AutoscaleConfig{
-				Min: 2, Max: 4, Initial: 3, GatewayDepth: -1, Warmup: 3 * time.Second, PrewarmTopK: 2})},
+				Min: 2, Max: 4, Initial: 3, GatewayDepth: -1, Warmup: 3 * time.Second})},
 			with(scaled(4), func(v *configView) {
-				v.Min, v.Initial, v.GatewayDepth, v.PrewarmTopK, v.Warmup = 2, 3, -1, 2, 3*time.Second
+				v.Min, v.Initial, v.GatewayDepth, v.Warmup = 2, 3, -1, 3*time.Second
 			})},
 		{"scale-to-zero-forces-min-0",
 			cluster.Config{Policy: rr, Replicas: 3, Autoscale: auto(cluster.AutoscaleConfig{Min: 2, ScaleToZero: true})},

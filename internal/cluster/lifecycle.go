@@ -205,6 +205,9 @@ func (c *Cluster) scaleUp(now simclock.Time) {
 	})
 }
 
+// prewarmTopK caps the pins shipped per pre-warm.
+const prewarmTopK = 8
+
 // prewarm overlaps a replica's warm-up with KV pre-warming: the hottest
 // pinned session prefixes across the active replicas (merged most-recently-
 // used first, larger prefixes and lower donor IDs breaking ties) migrate to
@@ -217,13 +220,12 @@ func (c *Cluster) prewarm(target *replica, now simclock.Time) {
 		info  kvcache.PrefixInfo
 		rank  int
 	}
-	topK := c.cfg.Autoscale.PrewarmTopK
 	var cands []candidate
 	for _, rep := range c.replicas {
 		if rep.state != autoscale.Active {
 			continue
 		}
-		for rank, info := range rep.eng.HottestPrefixes(topK) {
+		for rank, info := range rep.eng.HottestPrefixes(prewarmTopK) {
 			cands = append(cands, candidate{donor: rep, info: info, rank: rank})
 		}
 	}
@@ -238,7 +240,7 @@ func (c *Cluster) prewarm(target *replica, now simclock.Time) {
 	})
 	shipped := 0
 	for _, cd := range cands {
-		if shipped == topK {
+		if shipped == prewarmTopK {
 			break
 		}
 		if c.migratePin(cd.donor, target, cd.info.Session, fabric.ClassPrewarm, now,

@@ -160,7 +160,7 @@ func TestWriteCSV(t *testing.T) {
 
 // TestWriteFiles: a full capture lands every artifact on disk.
 func TestWriteFiles(t *testing.T) {
-	c := NewCapture(Options{Events: true, Series: true, Profile: true})
+	c := &Capture{Events: NewRecorder(), Series: NewRegistry(0), Profile: NewProfiler()}
 	c.Events.Emit(0, KindArrival, -1, 1, 0, 1, 1, 0, 0, "")
 	c.Series.Observe("x", 0, 1)
 	c.Profile.End(PhaseEngineStep, c.Profile.Begin())

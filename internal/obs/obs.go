@@ -241,11 +241,6 @@ type Options struct {
 	SampleEvery int
 }
 
-// Enabled reports whether any layer is on.
-func (o Options) Enabled() bool {
-	return o.Events || o.Series || o.Profile || o.Attribution
-}
-
 // Recorder is the event bus sink. A nil *Recorder is valid and free:
 // every method nil-guards, so subsystems emit unconditionally through
 // their (possibly nil) recorder pointer.
@@ -428,48 +423,4 @@ type Capture struct {
 	Events  *Recorder
 	Series  *Registry
 	Profile *Profiler
-}
-
-// NewCapture allocates the layers selected by opts, or returns nil when
-// none are.
-func NewCapture(opts Options) *Capture {
-	if !opts.Enabled() {
-		return nil
-	}
-	c := &Capture{}
-	if opts.Events {
-		c.Events = NewRecorder()
-	}
-	if opts.Series {
-		c.Series = NewRegistry(opts.SampleEvery)
-	}
-	if opts.Profile {
-		c.Profile = NewProfiler()
-	}
-	return c
-}
-
-// Recorder returns the capture's event recorder (nil when events are off
-// or c itself is nil) — safe to pass straight into SetObs hooks.
-func (c *Capture) Recorder() *Recorder {
-	if c == nil {
-		return nil
-	}
-	return c.Events
-}
-
-// Reg returns the capture's series registry, nil-safe like Recorder.
-func (c *Capture) Reg() *Registry {
-	if c == nil {
-		return nil
-	}
-	return c.Series
-}
-
-// Prof returns the capture's profiler, nil-safe like Recorder.
-func (c *Capture) Prof() *Profiler {
-	if c == nil {
-		return nil
-	}
-	return c.Profile
 }

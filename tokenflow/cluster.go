@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/fabric"
+	"repro/internal/kvcache"
 	"repro/internal/prefixindex"
 	"repro/internal/router"
 	"repro/internal/simclock"
@@ -143,82 +144,40 @@ type ClusterConfig struct {
 	Chaos *ChaosSpec
 }
 
-// FaultKinds lists the injectable fault kinds.
-func FaultKinds() []string { return []string{"crash", "brownout", "link-flap"} }
+// FaultKind classifies one injected fault; String gives its name
+// ("crash", "brownout", "link-flap").
+type FaultKind = chaos.FaultKind
 
-// FaultSpec is one scheduled fault in a chaos plan.
-type FaultSpec struct {
-	// Kind is "crash", "brownout", or "link-flap".
-	Kind string
-	// AtSeconds is the virtual-clock injection instant.
-	AtSeconds float64
-	// Replica targets crash and brownout faults.
-	Replica int
-	// DurationSeconds bounds brownout and link-flap windows.
-	DurationSeconds float64
-	// Factor is the brownout iteration-cost multiplier (must exceed 1).
-	Factor float64
-	// From and To name the link-flap replica pair (both directions flap).
-	From, To int
-}
+// Fault kinds.
+const (
+	// FaultCrash kills Replica at At: its in-flight requests are re-routed
+	// and its pins and host mirrors vanish.
+	FaultCrash = chaos.Crash
+	// FaultBrownout multiplies Replica's iteration cost by Factor (which
+	// must exceed 1) for Duration.
+	FaultBrownout = chaos.Brownout
+	// FaultLinkFlap takes the interconnect pair From, To down in both
+	// directions for Duration.
+	FaultLinkFlap = chaos.LinkFlap
+)
 
-// ChaosSpec is the fault-injection plan plus pin redundancy. The zero
-// value injects nothing. Recovery itself is fixed: a crash is detected
-// after 0.25 s of missed heartbeats, and each orphaned request is
-// re-routed up to 3 times with a backoff of 0.25 s doubling per attempt.
-type ChaosSpec struct {
-	// Faults is the scripted fault plan.
-	Faults []FaultSpec
+// FaultSpec is one scheduled fault in a chaos plan: its Kind, the
+// virtual-clock injection instant At, and the fields that kind reads
+// (Replica, Duration, Factor, or the link pair From, To).
+type FaultSpec = chaos.Fault
 
-	// RandomFaults adds this many seeded-random faults drawn over
-	// [0, HorizonSeconds); Seed keys the draw, so identical specs inject
-	// identical plans.
-	RandomFaults   int
-	Seed           int64
-	HorizonSeconds float64
-
-	// Redundancy is the pin-redundancy factor K: host-tier mirrors of
-	// every pinned session prefix are kept on K-1 backup replicas
-	// (refreshed every 5 s, at most 2 copies in flight) and re-pinned
-	// from the backups after a crash. 0 or 1 disables redundancy.
-	Redundancy int
-}
-
-// chaosSpec maps the public spec onto the internal chaos spec.
-func (s *ChaosSpec) chaosSpec() (*chaos.Spec, error) {
-	if s == nil {
-		return nil, nil
-	}
-	out := &chaos.Spec{
-		RandomFaults: s.RandomFaults,
-		Seed:         s.Seed,
-		Horizon:      simclock.FromSeconds(s.HorizonSeconds),
-		Redundancy:   s.Redundancy,
-	}
-	for i, f := range s.Faults {
-		g := chaos.Fault{
-			At:       simclock.FromSeconds(f.AtSeconds),
-			Replica:  f.Replica,
-			Duration: time.Duration(f.DurationSeconds * float64(time.Second)),
-			Factor:   f.Factor,
-			From:     f.From,
-			To:       f.To,
-		}
-		switch f.Kind {
-		case "crash":
-			g.Kind = chaos.Crash
-		case "brownout":
-			g.Kind = chaos.Brownout
-		case "link-flap":
-			g.Kind = chaos.LinkFlap
-		default:
-			return nil, fmt.Errorf("tokenflow: fault %d has unknown kind %q (have %v)",
-				i, f.Kind, FaultKinds())
-		}
-		out.Faults = append(out.Faults, g)
-	}
-	return out, nil
-}
+// ChaosSpec is the fault-injection plan plus pin redundancy: the scripted
+// Faults, RandomFaults seeded-random faults drawn over [0, Horizon) keyed
+// by Seed (identical specs inject identical plans), and the
+// pin-redundancy factor Redundancy — host-tier mirrors of every pinned
+// session prefix kept on K-1 backup replicas (refreshed every 5 s, at
+// most 2 copies in flight) and re-pinned from them after a crash; 0 or 1
+// disables it. The zero value injects nothing. Recovery itself is fixed:
+// a crash is detected after 0.25 s of missed heartbeats, and each
+// orphaned request is re-routed up to 3 times with a backoff of 0.25 s
+// doubling per attempt. RunCluster validates the spec against the pool
+// and never modifies it.
+type ChaosSpec = chaos.Spec
 
 // MigrationPolicy selects how cross-replica KV migrations are committed.
 type MigrationPolicy = cluster.MigrationPolicy
@@ -238,48 +197,19 @@ const (
 func MigrationPolicies() []MigrationPolicy { return cluster.MigrationPolicies() }
 
 // PrefixIndexSpec configures the gateway's event-published prefix index:
-// how stale the routing view is allowed to get. The zero value is the
-// degenerate synchronous index — every publication applies at its emission
-// instant, so indexed policies route exactly like their omniscient twins.
-type PrefixIndexSpec struct {
-	// PropagationDelaySeconds is the lag between a replica publishing a KV
-	// or load event and the gateway index absorbing it (control-plane
-	// latency). Zero applies events synchronously.
-	PropagationDelaySeconds float64
-
-	// DropRate is the probability in [0, 1) that a KV lifecycle
-	// publication is lost in flight. Load signals are never dropped.
-	// Drops are deterministic per (Seed, replica, sequence).
-	DropRate float64
-
-	// HeartbeatEverySeconds switches load signalling from per-change
-	// queue publications to periodic digests of queue depth and
-	// bucket-quantized free KV pages. Zero keeps the per-change stream.
-	HeartbeatEverySeconds float64
-
-	// MaxStalenessSeconds bounds how old a replica's digest may be before
-	// indexed policies stop trusting it and divert to capacity-weighted
-	// routing. Zero defaults to 3×heartbeat + propagation delay under
-	// heartbeats, and to no staleness check otherwise.
-	MaxStalenessSeconds float64
-
-	// Seed keys the deterministic drop decisions.
-	Seed int64
-}
-
-// indexSpec maps the public spec onto the internal prefixindex spec.
-func (s *PrefixIndexSpec) indexSpec() *prefixindex.Spec {
-	if s == nil {
-		return nil
-	}
-	return &prefixindex.Spec{
-		PropagationDelay: simclock.Duration(s.PropagationDelaySeconds),
-		DropRate:         s.DropRate,
-		HeartbeatEvery:   simclock.Duration(s.HeartbeatEverySeconds),
-		MaxStaleness:     simclock.Duration(s.MaxStalenessSeconds),
-		Seed:             s.Seed,
-	}
-}
+// how stale the routing view is allowed to get. PropagationDelay is the
+// lag before the gateway absorbs a replica's KV or load event; DropRate
+// the probability in [0, 1) that a KV lifecycle publication is lost
+// (deterministic per Seed, replica and sequence; load signals are never
+// dropped); a nonzero HeartbeatEvery switches load signalling to periodic
+// digests of queue depth and bucket-quantized free KV pages; and
+// MaxStaleness bounds how old a digest may get before indexed policies
+// divert to capacity-weighted routing (zero defaults to 3×heartbeat +
+// propagation delay under heartbeats, and to no check otherwise). The
+// zero value is the degenerate synchronous index — every publication
+// applies at its emission instant, so indexed policies route exactly like
+// their omniscient twins.
+type PrefixIndexSpec = prefixindex.Spec
 
 // PrefixIndexStats reports the gateway index's end-of-run accounting.
 type PrefixIndexStats = prefixindex.Stats
@@ -424,22 +354,15 @@ type ReplicaResult struct {
 	// PrefixHits counts requests this replica admitted with a session
 	// prefix-cache hit.
 	PrefixHits int64
-	// PinnedPrefixPages is the replica's KV pool pages still held by
-	// session prefix pins at the end of the run; PeakPinnedPages the
-	// run's maximum — the memory the prefix cache actually charged.
-	PinnedPrefixPages int
-	PeakPinnedPages   int
-	// PrefixEvictions counts pinned prefixes this replica evicted under
-	// memory pressure.
-	PrefixEvictions int64
-	// HostReloads counts evicted prefixes this replica reloaded from its
-	// host tier instead of recomputing; HostMirroredPages is the host
-	// memory its evicted pins' mirrors still occupy at the end of the run,
-	// HostMirrorBytes the same footprint in bytes (what a host-memory
-	// budget would charge).
-	HostReloads       int64
-	HostMirroredPages int
-	HostMirrorBytes   int64
+	// KV is the replica's KV-manager accounting at the end of the run:
+	// PinnedPages (pool pages still held by session prefix pins) and
+	// PeakPinnedPages (the run's maximum — the memory the prefix cache
+	// actually charged), PrefixEvictions under memory pressure,
+	// HostReloads of evicted prefixes from the host tier instead of
+	// recomputing, HostMirroredPages and HostMirrorBytes (the host memory
+	// evicted pins' mirrors still occupy), and the offload, load and
+	// migration traffic counters.
+	KV KVStats
 	// State is the replica's lifecycle state at the end of the run:
 	// "off", "warming", "active", or "draining" ("active" always, in a
 	// static cluster).
@@ -452,30 +375,23 @@ type ReplicaResult struct {
 	Result *Result
 }
 
-// ScaleEvent is one replica lifecycle transition the autoscaler drove:
-// "warmup" (off → warming), "activate" (warming → active), "reactivate"
-// (a scale-up cancelled an in-progress drain), "drain" (active →
-// draining), "off" (drain completed).
-type ScaleEvent struct {
-	AtSeconds float64
-	Kind      string
-	Replica   int
-}
+// KVStats is one replica's KV-manager counters.
+type KVStats = kvcache.Stats
+
+// ScaleEvent is one replica lifecycle transition the autoscaler drove, at
+// instant At: Kind "warmup" (off → warming), "activate" (warming →
+// active), "reactivate" (a scale-up cancelled an in-progress drain),
+// "drain" (active → draining), "off" (drain completed).
+type ScaleEvent = cluster.ScaleEvent
 
 // ReplicaCountSample is one control-tick sample of the per-state replica
-// counts.
-type ReplicaCountSample struct {
-	AtSeconds                 float64
-	Active, Warming, Draining int
-}
+// counts (Active, Warming, Draining) at instant At.
+type ReplicaCountSample = cluster.ReplicaCountPoint
 
-// ImbalanceSample is one point of the cluster's load-imbalance series.
-type ImbalanceSample struct {
-	AtSeconds float64
-	// Imbalance is the peak-to-mean ratio of per-replica outstanding
-	// requests at the instant (1.0 = balanced or idle).
-	Imbalance float64
-}
+// ImbalanceSample is one point of the cluster's load-imbalance series:
+// Value is the peak-to-mean ratio of per-replica outstanding requests at
+// instant At (1.0 = balanced or idle).
+type ImbalanceSample = cluster.ImbalancePoint
 
 // ClusterCounters are a cluster run's scalar outcome counters: load
 // imbalance, prefix hits, migrations, host reloads, autoscaling cost,
@@ -549,24 +465,15 @@ type ClusterResult struct {
 }
 
 // GatewaySample is one control-tick sample of the scale-to-zero gateway
-// buffer depth.
-type GatewaySample struct {
-	AtSeconds float64
-	Depth     int
-}
+// buffer Depth at instant At.
+type GatewaySample = cluster.GatewayPoint
 
 // TransferClassStats totals one transfer class's traffic across the
-// cluster's fabric.
-type TransferClassStats struct {
-	// Class labels the traffic's purpose: "sync", "evict", "load",
-	// "reload", "migrate", "prewarm", or "drain".
-	Class string
-	// Transfers and Bytes count the class's bookings; BusySeconds its
-	// summed bottleneck wire time (queueing excluded).
-	Transfers   int64
-	Bytes       int64
-	BusySeconds float64
-}
+// cluster's fabric: Class labels its purpose (String gives "sync",
+// "evict", "load", "reload", "migrate", "prewarm", "drain", "index" or
+// "replicate"), Transfers and Bytes count its bookings, and Busy is its
+// summed bottleneck wire time (queueing excluded).
+type TransferClassStats = fabric.ClassStats
 
 // expandReplicaSpecs resolves the cluster layout into one (GPU,
 // MemFraction) pair per replica, applying the embedded Config's values as
@@ -647,10 +554,6 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	chaosSpec, err := cfg.Chaos.chaosSpec()
-	if err != nil {
-		return nil, err
-	}
 	cl, err := cluster.New(cluster.Config{
 		Replicas:        len(reps),
 		Policy:          pol,
@@ -660,10 +563,10 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 		MigrationPolicy: cfg.MigrationPolicy,
 		Topology:        cfg.Topology,
 		Autoscale:       asCfg,
-		PrefixIndex:     cfg.PrefixIndex.indexSpec(),
+		PrefixIndex:     cfg.PrefixIndex,
 		Shards:          cfg.Shards,
 		Obs:             cfg.Obs.options(),
-		Chaos:           chaosSpec,
+		Chaos:           cfg.Chaos,
 	}, func(i int, clock *simclock.Clock, ep *fabric.Endpoint) (*engine.Engine, error) {
 		rcfg := cfg.Config
 		rcfg.GPU = reps[i].GPU
@@ -689,32 +592,16 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 		Router: cfg.Router,
 		Cluster: convertParts(cfg.System, res.Report, res.Requests, res.Samples,
 			res.Makespan, res.TimedOut),
-		ClusterCounters: res.Counters,
-		PrefixIndex:     res.PrefixIndex,
-		Attribution:     res.Attribution,
-	}
-	for _, p := range res.GatewaySeries {
-		out.GatewayDepthSeries = append(out.GatewayDepthSeries, GatewaySample{
-			AtSeconds: p.At.Seconds(), Depth: p.Depth,
-		})
-	}
-	for _, p := range res.ImbalanceSeries {
-		out.ImbalanceSeries = append(out.ImbalanceSeries, ImbalanceSample{
-			AtSeconds: p.At.Seconds(), Imbalance: p.Value,
-		})
-	}
-	for _, cs := range res.TransferClasses {
-		out.Transfers = append(out.Transfers, TransferClassStats{
-			Class:       cs.Class.String(),
-			Transfers:   cs.Transfers,
-			Bytes:       cs.Bytes,
-			BusySeconds: cs.Busy.Seconds(),
-		})
+		ClusterCounters:    res.Counters,
+		ImbalanceSeries:    res.ImbalanceSeries,
+		Transfers:          res.TransferClasses,
+		ScaleEvents:        res.ScaleEvents,
+		ReplicaSeries:      res.ReplicaSeries,
+		GatewayDepthSeries: res.GatewaySeries,
+		PrefixIndex:        res.PrefixIndex,
+		Attribution:        res.Attribution,
 	}
 	for _, ev := range res.ScaleEvents {
-		out.ScaleEvents = append(out.ScaleEvents, ScaleEvent{
-			AtSeconds: ev.At.Seconds(), Kind: string(ev.Kind), Replica: ev.Replica,
-		})
 		// A cancelled drain restores capacity just like a warm-up does, so
 		// reactivations count as scale-ups — the up/down totals then match
 		// the control loop's actual activity under flapping load.
@@ -725,27 +612,16 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 			out.ScaleDowns++
 		}
 	}
-	for _, p := range res.ReplicaSeries {
-		out.ReplicaSeries = append(out.ReplicaSeries, ReplicaCountSample{
-			AtSeconds: p.At.Seconds(),
-			Active:    p.Active, Warming: p.Warming, Draining: p.Draining,
-		})
-	}
 	for i, rs := range res.PerReplica {
 		kv := rs.Result.KV
 		out.Replicas = append(out.Replicas, ReplicaResult{
-			ID:                rs.ID,
-			GPU:               reps[i].GPU,
-			Routed:            rs.Routed,
-			PrefixHits:        rs.Result.PrefixHits,
-			PinnedPrefixPages: kv.PinnedPages,
-			PeakPinnedPages:   kv.PeakPinnedPages,
-			PrefixEvictions:   kv.PrefixEvictions,
-			HostReloads:       kv.HostReloads,
-			HostMirroredPages: kv.HostMirroredPages,
-			HostMirrorBytes:   kv.HostMirrorBytes,
-			State:             rs.State.String(),
-			GPUSeconds:        rs.GPUSeconds,
+			ID:         rs.ID,
+			GPU:        reps[i].GPU,
+			Routed:     rs.Routed,
+			PrefixHits: rs.Result.PrefixHits,
+			KV:         kv,
+			State:      rs.State.String(),
+			GPUSeconds: rs.GPUSeconds,
 			Result: convertParts(cfg.System, rs.Result.Report, rs.Result.Requests, rs.Result.Samples,
 				rs.Result.Makespan, rs.Result.TimedOut),
 		})

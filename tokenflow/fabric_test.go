@@ -135,12 +135,12 @@ func TestHostPrefixCacheCluster(t *testing.T) {
 	if res.HostReloads == 0 || res.HostReloadTokens == 0 {
 		t.Errorf("host cache idle: %d reloads / %d tokens", res.HostReloads, res.HostReloadTokens)
 	}
-	if res.Replicas[0].HostReloads != res.HostReloads {
-		t.Errorf("per-replica reloads %d != cluster %d", res.Replicas[0].HostReloads, res.HostReloads)
+	if res.Replicas[0].KV.HostReloads != res.HostReloads {
+		t.Errorf("per-replica reloads %d != cluster %d", res.Replicas[0].KV.HostReloads, res.HostReloads)
 	}
 	classes := map[string]tokenflow.TransferClassStats{}
 	for _, cs := range res.Transfers {
-		classes[cs.Class] = cs
+		classes[cs.Class.String()] = cs
 	}
 	if classes["reload"].Bytes == 0 {
 		t.Errorf("reload class empty in transfer ledger: %+v", res.Transfers)

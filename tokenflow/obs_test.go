@@ -226,11 +226,11 @@ func TestObsExportsAreValid(t *testing.T) {
 	// The host-mirror report fields agree across levels.
 	var sum int64
 	for _, rr := range res.Replicas {
-		if (rr.HostMirrorBytes > 0) != (rr.HostMirroredPages > 0) {
+		if (rr.KV.HostMirrorBytes > 0) != (rr.KV.HostMirroredPages > 0) {
 			t.Errorf("replica %d: mirror bytes %d vs pages %d disagree",
-				rr.ID, rr.HostMirrorBytes, rr.HostMirroredPages)
+				rr.ID, rr.KV.HostMirrorBytes, rr.KV.HostMirroredPages)
 		}
-		sum += rr.HostMirrorBytes
+		sum += rr.KV.HostMirrorBytes
 	}
 	if res.HostMirrorBytes != sum {
 		t.Errorf("cluster HostMirrorBytes %d != per-replica sum %d", res.HostMirrorBytes, sum)

@@ -157,12 +157,14 @@ type RequestStats struct {
 	TokenTimesSeconds []float64
 }
 
-// Sample is one point of the queued/running time series.
-type Sample struct {
-	AtSeconds float64
-	Queued    int
-	Running   int
-}
+// Time is an instant on the virtual clock: nanoseconds since the start of
+// the run (Seconds converts). A seconds value s becomes
+// Time(s * float64(time.Second)).
+type Time = simclock.Time
+
+// Sample is one point of the queued/running time series: the Queued and
+// Running request counts at instant At.
+type Sample = request.Sample
 
 // Result reports a completed simulation.
 type Result struct {
@@ -301,6 +303,7 @@ func convertParts(sys System, rep metrics.Report, reqs []*request.Request,
 		Preemptions:         rep.Preemptions,
 		MakespanSec:         makespan.Seconds(),
 		TimedOut:            timedOut,
+		Samples:             samples,
 	}
 	for i, r := range reqs {
 		rm := rep.Requests[i]
@@ -312,9 +315,6 @@ func convertParts(sys System, rep metrics.Report, reqs []*request.Request,
 			rs.TokenTimesSeconds = append(rs.TokenTimesSeconds, t.Seconds())
 		}
 		out.Requests = append(out.Requests, rs)
-	}
-	for _, s := range samples {
-		out.Samples = append(out.Samples, Sample{AtSeconds: s.At.Seconds(), Queued: s.Queued, Running: s.Running})
 	}
 	return out
 }
