@@ -102,8 +102,8 @@ func BenchmarkAutoscaledSpikes(b *testing.B) {
 			Replicas: 4,
 			Router:   tokenflow.RouterSessionAffinity,
 			Autoscale: &tokenflow.AutoscaleSpec{
-				MinReplicas:   1,
-				WarmupSeconds: 5, Prewarm: true,
+				MinReplicas: 1,
+				Warmup:      5 * time.Second, Prewarm: true,
 			},
 		}, w)
 		if err != nil {

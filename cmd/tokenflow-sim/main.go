@@ -352,7 +352,7 @@ func run() error {
 			Out: *obsOut,
 		}
 		// Series ride the sampling loop, which is off by default.
-		cfg.SampleEverySeconds = 0.25
+		cfg.SampleEvery = 250 * time.Millisecond
 	}
 
 	var res *tokenflow.Result
@@ -429,7 +429,7 @@ func run() error {
 			ccfg.Autoscale = &tokenflow.AutoscaleSpec{
 				Policy:                 tokenflow.AutoscalePolicy(*scaler),
 				MinReplicas:            *minReps,
-				WarmupSeconds:          ws,
+				Warmup:                 seconds(ws),
 				Prewarm:                *prewarm,
 				ScaleToZero:            *minReps == 0,
 				GatewayDepth:           *gwDepth,
@@ -486,7 +486,7 @@ func run() error {
 				*scaler, cres.ScaleUps, cres.ScaleDowns, cres.WarmupStalls)
 			fmt.Printf("GPU-seconds         %.0f (fixed %d-replica pool would burn %.0f)\n",
 				cres.GPUSeconds, len(cres.Replicas),
-				float64(len(cres.Replicas))*res.MakespanSec)
+				float64(len(cres.Replicas))*res.Makespan.Seconds())
 			if *prewarm {
 				fmt.Printf("KV pre-warm         %d pins shipped (%d tokens)\n",
 					cres.Prewarms, cres.PrewarmedTokens)
@@ -518,14 +518,14 @@ func run() error {
 	}
 
 	fmt.Printf("system              %s\n", res.System)
-	fmt.Printf("requests            %d finished / %d total (timed out: %v)\n", res.Finished, res.Total, res.TimedOut)
-	fmt.Printf("makespan            %.2fs\n", res.MakespanSec)
+	fmt.Printf("requests            %d finished / %d total (timed out: %v)\n", res.Finished, res.N, res.TimedOut)
+	fmt.Printf("makespan            %.2fs\n", res.Makespan.Seconds())
 	fmt.Printf("throughput          %.1f tok/s\n", res.Throughput)
 	fmt.Printf("effective thpt      %.1f tok/s\n", res.EffectiveThroughput)
 	fmt.Printf("QoS                 %.1f\n", res.QoS)
 	fmt.Printf("TTFT mean/p50/p99   %.2fs / %.2fs / %.2fs\n",
 		res.MeanTTFT.Seconds(), res.P50TTFT.Seconds(), res.P99TTFT.Seconds())
-	fmt.Printf("total rebuffer      %.2fs across %d requests\n", res.TotalRebuffer.Seconds(), res.Total)
+	fmt.Printf("total rebuffer      %.2fs across %d requests\n", res.TotalRebuffer.Seconds(), res.N)
 	fmt.Printf("preemptions         %d\n", res.Preemptions)
 	if *obsOut != "" {
 		fmt.Printf("events recorded     %d (exported to %s)\n", ocap.EventCount(), *obsOut)

@@ -53,10 +53,10 @@ func main() {
 	// the autoscaling maximum; the spec only sets the floor.
 	auto := func(prewarm bool) *tokenflow.AutoscaleSpec {
 		return &tokenflow.AutoscaleSpec{
-			Policy:        tokenflow.AutoscaleQueuePressure,
-			MinReplicas:   1,
-			WarmupSeconds: 5,
-			Prewarm:       prewarm,
+			Policy:      tokenflow.AutoscaleQueuePressure,
+			MinReplicas: 1,
+			Warmup:      5 * time.Second,
+			Prewarm:     prewarm,
 		}
 	}
 
@@ -76,15 +76,15 @@ func main() {
 	row("slo-target 2.5s", run(4, &tokenflow.AutoscaleSpec{
 		Policy:        tokenflow.AutoscaleSLOTarget,
 		MinReplicas:   1,
-		WarmupSeconds: 5,
+		Warmup:        5 * time.Second,
 		TargetP99TTFT: 2500 * time.Millisecond,
 		Prewarm:       true,
 	}))
 	pred := run(4, &tokenflow.AutoscaleSpec{
-		Policy:        tokenflow.AutoscalePredictive,
-		MinReplicas:   1,
-		WarmupSeconds: 5,
-		Prewarm:       true,
+		Policy:      tokenflow.AutoscalePredictive,
+		MinReplicas: 1,
+		Warmup:      5 * time.Second,
+		Prewarm:     true,
 	})
 	row("predictive", pred)
 	fmt.Printf("\npredictive forecast: MAE %.2f req/s over %d scored forecasts\n",
@@ -117,10 +117,10 @@ func main() {
 	// goes fully dark and burns nothing. The second burst buffers in the
 	// gateway while replica 0 cold-starts — its queue time is inside TTFT.
 	var bursts tokenflow.Workload
-	for _, at := range []float64{0, 180} {
+	for _, at := range []tokenflow.Time{0, tokenflow.Time(180 * time.Second)} {
 		for i := 0; i < 12; i++ {
 			bursts = append(bursts, tokenflow.Request{
-				ArrivalSeconds: at, PromptTokens: 512, OutputTokens: 128, RatePerSec: 20,
+				Arrival: at, PromptLen: 512, OutputLen: 128, Rate: 20,
 			})
 		}
 	}
@@ -129,9 +129,9 @@ func main() {
 		Replicas: 2,
 		Router:   tokenflow.RouterLeastQueue,
 		Autoscale: &tokenflow.AutoscaleSpec{
-			Policy:        tokenflow.AutoscaleSLOTarget,
-			ScaleToZero:   true,
-			WarmupSeconds: 5,
+			Policy:      tokenflow.AutoscaleSLOTarget,
+			ScaleToZero: true,
+			Warmup:      5 * time.Second,
 		},
 	}, bursts)
 	if err != nil {
@@ -141,7 +141,7 @@ func main() {
 	fmt.Printf("  %d/%d finished, %d buffered in the gateway, %d shed\n",
 		zero.Cluster.Finished, len(bursts), zero.GatewayBuffered, zero.GatewayShed)
 	fmt.Printf("  GPU-seconds %.0f vs %.0f for an always-on single replica\n",
-		zero.GPUSeconds, zero.Cluster.MakespanSec)
+		zero.GPUSeconds, zero.Cluster.Makespan.Seconds())
 	fmt.Printf("  p99 TTFT %.2fs (the ~5s cold start is inside it)\n",
 		zero.Cluster.P99TTFT.Seconds())
 	for _, ev := range zero.ScaleEvents {

@@ -9,6 +9,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"time"
 
 	"repro/tokenflow"
 )
@@ -25,11 +26,11 @@ func main() {
 	var all []series
 	for _, system := range tokenflow.Systems() {
 		res, err := tokenflow.Run(tokenflow.Config{
-			System:             system,
-			GPU:                "H200",
-			Model:              "Llama3-8B",
-			MemFraction:        0.3,
-			SampleEverySeconds: 5,
+			System:      system,
+			GPU:         "H200",
+			Model:       "Llama3-8B",
+			MemFraction: 0.3,
+			SampleEvery: 5 * time.Second,
 		}, workload)
 		if err != nil {
 			log.Fatal(err)

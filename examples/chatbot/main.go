@@ -34,7 +34,7 @@ func main() {
 	segOf := make([]string, len(base))
 	for i, r := range base {
 		seg := segments[rng.Intn(len(segments))]
-		r.RatePerSec = seg.rate
+		r.Rate = seg.rate
 		segOf[i] = seg.name
 		workload = append(workload, r)
 	}
@@ -50,7 +50,7 @@ func main() {
 	}
 
 	fmt.Printf("served %d/%d requests, effective throughput %.1f tok/s, QoS %.1f\n\n",
-		res.Finished, res.Total, res.EffectiveThroughput, res.QoS)
+		res.Finished, res.N, res.EffectiveThroughput, res.QoS)
 	type agg struct {
 		n        int
 		ttft     float64

@@ -24,9 +24,9 @@ func main() {
 			rate = 15.0
 		}
 		workload = append(workload, tokenflow.Request{
-			PromptTokens: 256,
-			OutputTokens: 900,
-			RatePerSec:   rate,
+			PromptLen: 256,
+			OutputLen: 900,
+			Rate:      rate,
 		})
 	}
 
@@ -46,17 +46,12 @@ func main() {
 	}
 	classes := map[float64]*agg{15: {}, 20: {}}
 	for i, r := range res.Requests {
-		c := classes[workload[i].RatePerSec]
+		c := classes[workload[i].Rate]
 		c.n++
 		c.stall += r.Rebuffer.Seconds()
-		if n := len(r.TokenTimesSeconds); n >= 2 {
-			span := r.TokenTimesSeconds[n-1] - r.TokenTimesSeconds[0]
-			if span > 0 {
-				c.deliver += float64(n-1) / span
-			}
-		}
+		c.deliver += r.GenRate
 	}
-	fmt.Printf("served %d/%d caption streams\n\n", res.Finished, res.Total)
+	fmt.Printf("served %d/%d caption streams\n\n", res.Finished, res.N)
 	for _, rate := range []float64{15, 20} {
 		c := classes[rate]
 		fmt.Printf("class %2.0f tok/s: %3d streams, mean generation pace %5.1f tok/s, mean stall %5.2fs\n",

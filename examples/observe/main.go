@@ -76,7 +76,7 @@ func main() {
 				Attribution: true,
 				Out:         "observe-out",
 			},
-			SampleEverySeconds: 0.25,
+			SampleEvery: 250 * time.Millisecond,
 		},
 		// 1 big + 2 small replicas: affinity routing overflows the small
 		// ones under the spikes, so sessions get diverted off their pins.
@@ -100,7 +100,7 @@ func main() {
 	}
 
 	fmt.Printf("run: %d requests, p99 TTFT %.2fs, %d migrations, %d declined by the cost model\n",
-		res.Cluster.Total, res.Cluster.P99TTFT.Seconds(),
+		res.Cluster.N, res.Cluster.P99TTFT.Seconds(),
 		res.Migrations, res.MigrationsDeclined)
 	fmt.Printf("recorded %d lifecycle events -> observe-out/ "+
 		"(open trace.json at ui.perfetto.dev)\n\n", res.Obs.EventCount())

@@ -28,7 +28,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-10s finished %d/%d  eff-thpt %7.1f tok/s  thpt %7.1f tok/s  mean TTFT %7.2fs  P99 TTFT %7.2fs\n",
-			res.System, res.Finished, res.Total,
+			res.System, res.Finished, res.N,
 			res.EffectiveThroughput, res.Throughput,
 			res.MeanTTFT.Seconds(), res.P99TTFT.Seconds())
 	}

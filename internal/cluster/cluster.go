@@ -1156,21 +1156,7 @@ func (c *Cluster) collect(timedOut bool) *Result {
 	}
 	sort.SliceStable(res.Requests, func(i, j int) bool { return res.Requests[i].ID < res.Requests[j].ID })
 
-	// Cluster makespan: the last generated token across replicas, falling
-	// back to the final clock reading for degenerate runs — the same rule
-	// the engine applies to its own population.
-	var makespan simclock.Time
-	for _, r := range res.Requests {
-		if r.FinishedAt > makespan {
-			makespan = r.FinishedAt
-		}
-		if r.Generated > 0 && r.TokenTimes[len(r.TokenTimes)-1] > makespan {
-			makespan = r.TokenTimes[len(r.TokenTimes)-1]
-		}
-	}
-	if makespan == 0 {
-		makespan = end
-	}
+	makespan := request.Makespan(res.Requests, end)
 	res.Makespan = time.Duration(makespan)
 	res.Report = metrics.Analyze(res.Requests, makespan, metrics.DefaultQoSParams())
 	res.Imbalance = metrics.Imbalance(loads)

@@ -637,19 +637,7 @@ func (e *Engine) PrefixFootprint(session int) (tokens int, bytes int64) {
 func (e *Engine) Collect() *Result {
 	e.teardown()
 
-	var makespan simclock.Time
-	for _, r := range e.track.All() {
-		if r.FinishedAt > makespan {
-			makespan = r.FinishedAt
-		}
-		if r.Generated > 0 && r.TokenTimes[len(r.TokenTimes)-1] > makespan {
-			makespan = r.TokenTimes[len(r.TokenTimes)-1]
-		}
-	}
-	if makespan == 0 {
-		makespan = e.clock.Now()
-	}
-
+	makespan := request.Makespan(e.track.All(), e.clock.Now())
 	return &Result{
 		Scheduler:           e.cfg.Scheduler.Name(),
 		Report:              metrics.Analyze(e.track.All(), makespan, metrics.DefaultQoSParams()),

@@ -223,6 +223,26 @@ func (r *Request) RemainingOutput() int { return r.OutputLen - r.Generated }
 // first token exists; callers gate on Generated > 0.
 func (r *Request) TTFT() time.Duration { return r.FirstTokenAt.Sub(r.Arrival) }
 
+// Makespan reports when a population finished: the latest FinishedAt or
+// last token time across reqs, or fallback (the final clock reading) when
+// no request generated anything. The engine and the cluster both measure
+// their runs with it, so the two makespans follow one rule.
+func Makespan(reqs []*Request, fallback simclock.Time) simclock.Time {
+	var end simclock.Time
+	for _, r := range reqs {
+		if r.FinishedAt > end {
+			end = r.FinishedAt
+		}
+		if r.Generated > 0 && r.TokenTimes[len(r.TokenTimes)-1] > end {
+			end = r.TokenTimes[len(r.TokenTimes)-1]
+		}
+	}
+	if end == 0 {
+		return fallback
+	}
+	return end
+}
+
 // Stalled reports whether the client is currently blocked on an empty
 // buffer.
 func (r *Request) Stalled() bool {

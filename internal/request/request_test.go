@@ -499,3 +499,27 @@ func BenchmarkStreamRead(b *testing.B) {
 		readStream(r, clock)
 	}
 }
+
+func TestMakespan(t *testing.T) {
+	s := simclock.FromSeconds
+	// done is a request whose last token landed at last and whose
+	// FinishedAt reads finished.
+	done := func(last, finished simclock.Time) *Request {
+		return &Request{Generated: 2, TokenTimes: []simclock.Time{s(1), last}, FinishedAt: finished}
+	}
+	cases := []struct {
+		name string
+		reqs []*Request
+		want simclock.Time
+	}{
+		{"empty-population", nil, s(9)},
+		{"last-token-after-finish", []*Request{done(s(5), s(4)), done(s(3), s(3))}, s(5)},
+		{"finish-after-last-token", []*Request{done(s(3), s(3)), done(s(5), s(6))}, s(6)},
+		{"no-request-started", []*Request{New(0, s(1), 8, 8, 10), New(1, s(2), 8, 8, 10)}, s(9)},
+	}
+	for _, c := range cases {
+		if got := Makespan(c.reqs, s(9)); got != c.want {
+			t.Errorf("%s: makespan %v, want %v", c.name, got, c.want)
+		}
+	}
+}

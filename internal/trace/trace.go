@@ -15,10 +15,13 @@ import (
 
 // Item is one request specification in a workload.
 type Item struct {
-	Arrival   simclock.Time
+	// Arrival is the arrival instant, measured from the start of the run.
+	Arrival simclock.Time
+	// PromptLen and OutputLen are the input and output lengths in tokens.
 	PromptLen int
 	OutputLen int
-	// Rate is the client's required consumption rate in tokens/second.
+	// Rate is the client's required consumption rate in tokens/second
+	// (reading or listening speed); 0 means the client consumes instantly.
 	Rate float64
 	// Session and Turn mark multi-turn conversation membership (Session 0 =
 	// stateless single-shot request). Turns of one session arrive in order
@@ -34,7 +37,8 @@ type Workload struct {
 	Items []Item
 }
 
-// Validate checks arrival ordering and positive lengths.
+// Validate checks arrival ordering, positive lengths and a finite,
+// non-negative consumption rate (0 is an instant consumer).
 func (w Workload) Validate() error {
 	var prev simclock.Time
 	for i, it := range w.Items {
@@ -43,6 +47,9 @@ func (w Workload) Validate() error {
 		}
 		if it.PromptLen < 1 || it.OutputLen < 1 {
 			return fmt.Errorf("trace %s: item %d has degenerate lengths (%d,%d)", w.Name, i, it.PromptLen, it.OutputLen)
+		}
+		if !(it.Rate >= 0) || math.IsInf(it.Rate, 1) {
+			return fmt.Errorf("trace %s: item %d has consumption rate %v, want a finite rate >= 0", w.Name, i, it.Rate)
 		}
 		prev = it.Arrival
 	}

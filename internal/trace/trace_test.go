@@ -3,6 +3,7 @@ package trace
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -173,17 +174,35 @@ func TestMergeSortsByArrival(t *testing.T) {
 	}
 }
 
-func TestValidateCatchesDisorder(t *testing.T) {
-	w := Workload{Name: "bad", Items: []Item{
-		{Arrival: simclock.FromSeconds(2), PromptLen: 1, OutputLen: 1},
-		{Arrival: simclock.FromSeconds(1), PromptLen: 1, OutputLen: 1},
-	}}
-	if w.Validate() == nil {
-		t.Error("out-of-order arrivals should fail validation")
+func TestValidateRejectsBadItems(t *testing.T) {
+	ok := Item{PromptLen: 1, OutputLen: 1, Rate: 20}
+	with := func(f func(*Item)) []Item {
+		it := ok
+		f(&it)
+		return []Item{ok, it}
 	}
-	w2 := Workload{Name: "bad2", Items: []Item{{PromptLen: 0, OutputLen: 1}}}
-	if w2.Validate() == nil {
-		t.Error("zero prompt should fail validation")
+	cases := []struct {
+		name  string
+		items []Item
+		want  string // substring of the error; "" means valid
+	}{
+		{"valid", with(func(*Item) {}), ""},
+		{"instant-consumer", with(func(it *Item) { it.Rate = 0 }), ""},
+		{"out-of-order", []Item{{Arrival: simclock.FromSeconds(2), PromptLen: 1, OutputLen: 1},
+			{Arrival: simclock.FromSeconds(1), PromptLen: 1, OutputLen: 1}}, "item 1 arrives"},
+		{"zero-prompt", with(func(it *Item) { it.PromptLen = 0 }), "item 1 has degenerate lengths"},
+		{"nan-rate", with(func(it *Item) { it.Rate = math.NaN() }), "item 1 has consumption rate NaN"},
+		{"inf-rate", with(func(it *Item) { it.Rate = math.Inf(1) }), "item 1 has consumption rate +Inf"},
+		{"negative-rate", with(func(it *Item) { it.Rate = -3 }), "item 1 has consumption rate -3"},
+	}
+	for _, c := range cases {
+		err := Workload{Name: "w", Items: c.items}.Validate()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
+		}
 	}
 }
 

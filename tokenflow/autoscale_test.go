@@ -61,7 +61,7 @@ func TestAutoscaleStaticReproducesRunCluster(t *testing.T) {
 // different sizes must size each pool independently.
 func TestAutoscaleSpecReusable(t *testing.T) {
 	w := tokenflow.SessionWorkload(20, 60, 20, 9)
-	spec := &tokenflow.AutoscaleSpec{MinReplicas: 1, WarmupSeconds: 2}
+	spec := &tokenflow.AutoscaleSpec{MinReplicas: 1, Warmup: 2 * time.Second}
 	before := *spec
 	for _, n := range []int{2, 4} {
 		res := runCluster(t, tokenflow.ClusterConfig{
@@ -147,8 +147,8 @@ func TestAutoscaleBeatsFixedPools(t *testing.T) {
 	auto := runCluster(t, tokenflow.ClusterConfig{
 		Config: base, Replicas: large, Router: tokenflow.RouterSessionAffinity,
 		Autoscale: &tokenflow.AutoscaleSpec{
-			MinReplicas:   small,
-			WarmupSeconds: 5, Prewarm: true,
+			MinReplicas: small,
+			Warmup:      5 * time.Second, Prewarm: true,
 		},
 	}, w)
 
@@ -196,8 +196,8 @@ func TestPrewarmBeatsColdWarmup(t *testing.T) {
 			Replicas: 4,
 			Router:   tokenflow.RouterSessionAffinity,
 			Autoscale: &tokenflow.AutoscaleSpec{
-				MinReplicas:   1,
-				WarmupSeconds: 5, Prewarm: prewarm,
+				MinReplicas: 1,
+				Warmup:      5 * time.Second, Prewarm: prewarm,
 			},
 		}, w)
 	}

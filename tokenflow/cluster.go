@@ -13,6 +13,7 @@ import (
 	"repro/internal/prefixindex"
 	"repro/internal/router"
 	"repro/internal/simclock"
+	"repro/internal/trace"
 )
 
 // RouterPolicy selects how a cluster routes arriving requests to replicas.
@@ -306,10 +307,10 @@ type AutoscaleSpec struct {
 	// workloads; negative is an error).
 	ForecastRatePerReplica float64
 
-	// WarmupSeconds is the latency a scale-up pays before the new replica
-	// accepts traffic — model load plus allocator init (default 8;
+	// Warmup is the latency a scale-up pays before the new replica
+	// accepts traffic — model load plus allocator init (default 8s;
 	// negative means instant).
-	WarmupSeconds float64
+	Warmup time.Duration
 
 	// Prewarm overlaps each warm-up with KV pre-warming: the hottest
 	// pinned session prefixes migrate from the active replicas to the
@@ -416,7 +417,7 @@ type ClusterResult struct {
 	ClusterCounters
 
 	// ImbalanceSeries samples the per-replica load imbalance over time
-	// (requires SampleEverySeconds).
+	// (requires SampleEvery).
 	ImbalanceSeries []ImbalanceSample
 
 	// PrefixEvictions totals pinned prefixes evicted under memory pressure
@@ -544,7 +545,7 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 			Policy:       pol,
 			Min:          spec.MinReplicas,
 			Max:          len(reps),
-			Warmup:       simclock.Duration(spec.WarmupSeconds),
+			Warmup:       spec.Warmup,
 			Prewarm:      spec.Prewarm,
 			ScaleToZero:  spec.ScaleToZero,
 			GatewayDepth: spec.GatewayDepth,
@@ -557,8 +558,8 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 	cl, err := cluster.New(cluster.Config{
 		Replicas:        len(reps),
 		Policy:          pol,
-		SampleEvery:     simclock.Duration(cfg.SampleEverySeconds),
-		MaxSimTime:      simclock.Duration(cfg.MaxSimTimeSeconds),
+		SampleEvery:     cfg.SampleEvery,
+		MaxSimTime:      cfg.MaxSimTime,
 		Migrate:         cfg.Migrate,
 		MigrationPolicy: cfg.MigrationPolicy,
 		Topology:        cfg.Topology,
@@ -582,7 +583,7 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 		return nil, err
 	}
 	start := time.Now()
-	res, err := cl.Run(toTrace(w))
+	res, err := cl.Run(trace.Workload{Name: "api", Items: w})
 	if err != nil {
 		return nil, err
 	}
@@ -590,8 +591,8 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 
 	out := &ClusterResult{
 		Router: cfg.Router,
-		Cluster: convertParts(cfg.System, res.Report, res.Requests, res.Samples,
-			res.Makespan, res.TimedOut),
+		Cluster: &Result{System: cfg.System, Report: res.Report, TimedOut: res.TimedOut,
+			Samples: res.Samples},
 		ClusterCounters:    res.Counters,
 		ImbalanceSeries:    res.ImbalanceSeries,
 		Transfers:          res.TransferClasses,
@@ -622,8 +623,8 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 			KV:         kv,
 			State:      rs.State.String(),
 			GPUSeconds: rs.GPUSeconds,
-			Result: convertParts(cfg.System, rs.Result.Report, rs.Result.Requests, rs.Result.Samples,
-				rs.Result.Makespan, rs.Result.TimedOut),
+			Result: &Result{System: cfg.System, Report: rs.Result.Report, TimedOut: rs.Result.TimedOut,
+				Samples: rs.Result.Samples},
 		})
 		out.PrefixEvictions += kv.PrefixEvictions
 		out.PinnedPrefixPages += kv.PinnedPages

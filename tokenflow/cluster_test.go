@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/tokenflow"
 )
@@ -20,10 +21,10 @@ func TestRunClusterSingleReplicaMatchesRun(t *testing.T) {
 		name, w := name, w
 		t.Run(name, func(t *testing.T) {
 			cfg := tokenflow.Config{
-				System:             tokenflow.SystemTokenFlow,
-				GPU:                "RTX-4090",
-				Model:              "Llama3-8B",
-				SampleEverySeconds: 5,
+				System:      tokenflow.SystemTokenFlow,
+				GPU:         "RTX-4090",
+				Model:       "Llama3-8B",
+				SampleEvery: 5 * time.Second,
 			}
 			solo, err := tokenflow.Run(cfg, w)
 			if err != nil {
@@ -87,6 +88,9 @@ func TestSessionAffinityBeatsRoundRobin(t *testing.T) {
 	}
 }
 
+// at converts a seconds offset to a virtual-clock instant.
+func at(s float64) tokenflow.Time { return tokenflow.Time(s * float64(time.Second)) }
+
 // displacementWorkload builds the migration stress scenario: ns sessions
 // open early and pin large contexts on the cluster's big replica, then
 // flash crowds of nb big stateless prompts flood it at t=60 and t=120,
@@ -97,20 +101,20 @@ func displacementWorkload(ns, nb int) tokenflow.Workload {
 	var w tokenflow.Workload
 	for s := 1; s <= ns; s++ {
 		t0 := 40.0 * float64(s) / float64(ns+1)
-		w = append(w, tokenflow.Request{ArrivalSeconds: t0, PromptTokens: 1500,
-			OutputTokens: 400, RatePerSec: 20, SessionID: s, Turn: 1})
-		w = append(w, tokenflow.Request{ArrivalSeconds: 62 + float64(s%10), PromptTokens: 1980,
-			OutputTokens: 400, RatePerSec: 20, SessionID: s, Turn: 2})
-		w = append(w, tokenflow.Request{ArrivalSeconds: 122 + float64(s%10), PromptTokens: 2460,
-			OutputTokens: 400, RatePerSec: 20, SessionID: s, Turn: 3})
+		w = append(w, tokenflow.Request{Arrival: at(t0), PromptLen: 1500,
+			OutputLen: 400, Rate: 20, Session: s, Turn: 1})
+		w = append(w, tokenflow.Request{Arrival: at(62 + float64(s%10)), PromptLen: 1980,
+			OutputLen: 400, Rate: 20, Session: s, Turn: 2})
+		w = append(w, tokenflow.Request{Arrival: at(122 + float64(s%10)), PromptLen: 2460,
+			OutputLen: 400, Rate: 20, Session: s, Turn: 3})
 	}
 	for i := 0; i < nb; i++ {
-		w = append(w, tokenflow.Request{ArrivalSeconds: 60, PromptTokens: 6000,
-			OutputTokens: 100, RatePerSec: 20})
-		w = append(w, tokenflow.Request{ArrivalSeconds: 120, PromptTokens: 6000,
-			OutputTokens: 100, RatePerSec: 20})
+		w = append(w, tokenflow.Request{Arrival: at(60), PromptLen: 6000,
+			OutputLen: 100, Rate: 20})
+		w = append(w, tokenflow.Request{Arrival: at(120), PromptLen: 6000,
+			OutputLen: 100, Rate: 20})
 	}
-	sort.SliceStable(w, func(i, j int) bool { return w[i].ArrivalSeconds < w[j].ArrivalSeconds })
+	sort.SliceStable(w, func(i, j int) bool { return w[i].Arrival < w[j].Arrival })
 	return w
 }
 
@@ -143,8 +147,8 @@ func TestMigrationBeatsRecomputeOnHeteroPool(t *testing.T) {
 		if res.Cluster.TimedOut {
 			t.Fatal("run timed out")
 		}
-		if res.Cluster.Finished != res.Cluster.Total {
-			t.Fatalf("finished %d/%d", res.Cluster.Finished, res.Cluster.Total)
+		if res.Cluster.Finished != res.Cluster.N {
+			t.Fatalf("finished %d/%d", res.Cluster.Finished, res.Cluster.N)
 		}
 		return res
 	}
@@ -199,8 +203,8 @@ func TestHeteroReplicaSpecsExpand(t *testing.T) {
 			t.Errorf("replica %d GPU = %q, want %q", i, rr.GPU, wantGPU[i])
 		}
 	}
-	if res.Cluster.Finished != res.Cluster.Total {
-		t.Errorf("finished %d/%d", res.Cluster.Finished, res.Cluster.Total)
+	if res.Cluster.Finished != res.Cluster.N {
+		t.Errorf("finished %d/%d", res.Cluster.Finished, res.Cluster.N)
 	}
 	if _, err := tokenflow.RunCluster(tokenflow.ClusterConfig{
 		Config:       tokenflow.Config{Model: "Llama3-8B"},
@@ -223,8 +227,8 @@ func TestRouterPoliciesAllComplete(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
-		if res.Cluster.Finished != res.Cluster.Total {
-			t.Errorf("%s: %d/%d finished", pol, res.Cluster.Finished, res.Cluster.Total)
+		if res.Cluster.Finished != res.Cluster.N {
+			t.Errorf("%s: %d/%d finished", pol, res.Cluster.Finished, res.Cluster.N)
 		}
 	}
 }
@@ -249,5 +253,37 @@ func TestRunClusterErrors(t *testing.T) {
 		Shards:   -1,
 	}, w); err == nil {
 		t.Error("negative shard count should fail")
+	}
+}
+
+// TestRunClusterWorkloadReusable: RunCluster hands the caller's workload
+// to the simulator without copying it, so it must only read it — the
+// workload is unchanged after two migrating affinity runs, and the runs
+// agree exactly.
+func TestRunClusterWorkloadReusable(t *testing.T) {
+	w := tokenflow.SessionSpikesWorkload(40, 60, 20, 20, 7)
+	before := append(tokenflow.Workload(nil), w...)
+	cfg := tokenflow.ClusterConfig{
+		Config:   tokenflow.Config{GPU: "RTX-4090", Model: "Llama3-8B"},
+		Replicas: 4,
+		Router:   tokenflow.RouterSessionAffinity,
+		Migrate:  true,
+	}
+	first, err := tokenflow.RunCluster(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := tokenflow.RunCluster(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(w, before) {
+		t.Error("workload modified by RunCluster")
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Error("two runs of the same workload produced different results")
+	}
+	if first.Cluster.Finished != len(w) {
+		t.Errorf("finished %d/%d", first.Cluster.Finished, len(w))
 	}
 }

@@ -3,6 +3,7 @@ package tokenflow_test
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/tokenflow"
 )
@@ -47,7 +48,7 @@ func TestTopologyFullMeshMatchesDefault(t *testing.T) {
 		Router:   tokenflow.RouterSessionAffinity,
 		Autoscale: &tokenflow.AutoscaleSpec{
 			Policy: tokenflow.AutoscaleQueuePressure, MinReplicas: 1,
-			WarmupSeconds: 2, Prewarm: true,
+			Warmup: 2 * time.Second, Prewarm: true,
 		},
 	}
 	sdef := run(scaled)
@@ -114,12 +115,12 @@ func TestCostMigrationWinsOnNarrowSharedNIC(t *testing.T) {
 func TestHostPrefixCacheCluster(t *testing.T) {
 	var w tokenflow.Workload
 	for s := 1; s <= 24; s++ {
-		w = append(w, tokenflow.Request{ArrivalSeconds: 0.5 * float64(s),
-			PromptTokens: 2000, OutputTokens: 128, RatePerSec: 20, SessionID: s, Turn: 1})
+		w = append(w, tokenflow.Request{Arrival: at(0.5 * float64(s)),
+			PromptLen: 2000, OutputLen: 128, Rate: 20, Session: s, Turn: 1})
 	}
 	for s := 1; s <= 24; s++ {
-		w = append(w, tokenflow.Request{ArrivalSeconds: 80 + 0.5*float64(s),
-			PromptTokens: 2528, OutputTokens: 128, RatePerSec: 20, SessionID: s, Turn: 2})
+		w = append(w, tokenflow.Request{Arrival: at(80 + 0.5*float64(s)),
+			PromptLen: 2528, OutputLen: 128, Rate: 20, Session: s, Turn: 2})
 	}
 	res, err := tokenflow.RunCluster(tokenflow.ClusterConfig{
 		Config: tokenflow.Config{

@@ -1,7 +1,6 @@
 package tokenflow
 
 import (
-	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -26,7 +25,7 @@ type ObsSpec struct {
 	// depth, KV utilization and host-mirror bytes, per-link fabric
 	// busy/backlog, active replica count, gateway depth, and the
 	// autoscaler's full signal vector. Series ride the cluster's sampling
-	// loop, so they need SampleEverySeconds set; Run records them like a
+	// loop, so they need SampleEvery set; Run records them like a
 	// one-replica RunCluster.
 	Series bool
 
@@ -56,11 +55,6 @@ type ObsSpec struct {
 	// trace_event JSON — open in Perfetto), series.csv, profile.json,
 	// attribution.json.
 	Out string
-}
-
-// Enabled reports whether any layer is on.
-func (s ObsSpec) Enabled() bool {
-	return s.Events || s.Series || s.Profile || s.Attribution
 }
 
 // options maps the public spec onto the internal capture options.
@@ -97,46 +91,6 @@ func (c *ObsCapture) EventCount() int {
 		return 0
 	}
 	return c.cap.Events.Len()
-}
-
-// WriteEventsJSONL writes the event log as one JSON object per line in
-// deterministic (time, replica, sequence) order — byte-stable across runs
-// of the same scenario.
-func (c *ObsCapture) WriteEventsJSONL(w io.Writer) error {
-	if c == nil || c.cap.Events == nil {
-		return nil
-	}
-	return c.cap.Events.WriteJSONL(w)
-}
-
-// WriteTraceJSON writes the event log as Chrome trace_event JSON: one
-// track per replica plus a cluster track, request lifecycles as
-// queue/prefill/decode slices, routing and migrations as flow arrows.
-// Open the file in Perfetto (ui.perfetto.dev) or chrome://tracing.
-func (c *ObsCapture) WriteTraceJSON(w io.Writer) error {
-	if c == nil || c.cap.Events == nil {
-		return nil
-	}
-	return c.cap.Events.WriteChromeTrace(w)
-}
-
-// WriteSeriesCSV writes every telemetry series as long-format CSV
-// (series,time_s,value).
-func (c *ObsCapture) WriteSeriesCSV(w io.Writer) error {
-	if c == nil || c.cap.Series == nil {
-		return nil
-	}
-	return c.cap.Series.WriteCSV(w)
-}
-
-// WriteProfileJSON writes the run's self-profile (per-phase wall-clock
-// timings) in the profile.json shape.
-func (c *ObsCapture) WriteProfileJSON(w io.Writer) error {
-	if c == nil || c.cap.Profile == nil {
-		return nil
-	}
-	rep := c.cap.Profile.Report(c.scenario, c.cap.Events.Len(), c.wall)
-	return rep.WriteJSON(w)
 }
 
 // WriteFiles writes every captured layer into dir (created if needed) and

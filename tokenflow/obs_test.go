@@ -2,9 +2,9 @@ package tokenflow_test
 
 // Public-surface contract of the flight recorder: the zero ObsSpec is
 // pure (results identical to an uninstrumented run, Obs nil), and an
-// instrumented run exports valid Chrome trace JSON, parseable JSONL,
-// CSV series, and a profile report — through the writer methods and the
-// Out-directory auto-export alike.
+// instrumented run's Out directory holds valid Chrome trace JSON,
+// parseable JSONL, CSV series, a profile report and the attribution
+// report.
 
 import (
 	"bufio"
@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/tokenflow"
 )
@@ -21,13 +22,13 @@ import (
 func obsClusterConfig(spec tokenflow.ObsSpec) tokenflow.ClusterConfig {
 	return tokenflow.ClusterConfig{
 		Config: tokenflow.Config{
-			System:             tokenflow.SystemTokenFlow,
-			GPU:                "RTX-4090",
-			Model:              "Llama3-8B",
-			MemFraction:        0.9,
-			HostPrefixCache:    true,
-			SampleEverySeconds: 0.5,
-			Obs:                spec,
+			System:          tokenflow.SystemTokenFlow,
+			GPU:             "RTX-4090",
+			Model:           "Llama3-8B",
+			MemFraction:     0.9,
+			HostPrefixCache: true,
+			SampleEvery:     500 * time.Millisecond,
+			Obs:             spec,
 		},
 		Replicas: 2,
 		Router:   tokenflow.RouterSessionAffinity,
@@ -104,7 +105,7 @@ func TestObsSpecZeroValueIsPure(t *testing.T) {
 }
 
 // TestObsExportsAreValid runs an instrumented cluster and validates every
-// export format, plus the Out-directory auto-write.
+// file its Out directory received.
 func TestObsExportsAreValid(t *testing.T) {
 	dir := t.TempDir()
 	spec := tokenflow.ObsSpec{
@@ -116,16 +117,20 @@ func TestObsExportsAreValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	read := func(name string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(spec.Out, name))
+		if err != nil {
+			t.Fatalf("Out directory lacks %s: %v", name, err)
+		}
+		return b
+	}
 
 	// Chrome trace: a JSON document with a non-empty traceEvents array.
-	var buf bytes.Buffer
-	if err := res.Obs.WriteTraceJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
 	var doc struct {
 		TraceEvents []map[string]any `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+	if err := json.Unmarshal(read("trace.json"), &doc); err != nil {
 		t.Fatalf("trace JSON does not parse: %v", err)
 	}
 	if len(doc.TraceEvents) == 0 {
@@ -133,12 +138,8 @@ func TestObsExportsAreValid(t *testing.T) {
 	}
 
 	// JSONL: every line an object with the stable fields.
-	buf.Reset()
-	if err := res.Obs.WriteEventsJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
 	lines := 0
-	sc := bufio.NewScanner(&buf)
+	sc := bufio.NewScanner(bytes.NewReader(read("events.jsonl")))
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		var e map[string]any
@@ -155,26 +156,18 @@ func TestObsExportsAreValid(t *testing.T) {
 	}
 
 	// Series CSV: header plus data, including the host-mirror series.
-	buf.Reset()
-	if err := res.Obs.WriteSeriesCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	csv := buf.String()
-	if !bytes.HasPrefix([]byte(csv), []byte("series,time_s,value\n")) {
+	csv := read("series.csv")
+	if !bytes.HasPrefix(csv, []byte("series,time_s,value\n")) {
 		t.Fatal("series CSV lacks the header")
 	}
 	for _, name := range []string{"replica0/queue_depth", "replica0/kv_util",
 		"replica0/host_mirror_bytes", "cluster/active_replicas"} {
-		if !bytes.Contains([]byte(csv), []byte(name)) {
+		if !bytes.Contains(csv, []byte(name)) {
 			t.Fatalf("series CSV lacks %q", name)
 		}
 	}
 
 	// Profile: the profile.json shape with the engine-step phase hot.
-	buf.Reset()
-	if err := res.Obs.WriteProfileJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
 	var prof struct {
 		Scenario string `json:"scenario"`
 		Events   int    `json:"events"`
@@ -182,7 +175,7 @@ func TestObsExportsAreValid(t *testing.T) {
 			Calls uint64 `json:"calls"`
 		} `json:"phases"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &prof); err != nil {
+	if err := json.Unmarshal(read("profile.json"), &prof); err != nil {
 		t.Fatalf("profile JSON does not parse: %v", err)
 	}
 	if prof.Events != res.Obs.EventCount() || prof.Phases["engine_step"].Calls == 0 {
@@ -190,7 +183,7 @@ func TestObsExportsAreValid(t *testing.T) {
 	}
 
 	// Attribution: phases conserve the measured latencies on every
-	// retained span, and the report round-trips through attribution.json.
+	// retained span, and attribution.json carries the report.
 	if res.Attribution == nil || res.Attribution.Requests == 0 {
 		t.Fatal("attribution report missing")
 	}
@@ -200,27 +193,15 @@ func TestObsExportsAreValid(t *testing.T) {
 				s.Request, s.PhaseSumTTFT(), s.PhaseSum(), s.TTFT(), s.E2E())
 		}
 	}
-	buf.Reset()
-	if err := res.Attribution.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
 	var arep struct {
 		Requests int64            `json:"requests"`
 		Metrics  []map[string]any `json:"metrics"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &arep); err != nil {
+	if err := json.Unmarshal(read("attribution.json"), &arep); err != nil {
 		t.Fatalf("attribution JSON does not parse: %v", err)
 	}
 	if arep.Requests != res.Attribution.Requests || len(arep.Metrics) == 0 {
 		t.Fatalf("attribution JSON inconsistent: %+v", arep)
-	}
-
-	// Out auto-wrote the files, attribution included.
-	for _, name := range []string{"events.jsonl", "trace.json", "series.csv",
-		"profile.json", "attribution.json"} {
-		if _, err := os.Stat(filepath.Join(spec.Out, name)); err != nil {
-			t.Errorf("Out directory lacks %s: %v", name, err)
-		}
 	}
 
 	// The host-mirror report fields agree across levels.

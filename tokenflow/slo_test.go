@@ -20,16 +20,14 @@ import (
 	"repro/tokenflow"
 )
 
-// phaseP99 computes the P99 TTFT over requests arriving at or after the
-// cutoff — the converged-phase view that separates steady-state control
-// quality from the cold-start transient every min=1 pool pays.
-func phaseP99(res *tokenflow.ClusterResult, afterSec float64) time.Duration {
+// phaseP99 computes the P99 TTFT over the requests of w that arrived at
+// or after the cutoff and produced a token — the converged-phase view that
+// separates steady-state control quality from the cold-start transient
+// every min=1 pool pays.
+func phaseP99(res *tokenflow.ClusterResult, w tokenflow.Workload, after tokenflow.Time) time.Duration {
 	var ttfts []time.Duration
 	for _, r := range res.Cluster.Requests {
-		if len(r.TokenTimesSeconds) == 0 {
-			continue
-		}
-		if arrival := r.TokenTimesSeconds[0] - r.TTFT.Seconds(); arrival >= afterSec {
+		if !r.TTFTCensored && w[r.ID].Arrival >= after {
 			ttfts = append(ttfts, r.TTFT)
 		}
 	}
@@ -57,14 +55,14 @@ func TestSLOTargetHoldsBand(t *testing.T) {
 		Autoscale: &tokenflow.AutoscaleSpec{
 			Policy:        tokenflow.AutoscaleSLOTarget,
 			MinReplicas:   1,
-			WarmupSeconds: 5,
+			Warmup:        5 * time.Second,
 			TargetP99TTFT: target,
 		},
 	}, w)
 
-	const converged = 120 // seconds: past the min=1 cold-start transient
-	smallP99 := phaseP99(fixedSmall, converged)
-	sloP99 := phaseP99(slo, converged)
+	converged := tokenflow.Time(120 * time.Second) // past the min=1 cold-start transient
+	smallP99 := phaseP99(fixedSmall, w, converged)
+	sloP99 := phaseP99(slo, w, converged)
 	t.Logf("converged P99: fixed-1 %v, slo-target %v (target %v); global: %v vs %v",
 		smallP99, sloP99, target, fixedSmall.Cluster.P99TTFT, slo.Cluster.P99TTFT)
 
@@ -80,9 +78,9 @@ func TestSLOTargetHoldsBand(t *testing.T) {
 	}
 	// The controller earns its keep on the cost axis too: below the
 	// always-4 pool a static deployment would need to hold this P99.
-	if slo.GPUSeconds >= 4*slo.Cluster.MakespanSec {
+	if slo.GPUSeconds >= 4*slo.Cluster.Makespan.Seconds() {
 		t.Errorf("slo-target GPU-seconds %.0f >= fixed-4 equivalent %.0f",
-			slo.GPUSeconds, 4*slo.Cluster.MakespanSec)
+			slo.GPUSeconds, 4*slo.Cluster.Makespan.Seconds())
 	}
 }
 
@@ -95,9 +93,9 @@ func TestPredictiveBeatsReactiveOnRamp(t *testing.T) {
 	base := tokenflow.Config{GPU: "RTX-4090", Model: "Llama3-8B"}
 	spec := func(p tokenflow.AutoscalePolicy) *tokenflow.AutoscaleSpec {
 		return &tokenflow.AutoscaleSpec{
-			Policy:        p,
-			MinReplicas:   1,
-			WarmupSeconds: 10,
+			Policy:      p,
+			MinReplicas: 1,
+			Warmup:      10 * time.Second,
 		}
 	}
 
@@ -144,9 +142,9 @@ func TestScaleToZeroGateway(t *testing.T) {
 		Replicas: 2,
 		Router:   tokenflow.RouterLeastQueue,
 		Autoscale: &tokenflow.AutoscaleSpec{
-			Policy:        tokenflow.AutoscaleSLOTarget,
-			ScaleToZero:   true,
-			WarmupSeconds: 4,
+			Policy:      tokenflow.AutoscaleSLOTarget,
+			ScaleToZero: true,
+			Warmup:      4 * time.Second,
 		},
 	}, w)
 

@@ -57,24 +57,19 @@ func Systems() []System {
 	return []System{SystemSGLangChunked, SystemSGLang, SystemAndes, SystemTokenFlow}
 }
 
-// Request is one streaming request specification.
-type Request struct {
-	// ArrivalSeconds is the arrival time offset from the start of the run.
-	ArrivalSeconds float64
-	// PromptTokens and OutputTokens are the input and output lengths.
-	PromptTokens, OutputTokens int
-	// RatePerSec is the client's token consumption rate (reading or
-	// listening speed); 0 means the client consumes instantly.
-	RatePerSec float64
-	// SessionID and Turn mark multi-turn conversation membership
-	// (SessionID 0 = stateless). Turns of one session share a growing
-	// prompt prefix, which session-affinity routing and the per-replica
-	// prefix cache exploit.
-	SessionID int
-	Turn      int
-}
+// Request is one streaming request specification: its Arrival instant,
+// PromptLen and OutputLen in tokens, the client's consumption Rate in
+// tokens/s (reading or listening speed; 0 means the client consumes
+// instantly), and Session and Turn marking multi-turn conversation
+// membership (Session 0 = stateless). Turns of one session share a
+// growing prompt prefix, which session-affinity routing and the
+// per-replica prefix cache exploit.
+type Request = trace.Item
 
-// Workload is an ordered list of requests.
+// Workload is an ordered list of requests. Request i gets ID i, so a
+// RequestStats' ID indexes the workload it came from. A run rejects an
+// out-of-order, degenerate-length or bad-rate request with an error and
+// never modifies the workload.
 type Workload []Request
 
 // Config describes the simulated deployment.
@@ -108,11 +103,12 @@ type Config struct {
 	// unbounded. Only meaningful with HostPrefixCache.
 	HostPrefixCachePages int
 
-	// SampleEverySeconds enables queued/running time-series sampling.
-	SampleEverySeconds float64
+	// SampleEvery enables queued/running time-series sampling at this
+	// period.
+	SampleEvery time.Duration
 
-	// MaxSimTimeSeconds aborts runaway simulations (default 4 sim-hours).
-	MaxSimTimeSeconds float64
+	// MaxSimTime aborts runaway simulations (default 4 sim-hours).
+	MaxSimTime time.Duration
 
 	// Obs turns on the flight recorder: lifecycle event tracing,
 	// telemetry series, and the simulator self-profile. The zero value
@@ -123,8 +119,8 @@ type Config struct {
 
 // TokenFlowOptions tunes the TokenFlow scheduler (§4 and §7.5).
 type TokenFlowOptions struct {
-	// RescheduleIntervalSeconds is Δt (default 1.0).
-	RescheduleIntervalSeconds float64
+	// RescheduleInterval is Δt (default 1s).
+	RescheduleInterval time.Duration
 	// BufferConservativeness is μ (default 2.0; higher behaves more like
 	// SGLang).
 	BufferConservativeness float64
@@ -144,18 +140,19 @@ type KVOptions struct {
 	DisableLoadEvictOverlap bool
 }
 
-// RequestStats summarizes one request after a run.
-type RequestStats struct {
-	ID          int
-	Finished    bool
-	TTFT        time.Duration
-	Rebuffer    time.Duration
-	Tokens      int
-	Preemptions int
-	// TokenTimesSeconds are per-token generation timestamps (for
-	// timeline plots).
-	TokenTimesSeconds []float64
-}
+// RequestStats summarizes one request after a run: whether it Finished,
+// its TTFT (censored at the makespan, TTFTCensored set, if it never
+// produced a token), the Tokens it generated and its average generation
+// rate GenRate over them, its timeliness-weighted Effective tokens, its
+// client Rebuffer time, and its Preemptions and Resumes.
+type RequestStats = metrics.RequestMetrics
+
+// Report is a run's serving report: N requests of which Finished
+// completed, the Makespan, raw Throughput and the §7.1.3
+// EffectiveThroughput (tokens/s over the makespan), the Eq. 2 QoS, the
+// TTFT mean and percentiles, rebuffering and preemption totals, and
+// per-request Requests in ID order.
+type Report = metrics.Report
 
 // Time is an instant on the virtual clock: nanoseconds since the start of
 // the run (Seconds converts). A seconds value s becomes
@@ -166,26 +163,12 @@ type Time = simclock.Time
 // Running request counts at instant At.
 type Sample = request.Sample
 
-// Result reports a completed simulation.
+// Result reports a completed simulation. The serving report's fields are
+// promoted (res.P99TTFT, res.QoS, res.Requests, ...).
 type Result struct {
-	System   System
-	Finished int
-	Total    int
-
-	Throughput          float64 // output tokens/s over the makespan
-	EffectiveThroughput float64 // §7.1.3 timeliness-weighted tokens/s
-	QoS                 float64 // Eq. 2
-
-	MeanTTFT time.Duration
-	P50TTFT  time.Duration
-	P99TTFT  time.Duration
-
-	TotalRebuffer time.Duration
-	Preemptions   int
-	MakespanSec   float64
-	TimedOut      bool
-
-	Requests []RequestStats
+	System System
+	Report
+	TimedOut bool
 	Samples  []Sample
 
 	// Obs holds the flight-recorder capture when the run was instrumented
@@ -243,7 +226,7 @@ func buildEngineConfig(cfg Config) (engine.Config, error) {
 		ccfg := core.DefaultConfig()
 		o := cfg.TokenFlow
 		// Zero defaults and bad values are rejected in core.Config.Normalize.
-		ccfg.RescheduleInterval = simclock.Duration(o.RescheduleIntervalSeconds)
+		ccfg.RescheduleInterval = o.RescheduleInterval
 		ccfg.BufferConservativeness = o.BufferConservativeness
 		ccfg.LocalSearch = !o.DisableLocalSearch
 		ccfg.FallbackFCFS = !o.DisableFallback
@@ -268,57 +251,6 @@ func buildEngineConfig(cfg Config) (engine.Config, error) {
 	return ecfg, nil
 }
 
-func toTrace(w Workload) trace.Workload {
-	var out trace.Workload
-	out.Name = "api"
-	for _, r := range w {
-		out.Items = append(out.Items, trace.Item{
-			Arrival:   simclock.FromSeconds(r.ArrivalSeconds),
-			PromptLen: r.PromptTokens,
-			OutputLen: r.OutputTokens,
-			Rate:      r.RatePerSec,
-			Session:   r.SessionID,
-			Turn:      r.Turn,
-		})
-	}
-	return out
-}
-
-// convertParts assembles the public Result from report pieces; the merged
-// cluster report and each replica's own share it, so they stay comparable
-// field for field.
-func convertParts(sys System, rep metrics.Report, reqs []*request.Request,
-	samples []request.Sample, makespan time.Duration, timedOut bool) *Result {
-	out := &Result{
-		System:              sys,
-		Finished:            rep.Finished,
-		Total:               rep.N,
-		Throughput:          rep.Throughput,
-		EffectiveThroughput: rep.EffectiveThroughput,
-		QoS:                 rep.QoS,
-		MeanTTFT:            rep.MeanTTFT,
-		P50TTFT:             rep.P50TTFT,
-		P99TTFT:             rep.P99TTFT,
-		TotalRebuffer:       rep.TotalRebuffer,
-		Preemptions:         rep.Preemptions,
-		MakespanSec:         makespan.Seconds(),
-		TimedOut:            timedOut,
-		Samples:             samples,
-	}
-	for i, r := range reqs {
-		rm := rep.Requests[i]
-		rs := RequestStats{
-			ID: r.ID, Finished: rm.Finished, TTFT: rm.TTFT,
-			Rebuffer: rm.Rebuffer, Tokens: rm.Tokens, Preemptions: rm.Preemptions,
-		}
-		for _, t := range r.TokenTimes {
-			rs.TokenTimesSeconds = append(rs.TokenTimesSeconds, t.Seconds())
-		}
-		out.Requests = append(out.Requests, rs)
-	}
-	return out
-}
-
 // BurstWorkload builds a flash crowd: n requests at t=0 with normally
 // distributed lengths around the given means.
 func BurstWorkload(n, meanPrompt, meanOutput int, rate float64, seed int64) Workload {
@@ -327,7 +259,7 @@ func BurstWorkload(n, meanPrompt, meanOutput int, rate float64, seed int64) Work
 		OutputMean: float64(meanOutput), OutputStd: float64(meanOutput) / 4,
 		Min: 16, Max: 8192,
 	}, trace.FixedRate(rate), seed)
-	return fromTrace(w)
+	return w.Items
 }
 
 // PoissonWorkload builds Poisson arrivals at lambda req/s for the given
@@ -338,7 +270,7 @@ func PoissonWorkload(lambda, durationSec float64, meanPrompt, meanOutput int, ra
 		OutputMean: float64(meanOutput), OutputStd: float64(meanOutput) / 4,
 		Min: 16, Max: 8192,
 	}, trace.FixedRate(rate), seed)
-	return fromTrace(w)
+	return w.Items
 }
 
 // BurstGPTWorkload builds a BurstGPT-like bursty trace with ShareGPT-style
@@ -351,7 +283,7 @@ func BurstGPTWorkload(durationSec, baseRate float64, rate float64, seed int64) W
 		Rates:    trace.FixedRate(rate),
 		Seed:     seed,
 	})
-	return fromTrace(w)
+	return w.Items
 }
 
 // BurstGPTSpikesWorkload is BurstGPTWorkload with periodic flash crowds of
@@ -367,7 +299,7 @@ func BurstGPTSpikesWorkload(durationSec, baseRate float64, spikeEverySec float64
 		Rates:      trace.FixedRate(rate),
 		Seed:       seed,
 	})
-	return fromTrace(w)
+	return w.Items
 }
 
 // SessionWorkload builds a multi-turn chat workload: sessions
@@ -382,7 +314,7 @@ func SessionWorkload(sessions int, durationSec float64, rate float64, seed int64
 		Rates:    trace.FixedRate(rate),
 		Seed:     seed,
 	})
-	return fromTrace(w)
+	return w.Items
 }
 
 // SessionSpikesWorkload is SessionWorkload with periodic flash crowds:
@@ -397,7 +329,7 @@ func SessionSpikesWorkload(sessions int, durationSec, spikeEverySec float64, rat
 		Rates:      trace.FixedRate(rate),
 		Seed:       seed,
 	})
-	return fromTrace(w)
+	return w.Items
 }
 
 // SessionRampWorkload is SessionWorkload with session-start density
@@ -411,20 +343,5 @@ func SessionRampWorkload(sessions int, durationSec, rate float64, seed int64) Wo
 		Rates:    trace.FixedRate(rate),
 		Seed:     seed,
 	})
-	return fromTrace(w)
-}
-
-func fromTrace(w trace.Workload) Workload {
-	out := make(Workload, 0, w.Len())
-	for _, it := range w.Items {
-		out = append(out, Request{
-			ArrivalSeconds: it.Arrival.Seconds(),
-			PromptTokens:   it.PromptLen,
-			OutputTokens:   it.OutputLen,
-			RatePerSec:     it.Rate,
-			SessionID:      it.Session,
-			Turn:           it.Turn,
-		})
-	}
-	return out
+	return w.Items
 }

@@ -1,6 +1,7 @@
 package tokenflow
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -15,8 +16,8 @@ func TestRunDefaultsTokenFlowOnH200(t *testing.T) {
 	if res.System != SystemTokenFlow {
 		t.Errorf("system = %v", res.System)
 	}
-	if res.Finished != 8 || res.Total != 8 {
-		t.Errorf("finished %d/%d", res.Finished, res.Total)
+	if res.Finished != 8 || res.N != 8 {
+		t.Errorf("finished %d/%d", res.Finished, res.N)
 	}
 	if res.Throughput <= 0 || res.EffectiveThroughput <= 0 {
 		t.Error("throughputs should be positive")
@@ -58,7 +59,7 @@ func TestWorkloadGenerators(t *testing.T) {
 		t.Errorf("burst len = %d", len(b))
 	}
 	for _, r := range b {
-		if r.ArrivalSeconds != 0 {
+		if r.Arrival != 0 {
 			t.Error("burst requests arrive at t=0")
 		}
 	}
@@ -79,8 +80,8 @@ func TestTokenFlowOptionsApply(t *testing.T) {
 		t.Fatal(err)
 	}
 	tuned, err := Run(Config{System: SystemTokenFlow, TokenFlow: TokenFlowOptions{
-		RescheduleIntervalSeconds: 0.5,
-		BufferConservativeness:    20,
+		RescheduleInterval:     500 * time.Millisecond,
+		BufferConservativeness: 20,
 	}}, w)
 	if err != nil {
 		t.Fatal(err)
@@ -98,8 +99,8 @@ func TestTokenFlowOptionsValidate(t *testing.T) {
 		wantErr bool
 	}{
 		{"zero values default", TokenFlowOptions{}, false},
-		{"explicit values", TokenFlowOptions{RescheduleIntervalSeconds: 0.5, BufferConservativeness: 20}, false},
-		{"negative reschedule interval", TokenFlowOptions{RescheduleIntervalSeconds: -1}, true},
+		{"explicit values", TokenFlowOptions{RescheduleInterval: 500 * time.Millisecond, BufferConservativeness: 20}, false},
+		{"negative reschedule interval", TokenFlowOptions{RescheduleInterval: -time.Second}, true},
 		{"negative buffer conservativeness", TokenFlowOptions{BufferConservativeness: -1}, true},
 	}
 	for _, tc := range cases {
@@ -125,7 +126,7 @@ func TestKVAblationOptions(t *testing.T) {
 
 func TestSamplesExposed(t *testing.T) {
 	w := BurstWorkload(8, 256, 512, 15, 6)
-	res, err := Run(Config{SampleEverySeconds: 0.5}, w)
+	res, err := Run(Config{SampleEvery: 500 * time.Millisecond}, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestSamplesExposed(t *testing.T) {
 }
 
 func TestPerRequestTimelines(t *testing.T) {
-	w := Workload{{ArrivalSeconds: 0, PromptTokens: 128, OutputTokens: 64, RatePerSec: 20}}
+	w := Workload{{PromptLen: 128, OutputLen: 64, Rate: 20}}
 	res, err := Run(Config{}, w)
 	if err != nil {
 		t.Fatal(err)
@@ -144,8 +145,8 @@ func TestPerRequestTimelines(t *testing.T) {
 		t.Fatal("one request expected")
 	}
 	r := res.Requests[0]
-	if len(r.TokenTimesSeconds) != 64 {
-		t.Errorf("token times = %d", len(r.TokenTimesSeconds))
+	if r.Tokens != 64 {
+		t.Errorf("tokens = %d", r.Tokens)
 	}
 	if r.TTFT <= 0 || r.TTFT > time.Second {
 		t.Errorf("TTFT = %v", r.TTFT)
@@ -154,7 +155,7 @@ func TestPerRequestTimelines(t *testing.T) {
 
 func TestMaxSimTime(t *testing.T) {
 	w := BurstWorkload(40, 512, 2048, 5, 7)
-	res, err := Run(Config{GPU: "RTX-4090", MaxSimTimeSeconds: 2}, w)
+	res, err := Run(Config{GPU: "RTX-4090", MaxSimTime: 2 * time.Second}, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +173,8 @@ func TestRunRejectsNegativeTimes(t *testing.T) {
 		cfg  Config
 		want string // substring of the error
 	}{
-		{"negative-max-sim-time", Config{MaxSimTimeSeconds: -5}, "max sim time -5s"},
-		{"negative-sample-every", Config{SampleEverySeconds: -1}, "sample period -1s"},
+		{"negative-max-sim-time", Config{MaxSimTime: -5 * time.Second}, "max sim time -5s"},
+		{"negative-sample-every", Config{SampleEvery: -time.Second}, "sample period -1s"},
 	}
 	for _, c := range cases {
 		res, err := Run(c.cfg, w)
@@ -183,32 +184,47 @@ func TestRunRejectsNegativeTimes(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadRates: a NaN, infinite or negative consumption rate is
+// an error naming the request, not a panic or a silently served run; 0 is
+// an instant consumer and runs.
+func TestRunRejectsBadRates(t *testing.T) {
+	for _, c := range []struct {
+		rate float64
+		want string // substring of the error; "" means the run succeeds
+	}{
+		{0, ""},
+		{math.NaN(), "item 1 has consumption rate NaN"},
+		{math.Inf(1), "item 1 has consumption rate +Inf"},
+		{-3, "item 1 has consumption rate -3"},
+	} {
+		w := BurstWorkload(4, 128, 64, 20, 3)
+		w[1].Rate = c.rate
+		res, err := Run(Config{}, w)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("rate %v: unexpected error %v", c.rate, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("rate %v: Run = %+v, %v; want an error containing %q", c.rate, res, err, c.want)
+		}
+	}
+}
+
 // TestTimedOutRunFiresNothingPastDeadline: MaxSimTime means the same on
 // Run as on RunCluster — no event past it. The burst below is still
 // generating at 3.3 s; the run must stop there, with no token generated
 // and no request finished after the deadline.
 func TestTimedOutRunFiresNothingPastDeadline(t *testing.T) {
-	const deadline = 3.3
-	res, err := Run(Config{GPU: "RTX-4090", MaxSimTimeSeconds: deadline}, BurstWorkload(48, 512, 1024, 20, 42))
+	const deadline = 3300 * time.Millisecond
+	res, err := Run(Config{GPU: "RTX-4090", MaxSimTime: deadline}, BurstWorkload(48, 512, 1024, 20, 42))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.TimedOut {
 		t.Fatal("a 3.3 s cap should time out this burst")
 	}
-	// The makespan is the latest token time or finish instant.
-	if res.MakespanSec > deadline {
-		t.Errorf("makespan %.3f s is past the %.1f s deadline", res.MakespanSec, deadline)
-	}
-	late := 0
-	for _, r := range res.Requests {
-		for _, at := range r.TokenTimesSeconds {
-			if at > deadline {
-				late++
-			}
-		}
-	}
-	if late > 0 {
-		t.Errorf("%d tokens generated after the %.1f s deadline", late, deadline)
+	// The makespan is the latest token time or finish instant, so no
+	// token and no finish lies past it.
+	if res.Makespan > deadline {
+		t.Errorf("makespan %v is past the %v deadline", res.Makespan, deadline)
 	}
 }
