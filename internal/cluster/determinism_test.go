@@ -3,8 +3,9 @@ package cluster_test
 // Determinism regression: same seed + same spec must produce a deeply
 // identical Result across two runs, for a grid of specs covering
 // autoscale × topology × migration-policy. reflect.DeepEqual descends
-// every field — reports, per-request token timelines, fabric ledgers,
-// scale events — so any map-iteration or clock-ordering nondeterminism
+// every field — reports, per-request token totals (weighted effective
+// tokens, first and last token instants), fabric ledgers, scale events —
+// so any map-iteration or clock-ordering nondeterminism
 // anywhere in the stack shows up as a diff. CI additionally runs this
 // test under -race, which catches ordering bugs the single run hides.
 

@@ -51,6 +51,11 @@ import (
 //     streaming attribution layer also ran, its report covers exactly
 //     the derived spans. An attribution that leaked or double-counted
 //     time would mislead precisely where it claims to explain.
+//  8. Token bookkeeping: every request's running totals are consistent —
+//     0 <= Effective <= Generated (each token weighs at most 1),
+//     FirstTokenAt <= LastTokenAt <= SimEnd, a finished request's last
+//     token is its finish instant, and a request that generated nothing
+//     has no effective tokens and no last token.
 //
 // It returns the first violated law as an error, nil when all hold.
 func CheckInvariants(res *Result, wLen int) error {
@@ -66,6 +71,9 @@ func CheckInvariants(res *Result, wLen int) error {
 	if err := checkRequestConservation(res, wLen); err != nil {
 		return err
 	}
+	if err := checkTokenBookkeeping(res); err != nil {
+		return err
+	}
 	if err := checkIndexConservation(res); err != nil {
 		return err
 	}
@@ -76,6 +84,33 @@ func CheckInvariants(res *Result, wLen int) error {
 		return err
 	}
 	return checkAttribution(res)
+}
+
+// checkTokenBookkeeping verifies each request's running token totals
+// against one another and the run's end, naming the first offender.
+func checkTokenBookkeeping(res *Result) error {
+	for _, r := range res.Requests {
+		if r.Generated == 0 {
+			if r.Effective != 0 || r.LastTokenAt != 0 {
+				return fmt.Errorf("invariant: request %d generated nothing but has %v effective tokens, last token at %v",
+					r.ID, r.Effective, r.LastTokenAt)
+			}
+			continue
+		}
+		if !(r.Effective >= 0 && r.Effective <= float64(r.Generated)) {
+			return fmt.Errorf("invariant: request %d has %v effective tokens for %d generated",
+				r.ID, r.Effective, r.Generated)
+		}
+		if r.FirstTokenAt > r.LastTokenAt || time.Duration(r.LastTokenAt) > res.SimEnd {
+			return fmt.Errorf("invariant: request %d first token at %v, last at %v, run ended at %v",
+				r.ID, r.FirstTokenAt, r.LastTokenAt, res.SimEnd)
+		}
+		if r.GenerationDone() && r.LastTokenAt != r.FinishedAt {
+			return fmt.Errorf("invariant: request %d finished at %v but its last token came at %v",
+				r.ID, r.FinishedAt, r.LastTokenAt)
+		}
+	}
+	return nil
 }
 
 // checkChaosAccounting verifies the chaos-aware conservation laws: on a

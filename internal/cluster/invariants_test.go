@@ -7,7 +7,9 @@ package cluster_test
 // integral, and every admitted request appears exactly once.
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,7 +17,9 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fabric"
 	"repro/internal/obs"
+	"repro/internal/request"
 	"repro/internal/router"
+	"repro/internal/simclock"
 )
 
 // experimentSpecs mirrors the shapes the experiment suite runs — static
@@ -171,5 +175,44 @@ func TestInvariantCatchesViolation(t *testing.T) {
 	ores.Attribution.Requests++
 	if err := cluster.CheckInvariants(ores, w.Len()); err == nil {
 		t.Error("corrupted attribution request count passed the invariant check")
+	}
+}
+
+// TestTokenBookkeepingLawBites: each way a request's running token totals
+// can disagree fails the bookkeeping law, and the error names the request.
+func TestTokenBookkeepingLawBites(t *testing.T) {
+	w := sessionWorkload(t)
+	res := runPolicy(t, 2, router.NewSessionAffinity(), w)
+	if err := cluster.CheckInvariants(res, w.Len()); err != nil {
+		t.Fatalf("clean run violates invariants: %v", err)
+	}
+	r := res.Requests[len(res.Requests)/2]
+	if !r.GenerationDone() || r.Generated < 2 {
+		t.Fatalf("request %d is not a finished multi-token request", r.ID)
+	}
+	end := simclock.Time(res.SimEnd)
+	cases := []struct {
+		name    string
+		corrupt func(r *request.Request)
+	}{
+		{"negative-effective", func(r *request.Request) { r.Effective = -0.5 }},
+		{"effective-above-generated", func(r *request.Request) { r.Effective = float64(r.Generated) + 1 }},
+		{"last-before-first", func(r *request.Request) { r.LastTokenAt = r.FirstTokenAt - 1 }},
+		{"last-after-run-end", func(r *request.Request) { r.LastTokenAt, r.FinishedAt = end+1, end+1 }},
+		{"last-token-not-finish", func(r *request.Request) { r.FinishedAt = r.LastTokenAt - 1 }},
+		{"nothing-generated-but-effective", func(r *request.Request) { r.Generated, r.LastTokenAt, r.Effective = 0, 0, 1 }},
+		{"nothing-generated-but-last-token", func(r *request.Request) { r.Generated, r.Effective = 0, 0 }},
+	}
+	for _, c := range cases {
+		saved := *r
+		c.corrupt(r)
+		err := cluster.CheckInvariants(res, w.Len())
+		*r = saved
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("request %d ", r.ID)) {
+			t.Errorf("%s: invariant error %v, want one naming request %d", c.name, err, r.ID)
+		}
+	}
+	if err := cluster.CheckInvariants(res, w.Len()); err != nil {
+		t.Fatalf("restored run violates invariants: %v", err)
 	}
 }

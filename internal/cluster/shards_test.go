@@ -4,7 +4,7 @@ package cluster_test
 // (autoscale × topology × migration), a run partitioned across parallel
 // shard goroutines must produce a Result deeply identical to the one-shard
 // run of the same seed and spec — reports,
-// per-request token timelines, fabric ledgers, scale events, event
+// per-request token totals, fabric ledgers, scale events, event
 // counts, everything. CI runs these under -race, so a shard touching
 // state it does not own fails even when the merged result happens to
 // match.

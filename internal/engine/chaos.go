@@ -64,7 +64,7 @@ func (e *Engine) Crash(now simclock.Time) (orphans []*request.Request, pinsLost,
 	e.retryAt = 0
 	e.gpuBusy, e.inKick = false, false
 	e.iterJobs, e.iterJob = e.iterJobs[:0], nil
-	e.batchBuf = e.batchBuf[:0]
+	e.batchBuf, e.batchKV = e.batchBuf[:0], e.batchKV[:0]
 
 	take := func(r *request.Request) {
 		e.track.Remove(r)
@@ -86,7 +86,7 @@ func (e *Engine) Crash(now simclock.Time) (orphans []*request.Request, pinsLost,
 	for _, r := range e.loading {
 		take(r)
 	}
-	e.waiting, e.backlog, e.running = nil, nil, nil
+	e.waiting, e.backlog, e.running, e.runningKV = nil, nil, nil, nil
 	e.preempted, e.loading = nil, nil
 
 	// Reload-deferred arrivals were never registered; cancelling their

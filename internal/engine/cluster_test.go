@@ -1,9 +1,9 @@
 package engine_test
 
-// The engine has no executor of its own: internal/cluster drives every
-// run, a single device being a one-replica cluster. These tests pin that
-// path against the reference driver and check what it rejects and how it
-// times out.
+// internal/cluster drives every serving run, a single device being a
+// one-replica cluster; engine.Drive is the reference single-device driver.
+// These tests pin the cluster path against it and check what it rejects
+// and how it times out.
 
 import (
 	"reflect"
@@ -76,6 +76,15 @@ func TestSingleReplicaMatchesEngine(t *testing.T) {
 		}
 		if every > 0 && len(solo.Samples) == 0 {
 			t.Errorf("every %v: no samples recorded", every)
+		}
+		// The reference driver also records every request's timeline,
+		// which the cluster does not keep; the rest must be equal.
+		for _, r := range solo.Requests {
+			if len(r.Timeline.Times) != r.Generated {
+				t.Fatalf("every %v: request %d recorded %d token times for %d tokens",
+					every, r.ID, len(r.Timeline.Times), r.Generated)
+			}
+			r.Timeline = nil
 		}
 		if !reflect.DeepEqual(res.Requests, solo.Requests) {
 			t.Errorf("every %v: cluster requests differ from the engine's", every)

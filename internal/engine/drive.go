@@ -9,10 +9,10 @@ import (
 	"repro/internal/trace"
 )
 
-// newStandalone builds an engine on a fresh clock and, unless cfg names an
+// NewStandalone builds an engine on a fresh clock and, unless cfg names an
 // endpoint, the single-host fabric at its GPU's PCIe bandwidth: one device
-// with nothing around it, for the unit tests and the reference driver.
-func newStandalone(cfg Config) (*Engine, error) {
+// with nothing around it, for the reference driver.
+func NewStandalone(cfg Config) (*Engine, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.New()
 	}
@@ -23,19 +23,22 @@ func newStandalone(cfg Config) (*Engine, error) {
 	return New(cfg)
 }
 
-// drive is the reference single-device executor: prime the workload, run
+// Drive is the reference single-device executor: prime the workload, run
 // the engine's clock dry, collect. It has no deadline. The one-replica
-// cluster is proven equal to it (TestSingleReplicaMatchesEngine); the
-// engine unit tests run on it.
-func drive(e *Engine, w trace.Workload, sampleEvery time.Duration) *Result {
+// cluster is proven equal to it (TestSingleReplicaMatchesEngine). Unlike
+// the cluster, it records every request's whole per-token history
+// (request.Timeline), for the engine's unit tests and the experiments that
+// replay token timelines.
+func Drive(e *Engine, w trace.Workload, sampleEvery time.Duration) *Result {
 	prime(e, w, sampleEvery)
 	for e.clock.Step() {
 	}
 	return e.Collect()
 }
 
-// prime schedules the workload's arrivals on the engine's own clock, plus
-// a queued/running sampling loop every sampleEvery when positive.
+// prime schedules the workload's arrivals on the engine's own clock, each
+// request with a Timeline attached, plus a queued/running sampling loop
+// every sampleEvery when positive.
 func prime(e *Engine, w trace.Workload, sampleEvery time.Duration) {
 	var arena request.Arena
 	arrived := 0
@@ -44,6 +47,7 @@ func prime(e *Engine, w trace.Workload, sampleEvery time.Duration) {
 		e.clock.At(it.Arrival, func(now simclock.Time) {
 			r := arena.New(id, now, it.PromptLen, it.OutputLen, it.Rate)
 			r.Session, r.Turn = it.Session, it.Turn
+			r.Timeline = &request.Timeline{}
 			arrived++
 			e.Inject(r, now)
 		})

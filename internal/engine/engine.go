@@ -215,6 +215,12 @@ type Engine struct {
 	preempted []*request.Request
 	loading   []*request.Request
 
+	// runningKV[i] is running[i]'s KV residency handle, taken as the
+	// request entered the running set, so the decode step checks and
+	// grows its allocation with a field read instead of a map probe.
+	// addRunning and removeRunning keep the two slices index-aligned.
+	runningKV []kvcache.Handle
+
 	// pendingInjects counts arrivals deferred behind an in-flight host-tier
 	// prefix reload: the request is delivered together with its KV, so it
 	// is outstanding work the engine (and a draining replica) must wait
@@ -251,6 +257,7 @@ type Engine struct {
 	viewBuf     sched.View
 	viewBacklog []*request.Request
 	batchBuf    []*request.Request
+	batchKV     []kvcache.Handle // batchBuf[i]'s residency handle
 
 	// In-flight iteration completion state. Exactly one iteration runs at
 	// a time (gpuBusy), so its parameters live on the engine and the
@@ -269,6 +276,12 @@ type Engine struct {
 	// token (the cluster feeds its windowed TTFT estimator from it). Pure
 	// observation: it must not schedule events or mutate engine state.
 	onFirstToken func(r *request.Request, now simclock.Time)
+
+	// decodeProbe, when set, observes every decoded token's request and
+	// the residency handle the engine holds for it, before the growth
+	// check. Tests set it (export_test.go) to hold the handle against
+	// the KV manager's map; pure observation, like onFirstToken.
+	decodeProbe func(r *request.Request, h kvcache.Handle)
 
 	// onLoad, when set, observes every change to OutstandingRequests —
 	// the per-change queue-depth stream replicas publish to the cluster's

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gpu"
+	"repro/internal/kvcache"
 	"repro/internal/model"
 	"repro/internal/request"
 	"repro/internal/sched"
@@ -33,11 +34,11 @@ func testConfig(s sched.Scheduler, kv KVPolicy) Config {
 
 func runWorkload(t *testing.T, cfg Config, w trace.Workload) *Result {
 	t.Helper()
-	e, err := newStandalone(cfg)
+	e, err := NewStandalone(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return drive(e, w, 0)
+	return Drive(e, w, 0)
 }
 
 func burst(n, prompt, output int, rate float64) trace.Workload {
@@ -52,12 +53,12 @@ func TestConfigValidation(t *testing.T) {
 	}
 	cfg := testConfig(sched.NewSGLang(), BaselineKVPolicy())
 	cfg.MemFraction = 1.5
-	if _, err := newStandalone(cfg); err == nil {
+	if _, err := NewStandalone(cfg); err == nil {
 		t.Error("bad mem fraction should fail")
 	}
 	cfg = testConfig(sched.NewSGLang(), BaselineKVPolicy())
 	cfg.MemFraction = 0.5 // weights alone exceed 0.5 * 18.2 GB
-	if _, err := newStandalone(cfg); err == nil {
+	if _, err := NewStandalone(cfg); err == nil {
 		t.Error("no KV capacity should fail")
 	}
 }
@@ -86,13 +87,18 @@ func TestSingleRequestCompletes(t *testing.T) {
 func TestTokenTimesMonotonic(t *testing.T) {
 	res := runWorkload(t, testConfig(sched.NewSGLang(), BaselineKVPolicy()), burst(4, 128, 100, 20))
 	for _, r := range res.Requests {
-		for j := 1; j < len(r.TokenTimes); j++ {
-			if r.TokenTimes[j] < r.TokenTimes[j-1] {
+		times := r.Timeline.Times
+		for j := 1; j < len(times); j++ {
+			if times[j] < times[j-1] {
 				t.Fatalf("req %d token times not monotone", r.ID)
 			}
 		}
-		if len(r.TokenTimes) != r.Generated {
-			t.Fatalf("req %d: %d timestamps for %d tokens", r.ID, len(r.TokenTimes), r.Generated)
+		if len(times) != r.Generated {
+			t.Fatalf("req %d: %d timestamps for %d tokens", r.ID, len(times), r.Generated)
+		}
+		if times[0] != r.FirstTokenAt || times[len(times)-1] != r.LastTokenAt {
+			t.Fatalf("req %d: timeline spans %v..%v, first/last token at %v..%v",
+				r.ID, times[0], times[len(times)-1], r.FirstTokenAt, r.LastTokenAt)
 		}
 	}
 }
@@ -177,11 +183,11 @@ func TestTokenFlowImprovesTTFTOverSGLang(t *testing.T) {
 }
 
 func TestSamplesRecorded(t *testing.T) {
-	e, err := newStandalone(testConfig(sched.NewSGLang(), BaselineKVPolicy()))
+	e, err := NewStandalone(testConfig(sched.NewSGLang(), BaselineKVPolicy()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := drive(e, burst(6, 192, 128, 20), 100*time.Millisecond)
+	res := Drive(e, burst(6, 192, 128, 20), 100*time.Millisecond)
 	if len(res.Samples) < 5 {
 		t.Fatalf("samples = %d", len(res.Samples))
 	}
@@ -256,7 +262,7 @@ func TestAblationOrdering(t *testing.T) {
 }
 
 func TestViewConsistency(t *testing.T) {
-	e, err := newStandalone(testConfig(sched.NewSGLang(), BaselineKVPolicy()))
+	e, err := NewStandalone(testConfig(sched.NewSGLang(), BaselineKVPolicy()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,11 +275,11 @@ func TestViewConsistency(t *testing.T) {
 func BenchmarkBurstTokenFlow(b *testing.B) {
 	w := burst(12, 192, 256, 12)
 	for i := 0; i < b.N; i++ {
-		e, err := newStandalone(testConfig(core.MustNew(core.DefaultConfig()), TokenFlowKVPolicy()))
+		e, err := NewStandalone(testConfig(core.MustNew(core.DefaultConfig()), TokenFlowKVPolicy()))
 		if err != nil {
 			b.Fatal(err)
 		}
-		drive(e, w, 0)
+		Drive(e, w, 0)
 	}
 }
 
@@ -281,7 +287,7 @@ func BenchmarkBurstTokenFlow(b *testing.B) {
 // batch member whose KV is resident, growing its allocation when the
 // token crosses a page.
 func TestAdvanceDecodeNeedsResidency(t *testing.T) {
-	e, err := newStandalone(testConfig(sched.NewSGLang(), BaselineKVPolicy()))
+	e, err := NewStandalone(testConfig(sched.NewSGLang(), BaselineKVPolicy()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,8 +298,11 @@ func TestAdvanceDecodeNeedsResidency(t *testing.T) {
 		r.PrefilledTokens = r.PromptLen
 		return r
 	}
+	decode := func(r *request.Request, h kvcache.Handle) {
+		e.advanceDecode([]*request.Request{r}, []kvcache.Handle{h}, 0)
+	}
 	stranger := running(1)
-	e.advanceDecode([]*request.Request{stranger}, 0)
+	decode(stranger, e.mem.Handle(stranger))
 	if stranger.Generated != 0 {
 		t.Errorf("non-resident request decoded %d tokens", stranger.Generated)
 	}
@@ -301,13 +310,28 @@ func TestAdvanceDecodeNeedsResidency(t *testing.T) {
 	if err := e.mem.AllocateResident(r, r.PromptLen); err != nil {
 		t.Fatal(err)
 	}
+	h := e.mem.Handle(r)
 	used := e.mem.UsedPages()
-	e.advanceDecode([]*request.Request{r}, 0) // crosses into a second page
-	e.advanceDecode([]*request.Request{r}, 0) // stays inside it
+	decode(r, h) // crosses into a second page
+	decode(r, h) // stays inside it
 	if r.Generated != 2 {
 		t.Errorf("resident request decoded %d tokens, want 2", r.Generated)
 	}
 	if got := e.mem.UsedPages() - used; got != 1 {
 		t.Errorf("two decode steps from a full page claimed %d pages, want 1", got)
+	}
+	// A handle taken before the request was discarded decodes nothing,
+	// even once the request is resident again under a new entry.
+	e.mem.Discard(r)
+	if err := e.mem.AllocateResident(r, r.ContextLen()); err != nil {
+		t.Fatal(err)
+	}
+	decode(r, h)
+	if r.Generated != 2 {
+		t.Errorf("a stale handle decoded a token: generated %d, want 2", r.Generated)
+	}
+	decode(r, e.mem.Handle(r))
+	if r.Generated != 3 {
+		t.Errorf("a fresh handle decoded %d tokens in total, want 3", r.Generated)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/request"
 	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/trace"
@@ -13,8 +14,8 @@ import (
 
 // Property: for any random workload and any scheduler, a completed run
 // conserves tokens (every request generates exactly its output length,
-// with per-token timestamps), frees all KV memory, and leaves no request
-// in a transient state.
+// and its running totals agree with its recorded per-token timeline),
+// frees all KV memory, and leaves no request in a transient state.
 func TestPropertyRunInvariants(t *testing.T) {
 	mk := []func() (sched.Scheduler, KVPolicy){
 		func() (sched.Scheduler, KVPolicy) { return sched.NewSGLang(), BaselineKVPolicy() },
@@ -40,11 +41,11 @@ func TestPropertyRunInvariants(t *testing.T) {
 			})
 		}
 		s, kv := mk[rng.Intn(len(mk))]()
-		e, err := newStandalone(testConfig(s, kv))
+		e, err := NewStandalone(testConfig(s, kv))
 		if err != nil {
 			return false
 		}
-		res := drive(e, w, 0)
+		res := Drive(e, w, 0)
 		if res.TimedOut {
 			return false
 		}
@@ -55,7 +56,7 @@ func TestPropertyRunInvariants(t *testing.T) {
 			if r.Generated != w.Items[i].OutputLen {
 				return false
 			}
-			if len(r.TokenTimes) != r.Generated || len(r.BufferAtGen) != r.Generated {
+			if !onlineMatchesTimeline(r) {
 				return false
 			}
 			if r.RebufferTotal < 0 {
@@ -85,14 +86,33 @@ func TestPropertyEffectiveLEQRaw(t *testing.T) {
 		}
 		w := trace.Burst("p", n+4, 0,
 			trace.FixedLengths{Prompt: 128, Output: 128}, trace.FixedRate(15), seed)
-		e, err := newStandalone(testConfig(core.MustNew(core.DefaultConfig()), TokenFlowKVPolicy()))
+		e, err := NewStandalone(testConfig(core.MustNew(core.DefaultConfig()), TokenFlowKVPolicy()))
 		if err != nil {
 			return false
 		}
-		res := drive(e, w, 0)
+		res := Drive(e, w, 0)
 		return res.Report.EffectiveThroughput <= res.Report.Throughput+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
 	}
+}
+
+// onlineMatchesTimeline reports whether a request's running token totals
+// equal what its recorded timeline gives: one entry per generated token,
+// first and last token instants at its ends, and Effective the in-order
+// weight sum over the recorded buffer occupancies, bit for bit.
+func onlineMatchesTimeline(r *request.Request) bool {
+	tl := r.Timeline
+	if len(tl.Times) != r.Generated || len(tl.Buffers) != r.Generated {
+		return false
+	}
+	var effective float64
+	for _, b := range tl.Buffers {
+		effective += request.TokenWeight(int(b), r.OutputLen)
+	}
+	if r.Generated > 0 && (tl.Times[0] != r.FirstTokenAt || tl.Times[r.Generated-1] != r.LastTokenAt) {
+		return false
+	}
+	return effective == r.Effective
 }

@@ -107,7 +107,7 @@ func (e *Engine) preemptRunning(r *request.Request, now simclock.Time) {
 		return
 	}
 	r.Preemptions++
-	e.running = removeReq(e.running, r)
+	e.removeRunning(r)
 	e.preempted = append(e.preempted, r)
 	e.track.Transition(r, request.StatePreempted)
 	e.obs.Emit(now, obs.KindPreempt, e.obsReplica, r.ID, r.Session,
@@ -178,7 +178,7 @@ func (e *Engine) resume(r *request.Request, mode sched.ResumeMode, now simclock.
 // onLoadDone is the KV manager's load-completion callback.
 func (e *Engine) onLoadDone(r *request.Request, now simclock.Time) {
 	e.loading = removeReq(e.loading, r)
-	e.running = append(e.running, r)
+	e.addRunning(r)
 	e.track.Transition(r, request.StateRunning)
 	e.kick(now)
 }
@@ -334,30 +334,49 @@ func (e *Engine) completeIteration(t simclock.Time) {
 			e.observePrefill(e.iterDur, e.iterTokens)
 			e.iterJob = nil
 		}
-		e.advanceDecode(e.batchBuf, t)
+		e.advanceDecode(e.batchBuf, e.batchKV, t)
 	case iterDecode:
 		e.decodeIters++
-		e.advanceDecode(e.batchBuf, t)
+		e.advanceDecode(e.batchBuf, e.batchKV, t)
 		e.observeDecode(e.iterDur)
 	}
 }
 
-// decodeBatch collects runnable decode requests up to MaxBatch. The batch
-// reuses one scratch buffer: at most one iteration is ever in flight, and
-// its completion callback finishes with the batch before the next kick can
-// rebuild it.
+// decodeBatch collects runnable decode requests up to MaxBatch, and their
+// residency handles into batchKV. The batch reuses one scratch buffer: at
+// most one iteration is ever in flight, and its completion callback
+// finishes with the batch before the next kick can rebuild it.
 func (e *Engine) decodeBatch() []*request.Request {
-	batch := e.batchBuf[:0]
-	for _, r := range e.running {
+	batch, kv := e.batchBuf[:0], e.batchKV[:0]
+	for i, r := range e.running {
 		if r.PrefillDone() && !r.GenerationDone() {
 			batch = append(batch, r)
+			kv = append(kv, e.runningKV[i])
 			if len(batch) >= e.cfg.MaxBatch {
 				break
 			}
 		}
 	}
-	e.batchBuf = batch
+	e.batchBuf, e.batchKV = batch, kv
 	return batch
+}
+
+// addRunning puts a request whose KV just became resident into the
+// running set, with its residency handle.
+func (e *Engine) addRunning(r *request.Request) {
+	e.running = append(e.running, r)
+	e.runningKV = append(e.runningKV, e.mem.Handle(r))
+}
+
+// removeRunning takes a request and its handle out of the running set.
+func (e *Engine) removeRunning(r *request.Request) {
+	for i, x := range e.running {
+		if x == r {
+			e.running = append(e.running[:i], e.running[i+1:]...)
+			e.runningKV = append(e.runningKV[:i], e.runningKV[i+1:]...)
+			return
+		}
+	}
 }
 
 // ensureAllocated claims device pages for a prefill job. A fresh admission
@@ -408,7 +427,7 @@ func (e *Engine) completePrefill(j *prefillJob, now simclock.Time) {
 	r := j.req
 	r.PrefilledTokens = r.PromptLen
 	e.backlog = removeJob(e.backlog, j)
-	e.running = append(e.running, r)
+	e.addRunning(r)
 	e.track.Transition(r, request.StateRunning)
 	if !r.GenerationDone() {
 		first := r.Generated == 0
@@ -427,20 +446,24 @@ func (e *Engine) completePrefill(j *prefillJob, now simclock.Time) {
 }
 
 // advanceDecode appends one token to every batch member, handling page
-// growth, OOM, and completion.
-func (e *Engine) advanceDecode(batch []*request.Request, now simclock.Time) {
-	for _, r := range batch {
+// growth, OOM, and completion. kv holds the members' residency handles.
+func (e *Engine) advanceDecode(batch []*request.Request, kv []kvcache.Handle, now simclock.Time) {
+	for i, r := range batch {
 		if r.State != request.StateRunning || r.GenerationDone() {
 			continue // preempted or finished mid-iteration bookkeeping
 		}
-		resident, needPage := e.mem.CheckGrowth(r)
+		h := kv[i]
+		if e.decodeProbe != nil {
+			e.decodeProbe(r, h)
+		}
+		resident, needPage := e.mem.CheckGrowth(h)
 		if !resident {
 			continue
 		}
 		if needPage {
 			grew := false
 			for {
-				if e.mem.GrowOne(r) {
+				if e.mem.GrowOne(h) {
 					grew = true
 					break
 				}
@@ -497,7 +520,7 @@ func (e *Engine) finish(r *request.Request, now simclock.Time) {
 	} else {
 		e.mem.Discard(r)
 	}
-	e.running = removeReq(e.running, r)
+	e.removeRunning(r)
 	e.track.Transition(r, request.StateFinished)
 	e.obs.Emit(now, obs.KindComplete, e.obsReplica, r.ID, r.Session,
 		int64(r.Generated), int64(r.PromptLen), 0, 0, "")

@@ -117,7 +117,7 @@ func TestPrefixEvictionUnderPressure(t *testing.T) {
 		Session: 1, Turn: 2,
 	})
 
-	e, err := newStandalone(testConfig(sched.NewSGLang(), BaselineKVPolicy()))
+	e, err := NewStandalone(testConfig(sched.NewSGLang(), BaselineKVPolicy()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,17 +180,7 @@ func tokenFlowWith(cfg core.Config) SystemSpec {
 func runOne(dep Deployment, spec SystemSpec, w trace.Workload, sampleEvery time.Duration) (*engine.Result, error) {
 	cl, err := cluster.New(cluster.Config{Policy: router.NewRoundRobin(), SampleEvery: sampleEvery},
 		func(_ int, clock *simclock.Clock, ep *fabric.Endpoint) (*engine.Engine, error) {
-			s, kv := spec.Make()
-			return engine.New(engine.Config{
-				GPU:         dep.GPU,
-				Model:       dep.Model,
-				MemFraction: dep.MemFraction,
-				MaxBatch:    dep.MaxBatch,
-				Scheduler:   s,
-				KV:          kv,
-				Clock:       clock,
-				Fabric:      ep,
-			})
+			return engine.New(engineConfig(dep, spec, clock, ep))
 		})
 	if err != nil {
 		return nil, err
@@ -200,6 +190,33 @@ func runOne(dep Deployment, spec SystemSpec, w trace.Workload, sampleEvery time.
 		return nil, err
 	}
 	return res.PerReplica[0].Result, nil
+}
+
+// runRecorded is runOne on the reference single-device driver, which
+// produces the same run and also records every request's per-token
+// timeline (request.Timeline), for the figures that replay one.
+func runRecorded(dep Deployment, spec SystemSpec, w trace.Workload) (*engine.Result, error) {
+	e, err := engine.NewStandalone(engineConfig(dep, spec, nil, nil))
+	if err != nil {
+		return nil, err
+	}
+	return engine.Drive(e, w, 0), nil
+}
+
+// engineConfig is the deployment's engine running the system, on the
+// given clock and fabric endpoint.
+func engineConfig(dep Deployment, spec SystemSpec, clock *simclock.Clock, ep *fabric.Endpoint) engine.Config {
+	s, kv := spec.Make()
+	return engine.Config{
+		GPU:         dep.GPU,
+		Model:       dep.Model,
+		MemFraction: dep.MemFraction,
+		MaxBatch:    dep.MaxBatch,
+		Scheduler:   s,
+		KV:          kv,
+		Clock:       clock,
+		Fabric:      ep,
+	}
 }
 
 // runAll simulates every system on the workload concurrently (each run is

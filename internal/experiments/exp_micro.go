@@ -70,7 +70,7 @@ func Fig06() (*Table, error) {
 	cfg.RescheduleInterval = 500 * time.Millisecond
 	cfg.TargetBufferSeconds = 1.5
 	cfg.BufferConservativeness = 1.2
-	res, err := runOne(dep, tokenFlowWith(cfg), w, 0)
+	res, err := runRecorded(dep, tokenFlowWith(cfg), w)
 	if err != nil {
 		return nil, err
 	}
@@ -96,14 +96,15 @@ func Fig06() (*Table, error) {
 	return t, nil
 }
 
-// bufferAt replays a request's client consumption to compute buffer
-// occupancy at time ts.
+// bufferAt replays a request's client consumption over its recorded
+// token times to compute buffer occupancy at time ts.
 func bufferAt(r *request.Request, ts float64) int {
 	if r.Generated == 0 || r.Rate <= 0 {
 		return 0
 	}
+	times := r.Timeline.Times
 	gen := 0
-	for _, tt := range r.TokenTimes {
+	for _, tt := range times {
 		if tt.Seconds() <= ts {
 			gen++
 		}
@@ -118,8 +119,8 @@ func bufferAt(r *request.Request, ts float64) int {
 	interval := 1 / r.Rate
 	for next <= ts && consumed < r.OutputLen {
 		// Token `consumed` must exist by `next`.
-		if consumed < len(r.TokenTimes) {
-			avail := r.TokenTimes[consumed].Seconds()
+		if consumed < len(times) {
+			avail := times[consumed].Seconds()
 			if avail > next {
 				next = avail // stall until delivery
 				if next > ts {

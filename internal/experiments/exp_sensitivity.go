@@ -28,18 +28,19 @@ func Fig18() (*Table, error) {
 		Header: []string{"system", "req", "TTFT", "t25%", "t50%", "t75%", "t100%", "stall"},
 	}
 	for _, spec := range []SystemSpec{systems()[1], systems()[3]} {
-		res, err := runOne(dep, spec, w, 0)
+		res, err := runRecorded(dep, spec, w)
 		if err != nil {
 			return nil, err
 		}
 		for _, r := range res.Requests[:8] {
 			row := []string{spec.Name, fmt.Sprintf("#%d", r.ID), fsec(r.TTFT())}
+			times := r.Timeline.Times
 			for _, q := range []float64{0.25, 0.5, 0.75, 1.0} {
-				idx := int(q*float64(len(r.TokenTimes))) - 1
+				idx := int(q*float64(len(times))) - 1
 				if idx < 0 {
 					idx = 0
 				}
-				row = append(row, ffloat(r.TokenTimes[idx].Seconds(), 1)+"s")
+				row = append(row, ffloat(times[idx].Seconds(), 1)+"s")
 			}
 			row = append(row, fsec(r.RebufferTotal))
 			t.Rows = append(t.Rows, row)
@@ -76,12 +77,7 @@ func Fig19() (*Table, error) {
 		c.n++
 		// Delivery pacing: tokens over the stream's span; under pacing it
 		// approaches the class target.
-		if n := len(r.TokenTimes); n >= 2 {
-			span := r.TokenTimes[n-1].Sub(r.TokenTimes[0]).Seconds()
-			if span > 0 {
-				c.deliver += float64(n-1) / span
-			}
-		}
+		c.deliver += rm.GenRate
 		c.stall += rm.Rebuffer
 		c.effective += rm.Effective
 		c.preemptons += r.Preemptions

@@ -340,28 +340,60 @@ func (m *Manager) AllocateResident(r *request.Request, contextTokens int) error 
 	return m.AllocateWithPrefix(r, contextTokens, 0)
 }
 
-// CheckGrowth is the decode step's one lookup per token: it reports
-// whether the request is resident on the device and, if so, whether
-// appending one token to its context needs a new page (claimed with
-// GrowOne). A resident request that needs no page takes the token as is.
-func (m *Manager) CheckGrowth(r *request.Request) (resident, needPage bool) {
+// Handle is a running request's residency handle: its KV entry and the
+// entry's epoch when the handle was taken. Every transition that takes
+// the entry off the device — Preempt, Discard, ReleaseAsPrefix, Crash —
+// bumps that epoch, so a handle taken while the request was resident
+// reports it non-resident from then on, even once a load brings the same
+// entry back: the engine takes a fresh handle each time a request enters
+// its running set. The zero Handle is never resident.
+type Handle struct {
+	e     *entry
+	epoch uint64
+}
+
+// Handle probes the request's entry and returns its residency handle, for
+// the decode step's per-token CheckGrowth and GrowOne.
+func (m *Manager) Handle(r *request.Request) Handle {
 	e, ok := m.entries[r.ID]
-	if !ok || e.res != ResGPU {
+	if !ok {
+		return Handle{}
+	}
+	return Handle{e: e, epoch: e.epoch}
+}
+
+// resident returns the handle's entry while the handle is current and the
+// request's KV is on the device, nil otherwise.
+func (h Handle) resident() *entry {
+	if h.e == nil || h.e.epoch != h.epoch || h.e.res != ResGPU {
+		return nil
+	}
+	return h.e
+}
+
+// CheckGrowth is the decode step's per-token check, a read of the
+// handle's entry: it reports whether the request is resident on the
+// device and, if so, whether appending one token to its context needs a
+// new page (claimed with GrowOne). A resident request that needs no page
+// takes the token as is.
+func (m *Manager) CheckGrowth(h Handle) (resident, needPage bool) {
+	e := h.resident()
+	if e == nil {
 		return false, false
 	}
-	return true, m.Pages(r.ContextLen()+1) > e.pages
+	return true, m.Pages(e.req.ContextLen()+1) > e.pages
 }
 
 // GrowOne extends a resident request's allocation for one appended token,
 // claiming a new page when the context crosses a page boundary. It reports
 // false when the request is not resident or the pool is exhausted, which
 // signals the engine's OOM path.
-func (m *Manager) GrowOne(r *request.Request) bool {
-	e, ok := m.entries[r.ID]
-	if !ok || e.res != ResGPU {
+func (m *Manager) GrowOne(h Handle) bool {
+	e := h.resident()
+	if e == nil {
 		return false
 	}
-	if m.Pages(r.ContextLen()+1) <= e.pages {
+	if m.Pages(e.req.ContextLen()+1) <= e.pages {
 		return true
 	}
 	if m.free < 1 {

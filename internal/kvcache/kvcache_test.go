@@ -130,10 +130,11 @@ func TestAllocateAndGrow(t *testing.T) {
 		t.Fatalf("residency = %v", rig.m.Residency(r))
 	}
 	// Context is exactly 2 pages; appending token 33 needs growth.
-	if resident, needPage := rig.m.CheckGrowth(r); !resident || !needPage {
+	h := rig.m.Handle(r)
+	if resident, needPage := rig.m.CheckGrowth(h); !resident || !needPage {
 		t.Errorf("context at page boundary: resident=%v needPage=%v, want both", resident, needPage)
 	}
-	if !rig.m.GrowOne(r) {
+	if !rig.m.GrowOne(h) {
 		t.Fatal("growth with free pages should succeed")
 	}
 	if rig.m.UsedPages() != 3 {
@@ -142,16 +143,21 @@ func TestAllocateAndGrow(t *testing.T) {
 	// Mid-page growth is free.
 	clock := simclock.New()
 	r.DeliverTokens(clock, 0, 1)
-	if resident, needPage := rig.m.CheckGrowth(r); !resident || needPage {
+	if resident, needPage := rig.m.CheckGrowth(h); !resident || needPage {
 		t.Errorf("mid-page token: resident=%v needPage=%v, want resident without a page", resident, needPage)
 	}
 	// A request the manager does not hold is neither resident nor grown.
-	stranger := newReq(2, 16, 10)
+	stranger := rig.m.Handle(newReq(2, 16, 10))
 	if resident, needPage := rig.m.CheckGrowth(stranger); resident || needPage {
 		t.Errorf("unknown request: resident=%v needPage=%v", resident, needPage)
 	}
 	if rig.m.GrowOne(stranger) {
 		t.Error("growing a non-resident request should fail")
+	}
+	// Discarding invalidates the handle.
+	rig.m.Discard(r)
+	if resident, _ := rig.m.CheckGrowth(h); resident || rig.m.GrowOne(h) {
+		t.Error("a discarded request's handle still reports it resident")
 	}
 }
 
@@ -165,13 +171,142 @@ func TestCheckGrowthAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.PrefilledTokens = 20
+	h := rig.m.Handle(r)
 	allocs := testing.AllocsPerRun(100, func() {
-		if resident, needPage := rig.m.CheckGrowth(r); !resident || needPage {
+		if resident, needPage := rig.m.CheckGrowth(h); !resident || needPage {
 			t.Fatalf("resident=%v needPage=%v", resident, needPage)
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("CheckGrowth allocated %v times per call, want 0", allocs)
+	}
+}
+
+// TestGrowOneAllocatesNothing: claiming a page at each page boundary, and
+// taking the token inside a page, allocates nothing.
+func TestGrowOneAllocatesNothing(t *testing.T) {
+	rig := newRig(t, fullConfig())
+	r := newReq(1, 16, 400)
+	if err := rig.m.AllocateResident(r, 16); err != nil {
+		t.Fatal(err)
+	}
+	r.PrefilledTokens = 16
+	h := rig.m.Handle(r)
+	clock := simclock.New()
+	allocs := testing.AllocsPerRun(100, func() {
+		if !rig.m.GrowOne(h) {
+			t.Fatal("growth with free pages failed")
+		}
+		r.DeliverTokens(clock, 0, 1)
+	})
+	if allocs != 0 {
+		t.Errorf("GrowOne allocated %v times per token, want 0", allocs)
+	}
+	if want := rig.m.Pages(r.ContextLen()); rig.m.UsedPages() != want {
+		t.Errorf("used %d pages for a %d-token context, want %d", rig.m.UsedPages(), r.ContextLen(), want)
+	}
+}
+
+// checkGrowthByID is the map-probe path the residency handle replaced:
+// the entry found by request ID, resident only on the device. It stays as
+// the handle's reference.
+func (m *Manager) checkGrowthByID(r *request.Request) (resident, needPage bool) {
+	e, ok := m.entries[r.ID]
+	if !ok || e.res != ResGPU {
+		return false, false
+	}
+	return true, m.Pages(r.ContextLen()+1) > e.pages
+}
+
+// Property: under the engine's handle discipline — a handle taken when a
+// request enters the device (allocation, load completion) and kept until
+// it leaves — the handle's CheckGrowth agrees with the map probe for every
+// request after every operation of a random allocate / grow / sync /
+// preempt / load / discard / release-as-prefix / crash sequence.
+func TestHandleMatchesMapProbe(t *testing.T) {
+	f := func(seed int64) bool {
+		cfg := fullConfig()
+		cfg.PrefixPages = 16
+		rig := newRig(t, cfg)
+		rng := rand.New(rand.NewSource(seed))
+		held := map[*request.Request]Handle{}
+		rig.m.cb.LoadDone = func(r *request.Request, _ simclock.Time) { held[r] = rig.m.Handle(r) }
+		var reqs []*request.Request
+		resident := func() *request.Request {
+			for _, i := range rng.Perm(len(reqs)) {
+				if rig.m.Residency(reqs[i]) == ResGPU {
+					return reqs[i]
+				}
+			}
+			return nil
+		}
+		for step := 0; step < 300; step++ {
+			switch rng.Intn(9) {
+			case 0: // allocate, adopting the session's pin if any
+				r := newReq(len(reqs)+1, rng.Intn(200)+1, 50)
+				r.Session = 1 + rng.Intn(3)
+				if rig.m.CanAdmit(r.PromptLen, r.Session) {
+					if err := rig.m.AllocateWithPrefix(r, r.PromptLen, r.Session); err != nil {
+						t.Log(err)
+						return false
+					}
+					r.PrefilledTokens = r.PromptLen
+					held[r] = rig.m.Handle(r)
+					reqs = append(reqs, r)
+				}
+			case 1: // decode one token
+				if r := resident(); r != nil && rig.m.GrowOne(held[r]) {
+					r.DeliverTokens(rig.clock, rig.clock.Now(), 1)
+				}
+			case 2:
+				rig.m.BackgroundSync(rig.clock.Now(), time.Duration(rng.Intn(5))*time.Millisecond)
+			case 3:
+				if r := resident(); r != nil {
+					if _, err := rig.m.Preempt(r, rig.clock.Now()); err != nil {
+						t.Log(err)
+						return false
+					}
+				}
+			case 4:
+				for _, r := range reqs {
+					need := int(rig.m.HostBytes(r) / rig.m.PageBytes())
+					if rig.m.Residency(r) == ResHost && need <= rig.m.FreePages() {
+						if _, err := rig.m.StartLoad(r, rig.clock.Now()); err != nil {
+							t.Log(err)
+							return false
+						}
+						break
+					}
+				}
+			case 5:
+				if r := resident(); r != nil {
+					rig.m.Discard(r)
+				}
+			case 6:
+				if r := resident(); r != nil {
+					rig.m.ReleaseAsPrefix(r, r.Session, rig.clock.Now())
+				}
+			case 7:
+				if rng.Intn(8) == 0 {
+					rig.m.Crash()
+				}
+			default:
+				rig.clock.RunUntil(rig.clock.Now().Add(time.Duration(rng.Intn(10)) * time.Millisecond))
+			}
+			for _, r := range reqs {
+				gotRes, gotPage := rig.m.CheckGrowth(held[r])
+				wantRes, wantPage := rig.m.checkGrowthByID(r)
+				if gotRes != wantRes || gotPage != wantPage {
+					t.Logf("seed %d step %d request %d (%v): handle says resident=%v needPage=%v, map probe %v %v",
+						seed, step, r.ID, rig.m.Residency(r), gotRes, gotPage, wantRes, wantPage)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -207,10 +342,11 @@ func TestGrowExhaustionSignalsOOM(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.PrefilledTokens = r.PromptLen
-	if resident, needPage := rig.m.CheckGrowth(r); !resident || !needPage {
+	h := rig.m.Handle(r)
+	if resident, needPage := rig.m.CheckGrowth(h); !resident || !needPage {
 		t.Fatalf("full pool at page boundary: resident=%v needPage=%v", resident, needPage)
 	}
-	if rig.m.GrowOne(r) {
+	if rig.m.GrowOne(h) {
 		t.Error("growth past pool should fail")
 	}
 	if rig.m.FreePages() != 0 || rig.m.UsedPages() != 64 {
@@ -657,7 +793,7 @@ func TestPropertyPageAccounting(t *testing.T) {
 			case 1: // grow a random resident request
 				for _, r := range reqs {
 					if rig.m.Residency(r) == ResGPU && rig.m.FreePages() > 0 {
-						rig.m.GrowOne(r)
+						rig.m.GrowOne(rig.m.Handle(r))
 						break
 					}
 				}

@@ -1,8 +1,9 @@
 // Package metrics computes the paper's evaluation metrics from completed
 // simulation runs: TTFT statistics, raw token throughput, effective
 // throughput with the timeliness-based token weighting of §7.1.3
-// (full credit below τ1 of the output length, linear decay to zero at τ2),
-// and the synthetic QoS metric of §3.2 (token utility minus TTFT and
+// (full credit below τ1 of the output length, linear decay to zero at τ2;
+// request.TokenWeight, summed per request as tokens are delivered), and
+// the synthetic QoS metric of §3.2 (token utility minus TTFT and
 // rebuffering penalties, Eq. 2).
 package metrics
 
@@ -16,50 +17,27 @@ import (
 	"repro/internal/simclock"
 )
 
-// QoSParams parameterizes the token-weighting and penalty terms.
+// QoSParams weighs the penalty terms of the QoS sum (Eq. 2). The token
+// weighting's thresholds are constants of the request package
+// (request.Tau1, request.Tau2), because delivery sums the weights as the
+// tokens arrive.
 type QoSParams struct {
-	// Tau1 and Tau2 are the buffer thresholds as fractions of the
-	// request's total output length: tokens generated while the buffer is
-	// below Tau1·L count fully, decay linearly to zero at Tau2·L, and
-	// count zero beyond (§7.1.3: 10% and 20%).
-	Tau1, Tau2 float64
-
-	// Lambda weighs the TTFT penalty and Mu the rebuffering penalty in the
-	// QoS sum (Eq. 2), both in token-equivalents per second.
+	// Lambda weighs the TTFT penalty and Mu the rebuffering penalty, both
+	// in token-equivalents per second.
 	Lambda, Mu float64
 }
 
 // DefaultQoSParams mirrors the paper's evaluation settings.
 func DefaultQoSParams() QoSParams {
-	return QoSParams{Tau1: 0.10, Tau2: 0.20, Lambda: 1.0, Mu: 2.0}
+	return QoSParams{Lambda: 1.0, Mu: 2.0}
 }
 
-// Validate reports an error for inconsistent thresholds.
+// Validate reports an error for negative penalty weights.
 func (p QoSParams) Validate() error {
-	if p.Tau1 < 0 || p.Tau2 <= p.Tau1 {
-		return fmt.Errorf("metrics: need 0 <= tau1 < tau2, got (%v, %v)", p.Tau1, p.Tau2)
-	}
 	if p.Lambda < 0 || p.Mu < 0 {
 		return fmt.Errorf("metrics: negative penalty weights (%v, %v)", p.Lambda, p.Mu)
 	}
 	return nil
-}
-
-// TokenWeight is the per-token utility w_{i,j} (Eq. 1 instantiated with the
-// effective-throughput thresholds): buffer occupancy B at generation time,
-// against thresholds relative to the request's output length L.
-func (p QoSParams) TokenWeight(buffer int, outputLen int) float64 {
-	t1 := p.Tau1 * float64(outputLen)
-	t2 := p.Tau2 * float64(outputLen)
-	b := float64(buffer)
-	switch {
-	case b <= t1:
-		return 1
-	case b >= t2:
-		return 0
-	default:
-		return (t2 - b) / (t2 - t1)
-	}
 }
 
 // RequestMetrics summarizes one request.
@@ -124,6 +102,7 @@ func Analyze(reqs []*request.Request, makespan simclock.Time, p QoSParams) Repor
 			ID:          r.ID,
 			Finished:    r.GenerationDone(),
 			Tokens:      r.Generated,
+			Effective:   r.Effective,
 			Rebuffer:    r.RebufferTotal,
 			Preemptions: r.Preemptions,
 			Resumes:     r.Resumes,
@@ -134,12 +113,8 @@ func Analyze(reqs []*request.Request, makespan simclock.Time, p QoSParams) Repor
 			m.TTFT = makespan.Sub(r.Arrival)
 			m.TTFTCensored = true
 		}
-		for j, buf := range r.BufferAtGen {
-			_ = j
-			m.Effective += p.TokenWeight(int(buf), r.OutputLen)
-		}
-		if n := len(r.TokenTimes); n >= 2 {
-			span := r.TokenTimes[n-1].Sub(r.TokenTimes[0]).Seconds()
+		if n := r.Generated; n >= 2 {
+			span := r.LastTokenAt.Sub(r.FirstTokenAt).Seconds()
 			if span > 0 {
 				m.GenRate = float64(n-1) / span
 			}

@@ -15,36 +15,14 @@ func TestQoSParamsValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []QoSParams{
-		{Tau1: -0.1, Tau2: 0.2},
-		{Tau1: 0.2, Tau2: 0.2},
-		{Tau1: 0.3, Tau2: 0.2},
-		{Tau1: 0.1, Tau2: 0.2, Lambda: -1},
-		{Tau1: 0.1, Tau2: 0.2, Mu: -1},
+		{Lambda: -1},
+		{Mu: -1},
+		{Lambda: -1, Mu: -1},
 	}
 	for _, p := range bad {
 		if p.Validate() == nil {
 			t.Errorf("params %+v should fail", p)
 		}
-	}
-}
-
-func TestTokenWeightBands(t *testing.T) {
-	p := DefaultQoSParams()
-	L := 1000 // thresholds at 100 and 200 tokens
-	if w := p.TokenWeight(50, L); w != 1 {
-		t.Errorf("below tau1: w = %v", w)
-	}
-	if w := p.TokenWeight(100, L); w != 1 {
-		t.Errorf("at tau1: w = %v", w)
-	}
-	if w := p.TokenWeight(150, L); w != 0.5 {
-		t.Errorf("midband: w = %v", w)
-	}
-	if w := p.TokenWeight(200, L); w != 0 {
-		t.Errorf("at tau2: w = %v", w)
-	}
-	if w := p.TokenWeight(500, L); w != 0 {
-		t.Errorf("beyond tau2: w = %v", w)
 	}
 }
 
@@ -207,24 +185,6 @@ func TestAnalyzeEmpty(t *testing.T) {
 	rep := Analyze(nil, simclock.FromSeconds(1), DefaultQoSParams())
 	if rep.N != 0 || rep.QoS != 0 {
 		t.Error("empty analysis should be zeroed")
-	}
-}
-
-// Property: effective tokens never exceed generated tokens, and the weight
-// function is monotone non-increasing in buffer occupancy.
-func TestPropertyWeightMonotone(t *testing.T) {
-	p := DefaultQoSParams()
-	f := func(b1, b2 uint16, lenRaw uint16) bool {
-		L := int(lenRaw%2000) + 10
-		lo, hi := int(b1), int(b2)
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		w1, w2 := p.TokenWeight(lo, L), p.TokenWeight(hi, L)
-		return w1 >= w2 && w1 <= 1 && w2 >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

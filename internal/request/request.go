@@ -5,6 +5,11 @@
 // the substrate for both the TokenFlow scheduler (buffer-aware priorities)
 // and the QoS metrics (stalls, token usefulness).
 //
+// A request's memory does not grow with its output: delivery folds each
+// token into running totals (the weighted Effective count, the last token
+// instant) instead of storing per-token records. Callers that need a whole
+// per-token history attach a Timeline before the first delivery.
+//
 // Client reading is computed in closed form rather than simulated token by
 // token. The client reads its first token the instant it arrives and then
 // one token per read tick, every interval = simclock.Duration(1/Rate) — a
@@ -95,16 +100,24 @@ type Request struct {
 	Generated int
 	consumed  int
 
-	// FirstTokenAt is when the first output token was generated (valid
-	// once Generated > 0). FinishedAt is when the last token was generated.
+	// FirstTokenAt is when the first output token was generated and
+	// LastTokenAt when the latest one was (both valid once Generated > 0,
+	// zero before). FinishedAt is when the final output token was
+	// generated, zero until then.
 	FirstTokenAt simclock.Time
+	LastTokenAt  simclock.Time
 	FinishedAt   simclock.Time
 
-	// TokenTimes and BufferAtGen record, per output token, its generation
-	// timestamp and the buffer occupancy immediately after it was appended
-	// (the B_{i,j} of the paper's QoS definition).
-	TokenTimes  []simclock.Time
-	BufferAtGen []int32
+	// Effective is the running sum, in token order, of TokenWeight over
+	// every generated token's buffer occupancy B_{i,j} (the buffer right
+	// after the token was appended): the request's effective tokens of
+	// §7.1.3.
+	Effective float64
+
+	// Timeline, when a caller attached one before the first delivery,
+	// records every token's generation instant and buffer occupancy.
+	// Serving paths leave it nil.
+	Timeline *Timeline
 
 	// Stall accounting: RebufferTotal accumulates time the client spent
 	// waiting on an empty buffer after starting to read. A stall is added
@@ -163,9 +176,10 @@ type Arena struct {
 	slab []Request
 }
 
-// arenaSlab is the number of Requests allocated per slab. At ~300 B per
-// Request a slab is ~150 KiB: big enough to make the allocator cost per
-// request negligible, small enough not to strand memory on tiny runs.
+// arenaSlab is the number of Requests allocated per slab. At 216 B per
+// Request (unsafe.Sizeof on 64-bit platforms) a slab is ~108 KiB: big
+// enough to make the allocator cost per request negligible, small enough
+// not to strand memory on tiny runs.
 const arenaSlab = 512
 
 // New carves a queued request out of the arena's current slab.
@@ -230,12 +244,7 @@ func (r *Request) TTFT() time.Duration { return r.FirstTokenAt.Sub(r.Arrival) }
 func Makespan(reqs []*Request, fallback simclock.Time) simclock.Time {
 	var end simclock.Time
 	for _, r := range reqs {
-		if r.FinishedAt > end {
-			end = r.FinishedAt
-		}
-		if r.Generated > 0 && r.TokenTimes[len(r.TokenTimes)-1] > end {
-			end = r.TokenTimes[len(r.TokenTimes)-1]
-		}
+		end = max(end, r.FinishedAt, r.LastTokenAt)
 	}
 	if end == 0 {
 		return fallback
@@ -251,10 +260,11 @@ func (r *Request) Stalled() bool {
 }
 
 // DeliverTokens appends n freshly generated tokens at time now — the
-// clock's current instant — recording timestamps and buffer occupancies,
-// and starts the client reading at the first token or resumes a stalled
-// client. Once the last token is delivered, the clock gets the request's
-// end-of-reading event.
+// clock's current instant — adding each token's weight to Effective and
+// moving LastTokenAt to now, and starts the client reading at the first
+// token or resumes a stalled client. Once the last token is delivered, the
+// clock gets the request's end-of-reading event. It allocates nothing
+// unless a Timeline is attached.
 func (r *Request) DeliverTokens(clock *simclock.Clock, now simclock.Time, n int) {
 	if n <= 0 {
 		return
@@ -267,21 +277,18 @@ func (r *Request) DeliverTokens(clock *simclock.Clock, now simclock.Time, n int)
 		r.catchUp(now)
 	}
 	first := r.Generated == 0
-	if r.TokenTimes == nil {
-		// The final sizes are known up front (one entry per output token),
-		// so the per-token records are allocated exactly once at first
-		// delivery — never grown — and only for requests actually served.
-		r.TokenTimes = make([]simclock.Time, 0, r.OutputLen)
-		r.BufferAtGen = make([]int32, 0, r.OutputLen)
-	}
 	for i := 0; i < n; i++ {
 		r.Generated++
-		r.TokenTimes = append(r.TokenTimes, now)
-		r.BufferAtGen = append(r.BufferAtGen, int32(r.Generated-r.consumed))
+		buf := int32(r.Generated - r.consumed)
+		r.Effective += TokenWeight(int(buf), r.OutputLen)
+		if r.Timeline != nil {
+			r.Timeline.record(now, buf, r.OutputLen)
+		}
 	}
 	if first {
 		r.FirstTokenAt = now
 	}
+	r.LastTokenAt = now
 	if r.Rate <= 0 {
 		// Instant consumer: drain everything as it arrives.
 		r.consumed = r.Generated
@@ -399,12 +406,12 @@ func (r *Request) CancelConsumption(clock *simclock.Clock) {
 func (r *Request) InstantConsumer() bool { return r.Rate <= 0 }
 
 // ResetForRetry rewinds the request to a fresh queued state after its
-// serving replica crashed: all generation progress, per-token records, and
-// client-buffer state are discarded (the partial output died with the
-// replica) and reading is cancelled (CancelConsumption). Arrival is
-// preserved — the retried request's TTFT spans the crash and the backoff,
-// which is exactly the damage the chaos experiments measure — and Retries
-// increments.
+// serving replica crashed: all generation progress, the running token
+// totals, an attached Timeline's records, and client-buffer state are
+// discarded (the partial output died with the replica) and reading is
+// cancelled (CancelConsumption). Arrival is preserved — the retried
+// request's TTFT spans the crash and the backoff, which is exactly the
+// damage the chaos experiments measure — and Retries increments.
 func (r *Request) ResetForRetry(clock *simclock.Clock) {
 	r.CancelConsumption(clock)
 	r.State = StateQueued
@@ -413,9 +420,12 @@ func (r *Request) ResetForRetry(clock *simclock.Clock) {
 	r.Generated = 0
 	r.consumed = 0
 	r.FirstTokenAt = 0
+	r.LastTokenAt = 0
 	r.FinishedAt = 0
-	r.TokenTimes = nil
-	r.BufferAtGen = nil
+	r.Effective = 0
+	if r.Timeline != nil {
+		r.Timeline.reset()
+	}
 	r.RebufferTotal = 0
 	r.waitingForToken = false
 	r.tick = 0

@@ -115,15 +115,23 @@ func TestStallAccounting(t *testing.T) {
 func TestBufferOccupancyRecorded(t *testing.T) {
 	clock := simclock.New()
 	r := New(0, 0, 10, 4, 1) // very slow reader
+	r.Timeline = &Timeline{}
 	r.DeliverTokens(clock, 0, 2)
 	r.DeliverTokens(clock, simclock.FromSeconds(0.1), 2)
 	// Token 1: buffer 1 (itself). Token 2: buffer 2. Then the client
 	// consumed token 1 at t=0, so tokens 3 and 4 see buffers 2 and 3.
 	want := []int32{1, 2, 2, 3}
-	for i, w := range want {
-		if r.BufferAtGen[i] != w {
-			t.Errorf("BufferAtGen[%d] = %d, want %d (all=%v)", i, r.BufferAtGen[i], w, r.BufferAtGen)
-		}
+	if !reflect.DeepEqual(r.Timeline.Buffers, want) {
+		t.Errorf("buffers at generation %v, want %v", r.Timeline.Buffers, want)
+	}
+	wantTimes := []simclock.Time{0, 0, simclock.FromSeconds(0.1), simclock.FromSeconds(0.1)}
+	if !reflect.DeepEqual(r.Timeline.Times, wantTimes) {
+		t.Errorf("token times %v, want %v", r.Timeline.Times, wantTimes)
+	}
+	// With L = 4 the thresholds sit at 0.4 and 0.8 tokens: every buffer
+	// of one token or more weighs zero.
+	if r.Effective != 0 || r.LastTokenAt != simclock.FromSeconds(0.1) {
+		t.Errorf("effective %v, last token at %v", r.Effective, r.LastTokenAt)
 	}
 }
 
@@ -330,6 +338,25 @@ type refReader struct {
 	bufferAtGen []int32
 	lastTick    simclock.Time // latest read tick fired
 	next        simclock.Handle
+
+	lastDelivery simclock.Time
+}
+
+// reset is the reference's ResetForRetry: the pending read tick is
+// cancelled and every record starts over.
+func (f *refReader) reset(clock *simclock.Clock) {
+	clock.Cancel(f.next)
+	*f = refReader{rate: f.rate, out: f.out}
+}
+
+// effective is the in-order weight sum over the reference's buffer
+// occupancies: what Request.Effective must equal bit for bit.
+func (f *refReader) effective() float64 {
+	var sum float64
+	for _, b := range f.bufferAtGen {
+		sum += TokenWeight(int(b), f.out)
+	}
+	return sum
 }
 
 func (f *refReader) deliver(clock *simclock.Clock, now simclock.Time, n int) {
@@ -338,7 +365,10 @@ func (f *refReader) deliver(clock *simclock.Clock, now simclock.Time, n int) {
 		f.generated++
 		f.bufferAtGen = append(f.bufferAtGen, int32(f.generated-f.consumed))
 	}
-	if first {
+	f.lastDelivery = now
+	if f.rate <= 0 {
+		f.consumed = f.generated // instant consumer
+	} else if first {
 		f.consumeOne(clock)
 	} else if f.stalled {
 		f.rebuffer += now.Sub(f.stallStart)
@@ -365,11 +395,13 @@ func (f *refReader) tick(clock *simclock.Clock, now simclock.Time) {
 }
 
 // Property: on random delivery schedules — rates 5-40 tok/s, batches and
-// gaps at random nanosecond instants off the read grid — the closed-form
-// reader matches the event-per-token reference at every delivery (tokens
-// read, buffer occupancies recorded, stall state, next read tick) and at
-// the end (rebuffer total, stall state, and the clock's final instant,
-// which the end-of-reading event must still reach).
+// gaps at random nanosecond instants off the read grid, and in half the
+// schedules a crash retry mid-stream — the closed-form reader matches the
+// event-per-token reference at every delivery (tokens read, stall state,
+// next read tick, the running Effective sum bit for bit, LastTokenAt) and
+// at the end (buffer occupancies recorded, rebuffer total, stall state,
+// and the clock's final instant, which the end-of-reading event must
+// still reach).
 func TestPropertyClosedFormMatchesEventPerToken(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -377,7 +409,12 @@ func TestPropertyClosedFormMatchesEventPerToken(t *testing.T) {
 		rate := 5 + 35*rng.Float64()
 		lazyClock, refClock := simclock.New(), simclock.New()
 		r := New(0, 0, 16, out, rate)
+		r.Timeline = &Timeline{}
 		ref := &refReader{rate: rate, out: out}
+		retryAt := -1
+		if rng.Intn(2) == 0 {
+			retryAt = rng.Intn(out)
+		}
 		now, lastDelivery := simclock.Time(0), simclock.Time(0)
 		for r.Generated < out {
 			n := rng.Intn(min(out-r.Generated, 16)) + 1
@@ -389,17 +426,29 @@ func TestPropertyClosedFormMatchesEventPerToken(t *testing.T) {
 			lastDelivery = now
 			last, next := r.ReadTicks(now)
 			if r.Consumed() != ref.consumed || r.Stalled() != ref.stalled ||
-				next != ref.next.At() || max(last, lastDelivery) != max(ref.lastTick, lastDelivery) {
-				t.Logf("seed %d at %v: consumed %d/%d stalled %v/%v next %v/%v last %v/%v",
+				next != ref.next.At() || max(last, lastDelivery) != max(ref.lastTick, lastDelivery) ||
+				r.Effective != ref.effective() || r.LastTokenAt != ref.lastDelivery {
+				t.Logf("seed %d at %v: consumed %d/%d stalled %v/%v next %v/%v last %v/%v effective %v/%v last token %v/%v",
 					seed, now, r.Consumed(), ref.consumed, r.Stalled(), ref.stalled,
-					next, ref.next.At(), last, ref.lastTick)
+					next, ref.next.At(), last, ref.lastTick, r.Effective, ref.effective(),
+					r.LastTokenAt, ref.lastDelivery)
 				return false
+			}
+			if retryAt >= 0 && r.Generated > retryAt {
+				retryAt = -1
+				r.ResetForRetry(lazyClock)
+				ref.reset(refClock)
+				if r.Effective != 0 || r.LastTokenAt != 0 || len(r.Timeline.Times) != 0 {
+					t.Logf("seed %d: retry left effective %v, last token %v, %d timeline entries",
+						seed, r.Effective, r.LastTokenAt, len(r.Timeline.Times))
+					return false
+				}
 			}
 		}
 		lazyClock.Run()
 		refClock.Run()
-		if !reflect.DeepEqual(r.BufferAtGen, ref.bufferAtGen) {
-			t.Logf("seed %d: buffer at generation %v, reference %v", seed, r.BufferAtGen, ref.bufferAtGen)
+		if !reflect.DeepEqual(r.Timeline.Buffers, ref.bufferAtGen) {
+			t.Logf("seed %d: buffer at generation %v, reference %v", seed, r.Timeline.Buffers, ref.bufferAtGen)
 			return false
 		}
 		return r.RebufferTotal == ref.rebuffer && r.Stalled() == ref.stalled &&
@@ -415,12 +464,13 @@ func TestPropertyClosedFormMatchesEventPerToken(t *testing.T) {
 func TestReadTickTieRule(t *testing.T) {
 	clock := simclock.New()
 	r := New(0, 0, 10, 10, 10) // one read tick every 100ms
+	r.Timeline = &Timeline{}
 	r.DeliverTokens(clock, 0, 3)
 	at := simclock.FromSeconds(0.1)
 	clock.RunUntil(at)
 	r.DeliverTokens(clock, at, 1)
 	// The 0.1s tick read token 2 before token 4 landed: 4 - 2 buffered.
-	if got := r.BufferAtGen[3]; got != 2 {
+	if got := r.Timeline.Buffers[3]; got != 2 {
 		t.Errorf("buffer at the tied delivery = %d, want 2", got)
 	}
 	clock.RunUntil(simclock.FromSeconds(0.2))
@@ -505,7 +555,7 @@ func TestMakespan(t *testing.T) {
 	// done is a request whose last token landed at last and whose
 	// FinishedAt reads finished.
 	done := func(last, finished simclock.Time) *Request {
-		return &Request{Generated: 2, TokenTimes: []simclock.Time{s(1), last}, FinishedAt: finished}
+		return &Request{Generated: 2, FirstTokenAt: s(1), LastTokenAt: last, FinishedAt: finished}
 	}
 	cases := []struct {
 		name string
