@@ -51,6 +51,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/engine"
 	"repro/internal/fabric"
+	"repro/internal/gpu"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/obs/attribution"
@@ -634,15 +635,15 @@ type Cluster struct {
 	// nil-guarded call. Each shard adds its own recorder and profiler:
 	// every emission routes by the event's replica (recFor / profFor) so
 	// each sink has exactly one writing goroutine, and the streams merge
-	// deterministically at collect. The name slices precompute per-replica
-	// and per-link series names, so per-tick recording builds no strings.
-	rec         *obs.Recorder
-	reg         *obs.Registry
-	prof        *obs.Profiler
-	collectors  []*attribution.Collector
-	repSeries   []replicaSeriesNames
-	linkBusy    []string
-	linkBacklog []string
+	// deterministically at collect. repSeries and linkSeries cache the
+	// per-replica and per-link series names, so per-tick recording builds
+	// no strings.
+	rec        *obs.Recorder
+	reg        *obs.Registry
+	prof       *obs.Profiler
+	collectors []*attribution.Collector
+	repSeries  []replicaSeriesNames
+	linkSeries map[*gpu.Link]linkSeriesNames
 
 	// ctr accumulates the run's event counters (migrations, autoscaling,
 	// gateway, chaos); collect adds the per-replica totals.

@@ -542,3 +542,38 @@ func TestTimedOutRunEndsAtLastReadTick(t *testing.T) {
 		t.Errorf("client read %d tokens by the deadline, want %d", got, int((want-r.FirstTokenAt)/second)+1)
 	}
 }
+
+// newAllocsPerReplica bounds what cluster.New allocates per replica when
+// the engine builder is stubbed out: the replica record, its fabric
+// endpoint, the amortized growth of the per-replica tables, and under
+// the shared NIC its two NIC links and their names.
+const newAllocsPerReplica = 8
+
+// TestNewAllocationBound guards cluster.New's build cost at 500 replicas:
+// with a stub builder that hands out one prebuilt engine, everything New
+// lays out — shards, replicas, fabric endpoints, the topology — is O(N),
+// at most newAllocsPerReplica allocations per replica. Under the full mesh
+// no pair link is built; under the shared NIC the NICs are part of the
+// bound.
+func TestNewAllocationBound(t *testing.T) {
+	const replicas = 500
+	eng, err := buildTokenFlow()(0, simclock.New(), fabric.NewSingleHost(1e9, 1e9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stub := func(int, *simclock.Clock, *fabric.Endpoint) (*engine.Engine, error) { return eng, nil }
+	for _, spec := range []fabric.Spec{{Kind: fabric.FullMesh}, {Kind: fabric.SharedNIC, SwitchGBps: 10}} {
+		spec := spec
+		cfg := cluster.Config{Replicas: replicas, Shards: 2, Policy: router.NewRoundRobin(), Topology: &spec}
+		got := testing.AllocsPerRun(3, func() {
+			if _, err := cluster.New(cfg, stub); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if limit := float64(newAllocsPerReplica * replicas); got > limit {
+			t.Errorf("%s: cluster.New at %d replicas allocates %v objects, want at most %v (%d per replica)",
+				spec.Kind, replicas, got, limit, newAllocsPerReplica)
+		}
+		t.Logf("%s: %v allocations at %d replicas", spec.Kind, got, replicas)
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"strconv"
 
 	"repro/internal/autoscale"
+	"repro/internal/gpu"
 	"repro/internal/obs/attribution"
 	"repro/internal/simclock"
 )
@@ -59,9 +60,16 @@ var autoscaleSeriesNames = func() [len(autoscale.SignalNames)]string {
 	return out
 }()
 
-// initObsSeries precomputes series names. Link names come from the
-// topology the fabric already built, so the series track exactly the links
-// the run books on.
+// linkSeriesNames holds one fabric link's precomputed series names.
+type linkSeriesNames struct {
+	busy    string // link/<name>/busy_s: cumulative wire-busy seconds
+	backlog string // link/<name>/backlog_s: queueing delay at the sample
+}
+
+// initObsSeries precomputes the per-replica series names. Per-link names
+// are keyed by link and built at the link's first sample: a full-mesh pair
+// link exists only from its pair's first use on, so the series track
+// exactly the links the run has.
 func (c *Cluster) initObsSeries() {
 	if c.reg == nil {
 		return
@@ -74,10 +82,7 @@ func (c *Cluster) initObsSeries() {
 			mirror: "replica" + id + "/host_mirror_bytes",
 		})
 	}
-	for _, snap := range c.fab.LinkSnapshots(0) {
-		c.linkBusy = append(c.linkBusy, "link/"+snap.Name+"/busy_s")
-		c.linkBacklog = append(c.linkBacklog, "link/"+snap.Name+"/backlog_s")
-	}
+	c.linkSeries = make(map[*gpu.Link]linkSeriesNames)
 }
 
 // recordSampleSeries records one point of every sampling-loop series: per
@@ -95,13 +100,16 @@ func (c *Cluster) recordSampleSeries(now simclock.Time) {
 		c.reg.Observe(n.kvUtil, now, util)
 		c.reg.Observe(n.mirror, now, float64(rep.eng.HostMirrorBytes()))
 	}
-	for i, snap := range c.fab.LinkSnapshots(now) {
-		if i >= len(c.linkBusy) {
-			break
+	c.fab.Topology().EachLink(func(l *gpu.Link) {
+		n, ok := c.linkSeries[l]
+		if !ok {
+			n = linkSeriesNames{busy: "link/" + l.Name() + "/busy_s", backlog: "link/" + l.Name() + "/backlog_s"}
+			c.linkSeries[l] = n
 		}
-		c.reg.Observe(c.linkBusy[i], now, snap.Busy.Seconds())
-		c.reg.Observe(c.linkBacklog[i], now, snap.Backlog.Seconds())
-	}
+		snap := l.Snapshot(now)
+		c.reg.Observe(n.busy, now, snap.Busy.Seconds())
+		c.reg.Observe(n.backlog, now, snap.Backlog.Seconds())
+	})
 	c.reg.Observe(seriesActiveReplicas, now, float64(c.activeCount()))
 	if c.idx != nil {
 		// Staleness at a glance: in-flight publications, indexed sessions,

@@ -18,9 +18,12 @@ package cluster
 // another shard's engines; the only cross-shard state written from shard
 // goroutines is the per-shard first-token and publication buffers, merged
 // on the coordinator at each barrier in deterministic order. Fabric class
-// accounting is per-replica-row (single writer) and interconnect links are
+// accounting is per-replica-row (single writer), and interconnect links are
 // booked only by the coordinator, so bookings from parallel shards never
-// race.
+// race. The same holds for interconnect path resolution: a replica pair's
+// path (under the full mesh, its link) is created on the first
+// BookBetween or ETABetween for the pair, and both run only in coordinator
+// events (migrations, chaos replication, the migration cost model).
 //
 // The flight recorder follows the same single-writer discipline: each
 // shard owns a recorder and profiler, and every emission routes by the

@@ -20,6 +20,13 @@
 // cost-modelled migration policy consults before committing a session's KV
 // to the wire.
 //
+// A topology costs O(replicas + pairs used), not O(replicas²): host links,
+// NICs and the switch are built up front, and a replica pair's path is
+// resolved on its first use — under FullMesh, that is when the pair's
+// dedicated link is created. Only the cluster coordinator resolves pairs
+// (it alone books and prices interconnect transfers), so the lazy build
+// needs no locking.
+//
 // A transfer over a multi-link path is circuit-style: it claims every link
 // on the path from the instant the last of them drains and holds all of
 // them for the wire time of the path's bottleneck link. For single-link
@@ -29,6 +36,7 @@ package fabric
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/gpu"
@@ -41,8 +49,8 @@ type Kind string
 
 // Interconnect layouts.
 const (
-	// FullMesh: a dedicated link per directed replica pair. No contention
-	// between different pairs.
+	// FullMesh: a dedicated link per directed replica pair, created on the
+	// pair's first use. No contention between different pairs.
 	FullMesh Kind = "full-mesh"
 	// SharedNIC: one egress and one ingress NIC link per replica, behind an
 	// optional shared switch. Transfers sharing an endpoint serialize.
@@ -96,27 +104,44 @@ func (s Spec) Normalize() (Spec, error) {
 // Topology is the named link set of one deployment: per-replica host PCIe
 // pairs (attached by the engines, which know their device's bandwidth) and
 // the interconnect links the Spec lays out.
+//
+// Memory and build time are O(replicas + pairs used), whatever the layout:
+// host links and the SharedNIC NICs and switch are O(N) and built eagerly,
+// while a replica pair's path is resolved on its first Path call — under
+// FullMesh that is when its dedicated link comes into existence. A run
+// that never moves KV between two replicas never pays for their link.
 type Topology struct {
 	spec Spec
 	n    int
+	// bps is the interconnect link bandwidth in bytes per second.
+	bps float64
 
 	hostD2H, hostH2D []*gpu.Link
 
-	// pair[i][j] is the FullMesh link from replica i to j (nil diagonal).
-	pair [][]*gpu.Link
 	// egress[i] / ingress[i] are replica i's SharedNIC uplink directions;
 	// sw is the optional shared switch stage.
 	egress, ingress []*gpu.Link
 	sw              *gpu.Link
 
-	// paths[i][j] is the precomputed link sequence from replica i to j
-	// (nil diagonal), built once so the booking hot path never allocates.
-	// The slices are immutable after construction and therefore safe to
-	// read from concurrent shard goroutines.
-	paths [][][]*gpu.Link
+	// paths caches every resolved pair's link sequence, keyed from*n+to.
+	// pairs lists the FullMesh pair links in the order their pairs were
+	// first resolved. Both are written only by Path, which only the
+	// cluster coordinator calls (see Path), and the cached slices are
+	// immutable once stored.
+	paths map[int][]*gpu.Link
+	pairs []*gpu.Link
+	// slab backs the cached path slices in chunks, so resolving a pair
+	// allocates no slice of its own.
+	slab []*gpu.Link
 }
 
-// NewTopology builds the interconnect for the given replica count.
+// pathSlabChunk is how many link pointers one slab chunk holds: a chunk
+// serves 64 three-link shared-NIC paths or 192 full-mesh ones.
+const pathSlabChunk = 192
+
+// NewTopology builds the interconnect for the given replica count. It
+// lays out only the O(N) links (the SharedNIC NICs and switch); pair
+// paths are resolved by Path on first use.
 func NewTopology(replicas int, spec Spec) (*Topology, error) {
 	spec, err := spec.Normalize()
 	if err != nil {
@@ -128,51 +153,37 @@ func NewTopology(replicas int, spec Spec) (*Topology, error) {
 	t := &Topology{
 		spec:    spec,
 		n:       replicas,
+		bps:     spec.LinkGBps * 1e9,
 		hostD2H: make([]*gpu.Link, replicas),
 		hostH2D: make([]*gpu.Link, replicas),
+		paths:   make(map[int][]*gpu.Link),
 	}
-	bps := spec.LinkGBps * 1e9
-	switch spec.Kind {
-	case FullMesh:
-		t.pair = make([][]*gpu.Link, replicas)
-		for i := range t.pair {
-			t.pair[i] = make([]*gpu.Link, replicas)
-			for j := range t.pair[i] {
-				if i != j {
-					t.pair[i][j] = gpu.NewLink(fmt.Sprintf("ic-%d-%d", i, j), bps)
-				}
-			}
-		}
-	case SharedNIC:
+	if spec.Kind == SharedNIC {
 		t.egress = make([]*gpu.Link, replicas)
 		t.ingress = make([]*gpu.Link, replicas)
 		for i := 0; i < replicas; i++ {
-			t.egress[i] = gpu.NewLink(fmt.Sprintf("nic-out-%d", i), bps)
-			t.ingress[i] = gpu.NewLink(fmt.Sprintf("nic-in-%d", i), bps)
+			t.egress[i] = gpu.NewLink(linkName("nic-out-", i), t.bps)
+			t.ingress[i] = gpu.NewLink(linkName("nic-in-", i), t.bps)
 		}
 		if spec.SwitchGBps > 0 {
 			t.sw = gpu.NewLink("switch", spec.SwitchGBps*1e9)
 		}
 	}
-	t.paths = make([][][]*gpu.Link, replicas)
-	for i := range t.paths {
-		t.paths[i] = make([][]*gpu.Link, replicas)
-		for j := range t.paths[i] {
-			if i == j {
-				continue
-			}
-			if spec.Kind == FullMesh {
-				t.paths[i][j] = []*gpu.Link{t.pair[i][j]}
-				continue
-			}
-			path := []*gpu.Link{t.egress[i]}
-			if t.sw != nil {
-				path = append(path, t.sw)
-			}
-			t.paths[i][j] = append(path, t.ingress[j])
-		}
-	}
 	return t, nil
+}
+
+// linkName builds a link name from a prefix and one or more replica ids
+// joined by '-' ("nic-out-3", "ic-2-0") in a single allocation.
+func linkName(prefix string, ids ...int) string {
+	var buf [48]byte
+	b := append(buf[:0], prefix...)
+	for k, id := range ids {
+		if k > 0 {
+			b = append(b, '-')
+		}
+		b = strconv.AppendInt(b, int64(id), 10)
+	}
+	return string(b)
 }
 
 // Spec reports the topology's resolved layout.
@@ -186,12 +197,16 @@ func (t *Topology) Replicas() int { return t.n }
 // Each engine attaches its own, since the bandwidth is a device property.
 // Attaching twice is a wiring bug and panics.
 func (t *Topology) AttachHost(replica int, bytesPerSec float64) {
+	t.attachHost(replica, bytesPerSec, bytesPerSec)
+}
+
+func (t *Topology) attachHost(replica int, d2h, h2d float64) {
 	t.checkReplica(replica)
 	if t.hostD2H[replica] != nil {
 		panic(fmt.Sprintf("fabric: replica %d host links already attached", replica))
 	}
-	t.hostD2H[replica] = gpu.NewLink(fmt.Sprintf("host-d2h-%d", replica), bytesPerSec)
-	t.hostH2D[replica] = gpu.NewLink(fmt.Sprintf("host-h2d-%d", replica), bytesPerSec)
+	t.hostD2H[replica] = gpu.NewLink(linkName("host-d2h-", replica), d2h)
+	t.hostH2D[replica] = gpu.NewLink(linkName("host-h2d-", replica), h2d)
 }
 
 // HostD2H returns replica i's device-to-host link (nil until attached).
@@ -208,40 +223,81 @@ func (t *Topology) HostH2D(replica int) *gpu.Link {
 
 // Path resolves the interconnect link sequence a transfer from one replica
 // to another traverses: the dedicated pair link under FullMesh; egress NIC,
-// optional switch, ingress NIC under SharedNIC. The returned slice is
-// shared and immutable — callers must not modify it.
+// optional switch, ingress NIC under SharedNIC. The first call for a pair
+// resolves it — creating its ic-<from>-<to> link under FullMesh — and
+// caches the path; later calls return the cached slice without
+// allocating. The returned slice is shared and immutable — callers must
+// not modify it.
+//
+// Resolution writes the topology, so only one goroutine may call Path at
+// a time. In a cluster that is the coordinator: interconnect transfers
+// are booked and priced (BookBetween, ETABetween) only from coordinator
+// events, while the shards are quiescent.
 func (t *Topology) Path(from, to int) []*gpu.Link {
 	t.checkReplica(from)
 	t.checkReplica(to)
 	if from == to {
 		panic(fmt.Sprintf("fabric: self-transfer on replica %d", from))
 	}
-	return t.paths[from][to]
+	key := from*t.n + to
+	if p, ok := t.paths[key]; ok {
+		return p
+	}
+	var p []*gpu.Link
+	switch {
+	case t.spec.Kind == FullMesh:
+		l := gpu.NewLink(linkName("ic-", from, to), t.bps)
+		t.pairs = append(t.pairs, l)
+		p = t.newPath(l)
+	case t.sw != nil:
+		p = t.newPath(t.egress[from], t.sw, t.ingress[to])
+	default:
+		p = t.newPath(t.egress[from], t.ingress[to])
+	}
+	t.paths[key] = p
+	return p
 }
 
-// Links lists every link of the topology (attached host pairs first, then
-// the interconnect), for snapshotting.
+// newPath copies links into the slab and returns them as a path whose
+// capacity ends at its length, so no append can reach a neighbour.
+func (t *Topology) newPath(links ...*gpu.Link) []*gpu.Link {
+	if cap(t.slab)-len(t.slab) < len(links) {
+		t.slab = make([]*gpu.Link, 0, pathSlabChunk)
+	}
+	i := len(t.slab)
+	t.slab = append(t.slab, links...)
+	return t.slab[i:len(t.slab):len(t.slab)]
+}
+
+// Links lists every link that exists now, in a fixed order: attached host
+// pairs by replica, then the FullMesh pair links in the order their pairs
+// were first resolved, then the SharedNIC NICs by replica and the switch.
+// A FullMesh pair that no Path has resolved has no link and is not listed.
 func (t *Topology) Links() []*gpu.Link {
-	var out []*gpu.Link
-	for i := 0; i < t.n; i++ {
-		if t.hostD2H[i] != nil {
-			out = append(out, t.hostD2H[i], t.hostH2D[i])
+	out := make([]*gpu.Link, 0, 2*t.n+len(t.pairs)+2*len(t.egress)+1)
+	t.EachLink(func(l *gpu.Link) { out = append(out, l) })
+	return out
+}
+
+// EachLink calls fn on every link in Links order without building the
+// list. Like Path, it must not run concurrently with a pair's resolution.
+func (t *Topology) EachLink(fn func(*gpu.Link)) {
+	for i, l := range t.hostD2H {
+		if l != nil {
+			fn(l)
+			fn(t.hostH2D[i])
 		}
 	}
-	for _, row := range t.pair {
-		for _, l := range row {
-			if l != nil {
-				out = append(out, l)
-			}
-		}
+	for _, l := range t.pairs {
+		fn(l)
 	}
-	for i := range t.egress {
-		out = append(out, t.egress[i], t.ingress[i])
+	for i, l := range t.egress {
+		fn(l)
+		fn(t.ingress[i])
 	}
 	if t.sw != nil {
-		out = append(out, t.sw)
+		fn(t.sw)
 	}
-	return out
 }
 
 func (t *Topology) checkReplica(i int) {
@@ -432,7 +488,8 @@ func (s *TransferScheduler) book(class Class, path []*gpu.Link, now simclock.Tim
 }
 
 // BookBetween books an interconnect transfer between two replicas over the
-// topology's path for the pair.
+// topology's path for the pair, resolving the pair on first use (so, like
+// Topology.Path, it is a coordinator-only call in a cluster).
 func (s *TransferScheduler) BookBetween(class Class, from, to int, now simclock.Time, bytes int64) (start, done simclock.Time) {
 	return s.book(class, s.topo.Path(from, to), now, bytes, from)
 }
@@ -465,7 +522,9 @@ func (s *TransferScheduler) AccountN(class Class, replica int, bytes, n int64) {
 // ETABetween predicts, without booking, how long an interconnect transfer
 // between two replicas submitted now would take to complete: path queueing
 // (the backlog of the busiest link on the path) plus bottleneck wire time.
-// The migration cost model weighs this against prefix recompute.
+// The migration cost model weighs this against prefix recompute. It
+// resolves the pair like BookBetween and is coordinator-only for the same
+// reason.
 func (s *TransferScheduler) ETABetween(from, to int, now simclock.Time, bytes int64) time.Duration {
 	start, bottleneck := pathPlan(s.topo.Path(from, to), now)
 	return start.Sub(now) + bottleneck.TransferTime(bytes)
@@ -489,7 +548,8 @@ func (s *TransferScheduler) ClassStats() []ClassStats {
 	return out
 }
 
-// LinkSnapshots captures every topology link's counters at now.
+// LinkSnapshots captures the counters at now of every link that exists,
+// in Links order: under FullMesh only the pairs resolved so far appear.
 func (s *TransferScheduler) LinkSnapshots(now simclock.Time) []gpu.LinkSnapshot {
 	links := s.topo.Links()
 	out := make([]gpu.LinkSnapshot, 0, len(links))
@@ -550,7 +610,6 @@ func NewSingleHost(d2hBytesPerSec, h2dBytesPerSec float64) *Endpoint {
 	if err != nil {
 		panic(err) // the degenerate spec is statically valid
 	}
-	topo.hostD2H[0] = gpu.NewLink("host-d2h-0", d2hBytesPerSec)
-	topo.hostH2D[0] = gpu.NewLink("host-h2d-0", h2dBytesPerSec)
+	topo.attachHost(0, d2hBytesPerSec, h2dBytesPerSec)
 	return NewScheduler(topo).Endpoint(0)
 }

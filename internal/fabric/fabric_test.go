@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -224,23 +225,42 @@ func TestClassAccounting(t *testing.T) {
 	}
 }
 
-// TestLinkSnapshots: every topology link is visible, host pairs included
-// once attached.
+// TestLinkSnapshots: every link that exists is visible, in Links order —
+// host pairs once attached, then under the full mesh each pair link from
+// its pair's first Path on, in first-use order, then the NICs and the
+// switch. Looking a pair up again adds nothing.
 func TestLinkSnapshots(t *testing.T) {
-	s := NewScheduler(mustTopo(t, 2, Spec{Kind: SharedNIC, LinkGBps: 1, SwitchGBps: 5}))
-	s.Endpoint(0).AttachHost(1e9)
-	// 2 host + 2x2 NIC + switch.
-	snaps := s.LinkSnapshots(0)
-	if len(snaps) != 7 {
-		t.Fatalf("snapshot count = %d, want 7", len(snaps))
+	nic := Spec{Kind: SharedNIC, LinkGBps: 1, SwitchGBps: 5}
+	mesh := Spec{Kind: FullMesh, LinkGBps: 1}
+	host := []string{"host-d2h-0", "host-h2d-0"}
+	nics := append(append([]string{}, host...),
+		"nic-out-0", "nic-in-0", "nic-out-1", "nic-in-1", "nic-out-2", "nic-in-2", "switch")
+	cases := []struct {
+		name  string
+		spec  Spec
+		paths [][2]int
+		want  []string
+	}{
+		{"shared-nic", nic, nil, nics},
+		{"shared-nic-paths-add-nothing", nic, [][2]int{{2, 0}, {0, 1}}, nics},
+		{"full-mesh-fresh", mesh, nil, host},
+		{"full-mesh-first-use-order", mesh, [][2]int{{2, 0}, {0, 1}},
+			append(append([]string{}, host...), "ic-2-0", "ic-0-1")},
+		{"full-mesh-repeats-add-nothing", mesh, [][2]int{{2, 0}, {0, 1}, {2, 0}, {0, 1}, {2, 0}},
+			append(append([]string{}, host...), "ic-2-0", "ic-0-1")},
 	}
-	names := map[string]bool{}
-	for _, sn := range snaps {
-		names[sn.Name] = true
-	}
-	for _, want := range []string{"host-d2h-0", "host-h2d-0", "nic-out-0", "nic-in-1", "switch"} {
-		if !names[want] {
-			t.Errorf("link %q missing from snapshots (have %v)", want, names)
+	for _, c := range cases {
+		s := NewScheduler(mustTopo(t, 3, c.spec))
+		s.Endpoint(0).AttachHost(1e9)
+		for _, p := range c.paths {
+			s.Topology().Path(p[0], p[1])
+		}
+		var got []string
+		for _, sn := range s.LinkSnapshots(0) {
+			got = append(got, sn.Name)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: snapshots %v, want %v", c.name, got, c.want)
 		}
 	}
 }
@@ -260,24 +280,59 @@ func TestAttachHostTwicePanics(t *testing.T) {
 // bookings on a built topology — interconnect paths and host-link
 // enqueues alike — must not allocate. The per-replica class-stat rows are
 // laid out at construction, so a booking only advances link cursors and
-// bumps counters.
+// bumps counters; under the full mesh, once every pair the loop books on
+// has been used, its link and path are cached.
 func TestBookingAllocationBound(t *testing.T) {
-	topo := mustTopo(t, 4, Spec{Kind: SharedNIC, LinkGBps: 2, SwitchGBps: 4})
-	s := NewScheduler(topo)
-	ep := s.Endpoint(1)
-	ep.AttachHost(2e9)
-	var (
-		now simclock.Time
-		i   int
-	)
-	if avg := testing.AllocsPerRun(1000, func() {
-		s.BookBetween(ClassMigrate, i%4, (i+1)%4, now, 1<<20)
-		ep.EnqueueD2H(ClassSync, now, 1<<16)
-		ep.EnqueueH2D(ClassReload, now, 1<<16)
-		now += simclock.FromSeconds(0.001)
-		i++
-	}); avg > 0 {
-		t.Errorf("steady-state booking allocates %.1f objects per round, want 0", avg)
+	for _, spec := range []Spec{
+		{Kind: SharedNIC, LinkGBps: 2, SwitchGBps: 4},
+		{Kind: FullMesh, LinkGBps: 2},
+	} {
+		topo := mustTopo(t, 4, spec)
+		s := NewScheduler(topo)
+		ep := s.Endpoint(1)
+		ep.AttachHost(2e9)
+		for i := 0; i < 4; i++ {
+			topo.Path(i, (i+1)%4)
+		}
+		var (
+			now simclock.Time
+			i   int
+		)
+		if avg := testing.AllocsPerRun(1000, func() {
+			s.BookBetween(ClassMigrate, i%4, (i+1)%4, now, 1<<20)
+			ep.EnqueueD2H(ClassSync, now, 1<<16)
+			ep.EnqueueH2D(ClassReload, now, 1<<16)
+			now += simclock.FromSeconds(0.001)
+			i++
+		}); avg > 0 {
+			t.Errorf("%s: steady-state booking allocates %.1f objects per round, want 0", spec.Kind, avg)
+		}
+	}
+}
+
+// TestNewTopologyAllocationBound: building a topology lays out no pair
+// links. The full mesh is a constant number of allocations at any replica
+// count; the shared NIC layout is O(N) — two links and two names per
+// replica — plus a constant.
+func TestNewTopologyAllocationBound(t *testing.T) {
+	const replicas = 500
+	cases := []struct {
+		spec Spec
+		max  float64
+	}{
+		{Spec{}, 8},
+		{Spec{Kind: SharedNIC}, 4*replicas + 8},
+		{Spec{Kind: SharedNIC, SwitchGBps: 10}, 4*replicas + 8},
+	}
+	for _, c := range cases {
+		got := testing.AllocsPerRun(5, func() {
+			if _, err := NewTopology(replicas, c.spec); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > c.max {
+			t.Errorf("NewTopology(%d, %+v) allocates %v objects, want at most %v", replicas, c.spec, got, c.max)
+		}
 	}
 }
 
