@@ -108,6 +108,16 @@ var flagGroups = []struct {
 	{"Observability", []string{"obs-out"}},
 }
 
+// alternatives joins a registry's names as "a | b | c" for a flag's usage
+// string, so the help text cannot drift from the registry.
+func alternatives[T ~string](names []T) string {
+	s := make([]string, len(names))
+	for i, n := range names {
+		s[i] = string(n)
+	}
+	return strings.Join(s, " | ")
+}
+
 // groupedUsage prints the flag sections of flagGroups, then any flag the
 // groups forgot (so a new flag can never silently vanish from -help).
 func groupedUsage() {
@@ -274,7 +284,7 @@ func main() {
 
 func run() error {
 	var (
-		system   = flag.String("system", "tokenflow", "sglang | sglang-chunked | andes | tokenflow")
+		system   = flag.String("system", "tokenflow", alternatives(tokenflow.Systems()))
 		gpuName  = flag.String("gpu", "H200", "RTX-4090 | A6000 | H200 | Ascend-910B")
 		modelID  = flag.String("model", "Llama3-8B", "Llama3-8B | Qwen2-7B | Qwen2.5-7B | Qwen2.5-32B")
 		memFrac  = flag.Float64("mem-fraction", 0.9, "device memory share for weights+KV")
@@ -288,11 +298,11 @@ func run() error {
 		rate     = flag.Float64("rate", 20, "client consumption rate (tok/s); 0 = instant")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		replicas = flag.Int("replicas", 1, "engine replicas: the pool size; the autoscaling maximum (cluster mode when > 1)")
-		routerP  = flag.String("router", "round-robin", "round-robin | least-queue | least-kv | weighted-capacity | session-affinity | indexed-least-queue | indexed-session-affinity")
+		routerP  = flag.String("router", "round-robin", alternatives(tokenflow.RouterPolicies()))
 		hetero   = flag.String("hetero", "", `heterogeneous pool as "GPU[:count[:memfrac]],..." (cluster mode)`)
 		migrate  = flag.Bool("migrate", false, "enable cross-replica KV migration over the interconnect")
-		migPol   = flag.String("migration-policy", "always", "always | cost (cost declines migrations the wire would lose)")
-		topology = flag.String("topology", "full-mesh", "interconnect layout: full-mesh | shared-nic")
+		migPol   = flag.String("migration-policy", "always", alternatives(tokenflow.MigrationPolicies())+" (cost declines migrations the wire would lose)")
+		topology = flag.String("topology", "full-mesh", "interconnect layout: "+alternatives(tokenflow.TopologyKinds()))
 		linkBW   = flag.Float64("link-gbps", 25, "interconnect link bandwidth (GB/s): per pair (full-mesh) or per NIC direction (shared-nic)")
 		switchBW = flag.Float64("switch-gbps", 0, "shared-nic switch stage bandwidth (GB/s); 0 = non-blocking")
 		hostCach = flag.Bool("host-cache", false, "host-tier prefix cache: evicted session pins reload over h2d instead of recomputing")
@@ -303,7 +313,7 @@ func run() error {
 		idxDrop  = flag.Float64("index-drop", 0, "prefix-index KV event drop probability in [0,1)")
 		idxHeart = flag.Float64("index-heartbeat", 0, "prefix-index load-digest heartbeat period (s); 0 = per-change load stream")
 		idxStale = flag.Float64("index-staleness", 0, "prefix-index digest staleness bound (s) before routing falls back; 0 = derived from heartbeat+delay")
-		scaler   = flag.String("autoscale", "", "autoscaling policy: queue-pressure | kv-utilization | slo-target | predictive (empty = static pool)")
+		scaler   = flag.String("autoscale", "", "autoscaling policy: "+alternatives(tokenflow.AutoscalePolicies())+" (empty = static pool)")
 		minReps  = flag.Int("min-replicas", 1, "autoscaling lower bound on in-service replicas; 0 enables scale-to-zero with the gateway queue")
 		warmup   = flag.Float64("warmup", 8, "autoscaling scale-up warm-up latency (s); 0 = instant")
 		prewarm  = flag.Bool("prewarm", false, "pre-warm scaling-up replicas with hot KV prefixes over the interconnect")

@@ -326,7 +326,7 @@ func TestChaosZeroFaultByteIdentity(t *testing.T) {
 			Replicas: 3, Policy: router.NewSessionAffinity(), Migrate: true,
 			Chaos:       spec,
 			SampleEvery: 250 * time.Millisecond,
-			Obs:         obs.Options{Events: true, Series: true, Attribution: true, SampleEvery: 2},
+			Obs:         obs.Options{Events: true, Series: true, Attribution: true},
 		}, buildTokenFlowHost())
 		if err != nil {
 			t.Fatal(err)

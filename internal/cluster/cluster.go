@@ -43,8 +43,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/autoscale"
@@ -53,11 +54,13 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/gpu"
 	"repro/internal/metrics"
+	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/obs/attribution"
 	"repro/internal/prefixindex"
 	"repro/internal/request"
 	"repro/internal/router"
+	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/trace"
 )
@@ -291,6 +294,38 @@ func (c Config) Normalize() (Config, error) {
 // topology). Each call must return a fresh engine with a fresh scheduler
 // (schedulers are stateful).
 type BuildEngine func(replica int, clock *simclock.Clock, ep *fabric.Endpoint) (*engine.Engine, error)
+
+// Deployment is what one replica runs on: its device, the served model,
+// the device-memory share for weights + KV and an optional decode-batch
+// cap (zero takes the engine's default).
+type Deployment struct {
+	GPU         gpu.Spec
+	Model       model.Spec
+	MemFraction float64
+	MaxBatch    int
+}
+
+// Engines is the BuildEngine of a pool: replica i runs on deps[i mod
+// len(deps)] with a fresh scheduler and KV policy from system. One
+// deployment makes a homogeneous pool, one per replica a heterogeneous
+// one; deps must not be empty. Called with a nil clock and endpoint it
+// builds a standalone engine (engine.NewStandalone), for the reference
+// driver.
+func Engines(deps []Deployment, system func() (sched.Scheduler, engine.KVPolicy, error)) BuildEngine {
+	return func(i int, clock *simclock.Clock, ep *fabric.Endpoint) (*engine.Engine, error) {
+		s, kv, err := system()
+		if err != nil {
+			return nil, err
+		}
+		d := deps[i%len(deps)]
+		cfg := engine.Config{GPU: d.GPU, Model: d.Model, MemFraction: d.MemFraction,
+			MaxBatch: d.MaxBatch, Scheduler: s, KV: kv, Clock: clock, Fabric: ep}
+		if clock == nil {
+			return engine.NewStandalone(cfg)
+		}
+		return engine.New(cfg)
+	}
+}
 
 // replica pairs an engine with its routing and lifecycle bookkeeping; it
 // implements router.Replica.
@@ -723,7 +758,7 @@ func New(cfg Config, build BuildEngine) (*Cluster, error) {
 		}
 	}
 	if cfg.Obs.Series {
-		c.reg = obs.NewRegistry(cfg.Obs.SampleEvery)
+		c.reg = obs.NewRegistry()
 	}
 	if cfg.Obs.Profile {
 		c.prof = obs.NewProfiler()
@@ -857,7 +892,7 @@ func (c *Cluster) Run(w trace.Workload) (*Result, error) {
 				mask[i] = rep.state == autoscale.Active || rep.state == autoscale.Draining
 			}
 			c.svcMask = append(c.svcMask, mask)
-			if c.reg != nil && c.reg.Tick() {
+			if c.reg != nil {
 				c.recordSampleSeries(now)
 			}
 			if !c.done() {
@@ -1155,7 +1190,7 @@ func (c *Cluster) collect(timedOut bool) *Result {
 		// so the cluster report prices the failures it caused.
 		res.Requests = append(res.Requests, ch.failed...)
 	}
-	sort.SliceStable(res.Requests, func(i, j int) bool { return res.Requests[i].ID < res.Requests[j].ID })
+	slices.SortStableFunc(res.Requests, func(a, b *request.Request) int { return cmp.Compare(a.ID, b.ID) })
 
 	makespan := request.Makespan(res.Requests, end)
 	res.Makespan = time.Duration(makespan)

@@ -154,8 +154,7 @@ func TestObsPurityGrid(t *testing.T) {
 				}
 				return res
 			}
-			full := obs.Options{Events: true, Series: true, Profile: true,
-				Attribution: true, SampleEvery: 2}
+			full := obs.Options{Events: true, Series: true, Profile: true, Attribution: true}
 			off, on, on2 := run(obs.Options{}), run(full), run(full)
 			if off.Obs != nil {
 				t.Fatal("obs-off run produced a capture")

@@ -2,8 +2,8 @@ package cluster
 
 // Flight-recorder telemetry series (the registry half of Config.Obs; the
 // event half is emitted inline at each lifecycle site). Per-replica series
-// sample on the SampleEvery loop, thinned by the registry's stride;
-// autoscale-signal series sample on the control loop, one point per tick.
+// sample on the SampleEvery loop; autoscale-signal series sample on the
+// control loop, one point per tick.
 // Everything here is pure observation: recording reads engine and fabric
 // state through the same accessors routing uses and never schedules clock
 // events, so an instrumented run's Result is deep-equal to an
@@ -168,8 +168,8 @@ func (c *Cluster) recordAttributionSeries(now simclock.Time) {
 
 // recordControlSeries records one point per control tick: the full signal
 // vector the policy decided from, and the gateway depth under
-// scale-to-zero. Unstrided — control ticks are already sparse, and a scale
-// decision in the event log should always line up with a recorded vector.
+// scale-to-zero, so a scale decision in the event log always lines up with
+// a recorded vector.
 func (c *Cluster) recordControlSeries(now simclock.Time, s autoscale.Signals) {
 	if c.reg == nil {
 		return

@@ -18,6 +18,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/model"
 	"repro/internal/router"
+	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/trace"
 )
@@ -117,19 +118,12 @@ func RandomScenario(rng *rand.Rand) Scenario {
 		}
 	}
 
-	build := func(_ int, clock *simclock.Clock, ep *fabric.Endpoint) (*engine.Engine, error) {
-		kv := engine.TokenFlowKVPolicy()
-		kv.HostCache = hostCache
-		return engine.New(engine.Config{
-			GPU:         gpu.RTX4090,
-			Model:       model.Llama3_8B,
-			MemFraction: 0.9,
-			Scheduler:   core.MustNew(core.DefaultConfig()),
-			KV:          kv,
-			Clock:       clock,
-			Fabric:      ep,
+	build := Engines([]Deployment{{GPU: gpu.RTX4090, Model: model.Llama3_8B, MemFraction: 0.9}},
+		func() (sched.Scheduler, engine.KVPolicy, error) {
+			s, kv, err := engine.NewSystem(engine.SystemTokenFlow, core.DefaultConfig())
+			kv.HostCache = hostCache
+			return s, kv, err
 		})
-	}
 
 	w := trace.Sessions("randspec", trace.SessionConfig{
 		Sessions: 6 + rng.Intn(15),

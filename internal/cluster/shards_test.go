@@ -143,10 +143,7 @@ func TestShardedObsByteIdentity(t *testing.T) {
 				cfg, build := row.make()
 				cfg.Shards = shards
 				cfg.SampleEvery = 250 * time.Millisecond
-				cfg.Obs = obs.Options{
-					Events: true, Series: true, Profile: true, Attribution: true,
-					SampleEvery: 2,
-				}
+				cfg.Obs = obs.Options{Events: true, Series: true, Profile: true, Attribution: true}
 				cl, err := cluster.New(cfg, build)
 				if err != nil {
 					t.Fatal(err)

@@ -25,7 +25,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/fabric"
 	"repro/internal/gpu"
 	"repro/internal/model"
 	"repro/internal/router"
@@ -125,129 +124,124 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	return cw.WriteAll(t.Rows)
 }
 
-// Deployment is a (device, model, memory) triple. MaxBatch optionally
-// caps decode concurrency (used by the Figure 6 toy).
-type Deployment struct {
-	GPU         gpu.Spec
-	Model       model.Spec
-	MemFraction float64
-	MaxBatch    int
-}
-
 // Paper deployments (§7.1.1). H200 controlled experiments start with
 // mem-frac 0.3 (§7.3); the smaller cards use SGLang's 0.9 default.
 var (
-	depH200Llama   = Deployment{GPU: gpu.H200, Model: model.Llama3_8B, MemFraction: 0.3}
-	depH200Qwen32  = Deployment{GPU: gpu.H200, Model: model.Qwen25_32B, MemFraction: 0.9}
-	dep4090Llama   = Deployment{GPU: gpu.RTX4090, Model: model.Llama3_8B, MemFraction: 0.9}
-	depA6000Qwen   = Deployment{GPU: gpu.A6000, Model: model.Qwen25_7B, MemFraction: 0.9}
-	depAscendLlama = Deployment{GPU: gpu.Ascend910B, Model: model.Llama3_8B, MemFraction: 0.9}
+	depH200Llama   = cluster.Deployment{GPU: gpu.H200, Model: model.Llama3_8B, MemFraction: 0.3}
+	depH200Qwen32  = cluster.Deployment{GPU: gpu.H200, Model: model.Qwen25_32B, MemFraction: 0.9}
+	dep4090Llama   = cluster.Deployment{GPU: gpu.RTX4090, Model: model.Llama3_8B, MemFraction: 0.9}
+	depA6000Qwen   = cluster.Deployment{GPU: gpu.A6000, Model: model.Qwen25_7B, MemFraction: 0.9}
+	depAscendLlama = cluster.Deployment{GPU: gpu.Ascend910B, Model: model.Llama3_8B, MemFraction: 0.9}
 )
 
 // SystemSpec names a system and constructs its scheduler + KV policy.
 type SystemSpec struct {
 	Name string
-	Make func() (sched.Scheduler, engine.KVPolicy)
+	Make func() (sched.Scheduler, engine.KVPolicy, error)
 }
 
-// Standard system lineup of the evaluation.
-func systems() []SystemSpec {
-	return []SystemSpec{
-		{"sglang-chunked", func() (sched.Scheduler, engine.KVPolicy) {
-			return sched.NewSGLangChunked(0), engine.BaselineKVPolicy()
-		}},
-		{"sglang", func() (sched.Scheduler, engine.KVPolicy) {
-			return sched.NewSGLang(), engine.BaselineKVPolicy()
-		}},
-		{"andes", func() (sched.Scheduler, engine.KVPolicy) {
-			return sched.NewAndes(), engine.BaselineKVPolicy()
-		}},
-		{"tokenflow", func() (sched.Scheduler, engine.KVPolicy) {
-			return core.MustNew(core.DefaultConfig()), engine.TokenFlowKVPolicy()
-		}},
-	}
-}
-
-// tokenFlowOnly is the lineup for sensitivity studies.
-func tokenFlowWith(cfg core.Config) SystemSpec {
-	return SystemSpec{"tokenflow", func() (sched.Scheduler, engine.KVPolicy) {
-		return core.MustNew(cfg), engine.TokenFlowKVPolicy()
+// system is the named system of the shared table (engine.NewSystem), with
+// TokenFlow tuned by tf.
+func system(name string, tf core.Config) SystemSpec {
+	return SystemSpec{name, func() (sched.Scheduler, engine.KVPolicy, error) {
+		return engine.NewSystem(name, tf)
 	}}
+}
+
+// tokenFlow is TokenFlow at its default tuning: the system every cluster
+// experiment's replicas run.
+var tokenFlow = system(engine.SystemTokenFlow, core.DefaultConfig())
+
+// withKV is s running the KV policy kv in place of its own.
+func (s SystemSpec) withKV(kv engine.KVPolicy) SystemSpec {
+	return SystemSpec{s.Name, func() (sched.Scheduler, engine.KVPolicy, error) {
+		sch, _, err := s.Make()
+		return sch, kv, err
+	}}
+}
+
+// systems is the evaluation's lineup, in the paper's order, each system
+// at its default tuning.
+func systems() []SystemSpec {
+	var specs []SystemSpec
+	for _, name := range engine.Systems() {
+		specs = append(specs, system(name, core.DefaultConfig()))
+	}
+	return specs
 }
 
 // runOne simulates one system on one workload: a one-replica round-robin
 // cluster, whose only replica's result is the device's own.
-func runOne(dep Deployment, spec SystemSpec, w trace.Workload, sampleEvery time.Duration) (*engine.Result, error) {
-	cl, err := cluster.New(cluster.Config{Policy: router.NewRoundRobin(), SampleEvery: sampleEvery},
-		func(_ int, clock *simclock.Clock, ep *fabric.Endpoint) (*engine.Engine, error) {
-			return engine.New(engineConfig(dep, spec, clock, ep))
-		})
-	if err != nil {
-		return nil, err
-	}
-	res, err := cl.Run(w)
+func runOne(dep cluster.Deployment, spec SystemSpec, w trace.Workload, sampleEvery time.Duration) (*engine.Result, error) {
+	res, err := runCluster(cluster.Config{Policy: router.NewRoundRobin(), SampleEvery: sampleEvery},
+		cluster.Engines([]cluster.Deployment{dep}, spec.Make), w)
 	if err != nil {
 		return nil, err
 	}
 	return res.PerReplica[0].Result, nil
 }
 
+// runCluster builds the cluster and runs the workload on it.
+func runCluster(cfg cluster.Config, build cluster.BuildEngine, w trace.Workload) (*cluster.Result, error) {
+	cl, err := cluster.New(cfg, build)
+	if err != nil {
+		return nil, err
+	}
+	return cl.Run(w)
+}
+
 // runRecorded is runOne on the reference single-device driver, which
 // produces the same run and also records every request's per-token
 // timeline (request.Timeline), for the figures that replay one.
-func runRecorded(dep Deployment, spec SystemSpec, w trace.Workload) (*engine.Result, error) {
-	e, err := engine.NewStandalone(engineConfig(dep, spec, nil, nil))
+func runRecorded(dep cluster.Deployment, spec SystemSpec, w trace.Workload) (*engine.Result, error) {
+	e, err := cluster.Engines([]cluster.Deployment{dep}, spec.Make)(0, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	return engine.Drive(e, w, 0), nil
 }
 
-// engineConfig is the deployment's engine running the system, on the
-// given clock and fabric endpoint.
-func engineConfig(dep Deployment, spec SystemSpec, clock *simclock.Clock, ep *fabric.Endpoint) engine.Config {
-	s, kv := spec.Make()
-	return engine.Config{
-		GPU:         dep.GPU,
-		Model:       dep.Model,
-		MemFraction: dep.MemFraction,
-		MaxBatch:    dep.MaxBatch,
-		Scheduler:   s,
-		KV:          kv,
-		Clock:       clock,
-		Fabric:      ep,
-	}
-}
-
 // runAll simulates every system on the workload concurrently (each run is
 // an independent single-threaded simulation).
-func runAll(dep Deployment, specs []SystemSpec, w trace.Workload, sampleEvery time.Duration) (map[string]*engine.Result, error) {
-	type out struct {
-		name string
-		res  *engine.Result
-		err  error
-	}
-	ch := make(chan out, len(specs))
-	var wg sync.WaitGroup
-	for _, spec := range specs {
-		spec := spec
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := runOne(dep, spec, w, sampleEvery)
-			ch <- out{spec.Name, res, err}
-		}()
-	}
-	wg.Wait()
-	close(ch)
-	results := make(map[string]*engine.Result, len(specs))
-	for o := range ch {
-		if o.err != nil {
-			return nil, fmt.Errorf("%s: %w", o.name, o.err)
+func runAll(dep cluster.Deployment, specs []SystemSpec, w trace.Workload, sampleEvery time.Duration) (map[string]*engine.Result, error) {
+	res, err := runCells(len(specs), func(i int) (*engine.Result, error) {
+		r, err := runOne(dep, specs[i], w, sampleEvery)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", specs[i].Name, err)
 		}
-		results[o.name] = o.res
+		return r, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	results := make(map[string]*engine.Result, len(specs))
+	for i, r := range res {
+		results[specs[i].Name] = r
 	}
 	return results, nil
+}
+
+// runCells runs cell(0) … cell(n-1) concurrently, each an independent
+// simulation, and returns their results in cell order, or the error of the
+// lowest-index cell that failed.
+func runCells[T any](n int, cell func(i int) (T, error)) ([]T, error) {
+	out := make([]T, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			defer wg.Done()
+			out[i], errs[i] = cell(i)
+		}(i)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 // Formatting helpers.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/autoscale"
@@ -49,7 +48,6 @@ func scaledUpHitRate(res *cluster.Result, initial int) float64 {
 // within the warm-up window; at starved bandwidth the transfers trail the
 // activation and the benefit shrinks toward zero.)
 func ExpAutoscale() (*Table, error) {
-	dep := dep4090Llama
 	const minReps, maxReps = 1, 4
 
 	type variant struct {
@@ -72,50 +70,37 @@ func ExpAutoscale() (*Table, error) {
 		}
 	}
 
-	type cell struct {
-		v   variant
-		res *cluster.Result
-		err error
-	}
-	cells := make([]cell, len(variants))
-	for i, v := range variants {
-		cells[i] = cell{v: v}
-	}
-	var wg sync.WaitGroup
-	for i := range cells {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v := cells[i].v
-			cfg := cluster.Config{
-				Replicas: maxReps,
-				Policy:   router.NewSessionAffinity(),
+	build := cluster.Engines([]cluster.Deployment{dep4090Llama}, tokenFlow.Make)
+	results, err := runCells(len(variants), func(i int) (*cluster.Result, error) {
+		v := variants[i]
+		cfg := cluster.Config{
+			Replicas: maxReps,
+			Policy:   router.NewSessionAffinity(),
+		}
+		switch v.mode {
+		case "fixed-1":
+			cfg.Replicas = minReps
+		case "fixed-4":
+			// static pool at max size
+		default:
+			cfg.Topology = &fabric.Spec{LinkGBps: v.icGBps}
+			cfg.Autoscale = &cluster.AutoscaleConfig{
+				Policy:  autoscale.NewQueuePressure(),
+				Min:     minReps,
+				Max:     maxReps,
+				Warmup:  time.Duration(v.warmup * float64(time.Second)),
+				Prewarm: v.mode == "prewarm",
 			}
-			switch v.mode {
-			case "fixed-1":
-				cfg.Replicas = minReps
-			case "fixed-4":
-				// static pool at max size
-			default:
-				cfg.Topology = &fabric.Spec{LinkGBps: v.icGBps}
-				cfg.Autoscale = &cluster.AutoscaleConfig{
-					Policy:  autoscale.NewQueuePressure(),
-					Min:     minReps,
-					Max:     maxReps,
-					Warmup:  time.Duration(v.warmup * float64(time.Second)),
-					Prewarm: v.mode == "prewarm",
-				}
-			}
-			cl, err := cluster.New(cfg, buildReplica(dep))
-			if err != nil {
-				cells[i].err = err
-				return
-			}
-			cells[i].res, cells[i].err = cl.Run(spikeWorkload(v.spikeEvery))
-		}()
+		}
+		res, err := runCluster(cfg, build, spikeWorkload(v.spikeEvery))
+		if err != nil {
+			return nil, fmt.Errorf("autoscale %+v: %w", v, err)
+		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
 
 	t := &Table{
 		ID: "Autoscale",
@@ -124,28 +109,26 @@ func ExpAutoscale() (*Table, error) {
 		Header: []string{"spike-every", "warmup", "ic-GB/s", "mode", "P99-TTFT", "QoS",
 			"GPU-s", "ups", "downs", "stalls", "prewarm-tok", "post-up-hit%"},
 	}
-	for _, c := range cells {
-		if c.err != nil {
-			return nil, fmt.Errorf("autoscale %+v: %w", c.v, c.err)
-		}
+	for i, v := range variants {
+		res := results[i]
 		warmup, bw, hit := "-", "-", "-"
-		if c.v.mode == "cold" || c.v.mode == "prewarm" {
-			warmup = ffloat(c.v.warmup, 0) + "s"
-			bw = ffloat(c.v.icGBps, 1)
-			hit = ffloat(100*scaledUpHitRate(c.res, minReps), 1)
+		if v.mode == "cold" || v.mode == "prewarm" {
+			warmup = ffloat(v.warmup, 0) + "s"
+			bw = ffloat(v.icGBps, 1)
+			hit = ffloat(100*scaledUpHitRate(res, minReps), 1)
 		}
 		t.Rows = append(t.Rows, []string{
-			ffloat(c.v.spikeEvery, 0) + "s",
+			ffloat(v.spikeEvery, 0) + "s",
 			warmup,
 			bw,
-			c.v.mode,
-			fsec(c.res.Report.P99TTFT),
-			ftps(c.res.Report.QoS),
-			ffloat(c.res.GPUSeconds, 0),
-			fint(int64(countKind(c.res, cluster.ScaleWarmup) + countKind(c.res, cluster.ScaleReactivate))),
-			fint(int64(countKind(c.res, cluster.ScaleDrain))),
-			fint(c.res.WarmupStalls),
-			fint(c.res.PrewarmedTokens),
+			v.mode,
+			fsec(res.Report.P99TTFT),
+			ftps(res.Report.QoS),
+			ffloat(res.GPUSeconds, 0),
+			fint(int64(countKind(res, cluster.ScaleWarmup) + countKind(res, cluster.ScaleReactivate))),
+			fint(int64(countKind(res, cluster.ScaleDrain))),
+			fint(res.WarmupStalls),
+			fint(res.PrewarmedTokens),
 			hit,
 		})
 	}

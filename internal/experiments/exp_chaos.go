@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/chaos"
@@ -79,32 +78,21 @@ func RunChaosCells() (*ChaosCells, error) {
 	kv.HostCache = true
 	w := chaosWorkload()
 
+	build := cluster.Engines([]cluster.Deployment{dep4090Llama}, tokenFlow.withKV(kv).Make)
 	specs := []*chaos.Spec{nil, chaosCrashSpec(0), chaosCrashSpec(2)}
-	results := make([]*cluster.Result, len(specs))
-	errs := make([]error, len(specs))
-	var wg sync.WaitGroup
-	for i := range specs {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl, err := cluster.New(cluster.Config{
-				Replicas: 4,
-				Policy:   router.NewSessionAffinity(),
-				Chaos:    specs[i],
-			}, buildReplicaKV(dep4090Llama, kv))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			results[i], errs[i] = cl.Run(w)
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
+	results, err := runCells(len(specs), func(i int) (*cluster.Result, error) {
+		res, err := runCluster(cluster.Config{
+			Replicas: 4,
+			Policy:   router.NewSessionAffinity(),
+			Chaos:    specs[i],
+		}, build, w)
 		if err != nil {
 			return nil, fmt.Errorf("chaos cell %d: %w", i, err)
 		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &ChaosCells{
 		Baseline:  results[0],

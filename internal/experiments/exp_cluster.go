@@ -2,14 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/fabric"
 	"repro/internal/router"
-	"repro/internal/simclock"
 	"repro/internal/trace"
 )
 
@@ -27,29 +22,6 @@ func clusterWorkload() trace.Workload {
 	})
 }
 
-// buildReplica constructs one TokenFlow replica engine on the shared
-// cluster clock and fabric.
-func buildReplica(dep Deployment) cluster.BuildEngine {
-	return buildReplicaKV(dep, engine.TokenFlowKVPolicy())
-}
-
-// buildReplicaKV is buildReplica with an explicit KV policy (the fabric
-// experiment enables the host-tier prefix cache).
-func buildReplicaKV(dep Deployment, kv engine.KVPolicy) cluster.BuildEngine {
-	return func(_ int, clock *simclock.Clock, ep *fabric.Endpoint) (*engine.Engine, error) {
-		return engine.New(engine.Config{
-			GPU:         dep.GPU,
-			Model:       dep.Model,
-			MemFraction: dep.MemFraction,
-			MaxBatch:    dep.MaxBatch,
-			Scheduler:   core.MustNew(core.DefaultConfig()),
-			KV:          kv,
-			Clock:       clock,
-			Fabric:      ep,
-		})
-	}
-}
-
 // ExpCluster studies horizontal scaling: QoS and P99 TTFT versus replica
 // count × routing policy for TokenFlow replicas serving the multi-turn
 // spike workload. Session-affinity routing preserves prefix-cache reuse
@@ -63,8 +35,6 @@ func ExpCluster() (*Table, error) {
 	type cell struct {
 		replicas int
 		policy   string
-		res      *cluster.Result
-		err      error
 	}
 	var cells []cell
 	for _, n := range replicaCounts {
@@ -72,29 +42,22 @@ func ExpCluster() (*Table, error) {
 			cells = append(cells, cell{replicas: n, policy: p})
 		}
 	}
-	var wg sync.WaitGroup
-	for i := range cells {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pol, err := router.ByName(cells[i].policy)
-			if err != nil {
-				cells[i].err = err
-				return
-			}
-			cl, err := cluster.New(cluster.Config{
-				Replicas: cells[i].replicas,
-				Policy:   pol,
-			}, buildReplica(dep))
-			if err != nil {
-				cells[i].err = err
-				return
-			}
-			cells[i].res, cells[i].err = cl.Run(w)
-		}()
+	results, err := runCells(len(cells), func(i int) (*cluster.Result, error) {
+		c := cells[i]
+		pol, err := router.ByName(c.policy)
+		var res *cluster.Result
+		if err == nil {
+			res, err = runCluster(cluster.Config{Replicas: c.replicas, Policy: pol},
+				cluster.Engines([]cluster.Deployment{dep}, tokenFlow.Make), w)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("cluster %dx %s: %w", c.replicas, c.policy, err)
+		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
 
 	t := &Table{
 		ID:    "Cluster",
@@ -102,19 +65,17 @@ func ExpCluster() (*Table, error) {
 		Header: []string{"replicas", "router", "QoS", "P99-TTFT", "mean-TTFT",
 			"eff-thpt(tok/s)", "imbalance", "prefix-hits"},
 	}
-	for _, c := range cells {
-		if c.err != nil {
-			return nil, fmt.Errorf("cluster %dx %s: %w", c.replicas, c.policy, c.err)
-		}
+	for i, c := range cells {
+		res := results[i]
 		t.Rows = append(t.Rows, []string{
 			fint(int64(c.replicas)),
 			c.policy,
-			ftps(c.res.Report.QoS),
-			fsec(c.res.Report.P99TTFT),
-			fsec(c.res.Report.MeanTTFT),
-			ftps(c.res.Report.EffectiveThroughput),
-			ffloat(c.res.Imbalance, 2),
-			fint(c.res.PrefixHits),
+			ftps(res.Report.QoS),
+			fsec(res.Report.P99TTFT),
+			fsec(res.Report.MeanTTFT),
+			ftps(res.Report.EffectiveThroughput),
+			ffloat(res.Imbalance, 2),
+			fint(res.PrefixHits),
 		})
 	}
 	t.Notes = "Expected shape: P99 TTFT falls with replica count; at fixed count, session-affinity " +

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/simclock"
 	"repro/internal/trace"
 )
@@ -15,7 +16,7 @@ import (
 // and the default consumption rate is 20 tokens/s.
 type controlledSetup struct {
 	name      string
-	dep       Deployment
+	dep       cluster.Deployment
 	burst     int     // burst size b (0 for Poisson setups)
 	lambda    float64 // Poisson rate (0 for burst setups)
 	inMean    int

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/trace"
 )
 
@@ -58,7 +59,7 @@ func Fig13() (*Table, error) {
 	return endToEnd("Figure 13", "End-to-end, A6000 + Qwen2.5-7B", depA6000Qwen, 1.5, 300)
 }
 
-func endToEnd(id, title string, dep Deployment, baseRate float64, spikeSize int) (*Table, error) {
+func endToEnd(id, title string, dep cluster.Deployment, baseRate float64, spikeSize int) (*Table, error) {
 	t := &Table{ID: id, Title: title,
 		Header: append([]string{"trace"}, metricsHeader...)}
 	traces := []struct {

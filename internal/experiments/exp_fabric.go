@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
@@ -36,39 +35,26 @@ func ExpFabric() (*Table, error) {
 		}
 	}
 
-	type cell struct {
-		v   variant
-		res *cluster.Result
-		err error
-	}
-	cells := make([]cell, len(variants))
-	for i, v := range variants {
-		cells[i] = cell{v: v}
-	}
 	kv := engine.TokenFlowKVPolicy()
 	kv.HostCache = true
-	var wg sync.WaitGroup
-	for i := range cells {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v := cells[i].v
-			cl, err := cluster.New(cluster.Config{
-				Replicas:        len(mix.gpus),
-				Policy:          router.NewSessionAffinity(),
-				Migrate:         true,
-				MigrationPolicy: v.policy,
-				Topology:        &fabric.Spec{Kind: v.topo, LinkGBps: v.nic},
-			}, buildMixKV(mix, kv))
-			if err != nil {
-				cells[i].err = err
-				return
-			}
-			cells[i].res, cells[i].err = cl.Run(w)
-		}()
+	build := cluster.Engines(mix.deps, tokenFlow.withKV(kv).Make)
+	results, err := runCells(len(variants), func(i int) (*cluster.Result, error) {
+		v := variants[i]
+		res, err := runCluster(cluster.Config{
+			Replicas:        len(mix.deps),
+			Policy:          router.NewSessionAffinity(),
+			Migrate:         true,
+			MigrationPolicy: v.policy,
+			Topology:        &fabric.Spec{Kind: v.topo, LinkGBps: v.nic},
+		}, build, w)
+		if err != nil {
+			return nil, fmt.Errorf("fabric %+v: %w", v, err)
+		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
 
 	t := &Table{
 		ID: "Fabric",
@@ -77,28 +63,26 @@ func ExpFabric() (*Table, error) {
 		Header: []string{"topology", "NIC-GB/s", "policy", "P99-TTFT", "mean-TTFT", "QoS",
 			"migr", "declined", "reloads", "reload-fb", "wire-busy-s"},
 	}
-	for _, c := range cells {
-		if c.err != nil {
-			return nil, fmt.Errorf("fabric %+v: %w", c.v, c.err)
-		}
+	for i, v := range variants {
+		res := results[i]
 		var wireBusy float64
-		for _, cs := range c.res.TransferClasses {
+		for _, cs := range res.TransferClasses {
 			switch cs.Class {
 			case fabric.ClassMigrate, fabric.ClassPrewarm, fabric.ClassDrain:
 				wireBusy += cs.Busy.Seconds()
 			}
 		}
 		t.Rows = append(t.Rows, []string{
-			string(c.v.topo),
-			ffloat(c.v.nic, 2),
-			string(c.v.policy),
-			fsec(c.res.Report.P99TTFT),
-			fsec(c.res.Report.MeanTTFT),
-			ftps(c.res.Report.QoS),
-			fint(c.res.Migrations),
-			fint(c.res.MigrationsDeclined),
-			fint(c.res.HostReloads),
-			fint(c.res.HostReloadFallbacks),
+			string(v.topo),
+			ffloat(v.nic, 2),
+			string(v.policy),
+			fsec(res.Report.P99TTFT),
+			fsec(res.Report.MeanTTFT),
+			ftps(res.Report.QoS),
+			fint(res.Migrations),
+			fint(res.MigrationsDeclined),
+			fint(res.HostReloads),
+			fint(res.HostReloadFallbacks),
 			ffloat(wireBusy, 2),
 		})
 	}

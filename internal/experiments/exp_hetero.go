@@ -2,24 +2,18 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/fabric"
 	"repro/internal/gpu"
 	"repro/internal/model"
 	"repro/internal/router"
-	"repro/internal/simclock"
 )
 
-// poolMix names a heterogeneous replica layout: one gpu.Spec +
-// mem-fraction pair per replica.
+// poolMix names a heterogeneous replica layout: one deployment per
+// replica, every one serving Llama3-8B.
 type poolMix struct {
-	name  string
-	gpus  []gpu.Spec
-	fracs []float64
+	name string
+	deps []cluster.Deployment
 }
 
 // heteroMixes are the studied pools: a homogeneous small baseline, a
@@ -27,34 +21,12 @@ type poolMix struct {
 // weighting and migration earn their keep. The small cards run memory-
 // tight (0.75 leaves ~15k KV tokens) so prefix residency is contended.
 func heteroMixes() []poolMix {
+	small := cluster.Deployment{GPU: gpu.RTX4090, Model: model.Llama3_8B, MemFraction: 0.75}
+	big := cluster.Deployment{GPU: gpu.H200, Model: model.Llama3_8B, MemFraction: 0.3}
 	return []poolMix{
-		{"4x4090", []gpu.Spec{gpu.RTX4090, gpu.RTX4090, gpu.RTX4090, gpu.RTX4090},
-			[]float64{0.75, 0.75, 0.75, 0.75}},
-		{"2xH200", []gpu.Spec{gpu.H200, gpu.H200}, []float64{0.3, 0.3}},
-		{"H200+3x4090", []gpu.Spec{gpu.H200, gpu.RTX4090, gpu.RTX4090, gpu.RTX4090},
-			[]float64{0.3, 0.75, 0.75, 0.75}},
-	}
-}
-
-// buildMix constructs one TokenFlow replica per mix slot on the shared
-// cluster clock.
-func buildMix(mix poolMix) cluster.BuildEngine {
-	return buildMixKV(mix, engine.TokenFlowKVPolicy())
-}
-
-// buildMixKV is buildMix with an explicit KV policy (the fabric experiment
-// enables the host-tier prefix cache).
-func buildMixKV(mix poolMix, kv engine.KVPolicy) cluster.BuildEngine {
-	return func(i int, clock *simclock.Clock, ep *fabric.Endpoint) (*engine.Engine, error) {
-		return engine.New(engine.Config{
-			GPU:         mix.gpus[i],
-			Model:       model.Llama3_8B,
-			MemFraction: mix.fracs[i],
-			Scheduler:   core.MustNew(core.DefaultConfig()),
-			KV:          kv,
-			Clock:       clock,
-			Fabric:      ep,
-		})
+		{"4x4090", []cluster.Deployment{small, small, small, small}},
+		{"2xH200", []cluster.Deployment{big, big}},
+		{"H200+3x4090", []cluster.Deployment{big, small, small, small}},
 	}
 }
 
@@ -83,8 +55,6 @@ func ExpHetero() (*Table, error) {
 	type cell struct {
 		mix poolMix
 		v   variant
-		res *cluster.Result
-		err error
 	}
 	var cells []cell
 	for _, mix := range heteroMixes() {
@@ -92,30 +62,25 @@ func ExpHetero() (*Table, error) {
 			cells = append(cells, cell{mix: mix, v: v})
 		}
 	}
-	var wg sync.WaitGroup
-	for i := range cells {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pol, err := router.ByName(cells[i].v.policy)
-			if err != nil {
-				cells[i].err = err
-				return
-			}
-			cl, err := cluster.New(cluster.Config{
-				Replicas: len(cells[i].mix.gpus),
+	results, err := runCells(len(cells), func(i int) (*cluster.Result, error) {
+		c := cells[i]
+		pol, err := router.ByName(c.v.policy)
+		var res *cluster.Result
+		if err == nil {
+			res, err = runCluster(cluster.Config{
+				Replicas: len(c.mix.deps),
 				Policy:   pol,
-				Migrate:  cells[i].v.migrate,
-			}, buildMix(cells[i].mix))
-			if err != nil {
-				cells[i].err = err
-				return
-			}
-			cells[i].res, cells[i].err = cl.Run(w)
-		}()
+				Migrate:  c.v.migrate,
+			}, cluster.Engines(c.mix.deps, tokenFlow.Make), w)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("hetero %s %s: %w", c.mix.name, c.v.policy, err)
+		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
 
 	t := &Table{
 		ID: "Hetero",
@@ -124,12 +89,10 @@ func ExpHetero() (*Table, error) {
 		Header: []string{"pool", "router", "migrate", "QoS", "P99-TTFT", "mean-TTFT",
 			"imbalance", "prefix-hits", "pin-evict", "peak-pinned", "migrations"},
 	}
-	for _, c := range cells {
-		if c.err != nil {
-			return nil, fmt.Errorf("hetero %s %s: %w", c.mix.name, c.v.policy, c.err)
-		}
+	for i, c := range cells {
+		res := results[i]
 		var evict, peak int64
-		for _, rs := range c.res.PerReplica {
+		for _, rs := range res.PerReplica {
 			evict += rs.Result.KV.PrefixEvictions
 			peak += int64(rs.Result.KV.PeakPinnedPages)
 		}
@@ -141,14 +104,14 @@ func ExpHetero() (*Table, error) {
 			c.mix.name,
 			c.v.policy,
 			mig,
-			ftps(c.res.Report.QoS),
-			fsec(c.res.Report.P99TTFT),
-			fsec(c.res.Report.MeanTTFT),
-			ffloat(c.res.Imbalance, 2),
-			fint(c.res.PrefixHits),
+			ftps(res.Report.QoS),
+			fsec(res.Report.P99TTFT),
+			fsec(res.Report.MeanTTFT),
+			ffloat(res.Imbalance, 2),
+			fint(res.PrefixHits),
 			fint(evict),
 			fint(peak),
-			fint(c.res.Migrations),
+			fint(res.Migrations),
 		})
 	}
 	t.Notes = "Expected shape: on the imbalanced mix, weighted-capacity beats round-robin on tail TTFT; " +

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fabric"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/kvcache"
 	"repro/internal/model"
 	"repro/internal/request"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/trace"
 )
@@ -38,7 +38,7 @@ func Fig01() (*Table, error) {
 // accelerator with ~60 tokens/s of total decode capacity shared across
 // the batch (the paper's "generation capacity" semantics) and KV memory
 // for roughly two concurrent requests.
-func toyDeployment() Deployment {
+func toyDeployment() cluster.Deployment {
 	g := gpu.Spec{
 		Name:         "toy",
 		FP16TFLOPS:   100, // decode is memory-bound on this toy
@@ -51,7 +51,7 @@ func toyDeployment() Deployment {
 	}
 	// MaxBatch 2 is the toy's "supports two concurrent requests": total
 	// generation capacity 60 tokens/s split 30/30.
-	return Deployment{GPU: g, Model: model.Llama3_8B, MemFraction: 0.9, MaxBatch: 2}
+	return cluster.Deployment{GPU: g, Model: model.Llama3_8B, MemFraction: 0.9, MaxBatch: 2}
 }
 
 // Fig06 reproduces Figure 6: the toy buffer-balancing example. Three
@@ -70,7 +70,7 @@ func Fig06() (*Table, error) {
 	cfg.RescheduleInterval = 500 * time.Millisecond
 	cfg.TargetBufferSeconds = 1.5
 	cfg.BufferConservativeness = 1.2
-	res, err := runRecorded(dep, tokenFlowWith(cfg), w)
+	res, err := runRecorded(dep, system(engine.SystemTokenFlow, cfg), w)
 	if err != nil {
 		return nil, err
 	}
@@ -242,15 +242,13 @@ func Fig09() (*Table, error) {
 	dep.GPU.PCIeGBps = 0.08 // constrained host link makes the backlog visible
 	w := trace.Burst("fig9", scaled(24), 0, lengthDist(256, 512), trace.FixedRate(12), 9)
 
-	res1, err := runOne(dep, tokenFlowWith(core.DefaultConfig()), w, 0)
+	res1, err := runOne(dep, tokenFlow, w, 0)
 	if err != nil {
 		return nil, err
 	}
 	kv := engine.TokenFlowKVPolicy()
 	kv.ChunkedWriting = false
-	res2, err := runOne(dep, SystemSpec{"unchunked", func() (sched.Scheduler, engine.KVPolicy) {
-		return core.MustNew(core.DefaultConfig()), kv
-	}}, w, 0)
+	res2, err := runOne(dep, tokenFlow.withKV(kv), w, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/prefixindex"
@@ -66,46 +65,29 @@ func routingSpec(lag float64) *prefixindex.Spec {
 
 // RunRoutingCurve runs the sweep and the references concurrently.
 func RunRoutingCurve() (*RoutingCurve, error) {
-	dep := dep4090Llama
 	w := clusterWorkload()
-	run := func(pol router.Policy, spec *prefixindex.Spec) (*cluster.Result, error) {
-		cl, err := cluster.New(cluster.Config{
-			Replicas:    routingReplicas,
-			Policy:      pol,
-			PrefixIndex: spec,
-		}, buildReplica(dep))
-		if err != nil {
-			return nil, err
+	build := cluster.Engines([]cluster.Deployment{dep4090Llama}, tokenFlow.Make)
+	// Cell 0 is omniscient session-affinity, cell 1 omniscient
+	// least-queue, and cell 2+i indexed session-affinity at routingLags[i].
+	results, err := runCells(len(routingLags)+2, func(i int) (*cluster.Result, error) {
+		cfg := cluster.Config{Replicas: routingReplicas}
+		switch i {
+		case 0:
+			cfg.Policy = router.NewSessionAffinity()
+		case 1:
+			cfg.Policy = router.NewLeastQueue()
+		default:
+			cfg.Policy = router.NewIndexedSessionAffinity()
+			cfg.PrefixIndex = routingSpec(routingLags[i-2])
 		}
-		return cl.Run(w)
+		return runCluster(cfg, build, w)
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	curve := &RoutingCurve{Points: make([]RoutingPoint, len(routingLags))}
-	errs := make([]error, len(routingLags)+2)
-	var wg sync.WaitGroup
-	wg.Add(len(routingLags) + 2)
-	go func() {
-		defer wg.Done()
-		curve.Affinity, errs[0] = run(router.NewSessionAffinity(), nil)
-	}()
-	go func() {
-		defer wg.Done()
-		curve.LeastQueue, errs[1] = run(router.NewLeastQueue(), nil)
-	}()
+	curve := &RoutingCurve{Affinity: results[0], LeastQueue: results[1]}
 	for i, lag := range routingLags {
-		i, lag := i, lag
-		go func() {
-			defer wg.Done()
-			res, err := run(router.NewIndexedSessionAffinity(), routingSpec(lag))
-			curve.Points[i] = RoutingPoint{LagSeconds: lag, Res: res}
-			errs[i+2] = err
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+		curve.Points = append(curve.Points, RoutingPoint{LagSeconds: lag, Res: results[i+2]})
 	}
 	return curve, nil
 }

@@ -63,7 +63,7 @@ func runScale(pol router.Policy, shards int) (ScaleRun, *cluster.Result, error) 
 		Policy:     pol,
 		Shards:     shards,
 		MaxSimTime: 4 * time.Hour,
-	}, buildReplica(dep4090Llama))
+	}, cluster.Engines([]cluster.Deployment{dep4090Llama}, tokenFlow.Make))
 	if err != nil {
 		return ScaleRun{}, nil, err
 	}

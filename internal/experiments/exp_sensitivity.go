@@ -116,9 +116,13 @@ func Fig22() (*Table, error) {
 	for _, dt := range []float64{0.5, 1.0, 1.5} {
 		cfg := core.DefaultConfig()
 		cfg.RescheduleInterval = simclock.Duration(dt)
-		s := core.MustNew(cfg)
-		res, err := runOne(depH200Llama, SystemSpec{"tokenflow", func() (sched.Scheduler, engine.KVPolicy) {
-			return s, engine.TokenFlowKVPolicy()
+		// One scheduler instance, kept to read its reschedule count.
+		s, kv, err := engine.NewSystem(engine.SystemTokenFlow, cfg)
+		if err != nil {
+			return nil, err
+		}
+		res, err := runOne(depH200Llama, SystemSpec{engine.SystemTokenFlow, func() (sched.Scheduler, engine.KVPolicy, error) {
+			return s, kv, nil
 		}}, w, 0)
 		if err != nil {
 			return nil, err
@@ -128,7 +132,7 @@ func Fig22() (*Table, error) {
 			ftps(res.Report.EffectiveThroughput),
 			fsec(res.Report.MeanTTFT),
 			fsec(res.Report.P99TTFT),
-			fint(s.FullReschedules),
+			fint(s.(*core.Scheduler).FullReschedules),
 		})
 	}
 	t.Notes = "Paper shape: shorter intervals marginally improve effective throughput and TTFT at higher scheduling overhead."
@@ -169,7 +173,7 @@ func Fig23() (*Table, error) {
 	for _, mu := range []float64{1.0, 20.0} {
 		cfg := core.DefaultConfig()
 		cfg.BufferConservativeness = mu
-		res, err := runOne(dep, tokenFlowWith(cfg), w, 0)
+		res, err := runOne(dep, system(engine.SystemTokenFlow, cfg), w, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -212,10 +216,7 @@ func Tab02() (*Table, error) {
 		var preempts, loads, resumes int
 		for _, seed := range seeds {
 			w := setup.workload(seed)
-			spec := SystemSpec{v.name, func() (sched.Scheduler, engine.KVPolicy) {
-				return core.MustNew(core.DefaultConfig()), kv
-			}}
-			res, err := runOne(setup.dep, spec, w, 0)
+			res, err := runOne(setup.dep, tokenFlow.withKV(kv), w, 0)
 			if err != nil {
 				return nil, err
 			}

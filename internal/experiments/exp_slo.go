@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/autoscale"
@@ -59,7 +58,6 @@ func convergedP99(res *cluster.Result, after simclock.Time) time.Duration {
 // spikes, and does the latency controller hold its target band at less
 // GPU cost than the fixed large pool?
 func ExpSLO() (*Table, error) {
-	dep := dep4090Llama
 	const minReps, maxReps = 1, 4
 	warmup := 10 * time.Second
 
@@ -79,57 +77,44 @@ func ExpSLO() (*Table, error) {
 			variant{shape, "slo", 5})
 	}
 
-	type cell struct {
-		v   variant
-		res *cluster.Result
-		err error
-	}
-	cells := make([]cell, len(variants))
-	for i, v := range variants {
-		cells[i] = cell{v: v}
-	}
-	var wg sync.WaitGroup
-	for i := range cells {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v := cells[i].v
-			cfg := cluster.Config{
-				Replicas: maxReps,
-				Policy:   router.NewSessionAffinity(),
-			}
+	build := cluster.Engines([]cluster.Deployment{dep4090Llama}, tokenFlow.Make)
+	results, err := runCells(len(variants), func(i int) (*cluster.Result, error) {
+		v := variants[i]
+		cfg := cluster.Config{
+			Replicas: maxReps,
+			Policy:   router.NewSessionAffinity(),
+		}
+		switch v.mode {
+		case "fixed-1":
+			cfg.Replicas = minReps
+		case "fixed-4":
+			// static pool at max size
+		default:
+			var pol autoscale.Policy
 			switch v.mode {
-			case "fixed-1":
-				cfg.Replicas = minReps
-			case "fixed-4":
-				// static pool at max size
-			default:
-				var pol autoscale.Policy
-				switch v.mode {
-				case "reactive":
-					pol = autoscale.NewQueuePressure()
-				case "predictive":
-					pol = autoscale.NewPredictive(0)
-				case "slo":
-					pol = autoscale.NewSLOTarget(time.Duration(v.target * float64(time.Second)))
-				}
-				cfg.Autoscale = &cluster.AutoscaleConfig{
-					Policy: pol,
-					Min:    minReps, Max: maxReps,
-					Warmup:  warmup,
-					Prewarm: true,
-				}
+			case "reactive":
+				pol = autoscale.NewQueuePressure()
+			case "predictive":
+				pol = autoscale.NewPredictive(0)
+			case "slo":
+				pol = autoscale.NewSLOTarget(time.Duration(v.target * float64(time.Second)))
 			}
-			cl, err := cluster.New(cfg, buildReplica(dep))
-			if err != nil {
-				cells[i].err = err
-				return
+			cfg.Autoscale = &cluster.AutoscaleConfig{
+				Policy: pol,
+				Min:    minReps, Max: maxReps,
+				Warmup:  warmup,
+				Prewarm: true,
 			}
-			cells[i].res, cells[i].err = cl.Run(sloWorkload(v.shape))
-		}()
+		}
+		res, err := runCluster(cfg, build, sloWorkload(v.shape))
+		if err != nil {
+			return nil, fmt.Errorf("slo %+v: %w", v, err)
+		}
+		return res, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
 
 	t := &Table{
 		ID: "SLO",
@@ -139,26 +124,24 @@ func ExpSLO() (*Table, error) {
 			"ups", "stalls", "fc-MAE(req/s)"},
 	}
 	half := scaledDur(120)
-	for _, c := range cells {
-		if c.err != nil {
-			return nil, fmt.Errorf("slo %+v: %w", c.v, c.err)
-		}
+	for i, v := range variants {
+		res := results[i]
 		target, mae := "-", "-"
-		if c.v.mode == "slo" {
-			target = ffloat(c.v.target, 1) + "s"
+		if v.mode == "slo" {
+			target = ffloat(v.target, 1) + "s"
 		}
-		if c.v.mode == "predictive" {
-			mae = ffloat(c.res.ForecastError, 2)
+		if v.mode == "predictive" {
+			mae = ffloat(res.ForecastError, 2)
 		}
 		t.Rows = append(t.Rows, []string{
-			c.v.shape,
-			c.v.mode,
+			v.shape,
+			v.mode,
 			target,
-			fsec(c.res.Report.P99TTFT),
-			fsec(convergedP99(c.res, half)),
-			ffloat(c.res.GPUSeconds, 0),
-			fint(int64(countKind(c.res, cluster.ScaleWarmup) + countKind(c.res, cluster.ScaleReactivate))),
-			fint(c.res.WarmupStalls),
+			fsec(res.Report.P99TTFT),
+			fsec(convergedP99(res, half)),
+			ffloat(res.GPUSeconds, 0),
+			fint(int64(countKind(res, cluster.ScaleWarmup) + countKind(res, cluster.ScaleReactivate))),
+			fint(res.WarmupStalls),
 			mae,
 		})
 	}

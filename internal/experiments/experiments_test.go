@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/csv"
+	"errors"
 	"reflect"
 	"strconv"
 	"strings"
@@ -121,6 +122,43 @@ func TestScaledFloors(t *testing.T) {
 	Scale = 2
 	if scaled(10) != 20 {
 		t.Error("scaled should multiply")
+	}
+}
+
+// TestSystemsLineup: the evaluation's lineup is the shared system table,
+// in the paper's order.
+func TestSystemsLineup(t *testing.T) {
+	var got []string
+	for _, spec := range systems() {
+		got = append(got, spec.Name)
+	}
+	want := []string{"sglang-chunked", "sglang", "andes", "tokenflow"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("lineup = %v, want %v", got, want)
+	}
+}
+
+// TestRunCells: results come back in cell order, and the lowest-index
+// error wins even when a later cell fails first.
+func TestRunCells(t *testing.T) {
+	got, err := runCells(5, func(i int) (int, error) { return i * i, nil })
+	if err != nil || !reflect.DeepEqual(got, []int{0, 1, 4, 9, 16}) {
+		t.Fatalf("runCells = %v, %v; want [0 1 4 9 16], nil", got, err)
+	}
+	lateFailed := make(chan struct{})
+	_, err = runCells(4, func(i int) (int, error) {
+		switch i {
+		case 1:
+			<-lateFailed // fail only after cell 3 has failed
+			return 0, errors.New("cell 1")
+		case 3:
+			defer close(lateFailed)
+			return 0, errors.New("cell 3")
+		}
+		return i, nil
+	})
+	if err == nil || err.Error() != "cell 1" {
+		t.Errorf("runCells error = %v, want cell 1", err)
 	}
 }
 

@@ -138,7 +138,7 @@ func TestWriteChromeTrace(t *testing.T) {
 
 // TestWriteCSV: long-format output with a header and one row per point.
 func TestWriteCSV(t *testing.T) {
-	g := NewRegistry(1)
+	g := NewRegistry()
 	g.Observe("replica0/queue_depth", simclock.FromSeconds(1), 3)
 	g.Observe("replica0/queue_depth", simclock.FromSeconds(2), 4)
 	g.Observe("gateway/depth", simclock.FromSeconds(1), 0)
@@ -160,7 +160,7 @@ func TestWriteCSV(t *testing.T) {
 
 // TestWriteFiles: a full capture lands every artifact on disk.
 func TestWriteFiles(t *testing.T) {
-	c := &Capture{Events: NewRecorder(), Series: NewRegistry(0), Profile: NewProfiler()}
+	c := &Capture{Events: NewRecorder(), Series: NewRegistry(), Profile: NewProfiler()}
 	c.Events.Emit(0, KindArrival, -1, 1, 0, 1, 1, 0, 0, "")
 	c.Series.Observe("x", 0, 1)
 	c.Profile.End(PhaseEngineStep, c.Profile.Begin())

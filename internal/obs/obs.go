@@ -236,9 +236,6 @@ type Options struct {
 	// only; it rides the event bus without retaining events, so it works
 	// at scales where storing the full stream would not fit.
 	Attribution bool
-	// SampleEvery records series every Nth sampling tick (0 or 1 = every
-	// tick).
-	SampleEvery int
 }
 
 // Recorder is the event bus sink. A nil *Recorder is valid and free:

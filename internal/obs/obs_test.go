@@ -101,8 +101,8 @@ func TestNilSinkIsFree(t *testing.T) {
 	}
 
 	var g *Registry
-	if g.On() || g.Tick() {
-		t.Error("nil registry reports On/Tick")
+	if g.On() {
+		t.Error("nil registry reports On")
 	}
 	g.Observe("x", 0, 1)
 	if g.All() != nil || g.Get("x") != nil {
@@ -121,24 +121,9 @@ func TestNilSinkIsFree(t *testing.T) {
 	}
 }
 
-// TestRegistryStride: a stride-3 registry records ticks 0, 3, 6, ...
-func TestRegistryStride(t *testing.T) {
-	g := NewRegistry(3)
-	var got []bool
-	for i := 0; i < 7; i++ {
-		got = append(got, g.Tick())
-	}
-	want := []bool{true, false, false, true, false, false, true}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("tick %d: recorded=%v, want %v", i, got[i], want[i])
-		}
-	}
-}
-
 // TestRegistryObserve: series keep insertion order and per-series points.
 func TestRegistryObserve(t *testing.T) {
-	g := NewRegistry(1)
+	g := NewRegistry()
 	g.Observe("b", simclock.FromSeconds(1), 10)
 	g.Observe("a", simclock.FromSeconds(1), 20)
 	g.Observe("b", simclock.FromSeconds(2), 30)

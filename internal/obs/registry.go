@@ -12,38 +12,18 @@ type Series struct {
 
 // Registry records named per-tick telemetry series. Like the Recorder, a
 // nil *Registry is valid and free: every method nil-guards.
-//
-// Callers that sample on a periodic tick gate each burst of Observe calls
-// on Tick(), which applies the configured sampling stride; out-of-band
-// observations (control-loop signals) bypass Tick and record every time.
 type Registry struct {
-	stride int
-	ticks  uint64
-	order  []*Series
-	index  map[string]*Series
+	order []*Series
+	index map[string]*Series
 }
 
-// NewRegistry returns an empty registry recording every stride-th
-// sampling tick (stride <= 1 records all).
-func NewRegistry(stride int) *Registry {
-	if stride < 1 {
-		stride = 1
-	}
-	return &Registry{stride: stride, index: make(map[string]*Series)}
+// NewRegistry returns an empty registry.
+func NewRegistry() *Registry {
+	return &Registry{index: make(map[string]*Series)}
 }
 
 // On reports whether series should be recorded.
 func (g *Registry) On() bool { return g != nil }
-
-// Tick advances the sampling-tick counter and reports whether this tick's
-// observations should be recorded under the configured stride.
-func (g *Registry) Tick() bool {
-	if g == nil {
-		return false
-	}
-	g.ticks++
-	return (g.ticks-1)%uint64(g.stride) == 0
-}
 
 // Observe appends one point to the named series, creating it on first
 // use. Callers pass precomputed (constant or cached) name strings so the

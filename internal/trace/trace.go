@@ -6,8 +6,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/simclock"
@@ -93,9 +95,7 @@ func Merge(name string, ws ...Workload) Workload {
 	for _, w := range ws {
 		out.Items = append(out.Items, w.Items...)
 	}
-	sort.SliceStable(out.Items, func(i, j int) bool {
-		return out.Items[i].Arrival < out.Items[j].Arrival
-	})
+	slices.SortStableFunc(out.Items, func(a, b Item) int { return cmp.Compare(a.Arrival, b.Arrival) })
 	return out
 }
 

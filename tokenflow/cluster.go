@@ -7,12 +7,12 @@ import (
 	"repro/internal/autoscale"
 	"repro/internal/chaos"
 	"repro/internal/cluster"
-	"repro/internal/engine"
 	"repro/internal/fabric"
+	"repro/internal/gpu"
 	"repro/internal/kvcache"
+	"repro/internal/model"
 	"repro/internal/prefixindex"
 	"repro/internal/router"
-	"repro/internal/simclock"
 	"repro/internal/trace"
 )
 
@@ -22,39 +22,35 @@ type RouterPolicy string
 // Routing policies.
 const (
 	// RouterRoundRobin cycles through replicas in index order.
-	RouterRoundRobin RouterPolicy = "round-robin"
+	RouterRoundRobin RouterPolicy = router.NameRoundRobin
 	// RouterLeastQueue routes to the replica with the fewest outstanding
 	// (queued + running) requests.
-	RouterLeastQueue RouterPolicy = "least-queue"
+	RouterLeastQueue RouterPolicy = router.NameLeastQueue
 	// RouterLeastKV routes to the replica with the most free KV pages.
-	RouterLeastKV RouterPolicy = "least-kv"
+	RouterLeastKV RouterPolicy = router.NameLeastKV
 	// RouterWeightedCapacity routes to the replica with the lowest
 	// outstanding load per unit of KV capacity — the load balancer for
 	// heterogeneous pools.
-	RouterWeightedCapacity RouterPolicy = "weighted-capacity"
+	RouterWeightedCapacity RouterPolicy = router.NameWeightedCapacity
 	// RouterSessionAffinity sticks multi-turn sessions to the replica
 	// holding their pinned prefix KV, falling back to weighted-capacity
 	// for stateless requests and overloaded targets (on a homogeneous pool
 	// that is the least-queue pick).
-	RouterSessionAffinity RouterPolicy = "session-affinity"
+	RouterSessionAffinity RouterPolicy = router.NameSessionAffinity
 	// RouterIndexedLeastQueue is least-queue against the event-published
 	// prefix index: the winner is an O(1) tree-root read, so the
 	// per-decision cost is independent of pool size. With the default
 	// (degenerate) index spec it picks exactly what RouterLeastQueue
 	// picks; under PrefixIndex staleness it routes on the lagged view.
-	RouterIndexedLeastQueue RouterPolicy = "indexed-least-queue"
+	RouterIndexedLeastQueue RouterPolicy = router.NameIndexedLeastQueue
 	// RouterIndexedSessionAffinity is session affinity against the prefix
 	// index: holder lookup is a map read and fallbacks are tree-root
 	// reads — no per-replica scan anywhere on the hot path.
-	RouterIndexedSessionAffinity RouterPolicy = "indexed-session-affinity"
+	RouterIndexedSessionAffinity RouterPolicy = router.NameIndexedSessionAffinity
 )
 
 // RouterPolicies lists all routing policies.
-func RouterPolicies() []RouterPolicy {
-	return []RouterPolicy{RouterRoundRobin, RouterLeastQueue, RouterLeastKV,
-		RouterWeightedCapacity, RouterSessionAffinity,
-		RouterIndexedLeastQueue, RouterIndexedSessionAffinity}
-}
+func RouterPolicies() []RouterPolicy { return named[RouterPolicy](router.Names()) }
 
 // ReplicaSpec describes one group of identical replicas in a
 // heterogeneous cluster.
@@ -248,24 +244,21 @@ type AutoscalePolicy string
 const (
 	// AutoscaleQueuePressure scales on outstanding requests per
 	// provisioned replica (the TTFT-pressure proxy), with hysteresis.
-	AutoscaleQueuePressure AutoscalePolicy = "queue-pressure"
+	AutoscaleQueuePressure AutoscalePolicy = autoscale.NameQueuePressure
 	// AutoscaleKVUtilization scales on pooled KV-page utilization — the
 	// earlier congestion signal for long-context session workloads.
-	AutoscaleKVUtilization AutoscalePolicy = "kv-utilization"
+	AutoscaleKVUtilization AutoscalePolicy = autoscale.NameKVUtilization
 	// AutoscaleSLOTarget closes a PID-style feedback loop on the windowed
 	// observed P99 TTFT, driving it toward TargetP99TTFT.
-	AutoscaleSLOTarget AutoscalePolicy = "slo-target"
+	AutoscaleSLOTarget AutoscalePolicy = autoscale.NameSLOTarget
 	// AutoscalePredictive forecasts the arrival rate (Holt level + trend)
 	// and pre-scales one warm-up latency ahead of predicted demand, hiding
 	// the warm-up stall a reactive policy pays after the queue has built.
-	AutoscalePredictive AutoscalePolicy = "predictive"
+	AutoscalePredictive AutoscalePolicy = autoscale.NamePredictive
 )
 
 // AutoscalePolicies lists the autoscaling policies.
-func AutoscalePolicies() []AutoscalePolicy {
-	return []AutoscalePolicy{AutoscaleQueuePressure, AutoscaleKVUtilization,
-		AutoscaleSLOTarget, AutoscalePredictive}
-}
+func AutoscalePolicies() []AutoscalePolicy { return named[AutoscalePolicy](autoscale.Names()) }
 
 // AutoscaleSpec parameterizes SLO-driven replica autoscaling. The replica
 // layout (Replicas or ReplicaSpecs) is the pool, so its size is also the
@@ -476,15 +469,15 @@ type GatewaySample = cluster.GatewayPoint
 // summed bottleneck wire time (queueing excluded).
 type TransferClassStats = fabric.ClassStats
 
-// expandReplicaSpecs resolves the cluster layout into one (GPU,
-// MemFraction) pair per replica, applying the embedded Config's values as
-// defaults.
-func expandReplicaSpecs(cfg ClusterConfig) ([]ReplicaSpec, error) {
+// deployments resolves the cluster layout into one deployment per
+// replica, applying the embedded Config's values as defaults.
+func deployments(cfg ClusterConfig) ([]cluster.Deployment, error) {
 	base := ReplicaSpec{GPU: cfg.GPU, MemFraction: cfg.MemFraction}
 	if base.GPU == "" {
 		base.GPU = "H200"
 	}
-	if len(cfg.ReplicaSpecs) == 0 {
+	specs := cfg.ReplicaSpecs
+	if len(specs) == 0 {
 		n := cfg.Replicas
 		if n == 0 {
 			n = 1
@@ -492,14 +485,18 @@ func expandReplicaSpecs(cfg ClusterConfig) ([]ReplicaSpec, error) {
 		if n < 1 {
 			return nil, fmt.Errorf("tokenflow: replica count %d must be >= 1", n)
 		}
-		out := make([]ReplicaSpec, n)
-		for i := range out {
-			out[i] = base
-		}
-		return out, nil
+		specs = []ReplicaSpec{{Count: n}}
 	}
-	var out []ReplicaSpec
-	for i, s := range cfg.ReplicaSpecs {
+	modelName := cfg.Model
+	if modelName == "" {
+		modelName = "Llama3-8B"
+	}
+	m, err := model.ByName(modelName)
+	if err != nil {
+		return nil, err
+	}
+	var out []cluster.Deployment
+	for i, s := range specs {
 		if s.Count < 0 {
 			return nil, fmt.Errorf("tokenflow: replica spec %d has negative count %d", i, s.Count)
 		}
@@ -507,15 +504,18 @@ func expandReplicaSpecs(cfg ClusterConfig) ([]ReplicaSpec, error) {
 		if count == 0 {
 			count = 1
 		}
-		r := s
-		if r.GPU == "" {
-			r.GPU = base.GPU
+		if s.GPU == "" {
+			s.GPU = base.GPU
 		}
-		if r.MemFraction == 0 {
-			r.MemFraction = base.MemFraction
+		if s.MemFraction == 0 {
+			s.MemFraction = base.MemFraction
+		}
+		g, err := gpu.ByName(s.GPU)
+		if err != nil {
+			return nil, err
 		}
 		for k := 0; k < count; k++ {
-			out = append(out, r)
+			out = append(out, cluster.Deployment{GPU: g, Model: m, MemFraction: s.MemFraction})
 		}
 	}
 	return out, nil
@@ -531,7 +531,7 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 	if cfg.System == "" {
 		cfg.System = SystemTokenFlow
 	}
-	reps, err := expandReplicaSpecs(cfg)
+	deps, err := deployments(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -544,7 +544,7 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 		asCfg = &cluster.AutoscaleConfig{
 			Policy:       pol,
 			Min:          spec.MinReplicas,
-			Max:          len(reps),
+			Max:          len(deps),
 			Warmup:       spec.Warmup,
 			Prewarm:      spec.Prewarm,
 			ScaleToZero:  spec.ScaleToZero,
@@ -556,7 +556,7 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 		return nil, err
 	}
 	cl, err := cluster.New(cluster.Config{
-		Replicas:        len(reps),
+		Replicas:        len(deps),
 		Policy:          pol,
 		SampleEvery:     cfg.SampleEvery,
 		MaxSimTime:      cfg.MaxSimTime,
@@ -568,17 +568,7 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 		Shards:          cfg.Shards,
 		Obs:             cfg.Obs.options(),
 		Chaos:           cfg.Chaos,
-	}, func(i int, clock *simclock.Clock, ep *fabric.Endpoint) (*engine.Engine, error) {
-		rcfg := cfg.Config
-		rcfg.GPU = reps[i].GPU
-		rcfg.MemFraction = reps[i].MemFraction
-		ecfg, err := buildEngineConfig(rcfg)
-		if err != nil {
-			return nil, err
-		}
-		ecfg.Clock, ecfg.Fabric = clock, ep
-		return engine.New(ecfg)
-	})
+	}, cluster.Engines(deps, cfg.Config.system))
 	if err != nil {
 		return nil, err
 	}
@@ -617,7 +607,7 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 		kv := rs.Result.KV
 		out.Replicas = append(out.Replicas, ReplicaResult{
 			ID:         rs.ID,
-			GPU:        reps[i].GPU,
+			GPU:        deps[i].GPU.Name,
 			Routed:     rs.Routed,
 			PrefixHits: rs.Result.PrefixHits,
 			KV:         kv,

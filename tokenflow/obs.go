@@ -46,10 +46,6 @@ type ObsSpec struct {
 	// attribution.json.
 	Attribution bool
 
-	// SampleEvery thins series recording to every Nth sampling tick
-	// (0 or 1 = every tick).
-	SampleEvery int
-
 	// Out, when non-empty, writes every captured layer into this
 	// directory after the run: events.jsonl, trace.json (Chrome
 	// trace_event JSON — open in Perfetto), series.csv, profile.json,
@@ -64,7 +60,6 @@ func (s ObsSpec) options() obs.Options {
 		Series:      s.Series,
 		Profile:     s.Profile,
 		Attribution: s.Attribution,
-		SampleEvery: s.SampleEvery,
 	}
 }
 

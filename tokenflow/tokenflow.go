@@ -19,14 +19,11 @@
 package tokenflow
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/gpu"
 	"repro/internal/metrics"
-	"repro/internal/model"
 	"repro/internal/request"
 	"repro/internal/sched"
 	"repro/internal/simclock"
@@ -41,20 +38,27 @@ type System string
 const (
 	// SystemSGLang is conservative FCFS with prefill priority and
 	// reactive recompute-based eviction.
-	SystemSGLang System = "sglang"
+	SystemSGLang System = engine.SystemSGLang
 	// SystemSGLangChunked is SGLang with chunked prefill.
-	SystemSGLangChunked System = "sglang-chunked"
+	SystemSGLangChunked System = engine.SystemSGLangChunked
 	// SystemAndes is QoE-aware preemptive scheduling with recompute-based
 	// preemption.
-	SystemAndes System = "andes"
+	SystemAndes System = engine.SystemAndes
 	// SystemTokenFlow is the paper's system: buffer-aware two-step
 	// scheduling plus the hierarchical write-through KV cache manager.
-	SystemTokenFlow System = "tokenflow"
+	SystemTokenFlow System = engine.SystemTokenFlow
 )
 
 // Systems lists all supported systems in the paper's presentation order.
-func Systems() []System {
-	return []System{SystemSGLangChunked, SystemSGLang, SystemAndes, SystemTokenFlow}
+func Systems() []System { return named[System](engine.Systems()) }
+
+// named converts an internal registry's names to their public type.
+func named[T ~string](names []string) []T {
+	out := make([]T, len(names))
+	for i, n := range names {
+		out[i] = T(n)
+	}
+	return out
 }
 
 // Request is one streaming request specification: its Arrival instant,
@@ -189,66 +193,31 @@ func Run(cfg Config, w Workload) (*Result, error) {
 	return res.Cluster, nil
 }
 
-func buildEngineConfig(cfg Config) (engine.Config, error) {
-	if cfg.System == "" {
-		cfg.System = SystemTokenFlow
+// system builds a replica's scheduler and KV policy: the shared system
+// table's entry for cfg.System, with TokenFlowOptions translated into
+// the core scheduler's config, and KVOptions and the host prefix cache
+// applied to TokenFlow's KV policy.
+func (cfg Config) system() (sched.Scheduler, engine.KVPolicy, error) {
+	o := cfg.TokenFlow
+	tf := core.DefaultConfig()
+	// Zero defaults and bad values are rejected in core.Config.Normalize.
+	tf.RescheduleInterval = o.RescheduleInterval
+	tf.BufferConservativeness = o.BufferConservativeness
+	tf.LocalSearch = !o.DisableLocalSearch
+	tf.FallbackFCFS = !o.DisableFallback
+	s, kv, err := engine.NewSystem(string(cfg.System), tf)
+	if err != nil || cfg.System != SystemTokenFlow {
+		return s, kv, err
 	}
-	if cfg.GPU == "" {
-		cfg.GPU = "H200"
+	if o.KV != nil {
+		kv.Offload = !o.KV.DisableOffload
+		kv.WriteThrough = !o.KV.DisableWriteThrough
+		kv.ChunkedWriting = !o.KV.DisableChunkedWriting
+		kv.LoadEvictOverlap = !o.KV.DisableLoadEvictOverlap
 	}
-	if cfg.Model == "" {
-		cfg.Model = "Llama3-8B"
-	}
-	g, err := gpu.ByName(cfg.GPU)
-	if err != nil {
-		return engine.Config{}, err
-	}
-	m, err := model.ByName(cfg.Model)
-	if err != nil {
-		return engine.Config{}, err
-	}
-	ecfg := engine.Config{
-		GPU:         g,
-		Model:       m,
-		MemFraction: cfg.MemFraction,
-	}
-	switch cfg.System {
-	case SystemSGLang:
-		ecfg.Scheduler = sched.NewSGLang()
-		ecfg.KV = engine.BaselineKVPolicy()
-	case SystemSGLangChunked:
-		ecfg.Scheduler = sched.NewSGLangChunked(0)
-		ecfg.KV = engine.BaselineKVPolicy()
-	case SystemAndes:
-		ecfg.Scheduler = sched.NewAndes()
-		ecfg.KV = engine.BaselineKVPolicy()
-	case SystemTokenFlow:
-		ccfg := core.DefaultConfig()
-		o := cfg.TokenFlow
-		// Zero defaults and bad values are rejected in core.Config.Normalize.
-		ccfg.RescheduleInterval = o.RescheduleInterval
-		ccfg.BufferConservativeness = o.BufferConservativeness
-		ccfg.LocalSearch = !o.DisableLocalSearch
-		ccfg.FallbackFCFS = !o.DisableFallback
-		s, err := core.New(ccfg)
-		if err != nil {
-			return engine.Config{}, err
-		}
-		ecfg.Scheduler = s
-		kv := engine.TokenFlowKVPolicy()
-		if o.KV != nil {
-			kv.Offload = !o.KV.DisableOffload
-			kv.WriteThrough = !o.KV.DisableWriteThrough
-			kv.ChunkedWriting = !o.KV.DisableChunkedWriting
-			kv.LoadEvictOverlap = !o.KV.DisableLoadEvictOverlap
-		}
-		kv.HostCache = cfg.HostPrefixCache
-		kv.HostCachePages = cfg.HostPrefixCachePages
-		ecfg.KV = kv
-	default:
-		return engine.Config{}, fmt.Errorf("tokenflow: unknown system %q", cfg.System)
-	}
-	return ecfg, nil
+	kv.HostCache = cfg.HostPrefixCache
+	kv.HostCachePages = cfg.HostPrefixCachePages
+	return s, kv, nil
 }
 
 // BurstWorkload builds a flash crowd: n requests at t=0 with normally

@@ -2,6 +2,7 @@ package tokenflow
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -24,6 +25,15 @@ func TestRunDefaultsTokenFlowOnH200(t *testing.T) {
 	}
 	if res.EffectiveThroughput > res.Throughput+1e-9 {
 		t.Error("effective cannot exceed raw throughput")
+	}
+}
+
+// TestSystemsInPaperOrder: the public list is the shared system table's,
+// in the paper's order.
+func TestSystemsInPaperOrder(t *testing.T) {
+	want := []System{"sglang-chunked", "sglang", "andes", "tokenflow"}
+	if got := Systems(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Systems() = %v, want %v", got, want)
 	}
 }
 
