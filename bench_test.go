@@ -1,13 +1,10 @@
-// Package repro's root benchmarks regenerate every registered experiment —
-// the paper's evaluation tables and figures plus the cluster studies — as
-// sub-benchmarks of BenchmarkExperiments, one per registry ID, next to a
-// few hand-written cluster and scheduler micro-benchmarks. Experiments are
-// deterministic simulations, so a single iteration reproduces the artifact;
-// sizes scale with TOKENFLOW_SCALE (unset = 1.0, paper scale; a value that
-// is not a finite number above zero fails the benchmark).
+// Package repro's root benchmarks are hand-written cluster and scheduler
+// micro-benchmarks. Their sizes scale with TOKENFLOW_SCALE (unset = 1.0,
+// paper scale; a value that is not a finite number above zero fails the
+// benchmark). The experiments themselves run from the command line:
 //
-//	go test -bench=. -benchmem
-//	go test -bench=Experiments/fig16 -v   # print the regenerated table
+//	go test -run=NONE -bench=. -benchmem
+//	go run ./cmd/tokenflow-bench fig16   # print one regenerated table
 package repro
 
 import (
@@ -36,26 +33,6 @@ func benchScale(b *testing.B) float64 {
 	}
 	experiments.Scale = s
 	return s
-}
-
-// BenchmarkExperiments regenerates every registered experiment, one
-// sub-benchmark per registry ID; each b.N iteration reruns it and the
-// table is logged under -v.
-func BenchmarkExperiments(b *testing.B) {
-	benchScale(b)
-	for _, e := range experiments.All() {
-		e := e
-		b.Run(e.ID, func(b *testing.B) {
-			var tbl *experiments.Table
-			for i := 0; i < b.N; i++ {
-				var err error
-				if tbl, err = e.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.Log("\n" + tbl.Format())
-		})
-	}
 }
 
 // BenchmarkRandomSpecInvariants drives seeded random cluster scenarios

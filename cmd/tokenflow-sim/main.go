@@ -285,8 +285,8 @@ func main() {
 func run() error {
 	var (
 		system   = flag.String("system", "tokenflow", alternatives(tokenflow.Systems()))
-		gpuName  = flag.String("gpu", "H200", "RTX-4090 | A6000 | H200 | Ascend-910B")
-		modelID  = flag.String("model", "Llama3-8B", "Llama3-8B | Qwen2-7B | Qwen2.5-7B | Qwen2.5-32B")
+		gpuName  = flag.String("gpu", "H200", alternatives(tokenflow.GPUs()))
+		modelID  = flag.String("model", "Llama3-8B", alternatives(tokenflow.Models()))
 		memFrac  = flag.Float64("mem-fraction", 0.9, "device memory share for weights+KV")
 		kind     = flag.String("workload", "burst", "burst | poisson | burstgpt | sessions | session-spikes")
 		n        = flag.Int("n", 100, "burst size / session count")

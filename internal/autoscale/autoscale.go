@@ -160,7 +160,7 @@ type Policy interface {
 	Decide(s Signals) Decision
 }
 
-// Policy names accepted by ByName.
+// Policy names accepted by New and ByName.
 const (
 	NameQueuePressure = "queue-pressure"
 	NameKVUtilization = "kv-utilization"
@@ -173,21 +173,27 @@ func Names() []string {
 	return []string{NameQueuePressure, NameKVUtilization, NameSLOTarget, NamePredictive}
 }
 
-// ByName constructs a fresh policy instance by name with default tuning.
-func ByName(name string) (Policy, error) {
+// New constructs a fresh policy instance by name. sloTarget is the
+// slo-target policy's P99 TTFT goal and ratePerReplica the predictive
+// policy's req/s per replica; zero selects each default, and the other
+// policies ignore both.
+func New(name string, sloTarget time.Duration, ratePerReplica float64) (Policy, error) {
 	switch name {
 	case NameQueuePressure:
 		return NewQueuePressure(), nil
 	case NameKVUtilization:
 		return NewKVUtilization(), nil
 	case NameSLOTarget:
-		return NewSLOTarget(0), nil
+		return NewSLOTarget(sloTarget), nil
 	case NamePredictive:
-		return NewPredictive(0), nil
+		return NewPredictive(ratePerReplica), nil
 	default:
 		return nil, fmt.Errorf("autoscale: unknown policy %q (have %v)", name, Names())
 	}
 }
+
+// ByName constructs a fresh policy instance by name with default tuning.
+func ByName(name string) (Policy, error) { return New(name, 0, 0) }
 
 // Forecaster is implemented by policies that forecast demand; the cluster
 // surfaces the forecast error in its result so a study can tell whether a

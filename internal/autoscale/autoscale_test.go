@@ -1,7 +1,9 @@
 package autoscale_test
 
 import (
+	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/autoscale"
 )
@@ -206,6 +208,36 @@ func TestByName(t *testing.T) {
 		}
 	}
 	if _, err := autoscale.ByName("nope"); err == nil {
+		t.Error("unknown policy should fail")
+	}
+}
+
+// TestNew: the tuned constructor hands each policy its own tuning (zero
+// selects the default) and ignores the other's.
+func TestNew(t *testing.T) {
+	cases := []struct {
+		name string
+		slo  time.Duration
+		rate float64
+		want autoscale.Policy
+	}{
+		{autoscale.NameQueuePressure, time.Second, 2, autoscale.NewQueuePressure()},
+		{autoscale.NameKVUtilization, time.Second, 2, autoscale.NewKVUtilization()},
+		{autoscale.NameSLOTarget, 3 * time.Second, 2, autoscale.NewSLOTarget(3 * time.Second)},
+		{autoscale.NameSLOTarget, 0, 0, autoscale.NewSLOTarget(0)},
+		{autoscale.NamePredictive, time.Second, 2.5, autoscale.NewPredictive(2.5)},
+		{autoscale.NamePredictive, 0, 0, autoscale.NewPredictive(0)},
+	}
+	for _, c := range cases {
+		got, err := autoscale.New(c.name, c.slo, c.rate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("New(%q, %v, %v) = %+v, want %+v", c.name, c.slo, c.rate, got, c.want)
+		}
+	}
+	if _, err := autoscale.New("nope", 0, 0); err == nil {
 		t.Error("unknown policy should fail")
 	}
 }

@@ -40,7 +40,7 @@ func TestAutoscaleStaticEquality(t *testing.T) {
 			Policy: autoscale.NewQueuePressure(),
 			Min:    2, Max: 2,
 		},
-	}, buildTokenFlow())
+	}, cluster.Engines(rtx4090, tokenFlow))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestWarmupGatesTraffic(t *testing.T) {
 			Policy: &scriptPolicy{decisions: map[int]autoscale.Decision{2: autoscale.ScaleUp}},
 			Min:    1, Max: 2, Warmup: warmup,
 		},
-	}, buildTokenFlow())
+	}, cluster.Engines(rtx4090, tokenFlow))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestDrainSemantics(t *testing.T) {
 			Policy: &scriptPolicy{decisions: map[int]autoscale.Decision{20: autoscale.ScaleDown}},
 			Min:    1, Max: 2, Initial: 2,
 		},
-	}, buildTokenFlow())
+	}, cluster.Engines(rtx4090, tokenFlow))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestPrewarmSeedsWarmingReplica(t *testing.T) {
 				Warmup:  5 * time.Second,
 				Prewarm: prewarm,
 			},
-		}, buildTokenFlow())
+		}, cluster.Engines(rtx4090, tokenFlow))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -202,7 +202,7 @@ func (c *Cluster) injectCrash(rep *replica, now simclock.Time) {
 	}
 	// Snapshot the pinned sessions before the engine wipes them: these are
 	// the pins whose surviving host mirrors re-pin after detection.
-	lost := rep.eng.HottestPrefixes(0)
+	lost := rep.kv.HottestPrefixes(0)
 	orphans, pinsLost, mirrorsLost := rep.eng.Crash(now)
 	if rep.state.InService() {
 		rep.busy += now.Sub(rep.sinceOn)
@@ -238,7 +238,7 @@ func (c *Cluster) injectCrash(rep *replica, now simclock.Time) {
 			if c.cfg.Autoscale != nil && !peer.state.InService() {
 				continue
 			}
-			if peer.eng.HostMirrorSize(info.Session) > 0 {
+			if peer.kv.MirrorTokens(info.Session) > 0 {
 				jobs = append(jobs, repinJob{rep: peer, session: info.Session})
 				break
 			}
@@ -312,8 +312,8 @@ func (c *Cluster) retryNow(r *request.Request, attempt int, now simclock.Time) {
 	var best int
 	for _, v := range views {
 		cand := v.(*replica)
-		score := cand.eng.CachedPrefixTokens(r.Session)
-		if m := cand.eng.HostMirrorSize(r.Session); m > score {
+		score := cand.kv.PeekPrefix(r.Session)
+		if m := cand.kv.MirrorTokens(r.Session); m > score {
 			score = m
 		}
 		if rep == nil || score > best ||
@@ -435,7 +435,7 @@ func (c *Cluster) abortFlight(fl *flight, now simclock.Time) {
 	fl.target.inMigrations--
 	c.ctr.MigrationsAborted++
 	if !fl.donor.eng.Crashed() {
-		fl.donor.eng.AbortPrefixMigration(fl.session)
+		fl.donor.kv.AbortMigrateOut(fl.session)
 	}
 	if fl.req == nil {
 		return
@@ -461,7 +461,7 @@ func (c *Cluster) startRepins(now simclock.Time) {
 		if job.rep.eng.Crashed() {
 			continue
 		}
-		done, tokens, bytes, ok := job.rep.eng.RepinFromMirror(job.session, now)
+		done, tokens, bytes, ok := job.rep.kv.ReloadMirror(job.session, fabric.ClassReplicate, now)
 		if !ok {
 			continue
 		}
@@ -491,22 +491,22 @@ func (c *Cluster) replicateTick(now simclock.Time) {
 		if c.cfg.Autoscale != nil && src.state != autoscale.Active {
 			continue
 		}
-		for _, info := range src.eng.HottestPrefixes(0) {
+		for _, info := range src.kv.HottestPrefixes(0) {
 			for _, dst := range c.backupsFor(src, spec.Redundancy-1) {
 				if c.chaos.replicationsInFlight >= replicateConcurrency {
 					return
 				}
 				key := copyKey{target: dst.id, session: info.Session}
-				if c.chaos.copying[key] || !dst.eng.HostCacheEnabled() {
+				if c.chaos.copying[key] || !dst.kv.HostCacheEnabled() {
 					continue
 				}
-				if dst.eng.HostMirrorSize(info.Session) >= info.Tokens {
+				if dst.kv.MirrorTokens(info.Session) >= info.Tokens {
 					continue
 				}
 				if !c.linkUp(src.id, dst.id, now) {
 					continue
 				}
-				tokens, bytes := src.eng.PrefixFootprint(info.Session)
+				tokens, bytes := src.kv.PrefixFootprint(info.Session)
 				if tokens == 0 {
 					continue
 				}
@@ -523,7 +523,7 @@ func (c *Cluster) replicateTick(now simclock.Time) {
 					c.chaos.replicationsInFlight--
 					delete(c.chaos.copying, copyKey{target: dst.id, session: session})
 					if !dst.eng.Crashed() {
-						dst.eng.AdoptHostMirror(session, tokens, t)
+						dst.kv.AdoptMirror(session, tokens, t)
 					}
 				})
 			}

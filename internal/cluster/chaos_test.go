@@ -14,34 +14,11 @@ import (
 	"repro/internal/autoscale"
 	"repro/internal/chaos"
 	"repro/internal/cluster"
-	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/fabric"
-	"repro/internal/gpu"
-	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/router"
 	"repro/internal/simclock"
 	"repro/internal/trace"
 )
-
-// buildTokenFlowHost is buildTokenFlow with the host-tier prefix cache
-// enabled, which the redundancy mirrors live in.
-func buildTokenFlowHost() cluster.BuildEngine {
-	return func(_ int, clock *simclock.Clock, ep *fabric.Endpoint) (*engine.Engine, error) {
-		kv := engine.TokenFlowKVPolicy()
-		kv.HostCache = true
-		return engine.New(engine.Config{
-			GPU:         gpu.RTX4090,
-			Model:       model.Llama3_8B,
-			MemFraction: 0.9,
-			Scheduler:   core.MustNew(core.DefaultConfig()),
-			KV:          kv,
-			Clock:       clock,
-			Fabric:      ep,
-		})
-	}
-}
 
 func crashFault(replica int, atSec float64) chaos.Fault {
 	return chaos.Fault{Kind: chaos.Crash, At: simclock.FromSeconds(atSec), Replica: replica}
@@ -76,7 +53,7 @@ func TestChaosRecoveryScenarios(t *testing.T) {
 						Warmup:      3 * time.Second,
 						ScaleToZero: true,
 					},
-				}, buildTokenFlow()
+				}, cluster.Engines(rtx4090, tokenFlow)
 			},
 			assert: func(t *testing.T, res *cluster.Result) {
 				if res.Crashes != 1 {
@@ -105,7 +82,7 @@ func TestChaosRecoveryScenarios(t *testing.T) {
 					Chaos: &chaos.Spec{
 						Faults: []chaos.Fault{crashFault(0, 8), crashFault(1, 8.2)},
 					},
-				}, buildTokenFlow()
+				}, cluster.Engines(rtx4090, tokenFlow)
 			},
 			assert: func(t *testing.T, res *cluster.Result) {
 				if res.Crashes != 2 {
@@ -144,7 +121,7 @@ func TestChaosRecoveryScenarios(t *testing.T) {
 						Warmup:      2 * time.Second,
 						ScaleToZero: true,
 					},
-				}, buildTokenFlow()
+				}, cluster.Engines(rtx4090, tokenFlow)
 			},
 			assert: func(t *testing.T, res *cluster.Result) {
 				if res.Crashes < 1 {
@@ -171,7 +148,7 @@ func TestChaosRecoveryScenarios(t *testing.T) {
 							At: simclock.FromSeconds(5), Replica: 0,
 							Factor: 4, Duration: 10 * time.Second}},
 					},
-				}, buildTokenFlow()
+				}, cluster.Engines(rtx4090, tokenFlow)
 			},
 			assert: func(t *testing.T, res *cluster.Result) {
 				if res.Brownouts != 1 {
@@ -225,7 +202,7 @@ func chaosDeterminismGrid() []struct {
 						From: 0, To: 2, Duration: 3 * time.Second},
 					crashFault(1, 8),
 				}},
-			}, buildTokenFlowHost()
+			}, cluster.Engines(rtx4090, tokenFlowHost)
 		}},
 		{"crash-with-redundancy", func() (cluster.Config, cluster.BuildEngine) {
 			return cluster.Config{
@@ -234,7 +211,7 @@ func chaosDeterminismGrid() []struct {
 					Faults:     []chaos.Fault{crashFault(1, 8)},
 					Redundancy: 2,
 				},
-			}, buildTokenFlowHost()
+			}, cluster.Engines(rtx4090, tokenFlowHost)
 		}},
 		{"random-seeded-plan", func() (cluster.Config, cluster.BuildEngine) {
 			return cluster.Config{
@@ -244,7 +221,7 @@ func chaosDeterminismGrid() []struct {
 					Horizon:    simclock.FromSeconds(30),
 					Redundancy: 2,
 				},
-			}, buildTokenFlowHost()
+			}, cluster.Engines(rtx4090, tokenFlowHost)
 		}},
 		{"crash-under-autoscale-gateway", func() (cluster.Config, cluster.BuildEngine) {
 			return cluster.Config{
@@ -256,7 +233,7 @@ func chaosDeterminismGrid() []struct {
 					Warmup:      2 * time.Second,
 					ScaleToZero: true,
 				},
-			}, buildTokenFlowHost()
+			}, cluster.Engines(rtx4090, tokenFlowHost)
 		}},
 	}
 }
@@ -327,7 +304,7 @@ func TestChaosZeroFaultByteIdentity(t *testing.T) {
 			Chaos:       spec,
 			SampleEvery: 250 * time.Millisecond,
 			Obs:         obs.Options{Events: true, Series: true, Attribution: true},
-		}, buildTokenFlowHost())
+		}, cluster.Engines(rtx4090, tokenFlowHost))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -380,7 +357,7 @@ func BenchmarkChaosRecovery(b *testing.B) {
 				Faults:     []chaos.Fault{crashFault(1, 10)},
 				Redundancy: 2,
 			},
-		}, buildTokenFlowHost())
+		}, cluster.Engines(rtx4090, tokenFlowHost))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,30 +11,10 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
-	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/fabric"
-	"repro/internal/gpu"
-	"repro/internal/model"
 	"repro/internal/router"
 	"repro/internal/simclock"
 )
-
-// buildSmallHost is buildSmall with the host-tier prefix cache enabled
-// (mirrors are host-side, so the repin tests need it).
-func buildSmallHost(_ int, clock *simclock.Clock, ep *fabric.Endpoint) (*engine.Engine, error) {
-	kv := engine.TokenFlowKVPolicy()
-	kv.HostCache = true
-	return engine.New(engine.Config{
-		GPU:         gpu.RTX4090,
-		Model:       model.Llama3_8B,
-		MemFraction: 0.9,
-		Scheduler:   core.MustNew(core.DefaultConfig()),
-		KV:          kv,
-		Clock:       clock,
-		Fabric:      ep,
-	})
-}
 
 // chaosTransferCluster builds a 3-replica cluster on a slow shared NIC
 // (a 1024-token pin takes ~2.7s on the wire) with the given fault plan,
@@ -48,11 +28,11 @@ func chaosTransferCluster(t *testing.T, spec *chaos.Spec, target int, class fabr
 		Migrate:  true,
 		Topology: &fabric.Spec{Kind: fabric.SharedNIC, LinkGBps: 0.05},
 		Chaos:    spec,
-	}, buildSmall)
+	}, testPool)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.replicas[0].eng.InstallMigratedPrefix(1, 1024, 0) {
+	if !c.replicas[0].kv.InstallPrefix(1, 1024, 0) {
 		t.Fatal("installing pin failed")
 	}
 	var count int64
@@ -85,7 +65,7 @@ func TestChaosCrashAbortsDrainHandoff(t *testing.T) {
 	if len(c.chaos.flights) != 0 {
 		t.Errorf("flight registry still holds %d entries", len(c.chaos.flights))
 	}
-	if got := c.replicas[2].eng.CachedPrefixTokens(1); got != 0 {
+	if got := c.replicas[2].kv.PeekPrefix(1); got != 0 {
 		t.Errorf("aborted hand-off landed %d tokens on the target", got)
 	}
 	if c.migrationsInFlight != 0 {
@@ -114,7 +94,7 @@ func TestChaosLinkFlapAbortsMidMigration(t *testing.T) {
 	if c.linkUp(0, 1, now) || c.linkUp(1, 0, now) {
 		t.Error("downed pair reports up mid-window")
 	}
-	if got := c.replicas[0].eng.CachedPrefixTokens(1); got != 1024 {
+	if got := c.replicas[0].kv.PeekPrefix(1); got != 1024 {
 		t.Errorf("surviving donor lost its pin: %d tokens", got)
 	}
 	var count int64
@@ -135,7 +115,7 @@ func TestChaosLinkFlapAbortsMidMigration(t *testing.T) {
 	if !c.linkUp(0, 1, c.clock.Now()) {
 		t.Error("recovered pair reports down")
 	}
-	if got := c.replicas[1].eng.CachedPrefixTokens(1); got != 0 {
+	if got := c.replicas[1].kv.PeekPrefix(1); got != 0 {
 		t.Errorf("aborted pre-warm landed %d tokens on the target", got)
 	}
 }
@@ -160,15 +140,15 @@ func TestChaosSolePinHolderCrash(t *testing.T) {
 				Chaos: &chaos.Spec{
 					Faults: []chaos.Fault{{Kind: chaos.Crash, At: simclock.FromSeconds(1), Replica: 0}},
 				},
-			}, buildSmallHost)
+			}, testPoolHost)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !c.replicas[0].eng.InstallMigratedPrefix(7, 1024, 0) {
+			if !c.replicas[0].kv.InstallPrefix(7, 1024, 0) {
 				t.Fatal("installing pin failed")
 			}
 			if tc.mirror {
-				if !c.replicas[1].eng.AdoptHostMirror(7, 1024, 0) {
+				if !c.replicas[1].kv.AdoptMirror(7, 1024, 0) {
 					t.Fatal("adopting host mirror failed")
 				}
 			}
@@ -178,7 +158,7 @@ func TestChaosSolePinHolderCrash(t *testing.T) {
 			if !c.replicas[0].eng.Crashed() {
 				t.Fatal("replica 0 did not crash")
 			}
-			got := c.replicas[1].eng.CachedPrefixTokens(7)
+			got := c.replicas[1].kv.PeekPrefix(7)
 			if tc.mirror {
 				if got != 1024 {
 					t.Errorf("repin restored %d tokens on the survivor, want 1024", got)

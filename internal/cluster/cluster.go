@@ -53,6 +53,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/fabric"
 	"repro/internal/gpu"
+	"repro/internal/kvcache"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -330,8 +331,11 @@ func Engines(deps []Deployment, system func() (sched.Scheduler, engine.KVPolicy,
 // replica pairs an engine with its routing and lifecycle bookkeeping; it
 // implements router.Replica.
 type replica struct {
-	id     int
-	eng    *engine.Engine
+	id  int
+	eng *engine.Engine
+	// kv is eng's KV manager (eng.Mem()), called directly for prefix
+	// pins, migrations and host mirrors.
+	kv     *kvcache.Manager
 	routed int
 
 	// state is the autoscaler lifecycle position (always Active in a
@@ -351,10 +355,10 @@ type replica struct {
 
 func (r *replica) ID() int                            { return r.id }
 func (r *replica) QueueDepth() int                    { return r.eng.OutstandingRequests() }
-func (r *replica) FreeKVPages() int                   { return r.eng.FreeKVPages() }
-func (r *replica) TotalKVPages() int                  { return r.eng.TotalKVPages() }
-func (r *replica) FreeKVTokens() int                  { return r.eng.FreeKVTokens() }
-func (r *replica) CachedPrefixTokens(session int) int { return r.eng.CachedPrefixTokens(session) }
+func (r *replica) FreeKVPages() int                   { return r.kv.FreePages() }
+func (r *replica) TotalKVPages() int                  { return r.kv.TotalPages() }
+func (r *replica) FreeKVTokens() int                  { return r.kv.FreePages() * r.kv.Config().PageTokens }
+func (r *replica) CachedPrefixTokens(session int) int { return r.kv.PeekPrefix(session) }
 
 // ReplicaStats reports one replica's share of a finished run.
 type ReplicaStats struct {
@@ -786,7 +790,7 @@ func New(cfg Config, build BuildEngine) (*Cluster, error) {
 		// Installed after build so every builder — experiments, tests,
 		// random scenarios — records without opting in.
 		eng.SetObs(c.recFor(i), c.profFor(i), i)
-		rep := &replica{id: i, eng: eng, state: autoscale.Active}
+		rep := &replica{id: i, eng: eng, kv: eng.Mem(), state: autoscale.Active}
 		if cfg.Autoscale != nil && i >= cfg.Autoscale.Initial {
 			rep.state = autoscale.Off
 		}
@@ -932,7 +936,7 @@ func (c *Cluster) validate(w trace.Workload) error {
 	if w.Len() == 0 {
 		return fmt.Errorf("cluster: empty workload")
 	}
-	kvTokens := func(rep *replica) int { return rep.eng.TotalKVPages() * rep.eng.KVPageTokens() }
+	kvTokens := func(rep *replica) int { return rep.kv.TotalPages() * rep.kv.Config().PageTokens }
 	small := c.replicas[0]
 	for _, rep := range c.replicas[1:] {
 		if kvTokens(rep) < kvTokens(small) {
@@ -1066,13 +1070,13 @@ func (c *Cluster) maybeMigrate(r *request.Request, it trace.Item, target *replic
 	if !c.cfg.Migrate || it.Session == 0 {
 		return false
 	}
-	targetOwn := target.eng.CachedPrefixTokens(it.Session)
+	targetOwn := target.kv.PeekPrefix(it.Session)
 	donor, best := c.pinDonor(it.Session, target, targetOwn, it.PromptLen)
 	if donor < 0 {
 		return false
 	}
 	if c.cfg.MigrationPolicy == MigrateCost {
-		_, bytes := c.replicas[donor].eng.PrefixFootprint(it.Session)
+		_, bytes := c.replicas[donor].kv.PrefixFootprint(it.Session)
 		eta := c.fab.ETABetween(donor, target.id, now, bytes)
 		// Migrating saves the target from prefilling the donor's prefix
 		// beyond what it already caches.
@@ -1104,7 +1108,7 @@ func (c *Cluster) pinDonor(session int, target *replica, targetOwn, promptLen in
 	if c.idx != nil {
 		// The gateway decides on the index's own (possibly stale) view —
 		// a believed donor whose pin is already gone fails
-		// BeginPrefixMigration and the turn recomputes.
+		// BeginMigrateOut and the turn recomputes.
 		if r, t, ok := c.idx.DonorFor(session, target.id, targetOwn, promptLen); ok {
 			return r, t
 		}
@@ -1117,7 +1121,7 @@ func (c *Cluster) pinDonor(session int, target *replica, targetOwn, promptLen in
 		if id == target.id {
 			continue
 		}
-		if t := c.replicas[id].eng.CachedPrefixTokens(session); t > best && t < promptLen {
+		if t := c.replicas[id].kv.PeekPrefix(session); t > best && t < promptLen {
 			donor, best = id, t
 		}
 	}

@@ -14,23 +14,30 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/model"
 	"repro/internal/router"
+	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/trace"
 )
 
-// buildTokenFlow returns a BuildEngine producing fresh TokenFlow engines
-// on the shared clock and fabric.
-func buildTokenFlow() cluster.BuildEngine {
-	return func(_ int, clock *simclock.Clock, ep *fabric.Endpoint) (*engine.Engine, error) {
-		return engine.New(engine.Config{
-			GPU:         gpu.RTX4090,
-			Model:       model.Llama3_8B,
-			MemFraction: 0.9,
-			Scheduler:   core.MustNew(core.DefaultConfig()),
-			KV:          engine.TokenFlowKVPolicy(),
-			Clock:       clock,
-			Fabric:      ep,
-		})
+// The test pools: every replica an RTX-4090 / Llama3-8B at mem-frac 0.9
+// (rtx4090), or one H200 at replica 0 ahead of two such replicas
+// (hetero, one deployment per replica of the 3-replica mixed pools).
+var (
+	rtx4090 = []cluster.Deployment{{GPU: gpu.RTX4090, Model: model.Llama3_8B, MemFraction: 0.9}}
+	hetero  = []cluster.Deployment{{GPU: gpu.H200, Model: model.Llama3_8B, MemFraction: 0.9}, rtx4090[0], rtx4090[0]}
+
+	tokenFlow     = system(engine.SystemTokenFlow, false)
+	tokenFlowHost = system(engine.SystemTokenFlow, true) // the redundancy mirrors live in the host tier
+)
+
+// system is the named system from the engine's system table at the
+// paper-default TokenFlow tuning, with the host-tier prefix cache on when
+// hostCache is set.
+func system(name string, hostCache bool) func() (sched.Scheduler, engine.KVPolicy, error) {
+	return func() (sched.Scheduler, engine.KVPolicy, error) {
+		s, kv, err := engine.NewSystem(name, core.DefaultConfig())
+		kv.HostCache = hostCache
+		return s, kv, err
 	}
 }
 
@@ -50,7 +57,7 @@ func sessionWorkload(t *testing.T) trace.Workload {
 
 func runPolicy(t *testing.T, replicas int, policy router.Policy, w trace.Workload) *cluster.Result {
 	t.Helper()
-	cl, err := cluster.New(cluster.Config{Replicas: replicas, Policy: policy}, buildTokenFlow())
+	cl, err := cluster.New(cluster.Config{Replicas: replicas, Policy: policy}, cluster.Engines(rtx4090, tokenFlow))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,26 +164,6 @@ func (p *fixedPolicy) Pick(req router.Request, _ []router.Replica) int {
 	return p.m[req.ID]
 }
 
-// buildHetero returns a BuildEngine with one H200 replica (index 0) ahead
-// of RTX-4090 replicas.
-func buildHetero() cluster.BuildEngine {
-	return func(i int, clock *simclock.Clock, ep *fabric.Endpoint) (*engine.Engine, error) {
-		g := gpu.RTX4090
-		if i == 0 {
-			g = gpu.H200
-		}
-		return engine.New(engine.Config{
-			GPU:         g,
-			Model:       model.Llama3_8B,
-			MemFraction: 0.9,
-			Scheduler:   core.MustNew(core.DefaultConfig()),
-			KV:          engine.TokenFlowKVPolicy(),
-			Clock:       clock,
-			Fabric:      ep,
-		})
-	}
-}
-
 // TestHeterogeneousWeightedRouting: on a mixed H200/4090 pool the
 // capacity-weighted policy sends the big replica proportionally more work
 // than its small peers, and everything still completes.
@@ -185,7 +172,7 @@ func TestHeterogeneousWeightedRouting(t *testing.T) {
 	cl, err := cluster.New(cluster.Config{
 		Replicas: 3,
 		Policy:   router.NewWeightedCapacity(),
-	}, buildHetero())
+	}, cluster.Engines(hetero, tokenFlow))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +203,7 @@ func TestMigrationShipsPinnedPrefix(t *testing.T) {
 			Replicas: 2,
 			Policy:   &fixedPolicy{m: map[int]int{0: 0, 1: 1}},
 			Migrate:  migrate,
-		}, buildTokenFlow())
+		}, cluster.Engines(rtx4090, tokenFlow))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -260,7 +247,7 @@ func TestImbalanceSeriesTracksLoad(t *testing.T) {
 		Replicas:    4,
 		Policy:      router.NewRoundRobin(),
 		SampleEvery: 5 * time.Second,
-	}, buildTokenFlow())
+	}, cluster.Engines(rtx4090, tokenFlow))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,19 +273,19 @@ func TestImbalanceSeriesTracksLoad(t *testing.T) {
 }
 
 func TestClusterConfigErrors(t *testing.T) {
-	if _, err := cluster.New(cluster.Config{Replicas: 2}, buildTokenFlow()); err == nil {
+	if _, err := cluster.New(cluster.Config{Replicas: 2}, cluster.Engines(rtx4090, tokenFlow)); err == nil {
 		t.Error("nil policy should fail")
 	}
-	if _, err := cluster.New(cluster.Config{Replicas: -1, Policy: router.NewRoundRobin()}, buildTokenFlow()); err == nil {
+	if _, err := cluster.New(cluster.Config{Replicas: -1, Policy: router.NewRoundRobin()}, cluster.Engines(rtx4090, tokenFlow)); err == nil {
 		t.Error("negative replicas should fail")
 	}
 	if _, err := cluster.New(cluster.Config{Replicas: 2, Policy: router.NewRoundRobin()}, nil); err == nil {
 		t.Error("nil builder should fail")
 	}
-	if _, err := cluster.New(cluster.Config{Replicas: 2, Policy: router.NewRoundRobin(), Shards: -1}, buildTokenFlow()); err == nil {
+	if _, err := cluster.New(cluster.Config{Replicas: 2, Policy: router.NewRoundRobin(), Shards: -1}, cluster.Engines(rtx4090, tokenFlow)); err == nil {
 		t.Error("negative shard count should fail")
 	}
-	cl, err := cluster.New(cluster.Config{Replicas: 2, Policy: router.NewRoundRobin()}, buildTokenFlow())
+	cl, err := cluster.New(cluster.Config{Replicas: 2, Policy: router.NewRoundRobin()}, cluster.Engines(rtx4090, tokenFlow))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +315,7 @@ func TestRunValidatesWorkload(t *testing.T) {
 		}}, "replica 1: request 1 context 50000 exceeds KV capacity"},
 	}
 	for _, c := range cases {
-		cl, err := cluster.New(cluster.Config{Replicas: 3, Policy: router.NewRoundRobin()}, buildHetero())
+		cl, err := cluster.New(cluster.Config{Replicas: 3, Policy: router.NewRoundRobin()}, cluster.Engines(hetero, tokenFlow))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +339,7 @@ func TestFullMeshTopologyMatchesDefault(t *testing.T) {
 			Policy:   router.NewSessionAffinity(),
 			Migrate:  true,
 			Topology: topo,
-		}, buildHetero())
+		}, cluster.Engines(hetero, tokenFlow))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,7 +371,7 @@ func TestFullMeshTopologyMatchesDefault(t *testing.T) {
 				Warmup:  2 * time.Second,
 				Prewarm: true,
 			},
-		}, buildTokenFlow())
+		}, cluster.Engines(rtx4090, tokenFlow))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -424,7 +411,7 @@ func TestCostModelDeclinesMigrationOnNarrowNIC(t *testing.T) {
 			Migrate:         true,
 			MigrationPolicy: policy,
 			Topology:        topo,
-		}, buildTokenFlow())
+		}, cluster.Engines(rtx4090, tokenFlow))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -520,7 +507,7 @@ func TestTimedOutRunEndsAtLastReadTick(t *testing.T) {
 		Replicas:   1,
 		Policy:     router.NewRoundRobin(),
 		MaxSimTime: time.Duration(deadline),
-	}, buildTokenFlow())
+	}, cluster.Engines(rtx4090, tokenFlow))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -557,7 +544,7 @@ const newAllocsPerReplica = 8
 // bound.
 func TestNewAllocationBound(t *testing.T) {
 	const replicas = 500
-	eng, err := buildTokenFlow()(0, simclock.New(), fabric.NewSingleHost(1e9, 1e9))
+	eng, err := cluster.Engines(rtx4090, tokenFlow)(0, simclock.New(), fabric.NewSingleHost(1e9, 1e9))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,19 +15,26 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/model"
 	"repro/internal/router"
+	"repro/internal/sched"
 	"repro/internal/simclock"
 )
 
-func buildSmall(_ int, clock *simclock.Clock, ep *fabric.Endpoint) (*engine.Engine, error) {
-	return engine.New(engine.Config{
-		GPU:         gpu.RTX4090,
-		Model:       model.Llama3_8B,
-		MemFraction: 0.9,
-		Scheduler:   core.MustNew(core.DefaultConfig()),
-		KV:          engine.TokenFlowKVPolicy(),
-		Clock:       clock,
-		Fabric:      ep,
-	})
+// testPool is the white-box tests' pool: every replica an RTX-4090 /
+// Llama3-8B at mem-frac 0.9 running TokenFlow from the engine's system
+// table, with the host-tier prefix cache on in testPoolHost (the repin
+// tests need the host mirrors).
+var (
+	testPool     = Engines(rtx4090, tokenFlowSystem(false))
+	testPoolHost = Engines(rtx4090, tokenFlowSystem(true))
+	rtx4090      = []Deployment{{GPU: gpu.RTX4090, Model: model.Llama3_8B, MemFraction: 0.9}}
+)
+
+func tokenFlowSystem(hostCache bool) func() (sched.Scheduler, engine.KVPolicy, error) {
+	return func() (sched.Scheduler, engine.KVPolicy, error) {
+		s, kv, err := engine.NewSystem(engine.SystemTokenFlow, core.DefaultConfig())
+		kv.HostCache = hostCache
+		return s, kv, err
+	}
 }
 
 // contentionCluster builds a 3-replica cluster on the given topology with
@@ -44,12 +51,12 @@ func contentionCluster(t *testing.T, spec *fabric.Spec) *Cluster {
 			Policy: autoscale.NewQueuePressure(),
 			Min:    1, Max: 3, Initial: 3,
 		},
-	}, buildSmall)
+	}, testPool)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for s := 1; s <= 2; s++ {
-		if !c.replicas[0].eng.InstallMigratedPrefix(s, 1024, 0) {
+		if !c.replicas[0].kv.InstallPrefix(s, 1024, 0) {
 			t.Fatalf("installing pin %d failed", s)
 		}
 	}
@@ -104,8 +111,8 @@ func TestPrewarmDrainShareUplinkExtendWarmup(t *testing.T) {
 	// carries one transfer per class.
 	for shared.step(simclock.Forever) {
 	}
-	if shared.replicas[1].eng.CachedPrefixTokens(1) != 1024 ||
-		shared.replicas[2].eng.CachedPrefixTokens(2) != 1024 {
+	if shared.replicas[1].kv.PeekPrefix(1) != 1024 ||
+		shared.replicas[2].kv.PeekPrefix(2) != 1024 {
 		t.Error("pins did not land on their targets")
 	}
 	stats := map[fabric.Class]fabric.ClassStats{}

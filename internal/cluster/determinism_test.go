@@ -41,14 +41,14 @@ func determinismGrid() []struct {
 		{"static-mesh-always", func() (cluster.Config, cluster.BuildEngine) {
 			return cluster.Config{
 				Replicas: 3, Policy: router.NewSessionAffinity(), Migrate: true,
-			}, buildTokenFlow()
+			}, cluster.Engines(rtx4090, tokenFlow)
 		}},
 		{"static-shared-nic-cost", func() (cluster.Config, cluster.BuildEngine) {
 			return cluster.Config{
 				Replicas: 3, Policy: router.NewSessionAffinity(), Migrate: true,
 				MigrationPolicy: cluster.MigrateCost,
 				Topology:        topoFor(fabric.SharedNIC, 1, 2),
-			}, buildHetero()
+			}, cluster.Engines(hetero, tokenFlow)
 		}},
 		{"queue-pressure-prewarm-mesh", func() (cluster.Config, cluster.BuildEngine) {
 			return cluster.Config{
@@ -59,7 +59,7 @@ func determinismGrid() []struct {
 					Warmup:  2 * time.Second,
 					Prewarm: true,
 				},
-			}, buildTokenFlow()
+			}, cluster.Engines(rtx4090, tokenFlow)
 		}},
 		{"slo-target-zero-shared-nic", func() (cluster.Config, cluster.BuildEngine) {
 			return cluster.Config{
@@ -71,7 +71,7 @@ func determinismGrid() []struct {
 					Warmup:      2 * time.Second,
 					ScaleToZero: true,
 				},
-			}, buildTokenFlow()
+			}, cluster.Engines(rtx4090, tokenFlow)
 		}},
 		{"predictive-zero-cost-mesh", func() (cluster.Config, cluster.BuildEngine) {
 			return cluster.Config{
@@ -84,7 +84,7 @@ func determinismGrid() []struct {
 					Prewarm:     true,
 					ScaleToZero: true,
 				},
-			}, buildTokenFlow()
+			}, cluster.Engines(rtx4090, tokenFlow)
 		}},
 	}
 }

@@ -7,31 +7,10 @@ import (
 	"repro/internal/autoscale"
 	"repro/internal/cluster"
 	"repro/internal/engine"
-	"repro/internal/fabric"
-	"repro/internal/gpu"
-	"repro/internal/model"
 	"repro/internal/router"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/trace"
 )
-
-// buildFCFS returns a BuildEngine with the SGLang FCFS scheduler, so
-// admission order (and therefore first-token order) follows injection
-// order — the observable the FIFO-drain test pins.
-func buildFCFS() cluster.BuildEngine {
-	return func(_ int, clock *simclock.Clock, ep *fabric.Endpoint) (*engine.Engine, error) {
-		return engine.New(engine.Config{
-			GPU:         gpu.RTX4090,
-			Model:       model.Llama3_8B,
-			MemFraction: 0.9,
-			Scheduler:   sched.NewSGLang(),
-			KV:          engine.BaselineKVPolicy(),
-			Clock:       clock,
-			Fabric:      ep,
-		})
-	}
-}
 
 // coldArrivals is n single-shot requests arriving one second apart from
 // t=0, while the scale-to-zero pool is still cold (warm-up is 3s, so use
@@ -60,7 +39,9 @@ func coldBurst(n int) trace.Workload {
 }
 
 // runGateway runs a 2-replica scale-to-zero cluster with the given
-// gateway depth and scripted decisions.
+// gateway depth and scripted decisions. The replicas run SGLang's FCFS
+// scheduler, so admission order (and therefore first-token order) follows
+// injection order — the observable the FIFO-drain test pins.
 func runGateway(t *testing.T, depth int, w trace.Workload, decisions map[int]autoscale.Decision) *cluster.Result {
 	t.Helper()
 	cl, err := cluster.New(cluster.Config{
@@ -73,7 +54,7 @@ func runGateway(t *testing.T, depth int, w trace.Workload, decisions map[int]aut
 			ScaleToZero:  true,
 			GatewayDepth: depth,
 		},
-	}, buildFCFS())
+	}, cluster.Engines(rtx4090, system(engine.SystemSGLang, false)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +239,7 @@ func TestScaleToZeroTerminatesAllPolicies(t *testing.T) {
 					Warmup:      2 * time.Second,
 					ScaleToZero: true,
 				},
-			}, buildTokenFlow())
+			}, cluster.Engines(rtx4090, tokenFlow))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -315,7 +296,7 @@ func TestScaleToZeroRoundTrip(t *testing.T) {
 			Warmup:      2 * time.Second,
 			ScaleToZero: true,
 		},
-	}, buildTokenFlow())
+	}, cluster.Engines(rtx4090, tokenFlow))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ package cluster
 // The table is ground truth, not an eventually-consistent index: it is fed
 // by the KV manager's pin hook (kvcache.SetPrefixPublisher), which fires
 // with the session's new pinned-token count on every transition a
-// CachedPrefixTokens probe can see — pin insert and removal (eviction,
+// PeekPrefix probe can see — pin insert and removal (eviction,
 // adoption, supersession, migration completion, crash), migration staking
 // and its abort. A replica is a holder exactly while its probe reports a
 // positive count.
@@ -138,7 +138,7 @@ func (c *Cluster) initPinHolders() {
 			}
 		}
 		if pin != nil {
-			rep.eng.SetPrefixPublisher(pin, mirror)
+			rep.kv.SetPrefixPublisher(pin, mirror)
 		}
 	}
 }

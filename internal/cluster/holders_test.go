@@ -70,7 +70,7 @@ func wrapHolderCheck(t *testing.T, p router.Policy) (router.Policy, *holderCheck
 func scanHolders(c *Cluster, session int) []int {
 	var out []int
 	for _, rep := range c.replicas {
-		if rep.eng.CachedPrefixTokens(session) > 0 {
+		if rep.kv.PeekPrefix(session) > 0 {
 			out = append(out, rep.id)
 		}
 	}
@@ -85,7 +85,7 @@ func scanDonor(c *Cluster, session int, target *replica, targetOwn, promptLen in
 		if rep == target {
 			continue
 		}
-		if t := rep.eng.CachedPrefixTokens(session); t > best && t < promptLen {
+		if t := rep.kv.PeekPrefix(session); t > best && t < promptLen {
 			donor, best = rep.id, t
 		}
 	}
@@ -118,7 +118,7 @@ func (h *holderCheck) Pick(req router.Request, views []router.Replica) int {
 		// maybeMigrate runs next, on this state: its donor must be the
 		// pool scan's.
 		target := views[pick].(*replica)
-		own := target.eng.CachedPrefixTokens(req.Session)
+		own := target.kv.PeekPrefix(req.Session)
 		gd, gb := c.pinDonor(req.Session, target, own, req.PromptLen)
 		wd, wb := scanDonor(c, req.Session, target, own, req.PromptLen)
 		h.donors++
@@ -290,7 +290,7 @@ func TestPinHolderTableExact(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/shards=%d", row.name, shards), func(t *testing.T) {
 				cfg := row.cfg()
 				cfg.Shards = shards
-				h, res := runHolderCheck(t, cfg, buildSmall, w)
+				h, res := runHolderCheck(t, cfg, testPool, w)
 				if h.c.holdersForPick && h.picks == 0 {
 					t.Error("no routing decision carried a session")
 				}
@@ -376,13 +376,13 @@ func TestHolderSetOrder(t *testing.T) {
 // donates; the target itself and prefixes as long as the prompt never do;
 // and the holders of one session merge in ID order across shards.
 func TestPinDonorTieBreak(t *testing.T) {
-	c, err := New(Config{Replicas: 5, Shards: 2, Policy: router.NewLeastQueue(), Migrate: true}, buildSmall)
+	c, err := New(Config{Replicas: 5, Shards: 2, Policy: router.NewLeastQueue(), Migrate: true}, testPool)
 	if err != nil {
 		t.Fatal(err)
 	}
 	pins := map[int]int{1: 640, 2: 640, 3: 320, 4: 640}
 	for id := 1; id <= 4; id++ {
-		if !c.replicas[id].eng.InstallMigratedPrefix(5, pins[id], 0) {
+		if !c.replicas[id].kv.InstallPrefix(5, pins[id], 0) {
 			t.Fatalf("installing the pin on replica %d failed", id)
 		}
 	}
@@ -399,7 +399,7 @@ func TestPinDonorTieBreak(t *testing.T) {
 		{0, 320, -1, 0},
 	} {
 		target := c.replicas[tc.target]
-		own := target.eng.CachedPrefixTokens(5)
+		own := target.kv.PeekPrefix(5)
 		donor, best := c.pinDonor(5, target, own, tc.prompt)
 		wd, wb := scanDonor(c, 5, target, own, tc.prompt)
 		if donor != tc.donor || best != tc.best || donor != wd || best != wb {

@@ -60,7 +60,7 @@ func (c *Cluster) initPrefixIndex() error {
 	}
 	c.idx, c.idxSpec = idx, *spec
 	for _, rep := range c.replicas {
-		idx.SeedReplica(rep.id, rep.eng.TotalKVPages(), rep.eng.KVPageTokens())
+		idx.SeedReplica(rep.id, rep.kv.TotalPages(), rep.kv.Config().PageTokens)
 		idx.SetActive(rep.id, rep.state == autoscale.Active)
 	}
 	if b, ok := c.cfg.Policy.(router.IndexBinder); ok {
@@ -211,9 +211,9 @@ func (c *Cluster) publishDigests() {
 		if !rep.state.InService() {
 			continue
 		}
-		free := rep.eng.FreeKVPages()
+		free := rep.kv.FreePages()
 		quant := free
-		if total := rep.eng.TotalKVPages(); total > 0 {
+		if total := rep.kv.TotalPages(); total > 0 {
 			quant = free * digestBuckets / total * total / digestBuckets
 		}
 		c.pubFns[rep.id](prefixindex.EvDigest, 0,

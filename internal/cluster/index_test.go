@@ -131,7 +131,7 @@ func TestShardedIndexedDeterminism(t *testing.T) {
 					Migrate:     true,
 					Shards:      shards,
 					PrefixIndex: spec,
-				}, buildTokenFlow())
+				}, cluster.Engines(rtx4090, tokenFlow))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -153,7 +153,7 @@ func TestShardedIndexedDeterminism(t *testing.T) {
 				Policy:      router.NewIndexedSessionAffinity(),
 				Migrate:     true,
 				PrefixIndex: spec,
-			}, buildTokenFlow())
+			}, cluster.Engines(rtx4090, tokenFlow))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -196,7 +196,7 @@ func TestIndexedStalenessInvariants(t *testing.T) {
 			Policy:      router.NewIndexedSessionAffinity(),
 			Migrate:     true,
 			PrefixIndex: spec,
-		}, buildTokenFlow())
+		}, cluster.Engines(rtx4090, tokenFlow))
 		if err != nil {
 			t.Fatal(err)
 		}

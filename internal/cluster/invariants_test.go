@@ -48,35 +48,35 @@ func experimentSpecs() []struct {
 	}{
 		{"static-4x-affinity", cluster.Config{
 			Replicas: 4, Policy: router.NewSessionAffinity(),
-		}, buildTokenFlow()},
+		}, cluster.Engines(rtx4090, tokenFlow)},
 		{"hetero-migrate", cluster.Config{
 			Replicas: 3, Policy: router.NewSessionAffinity(), Migrate: true,
-		}, buildHetero()},
+		}, cluster.Engines(hetero, tokenFlow)},
 		{"hetero-migrate-cost-shared-nic", cluster.Config{
 			Replicas: 3, Policy: router.NewSessionAffinity(), Migrate: true,
 			MigrationPolicy: cluster.MigrateCost,
 			Topology:        &fabric.Spec{Kind: fabric.SharedNIC, LinkGBps: 1},
-		}, buildHetero()},
+		}, cluster.Engines(hetero, tokenFlow)},
 		{"autoscale-queue-pressure-prewarm", cluster.Config{
 			Replicas: 3, Policy: router.NewSessionAffinity(),
 			Autoscale: asCfg(autoscale.NewQueuePressure(), false, true),
-		}, buildTokenFlow()},
+		}, cluster.Engines(rtx4090, tokenFlow)},
 		{"autoscale-kv-utilization", cluster.Config{
 			Replicas: 3, Policy: router.NewLeastQueue(),
 			Autoscale: asCfg(autoscale.NewKVUtilization(), false, false),
-		}, buildTokenFlow()},
+		}, cluster.Engines(rtx4090, tokenFlow)},
 		{"autoscale-slo-target-scale-to-zero", cluster.Config{
 			Replicas: 3, Policy: router.NewSessionAffinity(),
 			Autoscale: asCfg(autoscale.NewSLOTarget(0), true, true),
-		}, buildTokenFlow()},
+		}, cluster.Engines(rtx4090, tokenFlow)},
 		{"autoscale-predictive-scale-to-zero", cluster.Config{
 			Replicas: 3, Policy: router.NewLeastQueue(),
 			Autoscale: asCfg(autoscale.NewPredictive(0), true, false),
-		}, buildTokenFlow()},
+		}, cluster.Engines(rtx4090, tokenFlow)},
 		{"migrate-shared-nic-switch", cluster.Config{
 			Replicas: 4, Policy: router.NewSessionAffinity(), Migrate: true,
 			Topology: &fabric.Spec{Kind: fabric.SharedNIC, LinkGBps: 2, SwitchGBps: 4},
-		}, buildTokenFlow()},
+		}, cluster.Engines(rtx4090, tokenFlow)},
 	}
 }
 
@@ -161,7 +161,7 @@ func TestInvariantCatchesViolation(t *testing.T) {
 		Replicas: 2, Policy: router.NewSessionAffinity(),
 		Obs: obs.Options{Events: true, Attribution: true},
 	}
-	cl, err := cluster.New(cfg, buildTokenFlow())
+	cl, err := cluster.New(cfg, cluster.Engines(rtx4090, tokenFlow))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,8 +110,8 @@ func (c *Cluster) foldSignals(shard int) signalFold {
 		case autoscale.Active:
 			f.active++
 			f.outstanding += rep.eng.OutstandingRequests()
-			f.total += rep.eng.TotalKVPages()
-			f.used += rep.eng.TotalKVPages() - rep.eng.FreeKVPages()
+			f.total += rep.kv.TotalPages()
+			f.used += rep.kv.TotalPages() - rep.kv.FreePages()
 		case autoscale.Warming:
 			f.warming++
 		case autoscale.Draining:
@@ -225,7 +225,7 @@ func (c *Cluster) prewarm(target *replica, now simclock.Time) {
 		if rep.state != autoscale.Active {
 			continue
 		}
-		for rank, info := range rep.eng.HottestPrefixes(prewarmTopK) {
+		for rank, info := range rep.kv.HottestPrefixes(prewarmTopK) {
 			cands = append(cands, candidate{donor: rep, info: info, rank: rank})
 		}
 	}
@@ -286,14 +286,14 @@ func (c *Cluster) scaleDown(now simclock.Time, active int) {
 // drain.
 func (c *Cluster) drainPins(rep *replica, now simclock.Time) {
 	planned := make(map[*replica]int)
-	for _, info := range rep.eng.HottestPrefixes(0) {
+	for _, info := range rep.kv.HottestPrefixes(0) {
 		var dst *replica
 		head := 0
 		for _, peer := range c.replicas {
 			if peer.state != autoscale.Active {
 				continue
 			}
-			if h := peer.eng.FreeKVPages() - planned[peer]; dst == nil || h > head {
+			if h := peer.kv.FreePages() - planned[peer]; dst == nil || h > head {
 				dst, head = peer, h
 			}
 		}
@@ -326,7 +326,7 @@ func (c *Cluster) migratePin(donor, target *replica, session int, class fabric.C
 	if c.chaos != nil && !c.linkUp(donor.id, target.id, now) {
 		return false // the pair is flapped dark; the turn recomputes
 	}
-	tokens, bytes, ok := donor.eng.BeginPrefixMigration(session)
+	tokens, bytes, ok := donor.kv.BeginMigrateOut(session)
 	if !ok {
 		return false
 	}
@@ -355,7 +355,7 @@ func (c *Cluster) migratePin(donor, target *replica, session int, class fabric.C
 		donor.eng.CompletePrefixMigration(session, t)
 		donor.outMigrations--
 		target.inMigrations--
-		if !target.eng.InstallMigratedPrefix(session, tokens, t) {
+		if !target.kv.InstallPrefix(session, tokens, t) {
 			c.ctr.MigrationDrops++
 		}
 		c.migrationsInFlight--
@@ -383,10 +383,10 @@ func (c *Cluster) sweepDrained(now simclock.Time) {
 		if rep.eng.OutstandingRequests() > 0 || rep.inMigrations > 0 {
 			continue
 		}
-		if pins := rep.eng.HottestPrefixes(0); len(pins) > 0 {
+		if pins := rep.kv.HottestPrefixes(0); len(pins) > 0 {
 			c.drainPins(rep, now)
 		}
-		if rep.outMigrations > 0 || len(rep.eng.HottestPrefixes(0)) > 0 {
+		if rep.outMigrations > 0 || len(rep.kv.HottestPrefixes(0)) > 0 {
 			continue // transfers still on the wire; retry next tick
 		}
 		rep.state = autoscale.Off

@@ -94,11 +94,11 @@ func (c *Cluster) recordSampleSeries(now simclock.Time) {
 		n := &c.repSeries[i]
 		c.reg.Observe(n.queue, now, float64(rep.eng.OutstandingRequests()))
 		util := 0.0
-		if total := rep.eng.TotalKVPages(); total > 0 {
-			util = float64(total-rep.eng.FreeKVPages()) / float64(total)
+		if total := rep.kv.TotalPages(); total > 0 {
+			util = float64(total-rep.kv.FreePages()) / float64(total)
 		}
 		c.reg.Observe(n.kvUtil, now, util)
-		c.reg.Observe(n.mirror, now, float64(rep.eng.HostMirrorBytes()))
+		c.reg.Observe(n.mirror, now, float64(rep.kv.HostMirrorBytes()))
 	}
 	c.fab.Topology().EachLink(func(l *gpu.Link) {
 		n, ok := c.linkSeries[l]

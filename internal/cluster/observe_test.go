@@ -22,7 +22,7 @@ func TestPairLinkSeriesFromFirstUse(t *testing.T) {
 		Replicas: 3, Policy: router.NewRoundRobin(), Migrate: true,
 		SampleEvery: 250 * time.Millisecond,
 		Obs:         obs.Options{Series: true},
-	}, buildTokenFlow())
+	}, cluster.Engines(rtx4090, tokenFlow))
 	if err != nil {
 		t.Fatal(err)
 	}

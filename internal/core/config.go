@@ -15,8 +15,10 @@ import (
 	"time"
 )
 
-// Config holds the TokenFlow scheduler's tunables. Zero values select the
-// paper's defaults via Normalize.
+// Config holds the TokenFlow scheduler's tunables. Start from
+// DefaultConfig: Normalize fills the other zero durations and rates with
+// the paper's defaults, but μ (BufferConservativeness) has no zero
+// default — zero is below its floor of 1 and an error.
 type Config struct {
 	// RescheduleInterval is Δt, the period of full buffer-balancing
 	// passes (§7.5 studies 0.5-1.5s; default 1s).
@@ -25,7 +27,8 @@ type Config struct {
 	// BufferConservativeness is μ, the safety factor in the admission
 	// criterion b_rem ≥ μ·r_i·(τ_evict+τ_load+τ_schedule) (§4.2.1) and in
 	// preemption-victim protection. Higher values behave more like
-	// SGLang (§7.5 studies 1.0 and 20.0; default 2.0).
+	// SGLang (§7.5 studies 1.0 and 20.0; DefaultConfig's 2.0). It must be
+	// at least 1, so zero is an error rather than a default.
 	BufferConservativeness float64
 
 	// AdjustRate is λ in the dynamic working-set shrink
@@ -97,14 +100,12 @@ func DefaultConfig() Config {
 	}
 }
 
-// Normalize fills zero fields with defaults and validates ranges.
+// Normalize fills zero fields other than μ with defaults and validates
+// ranges: μ below 1 (zero included) is an error.
 func (c Config) Normalize() (Config, error) {
 	d := DefaultConfig()
 	if c.RescheduleInterval == 0 {
 		c.RescheduleInterval = d.RescheduleInterval
-	}
-	if c.BufferConservativeness == 0 {
-		c.BufferConservativeness = d.BufferConservativeness
 	}
 	if c.AdjustRate == 0 {
 		c.AdjustRate = d.AdjustRate

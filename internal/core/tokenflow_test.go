@@ -12,11 +12,11 @@ import (
 )
 
 func TestConfigNormalizeDefaults(t *testing.T) {
-	c, err := Config{}.Normalize()
+	d := DefaultConfig()
+	c, err := Config{BufferConservativeness: d.BufferConservativeness}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := DefaultConfig()
 	if c.RescheduleInterval != d.RescheduleInterval || c.AdjustRate != d.AdjustRate ||
 		c.BufferConservativeness != d.BufferConservativeness ||
 		c.TargetBufferSeconds != d.TargetBufferSeconds {
@@ -28,10 +28,11 @@ func TestConfigNormalizeDefaults(t *testing.T) {
 
 func TestConfigNormalizeRejectsBadValues(t *testing.T) {
 	bad := []Config{
-		{RescheduleInterval: -time.Second},
+		{RescheduleInterval: -time.Second, BufferConservativeness: 2},
 		{BufferConservativeness: 0.5},
-		{AdjustRate: 1.5},
-		{ExpectedContextTokens: -1},
+		{BufferConservativeness: 0}, // μ has no zero default
+		{AdjustRate: 1.5, BufferConservativeness: 2},
+		{ExpectedContextTokens: -1, BufferConservativeness: 2},
 	}
 	for i, c := range bad {
 		if _, err := c.Normalize(); err == nil {

@@ -105,33 +105,3 @@ func (e *Engine) Crash(now simclock.Time) (orphans []*request.Request, pinsLost,
 	e.notifyLoad()
 	return orphans, pinsLost, mirrorsLost
 }
-
-// AbortPrefixMigration un-stakes a pin whose interconnect transfer was
-// torn down by a link flap: the prefix returns to normal service on this
-// donor (see kvcache.Manager.AbortMigrateOut).
-func (e *Engine) AbortPrefixMigration(session int) {
-	e.mem.AbortMigrateOut(session)
-}
-
-// HostCacheEnabled reports whether this replica has a host-mirror tier the
-// redundancy loop can copy into.
-func (e *Engine) HostCacheEnabled() bool { return e.mem.HostCacheEnabled() }
-
-// HostMirrorSize reports the raw host-mirrored tokens this replica holds
-// for a session, ignoring device pins and in-flight reloads — the
-// redundancy loop's already-covered probe.
-func (e *Engine) HostMirrorSize(session int) int {
-	return e.mem.MirrorTokens(session)
-}
-
-// AdoptHostMirror installs a host-tier mirror replicated in from a peer,
-// usable once the wire transfer lands at readyAt.
-func (e *Engine) AdoptHostMirror(session, tokens int, readyAt simclock.Time) bool {
-	return e.mem.AdoptMirror(session, tokens, readyAt)
-}
-
-// RepinFromMirror books the h2d transfer re-pinning a session prefix from
-// this replica's own surviving host mirror (post-crash re-replication).
-func (e *Engine) RepinFromMirror(session int, now simclock.Time) (done simclock.Time, tokens int, bytes int64, ok bool) {
-	return e.mem.RepinFromMirror(session, now)
-}

@@ -24,27 +24,9 @@ import (
 )
 
 // KVPolicy selects the memory-management feature set (the Table 2
-// ablation switches).
-type KVPolicy struct {
-	Offload          bool
-	WriteThrough     bool
-	ChunkedWriting   bool
-	LoadEvictOverlap bool
-	PriorityWrites   bool
-
-	// HostCache extends session prefix pins past eviction: an evicted
-	// pin's host mirror stays reloadable over the host-to-device link, and
-	// a returning turn reloads it (inside its TTFT) whenever the measured
-	// link backlog says the wire beats recomputing the prefix. Requires
-	// Offload. Off by default: it is an extension beyond the paper's §5
-	// manager, so the Table 2 ablations are unaffected.
-	HostCache bool
-
-	// HostCachePages bounds the host-tier mirror cache in pages (LRU past
-	// the budget); 0 means unlimited host memory. Only meaningful with
-	// HostCache.
-	HostCachePages int
-}
+// ablation switches and the host-tier prefix cache); it is the KV
+// manager's own policy type, passed through whole.
+type KVPolicy = kvcache.Policy
 
 // TokenFlowKVPolicy enables the full hierarchical manager of §5.
 func TokenFlowKVPolicy() KVPolicy {
@@ -361,16 +343,10 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e.kickFn = func(t simclock.Time) { e.kick(t) }
 	kvcfg := kvcache.Config{
-		PageTokens:       pageTokens,
-		GPUPages:         int(capTokens) / pageTokens,
-		BytesPerToken:    cfg.Model.KVBytesPerToken(),
-		Offload:          cfg.KV.Offload,
-		WriteThrough:     cfg.KV.WriteThrough,
-		ChunkedWriting:   cfg.KV.ChunkedWriting,
-		LoadEvictOverlap: cfg.KV.LoadEvictOverlap,
-		PriorityWrites:   cfg.KV.PriorityWrites,
-		HostCache:        cfg.KV.HostCache,
-		HostCachePages:   cfg.KV.HostCachePages,
+		Policy:        cfg.KV,
+		PageTokens:    pageTokens,
+		GPUPages:      int(capTokens) / pageTokens,
+		BytesPerToken: cfg.Model.KVBytesPerToken(),
 	}
 	if cfg.PrefixCacheFraction > 0 {
 		kvcfg.PrefixPages = int(cfg.PrefixCacheFraction * float64(kvcfg.GPUPages))
@@ -386,11 +362,6 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// HostMirrorBytes reports the host-tier prefix-mirror footprint the
-// engine's KV manager currently holds — the quantity the host-memory
-// budget bounds and the cluster's telemetry series chart.
-func (e *Engine) HostMirrorBytes() int64 { return e.mem.HostMirrorBytes() }
-
 // SetObs installs the flight-recorder sinks on the engine and its KV
 // manager, stamping events with the given replica id. Pure observation:
 // it must not change any scheduling or memory decision.
@@ -404,7 +375,11 @@ func (e *Engine) SetObs(rec *obs.Recorder, prof *obs.Profiler, replica int) {
 // Clock exposes the engine's virtual clock (for tests and harnesses).
 func (e *Engine) Clock() *simclock.Clock { return e.clock }
 
-// Mem exposes the KV manager (read-only use).
+// Mem exposes the engine's KV manager. The manager is built once in New
+// and a crash resets it in place, so the pointer never goes stale. The
+// cluster calls it directly for prefix pins, migrations and host mirrors;
+// operations that must re-kick the engine loop (CompletePrefixMigration,
+// DropPrefix) go through the engine.
 func (e *Engine) Mem() *kvcache.Manager { return e.mem }
 
 // QueueLengths reports the live occupancy of the engine's queues
@@ -496,7 +471,7 @@ func (e *Engine) tryHostReload(r *request.Request, now simclock.Time, cause int6
 		e.hostReloadFallbacks++
 		return false // the wire loses: recompute the prefix
 	}
-	done, _, ok := e.mem.StartHostReload(r.Session, now)
+	done, _, _, ok := e.mem.ReloadMirror(r.Session, fabric.ClassReload, now)
 	if !ok {
 		return false
 	}
@@ -544,65 +519,14 @@ func (e *Engine) notifyLoad() {
 // simulation-time deadline.
 func (e *Engine) MarkTimedOut() { e.timedOut = true }
 
-// CachedPrefixTokens reports the session prefix tokens this engine's KV
-// manager holds pinned, without perturbing eviction order (router probe).
-func (e *Engine) CachedPrefixTokens(session int) int {
-	return e.mem.PeekPrefix(session)
-}
-
 // Sample appends one point to the engine's queued/running time series.
 func (e *Engine) Sample(now simclock.Time) { e.track.Sample(now) }
-
-// FreeKVPages reports the free device KV pages (router hook).
-func (e *Engine) FreeKVPages() int { return e.mem.FreePages() }
-
-// TotalKVPages reports the device KV pool capacity in pages (the capacity
-// signal heterogeneous-aware routers weigh).
-func (e *Engine) TotalKVPages() int { return e.mem.TotalPages() }
-
-// FreeKVTokens reports the free device KV capacity in tokens.
-func (e *Engine) FreeKVTokens() int { return e.mem.FreePages() * pageTokens }
-
-// KVPageTokens reports the KV page granularity in tokens (the conversion
-// factor between the prefix index's page digests and token headroom).
-func (e *Engine) KVPageTokens() int { return pageTokens }
-
-// SetPrefixPublisher forwards the cluster's pin and mirror publication
-// hooks (prefix index, pin-holder table) to the KV manager (see kvcache.Manager.SetPrefixPublisher).
-func (e *Engine) SetPrefixPublisher(pin, mirror func(session, tokens int)) {
-	e.mem.SetPrefixPublisher(pin, mirror)
-}
-
-// PinnedPrefixPages reports the pool pages currently held by session
-// prefix pins (per-replica KV pressure telemetry).
-func (e *Engine) PinnedPrefixPages() int { return e.mem.PinnedPrefixPages() }
-
-// BeginPrefixMigration stakes the session's pinned prefix for migration to
-// a peer replica, reporting the pinned tokens and wire size. The cluster
-// books the interconnect transfer and calls CompletePrefixMigration when
-// it finishes.
-func (e *Engine) BeginPrefixMigration(session int) (tokens int, bytes int64, ok bool) {
-	return e.mem.BeginMigrateOut(session)
-}
 
 // CompletePrefixMigration releases a migrated-out prefix; the freed pages
 // may unblock stalled admissions, so the loop re-kicks.
 func (e *Engine) CompletePrefixMigration(session int, now simclock.Time) {
 	e.mem.CompleteMigrateOut(session)
 	e.kick(now)
-}
-
-// InstallMigratedPrefix materializes a migrated-in session prefix as a
-// pinned page-pool reservation on this replica.
-func (e *Engine) InstallMigratedPrefix(session, tokens int, now simclock.Time) bool {
-	return e.mem.InstallPrefix(session, tokens, now)
-}
-
-// HottestPrefixes lists up to k of this replica's pinned session prefixes
-// in most-recently-used order (k <= 0 lists all) — the donor set for
-// cluster-level KV pre-warming and drain hand-off.
-func (e *Engine) HottestPrefixes(k int) []kvcache.PrefixInfo {
-	return e.mem.HottestPrefixes(k)
 }
 
 // DropPrefix evicts a session's pinned prefix outright (drain hand-off
@@ -636,13 +560,6 @@ func (e *Engine) EstimatePrefill(tokens int) time.Duration {
 		return time.Duration(tokens) * e.avgPrefillTok
 	}
 	return e.cost.PrefillTime(tokens)
-}
-
-// PrefixFootprint reports the session's pinned prefix tokens and wire size
-// without perturbing the cache (the cluster's migration cost model sizes
-// the transfer before committing it).
-func (e *Engine) PrefixFootprint(session int) (tokens int, bytes int64) {
-	return e.mem.PrefixFootprint(session)
 }
 
 // Collect stops outstanding client reading and assembles the Result after

@@ -2,9 +2,8 @@
 // evaluation (§7), plus the cluster studies built on top of it, on the
 // simulated substrate. Each registered experiment runs its workloads and
 // returns a Table of the same rows/series the paper plots;
-// cmd/tokenflow-bench prints the ones its arguments select (all of them by
-// default), and the root bench_test.go runs each as a sub-benchmark of
-// BenchmarkExperiments.
+// cmd/tokenflow-bench prints the ones its arguments select by registry ID
+// (all of them by default): go run ./cmd/tokenflow-bench <id>...
 //
 // Experiment sizes scale with Scale, which tokenflow-bench and the root
 // benchmarks set from the TOKENFLOW_SCALE environment variable

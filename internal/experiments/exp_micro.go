@@ -153,7 +153,7 @@ func Fig08() (*Table, error) {
 	}
 	base := kvcache.Config{
 		PageTokens: 16, GPUPages: 256, BytesPerToken: model.Llama3_8B.KVBytesPerToken(),
-		Offload: true, LoadEvictOverlap: true,
+		Policy: kvcache.Policy{Offload: true, LoadEvictOverlap: true},
 	}
 	wt := base
 	wt.WriteThrough = true
@@ -292,7 +292,7 @@ func Fig10() (*Table, error) {
 func loadEvictScenario(overlap bool) (loadDone, evictDone simclock.Time, err error) {
 	cfg := kvcache.Config{
 		PageTokens: 16, GPUPages: 96, BytesPerToken: model.Llama3_8B.KVBytesPerToken(),
-		Offload: true, LoadEvictOverlap: overlap, WriteThrough: true, ChunkedWriting: true,
+		Policy: kvcache.Policy{Offload: true, LoadEvictOverlap: overlap, WriteThrough: true, ChunkedWriting: true},
 	}
 	clock := simclock.New()
 	ep := fabric.NewSingleHost(5e9, 5e9)

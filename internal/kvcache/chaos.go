@@ -4,16 +4,13 @@ package kvcache
 // wipes the device instantly (every residency, pin, and host mirror dies
 // with the replica) and bumps the crash epoch so completion closures from
 // transfers booked before the crash cannot resurrect state on the
-// backfilled manager. AdoptMirror and RepinFromMirror are the pin-
-// redundancy mechanics: a backup replica adopts host-tier copies of a
-// peer's pinned prefixes, and after the peer crashes, re-pins them from
-// its own mirror so retried session turns reload instead of recomputing.
+// backfilled manager. AdoptMirror and ReloadMirror on ClassReplicate are
+// the pin-redundancy mechanics: a backup replica adopts host-tier copies
+// of a peer's pinned prefixes, and after the peer crashes, re-pins them
+// from its own mirror so retried session turns reload instead of
+// recomputing.
 
-import (
-	"repro/internal/fabric"
-	"repro/internal/obs"
-	"repro/internal/simclock"
-)
+import "repro/internal/simclock"
 
 // Crash destroys every byte the manager holds: request residencies are
 // invalidated (their epochs bump, killing in-flight sync/evict/load
@@ -82,72 +79,8 @@ func (m *Manager) MirrorTokens(session int) int {
 // mirror at least as large, or one mid-reload, is kept instead. It
 // reports whether the copy was adopted.
 func (m *Manager) AdoptMirror(session, tokens int, readyAt simclock.Time) bool {
-	if !m.HostCacheEnabled() || session == 0 || tokens <= 0 {
+	if session == 0 || tokens <= 0 {
 		return false
 	}
-	if old, ok := m.hostPins[session]; ok {
-		if old.reloading || old.tokens >= tokens {
-			return false
-		}
-		m.dropHostMirror(old)
-	}
-	hp := &hostPin{
-		session: session, tokens: tokens, pages: m.Pages(tokens), readyAt: readyAt,
-	}
-	hp.elem = m.hostPinOrder.PushFront(hp)
-	m.hostPins[session] = hp
-	m.hostMirroredPages += hp.pages
-	m.obs.Emit(m.clock.Now(), obs.KindKVMirror, m.obsReplica, -1, session,
-		int64(tokens), int64(hp.pages), 0, 0, "")
-	if m.pubMirror != nil {
-		m.pubMirror(session, tokens)
-	}
-	m.enforceHostBudget()
-	return true
-}
-
-// RepinFromMirror rematerializes a session's host mirror as a device pin
-// over the h2d link on the fabric's replicate class — post-crash recovery
-// restoring a pin the crashed replica held, from this surviving backup's
-// mirror. Same admission rules as a host reload; the install is dropped
-// (mirror kept) when a pin appeared mid-flight or the pool cannot fit it.
-// It reports the completion time, the mirrored tokens, and the booked
-// bytes.
-func (m *Manager) RepinFromMirror(session int, now simclock.Time) (done simclock.Time, tokens int, bytes int64, ok bool) {
-	if !m.HostCacheEnabled() {
-		return 0, 0, 0, false
-	}
-	hp, exists := m.hostPins[session]
-	if !exists || hp.reloading {
-		return 0, 0, 0, false
-	}
-	if _, pinned := m.pins[session]; pinned {
-		return 0, 0, 0, false
-	}
-	hp.reloading = true
-	start := now
-	if hp.readyAt > start {
-		start = hp.readyAt
-	}
-	bytes = int64(hp.pages) * m.PageBytes()
-	_, done = m.ep.EnqueueH2D(fabric.ClassReplicate, start, bytes)
-	crashEpoch := m.crashEpoch
-	m.clock.At(done, func(t simclock.Time) {
-		if m.crashEpoch != crashEpoch {
-			return // this replica crashed too before the re-pin landed
-		}
-		hp.reloading = false
-		if _, pinned := m.pins[hp.session]; pinned || hp.pages > m.cfg.PrefixPages {
-			return
-		}
-		if !m.placePin(hp.session, hp.tokens, hp.pages, t) {
-			return
-		}
-		// Budgeted tiers consume the mirror on a successful re-pin, exactly
-		// as installReloadedPin does.
-		if m.cfg.HostCachePages > 0 {
-			m.dropHostMirror(hp)
-		}
-	})
-	return done, hp.tokens, bytes, true
+	return m.insertMirror(session, tokens, m.Pages(tokens), readyAt)
 }

@@ -90,32 +90,32 @@ func (m *Manager) enforceHostBudget() {
 	}
 }
 
-// mirrorEvictedPin records an evicted pin's host mirror, loadable once the
-// eviction drain lands at readyAt. A smaller mirror for the session is
-// replaced (the larger context covers it); a mirror mid-reload, or one at
-// least as large, is kept.
-func (m *Manager) mirrorEvictedPin(p *pin, readyAt simclock.Time) {
+// insertMirror records a host mirror of a session's prefix — an evicted
+// pin's, or a copy adopted from a peer — loadable once it lands at
+// readyAt. A smaller mirror for the session is replaced (the larger
+// context covers it); a mirror mid-reload, or one at least as large, is
+// kept. It reports whether the mirror was inserted.
+func (m *Manager) insertMirror(session, tokens, pages int, readyAt simclock.Time) bool {
 	if !m.HostCacheEnabled() {
-		return
+		return false
 	}
-	if old, ok := m.hostPins[p.session]; ok {
-		if old.reloading || old.tokens >= p.tokens {
-			return
+	if old, ok := m.hostPins[session]; ok {
+		if old.reloading || old.tokens >= tokens {
+			return false
 		}
 		m.dropHostMirror(old)
 	}
-	hp := &hostPin{
-		session: p.session, tokens: p.tokens, pages: p.pages, readyAt: readyAt,
-	}
+	hp := &hostPin{session: session, tokens: tokens, pages: pages, readyAt: readyAt}
 	hp.elem = m.hostPinOrder.PushFront(hp)
-	m.hostPins[p.session] = hp
-	m.hostMirroredPages += p.pages
-	m.obs.Emit(m.clock.Now(), obs.KindKVMirror, m.obsReplica, -1, p.session,
-		int64(p.tokens), int64(p.pages), 0, 0, "")
+	m.hostPins[session] = hp
+	m.hostMirroredPages += pages
+	m.obs.Emit(m.clock.Now(), obs.KindKVMirror, m.obsReplica, -1, session,
+		int64(tokens), int64(pages), 0, 0, "")
 	if m.pubMirror != nil {
-		m.pubMirror(p.session, p.tokens)
+		m.pubMirror(session, tokens)
 	}
 	m.enforceHostBudget()
+	return true
 }
 
 // HostMirrorTokens reports the host-mirrored prefix tokens available for a
@@ -150,68 +150,66 @@ func (m *Manager) EstimateHostReload(session int, now simclock.Time) time.Durati
 	return wait + m.h2d.QueueDelay(now.Add(wait)) + m.h2d.TransferTime(bytes)
 }
 
-// StartHostReload books the host-to-device transfer that rematerializes a
-// session's mirrored prefix as a device pin. The transfer starts after the
-// mirror's drain completes and lands on the fabric's reload class; at
-// completion the pin is installed (reclaiming colder pins if needed, and
-// dropped — HostReloadDrops — when the pool cannot fit it). It returns the
-// completion time, the mirrored tokens, and whether a reload started.
-func (m *Manager) StartHostReload(session int, now simclock.Time) (done simclock.Time, tokens int, ok bool) {
+// ReloadMirror books the host-to-device transfer that rematerializes a
+// session's host mirror as a device pin, on the given fabric class:
+// ClassReload for a returning turn's host reload, ClassReplicate for
+// post-crash recovery re-pinning, from this backup's mirror, a prefix a
+// crashed peer held. The transfer starts once the mirror has landed. At
+// completion the pin is installed fully synced (the host copy stays
+// valid, so a later eviction is free), reclaiming colder pins if needed;
+// the install is dropped, keeping the mirror, when a pin for the session
+// appeared mid-flight, the mirror exceeds the prefix budget, or the pool
+// cannot fit it even after reclaiming every colder pin. Under a host
+// budget a successful install consumes the mirror.
+//
+// Only ClassReload moves the reload counters: BytesReloaded counts the
+// booked wire (like the other Bytes* counters) and HostReloads /
+// HostReloadTokens only a successful install — a dropped install
+// (HostReloadDrops) recomputes, and must not read as a win. It returns
+// the completion time, the mirrored tokens, the booked bytes, and whether
+// a transfer was booked.
+func (m *Manager) ReloadMirror(session int, class fabric.Class, now simclock.Time) (done simclock.Time, tokens int, bytes int64, ok bool) {
 	if !m.HostCacheEnabled() {
-		return 0, 0, false
+		return 0, 0, 0, false
 	}
 	hp, exists := m.hostPins[session]
 	if !exists || hp.reloading {
-		return 0, 0, false
+		return 0, 0, 0, false
 	}
 	if _, pinned := m.pins[session]; pinned {
-		return 0, 0, false
+		return 0, 0, 0, false
 	}
 	hp.reloading = true
-	start := now
-	if hp.readyAt > start {
-		start = hp.readyAt
+	bytes = int64(hp.pages) * m.PageBytes()
+	if class == fabric.ClassReload {
+		m.bytesReloaded += bytes
+		m.obs.Emit(now, obs.KindKVReload, m.obsReplica, -1, session,
+			int64(hp.tokens), bytes, 0, 0, "")
 	}
-	// BytesReloaded counts the booked wire traffic (like the other Bytes*
-	// counters); HostReloads / HostReloadTokens count only at a successful
-	// install — a dropped install recomputes, and must not read as a win.
-	bytes := int64(hp.pages) * m.PageBytes()
-	m.bytesReloaded += bytes
-	m.obs.Emit(now, obs.KindKVReload, m.obsReplica, -1, session,
-		int64(hp.tokens), bytes, 0, 0, "")
-	_, done = m.ep.EnqueueH2D(fabric.ClassReload, start, bytes)
+	_, done = m.ep.EnqueueH2D(class, max(now, hp.readyAt), bytes)
 	crashEpoch := m.crashEpoch
 	m.clock.At(done, func(t simclock.Time) {
 		if m.crashEpoch != crashEpoch {
 			return // the mirror died with the replica mid-flight
 		}
 		hp.reloading = false
-		m.installReloadedPin(hp, t)
+		_, pinned := m.pins[hp.session]
+		installed := !pinned && hp.pages <= m.cfg.PrefixPages &&
+			m.placePin(hp.session, hp.tokens, hp.pages, t)
+		if class == fabric.ClassReload {
+			if installed {
+				m.hostReloads++
+				m.hostReloadTokens += int64(hp.tokens)
+			} else {
+				m.hostReloadDrops++
+			}
+		}
+		// Under a host-memory budget the install consumes the mirror: the
+		// KV is back on the device, and a later eviction re-mirrors it for
+		// free. Unbudgeted tiers keep the historical keep-forever behavior.
+		if installed && m.cfg.HostCachePages > 0 {
+			m.dropHostMirror(hp)
+		}
 	})
-	return done, hp.tokens, true
-}
-
-// installReloadedPin materializes a landed reload as a device pin, fully
-// synced (the host copy stays valid, so a later eviction is free). The pin
-// is dropped when a pin for the session appeared mid-flight or the pool
-// cannot fit it even after reclaiming every colder pin; the mirror remains
-// either way, and only a successful install counts as a completed reload.
-func (m *Manager) installReloadedPin(hp *hostPin, now simclock.Time) {
-	if _, pinned := m.pins[hp.session]; pinned || hp.pages > m.cfg.PrefixPages {
-		m.hostReloadDrops++
-		return
-	}
-	if !m.placePin(hp.session, hp.tokens, hp.pages, now) {
-		m.hostReloadDrops++
-		return
-	}
-	m.hostReloads++
-	m.hostReloadTokens += int64(hp.tokens)
-	// Under a host-memory budget the reload consumes the mirror: the KV is
-	// back on the device, and a later eviction re-mirrors it for free
-	// (installed pins are fully synced). Unbudgeted tiers keep the
-	// historical keep-forever behavior.
-	if m.cfg.HostCachePages > 0 {
-		m.dropHostMirror(hp)
-	}
+	return done, hp.tokens, bytes, true
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fabric"
 	"repro/internal/obs"
 )
 
@@ -85,9 +86,9 @@ func TestHostReloadRematerializesPin(t *testing.T) {
 	if want := rig.h2d.TransferTime(10 * rig.m.PageBytes()); est != want {
 		t.Errorf("reload estimate = %v, want wire %v", est, want)
 	}
-	done, tokens, ok := rig.m.StartHostReload(7, now)
+	done, tokens, _, ok := rig.m.ReloadMirror(7, fabric.ClassReload, now)
 	if !ok || tokens != 160 {
-		t.Fatalf("StartHostReload = (%v, %d, %v)", done, tokens, ok)
+		t.Fatalf("ReloadMirror = (%v, %d, %v)", done, tokens, ok)
 	}
 	if done != now.Add(est) {
 		t.Errorf("reload done at %v, want %v", done, now.Add(est))
@@ -95,7 +96,7 @@ func TestHostReloadRematerializesPin(t *testing.T) {
 	if rig.m.HostMirrorTokens(7) != 0 {
 		t.Error("mirror mid-reload must not offer again")
 	}
-	if _, _, again := rig.m.StartHostReload(7, now); again {
+	if _, _, _, again := rig.m.ReloadMirror(7, fabric.ClassReload, now); again {
 		t.Error("double reload must fail")
 	}
 	rig.clock.Run()
@@ -135,7 +136,7 @@ func TestHostReloadWaitsForDrain(t *testing.T) {
 	if est != drain.Sub(0)+wire {
 		t.Errorf("estimate = %v, want drain wait %v + wire %v", est, drain, wire)
 	}
-	done, _, ok := rig.m.StartHostReload(7, 0)
+	done, _, _, ok := rig.m.ReloadMirror(7, fabric.ClassReload, 0)
 	if !ok || done != drain.Add(wire) {
 		t.Errorf("reload done at %v, want %v", done, drain.Add(wire))
 	}
@@ -154,7 +155,7 @@ func TestHostReloadDropsWhenPoolFull(t *testing.T) {
 	if err := rig.m.AllocateResident(hog, 60*16); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, ok := rig.m.StartHostReload(7, rig.clock.Now()); !ok {
+	if _, _, _, ok := rig.m.ReloadMirror(7, fabric.ClassReload, rig.clock.Now()); !ok {
 		t.Fatal("reload should book")
 	}
 	rig.clock.Run()
@@ -197,11 +198,11 @@ func TestNoMirrorWithoutHostCacheOrOffload(t *testing.T) {
 	if plain.m.HostMirroredPages() != 0 || plain.m.HostMirrorTokens(7) != 0 {
 		t.Error("mirrors recorded with HostCache off")
 	}
-	if _, _, ok := plain.m.StartHostReload(7, 0); ok {
+	if _, _, _, ok := plain.m.ReloadMirror(7, fabric.ClassReload, 0); ok {
 		t.Error("reload must fail with HostCache off")
 	}
 
-	cfg := Config{PrefixPages: 32, HostCache: true} // no Offload
+	cfg := Config{Policy: Policy{HostCache: true}, PrefixPages: 32} // no Offload
 	rig := newRig(t, cfg)
 	finishAs(t, rig, 1, 7, 160, 0)
 	rig.m.ReclaimPrefixPages(10, 0, 0)
@@ -239,7 +240,7 @@ func TestHostMirrorBytesRiseAndFall(t *testing.T) {
 	if s := rig.m.Stats(); s.HostMirrorBytes != want {
 		t.Errorf("stats mirror bytes = %d, want %d", s.HostMirrorBytes, want)
 	}
-	if _, _, ok := rig.m.StartHostReload(7, rig.clock.Now()); !ok {
+	if _, _, _, ok := rig.m.ReloadMirror(7, fabric.ClassReload, rig.clock.Now()); !ok {
 		t.Fatal("reload should book")
 	}
 	rig.clock.Run()
@@ -280,7 +281,7 @@ func TestUnbudgetedReloadKeepsMirror(t *testing.T) {
 	finishAs(t, rig, 1, 7, 160, 0)
 	rig.m.ReclaimPrefixPages(10, 0, 0)
 	rig.clock.Run()
-	if _, _, ok := rig.m.StartHostReload(7, rig.clock.Now()); !ok {
+	if _, _, _, ok := rig.m.ReloadMirror(7, fabric.ClassReload, rig.clock.Now()); !ok {
 		t.Fatal("reload should book")
 	}
 	rig.clock.Run()
@@ -299,7 +300,7 @@ func TestHostMirrorObsEvents(t *testing.T) {
 	finishAs(t, rig, 1, 7, 160, 0)
 	rig.m.ReclaimPrefixPages(10, 0, 0)
 	rig.clock.Run()
-	if _, _, ok := rig.m.StartHostReload(7, rig.clock.Now()); !ok {
+	if _, _, _, ok := rig.m.ReloadMirror(7, fabric.ClassReload, rig.clock.Now()); !ok {
 		t.Fatal("reload should book")
 	}
 	rig.clock.Run()

@@ -20,18 +20,10 @@ import (
 	"repro/internal/simclock"
 )
 
-// Config selects the memory-management policies and pool geometry.
-type Config struct {
-	// PageTokens is the page granularity in tokens (SGLang/vLLM-style
-	// paged attention blocks).
-	PageTokens int
-
-	// GPUPages is the KV pool capacity in pages.
-	GPUPages int
-
-	// BytesPerToken is the model's KV footprint per context token.
-	BytesPerToken int64
-
+// Policy selects the memory-management feature set: the Table 2
+// ablation switches and the host-tier prefix cache. The engine's
+// KVPolicy is this type.
+type Policy struct {
 	// Offload enables host offload on preemption. When false, preemption
 	// discards the KV cache and resumption must recompute (the Table 2
 	// "w/o Offload" ablation and the recompute-style baselines).
@@ -59,19 +51,15 @@ type Config struct {
 	// the write queue is FIFO by request admission.
 	PriorityWrites bool
 
-	// PrefixPages caps the pool pages that session prefix pins may occupy
-	// (see prefix.go). Pinned prefixes are real page-pool citizens: they
-	// are charged against GPUPages, evicted LRU under pressure, and
-	// reclaimed before any admission stall. Zero disables prefix pinning.
-	PrefixPages int
-
 	// HostCache extends the pin lifecycle past eviction (see hostcache.go):
 	// an evicted pin whose dirty pages finished draining stays behind as a
 	// host-mirrored prefix that a later session turn can reload over the
 	// host-to-device link instead of recomputing. Host-mirrored pages live
 	// in host memory only — they are never charged against GPUPages.
 	// Requires Offload (without a host tier there is nothing to mirror
-	// into; the flag is then inert).
+	// into; the flag is then inert). Off by default: it is an extension
+	// beyond the paper's §5 manager, so the Table 2 ablations are
+	// unaffected.
 	HostCache bool
 
 	// HostCachePages budgets the host memory the mirror tier may hold, in
@@ -81,6 +69,27 @@ type Config struct {
 	// overflows, and a mirror is consumed (its host pages freed) once a
 	// reload successfully re-pins it on the device.
 	HostCachePages int
+}
+
+// Config selects the memory-management policies and pool geometry.
+type Config struct {
+	Policy
+
+	// PageTokens is the page granularity in tokens (SGLang/vLLM-style
+	// paged attention blocks).
+	PageTokens int
+
+	// GPUPages is the KV pool capacity in pages.
+	GPUPages int
+
+	// BytesPerToken is the model's KV footprint per context token.
+	BytesPerToken int64
+
+	// PrefixPages caps the pool pages that session prefix pins may occupy
+	// (see prefix.go). Pinned prefixes are real page-pool citizens: they
+	// are charged against GPUPages, evicted LRU under pressure, and
+	// reclaimed before any admission stall. Zero disables prefix pinning.
+	PrefixPages int
 }
 
 // Validate reports an error for non-positive geometry.

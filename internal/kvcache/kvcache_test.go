@@ -63,8 +63,8 @@ func newRig(t testing.TB, cfg Config) *testRig {
 }
 
 func fullConfig() Config {
-	return Config{Offload: true, WriteThrough: true, ChunkedWriting: true,
-		LoadEvictOverlap: true, PriorityWrites: true}
+	return Config{Policy: Policy{Offload: true, WriteThrough: true, ChunkedWriting: true,
+		LoadEvictOverlap: true, PriorityWrites: true}}
 }
 
 func newReq(id, prompt, output int) *request.Request {

@@ -189,13 +189,13 @@ func (m *Manager) evictPin(p *pin, now simclock.Time) {
 	}
 	m.free += p.synced
 	if dirty <= 0 {
-		m.mirrorEvictedPin(p, now)
+		m.insertMirror(p.session, p.tokens, p.pages, now)
 		return
 	}
 	bytes := int64(dirty) * m.PageBytes()
 	m.prefixBytesDrained += bytes
 	_, done := m.ep.EnqueueD2H(fabric.ClassEvict, now, bytes)
-	m.mirrorEvictedPin(p, done)
+	m.insertMirror(p.session, p.tokens, p.pages, done)
 	crashEpoch := m.crashEpoch
 	m.clock.At(done, func(t simclock.Time) {
 		if m.crashEpoch != crashEpoch {
@@ -418,7 +418,7 @@ func (m *Manager) InstallPrefix(session, tokens int, now simclock.Time) bool {
 // or reloaded from the host tier), reclaiming colder pins to make room and
 // enforcing the prefix budget afterward. It reports false — with nothing
 // charged — when the pool cannot fit the pin even after reclaiming every
-// other pin. InstallPrefix and installReloadedPin share it so reloaded and
+// other pin. InstallPrefix and ReloadMirror share it so reloaded and
 // migrated-in pins always obey identical pool-admission rules.
 func (m *Manager) placePin(session, tokens, pages int, now simclock.Time) bool {
 	if pages > m.free {

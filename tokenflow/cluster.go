@@ -322,19 +322,11 @@ func (s AutoscaleSpec) policy() (autoscale.Policy, error) {
 		return nil, fmt.Errorf("tokenflow: autoscale forecast rate %v req/s per replica must not be negative",
 			s.ForecastRatePerReplica)
 	}
-	switch s.Policy {
-	case "", AutoscaleQueuePressure:
-		return autoscale.NewQueuePressure(), nil
-	case AutoscaleKVUtilization:
-		return autoscale.NewKVUtilization(), nil
-	case AutoscaleSLOTarget:
-		return autoscale.NewSLOTarget(s.TargetP99TTFT), nil
-	case AutoscalePredictive:
-		return autoscale.NewPredictive(s.ForecastRatePerReplica), nil
-	default:
-		return nil, fmt.Errorf("tokenflow: unknown autoscale policy %q (have %v)",
-			s.Policy, AutoscalePolicies())
+	name := s.Policy
+	if name == "" {
+		name = AutoscaleQueuePressure
 	}
+	return autoscale.New(string(name), s.TargetP99TTFT, s.ForecastRatePerReplica)
 }
 
 // ReplicaResult reports one replica's share of a cluster run.

@@ -23,7 +23,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/gpu"
 	"repro/internal/metrics"
+	"repro/internal/model"
 	"repro/internal/request"
 	"repro/internal/sched"
 	"repro/internal/simclock"
@@ -51,6 +53,24 @@ const (
 
 // Systems lists all supported systems in the paper's presentation order.
 func Systems() []System { return named[System](engine.Systems()) }
+
+// GPUs lists the device names Config.GPU accepts.
+func GPUs() []string {
+	var out []string
+	for _, s := range gpu.All() {
+		out = append(out, s.Name)
+	}
+	return out
+}
+
+// Models lists the model names Config.Model accepts.
+func Models() []string {
+	var out []string
+	for _, s := range model.All() {
+		out = append(out, s.Name)
+	}
+	return out
+}
 
 // named converts an internal registry's names to their public type.
 func named[T ~string](names []string) []T {
@@ -81,11 +101,12 @@ type Config struct {
 	// System selects the scheduler/memory pairing (default SystemTokenFlow).
 	System System
 
-	// GPU names the device: "RTX-4090", "A6000", "H200", "Ascend-910B".
+	// GPU names the device: "RTX-4090", "A6000", "H200", "Ascend-910B"
+	// (GPUs).
 	GPU string
 
 	// Model names the served model: "Llama3-8B", "Qwen2-7B", "Qwen2.5-7B",
-	// "Qwen2.5-32B".
+	// "Qwen2.5-32B" (Models).
 	Model string
 
 	// MemFraction is the device-memory share for weights + KV (default 0.9).
@@ -125,8 +146,8 @@ type Config struct {
 type TokenFlowOptions struct {
 	// RescheduleInterval is Δt (default 1s).
 	RescheduleInterval time.Duration
-	// BufferConservativeness is μ (default 2.0; higher behaves more like
-	// SGLang).
+	// BufferConservativeness is μ (zero selects the default 2.0; below 1
+	// is an error; higher behaves more like SGLang).
 	BufferConservativeness float64
 	// DisableLocalSearch ablates the adjacent-swap refinement.
 	DisableLocalSearch bool
@@ -200,9 +221,12 @@ func Run(cfg Config, w Workload) (*Result, error) {
 func (cfg Config) system() (sched.Scheduler, engine.KVPolicy, error) {
 	o := cfg.TokenFlow
 	tf := core.DefaultConfig()
-	// Zero defaults and bad values are rejected in core.Config.Normalize.
+	// Zero defaults and bad values are rejected in core.Config.Normalize;
+	// μ has no zero default there, so a zero option keeps DefaultConfig's.
 	tf.RescheduleInterval = o.RescheduleInterval
-	tf.BufferConservativeness = o.BufferConservativeness
+	if o.BufferConservativeness != 0 {
+		tf.BufferConservativeness = o.BufferConservativeness
+	}
 	tf.LocalSearch = !o.DisableLocalSearch
 	tf.FallbackFCFS = !o.DisableFallback
 	s, kv, err := engine.NewSystem(string(cfg.System), tf)

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 func TestRunDefaultsTokenFlowOnH200(t *testing.T) {
@@ -34,6 +36,15 @@ func TestSystemsInPaperOrder(t *testing.T) {
 	want := []System{"sglang-chunked", "sglang", "andes", "tokenflow"}
 	if got := Systems(); !reflect.DeepEqual(got, want) {
 		t.Errorf("Systems() = %v, want %v", got, want)
+	}
+}
+
+func TestGPUsAndModelsInOrder(t *testing.T) {
+	if got, want := GPUs(), []string{"RTX-4090", "A6000", "H200", "Ascend-910B"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("GPUs() = %v, want %v", got, want)
+	}
+	if got, want := Models(), []string{"Llama3-8B", "Qwen2-7B", "Qwen2.5-7B", "Qwen2.5-32B"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Models() = %v, want %v", got, want)
 	}
 }
 
@@ -117,6 +128,21 @@ func TestTokenFlowOptionsValidate(t *testing.T) {
 		_, err := Run(Config{System: SystemTokenFlow, TokenFlow: tc.opts}, w)
 		if (err != nil) != tc.wantErr {
 			t.Errorf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// TestTokenFlowOptionsMu: a zero μ option means the paper default; any
+// set value, the floor of 1 included, reaches the scheduler as given.
+func TestTokenFlowOptionsMu(t *testing.T) {
+	for _, c := range []struct{ opt, want float64 }{{0, 2}, {1, 1}, {20, 20}} {
+		cfg := Config{System: SystemTokenFlow, TokenFlow: TokenFlowOptions{BufferConservativeness: c.opt}}
+		s, _, err := cfg.system()
+		if err != nil {
+			t.Fatalf("μ option %v: %v", c.opt, err)
+		}
+		if got := s.(*core.Scheduler).Config().BufferConservativeness; got != c.want {
+			t.Errorf("μ option %v: scheduler μ = %v, want %v", c.opt, got, c.want)
 		}
 	}
 }
