@@ -481,7 +481,8 @@ func (c *Cluster) startRepins(now simclock.Time) {
 // replica's pinned session prefixes copy to the next Redundancy-1
 // in-service peers' host-mirror tiers over the fabric's replicate class,
 // bounded by the shared concurrency budget. Peers already holding a mirror
-// at least as large are skipped, as are pairs currently flapped down.
+// at least as large are skipped, as are peers whose host tier could never
+// hold the copy and pairs currently flapped down.
 func (c *Cluster) replicateTick(now simclock.Time) {
 	spec := c.chaos.spec
 	for _, src := range c.replicas {
@@ -497,7 +498,7 @@ func (c *Cluster) replicateTick(now simclock.Time) {
 					return
 				}
 				key := copyKey{target: dst.id, session: info.Session}
-				if c.chaos.copying[key] || !dst.kv.HostCacheEnabled() {
+				if c.chaos.copying[key] || !dst.kv.CanMirror(info.Tokens) {
 					continue
 				}
 				if dst.kv.MirrorTokens(info.Session) >= info.Tokens {

@@ -11,8 +11,11 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/fabric"
 	"repro/internal/router"
+	"repro/internal/sched"
 	"repro/internal/simclock"
 )
 
@@ -179,5 +182,40 @@ func TestChaosSolePinHolderCrash(t *testing.T) {
 				t.Errorf("replicationsInFlight=%d after drain", c.chaos.replicationsInFlight)
 			}
 		})
+	}
+}
+
+// TestReplicateSkipsMirrorOverHostBudget: a pin larger than the backup's
+// whole host budget is never copied — adoption would refuse it, so each
+// redundancy tick would pay for the same copy again — while a pin that
+// fits is copied once and then left alone.
+func TestReplicateSkipsMirrorOverHostBudget(t *testing.T) {
+	c, err := New(Config{
+		Replicas: 2,
+		Policy:   router.NewRoundRobin(),
+		Chaos:    &chaos.Spec{Redundancy: 2},
+	}, Engines(rtx4090, func() (sched.Scheduler, engine.KVPolicy, error) {
+		s, kv, err := engine.NewSystem(engine.SystemTokenFlow, core.DefaultConfig())
+		kv.HostCache, kv.HostCachePages = true, 16
+		return s, kv, err
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, dst := c.replicas[0].kv, c.replicas[1].kv
+	if !src.InstallPrefix(7, 1024, 0) || !src.InstallPrefix(8, 128, 0) { // 64 and 8 pages
+		t.Fatal("installing pins failed")
+	}
+	for tick := 0; tick < 4; tick++ {
+		c.replicateTick(c.clock.Now())
+		for c.step(simclock.Forever) {
+		}
+	}
+	if c.ctr.Replications != 1 || dst.MirrorTokens(8) != 128 || dst.MirrorTokens(7) != 0 {
+		t.Errorf("%d copies booked, backup mirrors %d and %d tokens; want 1 copy, 0 and 128",
+			c.ctr.Replications, dst.MirrorTokens(7), dst.MirrorTokens(8))
+	}
+	if s := c.fab.ClassStats()[fabric.ClassReplicate]; s.Transfers != 1 {
+		t.Errorf("%d replicate-class transfers, want 1", s.Transfers)
 	}
 }

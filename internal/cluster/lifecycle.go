@@ -383,10 +383,10 @@ func (c *Cluster) sweepDrained(now simclock.Time) {
 		if rep.eng.OutstandingRequests() > 0 || rep.inMigrations > 0 {
 			continue
 		}
-		if pins := rep.kv.HottestPrefixes(0); len(pins) > 0 {
+		if rep.kv.ServablePins() > 0 {
 			c.drainPins(rep, now)
 		}
-		if rep.outMigrations > 0 || len(rep.kv.HottestPrefixes(0)) > 0 {
+		if rep.outMigrations > 0 || rep.kv.ServablePins() > 0 {
 			continue // transfers still on the wire; retry next tick
 		}
 		rep.state = autoscale.Off

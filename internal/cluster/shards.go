@@ -177,11 +177,19 @@ func (c *Cluster) primeSharded(w trace.Workload) {
 func (c *Cluster) runSharded(deadline simclock.Time) (timedOut bool) {
 	for c.step(deadline) {
 	}
-	// Client read ticks are computed, not events (engine.LastReadTick):
-	// move each shard clock on to its latest tick at or before the deadline.
+	// Client read ticks and write-through sync landings are computed, not
+	// events (engine.LastReadTick, kvcache.PendingSync): move each shard
+	// clock on to the latest of them at or before the deadline, where the
+	// last would have fired as an event. A landing past the deadline is
+	// work left over, as its event would have been.
+	late := make([]bool, len(c.shards))
 	for _, rep := range c.replicas {
-		if last := rep.eng.LastReadTick(deadline); last > rep.eng.Clock().Now() {
+		sync, beyond := rep.kv.PendingSync(deadline)
+		if last := max(rep.eng.LastReadTick(deadline), sync); last > rep.eng.Clock().Now() {
 			rep.eng.Clock().AdvanceTo(last)
+		}
+		if beyond {
+			late[c.shardOf(rep.id).id] = true
 		}
 	}
 	// Align every drained shard clock at the cluster's final instant, so an
@@ -191,7 +199,7 @@ func (c *Cluster) runSharded(deadline simclock.Time) (timedOut bool) {
 	end := c.endNow()
 	timedOut = c.clock.Peek() != simclock.Forever
 	for _, sh := range c.shards {
-		if sh.clock.Peek() != simclock.Forever {
+		if sh.clock.Peek() != simclock.Forever || late[sh.id] {
 			timedOut = true
 		} else {
 			sh.clock.AdvanceTo(end)

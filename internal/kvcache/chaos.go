@@ -17,7 +17,10 @@ import "repro/internal/simclock"
 // completions), all prefix pins and host mirrors vanish with index
 // unpublications, and the pool resets to empty. Cumulative stats are
 // preserved — the replica's history happened. It reports how many pins
-// and mirrors were lost, for the crash event's payload.
+// and mirrors were lost, for the crash event's payload. The sync landing
+// FIFO stays: every landing in it is stale now, so settling drops it, but
+// PendingSync still reports its instant, where its event used to leave
+// the clock.
 func (m *Manager) Crash() (pinsLost, mirrorsLost int) {
 	for _, e := range m.entries {
 		e.epoch++

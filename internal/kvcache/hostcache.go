@@ -48,6 +48,20 @@ func (m *Manager) HostCacheEnabled() bool {
 	return m.cfg.HostCache && m.cfg.Offload && m.PrefixEnabled()
 }
 
+// CanMirror reports whether the host tier could hold a mirror of a
+// session prefix of the given tokens: the tier is on, and the mirror alone
+// fits a positive HostCachePages budget. The redundancy loop asks before
+// paying for a copy that adoption would refuse.
+func (m *Manager) CanMirror(tokens int) bool {
+	return m.HostCacheEnabled() && m.fitsHostBudget(m.Pages(tokens))
+}
+
+// fitsHostBudget reports whether a mirror of the given pages fits the host
+// budget on its own (a zero budget is unlimited).
+func (m *Manager) fitsHostBudget(pages int) bool {
+	return m.cfg.HostCachePages <= 0 || pages <= m.cfg.HostCachePages
+}
+
 // HostMirroredPages reports the host-memory pages currently held by
 // evicted pins' mirrors. These are host pages: they never count toward
 // UsedPages or against GPUPages.
@@ -94,9 +108,11 @@ func (m *Manager) enforceHostBudget() {
 // pin's, or a copy adopted from a peer — loadable once it lands at
 // readyAt. A smaller mirror for the session is replaced (the larger
 // context covers it); a mirror mid-reload, or one at least as large, is
-// kept. It reports whether the mirror was inserted.
+// kept. A mirror that alone exceeds the host budget is refused outright:
+// the budget would drop it, and every older mirror, at once. It reports
+// whether the mirror was inserted.
 func (m *Manager) insertMirror(session, tokens, pages int, readyAt simclock.Time) bool {
-	if !m.HostCacheEnabled() {
+	if !m.HostCacheEnabled() || !m.fitsHostBudget(pages) {
 		return false
 	}
 	if old, ok := m.hostPins[session]; ok {

@@ -66,8 +66,9 @@ type Policy struct {
 	// pages. Zero keeps the historical unlimited behavior: mirrors persist
 	// until replaced by a larger one. A positive budget turns the tier
 	// into a bounded spill buffer: the oldest mirrors drop when the budget
-	// overflows, and a mirror is consumed (its host pages freed) once a
-	// reload successfully re-pins it on the device.
+	// overflows, a mirror larger than the whole budget is never taken in,
+	// and a mirror is consumed (its host pages freed) once a reload
+	// successfully re-pins it on the device.
 	HostCachePages int
 }
 
@@ -146,8 +147,10 @@ type entry struct {
 	pages int
 	// synced counts pages with a clean host mirror.
 	synced int
-	// inFlight counts pages currently on the device-to-host wire from
-	// background sync.
+	// inFlight counts pages booked by background sync whose landing has
+	// not been settled yet (see settle): still on the device-to-host wire,
+	// or landed since the last settle. Only the readers that settle first
+	// tell them apart from synced pages; dirtyPages counts neither.
 	inFlight int
 	// gpuHeld counts pages currently charged against the GPU pool (during
 	// eviction this drains; during load it grows at load start).
@@ -192,6 +195,9 @@ type Manager struct {
 	// syncScratch is the reused candidate buffer of syncCandidates.
 	syncOrder   []*entry
 	syncScratch []*entry
+	// landings is the FIFO of booked sync chunks not yet settled (see
+	// BackgroundSync).
+	landings []landing
 
 	// Session prefix pins (see prefix.go).
 	pins            map[int]*pin

@@ -438,6 +438,7 @@ func TestWriteThroughMakesPreemptionNearInstant(t *testing.T) {
 	// Background-sync all 16 pages with a generous 1-hour iteration budget.
 	rig.m.BackgroundSync(0, time.Hour)
 	rig.clock.Run()
+	rig.clock.RunUntil(rig.m.d2h.BusyUntil()) // the sync landings are not events
 	if rig.m.EstimateEvict(r, rig.clock.Now()) != 0 {
 		t.Errorf("evict estimate after full sync = %v, want 0", rig.m.EstimateEvict(r, rig.clock.Now()))
 	}

@@ -183,7 +183,9 @@ func TestHostMirrorPaths(t *testing.T) {
 // pin's mirror and a peer's adopted copy — follow one set of rules: a
 // larger mirror replaces a smaller one, a mirror at least as large or
 // one on the wire is kept, the oldest mirror drops when the host budget
-// overflows, and nothing is mirrored without the host cache.
+// overflows, a mirror larger than the whole budget is refused without an
+// event and without evicting the others, and nothing is mirrored without
+// the host cache.
 func TestHostMirrorInsertRules(t *testing.T) {
 	insert := map[string]func(t *testing.T, rig *testRig, id, session, tokens int) bool{
 		"evicted-pin": func(t *testing.T, rig *testRig, id, session, tokens int) bool {
@@ -199,7 +201,7 @@ func TestHostMirrorInsertRules(t *testing.T) {
 	for _, source := range []string{"evicted-pin", "adopted"} {
 		put := insert[source]
 		t.Run(source, func(t *testing.T) {
-			rig, _ := mirrorRig(t, 25)
+			rig, rec := mirrorRig(t, 25)
 			if !put(t, rig, 1, 7, 160) { // 10 pages
 				t.Fatal("first mirror not inserted")
 			}
@@ -228,7 +230,24 @@ func TestHostMirrorInsertRules(t *testing.T) {
 				t.Errorf("after overflow: session 7 %d, session 8 %d tokens, %d pages; want 0, 320, 20",
 					rig.m.MirrorTokens(7), rig.m.MirrorTokens(8), rig.m.HostMirroredPages())
 			}
+			// 30 pages alone exceed the 25-page budget.
+			mirrors := rec.CountKind(obs.KindKVMirror)
+			if put(t, rig, 7, 9, 480) || rig.m.CanMirror(480) || !rig.m.CanMirror(400) {
+				t.Error("a mirror larger than the host budget was taken in")
+			}
+			if n := rec.CountKind(obs.KindKVMirror); n != mirrors {
+				t.Errorf("the refused mirror emitted %d mirror events", n-mirrors)
+			}
+			if rig.m.MirrorTokens(8) != 320 || rig.m.HostMirroredPages() != 20 {
+				t.Errorf("the refused mirror left session 8 %d tokens, %d pages; want 320, 20",
+					rig.m.MirrorTokens(8), rig.m.HostMirroredPages())
+			}
 		})
+	}
+	// A peer's copy larger than the whole budget is refused on arrival.
+	small, rec := mirrorRig(t, 25)
+	if small.m.AdoptMirror(7, 640, 0) || rec.CountKind(obs.KindKVMirror) != 0 || small.m.HostMirroredPages() != 0 {
+		t.Error("adopted a 40-page mirror into a 25-page host budget")
 	}
 	off := prefixRig(t) // HostCache off
 	if off.m.AdoptMirror(7, 160, 0) {

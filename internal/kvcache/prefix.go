@@ -112,6 +112,7 @@ func (m *Manager) removePin(p *pin) {
 // session's previous pin, whose pages free immediately (the new context's
 // KV covers them).
 func (m *Manager) ReleaseAsPrefix(r *request.Request, session int, now simclock.Time) {
+	m.settle()
 	e, ok := m.entries[r.ID]
 	if !ok || e.res != ResGPU || !m.PrefixEnabled() || session == 0 {
 		m.Discard(r)
@@ -319,6 +320,18 @@ func (m *Manager) HottestPrefixes(k int) []PrefixInfo {
 		out = append(out, PrefixInfo{Session: p.session, Tokens: p.tokens, Pages: p.pages})
 	}
 	return out
+}
+
+// ServablePins counts the pins HottestPrefixes(0) would list, every pin
+// not staked for migration out, without building the list.
+func (m *Manager) ServablePins() int {
+	n := 0
+	for el := m.pinOrder.Front(); el != nil; el = el.Next() {
+		if !el.Value.(*pin).migrating {
+			n++
+		}
+	}
+	return n
 }
 
 // DropPrefix evicts a session's pin outright (a draining replica with no

@@ -211,6 +211,7 @@ func TestSyncedPinEvictsFree(t *testing.T) {
 	rig.m.BackgroundSync(0, simclock.Duration(10)) // generous interval
 	for rig.clock.Step() {
 	}
+	rig.clock.RunUntil(rig.m.d2h.BusyUntil()) // the sync landings are not events
 	rig.m.ReleaseAsPrefix(r, 7, rig.clock.Now())
 	now := rig.clock.Now()
 	if got := rig.m.ReclaimPrefixPages(10, now, 0); got != 10 {
@@ -299,6 +300,7 @@ func TestInstallEvictsColderPins(t *testing.T) {
 	rig.m.BackgroundSync(0, simclock.Duration(10))
 	for rig.clock.Step() {
 	}
+	rig.clock.RunUntil(rig.m.d2h.BusyUntil()) // the sync landings are not events
 	rig.m.ReleaseAsPrefix(r, 1, rig.clock.Now())
 	if !rig.m.InstallPrefix(2, 160, rig.clock.Now()) {
 		t.Fatal("install should evict the colder pin")
@@ -379,6 +381,34 @@ func TestHottestPrefixesMRUOrder(t *testing.T) {
 	}
 	if got := rig.m.HottestPrefixes(0); len(got) != 2 {
 		t.Fatalf("migrating pin listed: %+v", got)
+	}
+}
+
+// TestServablePins: the pin count agrees with the length of the full
+// HottestPrefixes list through pinning, migration staking, its abort and
+// completion, and eviction.
+func TestServablePins(t *testing.T) {
+	rig := prefixRig(t)
+	steps := []struct {
+		name string
+		do   func()
+		want int
+	}{
+		{"empty", func() {}, 0},
+		{"one pin", func() { finishAs(t, rig, 1, 7, 160, 0) }, 1},
+		{"two pins", func() { finishAs(t, rig, 2, 8, 96, 0) }, 2},
+		{"one staked", func() { rig.m.BeginMigrateOut(8) }, 1},
+		{"both staked", func() { rig.m.BeginMigrateOut(7) }, 0},
+		{"stake aborted", func() { rig.m.AbortMigrateOut(7) }, 1},
+		{"migrated out", func() { rig.m.CompleteMigrateOut(8) }, 1},
+		{"dropped", func() { rig.m.DropPrefix(7, 0) }, 0},
+	}
+	for _, s := range steps {
+		s.do()
+		got, list := rig.m.ServablePins(), len(rig.m.HottestPrefixes(0))
+		if got != s.want || got != list {
+			t.Errorf("%s: ServablePins = %d, HottestPrefixes lists %d; want %d", s.name, got, list, s.want)
+		}
 	}
 }
 

@@ -20,10 +20,18 @@ import (
 // Under PriorityWrites, requests with larger client buffers sync first
 // (they are the likeliest preemption victims, §5.2); otherwise the write
 // queue is FIFO by admission order.
+//
+// A chunk's landing moves its pages from inFlight to synced, and nothing
+// but Preempt, ReleaseAsPrefix and EstimateEvict tells the two apart, so a
+// landing is not a clock event: it joins the manager's landing FIFO with
+// a sequence number reserved on the clock, and those readers settle the
+// FIFO first (see settle). BackgroundSync settles too, so the FIFO holds
+// at most about one iteration's landings.
 func (m *Manager) BackgroundSync(now simclock.Time, iterDur time.Duration) {
 	if !m.cfg.WriteThrough {
 		return
 	}
+	m.settle()
 	// Budget: bytes the link can move during this iteration, starting from
 	// its current backlog. With chunked writing we never book past the end
 	// of the iteration; without it we book everything dirty immediately
@@ -56,19 +64,62 @@ func (m *Manager) BackgroundSync(now simclock.Time, iterDur time.Duration) {
 		bytes := int64(chunk) * pageBytes
 		budget -= bytes
 		e.inFlight += chunk
-		epoch := e.epoch
-		ent := e
 		_, done := m.ep.EnqueueD2H(fabric.ClassSync, now, bytes)
 		m.syncChunks++
 		m.bytesSynced += bytes
-		m.clock.At(done, func(t simclock.Time) {
-			if ent.epoch != epoch {
-				return // invalidated by preemption or discard
-			}
-			ent.inFlight -= chunk
-			ent.synced += chunk
-		})
+		if n := len(m.landings); n > 0 && done < m.landings[n-1].done {
+			panic(fmt.Sprintf("kvcache: sync landing at %v before the previous one at %v", done, m.landings[n-1].done))
+		}
+		m.landings = append(m.landings, landing{e: e, epoch: e.epoch, chunk: chunk, done: done, seq: m.clock.Reserve()})
 	}
+}
+
+// landing is one booked sync chunk: once an event at (done, seq) would
+// have fired, its pages are synced, unless a preemption or discard bumped
+// the entry's epoch since the booking.
+type landing struct {
+	e     *entry
+	epoch uint64
+	chunk int
+	done  simclock.Time
+	seq   uint64
+}
+
+// settle applies every landing whose event would have fired by now, in
+// booking order. The device-to-host link is FIFO, so landings are booked
+// in (done, seq) order and the fired ones are a prefix of the queue.
+func (m *Manager) settle() {
+	n := 0
+	for _, l := range m.landings {
+		if !m.clock.Fired(l.done, l.seq) {
+			break
+		}
+		if l.e.epoch == l.epoch {
+			l.e.inFlight -= l.chunk
+			l.e.synced += l.chunk
+		}
+		n++
+	}
+	if n > 0 {
+		k := copy(m.landings, m.landings[n:])
+		clear(m.landings[k:])
+		m.landings = m.landings[:k]
+	}
+}
+
+// PendingSync reports the latest sync landing still to come at or before
+// deadline, and whether any lands after it. A landing used to be a clock
+// event of its own and could be a clock's last one, as when a crash
+// cancels the iteration but not the writes booked at its start; the
+// cluster's drain moves the clock on to it, so a run ends where it did.
+func (m *Manager) PendingSync(deadline simclock.Time) (last simclock.Time, beyond bool) {
+	for _, l := range m.landings {
+		if l.done > deadline {
+			return last, true
+		}
+		last = l.done
+	}
+	return last, false
 }
 
 // syncCandidates lists resident entries in write-queue order. The returned
@@ -111,6 +162,7 @@ func (m *Manager) IterBoundaryStall(now simclock.Time) time.Duration {
 // The EvictDone callback fires when the request's pages have fully left
 // the device.
 func (m *Manager) Preempt(r *request.Request, now simclock.Time) (simclock.Time, error) {
+	m.settle()
 	e, ok := m.entries[r.ID]
 	if !ok || e.res != ResGPU {
 		return 0, fmt.Errorf("kvcache: preempting non-resident request %d", r.ID)
@@ -241,6 +293,7 @@ func (m *Manager) EstimateLoad(r *request.Request, now simclock.Time) time.Durat
 // right now: queueing plus wire time for its dirty pages (near zero under
 // write-through once the background sync has caught up).
 func (m *Manager) EstimateEvict(r *request.Request, now simclock.Time) time.Duration {
+	m.settle()
 	e, ok := m.entries[r.ID]
 	if !ok || e.res != ResGPU {
 		return 0

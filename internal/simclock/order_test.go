@@ -25,6 +25,10 @@ const maxQueued = 2048
 // it fires (children schedule none), keeping ids unique on both sides.
 const childBase = 1 << 24
 
+// maxReserved caps the reservations one input makes: each firing checks
+// every one of them.
+const maxReserved = 64
+
 // refEvent is one pending event of the reference model.
 type refEvent struct {
 	at     Time
@@ -32,6 +36,7 @@ type refEvent struct {
 	id     int
 	child  Time // delay of the child scheduled on firing; negative for none
 	stream bool
+	twin   bool // the At-scheduled twin of a reservation; never cancelled
 }
 
 // refClock is the reference model.
@@ -149,14 +154,62 @@ type harness struct {
 	cancelable []int
 	nextID     int
 	checked    int // length of the firing-log prefix already compared
+	// reserved lists the clock's reservations; each has an At-scheduled
+	// twin, scheduled right after it, whose firing Fired must track.
+	reserved []reservation
 	// compactions counts Cancel calls that ran a compaction; advancedOpen
-	// counts streams opened after the clock left Zero.
+	// counts streams opened after the clock left Zero; reservedTies counts
+	// reservation checks made at the reservation's own instant, by whether
+	// it read as fired.
 	compactions, advancedOpen int
+	reservedTies              [2]int
+}
+
+// reservation is one Reserve call and the state of its twin event.
+type reservation struct {
+	at        Time
+	seq       uint64
+	twinFired bool
+}
+
+// reserve takes a sequence number at t and schedules its twin at t on
+// both sides; the model skips the reserved number as the clock does.
+func (h *harness) reserve(t Time) {
+	i := len(h.reserved)
+	h.reserved = append(h.reserved, reservation{at: t, seq: h.c.Reserve()})
+	h.m.seq++
+	id := h.nextID
+	h.nextID++
+	h.c.At(t, func(now Time) {
+		h.reserved[i].twinFired = true
+		h.fired(id, -1, now)
+	})
+	h.m.insert(refEvent{at: t, id: id, child: -1, twin: true})
+}
+
+// checkReserved fails unless every reservation reads as fired exactly
+// when its twin has fired (or is firing).
+func (h *harness) checkReserved(where string) {
+	h.t.Helper()
+	for _, r := range h.reserved {
+		got := h.c.Fired(r.at, r.seq)
+		if got != r.twinFired {
+			h.t.Fatalf("%s at %v: Fired(%v, %d) = %v, twin fired %v", where, h.c.Now(), r.at, r.seq, got, r.twinFired)
+		}
+		if r.at == h.c.Now() {
+			if got {
+				h.reservedTies[1]++
+			} else {
+				h.reservedTies[0]++
+			}
+		}
+	}
 }
 
 // fired is the clock-side callback of event id.
 func (h *harness) fired(id int, child, now Time) {
 	h.log = append(h.log, firing{id, now})
+	h.checkReserved("inside an event")
 	if child >= 0 {
 		cid := id + childBase
 		h.handles[cid] = h.c.At(now+child, func(now Time) { h.fired(cid, -1, now) })
@@ -174,7 +227,7 @@ func (h *harness) at(t, child Time) {
 
 func (h *harness) cancel(id int) {
 	h.cancelClock(id)
-	h.m.queue = slices.DeleteFunc(h.m.queue, func(e refEvent) bool { return e.id == id && !e.stream })
+	h.m.queue = slices.DeleteFunc(h.m.queue, func(e refEvent) bool { return e.id == id && !e.stream && !e.twin })
 }
 
 // massCancel cancels every event ever scheduled whose id matches, in one
@@ -185,7 +238,7 @@ func (h *harness) massCancel(match func(id int) bool) {
 			h.cancelClock(id)
 		}
 	}
-	h.m.queue = slices.DeleteFunc(h.m.queue, func(e refEvent) bool { return match(e.id) && !e.stream })
+	h.m.queue = slices.DeleteFunc(h.m.queue, func(e refEvent) bool { return match(e.id) && !e.stream && !e.twin })
 }
 
 func (h *harness) cancelClock(id int) {
@@ -250,6 +303,7 @@ func (h *harness) check(op string) {
 	if h.c.Processed() != uint64(len(h.log)) {
 		h.t.Fatalf("after %s: Processed = %d, fired %d", op, h.c.Processed(), len(h.log))
 	}
+	h.checkReserved("after " + op)
 }
 
 // checkClockOrder decodes data into clock operations, applies each to a
@@ -259,8 +313,14 @@ func checkClockOrder(t testing.TB, data []byte) *harness {
 	r := &byteReader{data: data}
 	for r.more() {
 		switch op := r.next() % 9; op {
-		case 0, 1: // At, maybe with a child
-			h.at(h.c.Now()+Time(r.next()%8), Time(r.next()%6-2))
+		case 0, 1: // At, maybe with a child; or a reservation and its twin
+			t, x := h.c.Now()+Time(r.next()%8), r.next()
+			if x%6 == 5 && len(h.reserved) < maxReserved {
+				h.reserve(t)
+				h.check("Reserve")
+				break
+			}
+			h.at(t, Time(x%6-2))
 			h.check("At")
 		case 2: // Cancel of any event ever scheduled, fired ones included
 			if len(h.cancelable) > 0 {
@@ -345,6 +405,7 @@ func mustPanic(t testing.TB, what string, fn func()) {
 // tie rule and lazy cancellation exist for.
 func TestClockMatchesReferenceModel(t *testing.T) {
 	var tieBefore, tieAfter, compactions, advancedOpen int
+	var reservedTies [2]int
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		data := make([]byte, 64+rng.Intn(512))
@@ -354,10 +415,13 @@ func TestClockMatchesReferenceModel(t *testing.T) {
 		tieAfter += h.m.tieAfter
 		compactions += h.compactions
 		advancedOpen += h.advancedOpen
+		reservedTies[0] += h.reservedTies[0]
+		reservedTies[1] += h.reservedTies[1]
 	}
-	t.Logf("ties before/after a stream: %d/%d, compactions: %d, streams opened after Zero: %d",
-		tieBefore, tieAfter, compactions, advancedOpen)
-	if tieBefore == 0 || tieAfter == 0 || compactions == 0 || advancedOpen == 0 {
+	t.Logf("ties before/after a stream: %d/%d, compactions: %d, streams opened after Zero: %d, reservations read at their instant pending/fired: %d/%d",
+		tieBefore, tieAfter, compactions, advancedOpen, reservedTies[0], reservedTies[1])
+	if tieBefore == 0 || tieAfter == 0 || compactions == 0 || advancedOpen == 0 ||
+		reservedTies[0] == 0 || reservedTies[1] == 0 {
 		t.Fatal("the random interleavings missed a case the model test must cover")
 	}
 }

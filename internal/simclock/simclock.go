@@ -32,6 +32,12 @@
 // tie rule therefore matches scheduling each arrival with At in one loop:
 // an event scheduled before the stream opened fires before an arrival at
 // the same instant, and one scheduled after it fires after.
+//
+// Reserve takes a sequence number without queueing anything, for work
+// whose only effect is bookkeeping that its readers can apply late (the
+// KV manager's write-through landings). Fired then reports whether an
+// event at the reserved (time, sequence) would already have fired, so the
+// readers see the tie order the event would have had, without its cost.
 package simclock
 
 import (
@@ -142,6 +148,9 @@ type Clock struct {
 	canceled int
 	free     []*event
 	stream   stream
+	// (now, fired) is the firing watermark: every event keyed before it
+	// has fired, and none at or after it has (see Fired).
+	fired uint64
 }
 
 // compactAt bounds how much of the heap cancelled events may occupy before
@@ -201,6 +210,25 @@ func (c *Clock) At(at Time, fn func(now Time)) Handle {
 	c.seq++
 	c.up(len(c.pq) - 1)
 	return Handle{ev: e, gen: e.gen}
+}
+
+// Reserve takes the next sequence number without queueing an event, so a
+// later At gets the number after it, exactly as if At had been called
+// here. Fired reports when an event at (at, seq) would have fired.
+func (c *Clock) Reserve() uint64 {
+	c.seq++
+	return c.seq - 1
+}
+
+// Fired reports whether an event at (at, seq), with seq taken from
+// Reserve, would already have fired at the clock's current position.
+// Step moves the watermark past each event it fires, stream arrivals
+// included; AdvanceTo(t) puts it before every event at t, which may still
+// be pending; RunUntil(deadline) puts it after every number reserved so
+// far at or before the deadline. Inside an event, a reservation at the
+// same instant has fired exactly when its sequence number is lower.
+func (c *Clock) Fired(at Time, seq uint64) bool {
+	return at < c.now || at == c.now && seq < c.fired
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
@@ -323,13 +351,14 @@ func (c *Clock) Step() bool {
 	c.sweep()
 	if c.streamFirst() {
 		s := &c.stream
-		k, now, fire := s.k, s.next, s.fire
+		k, now, base, fire := s.k, s.next, s.base, s.fire
 		if s.k++; s.k < s.n {
 			s.next = s.at(s.k)
 		} else {
 			c.stream = stream{} // closed before fire, which may open the next
 		}
 		c.now = now
+		c.fired = base + uint64(k) + 1
 		c.processed++
 		fire(k, now)
 		return true
@@ -337,6 +366,7 @@ func (c *Clock) Step() bool {
 	if len(c.pq) == 0 {
 		return false
 	}
+	c.fired = c.pq[0].seq + 1
 	e := c.pop()
 	c.now = e.at
 	c.processed++
@@ -358,12 +388,15 @@ func (c *Clock) AdvanceTo(t Time) {
 	if next := c.Peek(); next < t {
 		panic(fmt.Sprintf("simclock: advancing to %v past pending event at %v", t, next))
 	}
-	c.now = t
+	if t > c.now {
+		c.now, c.fired = t, 0
+	}
 }
 
 // RunUntil fires events in order until the queue is exhausted or the next
 // event lies strictly after deadline. The clock ends at the later of its
-// current time and deadline (but never moves backwards).
+// current time and deadline (but never moves backwards), and every number
+// reserved so far at or before that instant reads as fired.
 func (c *Clock) RunUntil(deadline Time) {
 	for {
 		next := c.Peek()
@@ -372,8 +405,8 @@ func (c *Clock) RunUntil(deadline Time) {
 		}
 		c.Step()
 	}
-	if deadline > c.now && deadline != Forever {
-		c.now = deadline
+	if deadline >= c.now && deadline != Forever {
+		c.now, c.fired = deadline, c.seq
 	}
 }
 

@@ -2,6 +2,7 @@ package simclock
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -463,5 +464,98 @@ func BenchmarkStepDeepHeap(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		c.Step()
+	}
+}
+
+// Fired reads a reservation as an At-scheduled event with the same
+// sequence number would have fired: Step passes each event it fires,
+// stream arrivals included; AdvanceTo(t) stops before every event at t;
+// RunUntil(deadline) passes every number reserved at or before the
+// deadline, and no number reserved after it.
+func TestReserveFired(t *testing.T) {
+	nop := func(Time) {}
+	cases := []struct {
+		name string
+		run  func(c *Clock) []bool
+		want []bool
+	}{
+		{"unfired before any event", func(c *Clock) []bool {
+			s := c.Reserve()
+			return []bool{c.Fired(0, s), c.Fired(5, s)}
+		}, []bool{false, false}},
+		{"reserved before an event at its instant", func(c *Clock) []bool {
+			s := c.Reserve()
+			var in bool
+			c.At(5, func(Time) { in = c.Fired(5, s) })
+			c.Step()
+			return []bool{in, c.Fired(5, s)}
+		}, []bool{true, true}},
+		{"reserved after an event at its instant", func(c *Clock) []bool {
+			var in bool
+			var s uint64
+			c.At(5, func(Time) { in = c.Fired(5, s) })
+			s = c.Reserve()
+			c.At(6, nop)
+			c.Step()
+			after := c.Fired(5, s)
+			c.Step()
+			return []bool{in, after, c.Fired(5, s)}
+		}, []bool{false, false, true}},
+		{"reserved inside the event at its instant", func(c *Clock) []bool {
+			var in bool
+			var s uint64
+			c.At(5, func(Time) { s = c.Reserve(); in = c.Fired(5, s) })
+			c.Step()
+			return []bool{in, c.Fired(5, s), c.Fired(4, s)}
+		}, []bool{false, false, true}},
+		{"stream arrivals", func(c *Clock) []bool {
+			before := c.Reserve()
+			var in []bool
+			c.Stream(2, func(int) Time { return 5 }, func(k int, _ Time) {
+				in = append(in, c.Fired(5, before))
+			})
+			after := c.Reserve()
+			c.Step()
+			mid := c.Fired(5, after)
+			c.Step()
+			return append(in, mid, c.Fired(5, after))
+		}, []bool{true, true, false, false}},
+		{"AdvanceTo stops before its instant", func(c *Clock) []bool {
+			s := c.Reserve()
+			c.AdvanceTo(5)
+			return []bool{c.Fired(4, s), c.Fired(5, s), c.Fired(6, s)}
+		}, []bool{true, false, false}},
+		{"AdvanceTo the current instant keeps the watermark", func(c *Clock) []bool {
+			s := c.Reserve()
+			c.At(5, nop)
+			c.Step()
+			c.AdvanceTo(5)
+			return []bool{c.Fired(5, s)}
+		}, []bool{true}},
+		{"RunUntil passes its deadline", func(c *Clock) []bool {
+			s := c.Reserve()
+			c.At(3, nop)
+			c.RunUntil(5)
+			later := c.Reserve()
+			return []bool{c.Fired(5, s), c.Fired(6, s), c.Fired(5, later)}
+		}, []bool{true, false, false}},
+		{"RunUntil before now keeps the watermark", func(c *Clock) []bool {
+			var s uint64
+			c.At(5, func(Time) { s = c.Reserve() })
+			c.Step()
+			c.RunUntil(4)
+			return []bool{c.Fired(5, s), c.Now() == 5}
+		}, []bool{false, true}},
+		{"Reserve takes a number and queues nothing", func(c *Clock) []bool {
+			c.At(5, nop)
+			s := c.Reserve()
+			c.At(5, nop)
+			return []bool{s == 1, c.seq == 3, c.Len() == 2}
+		}, []bool{true, true, true}},
+	}
+	for _, tc := range cases {
+		if got := tc.run(New()); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
