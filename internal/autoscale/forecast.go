@@ -71,9 +71,6 @@ func NewSLOTarget(target time.Duration) *SLOTarget {
 // Name implements Policy.
 func (p *SLOTarget) Name() string { return NameSLOTarget }
 
-// Target reports the configured P99 TTFT goal.
-func (p *SLOTarget) Target() time.Duration { return p.target }
-
 // ObservesTTFT implements TTFTObserver: the controller's feedback signal
 // is the windowed P99.
 func (p *SLOTarget) ObservesTTFT() bool { return true }

@@ -803,7 +803,7 @@ func New(cfg Config, build BuildEngine) (*Cluster, error) {
 		// Observation only — it adds no clock events, so the simulation
 		// itself is byte-unaffected. Policies that never read the signal
 		// skip the estimator (and its per-tick sort) entirely.
-		c.ttftWin = metrics.NewTTFTWindow(metrics.DefaultTTFTWindow)
+		c.ttftWin = metrics.NewTTFTWindow()
 		for _, rep := range c.replicas {
 			// First tokens fire on shard goroutines: buffer them
 			// shard-locally and merge at the next barrier (shards.go), so

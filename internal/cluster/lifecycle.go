@@ -18,7 +18,6 @@ package cluster
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/autoscale"
@@ -83,77 +82,27 @@ func (c *Cluster) controlTick(now simclock.Time) {
 	}
 }
 
-// signalFold is one shard's partial sum of the per-replica signal sweep:
-// exact integer counts, so partial sums merge to the same vector bit for
-// bit at any shard count.
-type signalFold struct {
-	active, warming, draining int
-	outstanding, used, total  int
-}
-
-func (f *signalFold) add(g signalFold) {
-	f.active += g.active
-	f.warming += g.warming
-	f.draining += g.draining
-	f.outstanding += g.outstanding
-	f.used += g.used
-	f.total += g.total
-}
-
-// foldSignals sums the signal contributions of the replicas owned by one
-// shard.
-func (c *Cluster) foldSignals(shard int) signalFold {
-	var f signalFold
-	for i := shard; i < len(c.replicas); i += len(c.shards) {
-		rep := c.replicas[i]
+// signals assembles the per-tick cluster view the policy decides from:
+// the replica counts by state, and the outstanding requests and KV page
+// utilization of the active set.
+func (c *Cluster) signals() autoscale.Signals {
+	s := autoscale.Signals{Min: c.cfg.Autoscale.Min, Max: c.cfg.Autoscale.Max}
+	used, total := 0, 0
+	for _, rep := range c.replicas {
 		switch rep.state {
 		case autoscale.Active:
-			f.active++
-			f.outstanding += rep.eng.OutstandingRequests()
-			f.total += rep.kv.TotalPages()
-			f.used += rep.kv.TotalPages() - rep.kv.FreePages()
+			s.Active++
+			s.Outstanding += rep.eng.OutstandingRequests()
+			total += rep.kv.TotalPages()
+			used += rep.kv.TotalPages() - rep.kv.FreePages()
 		case autoscale.Warming:
-			f.warming++
+			s.Warming++
 		case autoscale.Draining:
-			f.draining++
+			s.Draining++
 		}
 	}
-	return f
-}
-
-// signals assembles the per-tick cluster view the policy decides from. The
-// per-replica sweep fans out across shards: each worker folds its own
-// shard's replicas (the control tick is a coordinator event, so every
-// engine is quiescent and each goroutine reads only its shard's state) and
-// the exact integer partials merge in shard order — deep-equal at any
-// shard count. One shard folds inline.
-func (c *Cluster) signals() autoscale.Signals {
-	var f signalFold
-	if len(c.shards) > 1 {
-		folds := make([]signalFold, len(c.shards))
-		var wg sync.WaitGroup
-		wg.Add(len(c.shards))
-		for s := range c.shards {
-			s := s
-			go func() {
-				defer wg.Done()
-				folds[s] = c.foldSignals(s)
-			}()
-		}
-		wg.Wait()
-		for _, g := range folds {
-			f.add(g)
-		}
-	} else {
-		f = c.foldSignals(0)
-	}
-	s := autoscale.Signals{
-		Min: c.cfg.Autoscale.Min, Max: c.cfg.Autoscale.Max,
-		Active: f.active, Warming: f.warming, Draining: f.draining,
-		Outstanding: f.outstanding,
-	}
-	if f.total > 0 {
-		s.KVUtil = float64(f.used) / float64(f.total)
+	if total > 0 {
+		s.KVUtil = float64(used) / float64(total)
 	}
 	return s
 }

@@ -31,7 +31,7 @@ func TestConfigNormalizeDefaults(t *testing.T) {
 	}
 	defaulted := func(edit func(*Config)) Config {
 		return with(func(c *Config) {
-			c.MemFraction, c.MaxBatch, c.PrefixCacheFraction = 0.9, 256, 0.5
+			c.MemFraction, c.MaxBatch = 0.9, 256
 			edit(c)
 		})
 	}
@@ -42,11 +42,8 @@ func TestConfigNormalizeDefaults(t *testing.T) {
 	}{
 		{"zero", base, defaulted(func(*Config) {})},
 		{"set-fields-stay",
-			with(func(c *Config) { c.MemFraction, c.MaxBatch, c.PrefixCacheFraction = 0.8, 64, 0.25 }),
-			defaulted(func(c *Config) { c.MemFraction, c.MaxBatch, c.PrefixCacheFraction = 0.8, 64, 0.25 })},
-		{"negative-prefix-cache-disables",
-			with(func(c *Config) { c.PrefixCacheFraction = -1 }),
-			defaulted(func(c *Config) { c.PrefixCacheFraction = -1 })},
+			with(func(c *Config) { c.MemFraction, c.MaxBatch = 0.8, 64 }),
+			defaulted(func(c *Config) { c.MemFraction, c.MaxBatch = 0.8, 64 })},
 		{"full-mem-fraction", with(func(c *Config) { c.MemFraction = 1 }),
 			defaulted(func(c *Config) { c.MemFraction = 1 })},
 	}

@@ -56,16 +56,6 @@ type Config struct {
 	// KV selects the memory-management policies.
 	KV KVPolicy
 
-	// PrefixCacheFraction caps the session prefix cache as a share of KV
-	// capacity: finished turns of multi-turn sessions keep their context
-	// pinned on the device (LRU within this page budget), so the session's
-	// next turn prefills only the new tokens. Pinned prefixes are charged
-	// against the KV page pool, evicted under memory pressure, and always
-	// reclaimed before an admission is allowed to stall. Zero selects the
-	// default 0.5; negative disables the cache. Sessionless workloads are
-	// unaffected.
-	PrefixCacheFraction float64
-
 	// Clock is the virtual clock the engine schedules its events on.
 	// Required. Its owner drives the simulation and feeds the engine
 	// through Inject/Collect: internal/cluster runs every simulation, a
@@ -80,11 +70,18 @@ type Config struct {
 	Fabric *fabric.Endpoint
 }
 
-// Engine constants: the KV page granularity in tokens, and the cap on the
-// tokens of one prefill iteration batch.
+// Engine constants: the KV page granularity in tokens, the cap on the
+// tokens of one prefill iteration batch, and the session prefix cache's
+// share of KV capacity. Finished turns of multi-turn sessions keep their
+// context pinned on the device (LRU within that page budget), so the
+// session's next turn prefills only the new tokens; pinned prefixes are
+// charged against the KV page pool, evicted under memory pressure, and
+// always reclaimed before an admission is allowed to stall. Sessionless
+// workloads are unaffected.
 const (
-	pageTokens       = 16
-	maxPrefillTokens = 8192
+	pageTokens          = 16
+	maxPrefillTokens    = 8192
+	prefixCacheFraction = 0.5
 )
 
 // Normalize fills zero fields with defaults and validates the result: a
@@ -97,9 +94,6 @@ func (c Config) Normalize() (Config, error) {
 	}
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 256
-	}
-	if c.PrefixCacheFraction == 0 {
-		c.PrefixCacheFraction = 0.5
 	}
 	switch {
 	case c.Scheduler == nil:
@@ -348,9 +342,7 @@ func New(cfg Config) (*Engine, error) {
 		GPUPages:      int(capTokens) / pageTokens,
 		BytesPerToken: cfg.Model.KVBytesPerToken(),
 	}
-	if cfg.PrefixCacheFraction > 0 {
-		kvcfg.PrefixPages = int(cfg.PrefixCacheFraction * float64(kvcfg.GPUPages))
-	}
+	kvcfg.PrefixPages = int(prefixCacheFraction * float64(kvcfg.GPUPages))
 	e.mem, err = kvcache.New(kvcfg, e.clock, ep, kvcache.Callbacks{
 		EvictDone:  e.onEvictDone,
 		LoadDone:   e.onLoadDone,

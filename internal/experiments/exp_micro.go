@@ -313,7 +313,7 @@ func loadEvictScenario(overlap bool) (loadDone, evictDone simclock.Time, err err
 		return 0, 0, err
 	}
 	// Requests 1 and 2 are on the host (previously evicted); request 0 is
-	// resident with half its pages synced.
+	// resident with its first pages synced.
 	r0 := request.New(0, 0, 768, 10, 20)
 	r1 := request.New(1, 0, 256, 10, 20)
 	r2 := request.New(2, 0, 256, 10, 20)
@@ -331,8 +331,10 @@ func loadEvictScenario(overlap bool) (loadDone, evictDone simclock.Time, err err
 		return 0, 0, err
 	}
 	r0.PrefilledTokens = r0.PromptLen
-	m.BackgroundSync(0, 3*time.Millisecond) // syncs roughly half of r0
+	// One 3 ms write-through chunk on the idle link: 7 of r0's 48 pages.
+	m.BackgroundSync(clock.Now(), 3*time.Millisecond)
 	clock.Run()
+	clock.RunUntil(ep.D2H().BusyUntil()) // the sync landing is not an event
 	// Preempt r0 and immediately resume r1 and r2.
 	if _, err := m.Preempt(r0, clock.Now()); err != nil {
 		return 0, 0, err

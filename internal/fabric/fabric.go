@@ -327,7 +327,7 @@ const (
 	ClassDrain
 	// ClassIndex: prefix-index publications — the control-plane events
 	// replicas stream to the gateway's global KV index. Accounting-only
-	// traffic (see Account): the propagation delay is modelled by the
+	// traffic (see AccountN): the propagation delay is modelled by the
 	// index, not by link occupancy.
 	ClassIndex
 	// ClassReplicate: chaos pin-redundancy traffic — periodic host-mirror
@@ -494,24 +494,16 @@ func (s *TransferScheduler) BookBetween(class Class, from, to int, now simclock.
 	return s.book(class, s.topo.Path(from, to), now, bytes, from)
 }
 
-// Account tallies control-plane traffic into a class's ledger without
-// reserving link time: the bytes are real (they cross the fabric and show
-// up in per-class totals and conservation laws) but far too small to
-// contend with KV payloads, and their latency is modelled by the consumer
-// — the prefix index applies publications after its propagation delay.
-// Like link bookings, each replica's accounting row has a single writer,
-// so shard goroutines account concurrently without contention.
-func (s *TransferScheduler) Account(class Class, replica int, bytes int64) {
-	s.topo.checkReplica(replica)
-	cs := &s.classes[replica+1][class]
-	cs.Transfers++
-	cs.Bytes += bytes
-}
-
-// AccountN tallies n equal-sized control-plane transfers in one ledger
-// write — the batched form of Account for producers that count their own
-// traffic (the prefix index's publication counters) and settle the ledger
-// at collection time instead of paying a ledger write per event.
+// AccountN tallies n equal-sized control-plane transfers into a class's
+// ledger in one write, without reserving link time: the bytes are real
+// (they cross the fabric and show up in per-class totals and conservation
+// laws) but far too small to contend with KV payloads, and their latency
+// is modelled by the consumer — the prefix index applies publications
+// after its propagation delay. Producers count their own traffic (the
+// prefix index's publication counters) and settle the ledger at
+// collection time instead of paying a ledger write per event. Like link
+// bookings, each replica's accounting row has a single writer, so shard
+// goroutines account concurrently without contention.
 func (s *TransferScheduler) AccountN(class Class, replica int, bytes, n int64) {
 	s.topo.checkReplica(replica)
 	cs := &s.classes[replica+1][class]
@@ -544,17 +536,6 @@ func (s *TransferScheduler) ClassStats() []ClassStats {
 			out[c].Bytes += cs.Bytes
 			out[c].Busy += cs.Busy
 		}
-	}
-	return out
-}
-
-// LinkSnapshots captures the counters at now of every link that exists,
-// in Links order: under FullMesh only the pairs resolved so far appear.
-func (s *TransferScheduler) LinkSnapshots(now simclock.Time) []gpu.LinkSnapshot {
-	links := s.topo.Links()
-	out := make([]gpu.LinkSnapshot, 0, len(links))
-	for _, l := range links {
-		out = append(out, l.Snapshot(now))
 	}
 	return out
 }

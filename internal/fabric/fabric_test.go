@@ -225,11 +225,11 @@ func TestClassAccounting(t *testing.T) {
 	}
 }
 
-// TestLinkSnapshots: every link that exists is visible, in Links order —
-// host pairs once attached, then under the full mesh each pair link from
-// its pair's first Path on, in first-use order, then the NICs and the
-// switch. Looking a pair up again adds nothing.
-func TestLinkSnapshots(t *testing.T) {
+// TestEachLinkOrder: EachLink visits every link that exists, in Links
+// order — host pairs once attached, then under the full mesh each pair
+// link from its pair's first Path on, in first-use order, then the NICs
+// and the switch. Looking a pair up again adds nothing.
+func TestEachLinkOrder(t *testing.T) {
 	nic := Spec{Kind: SharedNIC, LinkGBps: 1, SwitchGBps: 5}
 	mesh := Spec{Kind: FullMesh, LinkGBps: 1}
 	host := []string{"host-d2h-0", "host-h2d-0"}
@@ -256,11 +256,9 @@ func TestLinkSnapshots(t *testing.T) {
 			s.Topology().Path(p[0], p[1])
 		}
 		var got []string
-		for _, sn := range s.LinkSnapshots(0) {
-			got = append(got, sn.Name)
-		}
+		s.Topology().EachLink(func(l *gpu.Link) { got = append(got, l.Name()) })
 		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("%s: snapshots %v, want %v", c.name, got, c.want)
+			t.Errorf("%s: links %v, want %v", c.name, got, c.want)
 		}
 	}
 }

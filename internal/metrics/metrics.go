@@ -194,21 +194,3 @@ func Imbalance(loads []float64) float64 {
 	}
 	return max / (sum / float64(len(loads)))
 }
-
-// Ratio reports (a-b)/b as a percentage, the improvement convention used
-// in the paper's headline numbers ("82.5% higher effective throughput").
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return (a - b) / b * 100
-}
-
-// Reduction reports (b-a)/b as a percentage ("80.2% lower P99 TTFT" when a
-// is TokenFlow and b the baseline).
-func Reduction(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return (b - a) / b * 100
-}

@@ -54,18 +54,6 @@ func TestPercentileEmptyPanics(t *testing.T) {
 	Percentile(nil, 0.5)
 }
 
-func TestRatioAndReduction(t *testing.T) {
-	if got := Ratio(182.5, 100); got != 82.5 {
-		t.Errorf("ratio = %v", got)
-	}
-	if got := Reduction(19.8, 100); got < 80.1 || got > 80.3 {
-		t.Errorf("reduction = %v", got)
-	}
-	if Ratio(5, 0) != 0 || Reduction(5, 0) != 0 {
-		t.Error("zero denominators should report 0")
-	}
-}
-
 // buildRequest creates a finished request with a synthetic token history.
 // The testing.T parameter is unused but keeps call sites uniform; it may be
 // nil.

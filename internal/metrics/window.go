@@ -14,25 +14,18 @@ import (
 // off the front. The estimator is deterministic: identical observation
 // sequences yield identical quantiles.
 type TTFTWindow struct {
-	window  time.Duration
 	at      []simclock.Time
 	values  []time.Duration
 	scratch []time.Duration
 }
 
-// DefaultTTFTWindow is the observation horizon the cluster control loop
-// uses when none is configured: long enough to cover a warm-up, short
-// enough that a passed spike stops dominating the percentile.
+// DefaultTTFTWindow is the estimator's observation horizon: long enough
+// to cover a warm-up, short enough that a passed spike stops dominating
+// the percentile.
 const DefaultTTFTWindow = 30 * time.Second
 
-// NewTTFTWindow builds an estimator over the given horizon (non-positive
-// selects DefaultTTFTWindow).
-func NewTTFTWindow(window time.Duration) *TTFTWindow {
-	if window <= 0 {
-		window = DefaultTTFTWindow
-	}
-	return &TTFTWindow{window: window}
-}
+// NewTTFTWindow builds an estimator over DefaultTTFTWindow.
+func NewTTFTWindow() *TTFTWindow { return &TTFTWindow{} }
 
 // Observe records one TTFT sample stamped at its first-token instant.
 func (w *TTFTWindow) Observe(at simclock.Time, v time.Duration) {
@@ -44,7 +37,7 @@ func (w *TTFTWindow) Observe(at simclock.Time, v time.Duration) {
 // now.
 func (w *TTFTWindow) evict(now simclock.Time) {
 	cut := 0
-	for cut < len(w.at) && w.at[cut] < now.Add(-w.window) {
+	for cut < len(w.at) && w.at[cut] < now.Add(-DefaultTTFTWindow) {
 		cut++
 	}
 	if cut > 0 {

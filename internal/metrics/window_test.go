@@ -8,7 +8,7 @@ import (
 )
 
 func TestTTFTWindowQuantile(t *testing.T) {
-	w := NewTTFTWindow(10 * time.Second)
+	w := NewTTFTWindow()
 
 	// Empty window reads as no latency pressure.
 	if got := w.Quantile(simclock.FromSeconds(5), 0.99); got != 0 {
@@ -26,21 +26,21 @@ func TestTTFTWindowQuantile(t *testing.T) {
 		t.Errorf("P50 = %v, want 3s", got)
 	}
 
-	// At t=13 the samples stamped before t=3 have fallen out: only 3..5
-	// remain. At t=20 everything is gone.
-	if got := w.Len(simclock.FromSeconds(13)); got != 3 {
-		t.Errorf("Len at t=13 = %d, want 3", got)
+	// At t=33 the samples stamped before t=3 have fallen out of the 30s
+	// window: only 3..5 remain. At t=40 everything is gone.
+	if got := w.Len(simclock.FromSeconds(33)); got != 3 {
+		t.Errorf("Len at t=33 = %d, want 3", got)
 	}
-	if got := w.Quantile(simclock.FromSeconds(13), 0.50); got != 4*time.Second {
+	if got := w.Quantile(simclock.FromSeconds(33), 0.50); got != 4*time.Second {
 		t.Errorf("P50 after eviction = %v, want 4s", got)
 	}
-	if got := w.Quantile(simclock.FromSeconds(20), 0.99); got != 0 {
+	if got := w.Quantile(simclock.FromSeconds(40), 0.99); got != 0 {
 		t.Errorf("fully aged window P99 = %v, want 0", got)
 	}
 }
 
 func TestTTFTWindowDefaultHorizon(t *testing.T) {
-	w := NewTTFTWindow(0)
+	w := NewTTFTWindow()
 	w.Observe(0, time.Second)
 	// Inside the default horizon the sample survives; past it, not.
 	if got := w.Len(simclock.Time(DefaultTTFTWindow) - 1); got != 1 {

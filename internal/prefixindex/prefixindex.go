@@ -78,13 +78,6 @@ func (s Spec) Normalize() (Spec, error) {
 	return s, nil
 }
 
-// Sync reports whether the spec degenerates to a synchronous index: every
-// publication applies at its emission instant and none are lost, so the
-// index equals the live state at every read.
-func (s Spec) Sync() bool {
-	return s.PropagationDelay == 0 && s.DropRate == 0 && s.HeartbeatEvery == 0
-}
-
 // EvKind labels one published event.
 type EvKind uint8
 
@@ -323,12 +316,6 @@ func (x *Index) loadBeats(a, b int) bool {
 	}
 	return a < b
 }
-
-// Spec returns the index's consistency configuration.
-func (x *Index) Spec() Spec { return x.spec }
-
-// Sync reports whether the index runs in the synchronous degenerate mode.
-func (x *Index) Sync() bool { return x.spec.Sync() }
 
 // LiveHeadroom reports whether affinity headroom checks should read the
 // holder's live free-token count (per-change signalling carries no

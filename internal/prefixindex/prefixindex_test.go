@@ -67,12 +67,6 @@ func TestSpecNormalizeDefaults(t *testing.T) {
 			Spec{HeartbeatEvery: time.Second, PropagationDelay: 200 * time.Millisecond,
 				MaxStaleness: 3200 * time.Millisecond}},
 	})
-	if !(Spec{}).Sync() {
-		t.Error("zero spec must be synchronous")
-	}
-	if (Spec{PropagationDelay: time.Second}).Sync() {
-		t.Error("delayed spec must not be synchronous")
-	}
 }
 
 // TestSpecNormalize: set fields stay, and without heartbeats a zero

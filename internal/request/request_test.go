@@ -311,9 +311,6 @@ func TestTrackerSamples(t *testing.T) {
 	if s[1].Running != 2 || s[1].Queued != 1 {
 		t.Errorf("sample 2 = %+v", s[1])
 	}
-	if tr.MaxRunning() != 2 || tr.MaxQueued() != 2 {
-		t.Errorf("max running=%d queued=%d", tr.MaxRunning(), tr.MaxQueued())
-	}
 }
 
 func TestTrackerEmptyNotFinished(t *testing.T) {

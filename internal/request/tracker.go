@@ -96,25 +96,3 @@ func (t *Tracker) Sample(at simclock.Time) {
 
 // Samples returns the recorded time series.
 func (t *Tracker) Samples() []Sample { return t.samples }
-
-// MaxRunning reports the peak concurrent running count over the series.
-func (t *Tracker) MaxRunning() int {
-	max := 0
-	for _, s := range t.samples {
-		if s.Running > max {
-			max = s.Running
-		}
-	}
-	return max
-}
-
-// MaxQueued reports the peak queued count over the series.
-func (t *Tracker) MaxQueued() int {
-	max := 0
-	for _, s := range t.samples {
-		if s.Queued > max {
-			max = s.Queued
-		}
-	}
-	return max
-}

@@ -398,12 +398,7 @@ func (c *Clock) AdvanceTo(t Time) {
 // current time and deadline (but never moves backwards), and every number
 // reserved so far at or before that instant reads as fired.
 func (c *Clock) RunUntil(deadline Time) {
-	for {
-		next := c.Peek()
-		if next > deadline {
-			break
-		}
-		c.Step()
+	for c.Peek() <= deadline && c.Step() {
 	}
 	if deadline >= c.now && deadline != Forever {
 		c.now, c.fired = deadline, c.seq

@@ -153,6 +153,51 @@ func TestRunUntilInclusiveOfDeadline(t *testing.T) {
 	}
 }
 
+// TestRunUntilForeverReturns: RunUntil(Forever) drains the queue and
+// returns, on a drained clock and on one with pending events; the clock
+// stays at its last event.
+func TestRunUntilForeverReturns(t *testing.T) {
+	cases := []struct {
+		name      string
+		events    []Time // the 3s event schedules one more at 4s
+		wantFired int
+		wantNow   Time
+	}{
+		{"drained", nil, 0, 0},
+		{"pending", []Time{FromSeconds(1), FromSeconds(3)}, 3, FromSeconds(4)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New()
+			fired := 0
+			for _, at := range tc.events {
+				c.At(at, func(now Time) {
+					fired++
+					if now == FromSeconds(3) {
+						c.At(FromSeconds(4), func(Time) { fired++ })
+					}
+				})
+			}
+			done := make(chan struct{})
+			go func() {
+				c.RunUntil(Forever)
+				close(done)
+			}()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("RunUntil(Forever) did not return")
+			}
+			if fired != tc.wantFired {
+				t.Errorf("fired = %d, want %d", fired, tc.wantFired)
+			}
+			if c.Now() != tc.wantNow || c.Len() != 0 {
+				t.Errorf("now = %v with %d pending, want %v with none", c.Now(), c.Len(), tc.wantNow)
+			}
+		})
+	}
+}
+
 func TestPeekEmptyQueue(t *testing.T) {
 	c := New()
 	if c.Peek() != Forever {

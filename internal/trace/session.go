@@ -21,13 +21,11 @@ type SessionConfig struct {
 	// Duration is the window over which sessions start.
 	Duration simclock.Time
 
-	// SpikeEvery and SpikeFraction inject flash crowds of session starts:
-	// every SpikeEvery, a cohort of sessions opens simultaneously (the
-	// request-burst regime), with SpikeFraction of all sessions assigned to
-	// cohorts (default 0.5 when SpikeEvery > 0). Zero SpikeEvery disables
-	// spikes and spreads all starts uniformly.
-	SpikeEvery    simclock.Time
-	SpikeFraction float64
+	// SpikeEvery injects flash crowds of session starts: every SpikeEvery,
+	// a cohort of sessions opens simultaneously (the request-burst
+	// regime), with spikeFraction of all sessions assigned to cohorts.
+	// Zero disables spikes and spreads all starts uniformly.
+	SpikeEvery simclock.Time
 
 	// RampUp draws non-spike session starts with density growing linearly
 	// over the window (few conversations early, many late) instead of
@@ -48,16 +46,20 @@ type SessionConfig struct {
 	OutputMean, OutputStd           float64
 	MinLen, MaxLen                  int
 
-	// ThinkMeanSeconds is the mean of the exponential think-time gap
-	// between consuming one response and sending the next turn (default 10).
-	ThinkMeanSeconds float64
-
 	// Rates draws one consumption rate per session (a user reads at one
 	// speed across their conversation). Nil defaults to FixedRate(20).
 	Rates RateDist
 
 	Seed int64
 }
+
+// Session workload constants: the share of sessions that open in spike
+// cohorts when SpikeEvery > 0, and the mean in seconds of the exponential
+// think-time gap between consuming one response and sending the next turn.
+const (
+	spikeFraction    = 0.5
+	thinkMeanSeconds = 10
+)
 
 // Normalize fills zero fields with their defaults and validates the
 // result: the session count must be positive and the turn bounds must
@@ -87,12 +89,6 @@ func (c SessionConfig) Normalize() (SessionConfig, error) {
 	}
 	if c.MaxLen == 0 {
 		c.MaxLen = 8192
-	}
-	if c.ThinkMeanSeconds == 0 {
-		c.ThinkMeanSeconds = 10
-	}
-	if c.SpikeEvery > 0 && c.SpikeFraction == 0 {
-		c.SpikeFraction = 0.5
 	}
 	if c.Rates == nil {
 		c.Rates = FixedRate(20)
@@ -129,7 +125,7 @@ func Sessions(name string, cfg SessionConfig) Workload {
 			spikeTimes = append(spikeTimes, at.Seconds())
 		}
 		if len(spikeTimes) > 0 {
-			nSpike = int(cfg.SpikeFraction * float64(cfg.Sessions))
+			nSpike = int(spikeFraction * float64(cfg.Sessions))
 		}
 	}
 	for i := range starts {
@@ -176,7 +172,7 @@ func Sessions(name string, cfg SessionConfig) Workload {
 			if rate > 0 {
 				consume = float64(output) / rate
 			}
-			t += consume + rng.ExpFloat64()*cfg.ThinkMeanSeconds
+			t += consume + rng.ExpFloat64()*thinkMeanSeconds
 			prompt = clampInt(prompt+output+sample(cfg.FollowupMean, cfg.FollowupStd),
 				cfg.MinLen, cfg.MaxLen)
 		}

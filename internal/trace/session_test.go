@@ -91,8 +91,8 @@ func TestSessionsSpikesClusterStarts(t *testing.T) {
 		SpikeEvery: simclock.FromSeconds(50),
 		Seed:       3,
 	})
-	// Half the sessions (SpikeFraction default 0.5) start exactly at the
-	// spike instants 50s and 100s.
+	// Half the sessions (spikeFraction) start exactly at the spike
+	// instants 50s and 100s.
 	starts := map[simclock.Time]int{}
 	for _, it := range w.Items {
 		if it.Turn == 1 {
@@ -113,8 +113,7 @@ var normalizedDefaults = SessionConfig{
 	FollowupMean: 64, FollowupStd: 16,
 	OutputMean: 256, OutputStd: 64,
 	MinLen: 16, MaxLen: 8192,
-	ThinkMeanSeconds: 10,
-	Rates:            FixedRate(20),
+	Rates: FixedRate(20),
 }
 
 // checkSessionNormalize runs Normalize on each case, compares the result
@@ -140,17 +139,13 @@ func checkSessionNormalize(t *testing.T, cases []struct {
 	}
 }
 
-// TestSessionConfigNormalizeDefaults: every zero field takes its default;
-// spikes get their default cohort share only when they are enabled.
+// TestSessionConfigNormalizeDefaults: every zero field takes its default.
 func TestSessionConfigNormalizeDefaults(t *testing.T) {
-	spiky := normalizedDefaults
-	spiky.SpikeEvery, spiky.SpikeFraction = simclock.FromSeconds(30), 0.5
 	checkSessionNormalize(t, []struct {
 		name     string
 		in, want SessionConfig
 	}{
 		{"zero", SessionConfig{Sessions: 1}, normalizedDefaults},
-		{"spikes", SessionConfig{Sessions: 1, SpikeEvery: simclock.FromSeconds(30)}, spiky},
 	})
 }
 
@@ -159,15 +154,14 @@ func TestSessionConfigNormalizeDefaults(t *testing.T) {
 func TestSessionConfigNormalize(t *testing.T) {
 	set := SessionConfig{
 		Sessions: 40, Duration: simclock.FromSeconds(90),
-		SpikeEvery: simclock.FromSeconds(30), SpikeFraction: 0.25, RampUp: true,
+		SpikeEvery: simclock.FromSeconds(30), RampUp: true,
 		MinTurns: 2, MaxTurns: 2,
 		FirstPromptMean: 100, FirstPromptStd: 10,
 		FollowupMean: 20, FollowupStd: 2,
 		OutputMean: 50, OutputStd: 5,
 		MinLen: 8, MaxLen: 1024,
-		ThinkMeanSeconds: 3,
-		Rates:            UniformRate{Lo: 5, Hi: 9},
-		Seed:             4,
+		Rates: UniformRate{Lo: 5, Hi: 9},
+		Seed:  4,
 	}
 	stdOnly := normalizedDefaults
 	stdOnly.Sessions = 2

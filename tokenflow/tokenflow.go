@@ -112,10 +112,6 @@ type Config struct {
 	// MemFraction is the device-memory share for weights + KV (default 0.9).
 	MemFraction float64
 
-	// TokenFlow tunes the TokenFlow scheduler; ignored for other systems.
-	// The zero value selects the paper's defaults.
-	TokenFlow TokenFlowOptions
-
 	// HostPrefixCache extends session prefix pins past eviction: an
 	// evicted pin's host mirror stays reloadable, and a returning turn
 	// reloads it over the host-to-device link (inside its TTFT) whenever
@@ -140,29 +136,6 @@ type Config struct {
 	// records nothing and leaves results byte-identical to an
 	// uninstrumented run.
 	Obs ObsSpec
-}
-
-// TokenFlowOptions tunes the TokenFlow scheduler (§4 and §7.5).
-type TokenFlowOptions struct {
-	// RescheduleInterval is Δt (default 1s).
-	RescheduleInterval time.Duration
-	// BufferConservativeness is μ (zero selects the default 2.0; below 1
-	// is an error; higher behaves more like SGLang).
-	BufferConservativeness float64
-	// DisableLocalSearch ablates the adjacent-swap refinement.
-	DisableLocalSearch bool
-	// DisableFallback ablates the §4.3 FCFS overload fallback.
-	DisableFallback bool
-	// KV ablates memory-manager features; nil selects the full §5 design.
-	KV *KVOptions
-}
-
-// KVOptions ablates the hierarchical KV cache manager (Table 2).
-type KVOptions struct {
-	DisableOffload          bool
-	DisableWriteThrough     bool
-	DisableChunkedWriting   bool
-	DisableLoadEvictOverlap bool
 }
 
 // RequestStats summarizes one request after a run: whether it Finished,
@@ -215,33 +188,15 @@ func Run(cfg Config, w Workload) (*Result, error) {
 }
 
 // system builds a replica's scheduler and KV policy: the shared system
-// table's entry for cfg.System, with TokenFlowOptions translated into
-// the core scheduler's config, and KVOptions and the host prefix cache
-// applied to TokenFlow's KV policy.
+// table's entry for cfg.System at the paper's defaults, with the host
+// prefix cache applied to TokenFlow's KV policy.
 func (cfg Config) system() (sched.Scheduler, engine.KVPolicy, error) {
-	o := cfg.TokenFlow
-	tf := core.DefaultConfig()
-	// Zero defaults and bad values are rejected in core.Config.Normalize;
-	// μ has no zero default there, so a zero option keeps DefaultConfig's.
-	tf.RescheduleInterval = o.RescheduleInterval
-	if o.BufferConservativeness != 0 {
-		tf.BufferConservativeness = o.BufferConservativeness
+	s, kv, err := engine.NewSystem(string(cfg.System), core.DefaultConfig())
+	if err == nil && cfg.System == SystemTokenFlow {
+		kv.HostCache = cfg.HostPrefixCache
+		kv.HostCachePages = cfg.HostPrefixCachePages
 	}
-	tf.LocalSearch = !o.DisableLocalSearch
-	tf.FallbackFCFS = !o.DisableFallback
-	s, kv, err := engine.NewSystem(string(cfg.System), tf)
-	if err != nil || cfg.System != SystemTokenFlow {
-		return s, kv, err
-	}
-	if o.KV != nil {
-		kv.Offload = !o.KV.DisableOffload
-		kv.WriteThrough = !o.KV.DisableWriteThrough
-		kv.ChunkedWriting = !o.KV.DisableChunkedWriting
-		kv.LoadEvictOverlap = !o.KV.DisableLoadEvictOverlap
-	}
-	kv.HostCache = cfg.HostPrefixCache
-	kv.HostCachePages = cfg.HostPrefixCachePages
-	return s, kv, nil
+	return s, kv, err
 }
 
 // BurstWorkload builds a flash crowd: n requests at t=0 with normally

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 func TestRunDefaultsTokenFlowOnH200(t *testing.T) {
@@ -27,6 +28,22 @@ func TestRunDefaultsTokenFlowOnH200(t *testing.T) {
 	}
 	if res.EffectiveThroughput > res.Throughput+1e-9 {
 		t.Error("effective cannot exceed raw throughput")
+	}
+
+	// The default system runs the paper's scheduler and full KV design.
+	s, kv, err := Config{System: SystemTokenFlow}.system()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.DefaultConfig().Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.(*core.Scheduler).Config(); !reflect.DeepEqual(got, want) {
+		t.Errorf("scheduler config = %+v, want %+v", got, want)
+	}
+	if kv != engine.TokenFlowKVPolicy() {
+		t.Errorf("KV policy = %+v, want %+v", kv, engine.TokenFlowKVPolicy())
 	}
 }
 
@@ -91,72 +108,6 @@ func TestWorkloadGenerators(t *testing.T) {
 	g := BurstGPTWorkload(60, 2, 20, 3)
 	if len(g) < 50 {
 		t.Errorf("burstgpt len = %d", len(g))
-	}
-}
-
-func TestTokenFlowOptionsApply(t *testing.T) {
-	w := BurstWorkload(6, 256, 512, 15, 4)
-	base, err := Run(Config{System: SystemTokenFlow}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tuned, err := Run(Config{System: SystemTokenFlow, TokenFlow: TokenFlowOptions{
-		RescheduleInterval:     500 * time.Millisecond,
-		BufferConservativeness: 20,
-	}}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Finished != tuned.Finished {
-		t.Error("both configs should complete")
-	}
-}
-
-func TestTokenFlowOptionsValidate(t *testing.T) {
-	w := BurstWorkload(2, 128, 64, 20, 4)
-	cases := []struct {
-		name    string
-		opts    TokenFlowOptions
-		wantErr bool
-	}{
-		{"zero values default", TokenFlowOptions{}, false},
-		{"explicit values", TokenFlowOptions{RescheduleInterval: 500 * time.Millisecond, BufferConservativeness: 20}, false},
-		{"negative reschedule interval", TokenFlowOptions{RescheduleInterval: -time.Second}, true},
-		{"negative buffer conservativeness", TokenFlowOptions{BufferConservativeness: -1}, true},
-	}
-	for _, tc := range cases {
-		_, err := Run(Config{System: SystemTokenFlow, TokenFlow: tc.opts}, w)
-		if (err != nil) != tc.wantErr {
-			t.Errorf("%s: err = %v, want error %v", tc.name, err, tc.wantErr)
-		}
-	}
-}
-
-// TestTokenFlowOptionsMu: a zero μ option means the paper default; any
-// set value, the floor of 1 included, reaches the scheduler as given.
-func TestTokenFlowOptionsMu(t *testing.T) {
-	for _, c := range []struct{ opt, want float64 }{{0, 2}, {1, 1}, {20, 20}} {
-		cfg := Config{System: SystemTokenFlow, TokenFlow: TokenFlowOptions{BufferConservativeness: c.opt}}
-		s, _, err := cfg.system()
-		if err != nil {
-			t.Fatalf("μ option %v: %v", c.opt, err)
-		}
-		if got := s.(*core.Scheduler).Config().BufferConservativeness; got != c.want {
-			t.Errorf("μ option %v: scheduler μ = %v, want %v", c.opt, got, c.want)
-		}
-	}
-}
-
-func TestKVAblationOptions(t *testing.T) {
-	w := BurstWorkload(6, 256, 512, 15, 5)
-	res, err := Run(Config{System: SystemTokenFlow, TokenFlow: TokenFlowOptions{
-		KV: &KVOptions{DisableOffload: true},
-	}}, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Finished != 6 {
-		t.Errorf("finished = %d", res.Finished)
 	}
 }
 
