@@ -1162,6 +1162,16 @@ func (c *Cluster) collect(timedOut bool) *Result {
 	// counting its zero load would report imbalance where there was none
 	// to balance. In a static cluster every replica is always available,
 	// so a zero-routed replica there is genuine imbalance and counts.
+	n := 0
+	for _, rep := range c.replicas {
+		n += rep.eng.Registered()
+	}
+	if c.chaos != nil {
+		n += len(c.chaos.failed)
+	}
+	if n > 0 {
+		res.Requests = make([]*request.Request, 0, n)
+	}
 	var loads []float64
 	for _, rep := range c.replicas {
 		if rep.state.InService() {

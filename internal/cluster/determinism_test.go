@@ -18,9 +18,11 @@ import (
 
 	"repro/internal/autoscale"
 	"repro/internal/cluster"
+	"repro/internal/engine"
 	"repro/internal/fabric"
 	"repro/internal/obs"
 	"repro/internal/router"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -28,6 +30,15 @@ import (
 // policies; each row is a fresh-config factory because policies and
 // clusters are stateful one-run objects.
 func determinismGrid() []struct {
+	name string
+	make func() (cluster.Config, cluster.BuildEngine)
+} {
+	return determinismGridOf(tokenFlow)
+}
+
+// determinismGridOf is determinismGrid with every replica running the
+// given system.
+func determinismGridOf(system func() (sched.Scheduler, engine.KVPolicy, error)) []struct {
 	name string
 	make func() (cluster.Config, cluster.BuildEngine)
 } {
@@ -41,14 +52,14 @@ func determinismGrid() []struct {
 		{"static-mesh-always", func() (cluster.Config, cluster.BuildEngine) {
 			return cluster.Config{
 				Replicas: 3, Policy: router.NewSessionAffinity(), Migrate: true,
-			}, cluster.Engines(rtx4090, tokenFlow)
+			}, cluster.Engines(rtx4090, system)
 		}},
 		{"static-shared-nic-cost", func() (cluster.Config, cluster.BuildEngine) {
 			return cluster.Config{
 				Replicas: 3, Policy: router.NewSessionAffinity(), Migrate: true,
 				MigrationPolicy: cluster.MigrateCost,
 				Topology:        topoFor(fabric.SharedNIC, 1, 2),
-			}, cluster.Engines(hetero, tokenFlow)
+			}, cluster.Engines(hetero, system)
 		}},
 		{"queue-pressure-prewarm-mesh", func() (cluster.Config, cluster.BuildEngine) {
 			return cluster.Config{
@@ -59,7 +70,7 @@ func determinismGrid() []struct {
 					Warmup:  2 * time.Second,
 					Prewarm: true,
 				},
-			}, cluster.Engines(rtx4090, tokenFlow)
+			}, cluster.Engines(rtx4090, system)
 		}},
 		{"slo-target-zero-shared-nic", func() (cluster.Config, cluster.BuildEngine) {
 			return cluster.Config{
@@ -71,7 +82,7 @@ func determinismGrid() []struct {
 					Warmup:      2 * time.Second,
 					ScaleToZero: true,
 				},
-			}, cluster.Engines(rtx4090, tokenFlow)
+			}, cluster.Engines(rtx4090, system)
 		}},
 		{"predictive-zero-cost-mesh", func() (cluster.Config, cluster.BuildEngine) {
 			return cluster.Config{
@@ -84,7 +95,7 @@ func determinismGrid() []struct {
 					Prewarm:     true,
 					ScaleToZero: true,
 				},
-			}, cluster.Engines(rtx4090, tokenFlow)
+			}, cluster.Engines(rtx4090, system)
 		}},
 	}
 }

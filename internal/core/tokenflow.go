@@ -18,6 +18,8 @@ type Scheduler struct {
 	ranFull  bool
 
 	// Stats for the evaluation's overhead and behaviour analysis.
+	// LightPasses counts only the light passes that ran: the engine skips
+	// Decide on boundaries before a decision's QuietUntil.
 	FullReschedules int64
 	LightPasses     int64
 	FallbackPasses  int64
@@ -81,8 +83,25 @@ func (s *Scheduler) NextDecisionTime(now simclock.Time) simclock.Time {
 // a full working-set determination and buffer-balancing pass every
 // RescheduleInterval while the system is stressed, and a cheap prefill-
 // first pass otherwise.
+//
+// With nothing waiting or preempted the light pass has nothing to admit,
+// so the decision promises quiet (sched.Decision.QuietUntil) until a full
+// pass could run: the later of the interval gate's expiry and the first
+// instant a running stream's buffer could drop below T_critical.
 func (s *Scheduler) Decide(v *sched.View) sched.Decision {
-	stressed := len(v.Waiting) > 0 || len(v.Preempted) > 0 || s.anyCritical(v)
+	if len(v.Waiting) > 0 || len(v.Preempted) > 0 {
+		return s.decide(v, true)
+	}
+	critical := s.criticalAt(v)
+	d := s.decide(v, critical <= v.Now)
+	d.QuietUntil = critical
+	if s.ranFull {
+		d.QuietUntil = max(critical, s.lastFull.Add(s.cfg.RescheduleInterval))
+	}
+	return d
+}
+
+func (s *Scheduler) decide(v *sched.View, stressed bool) sched.Decision {
 	if !stressed {
 		s.LightPasses++
 		return s.lightPass(v)
@@ -102,15 +121,22 @@ func (s *Scheduler) Decide(v *sched.View) sched.Decision {
 	return s.fullPass(v)
 }
 
-// anyCritical reports whether any running stream's buffer dropped below
-// T_critical (§4.2.1's stress condition).
-func (s *Scheduler) anyCritical(v *sched.View) bool {
+// criticalAt reports the first instant at which a running stream's buffer
+// could be below T_critical (§4.2.1's stress condition) with no further
+// delivery: v.Now when one is below already, Forever when none can get
+// there.
+func (s *Scheduler) criticalAt(v *sched.View) simclock.Time {
+	at := simclock.Forever
 	for _, r := range v.Running {
-		if r.Generated > 0 && !r.GenerationDone() && r.BufferSeconds() < criticalBufferSeconds {
-			return true
+		if r.Generated == 0 || r.GenerationDone() {
+			continue
 		}
+		if r.BufferSeconds() < criticalBufferSeconds {
+			return v.Now
+		}
+		at = min(at, r.BufferBelowAt(v.Now, criticalBufferSeconds))
 	}
-	return false
+	return at
 }
 
 // swapCycleSeconds estimates τ_evict + τ_load + τ_schedule for a candidate

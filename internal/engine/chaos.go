@@ -65,6 +65,7 @@ func (e *Engine) Crash(now simclock.Time) (orphans []*request.Request, pinsLost,
 	e.gpuBusy, e.inKick = false, false
 	e.iterJobs, e.iterJob = e.iterJobs[:0], nil
 	e.batchBuf, e.batchKV = e.batchBuf[:0], e.batchKV[:0]
+	e.batchValid, e.quietUntil = false, 0
 
 	take := func(r *request.Request) {
 		e.track.Remove(r)

@@ -226,14 +226,27 @@ type Engine struct {
 	retryAt   simclock.Time
 
 	// viewBuf/viewBacklog/batchBuf are reused per-kick scratch: the view
-	// and decode batch are rebuilt on every scheduling step, which on
-	// million-request traces would otherwise dominate allocation. The
-	// scheduler contract already forbids retaining the view across calls,
-	// and at most one iteration is in flight, so single buffers suffice.
+	// is rebuilt on every kick that consults the scheduler and the decode
+	// batch whenever the running set changed, which on million-request
+	// traces would otherwise dominate allocation. The scheduler contract
+	// already forbids retaining the view across calls, and at most one
+	// iteration is in flight, so single buffers suffice.
 	viewBuf     sched.View
 	viewBacklog []*request.Request
 	batchBuf    []*request.Request
 	batchKV     []kvcache.Handle // batchBuf[i]'s residency handle
+
+	// quietUntil is the last decision's sched.Decision.QuietUntil: kicks
+	// before it skip the view and Decide, whose answer is promised empty.
+	// Every change to a queue's membership (inject, admit, preempt,
+	// resume, load done, prefill done, finish, crash) zeroes it. batchValid
+	// marks batchBuf/batchKV as the running set's current decode batch and
+	// batchCtx as its context sum; addRunning, removeRunning and a crash
+	// clear it. advancing is set while advanceDecode delivers tokens.
+	quietUntil simclock.Time
+	batchValid bool
+	batchCtx   int64
+	advancing  bool
 
 	// In-flight iteration completion state. Exactly one iteration runs at
 	// a time (gpuBusy), so its parameters live on the engine and the
@@ -434,6 +447,7 @@ func (e *Engine) injectNow(r *request.Request, now simclock.Time, cause int64, i
 		}
 	}
 	e.track.Register(r)
+	e.quietUntil = 0
 	e.waiting = append(e.waiting, r)
 	e.obs.Emit(now, obs.KindQueue, e.obsReplica, r.ID, r.Session,
 		int64(r.CachedPrompt), obs.QueuePayload(cause, r.Turn),
@@ -539,6 +553,10 @@ func (e *Engine) OutstandingRequests() int {
 	return len(e.waiting) + len(e.backlog) + len(e.running) + len(e.preempted) +
 		len(e.loading) + e.pendingInjects
 }
+
+// Registered reports how many requests the engine tracks: the length of
+// the Requests its Collect returns.
+func (e *Engine) Registered() int { return e.track.Total() }
 
 // EstimatePrefill predicts the prefill compute time for n tokens on this
 // device: the profiled per-token latency once iterations have landed, the

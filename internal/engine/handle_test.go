@@ -3,6 +3,7 @@ package engine_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -15,6 +16,7 @@ import (
 	"repro/internal/kvcache"
 	"repro/internal/model"
 	"repro/internal/request"
+	"repro/internal/sched"
 	"repro/internal/simclock"
 )
 
@@ -27,11 +29,76 @@ import (
 // what the map reports, and while the request is resident it must be the
 // handle the map gives now (same entry, same epoch).
 func TestResidencyHandleMatchesMapProbe(t *testing.T) {
+	tokenFlow := func() (sched.Scheduler, engine.KVPolicy) {
+		return core.MustNew(core.DefaultConfig()), engine.TokenFlowKVPolicy()
+	}
+	sweepDecodes(t, func(int64) func() (sched.Scheduler, engine.KVPolicy) { return tokenFlow },
+		func(id int, e *engine.Engine, r *request.Request, held kvcache.Handle) string {
+			m := e.Mem()
+			fresh := m.Handle(r)
+			gotRes, gotPage := m.CheckGrowth(held)
+			wantRes, wantPage := m.CheckGrowth(fresh)
+			if gotRes != wantRes || gotPage != wantPage || (wantRes && held != fresh) {
+				return fmt.Sprintf("replica %d request %d token %d: held handle says resident=%v needPage=%v, map %v %v",
+					id, r.ID, r.Generated+1, gotRes, gotPage, wantRes, wantPage)
+			}
+			return ""
+		})
+}
+
+// TestDecodeBatchReuse holds the decode batch the engine keeps while its
+// running set is unchanged, and the context sum it advances by the tokens
+// each iteration delivered, to a fresh walk of the running set: at the
+// first decoded token of every iteration (CheckDecodeBatch), and over
+// whole runs against the same sweep with the batch forgotten at every
+// decoded token, which gives deep-equal results. Every system runs, so
+// the baselines' instant discards fire EvictDone, and a nested kick that
+// launches the next iteration, from inside the decode step.
+func TestDecodeBatchReuse(t *testing.T) {
+	systems := engine.Systems()
+	system := func(seed int64) func() (sched.Scheduler, engine.KVPolicy) {
+		return func() (sched.Scheduler, engine.KVPolicy) {
+			s, kv, err := engine.NewSystem(systems[seed%int64(len(systems))], core.DefaultConfig())
+			if err != nil {
+				panic(err)
+			}
+			return s, kv
+		}
+	}
+	kept := sweepDecodes(t, system, func(id int, e *engine.Engine, r *request.Request, _ kvcache.Handle) string {
+		if err := engine.CheckDecodeBatch(e, r); err != nil {
+			return fmt.Sprintf("replica %d: %v", id, err)
+		}
+		return ""
+	})
+	walked := sweepDecodes(t, system, func(_ int, e *engine.Engine, _ *request.Request, _ kvcache.Handle) string {
+		engine.ForgetDecodeBatch(e)
+		return ""
+	})
+	for i := range kept {
+		if !reflect.DeepEqual(kept[i], walked[i]) {
+			t.Fatalf("seed %d: the run keeping its decode batch differs from the one walking the running set", i)
+		}
+	}
+}
+
+// sweepDecodes runs seeded random cluster scenarios on a memory-tight
+// device, with a crash in every multi-replica one — preemptions, loads,
+// recompute resumes, prefix adoption, crash retries and migration
+// included — and calls check at every decoded token with the engine, the
+// request and the residency handle the engine holds for it. check
+// reports a mismatch as a non-empty message; system builds each engine's
+// scheduler and KV policy for a scenario seed. It returns each
+// scenario's result.
+func sweepDecodes(t *testing.T, system func(seed int64) func() (sched.Scheduler, engine.KVPolicy),
+	check func(id int, e *engine.Engine, r *request.Request, held kvcache.Handle) string) []*cluster.Result {
+	t.Helper()
 	const scenarios = 24
 	// Probes run on the shards' goroutines.
 	var checked atomic.Int64
 	var mismatch atomic.Pointer[string]
 	var crashes, preemptions int64
+	var results []*cluster.Result
 	for seed := int64(0); seed < scenarios; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		sc := cluster.RandomScenario(rng)
@@ -47,25 +114,21 @@ func TestResidencyHandleMatchesMapProbe(t *testing.T) {
 		}
 		// The scenario's engine on a device whose KV pool holds a few
 		// thousand tokens, so memory pressure preempts running requests.
-		kv := engine.TokenFlowKVPolicy()
-		kv.HostCache = rng.Intn(2) == 0
+		hostCache := rng.Intn(2) == 0
+		build := system(seed)
 		sc.Build = func(id int, clock *simclock.Clock, ep *fabric.Endpoint) (*engine.Engine, error) {
+			s, kv := build()
+			kv.HostCache = hostCache && kv.Offload
 			e, err := engine.New(engine.Config{
 				GPU: gpu.RTX4090, Model: model.Llama3_8B, MemFraction: 0.72,
-				Scheduler: core.MustNew(core.DefaultConfig()), KV: kv, Clock: clock, Fabric: ep,
+				Scheduler: s, KV: kv, Clock: clock, Fabric: ep,
 			})
 			if err != nil {
 				return nil, err
 			}
-			m := e.Mem()
 			engine.SetDecodeProbe(e, func(r *request.Request, held kvcache.Handle) {
 				checked.Add(1)
-				fresh := m.Handle(r)
-				gotRes, gotPage := m.CheckGrowth(held)
-				wantRes, wantPage := m.CheckGrowth(fresh)
-				if gotRes != wantRes || gotPage != wantPage || (wantRes && held != fresh) {
-					msg := fmt.Sprintf("replica %d request %d token %d: held handle says resident=%v needPage=%v, map %v %v",
-						id, r.ID, r.Generated+1, gotRes, gotPage, wantRes, wantPage)
+				if msg := check(id, e, r, held); msg != "" {
 					mismatch.CompareAndSwap(nil, &msg)
 				}
 			})
@@ -84,10 +147,12 @@ func TestResidencyHandleMatchesMapProbe(t *testing.T) {
 		}
 		crashes += res.Crashes
 		preemptions += int64(res.Report.Preemptions)
+		results = append(results, res)
 	}
 	if checked.Load() == 0 || crashes == 0 || preemptions == 0 {
 		t.Errorf("sweep checked %d decoded tokens over %d crashes and %d preemptions; want all three nonzero",
 			checked.Load(), crashes, preemptions)
 	}
 	t.Logf("%d decoded tokens checked over %d crashes and %d preemptions", checked.Load(), crashes, preemptions)
+	return results
 }

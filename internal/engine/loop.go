@@ -37,8 +37,13 @@ func (e *Engine) kick(now simclock.Time) {
 		return
 	}
 
-	d := e.cfg.Scheduler.Decide(e.view(now))
-	e.applyDecision(d, now)
+	if now >= e.quietUntil {
+		// A queue change while the decision applies clears the horizon
+		// again (see quietUntil).
+		d := e.cfg.Scheduler.Decide(e.view(now))
+		e.quietUntil = d.QuietUntil
+		e.applyDecision(d, now)
+	}
 
 	if e.startIteration(now) {
 		return
@@ -119,6 +124,7 @@ func (e *Engine) preemptRunning(r *request.Request, now simclock.Time) {
 // compute target — the cached prefix KV is already materialized on the
 // device — but pages are still reserved for the full prompt.
 func (e *Engine) admitFresh(r *request.Request) {
+	e.quietUntil = 0
 	e.waiting = removeReq(e.waiting, r)
 	e.backlog = append(e.backlog, &prefillJob{
 		req:    r,
@@ -148,6 +154,7 @@ func (e *Engine) resume(r *request.Request, mode sched.ResumeMode, now simclock.
 			}
 			r.Resumes++
 			r.LoadedResumes++
+			e.quietUntil = 0
 			e.preempted = removeReq(e.preempted, r)
 			e.loading = append(e.loading, r)
 			e.track.Transition(r, request.StateLoading)
@@ -163,6 +170,7 @@ func (e *Engine) resume(r *request.Request, mode sched.ResumeMode, now simclock.
 		return // still evicting or already loading; retry later
 	}
 	r.Resumes++
+	e.quietUntil = 0
 	e.preempted = removeReq(e.preempted, r)
 	e.backlog = append(e.backlog, &prefillJob{
 		req:    r,
@@ -239,7 +247,7 @@ func (e *Engine) startPrefillIteration(now simclock.Time) bool {
 // startMixedIteration launches a chunked-prefill iteration: up to
 // chunkTokens of the head prefill job ride along the decode batch.
 func (e *Engine) startMixedIteration(now simclock.Time, chunkTokens int) bool {
-	batch := e.decodeBatch()
+	batch, ctx := e.decodeBatch()
 	var job *prefillJob
 	prefillTokens := 0
 	if len(e.backlog) > 0 {
@@ -255,10 +263,6 @@ func (e *Engine) startMixedIteration(now simclock.Time, chunkTokens int) bool {
 	if job == nil && len(batch) == 0 {
 		return false
 	}
-	var ctx int64
-	for _, r := range batch {
-		ctx += int64(r.ContextLen())
-	}
 	e.iterKind = iterMixed
 	e.iterJob = job
 	e.iterTokens = prefillTokens
@@ -271,13 +275,9 @@ func (e *Engine) startMixedIteration(now simclock.Time, chunkTokens int) bool {
 // startDecodeIteration launches a pure decode iteration over the running
 // batch.
 func (e *Engine) startDecodeIteration(now simclock.Time) bool {
-	batch := e.decodeBatch()
+	batch, ctx := e.decodeBatch()
 	if len(batch) == 0 {
 		return false
-	}
-	var ctx int64
-	for _, r := range batch {
-		ctx += int64(r.ContextLen())
 	}
 	e.iterKind = iterDecode
 	dur := e.cost.DecodeStepTime(len(batch), ctx)
@@ -343,33 +343,46 @@ func (e *Engine) completeIteration(t simclock.Time) {
 }
 
 // decodeBatch collects runnable decode requests up to MaxBatch, and their
-// residency handles into batchKV. The batch reuses one scratch buffer: at
-// most one iteration is ever in flight, and its completion callback
-// finishes with the batch before the next kick can rebuild it.
-func (e *Engine) decodeBatch() []*request.Request {
+// residency handles into batchKV, and reports the batch's context sum. The
+// batch reuses one scratch buffer: at most one iteration is ever in
+// flight, and its completion callback finishes with the batch before the
+// next kick can rebuild it. While the running set is unchanged the batch
+// is the same one (its members' prefill and completion state only changes
+// as they enter or leave the set), so it is reused with the sum that
+// advanceDecode moved by the tokens it delivered. A kick nested inside
+// advanceDecode (an instant discard's EvictDone) rebuilds, and keeps
+// nothing: the sum lacks the deliveries still to come in that iteration.
+func (e *Engine) decodeBatch() ([]*request.Request, int64) {
+	if e.batchValid && !e.advancing {
+		return e.batchBuf, e.batchCtx
+	}
 	batch, kv := e.batchBuf[:0], e.batchKV[:0]
+	var ctx int64
 	for i, r := range e.running {
 		if r.PrefillDone() && !r.GenerationDone() {
 			batch = append(batch, r)
 			kv = append(kv, e.runningKV[i])
+			ctx += int64(r.ContextLen())
 			if len(batch) >= e.cfg.MaxBatch {
 				break
 			}
 		}
 	}
-	e.batchBuf, e.batchKV = batch, kv
-	return batch
+	e.batchBuf, e.batchKV, e.batchCtx, e.batchValid = batch, kv, ctx, !e.advancing
+	return batch, ctx
 }
 
 // addRunning puts a request whose KV just became resident into the
 // running set, with its residency handle.
 func (e *Engine) addRunning(r *request.Request) {
+	e.quietUntil, e.batchValid = 0, false
 	e.running = append(e.running, r)
 	e.runningKV = append(e.runningKV, e.mem.Handle(r))
 }
 
 // removeRunning takes a request and its handle out of the running set.
 func (e *Engine) removeRunning(r *request.Request) {
+	e.quietUntil, e.batchValid = 0, false
 	for i, x := range e.running {
 		if x == r {
 			e.running = append(e.running[:i], e.running[i+1:]...)
@@ -448,6 +461,7 @@ func (e *Engine) completePrefill(j *prefillJob, now simclock.Time) {
 // advanceDecode appends one token to every batch member, handling page
 // growth, OOM, and completion. kv holds the members' residency handles.
 func (e *Engine) advanceDecode(batch []*request.Request, kv []kvcache.Handle, now simclock.Time) {
+	e.advancing = true
 	for i, r := range batch {
 		if r.State != request.StateRunning || r.GenerationDone() {
 			continue // preempted or finished mid-iteration bookkeeping
@@ -482,6 +496,7 @@ func (e *Engine) advanceDecode(batch []*request.Request, kv []kvcache.Handle, no
 			}
 		}
 		r.DeliverTokens(e.clock, now, 1)
+		e.batchCtx++
 		if r.GenerationDone() {
 			e.finish(r, now)
 		} else if r.Generated%decodeStride == 0 {
@@ -489,6 +504,7 @@ func (e *Engine) advanceDecode(batch []*request.Request, kv []kvcache.Handle, no
 				int64(r.Generated), int64(r.ContextLen()), 0, 0, "")
 		}
 	}
+	e.advancing = false
 }
 
 // reactiveEvict preempts the most recently arrived running request (other

@@ -10,7 +10,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/request"
@@ -95,6 +95,7 @@ func Analyze(reqs []*request.Request, makespan simclock.Time, p QoSParams) Repor
 	if len(reqs) == 0 {
 		return rep
 	}
+	rep.Requests = make([]RequestMetrics, 0, len(reqs))
 	ttfts := make([]time.Duration, 0, len(reqs))
 	var qosSum float64
 	for _, r := range reqs {
@@ -137,7 +138,7 @@ func Analyze(reqs []*request.Request, makespan simclock.Time, p QoSParams) Repor
 	rep.StallFraction /= float64(len(reqs))
 	rep.MeanRebuffer = rep.TotalRebuffer / time.Duration(len(reqs))
 
-	sort.Slice(ttfts, func(i, j int) bool { return ttfts[i] < ttfts[j] })
+	slices.Sort(ttfts)
 	var sum time.Duration
 	for _, t := range ttfts {
 		sum += t

@@ -208,3 +208,23 @@ func TestImbalance(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalyzeAllocations pins Analyze to two allocations whatever the
+// population size: the per-request metrics and the TTFT scratch, each
+// sized once.
+func TestAnalyzeAllocations(t *testing.T) {
+	for _, n := range []int{1, 10, 1000} {
+		reqs := make([]*request.Request, n)
+		for i := range reqs {
+			reqs[i] = buildRequest(t, i, float64(i%7), float64(i%7)+1, 20, 3, 0.05)
+		}
+		var rep Report
+		allocs := testing.AllocsPerRun(20, func() {
+			rep = Analyze(reqs, simclock.FromSeconds(20), DefaultQoSParams())
+		})
+		if allocs != 2 || len(rep.Requests) != n || cap(rep.Requests) != n {
+			t.Errorf("n=%d: %v allocations, %d/%d request metrics; want 2 and %d/%d",
+				n, allocs, len(rep.Requests), cap(rep.Requests), n, n)
+		}
+	}
+}

@@ -1,7 +1,7 @@
 package metrics
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/simclock"
@@ -61,6 +61,6 @@ func (w *TTFTWindow) Quantile(now simclock.Time, q float64) time.Duration {
 		return 0
 	}
 	w.scratch = append(w.scratch[:0], w.values...)
-	sort.Slice(w.scratch, func(i, j int) bool { return w.scratch[i] < w.scratch[j] })
+	slices.Sort(w.scratch)
 	return Percentile(w.scratch, q)
 }

@@ -26,6 +26,7 @@ package request
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/simclock"
@@ -388,6 +389,44 @@ func (r *Request) ReadTicks(t simclock.Time) (last, next simclock.Time) {
 	default:
 		return r.tick - simclock.Time(r.interval()), r.tick
 	}
+}
+
+// BufferBelowAt catches reading up to t, like ReadTicks, and reports the
+// first instant at or after t at which BufferSeconds() < sec holds if no
+// further token is delivered: t when it holds already, else the read tick
+// that takes the buffer there. It reports Forever when no read is left to
+// change the buffer — an instant consumer, or reading not started, done or
+// cancelled — and when even an empty buffer is not below sec. The test is
+// BufferSeconds's own float division, so the instant is exact. Later
+// deliveries only raise the buffer and leave a reading client's tick grid
+// in place, so they can only postpone the instant.
+func (r *Request) BufferBelowAt(t simclock.Time, sec float64) simclock.Time {
+	if r.clock == nil {
+		return simclock.Forever
+	}
+	r.catchUp(t)
+	if r.clock == nil {
+		return simclock.Forever
+	}
+	below := func(tokens int) bool { return float64(tokens)/r.Rate < sec }
+	buffered := r.Generated - r.consumed
+	switch {
+	case below(buffered):
+		return t
+	case !below(0):
+		return simclock.Forever
+	}
+	// m is the largest buffer that tests below sec: the closed form
+	// ⌈sec·Rate⌉−1, corrected for rounding by the test itself.
+	m := min(max(int(math.Ceil(sec*r.Rate))-1, 0), buffered-1)
+	for m+1 < buffered && below(m+1) {
+		m++
+	}
+	for !below(m) {
+		m--
+	}
+	// The buffer reaches m after buffered−m reads; the first is at tick.
+	return r.tick + simclock.Time(buffered-m-1)*simclock.Time(r.interval())
 }
 
 // CancelConsumption catches reading up to the clock's current instant,

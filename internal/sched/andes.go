@@ -87,8 +87,18 @@ func (a *Andes) NextDecisionTime(now simclock.Time) simclock.Time {
 	return a.lastDecision.Add(a.Quantum)
 }
 
-// Decide implements Scheduler.
+// Decide implements Scheduler. With nothing waiting, the admit-only pass
+// between quanta has nothing to do, so the decision promises quiet until
+// the quantum ends.
 func (a *Andes) Decide(v *View) Decision {
+	d := a.decide(v)
+	if len(v.Waiting) == 0 {
+		d.QuietUntil = a.lastDecision.Add(a.Quantum)
+	}
+	return d
+}
+
+func (a *Andes) decide(v *View) Decision {
 	if a.decided && v.Now.Sub(a.lastDecision) < a.Quantum {
 		// Between quanta: only admit into clearly free memory, FCFS.
 		return a.admitOnly(v)

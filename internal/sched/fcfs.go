@@ -1,5 +1,7 @@
 package sched
 
+import "repro/internal/simclock"
+
 // FCFS is the SGLang baseline: conservative first-come-first-served
 // admission with prefill priority and no proactive preemption. Requests
 // are admitted while their prompt fits the free KV pool (accounting for
@@ -46,9 +48,14 @@ func (f *FCFS) PrefillChunkTokens() int { return f.ChunkTokens }
 // Decide implements Scheduler: admit waiting requests FIFO while their
 // prompts fit, and resume preempted requests (which the engine's reactive
 // OOM path produced) before fresh arrivals, preferring a host-copy load
-// when one exists.
+// when one exists. With nothing waiting or preempted it has nothing to
+// admit until a queue changes, so it promises quiet Forever.
 func (f *FCFS) Decide(v *View) Decision {
 	var d Decision
+	if len(v.Waiting) == 0 && len(v.Preempted) == 0 {
+		d.QuietUntil = simclock.Forever
+		return d
+	}
 	avail := v.FreeTokens - v.BacklogTokens() - int(fcfsHeadroom*float64(v.TotalTokens))
 	slots := v.SlotsFree()
 

@@ -6,6 +6,20 @@
 //
 // The TokenFlow scheduler itself — the paper's primary contribution — lives
 // in internal/core and implements the same Scheduler interface.
+//
+// Two hooks let the event-driven engine call Decide only when its answer
+// could differ. Waker covers an idle engine: a quantum-gated scheduler
+// reports when time alone could change its answer, and the engine arms one
+// wakeup there. Decision.QuietUntil covers a busy one: it promises that
+// every later Decide before that instant, over a view whose queues
+// (Waiting, PrefillBacklog, Running, Preempted, Loading) hold the same
+// requests, returns an empty decision and changes no scheduler state but
+// its counters. Token deliveries, read ticks, free memory and the profiled
+// estimates may all move meanwhile; the promise must hold for every such
+// view. The engine keeps the horizon until any queue changes and, on an
+// iteration boundary before it, skips building the view and calling
+// Decide. Zero makes no promise; simclock.Forever promises quiet until a
+// queue changes.
 package sched
 
 import (
@@ -118,6 +132,10 @@ type Admission struct {
 type Decision struct {
 	Admit   []Admission
 	Preempt []*request.Request
+
+	// QuietUntil is the scheduler's quiet horizon (zero: no promise). See
+	// the package documentation.
+	QuietUntil simclock.Time
 }
 
 // Scheduler makes admission/preemption decisions at iteration boundaries.

@@ -226,3 +226,45 @@ func TestAndesScoreOrdering(t *testing.T) {
 		t.Error("longer-queued request should score higher")
 	}
 }
+
+// TestQuietHorizons pins each baseline's Decision.QuietUntil: FCFS
+// promises quiet Forever with nothing waiting or preempted and nothing
+// otherwise; Andes promises the end of its quantum whenever nothing waits.
+func TestQuietHorizons(t *testing.T) {
+	clock := simclock.New()
+	victim := request.New(9, 0, 256, 512, 20)
+	victim.State = request.StatePreempted
+	victim.DeliverTokens(clock, 0, 10)
+	victim.CancelConsumption(clock)
+
+	f := NewSGLangChunked(0)
+	v := testView(t, simclock.FromSeconds(3))
+	if d := f.Decide(v); d.QuietUntil != simclock.Forever || len(d.Admit) != 0 {
+		t.Errorf("FCFS with empty queues: %+v, want an empty decision quiet Forever", d)
+	}
+	v.Preempted = []*request.Request{victim}
+	if d := f.Decide(v); d.QuietUntil != 0 {
+		t.Errorf("FCFS with a preempted request promised quiet until %v", d.QuietUntil)
+	}
+	v.Preempted = nil
+	v.Waiting = []*request.Request{waiting(1, 0, 30_000)} // never fits
+	if d := f.Decide(v); d.QuietUntil != 0 || len(d.Admit) != 0 {
+		t.Errorf("FCFS with a blocked head: %+v, want no admission and no promise", d)
+	}
+
+	a := NewAndes()
+	v = testView(t, simclock.FromSeconds(3))
+	v.Preempted = []*request.Request{victim}
+	d := a.Decide(v) // a full reschedule opens the quantum at 3 s
+	if want := simclock.FromSeconds(4); d.QuietUntil != want {
+		t.Errorf("Andes after a full reschedule: quiet until %v, want %v", d.QuietUntil, want)
+	}
+	v.Now = simclock.FromSeconds(3.5)
+	if d := a.Decide(v); d.QuietUntil != simclock.FromSeconds(4) || len(d.Admit)+len(d.Preempt) != 0 {
+		t.Errorf("Andes between quanta: %+v, want an empty decision quiet until 4s", d)
+	}
+	v.Waiting = []*request.Request{waiting(2, 0, 500)}
+	if d := a.Decide(v); d.QuietUntil != 0 || len(d.Admit) != 1 {
+		t.Errorf("Andes with a waiting request: %+v, want one admission and no promise", d)
+	}
+}
