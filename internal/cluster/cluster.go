@@ -45,6 +45,7 @@ package cluster
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 	"time"
 
@@ -624,6 +625,11 @@ type Cluster struct {
 	shards      []*shard
 	busyShards  []*shard
 	ttftScratch []ttftSample
+	// procs is GOMAXPROCS at New, read by the barrier fan-out gate
+	// (fanOut); windowMode forces every window inline or fanned out in
+	// tests, and its zero value leaves the choice to the gate.
+	procs      int
+	windowMode windowMode
 
 	// fab is the unified transfer fabric: every replica's host link pair
 	// plus the interconnect the Topology spec lays out. Routing
@@ -739,7 +745,7 @@ func New(cfg Config, build BuildEngine) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, clock: simclock.New(), fab: fabric.NewScheduler(topo)}
+	c := &Cluster{cfg: cfg, clock: simclock.New(), fab: fabric.NewScheduler(topo), procs: runtime.GOMAXPROCS(0)}
 	for s := 0; s < cfg.Shards; s++ {
 		c.shards = append(c.shards, &shard{id: s, clock: simclock.New()})
 	}

@@ -10,13 +10,15 @@ package cluster
 //
 // Execution alternates between the coordinator and the shards. Before the
 // coordinator fires its next event at time T, every shard runs its own
-// events strictly before T — in parallel when several have work — and then
-// aligns its clock at T (simclock.AdvanceTo), so a cross-shard effect
+// events strictly before T — fanned out, one goroutine per busy shard,
+// when the window is worth it, otherwise inline on the coordinator one
+// shard after another (advanceShards, fanOut) — and then aligns its clock
+// at T (simclock.AdvanceTo), so a cross-shard effect
 // landing at T — an injected arrival, a migration install — observes a
 // consistent "now" everywhere. At an exact tie the coordinator goes first.
 // Shards never touch the coordinator clock, another shard's clock, or
-// another shard's engines; the only cross-shard state written from shard
-// goroutines is the per-shard first-token and publication buffers, merged
+// another shard's engines; the only cross-shard state written by shards
+// is the per-shard first-token and publication buffers, merged
 // on the coordinator at each barrier in deterministic order. Fabric class
 // accounting is per-replica-row (single writer), and interconnect links are
 // booked only by the coordinator, so bookings from parallel shards never
@@ -28,8 +30,8 @@ package cluster
 // The flight recorder follows the same single-writer discipline: each
 // shard owns a recorder and profiler, and every emission routes by the
 // event's replica (Cluster.recFor) — a replica's lifecycle events are
-// written either by its shard goroutine or by the coordinator while the
-// shards are quiescent, never both at once. The per-shard streams merge
+// written either while its shard runs a window or by the coordinator while
+// the shards are quiescent, never both at once. The per-shard streams merge
 // deterministically at collect on the total (time, replica, recorder,
 // sequence) order, so exports are byte-identical at any shard count.
 //
@@ -70,10 +72,14 @@ type ttftSample struct {
 }
 
 // shard is one replica partition: a private sub-clock plus the scratch
-// state its worker goroutine owns between barriers.
+// state it owns between barriers.
 type shard struct {
 	id    int
 	clock *simclock.Clock
+	// avgWindow is the running average wall time of this shard's measured
+	// windows, ¼ weight on the newest; zero until one is measured. The
+	// fan-out gate reads it (fanOut).
+	avgWindow time.Duration
 	// rec and prof are the flight-recorder sinks of this shard's replicas
 	// (nil when the layer is off); see Cluster.recFor.
 	rec  *obs.Recorder
@@ -94,10 +100,25 @@ type shard struct {
 	holders holderTable
 }
 
-// advance runs every shard event strictly before barrier — never past the
-// deadline — then aligns the shard clock at the barrier. Runs on a worker
-// goroutine when several shards have work, inline otherwise.
-func (sh *shard) advance(barrier, deadline simclock.Time) {
+// advance runs the shard's window (run), starting at the wall-clock
+// instant start, folds the wall time it took into avgWindow, and returns
+// the instant it ended, so shards that run inline chain their measurements, one
+// clock read per shard. It measures the windows the fan-out gate decides —
+// those where several shards have work — on a worker goroutine or inline.
+func (sh *shard) advance(barrier, deadline simclock.Time, start time.Time) time.Time {
+	sh.run(barrier, deadline)
+	end := time.Now()
+	if d := end.Sub(start); sh.avgWindow == 0 {
+		sh.avgWindow = d
+	} else {
+		sh.avgWindow += (d - sh.avgWindow) / 4
+	}
+	return end
+}
+
+// run executes every shard event strictly before barrier — never past the
+// deadline — then aligns the shard clock at the barrier.
+func (sh *shard) run(barrier, deadline simclock.Time) {
 	clk := sh.clock
 	for {
 		t := clk.Peek()
@@ -223,10 +244,55 @@ func (c *Cluster) step(deadline simclock.Time) bool {
 	return true
 }
 
+// fanoutCost is what fanning one barrier window out costs the coordinator
+// beyond its shards' own work: a goroutine per busy shard and the wait on
+// their WaitGroup. Measured as a fanned-out window's wall time minus its
+// slower shard's run, on scale-affinity-500 (bench/, 2 vCPUs, Go 1.24):
+// 8–9 µs per window at seed 7 and 10–11 µs at seed 11 with every one of
+// its ~29,000 two-shard windows fanned out. Fan-outs that follow inline
+// stretches, or big windows, cost more (13–16 µs: idle worker threads
+// must be woken), so 10 µs errs toward fanning out.
+const fanoutCost = 10 * time.Microsecond
+
+// windowMode forces how barrier windows execute (tests only: the zero value
+// lets fanOut decide, and nothing else sets it).
+type windowMode uint8
+
+const (
+	windowGated windowMode = iota
+	windowInline
+	windowFanout
+)
+
+// fanOut is the fan-out gate: whether a window with these busy shards
+// pays for one goroutine per shard. Which shard runs where changes no
+// output (shards share nothing between barriers), so the gate only picks
+// the faster mode. A single busy shard, or a single processor, always runs
+// inline. An unbounded window — the fast path's one drain, the routed
+// path's final drain — always fans out. A bounded window fans out only
+// when no busy shard's recent windows average below fanoutCost; a shard
+// with no measured window yet counts as paying.
+func fanOut(busy []*shard, barrier simclock.Time, procs int) bool {
+	if len(busy) < 2 || procs == 1 {
+		return false
+	}
+	if barrier == simclock.Forever {
+		return true
+	}
+	for _, sh := range busy {
+		if sh.avgWindow != 0 && sh.avgWindow < fanoutCost {
+			return false
+		}
+	}
+	return true
+}
+
 // advanceShards brings every shard to the barrier: shards with runnable
-// work execute it (in parallel when more than one has any — the common
-// stretch between consecutive coordinator events has at most one, which
-// runs inline without spawning), idle shards just align their clocks. The
+// work execute it, idle shards just align their clocks. When fanOut says
+// the window pays, each busy shard runs on its own goroutine; otherwise
+// they run inline on the coordinator, one after another in shard order —
+// the common stretch between two coordinator events holds only a few
+// events per shard, far less work than a fan-out costs. The
 // shard-buffered TTFT observations and index publications merge
 // afterwards, on the coordinator.
 func (c *Cluster) advanceShards(barrier, deadline simclock.Time) {
@@ -239,21 +305,33 @@ func (c *Cluster) advanceShards(barrier, deadline simclock.Time) {
 		}
 	}
 	c.busyShards = busy
-	switch len(busy) {
-	case 0:
-	case 1:
-		busy[0].advance(barrier, deadline)
-	default:
+	switch {
+	case len(busy) == 0:
+	case len(busy) == 1:
+		t0 := c.prof.Begin()
+		busy[0].run(barrier, deadline)
+		c.prof.End(obs.PhaseBarrierInline, t0)
+	case c.windowMode == windowFanout ||
+		c.windowMode == windowGated && fanOut(busy, barrier, c.procs):
+		t0 := c.prof.Begin()
 		var wg sync.WaitGroup
 		wg.Add(len(busy))
 		for _, sh := range busy {
 			sh := sh
 			go func() {
 				defer wg.Done()
-				sh.advance(barrier, deadline)
+				sh.advance(barrier, deadline, time.Now())
 			}()
 		}
 		wg.Wait()
+		c.prof.End(obs.PhaseBarrierFanout, t0)
+	default:
+		t0 := c.prof.Begin()
+		at := time.Now()
+		for _, sh := range busy {
+			at = sh.advance(barrier, deadline, at)
+		}
+		c.prof.End(obs.PhaseBarrierInline, t0)
 	}
 	c.mergeTTFT()
 	c.mergePubs()

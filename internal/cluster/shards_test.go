@@ -10,6 +10,7 @@ package cluster_test
 // match.
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/router"
+	"repro/internal/trace"
 )
 
 // TestShardedDeterminismGrid proves sharded execution is a pure
@@ -28,43 +30,54 @@ func TestShardedDeterminismGrid(t *testing.T) {
 	for _, row := range determinismGrid() {
 		row := row
 		t.Run(row.name, func(t *testing.T) {
-			run := func(shards int) *cluster.Result {
-				cfg, build := row.make()
-				cfg.Shards = shards
-				// Sampling on so the merged series and imbalance series
-				// must match too, not just the end-of-run scalars.
-				cfg.SampleEvery = 250 * time.Millisecond
-				cl, err := cluster.New(cfg, build)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := cl.Run(w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return res
-			}
-			single := run(0)
+			single := runGridRow(t, row.make, w, 0, cluster.WindowGated)
 			for _, shards := range []int{2, 3, 8} {
-				got := run(shards)
-				if reflect.DeepEqual(single, got) {
-					continue
-				}
-				switch {
-				case !reflect.DeepEqual(single.Report, got.Report):
-					t.Fatalf("shards=%d: reports differ:\n%+v\n%+v", shards, single.Report, got.Report)
-				case !reflect.DeepEqual(single.ScaleEvents, got.ScaleEvents):
-					t.Fatalf("shards=%d: scale events differ:\n%+v\n%+v", shards, single.ScaleEvents, got.ScaleEvents)
-				case !reflect.DeepEqual(single.TransferClasses, got.TransferClasses):
-					t.Fatalf("shards=%d: transfer ledgers differ:\n%+v\n%+v", shards, single.TransferClasses, got.TransferClasses)
-				case single.EventsProcessed != got.EventsProcessed:
-					t.Fatalf("shards=%d: processed %d events, one shard processed %d",
-						shards, got.EventsProcessed, single.EventsProcessed)
-				default:
-					t.Fatalf("shards=%d: result diverged from one-shard run", shards)
-				}
+				requireSameResult(t, fmt.Sprintf("shards=%d", shards),
+					single, runGridRow(t, row.make, w, shards, cluster.WindowGated))
 			}
 		})
+	}
+}
+
+// runGridRow runs one determinism-grid row at a shard count and barrier
+// window mode, with sampling on so the merged series and imbalance series
+// must match too, not just the end-of-run scalars.
+func runGridRow(t *testing.T, mk func() (cluster.Config, cluster.BuildEngine), w trace.Workload,
+	shards int, mode cluster.WindowMode) *cluster.Result {
+	t.Helper()
+	cfg, build := mk()
+	cfg.Shards = shards
+	cfg.SampleEvery = 250 * time.Millisecond
+	cl, err := cluster.New(cfg, build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.SetWindowMode(mode)
+	res, err := cl.Run(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// requireSameResult fails unless got deep-equals want, naming the first
+// part that differs.
+func requireSameResult(t *testing.T, label string, want, got *cluster.Result) {
+	t.Helper()
+	if reflect.DeepEqual(want, got) {
+		return
+	}
+	switch {
+	case !reflect.DeepEqual(want.Report, got.Report):
+		t.Fatalf("%s: reports differ:\n%+v\n%+v", label, want.Report, got.Report)
+	case !reflect.DeepEqual(want.ScaleEvents, got.ScaleEvents):
+		t.Fatalf("%s: scale events differ:\n%+v\n%+v", label, want.ScaleEvents, got.ScaleEvents)
+	case !reflect.DeepEqual(want.TransferClasses, got.TransferClasses):
+		t.Fatalf("%s: transfer ledgers differ:\n%+v\n%+v", label, want.TransferClasses, got.TransferClasses)
+	case want.EventsProcessed != got.EventsProcessed:
+		t.Fatalf("%s: processed %d events, want %d", label, got.EventsProcessed, want.EventsProcessed)
+	default:
+		t.Fatalf("%s: result diverged from the reference run", label)
 	}
 }
 
@@ -129,43 +142,10 @@ func TestShardedFastPathMatchesBarrierPath(t *testing.T) {
 // it does not own fails even when the merged bytes happen to match.
 func TestShardedObsByteIdentity(t *testing.T) {
 	w := sessionWorkload(t)
-	type export struct {
-		res    *cluster.Result
-		jsonl  string
-		trace  string
-		csv    string
-		events int
-	}
 	for _, row := range determinismGrid() {
 		row := row
 		t.Run(row.name, func(t *testing.T) {
-			run := func(shards int) export {
-				cfg, build := row.make()
-				cfg.Shards = shards
-				cfg.SampleEvery = 250 * time.Millisecond
-				cfg.Obs = obs.Options{Events: true, Series: true, Profile: true, Attribution: true}
-				cl, err := cluster.New(cfg, build)
-				if err != nil {
-					t.Fatal(err)
-				}
-				res, err := cl.Run(w)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rec := res.Obs.Events
-				var jsonl, trace, csv strings.Builder
-				if err := rec.WriteJSONL(&jsonl); err != nil {
-					t.Fatal(err)
-				}
-				if err := rec.WriteChromeTrace(&trace); err != nil {
-					t.Fatal(err)
-				}
-				if err := res.Obs.Series.WriteCSV(&csv); err != nil {
-					t.Fatal(err)
-				}
-				return export{res, jsonl.String(), trace.String(), csv.String(), rec.Len()}
-			}
-			single := run(0)
+			single := runObsExport(t, row.make, w, 0, cluster.WindowGated)
 			if single.events == 0 {
 				t.Fatal("one-shard run recorded no events")
 			}
@@ -173,22 +153,108 @@ func TestShardedObsByteIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, shards := range []int{2, 3, 8} {
-				got := run(shards)
-				if got.jsonl != single.jsonl {
-					t.Fatalf("shards=%d: JSONL export differs from one-shard run", shards)
-				}
-				if got.trace != single.trace {
-					t.Fatalf("shards=%d: Chrome trace export differs from one-shard run", shards)
-				}
-				if got.csv != single.csv {
-					t.Fatalf("shards=%d: series CSV export differs from one-shard run", shards)
-				}
-				if !reflect.DeepEqual(got.res.Attribution, single.res.Attribution) {
-					t.Fatalf("shards=%d: attribution report differs:\n%+v\n%+v",
-						shards, got.res.Attribution, single.res.Attribution)
-				}
+				got := runObsExport(t, row.make, w, shards, cluster.WindowGated)
+				requireSameExport(t, fmt.Sprintf("shards=%d", shards), single, got)
 				if err := cluster.CheckInvariants(got.res, w.Len()); err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
+				}
+			}
+		})
+	}
+}
+
+// obsExport is one fully recorded run and its serialized exports.
+type obsExport struct {
+	res    *cluster.Result
+	jsonl  string
+	trace  string
+	csv    string
+	events int
+}
+
+// runObsExport runs one determinism-grid row at a shard count and barrier
+// window mode with the whole flight recorder on, and serializes its event
+// stream, Chrome trace and series.
+func runObsExport(t *testing.T, mk func() (cluster.Config, cluster.BuildEngine), w trace.Workload,
+	shards int, mode cluster.WindowMode) obsExport {
+	t.Helper()
+	cfg, build := mk()
+	cfg.Shards = shards
+	cfg.SampleEvery = 250 * time.Millisecond
+	cfg.Obs = obs.Options{Events: true, Series: true, Profile: true, Attribution: true}
+	cl, err := cluster.New(cfg, build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.SetWindowMode(mode)
+	res, err := cl.Run(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := res.Obs.Events
+	var jsonl, chrome, csv strings.Builder
+	if err := rec.WriteJSONL(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.WriteChromeTrace(&chrome); err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Obs.Series.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	return obsExport{res, jsonl.String(), chrome.String(), csv.String(), rec.Len()}
+}
+
+// requireSameExport fails unless got's exports are byte-identical to
+// want's and its attribution report deep-equal.
+func requireSameExport(t *testing.T, label string, want, got obsExport) {
+	t.Helper()
+	if got.jsonl != want.jsonl {
+		t.Fatalf("%s: JSONL export differs from the reference run", label)
+	}
+	if got.trace != want.trace {
+		t.Fatalf("%s: Chrome trace export differs from the reference run", label)
+	}
+	if got.csv != want.csv {
+		t.Fatalf("%s: series CSV export differs from the reference run", label)
+	}
+	if !reflect.DeepEqual(got.res.Attribution, want.res.Attribution) {
+		t.Fatalf("%s: attribution report differs:\n%+v\n%+v", label, got.res.Attribution, want.res.Attribution)
+	}
+}
+
+// TestShardedExecutionModes: how a barrier window runs — inline on the
+// coordinator, fanned out to one goroutine per busy shard, or as the
+// fan-out gate decides — changes no output. Every determinism-grid row,
+// at Shards 2, 3 and 8 under each mode, must deep-equal the one-shard
+// Result and export the one-shard bytes. The small test scenarios run
+// almost every window inline under the gate, so forcing fan-out is what
+// keeps the -race suites running shards concurrently; the coordinator's
+// profile shows each forced mode really ran.
+func TestShardedExecutionModes(t *testing.T) {
+	w := sessionWorkload(t)
+	modes := []struct {
+		name string
+		mode cluster.WindowMode
+	}{{"gated", cluster.WindowGated}, {"inline", cluster.WindowInline}, {"fanout", cluster.WindowFanout}}
+	for _, row := range determinismGrid() {
+		row := row
+		t.Run(row.name, func(t *testing.T) {
+			single := runGridRow(t, row.make, w, 0, cluster.WindowGated)
+			singleExport := runObsExport(t, row.make, w, 0, cluster.WindowGated)
+			for _, m := range modes {
+				for _, shards := range []int{2, 3, 8} {
+					label := fmt.Sprintf("%s shards=%d", m.name, shards)
+					requireSameResult(t, label, single, runGridRow(t, row.make, w, shards, m.mode))
+					got := runObsExport(t, row.make, w, shards, m.mode)
+					requireSameExport(t, label, singleExport, got)
+					fanouts := got.res.Obs.Profile.Stat(obs.PhaseBarrierFanout).Calls
+					switch {
+					case m.mode == cluster.WindowInline && fanouts != 0:
+						t.Fatalf("%s: %d windows fanned out", label, fanouts)
+					case m.mode == cluster.WindowFanout && fanouts == 0:
+						t.Fatalf("%s: no window fanned out", label)
+					}
 				}
 			}
 		})

@@ -180,7 +180,7 @@ type prefillJob struct {
 type Engine struct {
 	cfg   Config
 	clock *simclock.Clock
-	cost  gpu.CostModel
+	cost  *gpu.CostModel
 	ep    *fabric.Endpoint
 	mem   *kvcache.Manager
 	track *request.Tracker

@@ -17,17 +17,19 @@ type CostModel struct {
 	Model model.Spec
 }
 
-// NewCostModel validates both specs and returns the cost model.
-func NewCostModel(g Spec, m model.Spec) (CostModel, error) {
+// NewCostModel validates both specs and returns the cost model. Callers
+// share the pointer: the per-iteration predictions read the specs in place
+// instead of copying them on every call.
+func NewCostModel(g Spec, m model.Spec) (*CostModel, error) {
 	if err := g.Validate(); err != nil {
-		return CostModel{}, err
+		return nil, err
 	}
 	if err := m.Validate(); err != nil {
-		return CostModel{}, err
+		return nil, err
 	}
-	c := CostModel{GPU: g, Model: m}
+	c := &CostModel{GPU: g, Model: m}
 	if c.KVCapacityTokens(1.0) <= 0 {
-		return CostModel{}, fmt.Errorf("gpu: model %s does not fit on %s", m.Name, g.Name)
+		return nil, fmt.Errorf("gpu: model %s does not fit on %s", m.Name, g.Name)
 	}
 	return c, nil
 }
@@ -36,7 +38,7 @@ func NewCostModel(g Spec, m model.Spec) (CostModel, error) {
 // the serving engine is allowed memFraction of device memory for weights
 // plus cache (SGLang's mem-fraction-static semantics). Returns 0 when the
 // weights alone exceed the budget.
-func (c CostModel) KVCapacityTokens(memFraction float64) int64 {
+func (c *CostModel) KVCapacityTokens(memFraction float64) int64 {
 	budget := int64(memFraction*float64(c.GPU.MemoryBytes())) - c.Model.WeightBytes()
 	if budget <= 0 {
 		return 0
@@ -46,7 +48,7 @@ func (c CostModel) KVCapacityTokens(memFraction float64) int64 {
 
 // PrefillTime predicts the latency of a prefill iteration over
 // promptTokens total input tokens (possibly several requests batched).
-func (c CostModel) PrefillTime(promptTokens int) time.Duration {
+func (c *CostModel) PrefillTime(promptTokens int) time.Duration {
 	if promptTokens <= 0 {
 		return 0
 	}
@@ -58,7 +60,7 @@ func (c CostModel) PrefillTime(promptTokens int) time.Duration {
 // DecodeStepTime predicts the latency of one decode iteration that advances
 // batch requests by one token each, with contextTokens total resident
 // context across the batch.
-func (c CostModel) DecodeStepTime(batch int, contextTokens int64) time.Duration {
+func (c *CostModel) DecodeStepTime(batch int, contextTokens int64) time.Duration {
 	if batch <= 0 {
 		return 0
 	}
@@ -70,7 +72,7 @@ func (c CostModel) DecodeStepTime(batch int, contextTokens int64) time.Duration 
 
 // MixedStepTime predicts the latency of a chunked-prefill iteration that
 // processes prefillTokens new prompt tokens alongside a decode batch.
-func (c CostModel) MixedStepTime(prefillTokens, batch int, contextTokens int64) time.Duration {
+func (c *CostModel) MixedStepTime(prefillTokens, batch int, contextTokens int64) time.Duration {
 	if prefillTokens <= 0 {
 		return c.DecodeStepTime(batch, contextTokens)
 	}
@@ -86,7 +88,7 @@ func (c CostModel) MixedStepTime(prefillTokens, batch int, contextTokens int64) 
 // PeakDecodeTokensPerSec reports the aggregate decode throughput at a given
 // batch size and average per-request context, used to estimate the capacity
 // bound Γ in the schedulability check (§4.3).
-func (c CostModel) PeakDecodeTokensPerSec(batch int, avgContext int64) float64 {
+func (c *CostModel) PeakDecodeTokensPerSec(batch int, avgContext int64) float64 {
 	if batch <= 0 {
 		return 0
 	}
@@ -99,7 +101,7 @@ func (c CostModel) PeakDecodeTokensPerSec(batch int, avgContext int64) float64 {
 
 // TransferTime reports how long moving n KV bytes across the host link
 // takes, ignoring queueing (the Link type models queueing).
-func (c CostModel) TransferTime(n int64) time.Duration {
+func (c *CostModel) TransferTime(n int64) time.Duration {
 	if n <= 0 {
 		return 0
 	}

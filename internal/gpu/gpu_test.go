@@ -53,7 +53,7 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-func mustCost(t testing.TB, g Spec, m model.Spec) CostModel {
+func mustCost(t testing.TB, g Spec, m model.Spec) *CostModel {
 	t.Helper()
 	c, err := NewCostModel(g, m)
 	if err != nil {

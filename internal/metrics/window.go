@@ -13,10 +13,15 @@ import (
 // time (the simulation guarantees it); samples older than the window fall
 // off the front. The estimator is deterministic: identical observation
 // sequences yield identical quantiles.
+//
+// Beside the arrival-order FIFO (at, values) it keeps the same values in
+// ascending order (sorted): an observation inserts by binary search and
+// an eviction removes each leaving value, so a quantile is one read at
+// its rank instead of a copy and sort of the whole window.
 type TTFTWindow struct {
-	at      []simclock.Time
-	values  []time.Duration
-	scratch []time.Duration
+	at     []simclock.Time
+	values []time.Duration
+	sorted []time.Duration
 }
 
 // DefaultTTFTWindow is the estimator's observation horizon: long enough
@@ -31,6 +36,8 @@ func NewTTFTWindow() *TTFTWindow { return &TTFTWindow{} }
 func (w *TTFTWindow) Observe(at simclock.Time, v time.Duration) {
 	w.at = append(w.at, at)
 	w.values = append(w.values, v)
+	i, _ := slices.BinarySearch(w.sorted, v)
+	w.sorted = slices.Insert(w.sorted, i, v)
 }
 
 // evict drops samples whose stamp has fallen out of the window ending at
@@ -38,6 +45,8 @@ func (w *TTFTWindow) Observe(at simclock.Time, v time.Duration) {
 func (w *TTFTWindow) evict(now simclock.Time) {
 	cut := 0
 	for cut < len(w.at) && w.at[cut] < now.Add(-DefaultTTFTWindow) {
+		i, _ := slices.BinarySearch(w.sorted, w.values[cut])
+		w.sorted = slices.Delete(w.sorted, i, i+1)
 		cut++
 	}
 	if cut > 0 {
@@ -57,10 +66,8 @@ func (w *TTFTWindow) Len(now simclock.Time) int {
 // is empty — "no recent first token" reads as no latency pressure.
 func (w *TTFTWindow) Quantile(now simclock.Time, q float64) time.Duration {
 	w.evict(now)
-	if len(w.values) == 0 {
+	if len(w.sorted) == 0 {
 		return 0
 	}
-	w.scratch = append(w.scratch[:0], w.values...)
-	slices.Sort(w.scratch)
-	return Percentile(w.scratch, q)
+	return Percentile(w.sorted, q)
 }

@@ -158,6 +158,43 @@ func TestProfilerRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBarrierPhases: the two barrier-window phases report under their
+// stable names, merge across profilers like every phase, and on a nil
+// profiler neither read the clock nor allocate.
+func TestBarrierPhases(t *testing.T) {
+	if PhaseBarrierInline.String() != "barrier_inline" || PhaseBarrierFanout.String() != "barrier_fanout" {
+		t.Fatalf("phase names %q, %q", PhaseBarrierInline, PhaseBarrierFanout)
+	}
+	a, b := NewProfiler(), NewProfiler()
+	a.End(PhaseBarrierInline, a.Begin())
+	a.End(PhaseBarrierInline, a.Begin())
+	b.End(PhaseBarrierFanout, b.Begin())
+	m := MergeProfilers(a, nil, b)
+	if m.Stat(PhaseBarrierInline).Calls != 2 || m.Stat(PhaseBarrierFanout).Calls != 1 {
+		t.Fatalf("merged barrier phases: inline %+v, fanout %+v",
+			m.Stat(PhaseBarrierInline), m.Stat(PhaseBarrierFanout))
+	}
+	rep := m.Report("barrier", 0, 0)
+	if rep.Phases["barrier_inline"].Calls != 2 || rep.Phases["barrier_fanout"].Calls != 1 {
+		t.Fatalf("report lost the barrier phases: %+v", rep.Phases)
+	}
+
+	var off *Profiler
+	if !off.Begin().IsZero() {
+		t.Error("nil profiler read the clock")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		t0 := off.Begin()
+		off.End(PhaseBarrierInline, t0)
+		off.End(PhaseBarrierFanout, t0)
+	}); n != 0 {
+		t.Errorf("nil profiler allocates %.1f per barrier window", n)
+	}
+	if off.Stat(PhaseBarrierInline).Calls != 0 || off.Stat(PhaseBarrierFanout).Calls != 0 {
+		t.Error("nil profiler retained barrier phases")
+	}
+}
+
 // TestEmitAllocBound: the recording path amortizes to far below one
 // allocation per event (one chunk per eventChunk events).
 func TestEmitAllocBound(t *testing.T) {

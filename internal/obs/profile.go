@@ -24,11 +24,20 @@ const (
 	// phase-timed (a wall-clock read per event would dwarf the work);
 	// its cost lands inside engine_step and fabric_settle instead.
 	PhaseAttribution
+	// PhaseBarrierInline is one barrier window whose busy shards ran
+	// inline on the coordinator, one after another.
+	PhaseBarrierInline
+	// PhaseBarrierFanout is one barrier window fanned out to a goroutine
+	// per busy shard, wait included.
+	PhaseBarrierFanout
 
 	numPhases
 )
 
-var phaseNames = [numPhases]string{"control_tick", "engine_step", "fabric_settle", "attribution"}
+var phaseNames = [numPhases]string{
+	"control_tick", "engine_step", "fabric_settle", "attribution",
+	"barrier_inline", "barrier_fanout",
+}
 
 // String returns the phase's stable report name.
 func (p Phase) String() string {

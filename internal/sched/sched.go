@@ -60,7 +60,7 @@ type View struct {
 	// iteration latencies; AvgIterTime is the profiled recent decode
 	// iteration latency (the sliding-window estimate of §4.2.3).
 	Mem         *kvcache.Manager
-	Cost        gpu.CostModel
+	Cost        *gpu.CostModel
 	AvgIterTime time.Duration
 
 	// AvgPrefillPerToken is the profiled per-token prefill latency used to
