@@ -169,7 +169,7 @@ func stressedView(b *testing.B) *sched.View {
 	}
 	v := &sched.View{
 		Now: simclock.FromSeconds(100), FreeTokens: 50_000, TotalTokens: 200_000,
-		PageTokens: 16, Cost: cost, AvgIterTime: 20 * time.Millisecond,
+		Cost: cost, AvgIterTime: 20 * time.Millisecond,
 	}
 	clock := simclock.New()
 	for i := 0; i < 128; i++ {
@@ -197,11 +197,11 @@ func BenchmarkOverheadSchedulerSGLang(b *testing.B) {
 
 func BenchmarkOverheadSchedulerAndes(b *testing.B) {
 	v := stressedView(b)
-	a := sched.NewAndes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a.Quantum = 0 // force a full quantum decision every call
-		_ = a.Decide(v)
+		// A fresh scheduler has not decided yet, so every call is a full
+		// quantum decision.
+		_ = sched.NewAndes().Decide(v)
 	}
 }
 

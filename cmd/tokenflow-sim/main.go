@@ -73,13 +73,15 @@
 //	    -obs-out obs-out -workload session-spikes -n 300 -duration 240
 //
 // Invalid input — an unknown name, a degenerate workload (-n 0 sessions,
-// -lambda 0), a non-positive -replicas, a configuration the cluster
-// rejects — prints one error line and exits with status 2.
+// a -lambda that is not positive and finite), a non-positive -replicas,
+// a configuration the cluster rejects — prints one error line and exits
+// with status 2.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -269,8 +271,8 @@ func checkFlags(kind string, n int, lambda float64, replicas int) error {
 		return fmt.Errorf("-replicas %d: the pool needs at least 1 replica", replicas)
 	case (kind == "burst" || kind == "sessions" || kind == "session-spikes") && n < 1:
 		return fmt.Errorf("-n %d: the %s workload needs at least 1 request or session", n, kind)
-	case (kind == "poisson" || kind == "burstgpt") && lambda <= 0:
-		return fmt.Errorf("-lambda %v: the %s workload needs a positive arrival rate", lambda, kind)
+	case (kind == "poisson" || kind == "burstgpt") && !(lambda > 0 && !math.IsInf(lambda, 1)):
+		return fmt.Errorf("-lambda %v: the %s workload needs a positive, finite arrival rate", lambda, kind)
 	}
 	return nil
 }

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestCheckFlags: degenerate workloads and replica counts are errors, not
 // generator panics or a silent single-device run.
@@ -23,6 +26,9 @@ func TestCheckFlags(t *testing.T) {
 		{"poisson-lambda-0", "poisson", 100, 0, 1, false},
 		{"burstgpt-lambda-0", "burstgpt", 100, 0, 1, false},
 		{"burstgpt-negative-lambda", "burstgpt", 100, -1, 1, false},
+		{"poisson-lambda-NaN", "poisson", 100, math.NaN(), 1, false},
+		{"burstgpt-lambda-NaN", "burstgpt", 100, math.NaN(), 1, false},
+		{"poisson-lambda-Inf", "poisson", 100, math.Inf(1), 1, false},
 		{"replicas-0", "burst", 100, 2, 0, false},
 		{"replicas-negative", "burst", 100, 2, -2, false},
 	}

@@ -131,12 +131,15 @@ func TestWarmupGatesTraffic(t *testing.T) {
 // survivor, and the replica eventually turns off.
 func TestDrainSemantics(t *testing.T) {
 	// Multi-turn sessions so the drained replica holds pins when it drains.
+	// The run starts at Min = 1; an instant scripted scale-up at the first
+	// control tick brings the second replica in before traffic builds.
 	w := sessionWorkload(t)
 	cl, err := cluster.New(cluster.Config{
 		Policy: router.NewLeastQueue(),
 		Autoscale: &cluster.AutoscaleConfig{
-			Policy: &scriptPolicy{decisions: map[int]autoscale.Decision{20: autoscale.ScaleDown}},
-			Min:    1, Max: 2, Initial: 2,
+			Policy: &scriptPolicy{decisions: map[int]autoscale.Decision{
+				0: autoscale.ScaleUp, 20: autoscale.ScaleDown}},
+			Min: 1, Max: 2, Warmup: -1,
 		},
 	}, cluster.Engines(rtx4090, tokenFlow))
 	if err != nil {

@@ -163,9 +163,9 @@ type AutoscaleConfig struct {
 	Policy autoscale.Policy
 
 	// Min and Max bound the in-service replica set (defaults 1 and the
-	// Config's Replicas; Min above Max is an error). Initial is the active
-	// count at t=0 (default Min).
-	Min, Max, Initial int
+	// Config's Replicas; Min above Max is an error). Every run starts with
+	// Min replicas active.
+	Min, Max int
 
 	// ScaleToZero forces Min to 0 and fronts the cluster with a gateway
 	// queue: arrivals while no replica is active are buffered (bounded by
@@ -240,9 +240,6 @@ func (c Config) Normalize() (Config, error) {
 			if a.Max == 0 {
 				a.Max = c.Replicas
 			}
-			if a.Initial == 0 {
-				a.Initial = a.Min
-			}
 			if a.GatewayDepth == 0 {
 				a.GatewayDepth = 512
 			}
@@ -263,9 +260,6 @@ func (c Config) Normalize() (Config, error) {
 			return c, fmt.Errorf("cluster: autoscale min %d must be >= 1 (set ScaleToZero for min 0)", a.Min)
 		case a.Min > a.Max:
 			return c, fmt.Errorf("cluster: autoscale min %d exceeds max %d", a.Min, a.Max)
-		case a.Initial < a.Min || a.Initial > a.Max:
-			return c, fmt.Errorf("cluster: autoscale initial %d outside [%d, %d]",
-				a.Initial, a.Min, a.Max)
 		}
 	}
 	switch {
@@ -358,7 +352,7 @@ func (r *replica) ID() int                            { return r.id }
 func (r *replica) QueueDepth() int                    { return r.eng.OutstandingRequests() }
 func (r *replica) FreeKVPages() int                   { return r.kv.FreePages() }
 func (r *replica) TotalKVPages() int                  { return r.kv.TotalPages() }
-func (r *replica) FreeKVTokens() int                  { return r.kv.FreePages() * r.kv.Config().PageTokens }
+func (r *replica) FreeKVTokens() int                  { return r.kv.FreePages() * kvcache.PageTokens }
 func (r *replica) CachedPrefixTokens(session int) int { return r.kv.PeekPrefix(session) }
 
 // ReplicaStats reports one replica's share of a finished run.
@@ -727,8 +721,8 @@ func (c *Cluster) profFor(replica int) *obs.Profiler {
 }
 
 // New builds a cluster of cfg.Replicas engines on cfg.Shards shard clocks
-// (with autoscaling, Autoscale.Max engines of which Autoscale.Initial
-// start active).
+// (with autoscaling, Autoscale.Max engines of which Autoscale.Min start
+// active).
 func New(cfg Config, build BuildEngine) (*Cluster, error) {
 	cfg, err := cfg.Normalize()
 	if err != nil {
@@ -797,7 +791,7 @@ func New(cfg Config, build BuildEngine) (*Cluster, error) {
 		// random scenarios — records without opting in.
 		eng.SetObs(c.recFor(i), c.profFor(i), i)
 		rep := &replica{id: i, eng: eng, kv: eng.Mem(), state: autoscale.Active}
-		if cfg.Autoscale != nil && i >= cfg.Autoscale.Initial {
+		if cfg.Autoscale != nil && i >= cfg.Autoscale.Min {
 			rep.state = autoscale.Off
 		}
 		c.replicas = append(c.replicas, rep)
@@ -942,7 +936,7 @@ func (c *Cluster) validate(w trace.Workload) error {
 	if w.Len() == 0 {
 		return fmt.Errorf("cluster: empty workload")
 	}
-	kvTokens := func(rep *replica) int { return rep.kv.TotalPages() * rep.kv.Config().PageTokens }
+	kvTokens := func(rep *replica) int { return rep.kv.TotalPages() * kvcache.PageTokens }
 	small := c.replicas[0]
 	for _, rep := range c.replicas[1:] {
 		if kvTokens(rep) < kvTokens(small) {
@@ -1259,7 +1253,7 @@ func (c *Cluster) collect(timedOut bool) *Result {
 	res.EventsProcessed = c.eventsProcessed()
 	res.InitialInService = len(c.replicas)
 	if a := c.cfg.Autoscale; a != nil {
-		res.InitialInService = a.Initial
+		res.InitialInService = a.Min
 		if f, ok := a.Policy.(autoscale.Forecaster); ok {
 			res.ForecastError, res.ForecastSamples = f.ForecastError()
 		}

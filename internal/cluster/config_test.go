@@ -18,15 +18,15 @@ type configView struct {
 	MaxSimTime, SampleEvery time.Duration
 	MigrationPolicy         cluster.MigrationPolicy
 
-	Min, Max, Initial, GatewayDepth int
-	Warmup                          time.Duration
+	Min, Max, GatewayDepth int
+	Warmup                 time.Duration
 }
 
 func viewOf(c cluster.Config) configView {
 	v := configView{Replicas: c.Replicas, Shards: c.Shards, MaxSimTime: c.MaxSimTime,
 		SampleEvery: c.SampleEvery, MigrationPolicy: c.MigrationPolicy}
 	if a := c.Autoscale; a != nil {
-		v.Min, v.Max, v.Initial, v.GatewayDepth = a.Min, a.Max, a.Initial, a.GatewayDepth
+		v.Min, v.Max, v.GatewayDepth = a.Min, a.Max, a.GatewayDepth
 		v.Warmup = a.Warmup
 	}
 	return v
@@ -47,7 +47,7 @@ func TestConfigNormalizeDefaults(t *testing.T) {
 	// scaled is the fully defaulted autoscale view of a pool of n.
 	scaled := func(n int) configView {
 		v := static
-		v.Replicas, v.Min, v.Max, v.Initial = n, 1, n, 1
+		v.Replicas, v.Min, v.Max = n, 1, n
 		v.GatewayDepth, v.Warmup = 512, 8*time.Second
 		return v
 	}
@@ -77,16 +77,13 @@ func TestConfigNormalizeDefaults(t *testing.T) {
 			with(scaled(5), func(v *configView) { v.Shards = 5 })},
 		{"autoscale-set-fields-stay",
 			cluster.Config{Policy: rr, Replicas: 4, Autoscale: auto(cluster.AutoscaleConfig{
-				Min: 2, Max: 4, Initial: 3, GatewayDepth: -1, Warmup: 3 * time.Second})},
+				Min: 2, Max: 4, GatewayDepth: -1, Warmup: 3 * time.Second})},
 			with(scaled(4), func(v *configView) {
-				v.Min, v.Initial, v.GatewayDepth, v.Warmup = 2, 3, -1, 3*time.Second
+				v.Min, v.GatewayDepth, v.Warmup = 2, -1, 3*time.Second
 			})},
 		{"scale-to-zero-forces-min-0",
 			cluster.Config{Policy: rr, Replicas: 3, Autoscale: auto(cluster.AutoscaleConfig{Min: 2, ScaleToZero: true})},
-			with(scaled(3), func(v *configView) { v.Min, v.Initial = 0, 0 })},
-		{"initial-defaults-to-min",
-			cluster.Config{Policy: rr, Replicas: 4, Autoscale: auto(cluster.AutoscaleConfig{Min: 3})},
-			with(scaled(4), func(v *configView) { v.Min, v.Initial = 3, 3 })},
+			with(scaled(3), func(v *configView) { v.Min = 0 })},
 		{"negative-warmup-is-instant",
 			cluster.Config{Policy: rr, Replicas: 2, Autoscale: auto(cluster.AutoscaleConfig{Warmup: -time.Second})},
 			with(scaled(2), func(v *configView) { v.Warmup = 0 })},
@@ -144,10 +141,6 @@ func TestConfigNormalizeRejectsBadValues(t *testing.T) {
 			"min 3 exceeds max 2"},
 		{"negative-max", cluster.Config{Policy: rr, Replicas: 2, Autoscale: auto(cluster.AutoscaleConfig{Max: -1})},
 			"min 1 exceeds max -1"},
-		{"initial-above-max", cluster.Config{Policy: rr, Replicas: 2, Autoscale: auto(cluster.AutoscaleConfig{Initial: 3})},
-			"initial 3 outside [1, 2]"},
-		{"initial-below-min", cluster.Config{Policy: rr, Replicas: 4,
-			Autoscale: auto(cluster.AutoscaleConfig{Min: 2, Initial: -1})}, "initial -1 outside [2, 4]"},
 	}
 	for _, c := range cases {
 		_, err := c.in.Normalize()

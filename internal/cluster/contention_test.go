@@ -49,7 +49,7 @@ func contentionCluster(t *testing.T, spec *fabric.Spec) *Cluster {
 		Topology: spec,
 		Autoscale: &AutoscaleConfig{
 			Policy: autoscale.NewQueuePressure(),
-			Min:    1, Max: 3, Initial: 3,
+			Min:    3, Max: 3,
 		},
 	}, testPool)
 	if err != nil {

@@ -30,6 +30,7 @@ package cluster
 import (
 	"repro/internal/autoscale"
 	"repro/internal/fabric"
+	"repro/internal/kvcache"
 	"repro/internal/obs"
 	"repro/internal/prefixindex"
 	"repro/internal/router"
@@ -60,7 +61,7 @@ func (c *Cluster) initPrefixIndex() error {
 	}
 	c.idx, c.idxSpec = idx, *spec
 	for _, rep := range c.replicas {
-		idx.SeedReplica(rep.id, rep.kv.TotalPages(), rep.kv.Config().PageTokens)
+		idx.SeedReplica(rep.id, rep.kv.TotalPages(), kvcache.PageTokens)
 		idx.SetActive(rep.id, rep.state == autoscale.Active)
 	}
 	if b, ok := c.cfg.Policy.(router.IndexBinder); ok {

@@ -16,9 +16,9 @@ import (
 )
 
 // Config holds the TokenFlow scheduler's tunables. Start from
-// DefaultConfig: Normalize fills the other zero durations and rates with
-// the paper's defaults, but μ (BufferConservativeness) has no zero
-// default — zero is below its floor of 1 and an error.
+// DefaultConfig: Normalize fills the other zero fields with the paper's
+// defaults, but μ (BufferConservativeness) has no zero default — zero is
+// below its floor of 1 and an error.
 type Config struct {
 	// RescheduleInterval is Δt, the period of full buffer-balancing
 	// passes (§7.5 studies 0.5-1.5s; default 1s).
@@ -31,32 +31,18 @@ type Config struct {
 	// at least 1, so zero is an error rather than a default.
 	BufferConservativeness float64
 
-	// AdjustRate is λ in the dynamic working-set shrink
-	// W_sched = W_static − λ·(W_static − N_running) (Eq. 5; default 0.5).
-	AdjustRate float64
-
-	// ExpectedContextTokens is β, the per-request memory footprint
-	// estimate in W_static = ⌊M/β⌋ (Eq. 4). Zero derives it from the live
-	// request population.
-	ExpectedContextTokens int
-
 	// TargetBufferSeconds is the buffered-playback level beyond which a
 	// running stream becomes a preemption candidate (the "buffer ≥
 	// threshold" of the Figure 6 example; default 3s).
 	TargetBufferSeconds float64
-
-	// LocalSearch enables the adjacent-swap refinement after the greedy
-	// selection (§4.2.2); disable to ablate.
-	LocalSearch bool
-
-	// FallbackFCFS enables graceful degradation to FCFS with memory-aware
-	// admission when Σ r_i exceeds the throughput capacity Γ (§4.3);
-	// disable to ablate.
-	FallbackFCFS bool
 }
 
 // Fixed scheduler constants the paper does not vary.
 const (
+	// adjustRate is λ in the dynamic working-set shrink
+	// W_sched = W_static − λ·(W_static − N_running) (Eq. 5).
+	adjustRate float64 = 0.5
+
 	// gamma weighs the starvation-avoidance term in the utility function
 	// (the γ of Eq. 3).
 	gamma float64 = 4.0
@@ -93,22 +79,17 @@ func DefaultConfig() Config {
 	return Config{
 		RescheduleInterval:     time.Second,
 		BufferConservativeness: 2.0,
-		AdjustRate:             0.5,
 		TargetBufferSeconds:    3.0,
-		LocalSearch:            true,
-		FallbackFCFS:           true,
 	}
 }
 
 // Normalize fills zero fields other than μ with defaults and validates
-// ranges: μ below 1 (zero included) is an error.
+// ranges: μ below 1 (zero and NaN included) and a negative or NaN target
+// buffer are errors.
 func (c Config) Normalize() (Config, error) {
 	d := DefaultConfig()
 	if c.RescheduleInterval == 0 {
 		c.RescheduleInterval = d.RescheduleInterval
-	}
-	if c.AdjustRate == 0 {
-		c.AdjustRate = d.AdjustRate
 	}
 	if c.TargetBufferSeconds == 0 {
 		c.TargetBufferSeconds = d.TargetBufferSeconds
@@ -116,12 +97,10 @@ func (c Config) Normalize() (Config, error) {
 	switch {
 	case c.RescheduleInterval < 0:
 		return c, fmt.Errorf("core: negative reschedule interval %v", c.RescheduleInterval)
-	case c.BufferConservativeness < 1:
+	case !(c.BufferConservativeness >= 1):
 		return c, fmt.Errorf("core: buffer conservativeness %v must be >= 1", c.BufferConservativeness)
-	case c.AdjustRate < 0 || c.AdjustRate > 1:
-		return c, fmt.Errorf("core: adjust rate %v must be in [0,1]", c.AdjustRate)
-	case c.ExpectedContextTokens < 0:
-		return c, fmt.Errorf("core: negative expected context %d", c.ExpectedContextTokens)
+	case !(c.TargetBufferSeconds > 0):
+		return c, fmt.Errorf("core: target buffer %v s must be positive", c.TargetBufferSeconds)
 	}
 	return c, nil
 }

@@ -18,7 +18,8 @@ import (
 // scheduler ran before its selection became a reused slice indexed by
 // candidate position. It returns the selected request IDs, their
 // discretionary utility, and the number of swaps that stuck. The
-// equality tests below hold selectCandidates to it.
+// equality tests below hold selectCandidates to it with local search on;
+// localSearch false gives the greedy packing alone.
 func refSelect(cands []candidate, budget, slots int, localSearch bool) (map[int]bool, float64, int64) {
 	order := make([]int, len(cands))
 	for i := range order {
@@ -82,7 +83,7 @@ func refPack(cands []candidate, order []int, budget, slots int) (map[int]bool, f
 // set, its utility and the swaps applied with refSelect.
 func checkAgainstRef(t *testing.T, s *Scheduler, cands []candidate, budget, slots int) {
 	t.Helper()
-	want, wantUtil, wantSwaps := refSelect(cands, budget, slots, s.cfg.LocalSearch)
+	want, wantUtil, wantSwaps := refSelect(cands, budget, slots, true)
 	swaps0 := s.SwapsApplied
 	got, gotUtil := s.selectCandidates(cands, budget, slots)
 	if len(got) != len(cands) {
@@ -149,27 +150,23 @@ func TestSelectCandidatesMatchesReference(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, local := range []bool{true, false} {
-				cfg := DefaultConfig()
-				cfg.LocalSearch = local
-				s := MustNew(cfg)
-				checkAgainstRef(t, s, tc.cands, tc.budget, tc.slots)
-				// The same scheduler again, now with grown scratch.
-				checkAgainstRef(t, s, tc.cands, tc.budget, tc.slots)
-			}
+			s := MustNew(DefaultConfig())
+			checkAgainstRef(t, s, tc.cands, tc.budget, tc.slots)
+			// The same scheduler again, now with grown scratch.
+			checkAgainstRef(t, s, tc.cands, tc.budget, tc.slots)
 		})
 	}
 }
 
 // decodeCandidates turns fuzz bytes into a selection problem: a header of
 // flags, budget and slot cap, then three bytes per candidate (utility,
-// tokens, flags). Utilities come from a small grid, so ties are common,
+// tokens, flags). The header's flag byte is ignored: local search is
+// always on. Utilities come from a small grid, so ties are common,
 // and byte values 250-255 give NaN.
-func decodeCandidates(data []byte) (cands []candidate, budget, slots int, localSearch bool) {
+func decodeCandidates(data []byte) (cands []candidate, budget, slots int) {
 	if len(data) < 4 {
-		return nil, 0, 0, false
+		return nil, 0, 0
 	}
-	localSearch = data[0]&1 == 1
 	budget = int(int16(binary.LittleEndian.Uint16(data[1:3])))
 	slots = int(data[3] % 8)
 	data = data[4:]
@@ -181,7 +178,7 @@ func decodeCandidates(data []byte) (cands []candidate, budget, slots int, localS
 		// IDs run backwards so positions and IDs never coincide.
 		cands = append(cands, cand(1000-len(cands), u, int(data[i+1])*8, data[i+2]&1 == 1))
 	}
-	return cands, budget, slots, localSearch
+	return cands, budget, slots
 }
 
 func FuzzSelectCandidates(f *testing.F) {
@@ -190,40 +187,34 @@ func FuzzSelectCandidates(f *testing.F) {
 	f.Add([]byte{0, 0xe8, 0x03, 0, 1, 112, 1, 72, 62, 0})
 	f.Add([]byte{1, 0xff, 0xff, 3, 255, 20, 0, 16, 10, 1, 251, 30, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		cands, budget, slots, local := decodeCandidates(data)
-		cfg := DefaultConfig()
-		cfg.LocalSearch = local
-		s := MustNew(cfg)
+		cands, budget, slots := decodeCandidates(data)
+		s := MustNew(DefaultConfig())
 		checkAgainstRef(t, s, cands, budget, slots)
 		// A smaller problem on the same scheduler reuses the larger scratch.
 		checkAgainstRef(t, s, cands[:len(cands)/2], budget, slots)
 	})
 }
 
-// TestDecideFullPassAllocations pins a warmed full pass with local search
-// on to exactly the Decision's own two slices: the preemptions and the
-// admissions, each sized once.
+// TestDecideFullPassAllocations pins a warmed full pass to exactly the
+// Decision's own two slices: the preemptions and the admissions, each
+// sized once.
 func TestDecideFullPassAllocations(t *testing.T) {
 	cost, err := gpu.NewCostModel(gpu.H200, model.Llama3_8B)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.ExpectedContextTokens = 600
-	cfg.FallbackFCFS = false // the small pool would otherwise read as overload
-	s := MustNew(cfg)
-	if !s.cfg.LocalSearch {
-		t.Fatal("the default config runs local search")
-	}
+	s := MustNew(DefaultConfig())
 	v := &sched.View{
 		Now: simclock.FromSeconds(5), TotalTokens: 4000,
-		PageTokens: 16, Cost: cost, AvgIterTime: 20 * time.Millisecond,
+		Cost: cost, AvgIterTime: 20 * time.Millisecond,
 	}
 	// Fat-buffer streams fill the pool; waiting newcomers only fit by
-	// preempting some of them.
+	// preempting some of them. Short outputs keep the mean full context
+	// near 1000 tokens, so Γ covers the 180 tok/s of demand (no fallback)
+	// and W_static = 9 leaves the working set room to admit.
 	used := 0
 	for i := 0; i < 5; i++ {
-		r := streamReq(1+i, 20, 300+40*i, 4000)
+		r := streamReq(1+i, 20, 300+40*i, 800)
 		v.Running = append(v.Running, r)
 		used += r.PromptLen + r.Generated
 	}

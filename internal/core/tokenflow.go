@@ -113,7 +113,7 @@ func (s *Scheduler) decide(v *sched.View, stressed bool) sched.Decision {
 	s.ranFull = true
 	s.lastFull = v.Now
 
-	if s.cfg.FallbackFCFS && s.overloaded(v) {
+	if s.overloaded(v) {
 		s.FallbackPasses++
 		return s.fcfsFallback(v)
 	}
@@ -382,25 +382,24 @@ func (s *Scheduler) expectedTokens(v *sched.View, r *request.Request) int {
 // then buffer balancing with greedy selection and local search (§4.2.2).
 func (s *Scheduler) fullPass(v *sched.View) sched.Decision {
 	// --- Step 1: working-set determination -----------------------------
-	// W_static = ⌊M/β⌋ (Eq. 4) with β from config or the live population.
-	beta := s.cfg.ExpectedContextTokens
+	// W_static = ⌊M/β⌋ (Eq. 4) with β the live population's mean full
+	// context (1024 tokens for an empty population).
 	members := len(v.Running) + len(v.Loading) + len(v.PrefillBacklog) + len(v.Preempted)
-	if beta == 0 {
-		var sum int64
-		n := 0
-		add := func(rs []*request.Request) {
-			for _, r := range rs {
-				sum += int64(r.FullContextLen())
-				n++
-			}
+	var sum int64
+	n := 0
+	add := func(rs []*request.Request) {
+		for _, r := range rs {
+			sum += int64(r.FullContextLen())
+			n++
 		}
-		add(v.Running)
-		add(v.Preempted)
-		add(v.Waiting)
-		add(v.PrefillBacklog)
-		if n > 0 {
-			beta = int(sum / int64(n))
-		}
+	}
+	add(v.Running)
+	add(v.Preempted)
+	add(v.Waiting)
+	add(v.PrefillBacklog)
+	beta := 0
+	if n > 0 {
+		beta = int(sum / int64(n))
 	}
 	if beta <= 0 {
 		beta = 1024
@@ -413,7 +412,7 @@ func (s *Scheduler) fullPass(v *sched.View) sched.Decision {
 	// not balloon while the device is underused.
 	wSched := wStatic
 	if nRun := len(v.Running); nRun < wStatic {
-		wSched = wStatic - int(s.cfg.AdjustRate*float64(wStatic-nRun))
+		wSched = wStatic - int(adjustRate*float64(wStatic-nRun))
 		if wSched < nRun+1 {
 			wSched = nRun + 1
 		}
@@ -582,7 +581,7 @@ func (s *Scheduler) selectCandidates(cands []candidate, budget, slots int) ([]bo
 	best := slices.Grow(s.best[:0], n)[:n]
 	sel := slices.Grow(s.sel[:0], n)[:n]
 	bestUtil := pack(cands, order, budget, slots, best)
-	for k := 0; s.cfg.LocalSearch && k+1 < len(order); k++ {
+	for k := 0; k+1 < len(order); k++ {
 		if cands[order[k]].committed || cands[order[k+1]].committed {
 			continue // committed entries are fixed consumers of budget
 		}

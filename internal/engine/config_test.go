@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -81,6 +82,7 @@ func TestConfigNormalizeRejectsBadValues(t *testing.T) {
 		{"nil-fabric", with(func(c *Config) { c.Fabric = nil }), "nil fabric"},
 		{"mem-fraction-below-0", with(func(c *Config) { c.MemFraction = -0.1 }), "mem fraction -0.1"},
 		{"mem-fraction-above-1", with(func(c *Config) { c.MemFraction = 1.5 }), "mem fraction 1.5"},
+		{"mem-fraction-NaN", with(func(c *Config) { c.MemFraction = math.NaN() }), "mem fraction NaN"},
 		{"negative-max-batch", with(func(c *Config) { c.MaxBatch = -1 }), "max batch -1"},
 		{"bad-model", with(func(c *Config) { c.Model = model.Spec{} }), "model"},
 	}

@@ -70,16 +70,14 @@ type Config struct {
 	Fabric *fabric.Endpoint
 }
 
-// Engine constants: the KV page granularity in tokens, the cap on the
-// tokens of one prefill iteration batch, and the session prefix cache's
-// share of KV capacity. Finished turns of multi-turn sessions keep their
+// Engine constants: the cap on the tokens of one prefill iteration batch
+// and the session prefix cache's share of KV capacity. Finished turns of multi-turn sessions keep their
 // context pinned on the device (LRU within that page budget), so the
 // session's next turn prefills only the new tokens; pinned prefixes are
 // charged against the KV page pool, evicted under memory pressure, and
 // always reclaimed before an admission is allowed to stall. Sessionless
 // workloads are unaffected.
 const (
-	pageTokens          = 16
 	maxPrefillTokens    = 8192
 	prefixCacheFraction = 0.5
 )
@@ -102,7 +100,7 @@ func (c Config) Normalize() (Config, error) {
 		return c, fmt.Errorf("engine: nil clock")
 	case c.Fabric == nil:
 		return c, fmt.Errorf("engine: nil fabric endpoint")
-	case c.MemFraction < 0 || c.MemFraction > 1:
+	case !(c.MemFraction >= 0 && c.MemFraction <= 1):
 		return c, fmt.Errorf("engine: mem fraction %v out of range [0, 1]", c.MemFraction)
 	case c.MaxBatch < 0:
 		return c, fmt.Errorf("engine: negative max batch %d", c.MaxBatch)
@@ -319,7 +317,7 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	capTokens := cost.KVCapacityTokens(cfg.MemFraction)
-	if capTokens < pageTokens {
+	if capTokens < kvcache.PageTokens {
 		return nil, fmt.Errorf("engine: %s with mem fraction %.2f leaves no KV capacity for %s",
 			cfg.GPU.Name, cfg.MemFraction, cfg.Model.Name)
 	}
@@ -351,8 +349,7 @@ func New(cfg Config) (*Engine, error) {
 	e.kickFn = func(t simclock.Time) { e.kick(t) }
 	kvcfg := kvcache.Config{
 		Policy:        cfg.KV,
-		PageTokens:    pageTokens,
-		GPUPages:      int(capTokens) / pageTokens,
+		GPUPages:      int(capTokens) / kvcache.PageTokens,
 		BytesPerToken: cfg.Model.KVBytesPerToken(),
 	}
 	kvcfg.PrefixPages = int(prefixCacheFraction * float64(kvcfg.GPUPages))
@@ -619,9 +616,8 @@ func (e *Engine) view(now simclock.Time) *sched.View {
 		Running:            e.running,
 		Preempted:          e.preempted,
 		Loading:            e.loading,
-		FreeTokens:         e.mem.FreePages() * pageTokens,
-		TotalTokens:        e.mem.TotalPages() * pageTokens,
-		PageTokens:         pageTokens,
+		FreeTokens:         e.mem.FreePages() * kvcache.PageTokens,
+		TotalTokens:        e.mem.TotalPages() * kvcache.PageTokens,
 		MaxBatch:           e.cfg.MaxBatch,
 		Mem:                e.mem,
 		Cost:               e.cost,

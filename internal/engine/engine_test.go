@@ -291,7 +291,7 @@ func TestAdvanceDecodeNeedsResidency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	page := pageTokens
+	page := kvcache.PageTokens
 	running := func(id int) *request.Request {
 		r := request.New(id, 0, page, 100, 20)
 		r.State = request.StateRunning

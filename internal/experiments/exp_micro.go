@@ -152,7 +152,7 @@ func Fig08() (*Table, error) {
 		cfg  kvcache.Config
 	}
 	base := kvcache.Config{
-		PageTokens: 16, GPUPages: 256, BytesPerToken: model.Llama3_8B.KVBytesPerToken(),
+		GPUPages: 256, BytesPerToken: model.Llama3_8B.KVBytesPerToken(),
 		Policy: kvcache.Policy{Offload: true, LoadEvictOverlap: true},
 	}
 	wt := base
@@ -291,7 +291,7 @@ func Fig10() (*Table, error) {
 
 func loadEvictScenario(overlap bool) (loadDone, evictDone simclock.Time, err error) {
 	cfg := kvcache.Config{
-		PageTokens: 16, GPUPages: 96, BytesPerToken: model.Llama3_8B.KVBytesPerToken(),
+		GPUPages: 96, BytesPerToken: model.Llama3_8B.KVBytesPerToken(),
 		Policy: kvcache.Policy{Offload: true, LoadEvictOverlap: overlap, WriteThrough: true, ChunkedWriting: true},
 	}
 	clock := simclock.New()

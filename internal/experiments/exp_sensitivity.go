@@ -251,7 +251,7 @@ func Overhead() (*Table, error) {
 	mkView := func() *sched.View {
 		v := &sched.View{
 			Now: simclock.FromSeconds(100), FreeTokens: 50_000, TotalTokens: 200_000,
-			PageTokens: 16, Cost: cost, AvgIterTime: 20 * time.Millisecond,
+			Cost: cost, AvgIterTime: 20 * time.Millisecond,
 		}
 		clock := simclock.New()
 		for i := 0; i < 128; i++ {

@@ -92,11 +92,11 @@ func (s Spec) Normalize() (Spec, error) {
 	default:
 		return s, fmt.Errorf("fabric: unknown topology kind %q (have %v)", s.Kind, Kinds())
 	}
-	if s.LinkGBps < 0 {
-		return s, fmt.Errorf("fabric: negative link bandwidth %v GB/s", s.LinkGBps)
+	if !(s.LinkGBps > 0) {
+		return s, fmt.Errorf("fabric: link bandwidth %v GB/s must be positive", s.LinkGBps)
 	}
-	if s.SwitchGBps < 0 {
-		return s, fmt.Errorf("fabric: negative switch bandwidth %v GB/s", s.SwitchGBps)
+	if !(s.SwitchGBps >= 0) {
+		return s, fmt.Errorf("fabric: switch bandwidth %v GB/s must not be negative (0 = non-blocking)", s.SwitchGBps)
 	}
 	return s, nil
 }

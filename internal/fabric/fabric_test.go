@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -76,6 +77,8 @@ func TestSpecValidate(t *testing.T) {
 		{"unknown-kind", Spec{Kind: "ring", LinkGBps: 1}, `"ring"`},
 		{"negative-link", Spec{Kind: FullMesh, LinkGBps: -1}, "link bandwidth -1"},
 		{"negative-switch", Spec{Kind: SharedNIC, LinkGBps: 1, SwitchGBps: -2}, "switch bandwidth -2"},
+		{"NaN-link", Spec{Kind: SharedNIC, LinkGBps: math.NaN()}, "link bandwidth NaN"},
+		{"NaN-switch", Spec{Kind: SharedNIC, LinkGBps: 1, SwitchGBps: math.NaN()}, "switch bandwidth NaN"},
 	}
 	for _, c := range cases {
 		if _, err := c.in.Normalize(); err == nil || !strings.Contains(err.Error(), c.want) {

@@ -72,13 +72,13 @@ type Policy struct {
 	HostCachePages int
 }
 
+// PageTokens is the page granularity in tokens (SGLang/vLLM-style paged
+// attention blocks).
+const PageTokens = 16
+
 // Config selects the memory-management policies and pool geometry.
 type Config struct {
 	Policy
-
-	// PageTokens is the page granularity in tokens (SGLang/vLLM-style
-	// paged attention blocks).
-	PageTokens int
 
 	// GPUPages is the KV pool capacity in pages.
 	GPUPages int
@@ -96,8 +96,6 @@ type Config struct {
 // Validate reports an error for non-positive geometry.
 func (c Config) Validate() error {
 	switch {
-	case c.PageTokens <= 0:
-		return fmt.Errorf("kvcache: non-positive page size %d", c.PageTokens)
 	case c.GPUPages <= 0:
 		return fmt.Errorf("kvcache: non-positive pool size %d", c.GPUPages)
 	case c.BytesPerToken <= 0:
@@ -301,7 +299,7 @@ func (m *Manager) Config() Config { return m.cfg }
 
 // PageBytes reports the size of one page in bytes.
 func (m *Manager) PageBytes() int64 {
-	return int64(m.cfg.PageTokens) * m.cfg.BytesPerToken
+	return PageTokens * m.cfg.BytesPerToken
 }
 
 // Pages reports how many pages a context of the given tokens occupies.
@@ -309,7 +307,7 @@ func (m *Manager) Pages(tokens int) int {
 	if tokens <= 0 {
 		return 0
 	}
-	return (tokens + m.cfg.PageTokens - 1) / m.cfg.PageTokens
+	return (tokens + PageTokens - 1) / PageTokens
 }
 
 // FreePages reports unallocated pool pages.

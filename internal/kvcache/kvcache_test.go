@@ -36,9 +36,6 @@ func newRig(t testing.TB, cfg Config) *testRig {
 		evictTimes: make(map[int]simclock.Time),
 		loadTimes:  make(map[int]simclock.Time),
 	}
-	if cfg.PageTokens == 0 {
-		cfg.PageTokens = 16
-	}
 	if cfg.BytesPerToken == 0 {
 		cfg.BytesPerToken = 4096
 	}
@@ -72,14 +69,13 @@ func newReq(id, prompt, output int) *request.Request {
 }
 
 func TestConfigValidate(t *testing.T) {
-	good := Config{PageTokens: 16, GPUPages: 8, BytesPerToken: 1024}
+	good := Config{GPUPages: 8, BytesPerToken: 1024}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	for _, bad := range []Config{
-		{PageTokens: 0, GPUPages: 8, BytesPerToken: 1},
-		{PageTokens: 16, GPUPages: 0, BytesPerToken: 1},
-		{PageTokens: 16, GPUPages: 8, BytesPerToken: 0},
+		{GPUPages: 0, BytesPerToken: 1},
+		{GPUPages: 8, BytesPerToken: 0},
 	} {
 		if bad.Validate() == nil {
 			t.Errorf("config %+v should fail", bad)
@@ -88,7 +84,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestNewRejectsNils(t *testing.T) {
-	cfg := Config{PageTokens: 16, GPUPages: 8, BytesPerToken: 1024}
+	cfg := Config{GPUPages: 8, BytesPerToken: 1024}
 	if _, err := New(cfg, nil, nil, Callbacks{}); err == nil {
 		t.Error("nil deps should error")
 	}

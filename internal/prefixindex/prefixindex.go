@@ -65,7 +65,7 @@ func (s Spec) Normalize() (Spec, error) {
 	switch {
 	case s.PropagationDelay < 0:
 		return s, fmt.Errorf("prefixindex: negative propagation delay %v", s.PropagationDelay)
-	case s.DropRate < 0 || s.DropRate >= 1:
+	case !(s.DropRate >= 0 && s.DropRate < 1):
 		return s, fmt.Errorf("prefixindex: drop rate %v outside [0, 1)", s.DropRate)
 	case s.HeartbeatEvery < 0:
 		return s, fmt.Errorf("prefixindex: negative heartbeat stride %v", s.HeartbeatEvery)

@@ -1,6 +1,7 @@
 package prefixindex
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -94,6 +95,7 @@ func TestValidate(t *testing.T) {
 		{"negative-delay", Spec{PropagationDelay: -time.Second}, "propagation delay -1s"},
 		{"negative-drop-rate", Spec{DropRate: -0.1}, "drop rate -0.1"},
 		{"drop-rate-1", Spec{DropRate: 1}, "drop rate 1"},
+		{"NaN-drop-rate", Spec{DropRate: math.NaN()}, "drop rate NaN"},
 		{"negative-heartbeat", Spec{HeartbeatEvery: -time.Second}, "heartbeat stride -1s"},
 		{"negative-staleness", Spec{MaxStaleness: -time.Second}, "staleness bound -1s"},
 	}

@@ -23,15 +23,15 @@ import (
 // context switch costs a full recompute, which is precisely the
 // inefficiency TokenFlow's hierarchical memory manager removes.
 type Andes struct {
-	// Quantum is the rescheduling period.
-	Quantum time.Duration
-
 	lastDecision simclock.Time
 	decided      bool
 }
 
 // Andes tuning used in the paper's comparisons.
 const (
+	// andesQuantum is the rescheduling period.
+	andesQuantum = time.Second
+
 	// andesTTFTTarget is the responsiveness SLO; waiting requests gain
 	// urgency as they approach and exceed it (the 1.3s threshold of §2.2).
 	andesTTFTTarget = 1300 * time.Millisecond
@@ -49,7 +49,7 @@ const (
 
 // NewAndes returns the Andes baseline with the defaults used in the
 // paper's comparisons.
-func NewAndes() *Andes { return &Andes{Quantum: time.Second} }
+func NewAndes() *Andes { return &Andes{} }
 
 // Name implements Scheduler.
 func (a *Andes) Name() string { return "andes" }
@@ -84,7 +84,7 @@ func (a *Andes) NextDecisionTime(now simclock.Time) simclock.Time {
 	if !a.decided {
 		return simclock.Forever
 	}
-	return a.lastDecision.Add(a.Quantum)
+	return a.lastDecision.Add(andesQuantum)
 }
 
 // Decide implements Scheduler. With nothing waiting, the admit-only pass
@@ -93,13 +93,13 @@ func (a *Andes) NextDecisionTime(now simclock.Time) simclock.Time {
 func (a *Andes) Decide(v *View) Decision {
 	d := a.decide(v)
 	if len(v.Waiting) == 0 {
-		d.QuietUntil = a.lastDecision.Add(a.Quantum)
+		d.QuietUntil = a.lastDecision.Add(andesQuantum)
 	}
 	return d
 }
 
 func (a *Andes) decide(v *View) Decision {
-	if a.decided && v.Now.Sub(a.lastDecision) < a.Quantum {
+	if a.decided && v.Now.Sub(a.lastDecision) < andesQuantum {
 		// Between quanta: only admit into clearly free memory, FCFS.
 		return a.admitOnly(v)
 	}

@@ -50,7 +50,6 @@ type View struct {
 	// FreeTokens and TotalTokens describe the KV pool in token units.
 	FreeTokens  int
 	TotalTokens int
-	PageTokens  int
 
 	// MaxBatch is the engine's concurrent-decode cap (the B of the §3.3
 	// formulation); 0 means unbounded.

@@ -20,7 +20,6 @@ func testView(t *testing.T, now simclock.Time) *View {
 		Now:         now,
 		FreeTokens:  10_000,
 		TotalTokens: 20_000,
-		PageTokens:  16,
 		Cost:        cost,
 		AvgIterTime: 20 * time.Millisecond,
 	}

@@ -29,8 +29,8 @@ func Burst(name string, n int, at simclock.Time, lengths LengthDist, rates RateD
 // duration (Table 1 setups (c)/(d), "Poisson-distributed arrivals modeling
 // typical traffic").
 func Poisson(name string, lambda float64, duration simclock.Time, lengths LengthDist, rates RateDist, seed int64) Workload {
-	if lambda <= 0 {
-		panic(fmt.Sprintf("trace: non-positive Poisson rate %v", lambda))
+	if !positiveFinite(lambda) {
+		panic(fmt.Sprintf("trace: Poisson rate %v is not positive and finite", lambda))
 	}
 	rng := rand.New(rand.NewSource(seed))
 	w := Workload{Name: name}
@@ -73,8 +73,8 @@ type BurstGPTConfig struct {
 // BurstGPT generates a BurstGPT-like trace: Gamma-distributed inter-arrival
 // times (burstier than Poisson) with optional periodic request spikes.
 func BurstGPT(name string, cfg BurstGPTConfig) Workload {
-	if cfg.BaseRate <= 0 {
-		panic(fmt.Sprintf("trace: non-positive base rate %v", cfg.BaseRate))
+	if !positiveFinite(cfg.BaseRate) {
+		panic(fmt.Sprintf("trace: base rate %v is not positive and finite", cfg.BaseRate))
 	}
 	shape := cfg.GammaShape
 	if shape <= 0 {
@@ -113,8 +113,8 @@ func BurstGPT(name string, cfg BurstGPTConfig) Workload {
 // (Figure 11): a bursty arrival process with a sinusoidally modulated rate
 // (traffic peaks) and the bimodal length mixture of IndustrialLengths.
 func Industrial(name string, duration simclock.Time, peakRate float64, rates RateDist, seed int64) Workload {
-	if peakRate <= 0 {
-		panic(fmt.Sprintf("trace: non-positive peak rate %v", peakRate))
+	if !positiveFinite(peakRate) {
+		panic(fmt.Sprintf("trace: peak rate %v is not positive and finite", peakRate))
 	}
 	rng := rand.New(rand.NewSource(seed))
 	w := Workload{Name: name}
@@ -146,6 +146,11 @@ func Industrial(name string, duration simclock.Time, peakRate float64, rates Rat
 	}
 	return w
 }
+
+// positiveFinite reports whether an arrival rate is usable. The generators
+// add gaps until they pass the window's end, and the gaps of a NaN rate
+// (NaN) or an infinite one (zero) never do.
+func positiveFinite(rate float64) bool { return rate > 0 && !math.IsInf(rate, 1) }
 
 // sin01 maps a phase in periods to a [−1, 1] sinusoid.
 func sin01(phase float64) float64 {

@@ -77,6 +77,33 @@ func TestPoissonRejectsBadRate(t *testing.T) {
 	Poisson("p", 0, simclock.FromSeconds(1), FixedLengths{1, 1}, FixedRate(1), 1)
 }
 
+// TestGeneratorsRejectNaNRate: a NaN or infinite arrival rate panics at
+// once instead of adding gaps that never pass the window's end.
+func TestGeneratorsRejectNaNRate(t *testing.T) {
+	window := simclock.FromSeconds(1)
+	lengths, rates := FixedLengths{1, 1}, FixedRate(1)
+	for _, c := range []struct {
+		name string
+		gen  func()
+	}{
+		{"poisson-NaN", func() { Poisson("p", math.NaN(), window, lengths, rates, 1) }},
+		{"poisson-Inf", func() { Poisson("p", math.Inf(1), window, lengths, rates, 1) }},
+		{"burstgpt-NaN", func() {
+			BurstGPT("b", BurstGPTConfig{Duration: window, BaseRate: math.NaN(), Lengths: lengths, Rates: rates})
+		}},
+		{"industrial-NaN", func() { Industrial("i", window, math.NaN(), rates, 1) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Error("a NaN or infinite rate should panic")
+				}
+			}()
+			c.gen()
+		})
+	}
+}
+
 func TestBurstGPTBurstierThanPoisson(t *testing.T) {
 	dur := simclock.FromSeconds(600)
 	bg := BurstGPT("bg", BurstGPTConfig{

@@ -1,6 +1,7 @@
 package tokenflow_test
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -96,9 +97,9 @@ func TestAutoscaleMinOverMaxErrors(t *testing.T) {
 	}
 }
 
-// TestAutoscaleRejectsNegativeTuning: a negative SLO target or forecast
-// rate is an error under every policy, not a controller that runs with
-// its sign flipped and never scales up.
+// TestAutoscaleRejectsNegativeTuning: a negative SLO target or a negative
+// or NaN forecast rate is an error under every policy, not a controller
+// that runs with its sign flipped (or a NaN pool size) and never scales up.
 func TestAutoscaleRejectsNegativeTuning(t *testing.T) {
 	w := tokenflow.SessionWorkload(5, 30, 20, 9)
 	cases := []struct {
@@ -114,6 +115,8 @@ func TestAutoscaleRejectsNegativeTuning(t *testing.T) {
 			Policy: tokenflow.AutoscalePredictive, ForecastRatePerReplica: -1}, "forecast rate -1"},
 		{"negative-forecast-rate-other-policy", tokenflow.AutoscaleSpec{
 			Policy: tokenflow.AutoscaleKVUtilization, ForecastRatePerReplica: -0.5}, "forecast rate -0.5"},
+		{"NaN-forecast-rate", tokenflow.AutoscaleSpec{
+			Policy: tokenflow.AutoscalePredictive, ForecastRatePerReplica: math.NaN()}, "forecast rate NaN"},
 	}
 	for _, c := range cases {
 		spec := c.spec

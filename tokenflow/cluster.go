@@ -297,7 +297,7 @@ type AutoscaleSpec struct {
 	// the steady arrival rate in req/s one replica absorbs without queue
 	// growth, which the Holt forecast is divided by to size the pool
 	// (default 0.6, roughly one RTX-4090 Llama3-8B replica on the session
-	// workloads; negative is an error).
+	// workloads; negative or NaN is an error).
 	ForecastRatePerReplica float64
 
 	// Warmup is the latency a scale-up pays before the new replica
@@ -318,8 +318,8 @@ func (s AutoscaleSpec) policy() (autoscale.Policy, error) {
 	switch {
 	case s.TargetP99TTFT < 0:
 		return nil, fmt.Errorf("tokenflow: autoscale target P99 TTFT %v must not be negative", s.TargetP99TTFT)
-	case s.ForecastRatePerReplica < 0:
-		return nil, fmt.Errorf("tokenflow: autoscale forecast rate %v req/s per replica must not be negative",
+	case !(s.ForecastRatePerReplica >= 0):
+		return nil, fmt.Errorf("tokenflow: autoscale forecast rate %v req/s per replica must be zero (default) or positive",
 			s.ForecastRatePerReplica)
 	}
 	name := s.Policy
