@@ -264,15 +264,36 @@ func parseHetero(s string) ([]tokenflow.ReplicaSpec, error) {
 }
 
 // checkFlags rejects the flag values the workload generators would panic
-// on and the replica counts the cluster would silently replace.
-func checkFlags(kind string, n int, lambda float64, replicas int) error {
+// on or silently replace, and the replica counts the cluster would
+// silently replace. Each workload kind is checked only on the flags it
+// reads.
+func checkFlags(kind string, n int, lambda, duration float64, prompt, output int, rate float64, replicas int) error {
+	var count, arrivals, window, lengths bool
+	switch kind {
+	case "burst":
+		count, lengths = true, true
+	case "poisson":
+		arrivals, window, lengths = true, true, true
+	case "burstgpt":
+		arrivals, window = true, true
+	case "sessions", "session-spikes":
+		count, window = true, true
+	}
 	switch {
 	case replicas < 1:
 		return fmt.Errorf("-replicas %d: the pool needs at least 1 replica", replicas)
-	case (kind == "burst" || kind == "sessions" || kind == "session-spikes") && n < 1:
+	case count && n < 1:
 		return fmt.Errorf("-n %d: the %s workload needs at least 1 request or session", n, kind)
-	case (kind == "poisson" || kind == "burstgpt") && !(lambda > 0 && !math.IsInf(lambda, 1)):
+	case arrivals && !(lambda > 0 && !math.IsInf(lambda, 1)):
 		return fmt.Errorf("-lambda %v: the %s workload needs a positive, finite arrival rate", lambda, kind)
+	case window && !(duration > 0 && !math.IsInf(duration, 1)):
+		return fmt.Errorf("-duration %v: the %s workload needs a positive, finite window", duration, kind)
+	case lengths && prompt < 1:
+		return fmt.Errorf("-prompt %d: the %s workload needs a mean prompt of at least 1 token", prompt, kind)
+	case lengths && output < 1:
+		return fmt.Errorf("-output %d: the %s workload needs a mean output of at least 1 token", output, kind)
+	case !(rate >= 0 && !math.IsInf(rate, 1)):
+		return fmt.Errorf("-rate %v: the consumption rate must be finite and not negative (0 = instant)", rate)
 	}
 	return nil
 }
@@ -330,7 +351,7 @@ func run() error {
 	)
 	flag.Usage = groupedUsage
 	flag.Parse()
-	if err := checkFlags(*kind, *n, *lambda, *replicas); err != nil {
+	if err := checkFlags(*kind, *n, *lambda, *duration, *prompt, *output, *rate, *replicas); err != nil {
 		return err
 	}
 

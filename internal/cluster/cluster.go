@@ -55,6 +55,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/gpu"
 	"repro/internal/kvcache"
+	"repro/internal/loadboard"
 	"repro/internal/metrics"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -613,6 +614,10 @@ type Cluster struct {
 	holdersForPick bool
 	holderScratch  []int
 
+	// loads is the live load board the scanning load policies read
+	// (loads.go); nil for every other policy.
+	loads *loadboard.Board
+
 	// Sharded execution (see shards.go): shards[s] owns the sub-clock of
 	// replicas with id ≡ s (mod len(shards)); there is always at least one.
 	// busyShards and ttftScratch are reused barrier scratch buffers.
@@ -818,6 +823,8 @@ func New(cfg Config, build BuildEngine) (*Cluster, error) {
 	if err := c.initPrefixIndex(); err != nil {
 		return nil, err
 	}
+	c.initLoadBoard()
+	c.initLoadObservers()
 	c.initPinHolders()
 	if err := c.initChaos(); err != nil {
 		return nil, err
@@ -1017,9 +1024,9 @@ func (c *Cluster) route(id int, it trace.Item) *replica {
 	rr := router.Request{
 		ID:        id,
 		Session:   it.Session,
-		Turn:      it.Turn,
 		PromptLen: it.PromptLen,
 		OutputLen: it.OutputLen,
+		Loads:     c.loads,
 	}
 	if c.holdersForPick && it.Session != 0 {
 		rr.PrefixHolders = c.prefixHolders(it.Session)

@@ -8,11 +8,11 @@ package cluster
 //
 // Publication rides the choke points the engines already own: the KV
 // manager's pin and mirror mutations (kvcache.SetPrefixPublisher) and the
-// engine's outstanding-count changes (engine.SetLoadObserver; replaced by
-// coordinator heartbeat digests when the spec sets a stride). Every
-// publication is accounted on the fabric's index class — the control-plane
-// traffic an event-sync gateway actually pays — and emitted to the flight
-// recorder.
+// engine's outstanding-count changes (the load observer initLoadObservers
+// installs; replaced by coordinator heartbeat digests when the spec sets a
+// stride). Every publication is accounted on the fabric's index class —
+// the control-plane traffic an event-sync gateway actually pays — and
+// emitted to the flight recorder.
 //
 // Threading follows the cluster's single-writer discipline: a replica's
 // publications are produced either on its shard goroutine (engine events)
@@ -71,11 +71,11 @@ func (c *Cluster) initPrefixIndex() error {
 	return nil
 }
 
-// installPublishers hooks every replica's engine load signal into the
-// publication stream and builds the per-replica emitters the KV hooks
-// publish through. Each replica owns a sequence counter (pubSeq); the
-// drop decision is a deterministic function of (seed, replica, sequence),
-// so a run reproduces its losses whatever the shard count. Fabric
+// installPublishers builds the per-replica emitters the KV hooks and the
+// engines' load observers (initLoadObservers) publish through. Each
+// replica owns a sequence counter (pubSeq); the drop decision is a
+// deterministic function of (seed, replica, sequence), so a run
+// reproduces its losses whatever the shard count. Fabric
 // accounting for the publication stream is deferred: pubSeq already counts
 // every wire event per replica, and settleIndexTraffic folds the totals
 // into the index class's ledger at collection time — one ledger write per
@@ -115,14 +115,9 @@ func (c *Cluster) installPublishers() {
 			// (mergePubs).
 			sh.pubs = append(sh.pubs, p)
 		}
-		// The KV pin and mirror hooks publish through emit too; they are
+		// The KV pin and mirror hooks publish through emit; they are
 		// installed with the pin-holder table's (initPinHolders).
 		c.pubFns[i] = emit
-		if c.idxSpec.HeartbeatEvery == 0 {
-			rep.eng.SetLoadObserver(func(outstanding int) {
-				emit(prefixindex.EvLoad, 0, int64(outstanding), 0)
-			})
-		}
 	}
 }
 
@@ -222,11 +217,14 @@ func (c *Cluster) publishDigests() {
 	}
 }
 
-// noteActive mirrors a lifecycle transition into the index. Activation is
-// control-plane state the gateway itself owns, so it applies synchronously:
-// the index never routes to a replica the cluster would not.
+// noteActive mirrors a lifecycle transition into the index and the load
+// board. Activation is control-plane state the gateway itself owns, so it
+// applies synchronously: neither routes to a replica the cluster would not.
 func (c *Cluster) noteActive(replica int, active bool) {
 	if c.idx != nil {
 		c.idx.SetActive(replica, active)
+	}
+	if c.loads != nil {
+		c.loads.SetActive(replica, active)
 	}
 }

@@ -57,11 +57,21 @@ type quietRun struct {
 
 func runWithObs(t *testing.T, cfg cluster.Config, build cluster.BuildEngine, w trace.Workload) quietRun {
 	t.Helper()
+	return runPrepared(t, cfg, build, w, nil)
+}
+
+// runPrepared is runWithObs with prep, when set, applied to the built
+// cluster before it runs.
+func runPrepared(t *testing.T, cfg cluster.Config, build cluster.BuildEngine, w trace.Workload, prep func(*cluster.Cluster)) quietRun {
+	t.Helper()
 	cfg.SampleEvery = 250 * time.Millisecond
 	cfg.Obs = obs.Options{Events: true, Series: true, Profile: true, Attribution: true}
 	cl, err := cluster.New(cfg, build)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if prep != nil {
+		prep(cl)
 	}
 	res, err := cl.Run(w)
 	if err != nil {

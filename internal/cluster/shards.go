@@ -98,6 +98,9 @@ type shard struct {
 	// holders is the pin-holder table of this shard's replicas (nil when
 	// nothing reads it); see holders.go.
 	holders holderTable
+	// loadDirty lists this shard's replicas whose outstanding count moved
+	// since the load board's last read (loads.go).
+	loadDirty []int32
 }
 
 // advance runs the shard's window (run), starting at the wall-clock

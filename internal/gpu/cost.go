@@ -15,11 +15,22 @@ import (
 type CostModel struct {
 	GPU   Spec
 	Model model.Spec
+
+	// The roofline operands the iteration predictions read, each the
+	// specs' own expression evaluated once by NewCostModel. They are
+	// cached as operands, never folded into new products, so every
+	// prediction is bit-identical to deriving them per call.
+	flopsPerToken   float64 // Model.FLOPsPerToken()
+	effFLOPs        float64 // GPU.EffectiveFLOPs()
+	weightBytes     float64 // float64(Model.WeightBytes())
+	kvBytesPerToken float64 // float64(Model.KVBytesPerToken())
+	effHBM          float64 // GPU.EffectiveHBMBytesPerSec()
 }
 
 // NewCostModel validates both specs and returns the cost model. Callers
-// share the pointer: the per-iteration predictions read the specs in place
-// instead of copying them on every call.
+// share the pointer: the per-iteration predictions read its cached
+// operands instead of re-deriving them from the specs on every call, so
+// the specs must not change after construction.
 func NewCostModel(g Spec, m model.Spec) (*CostModel, error) {
 	if err := g.Validate(); err != nil {
 		return nil, err
@@ -27,7 +38,14 @@ func NewCostModel(g Spec, m model.Spec) (*CostModel, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	c := &CostModel{GPU: g, Model: m}
+	c := &CostModel{
+		GPU: g, Model: m,
+		flopsPerToken:   m.FLOPsPerToken(),
+		effFLOPs:        g.EffectiveFLOPs(),
+		weightBytes:     float64(m.WeightBytes()),
+		kvBytesPerToken: float64(m.KVBytesPerToken()),
+		effHBM:          g.EffectiveHBMBytesPerSec(),
+	}
 	if c.KVCapacityTokens(1.0) <= 0 {
 		return nil, fmt.Errorf("gpu: model %s does not fit on %s", m.Name, g.Name)
 	}
@@ -52,9 +70,24 @@ func (c *CostModel) PrefillTime(promptTokens int) time.Duration {
 	if promptTokens <= 0 {
 		return 0
 	}
-	compute := float64(promptTokens) * c.Model.FLOPsPerToken() / c.GPU.EffectiveFLOPs()
-	memory := float64(c.Model.WeightBytes()) / c.GPU.EffectiveHBMBytesPerSec()
-	return c.GPU.IterOverhead + secondsToDuration(maxf(compute, memory))
+	return c.GPU.IterOverhead + secondsToDuration(c.prefillSeconds(promptTokens))
+}
+
+// prefillSeconds is PrefillTime's roofline: compute over promptTokens
+// against one pass over the weights.
+func (c *CostModel) prefillSeconds(promptTokens int) float64 {
+	compute := float64(promptTokens) * c.flopsPerToken / c.effFLOPs
+	memory := c.weightBytes / c.effHBM
+	return maxf(compute, memory)
+}
+
+// stepSeconds is the roofline of an iteration that computes tokens new
+// tokens while streaming the weights and contextTokens of resident KV.
+func (c *CostModel) stepSeconds(tokens int, contextTokens int64) float64 {
+	compute := float64(tokens) * c.flopsPerToken / c.effFLOPs
+	bytes := c.weightBytes + float64(contextTokens)*c.kvBytesPerToken
+	memory := bytes / c.effHBM
+	return maxf(compute, memory)
 }
 
 // DecodeStepTime predicts the latency of one decode iteration that advances
@@ -64,10 +97,7 @@ func (c *CostModel) DecodeStepTime(batch int, contextTokens int64) time.Duration
 	if batch <= 0 {
 		return 0
 	}
-	compute := float64(batch) * c.Model.FLOPsPerToken() / c.GPU.EffectiveFLOPs()
-	bytes := float64(c.Model.WeightBytes()) + float64(contextTokens)*float64(c.Model.KVBytesPerToken())
-	memory := bytes / c.GPU.EffectiveHBMBytesPerSec()
-	return c.GPU.IterOverhead + secondsToDuration(maxf(compute, memory))
+	return c.GPU.IterOverhead + secondsToDuration(c.stepSeconds(batch, contextTokens))
 }
 
 // MixedStepTime predicts the latency of a chunked-prefill iteration that
@@ -79,10 +109,7 @@ func (c *CostModel) MixedStepTime(prefillTokens, batch int, contextTokens int64)
 	if batch <= 0 {
 		return c.PrefillTime(prefillTokens)
 	}
-	compute := float64(prefillTokens+batch) * c.Model.FLOPsPerToken() / c.GPU.EffectiveFLOPs()
-	bytes := float64(c.Model.WeightBytes()) + float64(contextTokens)*float64(c.Model.KVBytesPerToken())
-	memory := bytes / c.GPU.EffectiveHBMBytesPerSec()
-	return c.GPU.IterOverhead + secondsToDuration(maxf(compute, memory))
+	return c.GPU.IterOverhead + secondsToDuration(c.stepSeconds(prefillTokens+batch, contextTokens))
 }
 
 // PeakDecodeTokensPerSec reports the aggregate decode throughput at a given

@@ -372,3 +372,62 @@ func TestLinkReserve(t *testing.T) {
 	}()
 	l.Reserve(simclock.FromSeconds(1), simclock.FromSeconds(3), 1)
 }
+
+// TestCachedOperandsExact holds the cost model's cached roofline operands
+// to the expressions they replace: for every device × model pair in the
+// zoo that fits, and a grid of prompt, batch and context sizes, each
+// iteration's roofline seconds equal (==, every bit) the value derived
+// from the specs on every call, and so do the predicted durations.
+func TestCachedOperandsExact(t *testing.T) {
+	step := func(g Spec, m model.Spec, tokens int, contextTokens int64) float64 {
+		compute := float64(tokens) * m.FLOPsPerToken() / g.EffectiveFLOPs()
+		bytes := float64(m.WeightBytes()) + float64(contextTokens)*float64(m.KVBytesPerToken())
+		memory := bytes / g.EffectiveHBMBytesPerSec()
+		return maxf(compute, memory)
+	}
+	prefill := func(g Spec, m model.Spec, tokens int) float64 {
+		compute := float64(tokens) * m.FLOPsPerToken() / g.EffectiveFLOPs()
+		memory := float64(m.WeightBytes()) / g.EffectiveHBMBytesPerSec()
+		return maxf(compute, memory)
+	}
+	sizes := []int{1, 2, 3, 7, 16, 64, 255, 512, 1000, 4096, 8191, 32768}
+	contexts := []int64{0, 1, 17, 1024, 65_536, 1_000_003, 12_345_678}
+	pairs := 0
+	for _, g := range All() {
+		for _, m := range model.All() {
+			c, err := NewCostModel(g, m)
+			if err != nil {
+				continue // the model does not fit on the device
+			}
+			pairs++
+			at := func(s float64) time.Duration { return g.IterOverhead + secondsToDuration(s) }
+			for _, n := range sizes {
+				want := prefill(g, m, n)
+				if got := c.prefillSeconds(n); got != want {
+					t.Fatalf("%s/%s prefill(%d) = %v s, want %v s", g.Name, m.Name, n, got, want)
+				}
+				if got := c.PrefillTime(n); got != at(want) {
+					t.Fatalf("%s/%s PrefillTime(%d) = %v, want %v", g.Name, m.Name, n, got, at(want))
+				}
+				for _, ctx := range contexts {
+					want := step(g, m, n, ctx)
+					if got := c.stepSeconds(n, ctx); got != want {
+						t.Fatalf("%s/%s step(%d, %d) = %v s, want %v s", g.Name, m.Name, n, ctx, got, want)
+					}
+					if got := c.DecodeStepTime(n, ctx); got != at(want) {
+						t.Fatalf("%s/%s DecodeStepTime(%d, %d) = %v, want %v", g.Name, m.Name, n, ctx, got, at(want))
+					}
+					for _, batch := range sizes[:6] {
+						want := at(step(g, m, n+batch, ctx))
+						if got := c.MixedStepTime(n, batch, ctx); got != want {
+							t.Fatalf("%s/%s MixedStepTime(%d, %d, %d) = %v, want %v", g.Name, m.Name, n, batch, ctx, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	if pairs == 0 {
+		t.Fatal("no device × model pair fits")
+	}
+}

@@ -1,17 +1,17 @@
-package prefixindex
+package loadboard
 
 // tree is a tournament (winner) tree over the cluster's replica slots: a
 // complete binary tree whose leaves are replica IDs and whose internal
 // nodes hold the winner of their children under a strict comparator. The
 // overall winner is a root read — O(1) — and absorbing one replica's
-// digest change replays a single leaf-to-root path — O(log N). This is
-// what makes indexed routing's per-decision cost independent of pool size
-// where the omniscient policies rescan all N replicas.
+// key change replays a single leaf-to-root path — O(log N). This is what
+// makes a routing decision's cost independent of pool size where a scan
+// reads all N replicas.
 //
 // Lazy-deletion heaps were considered and rejected: every stale entry they
 // pop rides the hot Pick path, growing it back toward O(log N · churn) and
 // past the flatness gate. The tournament tree's winner is a pure function
-// of the current leaves, so reads never do repair work.
+// of the current leaves, so a read repairs only the leaves that changed.
 type tree struct {
 	// n is the replica count; size the power-of-two leaf span. node[1] is
 	// the root; node[size+i] the leaf for replica i (-1 pads the span).
@@ -24,12 +24,12 @@ type tree struct {
 }
 
 // newTree builds a tree over n replicas and plays every match once.
-func newTree(n int, beats func(a, b int) bool) *tree {
+func newTree(n int, beats func(a, b int) bool) tree {
 	size := 1
 	for size < n {
 		size *= 2
 	}
-	t := &tree{n: n, size: size, beats: beats, node: make([]int32, 2*size)}
+	t := tree{n: n, size: size, beats: beats, node: make([]int32, 2*size)}
 	for i := range t.node {
 		t.node[i] = -1
 	}

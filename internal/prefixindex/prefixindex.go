@@ -6,10 +6,11 @@
 // host mirror created / dropped) and load signals (per-change queue depths
 // or heartbeat digests) as they happen; the gateway-side Index consumes
 // them — after a modelled propagation delay, minus a configurable drop
-// rate — into a session → holder map plus per-replica load digests. Two
-// tournament trees over the digests keep the least-queue and capacity-
-// weighted winners available as O(1) root reads, with O(log N) updates per
-// applied event, so a routing decision's cost is independent of pool size.
+// rate — into a session → holder map plus per-replica load digests. The
+// digests live in a load board (internal/loadboard), whose tournament
+// trees keep the least-queue and capacity-weighted winners available as
+// tree-root reads, with O(log N) repair per applied event, so a routing
+// decision's cost is independent of pool size.
 //
 // The design follows AIBrix's KV-event-sync gateway (replicas stream KV
 // events, the router works against the eventually-consistent index) with
@@ -24,6 +25,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/loadboard"
 	"repro/internal/simclock"
 )
 
@@ -211,25 +213,26 @@ type Stats struct {
 	Pending, Sessions int64
 }
 
-// repState is the index's digest of one replica.
+// repState is the part of the index's digest of one replica that routing
+// reads beside the load board: the headroom view and its age.
 type repState struct {
-	active     bool
-	capPages   int
 	pageTokens int
-	queue      int
 	freePages  int
 	updatedAt  simclock.Time
 }
 
 // Index is the gateway-side consumer: the session → holder map, the
-// per-replica load digests, and the tournament trees that keep routing
+// per-replica load digests, and the load board that keeps routing
 // winners O(1). One Index serves one cluster run, read and advanced only
 // from the coordinator goroutine (shards buffer publications and the
 // coordinator merges them at barriers).
 type Index struct {
 	spec Spec // normalized
 
-	reps []repState
+	// board holds each replica's published queue, capacity and activity;
+	// reps the rest of its digest.
+	board *loadboard.Board
+	reps  []repState
 
 	// sessions maps session → holder entries (>0 tokens only); mirrors is
 	// the host-tier analogue. A session's holder set is tiny — one holder
@@ -244,18 +247,6 @@ type Index struct {
 	// constant delay), so FIFO drain is exactly apply-time order.
 	pending []Pub
 	head    int
-
-	byQueue, byLoad *tree
-
-	// loadDirty queues replicas whose byLoad key changed since the last
-	// capacity-weighted read (loadDirtyMark dedupes). Indexed routing
-	// consults byLoad only on fallback — miss or staleness — so its
-	// tournament repair is deferred to the read instead of charging every
-	// applied load signal for the rare case. A batch of leaf repairs
-	// yields the same tree whatever the replay order, so deferral never
-	// changes a winner a reader observes.
-	loadDirty     []int32
-	loadDirtyMark []bool
 
 	now         simclock.Time
 	stats       Stats
@@ -273,48 +264,13 @@ func New(spec Spec, n int) (*Index, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("prefixindex: non-positive replica count %d", n)
 	}
-	x := &Index{
-		spec:          spec,
-		reps:          make([]repState, n),
-		sessions:      make(map[int][]holderEnt),
-		mirrors:       make(map[int][]holderEnt),
-		loadDirtyMark: make([]bool, n),
-	}
-	x.byQueue = newTree(n, x.queueBeats)
-	x.byLoad = newTree(n, x.loadBeats)
-	return x, nil
-}
-
-// queueBeats is the byQueue tree's strict order: fewest outstanding
-// requests, ties by lowest replica ID — the omniscient least-queue
-// comparator. Inactive replicas always lose.
-func (x *Index) queueBeats(a, b int) bool {
-	ra, rb := &x.reps[a], &x.reps[b]
-	if ra.active != rb.active {
-		return ra.active
-	}
-	if ra.queue != rb.queue {
-		return ra.queue < rb.queue
-	}
-	return a < b
-}
-
-// loadBeats is the byLoad tree's strict order: lowest queue per unit of KV
-// capacity (exact cross-multiplied integers), ties by larger capacity then
-// lowest ID — the omniscient weighted-capacity comparator.
-func (x *Index) loadBeats(a, b int) bool {
-	ra, rb := &x.reps[a], &x.reps[b]
-	if ra.active != rb.active {
-		return ra.active
-	}
-	la, lb := ra.queue*rb.capPages, rb.queue*ra.capPages
-	if la != lb {
-		return la < lb
-	}
-	if ra.capPages != rb.capPages {
-		return ra.capPages > rb.capPages
-	}
-	return a < b
+	return &Index{
+		spec:     spec,
+		board:    loadboard.New(n),
+		reps:     make([]repState, n),
+		sessions: make(map[int][]holderEnt),
+		mirrors:  make(map[int][]holderEnt),
+	}, nil
 }
 
 // LiveHeadroom reports whether affinity headroom checks should read the
@@ -325,24 +281,15 @@ func (x *Index) LiveHeadroom() bool { return x.spec.HeartbeatEvery == 0 }
 // SeedReplica records a replica's static geometry and starting digest
 // (empty queue, whole pool free). Call once per replica before routing.
 func (x *Index) SeedReplica(i, capPages, pageTokens int) {
-	x.reps[i].capPages = capPages
+	x.board.SetCapacity(i, capPages)
 	x.reps[i].pageTokens = pageTokens
 	x.reps[i].freePages = capPages
-	x.byQueue.update(i)
-	x.byLoad.update(i)
 }
 
 // SetActive marks a replica in or out of the serving set. Activation is
 // control-plane state the gateway owns, so it applies synchronously — the
 // index never routes to a replica the cluster would not.
-func (x *Index) SetActive(i int, active bool) {
-	if x.reps[i].active == active {
-		return
-	}
-	x.reps[i].active = active
-	x.byQueue.update(i)
-	x.byLoad.update(i)
-}
+func (x *Index) SetActive(i int, active bool) { x.board.SetActive(i, active) }
 
 // AdvanceTo moves the index's read clock to now and absorbs every pending
 // publication due by then. The cluster calls it once per routing decision
@@ -405,38 +352,15 @@ func (x *Index) apply(p *Pub) {
 	case EvMirror:
 		setHolder(x.mirrors, p.Session, p.Replica, int(p.Val))
 	case EvLoad:
-		r := &x.reps[p.Replica]
-		r.queue = int(p.Val)
-		r.updatedAt = p.At
-		x.byQueue.update(p.Replica)
-		x.touchLoad(p.Replica)
+		x.reps[p.Replica].updatedAt = p.At
+		x.board.SetQueue(p.Replica, int(p.Val))
 	case EvDigest:
 		r := &x.reps[p.Replica]
-		r.queue = int(p.Val)
 		r.freePages = int(p.Aux)
 		r.updatedAt = p.At
 		x.stats.Heartbeats++
-		x.byQueue.update(p.Replica)
-		x.touchLoad(p.Replica)
+		x.board.SetQueue(p.Replica, int(p.Val))
 	}
-}
-
-// touchLoad defers replica i's byLoad tournament repair to the next
-// capacity-weighted read (see loadDirty).
-func (x *Index) touchLoad(i int) {
-	if !x.loadDirtyMark[i] {
-		x.loadDirtyMark[i] = true
-		x.loadDirty = append(x.loadDirty, int32(i))
-	}
-}
-
-// flushLoad replays every deferred byLoad repair.
-func (x *Index) flushLoad() {
-	for _, i := range x.loadDirty {
-		x.loadDirtyMark[i] = false
-		x.byLoad.update(int(i))
-	}
-	x.loadDirty = x.loadDirty[:0]
 }
 
 // holderEnt is one (replica, pinned tokens) holder record. int32 bounds
@@ -485,7 +409,7 @@ func (x *Index) HolderFor(session int) (replica, tokens int, ok bool) {
 	replica = -1
 	for _, h := range x.sessions[session] {
 		r, t := int(h.replica), int(h.tokens)
-		if !x.reps[r].active {
+		if !x.board.Active(r) {
 			continue
 		}
 		if t > tokens || (t == tokens && (replica < 0 || r < replica)) {
@@ -518,40 +442,20 @@ func (x *Index) DonorFor(session, exclude, atLeast, below int) (replica, tokens 
 	return replica, tokens, true
 }
 
-// LeastQueue returns the active replica with the fewest outstanding
-// requests (ties by lowest ID) as an O(1) tree-root read, or -1 with no
-// active replica. Inactive replicas lose every tree match, so an inactive
-// winner means the pool is empty.
-func (x *Index) LeastQueue() int { return x.activeWinner(x.byQueue) }
+// LeastQueue returns the active replica with the fewest published
+// outstanding requests (ties by lowest ID), or -1 with no active replica.
+func (x *Index) LeastQueue() int { return x.board.LeastQueue() }
 
 // LeastLoad returns the capacity-weighted winner (lowest queue per pool
 // page, ties by capacity then ID), or -1 with no active replica.
-func (x *Index) LeastLoad() int {
-	x.flushLoad()
-	return x.activeWinner(x.byLoad)
-}
+func (x *Index) LeastLoad() int { return x.board.LeastLoad() }
 
-// activeWinner maps an all-inactive tree winner to -1.
-func (x *Index) activeWinner(t *tree) int {
-	w := t.winner()
-	if w >= 0 && !x.reps[w].active {
-		return -1
-	}
-	return w
-}
-
-// MinQueue returns the smallest outstanding count among active replicas
-// (0 with none active).
-func (x *Index) MinQueue() int {
-	w := x.LeastQueue()
-	if w < 0 {
-		return 0
-	}
-	return x.reps[w].queue
-}
+// MinQueue returns the smallest published outstanding count among active
+// replicas (0 with none active).
+func (x *Index) MinQueue() int { return x.board.MinQueue() }
 
 // QueueOf reports the index's view of a replica's outstanding count.
-func (x *Index) QueueOf(i int) int { return x.reps[i].queue }
+func (x *Index) QueueOf(i int) int { return x.board.Queue(i) }
 
 // FreeTokensOf reports the index's view of a replica's free KV capacity in
 // tokens (digest free pages × page granularity).

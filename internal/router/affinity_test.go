@@ -64,7 +64,7 @@ func (c affinityCase) views() ([]Replica, Request) {
 // pool scan picks.
 func TestSessionAffinityMatchesReference(t *testing.T) {
 	s5 := func(tokens int) map[int]int { return map[int]int{5: tokens} }
-	req := Request{Session: 5, Turn: 2, PromptLen: 640, OutputLen: 160}
+	req := Request{Session: 5, PromptLen: 640, OutputLen: 160}
 	cases := []affinityCase{
 		{"miss", []*fakeReplica{
 			{id: 0, queue: 2, freeKV: 100}, {id: 1, queue: 1, freeKV: 100},
@@ -114,7 +114,7 @@ func TestSessionAffinityMatchesReference(t *testing.T) {
 		{"stateless", []*fakeReplica{
 			{id: 0, queue: 2, freeKV: 100, cached: map[int]int{0: 800}},
 			{id: 1, queue: 1, freeKV: 100, cached: map[int]int{0: 800}},
-		}, nil, Request{Turn: 1, PromptLen: 64, OutputLen: 16}, 1},
+		}, nil, Request{PromptLen: 64, OutputLen: 16}, 1},
 		{"sparse-ids", []*fakeReplica{
 			{id: 0, queue: 0, freeKV: 100},
 			{id: 1, queue: 0, freeKV: 100},
@@ -176,10 +176,11 @@ func decodeAffinityCase(data []byte) affinityCase {
 	if len(c.inView) == 0 {
 		c.inView = []int{b.next() % n}
 	}
+	id := b.next()
+	b.next() // a turn number, which Request no longer carries; kept so the corpus decodes as before
 	c.req = Request{
-		ID:        b.next(),
+		ID:        id,
 		Session:   session,
-		Turn:      1 + b.next()%4,
 		PromptLen: 16 * (b.next() % 64),
 		OutputLen: 16 * (b.next() % 8),
 	}
@@ -211,7 +212,7 @@ func TestSessionAffinityPickAllocs(t *testing.T) {
 		&fakeReplica{id: 1, queue: 1, freeKV: 100, cached: map[int]int{5: 320}},
 		&fakeReplica{id: 2, queue: 0, freeKV: 100, cached: map[int]int{5: 160}},
 	)
-	req := withHolders(Request{Session: 5, Turn: 2, PromptLen: 400, OutputLen: 32}, pool)
+	req := withHolders(Request{Session: 5, PromptLen: 400, OutputLen: 32}, pool)
 	p := NewSessionAffinity()
 	if allocs := testing.AllocsPerRun(100, func() { _ = p.Pick(req, pool) }); allocs != 0 {
 		t.Errorf("SessionAffinity.Pick made %v allocations, want 0", allocs)

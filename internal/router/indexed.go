@@ -152,9 +152,11 @@ func (p *IndexedSessionAffinity) Pick(req Request, replicas []Replica) int {
 		} else if !x.Fresh(holder) {
 			x.Note(prefixindex.OutcomeStale)
 		} else if vi := viewIndexOf(replicas, holder); vi >= 0 {
-			free := x.FreeTokensOf(holder)
+			var free int
 			if x.LiveHeadroom() {
 				free = replicas[vi].FreeKVTokens()
+			} else {
+				free = x.FreeTokensOf(holder)
 			}
 			switch {
 			case free+tokens < req.PromptLen+req.OutputLen:

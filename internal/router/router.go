@@ -13,15 +13,16 @@ package router
 
 import (
 	"fmt"
+
+	"repro/internal/loadboard"
 )
 
 // Request is the routing-relevant view of one arriving request.
 type Request struct {
 	ID int
-	// Session and Turn mark multi-turn conversation membership (Session 0 =
-	// stateless). Affinity policies key on Session.
+	// Session marks multi-turn conversation membership (0 = stateless).
+	// Affinity policies key on it.
 	Session int
-	Turn    int
 	// PromptLen and OutputLen are the request's token lengths.
 	PromptLen, OutputLen int
 	// PrefixHolders lists, in ascending ID order, the replicas whose
@@ -30,6 +31,17 @@ type Request struct {
 	// fills it from its pin-holder table for the session-affinity policy;
 	// it is empty for stateless requests and for sessions nobody pins.
 	PrefixHolders []int
+	// Loads answers the load questions of least-queue, weighted-capacity
+	// and session-affinity — LeastQueue, LeastLoad and MinQueue — over
+	// exactly the replicas in the view, as a scan of the view would
+	// (leastQueue, leastLoad, minQueue). The cluster sets it to its live
+	// load board for those policies; when it is nil, they scan the view.
+	//
+	// Request is passed by value on every pick, so it is kept to eight
+	// machine words: the Go register ABI passes it in registers, where a
+	// larger one goes through memory. Hence a pointer here, not an
+	// interface.
+	Loads *loadboard.Board
 }
 
 // Replica is the router's read-only view of one engine replica.
@@ -145,7 +157,7 @@ func (p *RoundRobin) Score(_ Request, _ Replica) float64 { return 0 }
 // (queued + running), breaking ties by lowest replica ID. Tie-breaking on
 // the ID rather than the slice position keeps picks stable however the
 // caller orders its view (an autoscaled cluster routes over the shifting
-// subset of active replicas).
+// subset of active replicas). The winner comes from Request.Loads.
 type LeastQueue struct{}
 
 // NewLeastQueue returns the least-queue policy.
@@ -155,15 +167,8 @@ func NewLeastQueue() *LeastQueue { return &LeastQueue{} }
 func (p *LeastQueue) Name() string { return NameLeastQueue }
 
 // Pick implements Policy.
-func (p *LeastQueue) Pick(_ Request, replicas []Replica) int {
-	best := 0
-	for i := 1; i < len(replicas); i++ {
-		qi, qb := replicas[i].QueueDepth(), replicas[best].QueueDepth()
-		if qi < qb || (qi == qb && replicas[i].ID() < replicas[best].ID()) {
-			best = i
-		}
-	}
-	return best
+func (p *LeastQueue) Pick(req Request, replicas []Replica) int {
+	return viewIndexOf(replicas, leastQueue(req.Loads, replicas))
 }
 
 // Score implements Scorer: the replica's outstanding queue depth (lower
@@ -204,7 +209,7 @@ func (p *LeastKV) Score(_ Request, r Replica) float64 {
 // replica with twice the pool absorbs twice the queue before it looks as
 // busy as its smaller peer. Ties break by larger capacity, then lowest
 // replica ID (stable under any view ordering, including an autoscaled
-// cluster's shifting active subset).
+// cluster's shifting active subset). The winner comes from Request.Loads.
 type WeightedCapacity struct{}
 
 // NewWeightedCapacity returns the capacity-weighted policy.
@@ -214,19 +219,8 @@ func NewWeightedCapacity() *WeightedCapacity { return &WeightedCapacity{} }
 func (p *WeightedCapacity) Name() string { return NameWeightedCapacity }
 
 // Pick implements Policy.
-func (p *WeightedCapacity) Pick(_ Request, replicas []Replica) int {
-	best := 0
-	for i := 1; i < len(replicas); i++ {
-		// Compare q_i/cap_i < q_best/cap_best by cross-multiplying (exact
-		// integer arithmetic keeps picks deterministic).
-		qi, ci := replicas[i].QueueDepth(), replicas[i].TotalKVPages()
-		qb, cb := replicas[best].QueueDepth(), replicas[best].TotalKVPages()
-		li, lb := qi*cb, qb*ci
-		if li < lb || (li == lb && (ci > cb || (ci == cb && replicas[i].ID() < replicas[best].ID()))) {
-			best = i
-		}
-	}
-	return best
+func (p *WeightedCapacity) Pick(req Request, replicas []Replica) int {
+	return viewIndexOf(replicas, leastLoad(req.Loads, replicas))
 }
 
 // Score implements Scorer: outstanding load per unit of KV capacity (lower
@@ -266,9 +260,10 @@ func (p *WeightedCapacity) Score(_ Request, r Replica) float64 {
 // Request.PrefixHolders (usually zero to two), each located in the view by
 // ID, and the holder in the view with the most pinned tokens is the target
 // (the lowest ID on a tie). The view must be in ascending ID order, as the
-// cluster passes it. What stays O(N) in the view size is the load side:
-// the lightest-queue scan behind the overload guard, run only once a
-// holder passes the memory check, and the capacity-weighted fallback.
+// cluster passes it. The load side — the lightest queue behind the
+// overload guard, read only once a holder passes the memory check, and
+// the capacity-weighted fallback — comes from Request.Loads: tree-root
+// reads when the cluster supplies its load board, a view scan otherwise.
 type SessionAffinity struct {
 	fallback WeightedCapacity
 }
@@ -302,15 +297,59 @@ func (p *SessionAffinity) Pick(req Request, replicas []Replica) int {
 		// output during decode.
 		if best >= 0 &&
 			replicas[best].FreeKVTokens()+bestTokens >= req.PromptLen+req.OutputLen &&
-			replicas[best].QueueDepth() <= 2*minQueueDepth(replicas)+affinityOverloadSlack {
+			replicas[best].QueueDepth() <= 2*minQueue(req.Loads, replicas)+affinityOverloadSlack {
 			return best
 		}
 	}
 	return p.fallback.Pick(req, replicas)
 }
 
-// minQueueDepth is the lightest outstanding queue across the view.
-func minQueueDepth(replicas []Replica) int {
+// leastQueue, leastLoad and minQueue ask the load board, or scan the view
+// when the caller supplied none: each scan is one O(N) pass over the
+// view's live signals, in any view order. The two winners are replica
+// IDs.
+
+// leastQueue is the replica with the fewest outstanding requests, ties by
+// lowest ID.
+func leastQueue(loads *loadboard.Board, replicas []Replica) int {
+	if loads != nil {
+		return loads.LeastQueue()
+	}
+	best := replicas[0]
+	for _, r := range replicas[1:] {
+		qi, qb := r.QueueDepth(), best.QueueDepth()
+		if qi < qb || (qi == qb && r.ID() < best.ID()) {
+			best = r
+		}
+	}
+	return best.ID()
+}
+
+// leastLoad is the replica with the lowest outstanding count per KV page,
+// ties by larger capacity, then lowest ID.
+func leastLoad(loads *loadboard.Board, replicas []Replica) int {
+	if loads != nil {
+		return loads.LeastLoad()
+	}
+	best := replicas[0]
+	for _, r := range replicas[1:] {
+		// Compare q_i/cap_i < q_best/cap_best by cross-multiplying (exact
+		// integer arithmetic keeps picks deterministic).
+		qi, ci := r.QueueDepth(), r.TotalKVPages()
+		qb, cb := best.QueueDepth(), best.TotalKVPages()
+		li, lb := qi*cb, qb*ci
+		if li < lb || (li == lb && (ci > cb || (ci == cb && r.ID() < best.ID()))) {
+			best = r
+		}
+	}
+	return best.ID()
+}
+
+// minQueue is the smallest outstanding count in the view.
+func minQueue(loads *loadboard.Board, replicas []Replica) int {
+	if loads != nil {
+		return loads.MinQueue()
+	}
 	m := replicas[0].QueueDepth()
 	for _, r := range replicas[1:] {
 		if q := r.QueueDepth(); q < m {

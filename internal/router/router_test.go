@@ -65,7 +65,7 @@ func TestPoliciesPick(t *testing.T) {
 			&fakeReplica{id: 2, queue: 4, freeKV: 400, cached: map[int]int{7: 640}},
 		)
 	}
-	session7 := Request{ID: 1, Session: 7, Turn: 2, PromptLen: 700, OutputLen: 100}
+	session7 := Request{ID: 1, Session: 7, PromptLen: 700, OutputLen: 100}
 	stateless := Request{ID: 2, PromptLen: 512, OutputLen: 256}
 
 	cases := []struct {
@@ -82,7 +82,7 @@ func TestPoliciesPick(t *testing.T) {
 		// ... but stateless requests and unknown sessions fall back to
 		// least-queue.
 		{NewSessionAffinity(), stateless, 1},
-		{NewSessionAffinity(), Request{ID: 3, Session: 8, Turn: 2}, 1},
+		{NewSessionAffinity(), Request{ID: 3, Session: 8}, 1},
 	}
 	for _, c := range cases {
 		views := state()
@@ -126,7 +126,7 @@ func TestAffinityPrefersLargestPrefix(t *testing.T) {
 		&fakeReplica{id: 1, freeKV: 500, cached: map[int]int{5: 800}},
 		&fakeReplica{id: 2, freeKV: 500, queue: 0},
 	)
-	if got := NewSessionAffinity().Pick(withHolders(Request{Session: 5, Turn: 3, PromptLen: 900}, reps), reps); got != 1 {
+	if got := NewSessionAffinity().Pick(withHolders(Request{Session: 5, PromptLen: 900}, reps), reps); got != 1 {
 		t.Errorf("affinity = %d, want 1 (largest cached prefix)", got)
 	}
 }
@@ -141,18 +141,18 @@ func TestAffinityFallsBackWhenTargetFull(t *testing.T) {
 		&fakeReplica{id: 1, queue: 5, freeKV: 2, cached: map[int]int{5: 800}},
 		&fakeReplica{id: 2, queue: 1, freeKV: 500},
 	)
-	req := withHolders(Request{Session: 5, Turn: 3, PromptLen: 900}, reps)
+	req := withHolders(Request{Session: 5, PromptLen: 900}, reps)
 	if got := NewSessionAffinity().Pick(req, reps); got != 2 {
 		t.Errorf("affinity with full target = %d, want 2 (least-queue fallback)", got)
 	}
 	// A prompt the target can still hold sticks as before.
-	small := withHolders(Request{Session: 5, Turn: 3, PromptLen: 32}, reps)
+	small := withHolders(Request{Session: 5, PromptLen: 32}, reps)
 	if got := NewSessionAffinity().Pick(small, reps); got != 1 {
 		t.Errorf("affinity with fitting prompt = %d, want 1", got)
 	}
 	// The pinned prefix itself counts as headroom: 32 free tokens + 800
 	// adoptable cover an 830-token prompt.
-	adoptable := withHolders(Request{Session: 5, Turn: 3, PromptLen: 830}, reps)
+	adoptable := withHolders(Request{Session: 5, PromptLen: 830}, reps)
 	if got := NewSessionAffinity().Pick(adoptable, reps); got != 1 {
 		t.Errorf("affinity with adoptable pin = %d, want 1", got)
 	}
@@ -166,7 +166,7 @@ func TestAffinityFallsBackWhenTargetOverloaded(t *testing.T) {
 		&fakeReplica{id: 0, queue: 0, freeKV: 500},
 		&fakeReplica{id: 1, queue: 12, freeKV: 500, cached: map[int]int{5: 800}},
 	)
-	req := withHolders(Request{Session: 5, Turn: 3, PromptLen: 900}, reps)
+	req := withHolders(Request{Session: 5, PromptLen: 900}, reps)
 	if got := NewSessionAffinity().Pick(req, reps); got != 0 {
 		t.Errorf("affinity with overloaded target = %d, want 0 (least-queue fallback)", got)
 	}
