@@ -884,11 +884,11 @@ func (c *Cluster) Run(w trace.Workload) (*Result, error) {
 				c.shedCrashed(id, it, now)
 				return
 			}
-			rep := c.route(id, it)
+			rep, holders := c.route(id, it)
 			rep.routed++
 			r := request.New(id, now, it.PromptLen, it.OutputLen, it.Rate)
 			r.Session, r.Turn = it.Session, it.Turn
-			if c.maybeMigrate(r, it, rep, now) {
+			if c.maybeMigrate(r, it, rep, holders, now) {
 				return // Inject happens when the KV arrives.
 			}
 			rep.eng.Inject(r, now)
@@ -1003,8 +1003,10 @@ func (c *Cluster) anyRoutable() bool {
 
 // route asks the policy to pick among the currently active replicas,
 // guarding against out-of-range picks (a policy bug would otherwise panic
-// deep in the event loop).
-func (c *Cluster) route(id int, it trace.Item) *replica {
+// deep in the event loop). holders is the session's pin-holder list the
+// policy routed on, nil when it took none; the holders cannot change
+// before the arrival's migration check reads them again.
+func (c *Cluster) route(id int, it trace.Item) (rep *replica, holders []int) {
 	views := c.routable()
 	if len(views) == 0 {
 		// Without scale-to-zero, Min >= 1 and scale-down stops at Min; with
@@ -1030,6 +1032,7 @@ func (c *Cluster) route(id int, it trace.Item) *replica {
 	}
 	if c.holdersForPick && it.Session != 0 {
 		rr.PrefixHolders = c.prefixHolders(it.Session)
+		holders = rr.PrefixHolders
 	}
 	if c.idx != nil {
 		// Absorb every publication due by now, so the policy reads a
@@ -1041,7 +1044,7 @@ func (c *Cluster) route(id int, it trace.Item) *replica {
 		panic(fmt.Sprintf("cluster: policy %s picked replica %d of %d",
 			c.cfg.Policy.Name(), pick, len(views)))
 	}
-	rep := views[pick].(*replica)
+	rep = views[pick].(*replica)
 	if c.idx != nil {
 		// The policy noted what its indexed decision did; surface the
 		// diversions (miss, stale, headroom, overload) to the recorder.
@@ -1061,7 +1064,7 @@ func (c *Cluster) route(id int, it trace.Item) *replica {
 		c.recFor(rep.id).Emit(c.clock.Now(), obs.KindRouteDecision, rep.id, id, it.Session,
 			int64(len(views)), 0, 0, score, c.cfg.Policy.Name())
 	}
-	return rep
+	return rep, holders
 }
 
 // maybeMigrate ships a session's pinned prefix KV to the routed replica
@@ -1071,14 +1074,15 @@ func (c *Cluster) route(id int, it trace.Item) *replica {
 // transfer is first priced on the real topology — queued path backlog plus
 // bottleneck wire time — against the target's estimated recompute of the
 // prefix tokens the migration would save, and skipped when the wire loses
-// (the donor keeps its pin; the turn recomputes). It reports whether a
+// (the donor keeps its pin; the turn recomputes). holders is the route's
+// pin-holder list, nil when the policy took none. It reports whether a
 // migration was started (and the inject deferred).
-func (c *Cluster) maybeMigrate(r *request.Request, it trace.Item, target *replica, now simclock.Time) bool {
+func (c *Cluster) maybeMigrate(r *request.Request, it trace.Item, target *replica, holders []int, now simclock.Time) bool {
 	if !c.cfg.Migrate || it.Session == 0 {
 		return false
 	}
 	targetOwn := target.kv.PeekPrefix(it.Session)
-	donor, best := c.pinDonor(it.Session, target, targetOwn, it.PromptLen)
+	donor, best := c.pinDonor(it.Session, target, targetOwn, it.PromptLen, holders)
 	if donor < 0 {
 		return false
 	}
@@ -1109,9 +1113,11 @@ func (c *Cluster) maybeMigrate(r *request.Request, it trace.Item, target *replic
 // strictly extendable prefix (smaller than the prompt) is worth shipping,
 // and only if it beats targetOwn, what the target already holds. Off
 // replicas hold no pins; warming and draining replicas may (a pre-warmed
-// or not-yet-drained pin), and donating is exactly what they should do. It
-// returns donor -1 and best targetOwn when no replica qualifies.
-func (c *Cluster) pinDonor(session int, target *replica, targetOwn, promptLen int) (donor, best int) {
+// or not-yet-drained pin), and donating is exactly what they should do.
+// holders, when not nil, is the session's pin-holder list already taken
+// for the route. It returns donor -1 and best targetOwn when no replica
+// qualifies.
+func (c *Cluster) pinDonor(session int, target *replica, targetOwn, promptLen int, holders []int) (donor, best int) {
 	if c.idx != nil {
 		// The gateway decides on the index's own (possibly stale) view —
 		// a believed donor whose pin is already gone fails
@@ -1123,8 +1129,11 @@ func (c *Cluster) pinDonor(session int, target *replica, targetOwn, promptLen in
 	}
 	// Only the exact pin holders can donate: O(holders), in ascending ID
 	// order like a scan of the whole pool.
+	if holders == nil {
+		holders = c.prefixHolders(session)
+	}
 	donor, best = -1, targetOwn
-	for _, id := range c.prefixHolders(session) {
+	for _, id := range holders {
 		if id == target.id {
 			continue
 		}

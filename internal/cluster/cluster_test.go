@@ -8,38 +8,27 @@ import (
 
 	"repro/internal/autoscale"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/fabric"
-	"repro/internal/gpu"
-	"repro/internal/model"
 	"repro/internal/router"
-	"repro/internal/sched"
 	"repro/internal/simclock"
+	"repro/internal/simtest"
 	"repro/internal/trace"
 )
 
-// The test pools: every replica an RTX-4090 / Llama3-8B at mem-frac 0.9
-// (rtx4090), or one H200 at replica 0 ahead of two such replicas
-// (hetero, one deployment per replica of the 3-replica mixed pools).
+// The test pools and systems are the shared fixtures (simtest).
 var (
-	rtx4090 = []cluster.Deployment{{GPU: gpu.RTX4090, Model: model.Llama3_8B, MemFraction: 0.9}}
-	hetero  = []cluster.Deployment{{GPU: gpu.H200, Model: model.Llama3_8B, MemFraction: 0.9}, rtx4090[0], rtx4090[0]}
+	rtx4090 = simtest.RTX4090
+	hetero  = simtest.Hetero
 
 	tokenFlow     = system(engine.SystemTokenFlow, false)
 	tokenFlowHost = system(engine.SystemTokenFlow, true) // the redundancy mirrors live in the host tier
 )
 
-// system is the named system from the engine's system table at the
-// paper-default TokenFlow tuning, with the host-tier prefix cache on when
-// hostCache is set.
-func system(name string, hostCache bool) func() (sched.Scheduler, engine.KVPolicy, error) {
-	return func() (sched.Scheduler, engine.KVPolicy, error) {
-		s, kv, err := engine.NewSystem(name, core.DefaultConfig())
-		kv.HostCache = hostCache
-		return s, kv, err
-	}
-}
+// system is simtest.NamedSystem: the named system at the paper-default
+// TokenFlow tuning, with the host-tier prefix cache on when hostCache is
+// set.
+var system = simtest.NamedSystem
 
 func sessionWorkload(t *testing.T) trace.Workload {
 	t.Helper()

@@ -16,89 +16,15 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/autoscale"
 	"repro/internal/cluster"
-	"repro/internal/engine"
-	"repro/internal/fabric"
 	"repro/internal/obs"
-	"repro/internal/router"
-	"repro/internal/sched"
+	"repro/internal/simtest"
 	"repro/internal/trace"
 )
 
-// determinismGrid spans the policy generations, topologies, and migration
-// policies; each row is a fresh-config factory because policies and
-// clusters are stateful one-run objects.
-func determinismGrid() []struct {
-	name string
-	make func() (cluster.Config, cluster.BuildEngine)
-} {
-	return determinismGridOf(tokenFlow)
-}
-
-// determinismGridOf is determinismGrid with every replica running the
-// given system.
-func determinismGridOf(system func() (sched.Scheduler, engine.KVPolicy, error)) []struct {
-	name string
-	make func() (cluster.Config, cluster.BuildEngine)
-} {
-	topoFor := func(kind fabric.Kind, link, sw float64) *fabric.Spec {
-		return &fabric.Spec{Kind: kind, LinkGBps: link, SwitchGBps: sw}
-	}
-	return []struct {
-		name string
-		make func() (cluster.Config, cluster.BuildEngine)
-	}{
-		{"static-mesh-always", func() (cluster.Config, cluster.BuildEngine) {
-			return cluster.Config{
-				Replicas: 3, Policy: router.NewSessionAffinity(), Migrate: true,
-			}, cluster.Engines(rtx4090, system)
-		}},
-		{"static-shared-nic-cost", func() (cluster.Config, cluster.BuildEngine) {
-			return cluster.Config{
-				Replicas: 3, Policy: router.NewSessionAffinity(), Migrate: true,
-				MigrationPolicy: cluster.MigrateCost,
-				Topology:        topoFor(fabric.SharedNIC, 1, 2),
-			}, cluster.Engines(hetero, system)
-		}},
-		{"queue-pressure-prewarm-mesh", func() (cluster.Config, cluster.BuildEngine) {
-			return cluster.Config{
-				Replicas: 3, Policy: router.NewSessionAffinity(), Migrate: true,
-				Autoscale: &cluster.AutoscaleConfig{
-					Policy:  autoscale.NewQueuePressure(),
-					Max:     3,
-					Warmup:  2 * time.Second,
-					Prewarm: true,
-				},
-			}, cluster.Engines(rtx4090, system)
-		}},
-		{"slo-target-zero-shared-nic", func() (cluster.Config, cluster.BuildEngine) {
-			return cluster.Config{
-				Replicas: 3, Policy: router.NewLeastQueue(),
-				Topology: topoFor(fabric.SharedNIC, 2, 0),
-				Autoscale: &cluster.AutoscaleConfig{
-					Policy:      autoscale.NewSLOTarget(0),
-					Max:         3,
-					Warmup:      2 * time.Second,
-					ScaleToZero: true,
-				},
-			}, cluster.Engines(rtx4090, system)
-		}},
-		{"predictive-zero-cost-mesh", func() (cluster.Config, cluster.BuildEngine) {
-			return cluster.Config{
-				Replicas: 3, Policy: router.NewSessionAffinity(), Migrate: true,
-				MigrationPolicy: cluster.MigrateCost,
-				Autoscale: &cluster.AutoscaleConfig{
-					Policy:      autoscale.NewPredictive(0),
-					Max:         3,
-					Warmup:      3 * time.Second,
-					Prewarm:     true,
-					ScaleToZero: true,
-				},
-			}, cluster.Engines(rtx4090, system)
-		}},
-	}
-}
+// determinismGrid is the shared determinism grid (simtest.Grid) with
+// every replica running TokenFlow.
+func determinismGrid() []simtest.GridRow { return simtest.Grid(tokenFlow) }
 
 // TestDeterminismGrid runs every grid row twice and requires byte-level
 // equality of the full Result.
@@ -106,9 +32,9 @@ func TestDeterminismGrid(t *testing.T) {
 	w := sessionWorkload(t)
 	for _, row := range determinismGrid() {
 		row := row
-		t.Run(row.name, func(t *testing.T) {
+		t.Run(row.Name, func(t *testing.T) {
 			run := func() *cluster.Result {
-				cfg, build := row.make()
+				cfg, build := row.Make()
 				cl, err := cluster.New(cfg, build)
 				if err != nil {
 					t.Fatal(err)
@@ -148,9 +74,9 @@ func TestObsPurityGrid(t *testing.T) {
 	w := sessionWorkload(t)
 	for _, row := range determinismGrid() {
 		row := row
-		t.Run(row.name, func(t *testing.T) {
+		t.Run(row.Name, func(t *testing.T) {
 			run := func(o obs.Options) *cluster.Result {
-				cfg, build := row.make()
+				cfg, build := row.Make()
 				// Sampling on for both runs so the series layer records;
 				// identical across runs, so it cannot mask an obs effect.
 				cfg.SampleEvery = 250 * time.Millisecond

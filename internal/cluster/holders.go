@@ -144,11 +144,14 @@ func (c *Cluster) initPinHolders() {
 }
 
 // prefixHolders returns the ascending IDs of every replica pinning a
-// prefix of session, in any lifecycle state. The slice is the cluster's
-// scratch buffer, valid until the next call. Coordinator only, with the
-// shards quiescent; the run must keep the table (initPinHolders).
+// prefix of session, in any lifecycle state, never nil. The slice is the
+// cluster's scratch buffer, valid until the next call. Coordinator only,
+// with the shards quiescent; the run must keep the table (initPinHolders).
 func (c *Cluster) prefixHolders(session int) []int {
 	out := c.holderScratch[:0]
+	if out == nil {
+		out = make([]int, 0, 4)
+	}
 	for _, sh := range c.shards {
 		if h, ok := sh.holders[session]; ok {
 			out = append(out, h.ids()...)

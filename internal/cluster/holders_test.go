@@ -115,11 +115,11 @@ func (h *holderCheck) Pick(req router.Request, views []router.Replica) int {
 	}
 	pick := h.Policy.Pick(req, views)
 	if c.cfg.Migrate && c.idx == nil && req.Session != 0 {
-		// maybeMigrate runs next, on this state: its donor must be the
-		// pool scan's.
+		// maybeMigrate runs next, on this state and with the holder list
+		// the route took: its donor must be the pool scan's.
 		target := views[pick].(*replica)
 		own := target.kv.PeekPrefix(req.Session)
-		gd, gb := c.pinDonor(req.Session, target, own, req.PromptLen)
+		gd, gb := c.pinDonor(req.Session, target, own, req.PromptLen, req.PrefixHolders)
 		wd, wb := scanDonor(c, req.Session, target, own, req.PromptLen)
 		h.donors++
 		if gd >= 0 {
@@ -131,8 +131,13 @@ func (h *holderCheck) Pick(req router.Request, views []router.Replica) int {
 		}
 	}
 	if tables {
-		// Last: prefixHolders reuses the buffer req.PrefixHolders is in.
+		// Last: prefixHolders reuses the buffer req.PrefixHolders is in,
+		// so refill it with the route's list, which maybeMigrate reads
+		// after the pick.
 		h.checkTable("t=" + c.clock.Now().String())
+		if req.PrefixHolders != nil {
+			c.prefixHolders(req.Session)
+		}
 	}
 	return pick
 }
@@ -400,11 +405,16 @@ func TestPinDonorTieBreak(t *testing.T) {
 	} {
 		target := c.replicas[tc.target]
 		own := target.kv.PeekPrefix(5)
-		donor, best := c.pinDonor(5, target, own, tc.prompt)
+		donor, best := c.pinDonor(5, target, own, tc.prompt, nil)
 		wd, wb := scanDonor(c, 5, target, own, tc.prompt)
 		if donor != tc.donor || best != tc.best || donor != wd || best != wb {
 			t.Errorf("target %d prompt %d: donor %d (%d tokens), scan %d (%d), want %d (%d)",
 				tc.target, tc.prompt, donor, best, wd, wb, tc.donor, tc.best)
+		}
+		// A route's holder list gives the same donor as the lookup.
+		if d, b := c.pinDonor(5, target, own, tc.prompt, []int{1, 2, 3, 4}); d != donor || b != best {
+			t.Errorf("target %d prompt %d: donor %d (%d tokens) from the route's holders, %d (%d) from the lookup",
+				tc.target, tc.prompt, d, b, donor, best)
 		}
 	}
 }

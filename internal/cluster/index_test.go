@@ -59,13 +59,13 @@ func TestIndexedDeterminismEquivalence(t *testing.T) {
 	w := sessionWorkload(t)
 	for _, row := range determinismGrid() {
 		row := row
-		t.Run(row.name, func(t *testing.T) {
-			base, _ := row.make()
+		t.Run(row.Name, func(t *testing.T) {
+			base, _ := row.Make()
 			if indexedTwin(base.Policy.Name()) == nil {
 				t.Skipf("policy %s has no indexed variant", base.Policy.Name())
 			}
 			run := func(indexed bool) *cluster.Result {
-				cfg, build := row.make()
+				cfg, build := row.Make()
 				if indexed {
 					cfg.Policy = indexedTwin(cfg.Policy.Name())
 				}

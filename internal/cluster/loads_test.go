@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/prefixindex"
 	"repro/internal/router"
+	"repro/internal/simtest"
 )
 
 // boardPolicies are the policies the cluster feeds its live load board.
@@ -37,7 +38,7 @@ func runBoardPair(t *testing.T, mk func() (cluster.Config, cluster.BuildEngine),
 	cfg, build := mk()
 	board := run(cfg, build, withBoard)
 	cfg, build = mk()
-	sameRuns(t, board, run(cfg, build, withheld))
+	simtest.SameRuns(t, board, run(cfg, build, withheld))
 }
 
 // TestLoadBoardExact holds the live load board to the view scan it
@@ -52,10 +53,10 @@ func TestLoadBoardExact(t *testing.T) {
 		for p, policy := range boardPolicies {
 			for _, shards := range []int{1, 2} {
 				index := (r+p)%2 == 1
-				name := fmt.Sprintf("%s/%s/shards-%d/index-%v", row.name, policy().Name(), shards, index)
+				name := fmt.Sprintf("%s/%s/shards-%d/index-%v", row.Name, policy().Name(), shards, index)
 				t.Run(name, func(t *testing.T) {
 					mk := func() (cluster.Config, cluster.BuildEngine) {
-						cfg, build := row.make()
+						cfg, build := row.Make()
 						cfg.Policy, cfg.Shards = policy(), shards
 						if index {
 							cfg.PrefixIndex = &prefixindex.Spec{}

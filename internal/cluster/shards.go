@@ -201,15 +201,17 @@ func (c *Cluster) primeSharded(w trace.Workload) {
 func (c *Cluster) runSharded(deadline simclock.Time) (timedOut bool) {
 	for c.step(deadline) {
 	}
-	// Client read ticks and write-through sync landings are computed, not
-	// events (engine.LastReadTick, kvcache.PendingSync): move each shard
-	// clock on to the latest of them at or before the deadline, where the
-	// last would have fired as an event. A landing past the deadline is
-	// work left over, as its event would have been.
+	// A fused decode run's iterations, client read ticks and write-through
+	// sync landings are applied or computed, not events
+	// (engine.SettleUntil, engine.LastReadTick, kvcache.PendingSync): move
+	// each shard clock on to the latest of them at or before the deadline,
+	// where the last would have fired as an event. A landing past the
+	// deadline is work left over, as its event would have been.
 	late := make([]bool, len(c.shards))
 	for _, rep := range c.replicas {
+		iter := rep.eng.SettleUntil(deadline)
 		sync, beyond := rep.kv.PendingSync(deadline)
-		if last := max(rep.eng.LastReadTick(deadline), sync); last > rep.eng.Clock().Now() {
+		if last := max(iter, rep.eng.LastReadTick(deadline), sync); last > rep.eng.Clock().Now() {
 			rep.eng.Clock().AdvanceTo(last)
 		}
 		if beyond {

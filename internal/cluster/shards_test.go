@@ -29,11 +29,11 @@ func TestShardedDeterminismGrid(t *testing.T) {
 	w := sessionWorkload(t)
 	for _, row := range determinismGrid() {
 		row := row
-		t.Run(row.name, func(t *testing.T) {
-			single := runGridRow(t, row.make, w, 0, cluster.WindowGated)
+		t.Run(row.Name, func(t *testing.T) {
+			single := runGridRow(t, row.Make, w, 0, cluster.WindowGated)
 			for _, shards := range []int{2, 3, 8} {
 				requireSameResult(t, fmt.Sprintf("shards=%d", shards),
-					single, runGridRow(t, row.make, w, shards, cluster.WindowGated))
+					single, runGridRow(t, row.Make, w, shards, cluster.WindowGated))
 			}
 		})
 	}
@@ -113,7 +113,7 @@ func routedReference(t *testing.T, config func(shards int) (cluster.Config, clus
 func TestShardedFastPathMatchesBarrierPath(t *testing.T) {
 	w := sessionWorkload(t)
 	config := func(shards int) (cluster.Config, cluster.BuildEngine) {
-		_, build := determinismGrid()[0].make()
+		_, build := determinismGrid()[0].Make()
 		return cluster.Config{Replicas: 3, Policy: router.NewRoundRobin(), Shards: shards}, build
 	}
 	ref := routedReference(t, config)
@@ -144,8 +144,8 @@ func TestShardedObsByteIdentity(t *testing.T) {
 	w := sessionWorkload(t)
 	for _, row := range determinismGrid() {
 		row := row
-		t.Run(row.name, func(t *testing.T) {
-			single := runObsExport(t, row.make, w, 0, cluster.WindowGated)
+		t.Run(row.Name, func(t *testing.T) {
+			single := runObsExport(t, row.Make, w, 0, cluster.WindowGated)
 			if single.events == 0 {
 				t.Fatal("one-shard run recorded no events")
 			}
@@ -153,7 +153,7 @@ func TestShardedObsByteIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, shards := range []int{2, 3, 8} {
-				got := runObsExport(t, row.make, w, shards, cluster.WindowGated)
+				got := runObsExport(t, row.Make, w, shards, cluster.WindowGated)
 				requireSameExport(t, fmt.Sprintf("shards=%d", shards), single, got)
 				if err := cluster.CheckInvariants(got.res, w.Len()); err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
@@ -239,14 +239,14 @@ func TestShardedExecutionModes(t *testing.T) {
 	}{{"gated", cluster.WindowGated}, {"inline", cluster.WindowInline}, {"fanout", cluster.WindowFanout}}
 	for _, row := range determinismGrid() {
 		row := row
-		t.Run(row.name, func(t *testing.T) {
-			single := runGridRow(t, row.make, w, 0, cluster.WindowGated)
-			singleExport := runObsExport(t, row.make, w, 0, cluster.WindowGated)
+		t.Run(row.Name, func(t *testing.T) {
+			single := runGridRow(t, row.Make, w, 0, cluster.WindowGated)
+			singleExport := runObsExport(t, row.Make, w, 0, cluster.WindowGated)
 			for _, m := range modes {
 				for _, shards := range []int{2, 3, 8} {
 					label := fmt.Sprintf("%s shards=%d", m.name, shards)
-					requireSameResult(t, label, single, runGridRow(t, row.make, w, shards, m.mode))
-					got := runObsExport(t, row.make, w, shards, m.mode)
+					requireSameResult(t, label, single, runGridRow(t, row.Make, w, shards, m.mode))
+					got := runObsExport(t, row.Make, w, shards, m.mode)
 					requireSameExport(t, label, singleExport, got)
 					fanouts := got.res.Obs.Profile.Stat(obs.PhaseBarrierFanout).Calls
 					switch {
@@ -267,7 +267,7 @@ func TestShardedExecutionModes(t *testing.T) {
 func TestShardedAttributionOnFastPath(t *testing.T) {
 	w := sessionWorkload(t)
 	config := func(shards int) (cluster.Config, cluster.BuildEngine) {
-		_, build := determinismGrid()[0].make()
+		_, build := determinismGrid()[0].Make()
 		return cluster.Config{
 			Replicas: 3,
 			Policy:   router.NewRoundRobin(),
@@ -317,13 +317,13 @@ func TestShardedTimeoutDeterminism(t *testing.T) {
 		make func() (cluster.Config, cluster.BuildEngine)
 	}
 	rows := []row{{"round-robin-fast-path", func() (cluster.Config, cluster.BuildEngine) {
-		_, build := determinismGrid()[0].make()
+		_, build := determinismGrid()[0].Make()
 		return cluster.Config{Replicas: 3, Policy: router.NewRoundRobin()}, build
 	}}}
 	for _, g := range determinismGrid() {
 		g := g
-		rows = append(rows, row{g.name, func() (cluster.Config, cluster.BuildEngine) {
-			cfg, build := g.make()
+		rows = append(rows, row{g.Name, func() (cluster.Config, cluster.BuildEngine) {
+			cfg, build := g.Make()
 			cfg.SampleEvery = 250 * time.Millisecond
 			return cfg, build
 		}})

@@ -35,7 +35,10 @@ func (e *Engine) dropDeferred(r *request.Request) {
 // SetSlowdown installs a chaos brownout factor: every iteration launched
 // while it exceeds 1 takes that multiple of its modelled duration. Factors
 // at or below 1 restore full speed.
-func (e *Engine) SetSlowdown(factor float64) { e.slowdown = factor }
+func (e *Engine) SetSlowdown(factor float64) {
+	e.touch(true)
+	e.slowdown = factor
+}
 
 // Crashed reports whether the engine is down awaiting backfill.
 func (e *Engine) Crashed() bool { return e.crashed }
@@ -55,6 +58,8 @@ func (e *Engine) Crash(now simclock.Time) (orphans []*request.Request, pinsLost,
 	if e.crashed {
 		return nil, 0, 0
 	}
+	e.touch(true)
+	e.run.close() // its event is cancelled below
 	e.crashed = true
 
 	e.clock.Cancel(e.iterHandle)

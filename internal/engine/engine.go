@@ -6,6 +6,49 @@
 // the requests injected into it; runs are deterministic. The engine only
 // schedules events on the clock it is given: internal/cluster drives every
 // simulation, a single device being a one-replica cluster.
+//
+// # Fused decode runs
+//
+// Most decode iterations are quiet continuations: launched from the
+// completion of a decode iteration over the kept batch, before the
+// scheduler's quiet horizon (sched.Decision.QuietUntil), with no prefill
+// waiting and no boundary stall. Such an iteration starts a run (run.go):
+// the engine plans the iterations up to the first stop — a batch member
+// finishes, a page growth the free pool cannot grant without reclaim, the
+// first boundary at or past the horizon, or maxRun iterations — and
+// schedules one clock event, at the end of the last. The completions
+// before it are applied lazily, each at its own instant t_k with the
+// unfused loop's arithmetic: the batch decodes (token delivery, page
+// growth, decode-progress events), the latency estimate observes the
+// iteration, and the next iteration launches with its write-through
+// booked as of t_k.
+//
+// Touch, settle, truncate: whatever reads state a run changes — free
+// pages, a member's tokens or reading state, the device-to-host link and
+// its landings, the iteration estimate — first settles the run to the
+// clock's position, applying every completion that would have fired by
+// then. Whatever writes the engine or its KV manager (an inject, a crash,
+// a brownout, a migration or pin install or drop, a load or evict
+// completion) also truncates the run to the iteration in flight, whose
+// completion becomes the run's clock event, so the next boundary runs the
+// whole loop again. The KV manager calls the engine's touch hook on those
+// reads and writes (kvcache.Callbacks.Touch), the engine's entry points
+// call it first, Collect settles, and a run's deadline settles through
+// SettleUntil. Reads a run cannot change (OutstandingRequests, Crashed,
+// QueueLengths, pins) do not settle.
+//
+// The tie key: completion k is keyed (t_k, t_(k-1)) against the event that
+// touches the run, in the clock's (time, scheduling instant, sequence)
+// order (simclock.Key), which is its (time, sequence) order. A touching
+// event scheduled before t_(k-1) goes before completion k and one
+// scheduled after it goes after, as in the unfused loop, which scheduled
+// completion k at t_(k-1). The first completion holds the sequence number
+// the unfused loop's After would have taken, and a write-through chunk
+// booked lazily at t_k is keyed (its landing, t_k). An event scheduled at
+// t_(k-1) itself is a tie the keys cannot split: touching a lazily applied
+// completion from it, or writing the engine from it right after the run's
+// own event, panics. The unfused loop stays as the test reference
+// (SetUnfused in export_test.go).
 package engine
 
 import (
@@ -242,9 +285,18 @@ type Engine struct {
 	// batchCtx as its context sum; addRunning, removeRunning and a crash
 	// clear it. advancing is set while advanceDecode delivers tokens.
 	quietUntil simclock.Time
-	batchValid bool
 	batchCtx   int64
+	batchValid bool
 	advancing  bool
+	// unfused turns fused decode runs off, leaving one clock event per
+	// iteration: the test reference (export_test.go), never set outside
+	// tests. The three flags share one word, which keeps Engine (with its
+	// malloc header) in the 1,024-byte size class.
+	unfused bool
+
+	// run is the fused run of quiet decode iterations (run.go), nil until
+	// the engine's first.
+	run *quietRun
 
 	// In-flight iteration completion state. Exactly one iteration runs at
 	// a time (gpuBusy), so its parameters live on the engine and the
@@ -338,6 +390,7 @@ func New(cfg Config) (*Engine, error) {
 	// iteration (or boundary stall) in flight, completion state lives on
 	// the engine and these replace a per-iteration closure allocation.
 	e.iterDoneFn = func(t simclock.Time) {
+		e.endRun()
 		e.gpuBusy = false
 		e.completeIteration(t)
 		e.kick(t)
@@ -356,7 +409,8 @@ func New(cfg Config) (*Engine, error) {
 	e.mem, err = kvcache.New(kvcfg, e.clock, ep, kvcache.Callbacks{
 		EvictDone:  e.onEvictDone,
 		LoadDone:   e.onLoadDone,
-		PinDrained: func(now simclock.Time) { e.kick(now) },
+		PinDrained: e.kickFn,
+		Touch:      e.touch,
 	})
 	if err != nil {
 		return nil, err
@@ -395,6 +449,7 @@ func (e *Engine) QueueLengths() (waiting, backlog, running, preempted, loading i
 // clock events, so whoever drives the clock folds the last one before its
 // deadline in at the end of a run, where it would have fired as an event.
 func (e *Engine) LastReadTick(t simclock.Time) simclock.Time {
+	e.touch(false)
 	var last simclock.Time
 	for _, r := range e.track.All() {
 		l, _ := r.ReadTicks(t)
@@ -420,6 +475,7 @@ func (e *Engine) Inject(r *request.Request, now simclock.Time) {
 // The cause reaches the queue event's payload so latency attribution can
 // split the pre-queue gap exactly.
 func (e *Engine) InjectCause(r *request.Request, now simclock.Time, cause int64) {
+	e.touch(true)
 	if e.tryHostReload(r, now, cause) {
 		return // delivered when the reloaded prefix is resident
 	}
@@ -485,6 +541,7 @@ func (e *Engine) tryHostReload(r *request.Request, now simclock.Time, cause int6
 		// first for the same instant), so a successful reload is already a
 		// pin and injectNow assesses it as an ordinary hit; a dropped
 		// install falls back to a full recompute.
+		e.touch(true)
 		e.dropDeferred(r)
 		e.pendingInjects--
 		e.injectNow(r, t, cause|obs.QueueCauseReload, now)
@@ -572,6 +629,7 @@ func (e *Engine) EstimatePrefill(tokens int) time.Duration {
 // Collect stops outstanding client reading and assembles the Result after
 // the clock has been driven to completion (or a deadline).
 func (e *Engine) Collect() *Result {
+	e.touch(false)
 	e.teardown()
 
 	makespan := request.Makespan(e.track.All(), e.clock.Now())

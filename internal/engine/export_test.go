@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/kvcache"
 	"repro/internal/request"
+	"repro/internal/simclock"
 )
 
 // Test hooks for the external engine_test package.
@@ -35,6 +36,27 @@ func CheckDecodeBatch(e *Engine, r *request.Request) error {
 			r.ID, r.Generated+1, len(kept), keptCtx, len(fresh), ctx)
 	}
 	return nil
+}
+
+// SetUnfused turns fused decode runs off on e: one clock event per
+// iteration, the reference fused runs are held to. Call it before the
+// engine runs.
+func SetUnfused(e *Engine) { e.unfused = true }
+
+// LazyAt reports whether the decode completion at t is one the open fused
+// run will apply lazily: not applied yet, and not the run's clock event.
+// It reads the run without settling it.
+func LazyAt(e *Engine, t simclock.Time) bool {
+	q := e.run
+	if q == nil {
+		return false
+	}
+	for i := q.k + 1; i < q.end; i++ {
+		if q.steps[i].at == t {
+			return true
+		}
+	}
+	return false
 }
 
 // ForgetDecodeBatch makes the next decodeBatch walk the running set: called

@@ -301,7 +301,8 @@ const (
 // token count) were staged on the engine by the start* caller; with at
 // most one iteration in flight they cannot be overwritten before
 // completeIteration consumes them.
-func (e *Engine) launch(now simclock.Time, dur time.Duration) {
+func (e *Engine) launch(now simclock.Time, raw time.Duration) {
+	dur := raw
 	if e.slowdown > 1 {
 		// Chaos brownout: the slow node pays the multiplier on every
 		// iteration launched inside the fault window.
@@ -310,6 +311,10 @@ func (e *Engine) launch(now simclock.Time, dur time.Duration) {
 	e.iterations++
 	e.gpuBusy = true
 	e.iterDur = dur
+	if e.iterKind == iterDecode {
+		e.launchDecode(now, raw, dur)
+		return
+	}
 	e.iterHandle = e.clock.After(dur, e.iterDoneFn)
 }
 

@@ -22,6 +22,7 @@ import "repro/internal/simclock"
 // PendingSync still reports its instant, where its event used to leave
 // the clock.
 func (m *Manager) Crash() (pinsLost, mirrorsLost int) {
+	m.touch(true)
 	for _, e := range m.entries {
 		e.epoch++
 		e.gpuHeld = 0
@@ -55,6 +56,7 @@ func (m *Manager) Crash() (pinsLost, mirrorsLost int) {
 // counts at stake time, mirroring the fabric's book-time accounting, and
 // the aborted transfer's bytes were genuinely booked on the wire.
 func (m *Manager) AbortMigrateOut(session int) {
+	m.touch(true)
 	p, ok := m.pins[session]
 	if !ok || !p.migrating {
 		return
@@ -82,6 +84,7 @@ func (m *Manager) MirrorTokens(session int) int {
 // mirror at least as large, or one mid-reload, is kept instead. It
 // reports whether the copy was adopted.
 func (m *Manager) AdoptMirror(session, tokens int, readyAt simclock.Time) bool {
+	m.touch(true)
 	if session == 0 || tokens <= 0 {
 		return false
 	}

@@ -185,6 +185,7 @@ func (m *Manager) EstimateHostReload(session int, now simclock.Time) time.Durati
 // the completion time, the mirrored tokens, the booked bytes, and whether
 // a transfer was booked.
 func (m *Manager) ReloadMirror(session int, class fabric.Class, now simclock.Time) (done simclock.Time, tokens int, bytes int64, ok bool) {
+	m.touch(true)
 	if !m.HostCacheEnabled() {
 		return 0, 0, 0, false
 	}
@@ -208,6 +209,7 @@ func (m *Manager) ReloadMirror(session int, class fabric.Class, now simclock.Tim
 		if m.crashEpoch != crashEpoch {
 			return // the mirror died with the replica mid-flight
 		}
+		m.touch(true)
 		hp.reloading = false
 		_, pinned := m.pins[hp.session]
 		installed := !pinned && hp.pages <= m.cfg.PrefixPages &&

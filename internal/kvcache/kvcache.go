@@ -170,6 +170,22 @@ type Callbacks struct {
 	// draining to the host and their pool pages free (memory that may
 	// unblock a stalled admission or load).
 	PinDrained func(now simclock.Time)
+	// Touch, when set, fires before the manager reads state a fused decode
+	// run changes (write false: free pages, a resident request's pages, the
+	// sync landings and the device-to-host link) and before every change
+	// it makes (write true), so the engine first applies the run's
+	// iterations due by now and, before a change, ends the run at the
+	// iteration in flight (internal/engine). Pin and mirror reads a run
+	// cannot change do not fire it; neither do the decode step's own
+	// CheckGrowth and GrowOne.
+	Touch func(write bool)
+}
+
+// touch fires the Touch callback.
+func (m *Manager) touch(write bool) {
+	if m.cb.Touch != nil {
+		m.cb.Touch(write)
+	}
 }
 
 // Manager is the hierarchical KV cache manager.
@@ -311,13 +327,19 @@ func (m *Manager) Pages(tokens int) int {
 }
 
 // FreePages reports unallocated pool pages.
-func (m *Manager) FreePages() int { return m.free }
+func (m *Manager) FreePages() int {
+	m.touch(false)
+	return m.free
+}
 
 // TotalPages reports the pool capacity.
 func (m *Manager) TotalPages() int { return m.cfg.GPUPages }
 
 // UsedPages reports allocated pool pages.
-func (m *Manager) UsedPages() int { return m.cfg.GPUPages - m.free }
+func (m *Manager) UsedPages() int {
+	m.touch(false)
+	return m.cfg.GPUPages - m.free
+}
 
 // Residency reports where a request's KV lives.
 func (m *Manager) Residency(r *request.Request) Residency {
@@ -331,6 +353,7 @@ func (m *Manager) Residency(r *request.Request) Residency {
 // ResidentTokens reports the total context tokens resident on the GPU
 // across all requests (for telemetry).
 func (m *Manager) ResidentTokens() int64 {
+	m.touch(false)
 	var n int64
 	for _, e := range m.entries {
 		if e.res == ResGPU {
@@ -343,6 +366,7 @@ func (m *Manager) ResidentTokens() int64 {
 // CanAllocate reports whether a context of the given tokens fits in the
 // free pool right now.
 func (m *Manager) CanAllocate(tokens int) bool {
+	m.touch(false)
 	return m.Pages(tokens) <= m.free
 }
 
@@ -397,6 +421,17 @@ func (m *Manager) CheckGrowth(h Handle) (resident, needPage bool) {
 	return true, m.Pages(e.req.ContextLen()+1) > e.pages
 }
 
+// PageRoom reports how many more tokens the handle's request can append
+// before its next one needs a new page, or -1 when it is not resident: a
+// fused decode run plans its page growth from it.
+func (m *Manager) PageRoom(h Handle) int {
+	e := h.resident()
+	if e == nil {
+		return -1
+	}
+	return e.pages*PageTokens - e.req.ContextLen()
+}
+
 // GrowOne extends a resident request's allocation for one appended token,
 // claiming a new page when the context crosses a page boundary. It reports
 // false when the request is not resident or the pool is exhausted, which
@@ -424,6 +459,7 @@ func (e *entry) dirtyPages() int { return e.pages - e.synced - e.inFlight }
 // Discard frees everything a request holds on the device and forgets its
 // host copy (request finished, or preemption with offload disabled).
 func (m *Manager) Discard(r *request.Request) {
+	m.touch(true)
 	e, ok := m.entries[r.ID]
 	if !ok {
 		return

@@ -666,7 +666,7 @@ func TestPriorityWritesOrderByBuffer(t *testing.T) {
 	small.Rate = 0.001
 	big.DeliverTokens(clock, 0, 50)
 	small.DeliverTokens(clock, 0, 5)
-	cands := rig.m.syncCandidates()
+	cands := rig.m.syncCandidates(clock.Now())
 	if len(cands) != 2 || cands[0].req.ID != 2 {
 		t.Errorf("priority writes should order request 2 first: %v", ids(cands))
 	}
@@ -680,7 +680,7 @@ func TestPriorityWritesOrderByBuffer(t *testing.T) {
 	if err := rig2.m.AllocateResident(big, 16); err != nil {
 		t.Fatal(err)
 	}
-	c2 := rig2.m.syncCandidates()
+	c2 := rig2.m.syncCandidates(clock.Now())
 	if len(c2) != 2 || c2[0].req.ID != 1 {
 		t.Errorf("FIFO writes should order request 1 first: %v", ids(c2))
 	}

@@ -61,6 +61,7 @@ func (m *Manager) PeekPrefix(session int) int {
 // TakePrefix reports the pinned prefix tokens for a session and marks the
 // pin most recently used (a hit assessed at arrival).
 func (m *Manager) TakePrefix(session int) int {
+	m.touch(true)
 	p, ok := m.pins[session]
 	if !ok || p.migrating {
 		return 0
@@ -112,6 +113,7 @@ func (m *Manager) removePin(p *pin) {
 // session's previous pin, whose pages free immediately (the new context's
 // KV covers them).
 func (m *Manager) ReleaseAsPrefix(r *request.Request, session int, now simclock.Time) {
+	m.touch(true)
 	m.settle()
 	e, ok := m.entries[r.ID]
 	if !ok || e.res != ResGPU || !m.PrefixEnabled() || session == 0 {
@@ -202,6 +204,7 @@ func (m *Manager) evictPin(p *pin, now simclock.Time) {
 		if m.crashEpoch != crashEpoch {
 			return // the drain's pages died with the replica
 		}
+		m.touch(true)
 		m.free += dirty
 		if m.cb.PinDrained != nil {
 			m.cb.PinDrained(t)
@@ -220,6 +223,7 @@ func (m *Manager) evictPin(p *pin, now simclock.Time) {
 // paths call this before stalling, so live requests always outrank cached
 // prefixes.
 func (m *Manager) ReclaimPrefixPages(need int, now simclock.Time, exclude int) int {
+	m.touch(true)
 	freed, draining := 0, 0
 	for freed+draining < need {
 		before := m.free
@@ -237,6 +241,7 @@ func (m *Manager) ReclaimPrefixPages(need int, now simclock.Time, exclude int) i
 // would absorb from its pin (0 for session 0, no pin, or a migrating
 // pin). Engine admission uses it to size reclaims accurately.
 func (m *Manager) AdoptablePages(session int) int {
+	m.touch(false)
 	return m.adoptablePages(session)
 }
 
@@ -257,6 +262,7 @@ func (m *Manager) adoptablePages(session int) int {
 // right now, counting the session's adoptable pinned prefix pages as free
 // (they fold into the new allocation rather than double-charging).
 func (m *Manager) CanAdmit(tokens, session int) bool {
+	m.touch(false)
 	return m.Pages(tokens) <= m.free+m.adoptablePages(session)
 }
 
@@ -267,6 +273,7 @@ func (m *Manager) CanAdmit(tokens, session int) bool {
 // prefix are newly charged. With session 0 or no pin it is exactly
 // AllocateResident.
 func (m *Manager) AllocateWithPrefix(r *request.Request, contextTokens, session int) error {
+	m.touch(true)
 	if e, ok := m.entries[r.ID]; ok && e.res != ResNone {
 		return fmt.Errorf("kvcache: request %d already has residency %v", r.ID, e.res)
 	}
@@ -339,6 +346,7 @@ func (m *Manager) ServablePins() int {
 // drain to the host first, exactly as a pressure eviction would. It reports
 // whether a pin was dropped.
 func (m *Manager) DropPrefix(session int, now simclock.Time) bool {
+	m.touch(true)
 	p, ok := m.pins[session]
 	if !ok || p.migrating {
 		return false
@@ -365,6 +373,7 @@ func (m *Manager) PrefixFootprint(session int) (tokens int, bytes int64) {
 // size. The caller books the interconnect transfer and must call
 // CompleteMigrateOut when it finishes.
 func (m *Manager) BeginMigrateOut(session int) (tokens int, bytes int64, ok bool) {
+	m.touch(true)
 	p, okp := m.pins[session]
 	if !okp || p.migrating {
 		return 0, 0, false
@@ -386,6 +395,7 @@ func (m *Manager) BeginMigrateOut(session int) (tokens int, bytes int64, ok bool
 // CompleteMigrateOut releases a migrated-out pin: its pages free (the
 // peer now holds the KV) and the session is forgotten on this device.
 func (m *Manager) CompleteMigrateOut(session int) {
+	m.touch(true)
 	p, ok := m.pins[session]
 	if !ok || !p.migrating {
 		return
@@ -402,6 +412,7 @@ func (m *Manager) CompleteMigrateOut(session int) {
 // when the prefix exceeds the budget, an equal-or-larger pin already
 // exists, or the pool cannot fit it even after reclaiming every other pin.
 func (m *Manager) InstallPrefix(session, tokens int, now simclock.Time) bool {
+	m.touch(true)
 	if !m.PrefixEnabled() || session == 0 || tokens <= 0 {
 		m.migrationDrops++
 		return false

@@ -2,6 +2,7 @@ package kvcache
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -81,14 +82,14 @@ func (h *settleHarness) resident(i int) *request.Request {
 // exactly as the reserved number does.
 func (h *settleHarness) adopt() {
 	for _, l := range h.m.landings {
-		if l.seq < h.nextSeq {
+		if l.key.Seq < h.nextSeq {
 			continue
 		}
-		h.nextSeq = l.seq + 1
+		h.nextSeq = l.key.Seq + 1
 		ref := h.refs[l.e]
 		ref.inFlight += l.chunk
 		chunk := l.chunk
-		h.rig.clock.At(l.done, func(simclock.Time) {
+		h.rig.clock.At(l.key.At, func(simclock.Time) {
 			if !ref.dead {
 				ref.inFlight -= chunk
 				ref.synced += chunk
@@ -125,8 +126,8 @@ func (h *settleHarness) checkSplit(op string) {
 func (h *settleHarness) countTies() {
 	c := h.rig.clock
 	for _, l := range h.m.landings {
-		if l.done == c.Now() {
-			if c.Fired(l.done, l.seq) {
+		if l.key.At == c.Now() {
+			if c.Fired(l.key) {
 				h.ties[1]++
 			} else {
 				h.ties[0]++
@@ -294,8 +295,8 @@ func checkSyncSettle(t testing.TB, data []byte) *settleHarness {
 		case 9: // probe later, or exactly where a booked chunk lands
 			at, x := c.Now()+simclock.Time(r.next()%8)*50*simclock.Time(time.Microsecond), r.next()
 			if n := len(h.m.landings); x%2 == 0 && n > 0 {
-				if l := h.m.landings[x%n]; l.done >= c.Now() {
-					at = l.done
+				if l := h.m.landings[x%n]; l.key.At >= c.Now() {
+					at = l.key.At
 				}
 			}
 			h.probe(at, x%3 == 0, r.next())
@@ -365,4 +366,61 @@ func (r *byteReader) next() int {
 	b := r.data[0]
 	r.data = r.data[1:]
 	return int(b)
+}
+
+// TestSyncLandingAtRunBoundary: a write-through chunk a fused decode run
+// books lazily at its boundary t2 (SyncAsOf, keyed by the run) and that
+// lands exactly at the next boundary t3 reads as the per-chunk event the
+// unfused loop reserved at t2 would: landed for the run's own event at t3
+// (a chunk the run booked at an instant precedes the iteration it
+// launched there) and for an event scheduled after t2, not landed for one
+// scheduled before t2. An event scheduled at t2 itself is the tie the keys
+// cannot split, and reading the chunk from it panics, by name.
+func TestSyncLandingAtRunBoundary(t *testing.T) {
+	ms := func(n int) simclock.Time { return simclock.Time(n) * simclock.Time(time.Millisecond) }
+	t1, t2 := ms(10), ms(20)
+	for _, how := range []string{"run", "before", "after", "at"} {
+		t.Run(how, func(t *testing.T) {
+			rig := newRig(t, Config{Policy: Policy{WriteThrough: true, Offload: true}})
+			m, c := rig.m, rig.clock
+			r := newReq(1, 64, 64)
+			if err := m.AllocateResident(r, 64); err != nil {
+				t.Fatal(err)
+			}
+			tag := c.Reserve().Seq
+			m.SyncAsOf(simclock.Key{At: t2, Sched: t1, Seq: tag, Run: true}, 10*time.Millisecond)
+			if len(m.landings) != 1 {
+				t.Fatalf("%d landings booked, want 1", len(m.landings))
+			}
+			t3 := m.landings[0].key.At
+			e := m.entries[r.ID]
+			var landed, read bool
+			check := func(simclock.Time) {
+				m.settle()
+				read, landed = true, e.inFlight == 0 && e.synced == e.pages
+			}
+			want := true
+			switch how {
+			case "run":
+				c.AtKey(simclock.Key{At: t3, Sched: t2, Seq: tag, Run: true}, check)
+			case "before":
+				c.At(t3, check)
+				want = false
+			case "after":
+				c.At(t2+(t3-t2)/2, func(simclock.Time) { c.At(t3, check) })
+			case "at":
+				c.At(t2, func(simclock.Time) { c.At(t3, check) })
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, "unsplittable tie") {
+						t.Errorf("reading the chunk ended with %q, want the unsplittable-tie panic", msg)
+					}
+				}()
+			}
+			c.Run()
+			if !read || landed != want {
+				t.Errorf("read %v: landed %v at its own instant, want %v", read, landed, want)
+			}
+		})
+	}
 }

@@ -28,10 +28,31 @@ import (
 // FIFO first (see settle). BackgroundSync settles too, so the FIFO holds
 // at most about one iteration's landings.
 func (m *Manager) BackgroundSync(now simclock.Time, iterDur time.Duration) {
+	m.touch(true)
 	if !m.cfg.WriteThrough {
 		return
 	}
 	m.settle()
+	m.sync(now, iterDur, simclock.Key{})
+}
+
+// SyncAsOf is BackgroundSync for the launch a fused decode run applies
+// lazily at pos.At, where its iteration at pos completed: it settles the
+// landings due as of pos, not as of the clock, reads the link and the
+// clients' buffers as of pos.At, and keys each landing it books by pos.At
+// and the run's tag (pos.Seq; see simclock.Key).
+func (m *Manager) SyncAsOf(pos simclock.Key, iterDur time.Duration) {
+	if !m.cfg.WriteThrough {
+		return
+	}
+	m.settleAsOf(pos)
+	m.sync(pos.At, iterDur, simclock.Key{Sched: pos.At, Seq: pos.Seq, Run: true})
+}
+
+// sync books this iteration's write-through chunks at now. run is the
+// key template of a fused run's lazy booking; the zero Key reserves a
+// sequence number on the clock for each landing instead.
+func (m *Manager) sync(now simclock.Time, iterDur time.Duration, run simclock.Key) {
 	// Budget: bytes the link can move during this iteration, starting from
 	// its current backlog. With chunked writing we never book past the end
 	// of the iteration; without it we book everything dirty immediately
@@ -47,7 +68,7 @@ func (m *Manager) BackgroundSync(now simclock.Time, iterDur time.Duration) {
 		budget = 1 << 62
 	}
 
-	order := m.syncCandidates()
+	order := m.syncCandidates(now)
 	pageBytes := m.PageBytes()
 	for _, e := range order {
 		if budget < pageBytes {
@@ -67,31 +88,39 @@ func (m *Manager) BackgroundSync(now simclock.Time, iterDur time.Duration) {
 		_, done := m.ep.EnqueueD2H(fabric.ClassSync, now, bytes)
 		m.syncChunks++
 		m.bytesSynced += bytes
-		if n := len(m.landings); n > 0 && done < m.landings[n-1].done {
-			panic(fmt.Sprintf("kvcache: sync landing at %v before the previous one at %v", done, m.landings[n-1].done))
+		if n := len(m.landings); n > 0 && done < m.landings[n-1].key.At {
+			panic(fmt.Sprintf("kvcache: sync landing at %v before the previous one at %v", done, m.landings[n-1].key.At))
 		}
-		m.landings = append(m.landings, landing{e: e, epoch: e.epoch, chunk: chunk, done: done, seq: m.clock.Reserve()})
+		key := run
+		if !run.Run {
+			key = m.clock.Reserve()
+		}
+		key.At = done
+		m.landings = append(m.landings, landing{e: e, epoch: e.epoch, chunk: chunk, key: key})
 	}
 }
 
-// landing is one booked sync chunk: once an event at (done, seq) would
-// have fired, its pages are synced, unless a preemption or discard bumped
-// the entry's epoch since the booking.
+// landing is one booked sync chunk: once an event at key would have
+// fired, its pages are synced, unless a preemption or discard bumped the
+// entry's epoch since the booking.
 type landing struct {
 	e     *entry
 	epoch uint64
 	chunk int
-	done  simclock.Time
-	seq   uint64
+	key   simclock.Key
 }
 
-// settle applies every landing whose event would have fired by now, in
-// booking order. The device-to-host link is FIFO, so landings are booked
-// in (done, seq) order and the fired ones are a prefix of the queue.
-func (m *Manager) settle() {
+// settle applies every landing whose event would have fired by now.
+func (m *Manager) settle() { m.settleAsOf(m.clock.Position()) }
+
+// settleAsOf applies every landing whose event would have fired by the
+// position pos, in booking order. The device-to-host link is FIFO, so
+// landings are booked in key order and the fired ones are a prefix of the
+// queue.
+func (m *Manager) settleAsOf(pos simclock.Key) {
 	n := 0
 	for _, l := range m.landings {
-		if !m.clock.Fired(l.done, l.seq) {
+		if !l.key.FiredBy(pos) {
 			break
 		}
 		if l.e.epoch == l.epoch {
@@ -113,20 +142,22 @@ func (m *Manager) settle() {
 // cancels the iteration but not the writes booked at its start; the
 // cluster's drain moves the clock on to it, so a run ends where it did.
 func (m *Manager) PendingSync(deadline simclock.Time) (last simclock.Time, beyond bool) {
+	m.touch(false)
 	for _, l := range m.landings {
-		if l.done > deadline {
+		if l.key.At > deadline {
 			return last, true
 		}
-		last = l.done
+		last = l.key.At
 	}
 	return last, false
 }
 
-// syncCandidates lists resident entries in write-queue order. The returned
-// slice aliases a per-manager scratch buffer — it runs once per compute
-// iteration, so an allocation here would dominate the heap profile of
-// million-request traces — and is only valid until the next call.
-func (m *Manager) syncCandidates() []*entry {
+// syncCandidates lists resident entries in write-queue order, reading the
+// clients' buffers as of now. The returned slice aliases a per-manager
+// scratch buffer — it runs once per compute iteration, so an allocation
+// here would dominate the heap profile of million-request traces — and is
+// only valid until the next call.
+func (m *Manager) syncCandidates(now simclock.Time) []*entry {
 	out := m.syncScratch[:0]
 	for _, e := range m.syncOrder {
 		if e.res == ResGPU && e.dirtyPages() > 0 {
@@ -135,7 +166,7 @@ func (m *Manager) syncCandidates() []*entry {
 	}
 	if m.cfg.PriorityWrites && len(out) > 1 {
 		slices.SortStableFunc(out, func(a, b *entry) int {
-			return cmp.Compare(b.req.BufferLen(), a.req.BufferLen())
+			return cmp.Compare(b.req.BufferLenAt(now), a.req.BufferLenAt(now))
 		})
 	}
 	m.syncScratch = out
@@ -162,6 +193,7 @@ func (m *Manager) IterBoundaryStall(now simclock.Time) time.Duration {
 // The EvictDone callback fires when the request's pages have fully left
 // the device.
 func (m *Manager) Preempt(r *request.Request, now simclock.Time) (simclock.Time, error) {
+	m.touch(true)
 	m.settle()
 	e, ok := m.entries[r.ID]
 	if !ok || e.res != ResGPU {
@@ -204,6 +236,7 @@ func (m *Manager) Preempt(r *request.Request, now simclock.Time) (simclock.Time,
 		if e.epoch != epoch {
 			return
 		}
+		m.touch(true)
 		e.synced = e.pages
 		m.finishEvict(e, t)
 	})
@@ -226,6 +259,7 @@ func (m *Manager) finishEvict(e *entry, now simclock.Time) {
 // CanAllocate first. Without load-evict overlap the transfer additionally
 // waits for all in-flight evictions to drain. LoadDone fires at completion.
 func (m *Manager) StartLoad(r *request.Request, now simclock.Time) (simclock.Time, error) {
+	m.touch(true)
 	e, ok := m.entries[r.ID]
 	if !ok || e.res != ResHost {
 		return 0, fmt.Errorf("kvcache: loading request %d with residency %v", r.ID, m.Residency(r))
@@ -250,6 +284,7 @@ func (m *Manager) StartLoad(r *request.Request, now simclock.Time) (simclock.Tim
 		if e.epoch != epoch {
 			return
 		}
+		m.touch(true)
 		e.res = ResGPU
 		// The host copy remains valid: only pages appended after resume
 		// are dirty (the incremental-update benefit of write-through).
@@ -275,6 +310,7 @@ func (m *Manager) HostBytes(r *request.Request) int64 {
 // §4.2.3). For a still-resident request it predicts the cost of a future
 // load of its full current context.
 func (m *Manager) EstimateLoad(r *request.Request, now simclock.Time) time.Duration {
+	m.touch(false)
 	e, ok := m.entries[r.ID]
 	if !ok {
 		return 0
@@ -293,6 +329,7 @@ func (m *Manager) EstimateLoad(r *request.Request, now simclock.Time) time.Durat
 // right now: queueing plus wire time for its dirty pages (near zero under
 // write-through once the background sync has caught up).
 func (m *Manager) EstimateEvict(r *request.Request, now simclock.Time) time.Duration {
+	m.touch(false)
 	m.settle()
 	e, ok := m.entries[r.ID]
 	if !ok || e.res != ResGPU {
@@ -348,6 +385,7 @@ type Stats struct {
 
 // Stats returns cumulative counters.
 func (m *Manager) Stats() Stats {
+	m.touch(false)
 	return Stats{
 		Evictions: m.evictions, Loads: m.loads, Discards: m.discards,
 		SyncChunks: m.syncChunks, BytesEvicted: m.bytesEvicted,

@@ -126,3 +126,50 @@ func FuzzDeliverTokens(f *testing.F) {
 		}
 	})
 }
+
+// TestCatchUp: reading caught up to an instant applies exactly the read
+// ticks due by then, the same as reading tick by tick: each due tick reads
+// one buffered token, and the first that finds the buffer empty starts a
+// stall at its own instant. The rows below one interval take the path
+// that skips the division (exactly one tick is due).
+func TestCatchUp(t *testing.T) {
+	const rate = 20 // tok/s: a 50 ms interval
+	iv := simclock.Time(simclock.Duration(1.0 / rate))
+	cases := []struct {
+		name     string
+		buffered int           // tokens buffered after the first is read
+		gap      simclock.Time // how far past the next tick reading catches up to
+	}{
+		{"below one interval, empty buffer", 0, iv / 3},
+		{"below one interval, one buffered", 1, iv / 3},
+		{"below one interval, many buffered", 9, iv - 1},
+		{"at the next tick, many buffered", 9, 0},
+		{"exactly one interval, many buffered", 9, iv},
+		{"several intervals, many buffered", 9, 4*iv + iv/2},
+		{"several intervals, buffer runs dry", 2, 4*iv + iv/2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			clock := simclock.New()
+			r := New(0, 0, 16, 64, rate)
+			r.DeliverTokens(clock, 0, 1+tc.buffered) // the first token is read at once
+			now := r.tick + tc.gap
+
+			// Tick by tick.
+			consumed, tick, stalled := r.consumed, r.tick, false
+			for ; tick <= now; tick += iv {
+				if consumed == r.Generated {
+					stalled = true
+					break
+				}
+				consumed++
+			}
+
+			r.catchUp(now)
+			if r.consumed != consumed || r.tick != tick || r.waitingForToken != stalled {
+				t.Errorf("caught up to %v: consumed %d, next tick %v, stalled %v; tick by tick %d, %v, %v",
+					now, r.consumed, r.tick, r.waitingForToken, consumed, tick, stalled)
+			}
+		})
+	}
+}

@@ -212,6 +212,17 @@ func (r *Request) Consumed() int {
 // BufferLen reports the client-side buffer occupancy in tokens.
 func (r *Request) BufferLen() int { return r.Generated - r.Consumed() }
 
+// BufferLenAt reports the client-side buffer occupancy as of t, catching
+// reading up to t: BufferLen for work applied at its own instant t after
+// the clock has moved on (a fused decode run's write-through launch). No
+// delivery may come before t afterwards.
+func (r *Request) BufferLenAt(t simclock.Time) int {
+	if r.clock != nil {
+		r.catchUp(t)
+	}
+	return r.Generated - r.consumed
+}
+
 // BufferSeconds reports how long the current buffer sustains playback at
 // the request's consumption rate. Infinite-rate (Rate<=0) clients always
 // report zero.
@@ -351,7 +362,12 @@ func (r *Request) catchUp(now simclock.Time) {
 	iv := simclock.Time(r.interval())
 	buffered := r.Generated - r.consumed
 	due := buffered + 1
-	if iv > 0 {
+	switch {
+	case now-r.tick < iv:
+		// The next tick is due and the one after is not: the quotient
+		// below would be 0.
+		due = min(due, 1)
+	case iv > 0:
 		if d := int((now-r.tick)/iv) + 1; d < due {
 			due = d
 		}

@@ -8,8 +8,12 @@ import (
 
 // This file checks the clock against a reference model: a naive list kept
 // sorted by (at, seq), where a stream of n arrivals is simply n events with
-// consecutive sequence numbers. Operation sequences are decoded from bytes,
-// so one decoder serves the seeded random test and the fuzz target.
+// consecutive sequence numbers. The clock orders by (at, scheduling
+// instant, seq), which must give the same order; the model also tracks the
+// scheduling instant of the position (Clock.Position): the last fired
+// event's, the deadline after RunUntil, Before after AdvanceTo moves time.
+// Operation sequences are decoded from bytes, so one decoder serves the
+// seeded random test and the fuzz target.
 
 // firing is one entry of a firing log: which event fired, and when.
 type firing struct {
@@ -32,6 +36,7 @@ const maxReserved = 64
 // refEvent is one pending event of the reference model.
 type refEvent struct {
 	at     Time
+	sched  Time // the model's instant when it was scheduled (a stream's opening)
 	seq    uint64
 	id     int
 	child  Time // delay of the child scheduled on firing; negative for none
@@ -42,6 +47,7 @@ type refEvent struct {
 // refClock is the reference model.
 type refClock struct {
 	now        Time
+	sched      Time // the position's scheduling instant
 	seq        uint64
 	queue      []refEvent // sorted by (at, seq)
 	streamLeft int
@@ -56,7 +62,7 @@ type refClock struct {
 }
 
 func (m *refClock) insert(e refEvent) {
-	e.seq = m.seq
+	e.seq, e.sched = m.seq, m.now
 	m.seq++
 	i, _ := slices.BinarySearchFunc(m.queue, e, func(x, y refEvent) int {
 		if x.at != y.at {
@@ -88,7 +94,7 @@ func (m *refClock) step() bool {
 	m.queue = m.queue[1:]
 	m.countTie(m.last, e)
 	m.last = e
-	m.now = e.at
+	m.now, m.sched = e.at, e.sched
 	m.log = append(m.log, firing{e.id, e.at})
 	if e.stream {
 		m.streamLeft--
@@ -123,9 +129,7 @@ func (m *refClock) runUntil(deadline Time) {
 	for m.peek() <= deadline {
 		m.step()
 	}
-	if deadline > m.now {
-		m.now = deadline
-	}
+	m.now, m.sched = max(m.now, deadline), deadline
 }
 
 // byteReader hands out the fuzz input one byte at a time, then zeros.
@@ -167,8 +171,7 @@ type harness struct {
 
 // reservation is one Reserve call and the state of its twin event.
 type reservation struct {
-	at        Time
-	seq       uint64
+	key       Key
 	twinFired bool
 }
 
@@ -176,7 +179,9 @@ type reservation struct {
 // both sides; the model skips the reserved number as the clock does.
 func (h *harness) reserve(t Time) {
 	i := len(h.reserved)
-	h.reserved = append(h.reserved, reservation{at: t, seq: h.c.Reserve()})
+	k := h.c.Reserve()
+	k.At = t
+	h.reserved = append(h.reserved, reservation{key: k})
 	h.m.seq++
 	id := h.nextID
 	h.nextID++
@@ -192,11 +197,11 @@ func (h *harness) reserve(t Time) {
 func (h *harness) checkReserved(where string) {
 	h.t.Helper()
 	for _, r := range h.reserved {
-		got := h.c.Fired(r.at, r.seq)
+		got := h.c.Fired(r.key)
 		if got != r.twinFired {
-			h.t.Fatalf("%s at %v: Fired(%v, %d) = %v, twin fired %v", where, h.c.Now(), r.at, r.seq, got, r.twinFired)
+			h.t.Fatalf("%s at %v: Fired(%+v) = %v, twin fired %v", where, h.c.Now(), r.key, got, r.twinFired)
 		}
-		if r.at == h.c.Now() {
+		if r.key.At == h.c.Now() {
 			if got {
 				h.reservedTies[1]++
 			} else {
@@ -300,6 +305,10 @@ func (h *harness) check(op string) {
 		h.t.Fatalf("after %s: clock now=%v len=%d peek=%v, model now=%v len=%d peek=%v",
 			op, h.c.Now(), h.c.Len(), h.c.Peek(), h.m.now, len(h.m.queue), h.m.peek())
 	}
+	if p := h.c.Position(); p.At != h.m.now || p.Sched != h.m.sched {
+		h.t.Fatalf("after %s: position at %v scheduled at %v, model %v scheduled at %v",
+			op, p.At, p.Sched, h.m.now, h.m.sched)
+	}
 	if h.c.Processed() != uint64(len(h.log)) {
 		h.t.Fatalf("after %s: Processed = %d, fired %d", op, h.c.Processed(), len(h.log))
 	}
@@ -309,7 +318,7 @@ func (h *harness) check(op string) {
 // checkClockOrder decodes data into clock operations, applies each to a
 // Clock and to the reference model, and fails on the first divergence.
 func checkClockOrder(t testing.TB, data []byte) *harness {
-	h := &harness{t: t, c: New(), handles: make(map[int]Handle)}
+	h := &harness{t: t, c: New(), handles: make(map[int]Handle), m: refClock{sched: Before}}
 	r := &byteReader{data: data}
 	for r.more() {
 		switch op := r.next() % 9; op {
@@ -360,7 +369,9 @@ func checkClockOrder(t testing.TB, data []byte) *harness {
 			} else {
 				to := min(next, h.c.Now()+Time(x%8))
 				h.c.AdvanceTo(to)
-				h.m.now = to
+				if to > h.m.now {
+					h.m.now, h.m.sched = to, Before
+				}
 			}
 			h.check("AdvanceTo")
 		case 6: // Step

@@ -36,8 +36,26 @@
 // Reserve takes a sequence number without queueing anything, for work
 // whose only effect is bookkeeping that its readers can apply late (the
 // KV manager's write-through landings). Fired then reports whether an
-// event at the reserved (time, sequence) would already have fired, so the
-// readers see the tie order the event would have had, without its cost.
+// event at the reserved key would already have fired, so the readers see
+// the tie order the event would have had, without its cost.
+//
+// Every event also records its scheduling instant, the clock's time when
+// At ran. Sequence numbers are handed out in time order, so the (time,
+// sequence) order is the same as the (time, scheduling instant, sequence)
+// order, and the heap compares keys in that longer form (Key). That lets
+// work applied lazily take its place without a sequence number: the
+// engine's fused decode runs (internal/engine) apply iteration k, due at
+// t_k and launched at t_(k-1), as of the key (t_k, t_(k-1)), and schedule
+// the run's one clock event with AtKey at the key of its last iteration,
+// tagged with the sequence number the run reserved at its launch. The
+// scheduling instant orders such a key against every event at the same
+// instant except one scheduled at the same instant too: that tie is
+// unsplittable, and Fired panics on it, as AdvanceTo does when asked to
+// skip work. Keys of one run are the exception: an item a run booked at an
+// instant precedes the iteration the run launched there. Step checks no
+// ties: two events at one key order only where one reads the other's
+// effects (a fused run's engine checks its own), and events of engines
+// sharing a clock never do.
 package simclock
 
 import (
@@ -77,6 +95,41 @@ func (t Time) String() string {
 	return fmt.Sprintf("%.3fs", t.Seconds())
 }
 
+// Before is a scheduling instant earlier than any event's: the position
+// AdvanceTo leaves, ahead of every event at its instant.
+const Before Time = -1 << 63
+
+// Key is a place in the firing order: the instant At, the instant Sched
+// it was scheduled at, and its sequence number Seq. A run key (Run) is
+// lazily applied work or an event scheduled with AtKey: Seq is then the
+// tag its run reserved at its launch, which names the run but says nothing
+// about the order among other work scheduled at Sched.
+type Key struct {
+	At, Sched Time
+	Seq       uint64
+	Run       bool
+}
+
+// FiredBy reports whether work at key k comes before the position pos:
+// by instant, then scheduling instant, then sequence number. At a tie in
+// both instants a run key comes first only against its own run's position
+// (same tag); any other tie with a run key is unsplittable and panics.
+func (k Key) FiredBy(pos Key) bool {
+	if k.At != pos.At {
+		return k.At < pos.At
+	}
+	if k.Sched != pos.Sched {
+		return k.Sched < pos.Sched
+	}
+	if k.Run || pos.Run {
+		if k.Run && pos.Run && k.Seq == pos.Seq {
+			return true
+		}
+		panic(fmt.Sprintf("simclock: unsplittable tie at %v: work scheduled at %v meets a fused run's at the same instant", k.At, k.Sched))
+	}
+	return k.Seq < pos.Seq
+}
+
 // event is one scheduled callback slot. Slots are owned by the clock and
 // recycled through a free list; external code only ever sees Handles.
 type event struct {
@@ -84,29 +137,34 @@ type event struct {
 	gen      uint64 // bumped on recycle; stale Handles fail the gen check
 	fn       func(now Time)
 	canceled bool
+	// run marks an event scheduled with a run key (AtKey).
+	run bool
 }
 
 // entry is one heap element. The ordering key is stored inline, so sifting
 // compares entries without dereferencing their slots.
 type entry struct {
-	at  Time
-	seq uint64 // scheduling order; breaks ties deterministically
-	ev  *event
+	at    Time
+	sched Time   // the instant the event was scheduled at
+	seq   uint64 // scheduling order; breaks ties deterministically
+	ev    *event
 }
 
-// before is the queue order: by time, then by sequence.
+// before is the queue order: by time, then by scheduling instant, then by
+// sequence.
 func (a entry) before(b entry) bool {
-	return a.at < b.at || a.at == b.at && a.seq < b.seq
+	return a.at < b.at || a.at == b.at && (a.sched < b.sched || a.sched == b.sched && a.seq < b.seq)
 }
 
 // stream is the clock's arrival cursor (see Stream). It is open while
 // k < n; the zero value is closed.
 type stream struct {
-	n, k int
-	base uint64 // sequence number of arrival 0
-	next Time   // at(k), cached
-	at   func(k int) Time
-	fire func(k int, now Time)
+	n, k   int
+	base   uint64 // sequence number of arrival 0
+	opened Time   // the instant the stream opened: every arrival's scheduling instant
+	next   Time   // at(k), cached
+	at     func(k int) Time
+	fire   func(k int, now Time)
 }
 
 // Handle identifies a scheduled event. The zero Handle is valid and refers
@@ -148,9 +206,14 @@ type Clock struct {
 	canceled int
 	free     []*event
 	stream   stream
-	// (now, fired) is the firing watermark: every event keyed before it
-	// has fired, and none at or after it has (see Fired).
-	fired uint64
+	// (now, sched, fired) is the clock's position, the firing watermark:
+	// every event keyed before it has fired, and none at or after it has
+	// (see Fired). sched is the scheduling instant of the event firing (or
+	// last fired), and fired one past its sequence number; posRun marks a
+	// run event's position (see Key).
+	sched  Time
+	fired  uint64
+	posRun bool
 }
 
 // compactAt bounds how much of the heap cancelled events may occupy before
@@ -160,7 +223,7 @@ const compactAt = 64
 
 // New returns a Clock positioned at time Zero with an empty queue.
 func New() *Clock {
-	return &Clock{}
+	return &Clock{sched: Before}
 }
 
 // Now reports the current virtual time.
@@ -203,32 +266,71 @@ func (c *Clock) At(at Time, fn func(now Time)) Handle {
 	if at < c.now {
 		panic(fmt.Sprintf("simclock: scheduling event at %v before now %v", at, c.now))
 	}
-	e := c.alloc()
-	e.at = at
-	e.fn = fn
-	c.pq = append(c.pq, entry{at: at, seq: c.seq, ev: e})
 	c.seq++
+	return c.push(entry{at: at, sched: c.now, seq: c.seq - 1}, fn, false)
+}
+
+// push queues fn at the entry's key.
+func (c *Clock) push(x entry, fn func(now Time), run bool) Handle {
+	e := c.alloc()
+	e.at = x.at
+	e.fn = fn
+	e.run = run
+	x.ev = e
+	c.pq = append(c.pq, x)
 	c.up(len(c.pq) - 1)
 	return Handle{ev: e, gen: e.gen}
 }
 
-// Reserve takes the next sequence number without queueing an event, so a
-// later At gets the number after it, exactly as if At had been called
-// here. Fired reports when an event at (at, seq) would have fired.
-func (c *Clock) Reserve() uint64 {
-	c.seq++
-	return c.seq - 1
+// AtKey schedules fn at k.At with the explicit key k, for an event whose
+// scheduling instant is not the present: the clock event of a fused run
+// (see the package comment), keyed at its last iteration's launch, with
+// the tag the run reserved when it opened. It panics when k.Sched lies
+// after k.At or k has already fired, both simulation logic bugs, as At
+// does for a past time.
+func (c *Clock) AtKey(k Key, fn func(now Time)) Handle {
+	if fn == nil {
+		panic("simclock: nil event callback")
+	}
+	if k.Sched > k.At {
+		panic(fmt.Sprintf("simclock: keyed event at %v scheduled after it, at %v", k.At, k.Sched))
+	}
+	if c.Fired(k) {
+		panic(fmt.Sprintf("simclock: keyed event at %v scheduled at %v has already fired, now %v", k.At, k.Sched, c.now))
+	}
+	return c.push(entry{at: k.At, sched: k.Sched, seq: k.Seq}, fn, k.Run)
 }
 
-// Fired reports whether an event at (at, seq), with seq taken from
-// Reserve, would already have fired at the clock's current position.
-// Step moves the watermark past each event it fires, stream arrivals
-// included; AdvanceTo(t) puts it before every event at t, which may still
-// be pending; RunUntil(deadline) puts it after every number reserved so
-// far at or before the deadline. Inside an event, a reservation at the
-// same instant has fired exactly when its sequence number is lower.
-func (c *Clock) Fired(at Time, seq uint64) bool {
-	return at < c.now || at == c.now && seq < c.fired
+// Reserve takes the next sequence number without queueing an event, so a
+// later At gets the number after it, exactly as if At had been called
+// here. The returned key carries that number and the current instant as
+// its scheduling instant; the caller sets At. Fired reports when an event
+// at the key would have fired.
+func (c *Clock) Reserve() Key {
+	c.seq++
+	return Key{At: c.now, Sched: c.now, Seq: c.seq - 1}
+}
+
+// Position reports the clock's position as a key: the instant, the
+// scheduling instant of the event firing (or last fired) — the
+// scheduling-instant accessor — and one past its sequence number (or its
+// run's tag, for a run event).
+func (c *Clock) Position() Key {
+	if c.posRun {
+		return Key{At: c.now, Sched: c.sched, Seq: c.fired - 1, Run: true}
+	}
+	return Key{At: c.now, Sched: c.sched, Seq: c.fired}
+}
+
+// Fired reports whether an event at key k, with a sequence number taken
+// from Reserve or a run's key, would already have fired at the clock's
+// current position. Step moves the position past each event it fires,
+// stream arrivals included; AdvanceTo(t) puts it before every event at t,
+// which may still be pending; RunUntil(deadline) puts it after every
+// number reserved so far at or before the deadline. Inside an event, a
+// reservation at the same instant has fired exactly when its key is lower.
+func (c *Clock) Fired(k Key) bool {
+	return k.FiredBy(c.Position())
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
@@ -273,7 +375,7 @@ func (c *Clock) Stream(n int, at func(k int) Time, fire func(k int, now Time)) {
 	if n == 0 {
 		return
 	}
-	c.stream = stream{n: n, base: c.seq, next: at(0), at: at, fire: fire}
+	c.stream = stream{n: n, base: c.seq, opened: c.now, next: at(0), at: at, fire: fire}
 	c.seq += uint64(n)
 }
 
@@ -327,7 +429,7 @@ func (c *Clock) streamFirst() bool {
 	if s.k >= s.n {
 		return false
 	}
-	return len(c.pq) == 0 || entry{at: s.next, seq: s.base + uint64(s.k)}.before(c.pq[0])
+	return len(c.pq) == 0 || entry{at: s.next, sched: s.opened, seq: s.base + uint64(s.k)}.before(c.pq[0])
 }
 
 // Peek reports the time of the next pending event, or Forever if the queue
@@ -351,14 +453,13 @@ func (c *Clock) Step() bool {
 	c.sweep()
 	if c.streamFirst() {
 		s := &c.stream
-		k, now, base, fire := s.k, s.next, s.base, s.fire
+		k, now, base, opened, fire := s.k, s.next, s.base, s.opened, s.fire
 		if s.k++; s.k < s.n {
 			s.next = s.at(s.k)
 		} else {
 			c.stream = stream{} // closed before fire, which may open the next
 		}
-		c.now = now
-		c.fired = base + uint64(k) + 1
+		c.now, c.sched, c.fired, c.posRun = now, opened, base+uint64(k)+1, false
 		c.processed++
 		fire(k, now)
 		return true
@@ -366,9 +467,9 @@ func (c *Clock) Step() bool {
 	if len(c.pq) == 0 {
 		return false
 	}
-	c.fired = c.pq[0].seq + 1
+	top := c.pq[0]
 	e := c.pop()
-	c.now = e.at
+	c.now, c.sched, c.fired, c.posRun = top.at, top.sched, top.seq+1, e.run
 	c.processed++
 	fn := e.fn
 	c.recycle(e)
@@ -389,7 +490,7 @@ func (c *Clock) AdvanceTo(t Time) {
 		panic(fmt.Sprintf("simclock: advancing to %v past pending event at %v", t, next))
 	}
 	if t > c.now {
-		c.now, c.fired = t, 0
+		c.now, c.sched, c.fired, c.posRun = t, Before, 0, false
 	}
 }
 
@@ -401,7 +502,7 @@ func (c *Clock) RunUntil(deadline Time) {
 	for c.Peek() <= deadline && c.Step() {
 	}
 	if deadline >= c.now && deadline != Forever {
-		c.now, c.fired = deadline, c.seq
+		c.now, c.sched, c.fired, c.posRun = deadline, deadline, c.seq, false
 	}
 }
 

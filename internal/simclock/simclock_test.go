@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
@@ -512,6 +513,38 @@ func BenchmarkStepDeepHeap(b *testing.B) {
 	}
 }
 
+// BenchmarkStepShardHeap fires events off a heap held at the depths a
+// cluster shard's clock holds (111 and 222 pending events, the range
+// measured on the 500-replica benchmark workloads), each fired event
+// scheduling its replacement 15–25 ms out, the span of one decode
+// iteration, so each Step pays a pop and a push at that depth.
+func BenchmarkStepShardHeap(b *testing.B) {
+	for _, depth := range []int{111, 222} {
+		b.Run(fmt.Sprintf("pending-%d", depth), func(b *testing.B) {
+			c := New()
+			rng := rand.New(rand.NewSource(1))
+			delays := make([]time.Duration, 4096)
+			for i := range delays {
+				delays[i] = 15*time.Millisecond + time.Duration(rng.Int63n(int64(10*time.Millisecond)))
+			}
+			var i int
+			var fn func(Time)
+			fn = func(Time) {
+				i++
+				c.After(delays[i%len(delays)], fn)
+			}
+			for k := 0; k < depth; k++ {
+				c.After(delays[k%len(delays)], fn)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				c.Step()
+			}
+		})
+	}
+}
+
 // Fired reads a reservation as an At-scheduled event with the same
 // sequence number would have fired: Step passes each event it fires,
 // stream arrivals included; AdvanceTo(t) stops before every event at t;
@@ -519,6 +552,10 @@ func BenchmarkStepDeepHeap(b *testing.B) {
 // deadline, and no number reserved after it.
 func TestReserveFired(t *testing.T) {
 	nop := func(Time) {}
+	fired := func(c *Clock, at Time, k Key) bool {
+		k.At = at
+		return c.Fired(k)
+	}
 	cases := []struct {
 		name string
 		run  func(c *Clock) []bool
@@ -526,76 +563,76 @@ func TestReserveFired(t *testing.T) {
 	}{
 		{"unfired before any event", func(c *Clock) []bool {
 			s := c.Reserve()
-			return []bool{c.Fired(0, s), c.Fired(5, s)}
+			return []bool{fired(c, 0, s), fired(c, 5, s)}
 		}, []bool{false, false}},
 		{"reserved before an event at its instant", func(c *Clock) []bool {
 			s := c.Reserve()
 			var in bool
-			c.At(5, func(Time) { in = c.Fired(5, s) })
+			c.At(5, func(Time) { in = fired(c, 5, s) })
 			c.Step()
-			return []bool{in, c.Fired(5, s)}
+			return []bool{in, fired(c, 5, s)}
 		}, []bool{true, true}},
 		{"reserved after an event at its instant", func(c *Clock) []bool {
 			var in bool
-			var s uint64
-			c.At(5, func(Time) { in = c.Fired(5, s) })
+			var s Key
+			c.At(5, func(Time) { in = fired(c, 5, s) })
 			s = c.Reserve()
 			c.At(6, nop)
 			c.Step()
-			after := c.Fired(5, s)
+			after := fired(c, 5, s)
 			c.Step()
-			return []bool{in, after, c.Fired(5, s)}
+			return []bool{in, after, fired(c, 5, s)}
 		}, []bool{false, false, true}},
 		{"reserved inside the event at its instant", func(c *Clock) []bool {
 			var in bool
-			var s uint64
-			c.At(5, func(Time) { s = c.Reserve(); in = c.Fired(5, s) })
+			var s Key
+			c.At(5, func(Time) { s = c.Reserve(); in = fired(c, 5, s) })
 			c.Step()
-			return []bool{in, c.Fired(5, s), c.Fired(4, s)}
+			return []bool{in, fired(c, 5, s), fired(c, 4, s)}
 		}, []bool{false, false, true}},
 		{"stream arrivals", func(c *Clock) []bool {
 			before := c.Reserve()
 			var in []bool
 			c.Stream(2, func(int) Time { return 5 }, func(k int, _ Time) {
-				in = append(in, c.Fired(5, before))
+				in = append(in, fired(c, 5, before))
 			})
 			after := c.Reserve()
 			c.Step()
-			mid := c.Fired(5, after)
+			mid := fired(c, 5, after)
 			c.Step()
-			return append(in, mid, c.Fired(5, after))
+			return append(in, mid, fired(c, 5, after))
 		}, []bool{true, true, false, false}},
 		{"AdvanceTo stops before its instant", func(c *Clock) []bool {
 			s := c.Reserve()
 			c.AdvanceTo(5)
-			return []bool{c.Fired(4, s), c.Fired(5, s), c.Fired(6, s)}
+			return []bool{fired(c, 4, s), fired(c, 5, s), fired(c, 6, s)}
 		}, []bool{true, false, false}},
 		{"AdvanceTo the current instant keeps the watermark", func(c *Clock) []bool {
 			s := c.Reserve()
 			c.At(5, nop)
 			c.Step()
 			c.AdvanceTo(5)
-			return []bool{c.Fired(5, s)}
+			return []bool{fired(c, 5, s)}
 		}, []bool{true}},
 		{"RunUntil passes its deadline", func(c *Clock) []bool {
 			s := c.Reserve()
 			c.At(3, nop)
 			c.RunUntil(5)
 			later := c.Reserve()
-			return []bool{c.Fired(5, s), c.Fired(6, s), c.Fired(5, later)}
+			return []bool{fired(c, 5, s), fired(c, 6, s), fired(c, 5, later)}
 		}, []bool{true, false, false}},
 		{"RunUntil before now keeps the watermark", func(c *Clock) []bool {
-			var s uint64
+			var s Key
 			c.At(5, func(Time) { s = c.Reserve() })
 			c.Step()
 			c.RunUntil(4)
-			return []bool{c.Fired(5, s), c.Now() == 5}
+			return []bool{fired(c, 5, s), c.Now() == 5}
 		}, []bool{false, true}},
 		{"Reserve takes a number and queues nothing", func(c *Clock) []bool {
 			c.At(5, nop)
 			s := c.Reserve()
 			c.At(5, nop)
-			return []bool{s == 1, c.seq == 3, c.Len() == 2}
+			return []bool{s.Seq == 1, c.seq == 3, c.Len() == 2}
 		}, []bool{true, true, true}},
 	}
 	for _, tc := range cases {
