@@ -78,8 +78,8 @@ type Config struct {
 	Policy router.Policy
 
 	// SampleEvery enables cluster-wide queued/running time-series sampling
-	// (per replica plus the merged series and the imbalance series); zero
-	// disables it and negative is an error.
+	// (per replica plus the merged series); zero disables it and negative
+	// is an error.
 	SampleEvery time.Duration
 
 	// Shards partitions the replicas across parallel worker goroutines
@@ -395,26 +395,16 @@ type Result struct {
 	// Counters are the run's scalar outcome counters.
 	Counters
 
-	// ImbalanceSeries samples the per-replica load imbalance over time:
-	// at each sampling tick, the peak-to-mean ratio of outstanding
-	// (queued + running) requests across replicas. Empty when sampling is
-	// disabled.
-	ImbalanceSeries []ImbalancePoint
-
 	// TransferClasses totals the fabric traffic per transfer class (sync,
 	// evict, load, reload, migrate, prewarm, drain) across every link of
 	// the topology — the movement-cost ledger of the run.
 	TransferClasses []fabric.ClassStats
 
-	// ScaleEvents logs every lifecycle transition the control loop drove;
-	// ReplicaSeries samples the per-state replica counts at every control
-	// tick (both empty in a static cluster).
-	ScaleEvents   []ScaleEvent
-	ReplicaSeries []ReplicaCountPoint
-
-	// GatewaySeries samples the scale-to-zero gateway depth at every
-	// control tick (empty unless ScaleToZero).
-	GatewaySeries []GatewayPoint
+	// ScaleEvents logs every lifecycle transition the control loop drove
+	// (empty in a static cluster). The per-state replica counts at any
+	// instant replay exactly from it, starting from InitialInService
+	// active replicas.
+	ScaleEvents []ScaleEvent
 
 	// PrefixIndex is the gateway index's end-of-run accounting: the
 	// publication ledger (published / dropped / applied / pending), the
@@ -547,12 +537,6 @@ type Counters struct {
 	EventsProcessed uint64
 }
 
-// GatewayPoint samples the scale-to-zero gateway depth at one control tick.
-type GatewayPoint struct {
-	At    simclock.Time
-	Depth int
-}
-
 // ScaleKind labels a lifecycle transition in the scale-event log.
 type ScaleKind string
 
@@ -579,21 +563,6 @@ type ScaleEvent struct {
 	At      simclock.Time
 	Kind    ScaleKind
 	Replica int
-}
-
-// ReplicaCountPoint samples the per-state replica counts at one control
-// tick.
-type ReplicaCountPoint struct {
-	At                        simclock.Time
-	Active, Warming, Draining int
-}
-
-// ImbalancePoint is one sample of the per-replica load imbalance.
-type ImbalancePoint struct {
-	At simclock.Time
-	// Value is the peak-to-mean ratio of per-replica outstanding requests
-	// at the instant (1.0 = perfectly balanced or idle).
-	Value float64
 }
 
 // Cluster is a primed multi-replica simulation.
@@ -640,15 +609,13 @@ type Cluster struct {
 	migrationsInFlight int
 
 	// Autoscaler bookkeeping (see lifecycle.go).
-	scaleEvents   []ScaleEvent
-	replicaSeries []ReplicaCountPoint
+	scaleEvents []ScaleEvent
 
 	// Scale-to-zero gateway (see gateway.go) and the windowed TTFT
 	// estimator feeding latency-driven policies. arrivalsThisTick counts
 	// arrivals between control ticks — the predictive policy's rate
 	// sample.
 	gateway          []*request.Request
-	gatewaySeries    []GatewayPoint
 	ttftWin          *metrics.TTFTWindow
 	arrivalsThisTick int
 
@@ -664,11 +631,6 @@ type Cluster struct {
 	pubFns     []func(kind prefixindex.EvKind, session int, val, aux int64)
 	pubSeq     []uint64
 	pubScratch []prefixindex.Pub
-
-	// svcMask records, per sampling tick, which replicas could hold load
-	// at that instant (active or draining) — the denominator of the
-	// per-tick imbalance series.
-	svcMask [][]bool
 
 	// Chaos fault-injection runtime (chaos.go); nil when Config.Chaos is
 	// absent or inactive, which gates every chaos hook off the hot path.
@@ -897,12 +859,9 @@ func (c *Cluster) Run(w trace.Workload) (*Result, error) {
 	if c.cfg.SampleEvery > 0 {
 		var sample func(now simclock.Time)
 		sample = func(now simclock.Time) {
-			mask := make([]bool, len(c.replicas))
-			for i, rep := range c.replicas {
+			for _, rep := range c.replicas {
 				rep.eng.Sample(now)
-				mask[i] = rep.state == autoscale.Active || rep.state == autoscale.Draining
 			}
-			c.svcMask = append(c.svcMask, mask)
 			if c.reg != nil {
 				c.recordSampleSeries(now)
 			}
@@ -1227,12 +1186,9 @@ func (c *Cluster) collect(timedOut bool) *Result {
 	res.Report = metrics.Analyze(res.Requests, makespan, metrics.DefaultQoSParams())
 	res.Imbalance = metrics.Imbalance(loads)
 	res.Samples = mergeSamples(res.PerReplica)
-	res.ImbalanceSeries = imbalanceSeries(res.PerReplica, c.svcMask)
 	c.settleIndexTraffic()
 	res.TransferClasses = c.fab.ClassStats()
 	res.ScaleEvents = c.scaleEvents
-	res.ReplicaSeries = c.replicaSeries
-	res.GatewaySeries = c.gatewaySeries
 	// Attribution report first (timed on the coordinator profiler, so the
 	// finalize cost lands in the merged profile), then the capture: the
 	// per-shard recorder and profiler streams fold into one canonical
@@ -1275,44 +1231,6 @@ func (c *Cluster) collect(timedOut bool) *Result {
 		}
 	}
 	return res
-}
-
-// imbalanceSeries computes, per sampling tick, the peak-to-mean ratio of
-// per-replica outstanding (queued + running) requests — the over-time view
-// of the end-of-run Imbalance scalar. Only replicas in service at the tick
-// (per svc, recorded at sampling time) enter the ratio: an off or warming
-// replica holds no load by construction, and counting its zero would
-// manufacture imbalance. Series lengths are taken per replica (not from
-// replica 0) so a replica with a short series cannot truncate or skew the
-// merge.
-func imbalanceSeries(per []ReplicaStats, svc [][]bool) []ImbalancePoint {
-	n := 0
-	for _, rs := range per {
-		if len(rs.Result.Samples) > n {
-			n = len(rs.Result.Samples)
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]ImbalancePoint, 0, n)
-	for i := 0; i < n; i++ {
-		var at simclock.Time
-		var loads []float64
-		for j, rs := range per {
-			if i >= len(rs.Result.Samples) {
-				continue
-			}
-			s := rs.Result.Samples[i]
-			at = s.At
-			if i < len(svc) && j < len(svc[i]) && !svc[i][j] {
-				continue
-			}
-			loads = append(loads, float64(s.Queued+s.Running))
-		}
-		out = append(out, ImbalancePoint{At: at, Value: metrics.Imbalance(loads)})
-	}
-	return out
 }
 
 // mergeSamples sums the per-replica queued/running series tick by tick.

@@ -228,39 +228,6 @@ func TestMigrationShipsPinnedPrefix(t *testing.T) {
 	}
 }
 
-// TestImbalanceSeriesTracksLoad: sampling produces a per-tick imbalance
-// series aligned with the merged samples.
-func TestImbalanceSeriesTracksLoad(t *testing.T) {
-	w := sessionWorkload(t)
-	cl, err := cluster.New(cluster.Config{
-		Replicas:    4,
-		Policy:      router.NewRoundRobin(),
-		SampleEvery: 5 * time.Second,
-	}, cluster.Engines(rtx4090, tokenFlow))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := cl.Run(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.ImbalanceSeries) == 0 {
-		t.Fatal("sampling enabled but imbalance series empty")
-	}
-	if len(res.ImbalanceSeries) != len(res.Samples) {
-		t.Errorf("imbalance series has %d points, merged samples %d",
-			len(res.ImbalanceSeries), len(res.Samples))
-	}
-	for i, p := range res.ImbalanceSeries {
-		if p.Value < 1 {
-			t.Fatalf("imbalance point %d = %v < 1", i, p.Value)
-		}
-		if p.At != res.Samples[i].At {
-			t.Fatalf("imbalance point %d at %v, sample at %v", i, p.At, res.Samples[i].At)
-		}
-	}
-}
-
 func TestClusterConfigErrors(t *testing.T) {
 	if _, err := cluster.New(cluster.Config{Replicas: 2}, cluster.Engines(rtx4090, tokenFlow)); err == nil {
 		t.Error("nil policy should fail")

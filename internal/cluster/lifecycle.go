@@ -65,21 +65,6 @@ func (c *Cluster) controlTick(now simclock.Time) {
 	case autoscale.ScaleDown:
 		c.scaleDown(now, s.Active)
 	}
-	point := ReplicaCountPoint{At: now}
-	for _, rep := range c.replicas {
-		switch rep.state {
-		case autoscale.Active:
-			point.Active++
-		case autoscale.Warming:
-			point.Warming++
-		case autoscale.Draining:
-			point.Draining++
-		}
-	}
-	c.replicaSeries = append(c.replicaSeries, point)
-	if c.gatewayEnabled() {
-		c.gatewaySeries = append(c.gatewaySeries, GatewayPoint{At: now, Depth: len(c.gateway)})
-	}
 }
 
 // signals assembles the per-tick cluster view the policy decides from:

@@ -40,8 +40,8 @@ func TestShardedDeterminismGrid(t *testing.T) {
 }
 
 // runGridRow runs one determinism-grid row at a shard count and barrier
-// window mode, with sampling on so the merged series and imbalance series
-// must match too, not just the end-of-run scalars.
+// window mode, with sampling on so the per-replica and merged series must
+// match too, not just the end-of-run scalars.
 func runGridRow(t *testing.T, mk func() (cluster.Config, cluster.BuildEngine), w trace.Workload,
 	shards int, mode cluster.WindowMode) *cluster.Result {
 	t.Helper()

@@ -116,7 +116,7 @@ func TestDeterminism(t *testing.T) {
 func TestAllSchedulersCompleteBurst(t *testing.T) {
 	scheds := map[string]func() (sched.Scheduler, KVPolicy){
 		"sglang":  func() (sched.Scheduler, KVPolicy) { return sched.NewSGLang(), BaselineKVPolicy() },
-		"chunked": func() (sched.Scheduler, KVPolicy) { return sched.NewSGLangChunked(256), BaselineKVPolicy() },
+		"chunked": func() (sched.Scheduler, KVPolicy) { return sched.NewSGLangChunked(), BaselineKVPolicy() },
 		"andes":   func() (sched.Scheduler, KVPolicy) { return sched.NewAndes(), BaselineKVPolicy() },
 		"tokenflow": func() (sched.Scheduler, KVPolicy) {
 			return core.MustNew(core.DefaultConfig()), TokenFlowKVPolicy()
@@ -142,7 +142,7 @@ func TestAllSchedulersCompleteBurst(t *testing.T) {
 }
 
 func TestChunkedPrefillRunsMixedIterations(t *testing.T) {
-	res := runWorkload(t, testConfig(sched.NewSGLangChunked(64), BaselineKVPolicy()), burst(3, 256, 64, 20))
+	res := runWorkload(t, testConfig(sched.NewSGLangChunked(), BaselineKVPolicy()), burst(3, 256, 64, 20))
 	if res.MixedIters == 0 {
 		t.Error("chunked scheduler should run mixed iterations")
 	}

@@ -19,7 +19,7 @@ import (
 func TestPropertyRunInvariants(t *testing.T) {
 	mk := []func() (sched.Scheduler, KVPolicy){
 		func() (sched.Scheduler, KVPolicy) { return sched.NewSGLang(), BaselineKVPolicy() },
-		func() (sched.Scheduler, KVPolicy) { return sched.NewSGLangChunked(128), BaselineKVPolicy() },
+		func() (sched.Scheduler, KVPolicy) { return sched.NewSGLangChunked(), BaselineKVPolicy() },
 		func() (sched.Scheduler, KVPolicy) { return sched.NewAndes(), BaselineKVPolicy() },
 		func() (sched.Scheduler, KVPolicy) {
 			return core.MustNew(core.DefaultConfig()), TokenFlowKVPolicy()

@@ -34,7 +34,7 @@ func Systems() []string {
 func NewSystem(name string, tf core.Config) (sched.Scheduler, KVPolicy, error) {
 	switch name {
 	case SystemSGLangChunked:
-		return sched.NewSGLangChunked(0), BaselineKVPolicy(), nil
+		return sched.NewSGLangChunked(), BaselineKVPolicy(), nil
 	case SystemSGLang:
 		return sched.NewSGLang(), BaselineKVPolicy(), nil
 	case SystemAndes:

@@ -95,9 +95,6 @@ func (l *Link) QueueDelay(now simclock.Time) time.Duration {
 // BusyUntil reports the virtual time at which the link drains.
 func (l *Link) BusyUntil() simclock.Time { return l.busyUntil }
 
-// Idle reports whether the link has no queued or in-flight transfer at now.
-func (l *Link) Idle(now simclock.Time) bool { return l.busyUntil <= now }
-
 // Stats reports cumulative transferred bytes, cumulative wire-busy time,
 // and the number of transfers, for profiling.
 func (l *Link) Stats() (bytes int64, busy time.Duration, transfers int64) {
@@ -128,12 +125,4 @@ func (l *Link) Snapshot(now simclock.Time) LinkSnapshot {
 		Transfers: l.transfers,
 		Backlog:   l.QueueDelay(now),
 	}
-}
-
-// Utilization reports the fraction of [0, now] the link spent transferring.
-func (l *Link) Utilization(now simclock.Time) float64 {
-	if now <= 0 {
-		return 0
-	}
-	return l.totalBusy.Seconds() / now.Seconds()
 }

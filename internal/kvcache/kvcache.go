@@ -350,19 +350,6 @@ func (m *Manager) Residency(r *request.Request) Residency {
 	return e.res
 }
 
-// ResidentTokens reports the total context tokens resident on the GPU
-// across all requests (for telemetry).
-func (m *Manager) ResidentTokens() int64 {
-	m.touch(false)
-	var n int64
-	for _, e := range m.entries {
-		if e.res == ResGPU {
-			n += int64(e.req.ContextLen())
-		}
-	}
-	return n
-}
-
 // CanAllocate reports whether a context of the given tokens fits in the
 // free pool right now.
 func (m *Manager) CanAllocate(tokens int) bool {

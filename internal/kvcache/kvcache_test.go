@@ -740,18 +740,6 @@ func TestStatsAccumulate(t *testing.T) {
 	}
 }
 
-func TestResidentTokens(t *testing.T) {
-	rig := newRig(t, fullConfig())
-	r := newReq(1, 100, 10)
-	if err := rig.m.AllocateResident(r, 100); err != nil {
-		t.Fatal(err)
-	}
-	r.PrefilledTokens = 100
-	if got := rig.m.ResidentTokens(); got != 100 {
-		t.Errorf("resident tokens = %d", got)
-	}
-}
-
 // Property: any random sequence of allocate / grow / sync / preempt / load /
 // discard operations preserves page accounting: free + sum(gpuHeld) ==
 // capacity, and free never goes negative.

@@ -457,9 +457,6 @@ func (r *Request) CancelConsumption(clock *simclock.Clock) {
 	r.endEvent = simclock.Handle{}
 }
 
-// InstantConsumer reports whether the request drains its buffer instantly.
-func (r *Request) InstantConsumer() bool { return r.Rate <= 0 }
-
 // ResetForRetry rewinds the request to a fresh queued state after its
 // serving replica crashed: all generation progress, the running token
 // totals, an attached Timeline's records, and client-buffer state are

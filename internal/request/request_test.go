@@ -138,9 +138,6 @@ func TestBufferOccupancyRecorded(t *testing.T) {
 func TestInstantConsumerNeverBuffers(t *testing.T) {
 	clock := simclock.New()
 	r := New(0, 0, 10, 5, 0)
-	if !r.InstantConsumer() {
-		t.Fatal("rate 0 should be instant")
-	}
 	r.DeliverTokens(clock, 0, 3)
 	if r.BufferLen() != 0 {
 		t.Errorf("instant consumer buffer = %d", r.BufferLen())

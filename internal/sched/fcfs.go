@@ -9,14 +9,19 @@ import "repro/internal/simclock"
 // is handled reactively by the engine's OOM path, exactly the behaviour
 // the paper's §2.3 micro-benchmark exhibits.
 //
-// With ChunkTokens > 0 it becomes the "SGLang (chunked)" baseline:
-// admission is identical but prefill is split into chunks that ride along
-// decode iterations (Sarathi-style), trading TTFT for smoother decode.
+// Chunked, it becomes the "SGLang (chunked)" baseline: admission is
+// identical but prefill is split into chunks of sglangChunkTokens that
+// ride along decode iterations (Sarathi-style), trading TTFT for smoother
+// decode.
 type FCFS struct {
-	// ChunkTokens bounds prompt tokens per mixed iteration; 0 disables
+	// chunkTokens bounds prompt tokens per mixed iteration; 0 disables
 	// chunking.
-	ChunkTokens int
+	chunkTokens int
 }
+
+// sglangChunkTokens is the chunked baseline's prompt tokens per mixed
+// iteration.
+const sglangChunkTokens = 512
 
 // fcfsHeadroom reserves a fraction of the pool at admission time so that
 // running requests have room to grow before the reactive OOM path kicks
@@ -27,23 +32,18 @@ const fcfsHeadroom float64 = 0.05
 func NewSGLang() *FCFS { return &FCFS{} }
 
 // NewSGLangChunked returns the chunked-prefill SGLang baseline.
-func NewSGLangChunked(chunkTokens int) *FCFS {
-	if chunkTokens <= 0 {
-		chunkTokens = 512
-	}
-	return &FCFS{ChunkTokens: chunkTokens}
-}
+func NewSGLangChunked() *FCFS { return &FCFS{chunkTokens: sglangChunkTokens} }
 
 // Name implements Scheduler.
 func (f *FCFS) Name() string {
-	if f.ChunkTokens > 0 {
+	if f.chunkTokens > 0 {
 		return "sglang-chunked"
 	}
 	return "sglang"
 }
 
 // PrefillChunkTokens implements Scheduler.
-func (f *FCFS) PrefillChunkTokens() int { return f.ChunkTokens }
+func (f *FCFS) PrefillChunkTokens() int { return f.chunkTokens }
 
 // Decide implements Scheduler: admit waiting requests FIFO while their
 // prompts fit, and resume preempted requests (which the engine's reactive

@@ -33,14 +33,11 @@ func TestFCFSNames(t *testing.T) {
 	if NewSGLang().Name() != "sglang" {
 		t.Error("plain name")
 	}
-	if NewSGLangChunked(0).Name() != "sglang-chunked" {
+	if NewSGLangChunked().Name() != "sglang-chunked" {
 		t.Error("chunked name")
 	}
-	if NewSGLangChunked(0).PrefillChunkTokens() != 512 {
-		t.Error("default chunk should be 512")
-	}
-	if NewSGLangChunked(256).PrefillChunkTokens() != 256 {
-		t.Error("explicit chunk")
+	if NewSGLangChunked().PrefillChunkTokens() != 512 {
+		t.Error("chunk should be 512")
 	}
 	if NewSGLang().PrefillChunkTokens() != 0 {
 		t.Error("plain SGLang is unchunked")
@@ -236,7 +233,7 @@ func TestQuietHorizons(t *testing.T) {
 	victim.DeliverTokens(clock, 0, 10)
 	victim.CancelConsumption(clock)
 
-	f := NewSGLangChunked(0)
+	f := NewSGLangChunked()
 	v := testView(t, simclock.FromSeconds(3))
 	if d := f.Decide(v); d.QuietUntil != simclock.Forever || len(d.Admit) != 0 {
 		t.Errorf("FCFS with empty queues: %+v, want an empty decision quiet Forever", d)

@@ -61,15 +61,6 @@ func (w Workload) Validate() error {
 // Len reports the number of requests.
 func (w Workload) Len() int { return len(w.Items) }
 
-// TotalOutputTokens reports the sum of output lengths.
-func (w Workload) TotalOutputTokens() int64 {
-	var n int64
-	for _, it := range w.Items {
-		n += int64(it.OutputLen)
-	}
-	return n
-}
-
 // TotalPromptTokens reports the sum of prompt lengths.
 func (w Workload) TotalPromptTokens() int64 {
 	var n int64

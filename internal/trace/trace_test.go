@@ -238,14 +238,14 @@ func TestSummarizeEmpty(t *testing.T) {
 	if s := w.Summarize(); s.Count != 0 {
 		t.Error("empty summary")
 	}
-	if w.Duration() != 0 || w.TotalOutputTokens() != 0 || w.TotalPromptTokens() != 0 {
+	if w.Duration() != 0 || w.TotalPromptTokens() != 0 {
 		t.Error("empty workload totals should be zero")
 	}
 }
 
 func TestSummarizeTotals(t *testing.T) {
 	w := Burst("b", 10, 0, FixedLengths{100, 200}, FixedRate(20), 1)
-	if w.TotalPromptTokens() != 1000 || w.TotalOutputTokens() != 2000 {
+	if w.TotalPromptTokens() != 1000 {
 		t.Error("totals wrong")
 	}
 	s := w.Summarize()

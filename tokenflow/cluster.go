@@ -370,15 +370,6 @@ type KVStats = kvcache.Stats
 // "drain" (active → draining), "off" (drain completed).
 type ScaleEvent = cluster.ScaleEvent
 
-// ReplicaCountSample is one control-tick sample of the per-state replica
-// counts (Active, Warming, Draining) at instant At.
-type ReplicaCountSample = cluster.ReplicaCountPoint
-
-// ImbalanceSample is one point of the cluster's load-imbalance series:
-// Value is the peak-to-mean ratio of per-replica outstanding requests at
-// instant At (1.0 = balanced or idle).
-type ImbalanceSample = cluster.ImbalancePoint
-
 // ClusterCounters are a cluster run's scalar outcome counters: load
 // imbalance, prefix hits, migrations, host reloads, autoscaling cost,
 // gateway and chaos outcomes, forecast error, and the events processed.
@@ -401,10 +392,6 @@ type ClusterResult struct {
 	// (res.Migrations, res.GPUSeconds, ...).
 	ClusterCounters
 
-	// ImbalanceSeries samples the per-replica load imbalance over time
-	// (requires SampleEvery).
-	ImbalanceSeries []ImbalanceSample
-
 	// PrefixEvictions totals pinned prefixes evicted under memory pressure
 	// across replicas; PinnedPrefixPages the pages still pinned at the end
 	// of the run (prefix residency charged to the pools).
@@ -423,15 +410,10 @@ type ClusterResult struct {
 
 	// ScaleUps and ScaleDowns count the autoscaler's scale actions (a
 	// cancelled drain counts as a scale-up); ScaleEvents logs every
-	// lifecycle transition and ReplicaSeries samples the per-state replica
-	// counts per control tick. All zero / empty in a static cluster.
+	// lifecycle transition, from which the per-state replica counts at
+	// any instant replay exactly. All zero / empty in a static cluster.
 	ScaleUps, ScaleDowns int
 	ScaleEvents          []ScaleEvent
-	ReplicaSeries        []ReplicaCountSample
-
-	// GatewayDepthSeries samples the scale-to-zero gateway buffer depth per
-	// control tick (empty without ScaleToZero).
-	GatewayDepthSeries []GatewaySample
 
 	// PrefixIndex is the gateway index's accounting when the run
 	// maintained one (Config.PrefixIndex or an indexed Router); nil
@@ -449,10 +431,6 @@ type ClusterResult struct {
 	// uninstrumented run.
 	Attribution *AttributionReport
 }
-
-// GatewaySample is one control-tick sample of the scale-to-zero gateway
-// buffer Depth at instant At.
-type GatewaySample = cluster.GatewayPoint
 
 // TransferClassStats totals one transfer class's traffic across the
 // cluster's fabric: Class labels its purpose (String gives "sync",
@@ -575,14 +553,11 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 		Router: cfg.Router,
 		Cluster: &Result{System: cfg.System, Report: res.Report, TimedOut: res.TimedOut,
 			Samples: res.Samples},
-		ClusterCounters:    res.Counters,
-		ImbalanceSeries:    res.ImbalanceSeries,
-		Transfers:          res.TransferClasses,
-		ScaleEvents:        res.ScaleEvents,
-		ReplicaSeries:      res.ReplicaSeries,
-		GatewayDepthSeries: res.GatewaySeries,
-		PrefixIndex:        res.PrefixIndex,
-		Attribution:        res.Attribution,
+		ClusterCounters: res.Counters,
+		Transfers:       res.TransferClasses,
+		ScaleEvents:     res.ScaleEvents,
+		PrefixIndex:     res.PrefixIndex,
+		Attribution:     res.Attribution,
 	}
 	for _, ev := range res.ScaleEvents {
 		// A cancelled drain restores capacity just like a warm-up does, so
