@@ -2,10 +2,10 @@ package cluster
 
 // Chaos wiring: fault injection on the virtual clock (internal/chaos) and
 // the recovery machinery that answers it. Every fault fires as a
-// coordinator-clock event — in sharded runs the shards are quiescent at
-// that instant, so the coordinator may tear down shard-owned engines and
-// cancel shard-clock events without racing — which keeps a chaos run
-// deterministic at any shard count.
+// coordinator-clock event. A chaos run is routed, so it executes on one
+// shard inline on the coordinator (shards.go): a fault tears down engines
+// and cancels shard-clock events between shard windows, on the same
+// goroutine.
 //
 // Crash: the replica's engine is killed in place (internal/engine Crash):
 // every in-flight request is orphaned, its pins and host mirrors vanish,

@@ -45,7 +45,6 @@ package cluster
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
 	"time"
 
@@ -82,12 +81,16 @@ type Config struct {
 	// is an error.
 	SampleEvery time.Duration
 
-	// Shards partitions the replicas across parallel worker goroutines
-	// (see shards.go): replica i runs its engine events on the sub-clock
-	// of shard i mod Shards, synchronized with the coordinator clock at
-	// every cross-replica event. 0 or 1 = one shard; negative is an error.
-	// Results are identical at every shard count (the determinism suite
-	// asserts deep equality). Clamped to Replicas. The flight recorder is
+	// Shards partitions the replicas of a barrier-free round-robin run
+	// across parallel worker goroutines (see shards.go): replica i runs its
+	// engine events on the sub-clock of shard i mod Shards, and the run is
+	// one parallel drain. A routed run — any configuration that needs
+	// coordinator events: a router other than round-robin, migration,
+	// sampling, autoscaling, active chaos, a prefix index, or retained
+	// events — executes on one shard, inline on the coordinator. 0 or 1 =
+	// one shard; negative is an error. Results are identical at every
+	// shard count (the determinism suite asserts deep equality). Clamped
+	// to Replicas, and to 1 for a routed run. The flight recorder is
 	// sharded-safe: each shard records onto its own recorder and profiler,
 	// emissions route by the event's replica, and the streams merge
 	// deterministically at collect — event and trace exports are
@@ -215,7 +218,8 @@ func MigrationPolicies() []MigrationPolicy {
 // Normalize fills zero fields with defaults and validates the result.
 // Under autoscaling the cluster builds Autoscale.Max replicas (default
 // Replicas), so the normalized Replicas is Max; the normalized Autoscale is
-// a copy, never the caller's spec. Shards is clamped to [1, Replicas]. The
+// a copy, never the caller's spec. Shards is clamped to [1, Replicas], and
+// to 1 when the run is routed (Config.routed). The
 // topology is defaulted and validated by fabric.NewTopology, the chaos plan
 // by chaos.Spec.Normalize. Defaults apply once: normalizing a normalized
 // Config returns it unchanged.
@@ -282,7 +286,31 @@ func (c Config) Normalize() (Config, error) {
 			c.MigrationPolicy, MigrationPolicies())
 	}
 	c.Shards = min(max(c.Shards, 1), c.Replicas)
+	if c.routed() {
+		c.Shards = 1
+	}
 	return c, nil
+}
+
+// routed reports whether the run needs coordinator events: autoscaling,
+// active chaos, migration, a sampling loop, retained events (the routed
+// path emits arrival and route-decision events the fast path skips), a
+// prefix index (explicit, or implied by a router.IndexBinder policy), or
+// any router but round-robin, whose pick for arrival k is k mod replicas
+// by construction. Attribution, series and the profile need none: they
+// read only the replica-scoped lifecycle events the engines emit on either
+// path. A routed run executes on one shard; the rest pre-route their
+// arrivals onto the shard clocks and run as one barrier-free drain.
+func (c Config) routed() bool {
+	_, indexed := c.Policy.(router.IndexBinder)
+	return c.Autoscale != nil ||
+		c.Chaos.Active() ||
+		c.Migrate ||
+		c.SampleEvery != 0 ||
+		c.Obs.Events ||
+		c.PrefixIndex != nil ||
+		indexed ||
+		c.Policy.Name() != router.NameRoundRobin
 }
 
 // BuildEngine constructs replica i's engine on its shard's clock and the
@@ -577,27 +605,24 @@ type Cluster struct {
 	// chaos; each routing decision is done with it before the next.
 	viewScratch []router.Replica
 
-	// Pin-holder table readers (holders.go): holdersForPick marks a policy
-	// that routes on Request.PrefixHolders; holderScratch is the merged
-	// holder list prefixHolders returns.
+	// Pin-holder table (holders.go): holders is nil when nothing reads
+	// it; holdersForPick marks a policy that routes on
+	// Request.PrefixHolders; holderScratch is the holder list
+	// prefixHolders returns.
+	holders        holderTable
 	holdersForPick bool
 	holderScratch  []int
 
 	// loads is the live load board the scanning load policies read
-	// (loads.go); nil for every other policy.
-	loads *loadboard.Board
+	// (loads.go); nil for every other policy. loadDirty lists the
+	// replicas whose outstanding count moved since its last read.
+	loads     *loadboard.Board
+	loadDirty []int32
 
 	// Sharded execution (see shards.go): shards[s] owns the sub-clock of
-	// replicas with id ≡ s (mod len(shards)); there is always at least one.
-	// busyShards and ttftScratch are reused barrier scratch buffers.
-	shards      []*shard
-	busyShards  []*shard
-	ttftScratch []ttftSample
-	// procs is GOMAXPROCS at New, read by the barrier fan-out gate
-	// (fanOut); windowMode forces every window inline or fanned out in
-	// tests, and its zero value leaves the choice to the gate.
-	procs      int
-	windowMode windowMode
+	// replicas with id ≡ s (mod len(shards)); there is always at least
+	// one, and exactly one in a routed run.
+	shards []*shard
 
 	// fab is the unified transfer fabric: every replica's host link pair
 	// plus the interconnect the Topology spec lays out. Routing
@@ -623,14 +648,11 @@ type Cluster struct {
 	// the coordinator; pubFns are the per-replica publication closures
 	// (heartbeat digests reuse them); pubSeq the per-replica publication
 	// counters (sequence numbers, and the count behind the deferred fabric
-	// accounting — each slot has the same single writer as the closure);
-	// pubScratch is the barrier merge buffer for shard-buffered
-	// publications.
-	idx        *prefixindex.Index
-	idxSpec    prefixindex.Spec
-	pubFns     []func(kind prefixindex.EvKind, session int, val, aux int64)
-	pubSeq     []uint64
-	pubScratch []prefixindex.Pub
+	// accounting).
+	idx     *prefixindex.Index
+	idxSpec prefixindex.Spec
+	pubFns  []func(kind prefixindex.EvKind, session int, val, aux int64)
+	pubSeq  []uint64
 
 	// Chaos fault-injection runtime (chaos.go); nil when Config.Chaos is
 	// absent or inactive, which gates every chaos hook off the hot path.
@@ -706,7 +728,7 @@ func New(cfg Config, build BuildEngine) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, clock: simclock.New(), fab: fabric.NewScheduler(topo), procs: runtime.GOMAXPROCS(0)}
+	c := &Cluster{cfg: cfg, clock: simclock.New(), fab: fabric.NewScheduler(topo)}
 	for s := 0; s < cfg.Shards; s++ {
 		c.shards = append(c.shards, &shard{id: s, clock: simclock.New()})
 	}
@@ -770,15 +792,11 @@ func New(cfg Config, build BuildEngine) (*Cluster, error) {
 		// Observation only — it adds no clock events, so the simulation
 		// itself is byte-unaffected. Policies that never read the signal
 		// skip the estimator (and its per-tick sort) entirely.
-		c.ttftWin = metrics.NewTTFTWindow()
+		win := metrics.NewTTFTWindow()
+		c.ttftWin = win
 		for _, rep := range c.replicas {
-			// First tokens fire on shard goroutines: buffer them
-			// shard-locally and merge at the next barrier (shards.go), so
-			// the shared window is only ever written by the coordinator.
-			id := rep.id
-			sh := c.shardOf(id)
 			rep.eng.SetFirstTokenObserver(func(r *request.Request, t simclock.Time) {
-				sh.ttft = append(sh.ttft, ttftSample{at: t, replica: id, ttft: t.Sub(r.Arrival)})
+				win.Observe(t, t.Sub(r.Arrival))
 			})
 		}
 	}
@@ -815,7 +833,7 @@ func (c *Cluster) Run(w trace.Workload) (*Result, error) {
 	// needs no coordinator events at all pre-routes arrivals straight onto
 	// the shard clocks instead.
 	deadline := simclock.Time(c.cfg.MaxSimTime)
-	if c.fastShardPath() {
+	if !c.cfg.routed() {
 		c.primeSharded(w)
 		return c.collect(c.runSharded(deadline)), nil
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/autoscale"
+	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/router"
 )
@@ -33,9 +34,9 @@ func viewOf(c cluster.Config) configView {
 }
 
 // TestConfigNormalizeDefaults: zero fields take their defaults, set fields
-// stay, Shards clamps into [1, Replicas], Autoscale.Max sizes the pool, the
-// caller's autoscale spec is never written through, and normalizing twice
-// changes nothing.
+// stay, Shards clamps into [1, Replicas] and to 1 for a routed run,
+// Autoscale.Max sizes the pool, the caller's autoscale spec is never
+// written through, and normalizing twice changes nothing.
 func TestConfigNormalizeDefaults(t *testing.T) {
 	rr := router.NewRoundRobin()
 	scaler := autoscale.NewQueuePressure()
@@ -61,20 +62,30 @@ func TestConfigNormalizeDefaults(t *testing.T) {
 		want configView
 	}{
 		{"zero", cluster.Config{Policy: rr}, static},
+		// Sampling makes the run routed, so it takes one shard.
 		{"set-fields-stay",
 			cluster.Config{Policy: rr, Replicas: 3, Shards: 2, MaxSimTime: time.Hour, SampleEvery: time.Second,
 				MigrationPolicy: cluster.MigrateCost},
-			configView{Replicas: 3, Shards: 2, MaxSimTime: time.Hour, SampleEvery: time.Second,
+			configView{Replicas: 3, Shards: 1, MaxSimTime: time.Hour, SampleEvery: time.Second,
 				MigrationPolicy: cluster.MigrateCost}},
 		{"shards-clamp-to-replicas", cluster.Config{Policy: rr, Replicas: 3, Shards: 8},
 			with(static, func(v *configView) { v.Replicas, v.Shards = 3, 3 })},
 		{"shards-one", cluster.Config{Policy: rr, Replicas: 3, Shards: 1},
 			with(static, func(v *configView) { v.Replicas = 3 })},
+		{"fast-path-keeps-shards", cluster.Config{Policy: rr, Replicas: 4, Shards: 3},
+			with(static, func(v *configView) { v.Replicas, v.Shards = 4, 3 })},
+		{"routed-least-queue-one-shard", cluster.Config{Policy: router.NewLeastQueue(), Replicas: 4, Shards: 3},
+			with(static, func(v *configView) { v.Replicas = 4 })},
+		{"inactive-chaos-keeps-fast-path", cluster.Config{Policy: rr, Replicas: 4, Shards: 3, Chaos: &chaos.Spec{}},
+			with(static, func(v *configView) { v.Replicas, v.Shards = 4, 3 })},
+		{"active-chaos-one-shard",
+			cluster.Config{Policy: rr, Replicas: 4, Shards: 3, Chaos: &chaos.Spec{Redundancy: 2}},
+			with(static, func(v *configView) { v.Replicas = 4 })},
 		{"autoscale-defaults", cluster.Config{Policy: rr, Replicas: 4, Autoscale: auto(cluster.AutoscaleConfig{})},
 			scaled(4)},
 		{"autoscale-max-sizes-the-pool",
 			cluster.Config{Policy: rr, Replicas: 2, Shards: 8, Autoscale: auto(cluster.AutoscaleConfig{Max: 5})},
-			with(scaled(5), func(v *configView) { v.Shards = 5 })},
+			scaled(5)},
 		{"autoscale-set-fields-stay",
 			cluster.Config{Policy: rr, Replicas: 4, Autoscale: auto(cluster.AutoscaleConfig{
 				Min: 2, Max: 4, GatewayDepth: -1, Warmup: 3 * time.Second})},

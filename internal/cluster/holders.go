@@ -13,12 +13,10 @@ package cluster
 // and its abort. A replica is a holder exactly while its probe reports a
 // positive count.
 //
-// Threading follows the publication buffers' single-writer discipline:
-// each shard owns the table of its replicas, written by the shard
-// goroutine (engine events) or by the coordinator while the shards are
-// quiescent (injection, migration installs, crashes). The coordinator
-// reads every shard's table at route time, when the shards are quiescent
-// too, and merges the disjoint holder lists.
+// A run that keeps the table is routed, so it executes on one shard
+// inline on the coordinator (shards.go): engine events and coordinator
+// events (injection, migration installs, crashes) write the one table on
+// the coordinator's goroutine, and route time reads it there.
 
 import (
 	"slices"
@@ -32,7 +30,7 @@ import (
 // replicas than this is rare, so the common update allocates nothing.
 const holderInline = 4
 
-// holderSet is one session's holders on one shard, in ascending ID order:
+// holderSet is one session's holders, in ascending ID order:
 // small[:n] while n <= holderInline, large once it grows past that.
 type holderSet struct {
 	n     int
@@ -84,7 +82,7 @@ func (h *holderSet) remove(id int) {
 	h.n--
 }
 
-// holderTable maps a session to its holders among one shard's replicas.
+// holderTable maps a session to its holders.
 // Values are stored inline, so tracking a session allocates no per-session
 // object; an entry is deleted when its last holder leaves.
 type holderTable map[int]holderSet
@@ -116,9 +114,7 @@ func (t holderTable) set(session, replica int, pinned bool) {
 func (c *Cluster) initPinHolders() {
 	c.holdersForPick = c.cfg.Policy.Name() == router.NameSessionAffinity
 	if c.holdersForPick || (c.cfg.Migrate && c.idx == nil) {
-		for _, sh := range c.shards {
-			sh.holders = holderTable{}
-		}
+		c.holders = holderTable{}
 	}
 	for _, rep := range c.replicas {
 		i := rep.id
@@ -128,7 +124,7 @@ func (c *Cluster) initPinHolders() {
 			pin = func(session, tokens int) { emit(prefixindex.EvPin, session, int64(tokens), 0) }
 			mirror = func(session, tokens int) { emit(prefixindex.EvMirror, session, int64(tokens), 0) }
 		}
-		if tbl := c.shardOf(i).holders; tbl != nil {
+		if tbl := c.holders; tbl != nil {
 			next := pin
 			pin = func(session, tokens int) {
 				tbl.set(session, i, tokens > 0)
@@ -145,22 +141,15 @@ func (c *Cluster) initPinHolders() {
 
 // prefixHolders returns the ascending IDs of every replica pinning a
 // prefix of session, in any lifecycle state, never nil. The slice is the
-// cluster's scratch buffer, valid until the next call. Coordinator only,
-// with the shards quiescent; the run must keep the table (initPinHolders).
+// cluster's scratch buffer, valid until the next call; the run must keep
+// the table (initPinHolders).
 func (c *Cluster) prefixHolders(session int) []int {
 	out := c.holderScratch[:0]
 	if out == nil {
 		out = make([]int, 0, 4)
 	}
-	for _, sh := range c.shards {
-		if h, ok := sh.holders[session]; ok {
-			out = append(out, h.ids()...)
-		}
-	}
-	if len(c.shards) > 1 {
-		// Shards own disjoint replica sets, so the merge is a sort of
-		// distinct IDs — a handful at most.
-		slices.Sort(out)
+	if h, ok := c.holders[session]; ok {
+		out = append(out, h.ids()...)
 	}
 	c.holderScratch = out
 	return out

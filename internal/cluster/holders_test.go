@@ -94,7 +94,7 @@ func scanDonor(c *Cluster, session int, target *replica, targetOwn, promptLen in
 
 func (h *holderCheck) Pick(req router.Request, views []router.Replica) int {
 	c := h.c
-	tables := c.shards[0].holders != nil
+	tables := c.holders != nil
 	if req.Session != 0 {
 		want := scanHolders(c, req.Session)
 		if c.holdersForPick {
@@ -172,7 +172,7 @@ func runHolderCheck(t *testing.T, cfg Config, build BuildEngine, w trace.Workloa
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.shards[0].holders != nil {
+	if c.holders != nil {
 		h.checkTable("end of run:")
 	}
 	return h, res
@@ -379,7 +379,7 @@ func TestHolderSetOrder(t *testing.T) {
 
 // TestPinDonorTieBreak: among holders pinning equally much, the lowest ID
 // donates; the target itself and prefixes as long as the prompt never do;
-// and the holders of one session merge in ID order across shards.
+// and prefixHolders lists a session's holders in ascending ID order.
 func TestPinDonorTieBreak(t *testing.T) {
 	c, err := New(Config{Replicas: 5, Shards: 2, Policy: router.NewLeastQueue(), Migrate: true}, testPool)
 	if err != nil {

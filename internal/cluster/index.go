@@ -14,13 +14,10 @@ package cluster
 // the control-plane traffic an event-sync gateway actually pays — and
 // emitted to the flight recorder.
 //
-// Threading follows the cluster's single-writer discipline: a replica's
-// publications are produced either on its shard goroutine (engine events)
-// or by the coordinator while shards are quiescent (injection, migration
-// installs, heartbeats). Publications buffer per shard and the coordinator
-// merges them at every barrier in (emission time, replica, sequence) order
-// — a total order independent of the partition — so the index state at
-// every read is identical across shard counts.
+// A run with an index is routed, so it executes on one shard inline on the
+// coordinator (shards.go): every publication reaches the index as it is
+// emitted, in nondecreasing emission order, whether an engine event or a
+// coordinator event (injection, migration installs, heartbeats) emits it.
 //
 // The degenerate spec (zero delay, zero drops, no heartbeat) applies every
 // publication at its emission instant and schedules no clock events, so the
@@ -86,10 +83,10 @@ func (c *Cluster) installPublishers() {
 	c.pubSeq = make([]uint64, len(c.replicas))
 	for _, rep := range c.replicas {
 		i := rep.id
-		sh := c.shardOf(i)
+		clk := c.shardOf(i).clock
 		rec := c.recFor(i) // recorders are fixed before publishers install
 		emit := func(kind prefixindex.EvKind, session int, val, aux int64) {
-			now := sh.clock.Now()
+			now := clk.Now()
 			p := prefixindex.Pub{
 				At:      now,
 				ApplyAt: now.Add(c.idxSpec.PropagationDelay),
@@ -110,10 +107,7 @@ func (c *Cluster) installPublishers() {
 				rec.Emit(now, obs.KindIndexPublish, i, -1, session,
 					int64(kind), val, dropped, 0, kind.String())
 			}
-			// Shard goroutines never touch the index: publications buffer
-			// locally and the coordinator merges them at the next barrier
-			// (mergePubs).
-			sh.pubs = append(sh.pubs, p)
+			c.idx.Publish(p)
 		}
 		// The KV pin and mirror hooks publish through emit; they are
 		// installed with the pin-holder table's (initPinHolders).
@@ -133,50 +127,6 @@ func (c *Cluster) settleIndexTraffic() {
 			c.fab.AccountN(fabric.ClassIndex, i, prefixindex.PubBytes, int64(n))
 		}
 	}
-}
-
-// mergePubs folds the shard-buffered publications gathered since the
-// previous barrier into the index in (emission time, replica, sequence)
-// order, so the index trajectory is independent of shard scheduling. Runs
-// on the coordinator with every shard quiescent.
-func (c *Cluster) mergePubs() {
-	if c.idx == nil {
-		return
-	}
-	merged := c.pubScratch[:0]
-	for _, sh := range c.shards {
-		merged = append(merged, sh.pubs...)
-		sh.pubs = sh.pubs[:0]
-	}
-	c.pubScratch = merged
-	if len(merged) == 0 {
-		return
-	}
-	sortPubs(merged)
-	for _, p := range merged {
-		c.idx.Publish(p)
-	}
-}
-
-// sortPubs orders publications by (emission time, replica, sequence).
-// Insertion sort: barrier batches are tiny (usually one shard's worth,
-// already ordered) and the common case is an already-sorted run.
-func sortPubs(ps []prefixindex.Pub) {
-	for i := 1; i < len(ps); i++ {
-		for j := i; j > 0 && pubLess(ps[j], ps[j-1]); j-- {
-			ps[j], ps[j-1] = ps[j-1], ps[j]
-		}
-	}
-}
-
-func pubLess(a, b prefixindex.Pub) bool {
-	if a.At != b.At {
-		return a.At < b.At
-	}
-	if a.Replica != b.Replica {
-		return a.Replica < b.Replica
-	}
-	return a.Seq < b.Seq
 }
 
 // scheduleHeartbeats installs the digest loop when the spec sets a stride:

@@ -113,8 +113,9 @@ func TestIndexedDeterminismEquivalence(t *testing.T) {
 
 // TestShardedIndexedDeterminism: every shard count must produce the
 // exact Result of the one-shard run with the index on — including
-// under propagation delay, drops, and heartbeats, where publications are
-// buffered per shard and merged at barriers. Run under -race in CI.
+// under propagation delay, drops, and heartbeats. A run with an index is
+// routed, so every Shards value executes on one shard. Run under -race in
+// CI.
 func TestShardedIndexedDeterminism(t *testing.T) {
 	w := sessionWorkload(t)
 	specs := []*prefixindex.Spec{

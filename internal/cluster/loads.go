@@ -8,17 +8,15 @@ package cluster
 // The board is ground truth, like the pin-holder table. Each engine's
 // load signal (engine.SetLoadObserver), which fires whenever its
 // outstanding count moves — inject, completion, crash — queues the
-// replica on its shard's dirty list; lifecycle transitions (noteActive)
-// flip its routable flag. Every read of the board first runs its sync hook
-// (foldLoads), which folds the dirty lists, re-reading each listed
+// replica on the dirty list; lifecycle transitions (noteActive) flip its
+// routable flag. Every read of the board first runs its sync hook
+// (foldLoads), which folds the dirty list, re-reading each listed
 // replica's count live, so every answer equals a scan of the routing view
 // at that instant, and a timed pick includes the fold.
 //
-// Threading follows the publication buffers' discipline: a shard's dirty
-// list is appended to by its goroutine (engine events) or by the
-// coordinator while the shards are quiescent (injection, migration
-// installs, crashes), and only the coordinator folds it, at route time,
-// when the shards are quiescent too.
+// A run with a board is routed, so it executes on one shard inline on the
+// coordinator (shards.go): the list is appended to and folded on the
+// coordinator's goroutine.
 
 import (
 	"repro/internal/loadboard"
@@ -57,14 +55,14 @@ func (c *Cluster) initLoadObservers() {
 			rep.eng.SetLoadObserver(nil)
 			continue
 		}
-		i, sh := rep.id, c.shardOf(rep.id)
+		i := rep.id
 		var emit func(prefixindex.EvKind, int, int64, int64)
 		if perChange {
 			emit = c.pubFns[i]
 		}
 		rep.eng.SetLoadObserver(func(outstanding int) {
 			if board {
-				sh.loadDirty = append(sh.loadDirty, int32(i))
+				c.loadDirty = append(c.loadDirty, int32(i))
 			}
 			if emit != nil {
 				emit(prefixindex.EvLoad, 0, int64(outstanding), 0)
@@ -74,13 +72,10 @@ func (c *Cluster) initLoadObservers() {
 }
 
 // foldLoads is the board's sync hook: it re-reads the live outstanding
-// count of every replica queued since the last read. Coordinator only,
-// with the shards quiescent, as every routing decision is.
+// count of every replica queued since the last read.
 func (c *Cluster) foldLoads() {
-	for _, sh := range c.shards {
-		for _, i := range sh.loadDirty {
-			c.loads.SetQueue(int(i), c.replicas[i].eng.OutstandingRequests())
-		}
-		sh.loadDirty = sh.loadDirty[:0]
+	for _, i := range c.loadDirty {
+		c.loads.SetQueue(int(i), c.replicas[i].eng.OutstandingRequests())
 	}
+	c.loadDirty = c.loadDirty[:0]
 }

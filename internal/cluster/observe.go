@@ -136,10 +136,10 @@ func (c *Cluster) recordSampleSeries(now simclock.Time) {
 }
 
 // recordAttributionSeries samples the streaming attribution aggregators:
-// completed-request count and the running mean of each span phase. Safe
-// on the coordinator even in sharded runs — the sampling tick is a
-// barrier event, so every shard aggregator is quiescent. Sums fold
-// across shards without materializing a merged grid.
+// completed-request count and the running mean of each span phase. It
+// runs at the sampling tick, a coordinator event, so the aggregators are
+// quiescent. Sums fold across the collectors without materializing a
+// merged grid.
 func (c *Cluster) recordAttributionSeries(now simclock.Time) {
 	if len(c.collectors) == 0 {
 		return

@@ -77,8 +77,8 @@ func TestPairLinkSeriesFromFirstUse(t *testing.T) {
 }
 
 // TestControlSeriesPerTick: the registry's control series are the run's
-// only per-tick record of the autoscaler. On a two-shard scale-to-zero
-// run, gateway/depth and every autoscale/<signal> series hold exactly one
+// only per-tick record of the autoscaler. On a scale-to-zero run asking
+// for two shards (it executes on one: the run is routed), gateway/depth and every autoscale/<signal> series hold exactly one
 // point per control tick at the tick instants, every scale decision lands
 // on a recorded tick, and the gateway depth matches the gateway signal the
 // policy read. A static cluster records none of them.

@@ -1,85 +1,59 @@
 package cluster
 
 // Sharded execution, the cluster's only event loop: replica i lives on
-// shard i mod Shards (one shard when Config.Shards is 0 or 1), and each
-// shard owns a private simclock sub-clock carrying that replica subset's
-// engine events (iterations, end-of-reading events, KV transfers on the
-// replica's own host links). The cluster's coordinator clock keeps
-// everything cross-replica: arrivals and routing, the sampling and
-// autoscale control loops, gateway drains, and migration completions.
+// shard i mod Shards, and each shard owns a private simclock sub-clock
+// carrying that replica subset's engine events (iterations, end-of-reading
+// events, KV transfers on the replica's own host links). The cluster's
+// coordinator clock keeps everything cross-replica: arrivals and routing,
+// the sampling and autoscale control loops, gateway drains, chaos faults
+// and migration completions.
 //
-// Execution alternates between the coordinator and the shards. Before the
-// coordinator fires its next event at time T, every shard runs its own
-// events strictly before T — fanned out, one goroutine per busy shard,
-// when the window is worth it, otherwise inline on the coordinator one
-// shard after another (advanceShards, fanOut) — and then aligns its clock
-// at T (simclock.AdvanceTo), so a cross-shard effect
-// landing at T — an injected arrival, a migration install — observes a
-// consistent "now" everywhere. At an exact tie the coordinator goes first.
-// Shards never touch the coordinator clock, another shard's clock, or
-// another shard's engines; the only cross-shard state written by shards
-// is the per-shard first-token and publication buffers, merged
-// on the coordinator at each barrier in deterministic order. Fabric class
-// accounting is per-replica-row (single writer), and interconnect links are
-// booked only by the coordinator, so bookings from parallel shards never
-// race. The same holds for interconnect path resolution: a replica pair's
-// path (under the full mesh, its link) is created on the first
-// BookBetween or ETABetween for the pair, and both run only in coordinator
-// events (migrations, chaos replication, the migration cost model).
+// A routed run — one that needs coordinator events at all (Config.routed)
+// — has one shard, run inline on the coordinator. Before the coordinator
+// fires its next event at time T, the shard runs its own events strictly
+// before T and then aligns its clock at T (simclock.AdvanceTo), so an
+// effect landing at T — an injected arrival, a migration install —
+// observes one consistent "now". At an exact tie the coordinator goes
+// first. Every write to cross-replica state (the prefix index, the
+// pin-holder table, the load board, the TTFT window) therefore happens on
+// the coordinator's goroutine, in simulated-time order.
 //
-// The flight recorder follows the same single-writer discipline: each
-// shard owns a recorder and profiler, and every emission routes by the
-// event's replica (Cluster.recFor) — a replica's lifecycle events are
-// written either while its shard runs a window or by the coordinator while
-// the shards are quiescent, never both at once. The per-shard streams merge
-// deterministically at collect on the total (time, replica, recorder,
-// sequence) order, so exports are byte-identical at any shard count.
+// When the configuration needs no coordinator events — static replica
+// set, round-robin routing, no migration, no sampling, no chaos, no index,
+// no retained events — arrivals are pre-routed at prime time: each shard
+// clock gets one arrival stream (simclock.Stream) over the ids of its
+// replicas' arrivals, and the whole run is one barrier-free drain with a
+// goroutine per busy shard. That drain is the only place shard goroutines
+// run, and it has no index, holder table, load board or TTFT window to
+// share. Fabric class accounting is per-replica-row (single writer), and
+// no interconnect link is booked, so the drain's shards share nothing.
 //
-// The result is deterministic and — because engine event times are
-// float-derived while coordinator timers tick at configured intervals, so
-// cross-clock ties do not arise in practice — identical at every shard
-// count; the determinism suite asserts deep equality, timed-out runs
-// included. No clock fires an event past MaxSimTime.
+// The flight recorder keeps a recorder and profiler per shard, and every
+// emission routes by the event's replica (Cluster.recFor); the per-shard
+// streams merge deterministically at collect on the total (time, replica,
+// recorder, sequence) order, so exports are byte-identical at any shard
+// count.
 //
-// When the configuration needs no coordinator events at all — static
-// replica set, round-robin routing, no migration, no sampling — arrivals
-// are pre-routed at prime time: each shard clock gets one arrival stream
-// (simclock.Stream) over the ids of its replicas' arrivals, and the whole
-// run is one parallel drain with zero barriers. Otherwise the arrivals
-// are one stream on the coordinator clock. Either way a clock holds one
+// The result is deterministic and identical at every shard count; the
+// determinism suite asserts deep equality, timed-out runs included. No
+// clock fires an event past MaxSimTime. Either way a clock holds one
 // pending arrival at a time, not one heap entry and closure per request.
 
 import (
-	"cmp"
-	"slices"
+	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/obs"
-	"repro/internal/prefixindex"
 	"repro/internal/request"
-	"repro/internal/router"
 	"repro/internal/simclock"
 	"repro/internal/trace"
 )
 
-// ttftSample is one shard-buffered first-token observation awaiting its
-// barrier merge into the shared TTFT window.
-type ttftSample struct {
-	at      simclock.Time
-	replica int
-	ttft    time.Duration
-}
-
-// shard is one replica partition: a private sub-clock plus the scratch
-// state it owns between barriers.
+// shard is one replica partition: a private sub-clock plus the sinks and
+// arena its replicas use.
 type shard struct {
 	id    int
 	clock *simclock.Clock
-	// avgWindow is the running average wall time of this shard's measured
-	// windows, ¼ weight on the newest; zero until one is measured. The
-	// fan-out gate reads it (fanOut).
-	avgWindow time.Duration
 	// rec and prof are the flight-recorder sinks of this shard's replicas
 	// (nil when the layer is off); see Cluster.recFor.
 	rec  *obs.Recorder
@@ -87,47 +61,19 @@ type shard struct {
 	// arena batch-allocates fast-path arrival requests on the shard that
 	// will serve them, keeping the hot-path allocator uncontended.
 	arena request.Arena
-	// ttft buffers first-token observations made by this shard's engines
-	// since the last barrier (only filled when a TTFT-driven autoscale
-	// policy is active).
-	ttft []ttftSample
-	// pubs buffers prefix-index publications emitted by this shard's
-	// replicas since the last barrier; the coordinator merges them into
-	// the index in (time, replica, sequence) order (index.go).
-	pubs []prefixindex.Pub
-	// holders is the pin-holder table of this shard's replicas (nil when
-	// nothing reads it); see holders.go.
-	holders holderTable
-	// loadDirty lists this shard's replicas whose outstanding count moved
-	// since the load board's last read (loads.go).
-	loadDirty []int32
 }
 
-// advance runs the shard's window (run), starting at the wall-clock
-// instant start, folds the wall time it took into avgWindow, and returns
-// the instant it ended, so shards that run inline chain their measurements, one
-// clock read per shard. It measures the windows the fan-out gate decides —
-// those where several shards have work — on a worker goroutine or inline.
-func (sh *shard) advance(barrier, deadline simclock.Time, start time.Time) time.Time {
-	sh.run(barrier, deadline)
-	end := time.Now()
-	if d := end.Sub(start); sh.avgWindow == 0 {
-		sh.avgWindow = d
-	} else {
-		sh.avgWindow += (d - sh.avgWindow) / 4
-	}
-	return end
+// due reports whether the shard has an event to run before barrier.
+func (sh *shard) due(barrier, deadline simclock.Time) bool {
+	t := sh.clock.Peek()
+	return t < barrier && t <= deadline
 }
 
 // run executes every shard event strictly before barrier — never past the
 // deadline — then aligns the shard clock at the barrier.
 func (sh *shard) run(barrier, deadline simclock.Time) {
 	clk := sh.clock
-	for {
-		t := clk.Peek()
-		if t >= barrier || t > deadline {
-			break
-		}
+	for sh.due(barrier, deadline) {
 		clk.Step()
 	}
 	if barrier != simclock.Forever && barrier <= deadline {
@@ -138,24 +84,6 @@ func (sh *shard) run(barrier, deadline simclock.Time) {
 // shardOf maps a replica id to its owning shard.
 func (c *Cluster) shardOf(replica int) *shard {
 	return c.shards[replica%len(c.shards)]
-}
-
-// fastShardPath reports whether the run needs no coordinator events:
-// static replica set, round-robin routing (whose pick for arrival k is
-// k mod replicas by construction), no migration, no sampling loop, and
-// no event retention (the routed path emits arrival and route-decision
-// events the fast path skips; attribution is fine — it reads only the
-// replica-scoped lifecycle events the engines emit on either path).
-// Arrivals then pre-route straight onto the shard clocks and the whole
-// simulation is one barrier-free parallel drain.
-func (c *Cluster) fastShardPath() bool {
-	return c.cfg.Autoscale == nil &&
-		c.chaos == nil &&
-		!c.cfg.Migrate &&
-		c.cfg.SampleEvery == 0 &&
-		!c.cfg.Obs.Events &&
-		c.idx == nil &&
-		c.cfg.Policy.Name() == router.NameRoundRobin
 }
 
 // primeSharded opens one arrival stream per shard clock (fast path only).
@@ -249,126 +177,48 @@ func (c *Cluster) step(deadline simclock.Time) bool {
 	return true
 }
 
-// fanoutCost is what fanning one barrier window out costs the coordinator
-// beyond its shards' own work: a goroutine per busy shard and the wait on
-// their WaitGroup. Measured as a fanned-out window's wall time minus its
-// slower shard's run, on scale-affinity-500 (bench/, 2 vCPUs, Go 1.24):
-// 8–9 µs per window at seed 7 and 10–11 µs at seed 11 with every one of
-// its ~29,000 two-shard windows fanned out. Fan-outs that follow inline
-// stretches, or big windows, cost more (13–16 µs: idle worker threads
-// must be woken), so 10 µs errs toward fanning out.
-const fanoutCost = 10 * time.Microsecond
-
-// windowMode forces how barrier windows execute (tests only: the zero value
-// lets fanOut decide, and nothing else sets it).
-type windowMode uint8
-
-const (
-	windowGated windowMode = iota
-	windowInline
-	windowFanout
-)
-
-// fanOut is the fan-out gate: whether a window with these busy shards
-// pays for one goroutine per shard. Which shard runs where changes no
-// output (shards share nothing between barriers), so the gate only picks
-// the faster mode. A single busy shard, or a single processor, always runs
-// inline. An unbounded window — the fast path's one drain, the routed
-// path's final drain — always fans out. A bounded window fans out only
-// when no busy shard's recent windows average below fanoutCost; a shard
-// with no measured window yet counts as paying.
-func fanOut(busy []*shard, barrier simclock.Time, procs int) bool {
-	if len(busy) < 2 || procs == 1 {
-		return false
-	}
-	if barrier == simclock.Forever {
-		return true
-	}
-	for _, sh := range busy {
-		if sh.avgWindow != 0 && sh.avgWindow < fanoutCost {
-			return false
-		}
-	}
-	return true
-}
-
-// advanceShards brings every shard to the barrier: shards with runnable
-// work execute it, idle shards just align their clocks. When fanOut says
-// the window pays, each busy shard runs on its own goroutine; otherwise
-// they run inline on the coordinator, one after another in shard order —
-// the common stretch between two coordinator events holds only a few
-// events per shard, far less work than a fan-out costs. The
-// shard-buffered TTFT observations and index publications merge
-// afterwards, on the coordinator.
+// advanceShards brings every shard to the barrier: shards with events
+// before it run them, idle shards just align their clocks. The busy shards
+// run inline on the coordinator unless several are busy at once, which only
+// the fast path's single drain brings about: then each runs on its own
+// goroutine, unless GOMAXPROCS is 1.
 func (c *Cluster) advanceShards(barrier, deadline simclock.Time) {
-	busy := c.busyShards[:0]
+	busy := 0
 	for _, sh := range c.shards {
-		if t := sh.clock.Peek(); t < barrier && t <= deadline {
-			busy = append(busy, sh)
-		} else if barrier != simclock.Forever && barrier <= deadline {
-			sh.clock.AdvanceTo(barrier)
+		if sh.due(barrier, deadline) {
+			busy++
 		}
 	}
-	c.busyShards = busy
-	switch {
-	case len(busy) == 0:
-	case len(busy) == 1:
-		t0 := c.prof.Begin()
-		busy[0].run(barrier, deadline)
-		c.prof.End(obs.PhaseBarrierInline, t0)
-	case c.windowMode == windowFanout ||
-		c.windowMode == windowGated && fanOut(busy, barrier, c.procs):
+	if busy > 1 && runtime.GOMAXPROCS(0) > 1 {
 		t0 := c.prof.Begin()
 		var wg sync.WaitGroup
-		wg.Add(len(busy))
-		for _, sh := range busy {
+		for _, sh := range c.shards {
+			if !sh.due(barrier, deadline) {
+				sh.run(barrier, deadline)
+				continue
+			}
 			sh := sh
+			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				sh.advance(barrier, deadline, time.Now())
+				sh.run(barrier, deadline)
 			}()
 		}
 		wg.Wait()
 		c.prof.End(obs.PhaseBarrierFanout, t0)
-	default:
-		t0 := c.prof.Begin()
-		at := time.Now()
-		for _, sh := range busy {
-			at = sh.advance(barrier, deadline, at)
-		}
-		c.prof.End(obs.PhaseBarrierInline, t0)
-	}
-	c.mergeTTFT()
-	c.mergePubs()
-}
-
-// mergeTTFT folds the shard-local first-token observations gathered since
-// the previous barrier into the shared TTFT window in deterministic
-// (time, replica) order, so the control loop's P99 signal is independent
-// of shard scheduling. Within one replica observations are already in
-// time order, so the stable sort is a full ordering.
-func (c *Cluster) mergeTTFT() {
-	if c.ttftWin == nil {
 		return
 	}
-	merged := c.ttftScratch[:0]
+	if busy == 0 {
+		for _, sh := range c.shards {
+			sh.run(barrier, deadline)
+		}
+		return
+	}
+	t0 := c.prof.Begin()
 	for _, sh := range c.shards {
-		merged = append(merged, sh.ttft...)
-		sh.ttft = sh.ttft[:0]
+		sh.run(barrier, deadline)
 	}
-	c.ttftScratch = merged
-	if len(merged) == 0 {
-		return
-	}
-	slices.SortStableFunc(merged, func(a, b ttftSample) int {
-		if a.at != b.at {
-			return cmp.Compare(a.at, b.at)
-		}
-		return cmp.Compare(a.replica, b.replica)
-	})
-	for _, s := range merged {
-		c.ttftWin.Observe(s.at, s.ttft)
-	}
+	c.prof.End(obs.PhaseBarrierInline, t0)
 }
 
 // endNow is the final simulation instant: the furthest clock across the

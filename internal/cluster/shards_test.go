@@ -1,17 +1,20 @@
 package cluster_test
 
 // Shard-count equivalence: for every row of the determinism grid
-// (autoscale × topology × migration), a run partitioned across parallel
-// shard goroutines must produce a Result deeply identical to the one-shard
-// run of the same seed and spec — reports,
-// per-request token totals, fabric ledgers, scale events, event
-// counts, everything. CI runs these under -race, so a shard touching
+// (autoscale × topology × migration), a run asking for several shards
+// must produce a Result deeply identical to the one-shard run of the same
+// seed and spec — reports, per-request token totals, fabric ledgers,
+// scale events, event counts, everything. The grid's rows are routed, so
+// they pin that any Shards value gives the same run; the round-robin fast
+// path, the one configuration whose shards run on parallel goroutines, is
+// held to the routed path. CI runs these under -race, so a shard touching
 // state it does not own fails even when the merged result happens to
 // match.
 
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -22,28 +25,27 @@ import (
 	"repro/internal/trace"
 )
 
-// TestShardedDeterminismGrid proves sharded execution is a pure
-// performance change across the full grid: Shards ∈ {2, 3, 8} (8 clamps
-// to the replica count) against the one-shard baseline (Shards=0).
+// TestShardedDeterminismGrid proves the shard count changes no output
+// across the full grid: Shards ∈ {2, 3, 8} against the one-shard baseline
+// (Shards=0).
 func TestShardedDeterminismGrid(t *testing.T) {
 	w := sessionWorkload(t)
 	for _, row := range determinismGrid() {
 		row := row
 		t.Run(row.Name, func(t *testing.T) {
-			single := runGridRow(t, row.Make, w, 0, cluster.WindowGated)
+			single := runGridRow(t, row.Make, w, 0)
 			for _, shards := range []int{2, 3, 8} {
 				requireSameResult(t, fmt.Sprintf("shards=%d", shards),
-					single, runGridRow(t, row.Make, w, shards, cluster.WindowGated))
+					single, runGridRow(t, row.Make, w, shards))
 			}
 		})
 	}
 }
 
-// runGridRow runs one determinism-grid row at a shard count and barrier
-// window mode, with sampling on so the per-replica and merged series must
-// match too, not just the end-of-run scalars.
-func runGridRow(t *testing.T, mk func() (cluster.Config, cluster.BuildEngine), w trace.Workload,
-	shards int, mode cluster.WindowMode) *cluster.Result {
+// runGridRow runs one determinism-grid row at a shard count, with sampling
+// on so the per-replica and merged series must match too, not just the
+// end-of-run scalars.
+func runGridRow(t *testing.T, mk func() (cluster.Config, cluster.BuildEngine), w trace.Workload, shards int) *cluster.Result {
 	t.Helper()
 	cfg, build := mk()
 	cfg.Shards = shards
@@ -52,7 +54,6 @@ func runGridRow(t *testing.T, mk func() (cluster.Config, cluster.BuildEngine), w
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.SetWindowMode(mode)
 	res, err := cl.Run(w)
 	if err != nil {
 		t.Fatal(err)
@@ -82,8 +83,8 @@ func requireSameResult(t *testing.T, label string, want, got *cluster.Result) {
 }
 
 // routedReference runs the round-robin fast-path configuration on the
-// routed barrier path instead: event retention is the one layer
-// fastShardPath excludes, so arrivals go through the coordinator's routing
+// routed barrier path instead: event retention is the one layer that
+// makes the configuration routed, so arrivals go through the coordinator's routing
 // step. The capture is then set aside — Result.Obs is observation only —
 // leaving the reference every fast-path run must deep-equal. config builds
 // the run's configuration for a shard count; the reference uses one shard.
@@ -145,7 +146,7 @@ func TestShardedObsByteIdentity(t *testing.T) {
 	for _, row := range determinismGrid() {
 		row := row
 		t.Run(row.Name, func(t *testing.T) {
-			single := runObsExport(t, row.Make, w, 0, cluster.WindowGated)
+			single := runObsExport(t, row.Make, w, 0)
 			if single.events == 0 {
 				t.Fatal("one-shard run recorded no events")
 			}
@@ -153,7 +154,7 @@ func TestShardedObsByteIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, shards := range []int{2, 3, 8} {
-				got := runObsExport(t, row.Make, w, shards, cluster.WindowGated)
+				got := runObsExport(t, row.Make, w, shards)
 				requireSameExport(t, fmt.Sprintf("shards=%d", shards), single, got)
 				if err := cluster.CheckInvariants(got.res, w.Len()); err != nil {
 					t.Fatalf("shards=%d: %v", shards, err)
@@ -172,11 +173,10 @@ type obsExport struct {
 	events int
 }
 
-// runObsExport runs one determinism-grid row at a shard count and barrier
-// window mode with the whole flight recorder on, and serializes its event
-// stream, Chrome trace and series.
-func runObsExport(t *testing.T, mk func() (cluster.Config, cluster.BuildEngine), w trace.Workload,
-	shards int, mode cluster.WindowMode) obsExport {
+// runObsExport runs one determinism-grid row at a shard count with the
+// whole flight recorder on, and serializes its event stream, Chrome trace
+// and series.
+func runObsExport(t *testing.T, mk func() (cluster.Config, cluster.BuildEngine), w trace.Workload, shards int) obsExport {
 	t.Helper()
 	cfg, build := mk()
 	cfg.Shards = shards
@@ -186,7 +186,6 @@ func runObsExport(t *testing.T, mk func() (cluster.Config, cluster.BuildEngine),
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.SetWindowMode(mode)
 	res, err := cl.Run(w)
 	if err != nil {
 		t.Fatal(err)
@@ -223,41 +222,39 @@ func requireSameExport(t *testing.T, label string, want, got obsExport) {
 	}
 }
 
-// TestShardedExecutionModes: how a barrier window runs — inline on the
-// coordinator, fanned out to one goroutine per busy shard, or as the
-// fan-out gate decides — changes no output. Every determinism-grid row,
-// at Shards 2, 3 and 8 under each mode, must deep-equal the one-shard
-// Result and export the one-shard bytes. The small test scenarios run
-// almost every window inline under the gate, so forcing fan-out is what
-// keeps the -race suites running shards concurrently; the coordinator's
-// profile shows each forced mode really ran.
-func TestShardedExecutionModes(t *testing.T) {
+// TestShardedRoutedRunsInline: a routed run executes on one shard inline
+// on the coordinator whatever Shards asks for, so a profiled least-queue
+// run at Shards=2 fans no barrier window out; the round-robin fast path
+// fans out exactly one, its single drain (unless GOMAXPROCS is 1, which
+// runs that drain inline too).
+func TestShardedRoutedRunsInline(t *testing.T) {
 	w := sessionWorkload(t)
-	modes := []struct {
-		name string
-		mode cluster.WindowMode
-	}{{"gated", cluster.WindowGated}, {"inline", cluster.WindowInline}, {"fanout", cluster.WindowFanout}}
-	for _, row := range determinismGrid() {
-		row := row
-		t.Run(row.Name, func(t *testing.T) {
-			single := runGridRow(t, row.Make, w, 0, cluster.WindowGated)
-			singleExport := runObsExport(t, row.Make, w, 0, cluster.WindowGated)
-			for _, m := range modes {
-				for _, shards := range []int{2, 3, 8} {
-					label := fmt.Sprintf("%s shards=%d", m.name, shards)
-					requireSameResult(t, label, single, runGridRow(t, row.Make, w, shards, m.mode))
-					got := runObsExport(t, row.Make, w, shards, m.mode)
-					requireSameExport(t, label, singleExport, got)
-					fanouts := got.res.Obs.Profile.Stat(obs.PhaseBarrierFanout).Calls
-					switch {
-					case m.mode == cluster.WindowInline && fanouts != 0:
-						t.Fatalf("%s: %d windows fanned out", label, fanouts)
-					case m.mode == cluster.WindowFanout && fanouts == 0:
-						t.Fatalf("%s: no window fanned out", label)
-					}
-				}
-			}
-		})
+	windows := func(policy router.Policy) (fanned, inline uint64) {
+		_, build := determinismGrid()[0].Make()
+		cl, err := cluster.New(cluster.Config{
+			Replicas: 4,
+			Policy:   policy,
+			Shards:   2,
+			Obs:      obs.Options{Profile: true},
+		}, build)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cl.Run(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prof := res.Obs.Profile
+		return prof.Stat(obs.PhaseBarrierFanout).Calls, prof.Stat(obs.PhaseBarrierInline).Calls
+	}
+	if fanned, inline := windows(router.NewLeastQueue()); fanned != 0 || inline == 0 {
+		t.Errorf("least-queue at Shards=2: %d windows fanned out, %d inline; want 0 and some", fanned, inline)
+	}
+	if runtime.GOMAXPROCS(0) == 1 {
+		t.Skip("GOMAXPROCS 1 runs the fast path's drain inline")
+	}
+	if fanned, _ := windows(router.NewRoundRobin()); fanned != 1 {
+		t.Errorf("round-robin fast path at Shards=2: %d windows fanned out, want its one drain", fanned)
 	}
 }
 

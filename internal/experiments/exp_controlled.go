@@ -2,10 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/simclock"
 	"repro/internal/trace"
 )
 
@@ -175,6 +173,3 @@ func burstGPTTrace(name string, durS, baseRate float64, spikeSize int, rate floa
 func industrialTrace(name string, durS, peakRate, rate float64, seed int64) trace.Workload {
 	return trace.Industrial(name, scaledDur(durS), peakRate, trace.FixedRate(rate), seed)
 }
-
-var _ = time.Second
-var _ = simclock.Zero

@@ -183,7 +183,7 @@ func Fig08() (*Table, error) {
 		if writeBackLatency > 0 {
 			red = (writeBackLatency - lat).Seconds() / writeBackLatency.Seconds() * 100
 		}
-		t.Rows = append(t.Rows, []string{s.name, fmt.Sprintf("%.2fms", lat.Seconds()*1e3), fpct(-(-red))})
+		t.Rows = append(t.Rows, []string{s.name, fmt.Sprintf("%.2fms", lat.Seconds()*1e3), fpct(red)})
 	}
 	t.Notes = "Paper shape: write-through removes most of the at-preemption transfer; rearranged writes remove the rest (§5.1-5.2 report a 20.3% preemption-overhead reduction overall)."
 	return t, nil

@@ -16,10 +16,11 @@ import (
 // through the sharded parallel executor. The benchmark's scale-rr-500
 // workload times the same shape at a fraction of its size.
 
-// scaleShards is the fixed shard count of the reference run. The scenario
-// is static + round-robin, so it takes the barrier-free fast path; results
-// are identical at any shard count (the determinism suite proves it) and
-// this only sets the parallelism of the reference measurement.
+// scaleShards is the fixed shard count of the round-robin reference run.
+// The scenario is static + round-robin, so it takes the barrier-free fast
+// path; results are identical at any shard count (the determinism suite
+// proves it) and this only sets the parallelism of the reference
+// measurement. The least-queue pair is routed and runs on one shard.
 const scaleShards = 8
 
 // scaleWorkload generates the ~1M-request trace: scaled(182000) chat
@@ -97,13 +98,14 @@ func runScale(pol router.Policy, shards int) (ScaleRun, *cluster.Result, error) 
 // tree-root read — and verifies the two runs made identical decisions
 // before returning both measurements. The pair is the end-to-end form of
 // BenchmarkRouterPick: same results, the wall-clock difference is what the
-// per-decision scan cost the gateway.
-func RunScaleRouted(shards int) (omni, indexed ScaleRun, err error) {
-	omni, omniRes, err := runScale(router.NewLeastQueue(), shards)
+// per-decision scan cost the gateway. Both runs are routed, so they execute
+// on one shard.
+func RunScaleRouted() (omni, indexed ScaleRun, err error) {
+	omni, omniRes, err := runScale(router.NewLeastQueue(), 1)
 	if err != nil {
 		return omni, indexed, err
 	}
-	indexed, idxRes, err := runScale(router.NewIndexedLeastQueue(), shards)
+	indexed, idxRes, err := runScale(router.NewIndexedLeastQueue(), 1)
 	if err != nil {
 		return omni, indexed, err
 	}
@@ -140,15 +142,16 @@ func scaleRow(name string, run ScaleRun) []string {
 	}
 }
 
-// ExpScale runs the scale envelope at the reference shard count — the
-// round-robin reference run plus the least-queue routed pair (omniscient
-// scan vs prefix-index) — and tabulates all three.
+// ExpScale runs the scale envelope — the round-robin reference run at the
+// reference shard count plus the least-queue routed pair (omniscient scan
+// vs prefix-index) on the one shard a routed run executes on — and
+// tabulates all three.
 func ExpScale() (*Table, error) {
 	run, _, err := runScale(router.NewRoundRobin(), scaleShards)
 	if err != nil {
 		return nil, err
 	}
-	omni, indexed, err := RunScaleRouted(scaleShards)
+	omni, indexed, err := RunScaleRouted()
 	if err != nil {
 		return nil, err
 	}

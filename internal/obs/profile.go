@@ -25,10 +25,11 @@ const (
 	// its cost lands inside engine_step and fabric_settle instead.
 	PhaseAttribution
 	// PhaseBarrierInline is one barrier window whose busy shards ran
-	// inline on the coordinator, one after another.
+	// inline on the coordinator: every window of a routed run.
 	PhaseBarrierInline
 	// PhaseBarrierFanout is one barrier window fanned out to a goroutine
-	// per busy shard, wait included.
+	// per busy shard, wait included: the barrier-free fast path's single
+	// drain, when several shards are busy and GOMAXPROCS is above 1.
 	PhaseBarrierFanout
 
 	numPhases

@@ -223,9 +223,9 @@ type repState struct {
 
 // Index is the gateway-side consumer: the session → holder map, the
 // per-replica load digests, and the load board that keeps routing
-// winners O(1). One Index serves one cluster run, read and advanced only
-// from the coordinator goroutine (shards buffer publications and the
-// coordinator merges them at barriers).
+// winners O(1). One Index serves one cluster run, published to, read and
+// advanced only from the coordinator goroutine (a run with an index
+// executes on one shard, inline on the coordinator).
 type Index struct {
 	spec Spec // normalized
 
@@ -303,10 +303,11 @@ func (x *Index) AdvanceTo(now simclock.Time) {
 
 // Publish hands one publication to the index. Dropped publications count
 // on the wire but never apply. Publications must arrive in nondecreasing
-// emission order (the cluster's barrier merge guarantees it; the
-// per-replica Seq witnesses it), so the emission instant itself advances
-// the read clock — in the degenerate zero-delay spec every publication
-// therefore applies at the moment it is emitted.
+// emission order (a cluster run with an index publishes from one shard
+// clock, which guarantees it; the per-replica Seq witnesses it), so the
+// emission instant itself advances the read clock — in the degenerate
+// zero-delay spec every publication therefore applies at the moment it is
+// emitted.
 func (x *Index) Publish(p Pub) {
 	x.stats.Published++
 	if p.Dropped {

@@ -117,9 +117,12 @@ type ClusterConfig struct {
 	// routes exactly like its omniscient twin.
 	PrefixIndex *PrefixIndexSpec
 
-	// Shards partitions the replicas across parallel worker goroutines
-	// (replica i runs on shard i mod Shards, each on its own sub-clock,
-	// synchronized at every cross-replica event). The run stays
+	// Shards partitions the replicas of a barrier-free round-robin run
+	// across parallel worker goroutines (replica i runs on shard i mod
+	// Shards, each on its own sub-clock, and the run is one parallel
+	// drain). A routed run — any router but round-robin, migration,
+	// autoscaling, active chaos, a prefix index, or retained events —
+	// executes on one shard whatever Shards says. The run stays
 	// deterministic and produces results identical to Shards=0 — only
 	// wall-clock time changes. Clamped to the replica count. The flight
 	// recorder is sharded-safe: each shard records into its own sink and
