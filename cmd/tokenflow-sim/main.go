@@ -330,7 +330,7 @@ func run() error {
 		switchBW = flag.Float64("switch-gbps", 0, "shared-nic switch stage bandwidth (GB/s); 0 = non-blocking")
 		hostCach = flag.Bool("host-cache", false, "host-tier prefix cache: evicted session pins reload over h2d instead of recomputing")
 		hostPage = flag.Int("host-cache-pages", 0, "cap the host-tier prefix cache at this many mirrored pages (0 = unbounded)")
-		shards   = flag.Int("shards", 0, "partition a round-robin static run's replicas across this many parallel worker goroutines; routed runs (any other router, migration, autoscaling, chaos, a prefix index) execute on one shard (0 or 1 = one shard; results are identical at any count)")
+		shards   = flag.Int("shards", 0, "partition a round-robin static run's replicas across this many parallel worker goroutines; a routed run (any other router, migration, autoscaling, chaos, a prefix index) is one clock with no barrier (0 or 1 = one shard; results are identical at any count)")
 		pfxIndex = flag.Bool("prefix-index", false, "publish KV lifecycle events into the gateway prefix index (implied by the indexed routers and by any -index-* flag)")
 		idxDelay = flag.Float64("index-delay", 0, "prefix-index event propagation delay (s); 0 = synchronous")
 		idxDrop  = flag.Float64("index-drop", 0, "prefix-index KV event drop probability in [0,1)")

@@ -149,7 +149,7 @@ func (c *Cluster) initChaos() error {
 	return nil
 }
 
-// scheduleChaos places every resolved fault on the coordinator clock and
+// scheduleChaos schedules every resolved fault as a coordinator event and
 // arms the redundancy replication loop.
 func (c *Cluster) scheduleChaos() {
 	if c.chaos == nil {
@@ -281,7 +281,7 @@ func (c *Cluster) retryNow(r *request.Request, attempt int, now simclock.Time) {
 			if len(c.gateway) < c.gatewayCap() {
 				// Re-enter through the gateway without touching its
 				// admission counters: this request was already admitted.
-				r.ResetForRetry(c.clock)
+				r.ResetForRetry(c.shards[0].clock)
 				c.gateway = append(c.gateway, r)
 				c.ctr.Retries++
 				c.rec.Emit(now, obs.KindRetry, -1, r.ID, r.Session,
@@ -295,7 +295,7 @@ func (c *Cluster) retryNow(r *request.Request, attempt int, now simclock.Time) {
 			c.scheduleRetry(r, attempt+1, now.Add(retryDelay(attempt+1)))
 			return
 		}
-		r.ResetForRetry(c.clock)
+		r.ResetForRetry(c.shards[0].clock)
 		c.chaos.failed = append(c.chaos.failed, r)
 		c.ctr.RetryFailures++
 		c.rec.Emit(now, obs.KindRetry, -1, r.ID, r.Session,
@@ -321,7 +321,7 @@ func (c *Cluster) retryNow(r *request.Request, attempt int, now simclock.Time) {
 			rep, best = cand, score
 		}
 	}
-	r.ResetForRetry(c.clock)
+	r.ResetForRetry(c.shards[0].clock)
 	rep.routed++
 	c.ctr.Retries++
 	c.recFor(rep.id).Emit(now, obs.KindRetry, rep.id, r.ID, r.Session,

@@ -24,6 +24,53 @@ func crashFault(replica int, atSec float64) chaos.Fault {
 	return chaos.Fault{Kind: chaos.Crash, At: simclock.FromSeconds(atSec), Replica: replica}
 }
 
+// TestBrownoutClosesAtFirstToken pins the coordinator-first tie rule,
+// which no golden output checks. One replica serves one request; a
+// brownout opens 1 ns after the arrival, when the prefill iteration has
+// already launched, and closes at the exact instant of the request's first
+// token, the end of that prefill iteration. At an exact instant the
+// coordinator goes first, so the window closes before the decode iteration
+// launches: no iteration launches inside it, and the run reports exactly
+// what the run without the brownout reports. Were coordinator events
+// ordered like the engines' (by scheduling instant), the prefill's end,
+// scheduled before the brownout opened, would launch the first decode
+// iteration inside the window, slowed.
+func TestBrownoutClosesAtFirstToken(t *testing.T) {
+	arrival := simclock.FromSeconds(1)
+	w := trace.Workload{Name: "one-request", Items: []trace.Item{
+		{Arrival: arrival, PromptLen: 512, OutputLen: 64},
+	}}
+	run := func(spec *chaos.Spec) *cluster.Result {
+		t.Helper()
+		cl, err := cluster.New(cluster.Config{Replicas: 1, Policy: router.NewRoundRobin(), Chaos: spec},
+			cluster.Engines(rtx4090, tokenFlow))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cl.Run(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	ref := run(nil)
+	open, firstToken := arrival+1, ref.Requests[0].FirstTokenAt
+	if firstToken <= open {
+		t.Fatalf("first token at %v leaves no window after %v", firstToken, open)
+	}
+	got := run(&chaos.Spec{Faults: []chaos.Fault{{Kind: chaos.Brownout, At: open, Replica: 0,
+		Factor: 4, Duration: firstToken.Sub(open)}}})
+	if got.Brownouts != 1 {
+		t.Fatalf("brownouts = %d, want 1", got.Brownouts)
+	}
+	if !reflect.DeepEqual(got.Report, ref.Report) {
+		t.Errorf("report differs from the run without the brownout:\n%+v\n%+v", got.Report, ref.Report)
+	}
+	if !reflect.DeepEqual(got.Requests, ref.Requests) {
+		t.Errorf("request differs from the run without the brownout:\n%+v\n%+v", *got.Requests[0], *ref.Requests[0])
+	}
+}
+
 // TestChaosRecoveryScenarios runs end-to-end fault scenarios and holds
 // each to the full invariant set plus scenario-specific recovery claims.
 // Every request must be accounted for — finished, shed, or counted as a

@@ -3,9 +3,9 @@ package cluster
 // White-box chaos recovery edge cases at the exact instants the
 // machinery must get right: a crash or link flap landing while a pin
 // transfer is on the wire, and the sole holder of a session's pin dying
-// with and without a surviving host mirror. These drive the executor one
-// coordinator event at a time (Cluster.step, contention_test.go style) so
-// the fault can be placed mid-transfer deterministically.
+// with and without a surviving host mirror. These drive the run's clock
+// directly, one event at a time where a test probes mid-window, so the
+// fault can be placed mid-transfer deterministically.
 
 import (
 	"testing"
@@ -57,8 +57,7 @@ func TestChaosCrashAbortsDrainHandoff(t *testing.T) {
 	c := chaosTransferCluster(t, &chaos.Spec{
 		Faults: []chaos.Fault{{Kind: chaos.Crash, At: simclock.FromSeconds(1), Replica: 0}},
 	}, 2, fabric.ClassDrain)
-	for c.step(simclock.Forever) {
-	}
+	c.shards[0].clock.Run()
 	if !c.replicas[0].eng.Crashed() {
 		t.Fatal("donor did not crash")
 	}
@@ -88,7 +87,7 @@ func TestChaosLinkFlapAbortsMidMigration(t *testing.T) {
 	}, 1, fabric.ClassPrewarm)
 
 	// Step to the flap, then probe mid-window before recovery runs.
-	for len(c.chaos.linkDown) == 0 && c.step(simclock.Forever) {
+	for len(c.chaos.linkDown) == 0 && c.shards[0].clock.Step() {
 	}
 	now := c.clock.Now()
 	if c.ctr.LinkFlaps != 1 || c.ctr.MigrationsAborted != 1 {
@@ -110,8 +109,7 @@ func TestChaosLinkFlapAbortsMidMigration(t *testing.T) {
 		t.Error("unrelated pair 0-2 reports down")
 	}
 
-	for c.step(simclock.Forever) {
-	}
+	c.shards[0].clock.Run()
 	if len(c.chaos.linkDown) != 0 {
 		t.Error("link still down after recovery")
 	}
@@ -156,8 +154,7 @@ func TestChaosSolePinHolderCrash(t *testing.T) {
 				}
 			}
 			c.scheduleChaos()
-			for c.step(simclock.Forever) {
-			}
+			c.shards[0].clock.Run()
 			if !c.replicas[0].eng.Crashed() {
 				t.Fatal("replica 0 did not crash")
 			}
@@ -208,8 +205,7 @@ func TestReplicateSkipsMirrorOverHostBudget(t *testing.T) {
 	}
 	for tick := 0; tick < 4; tick++ {
 		c.replicateTick(c.clock.Now())
-		for c.step(simclock.Forever) {
-		}
+		c.shards[0].clock.Run()
 	}
 	if c.ctr.Replications != 1 || dst.MirrorTokens(8) != 128 || dst.MirrorTokens(7) != 0 {
 		t.Errorf("%d copies booked, backup mirrors %d and %d tokens; want 1 copy, 0 and 128",

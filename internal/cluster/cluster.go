@@ -81,20 +81,14 @@ type Config struct {
 	// is an error.
 	SampleEvery time.Duration
 
-	// Shards partitions the replicas of a barrier-free round-robin run
-	// across parallel worker goroutines (see shards.go): replica i runs its
-	// engine events on the sub-clock of shard i mod Shards, and the run is
-	// one parallel drain. A routed run — any configuration that needs
-	// coordinator events: a router other than round-robin, migration,
-	// sampling, autoscaling, active chaos, a prefix index, or retained
-	// events — executes on one shard, inline on the coordinator. 0 or 1 =
-	// one shard; negative is an error. Results are identical at every
-	// shard count (the determinism suite asserts deep equality). Clamped
-	// to Replicas, and to 1 for a routed run. The flight recorder is
-	// sharded-safe: each shard records onto its own recorder and profiler,
-	// emissions route by the event's replica, and the streams merge
-	// deterministically at collect — event and trace exports are
-	// byte-identical at every shard count.
+	// Shards partitions the replicas of a round-robin run that needs no
+	// coordinator events across parallel goroutines (see shards.go):
+	// replica i runs on the clock of shard i mod Shards, and the run is one
+	// parallel drain. A routed run (Config.routed) is one clock, with no
+	// barrier: Shards is clamped to 1 for it, and to Replicas otherwise.
+	// 0 or 1 = one shard; negative is an error. Results and flight-recorder
+	// exports are identical at every shard count (the determinism suite
+	// asserts deep equality and byte identity).
 	Shards int
 
 	// MaxSimTime aborts runaway simulations (default 4 simulated hours;
@@ -299,8 +293,8 @@ func (c Config) Normalize() (Config, error) {
 // any router but round-robin, whose pick for arrival k is k mod replicas
 // by construction. Attribution, series and the profile need none: they
 // read only the replica-scoped lifecycle events the engines emit on either
-// path. A routed run executes on one shard; the rest pre-route their
-// arrivals onto the shard clocks and run as one barrier-free drain.
+// path. A routed run is one clock; the rest pre-route their arrivals onto
+// the shard clocks and run as one drain.
 func (c Config) routed() bool {
 	_, indexed := c.Policy.(router.IndexBinder)
 	return c.Autoscale != nil ||
@@ -558,9 +552,9 @@ type Counters struct {
 	ForecastError   float64
 	ForecastSamples int
 
-	// EventsProcessed counts the simulation events fired across every
-	// clock of the run (the coordinator clock plus the shard sub-clocks) —
-	// the denominator of per-event cost in the core benchmark and a
+	// EventsProcessed counts the simulation events fired across the shard
+	// clocks (a routed run's one clock carries its coordinator events too)
+	// — the denominator of per-event cost in the core benchmark and a
 	// determinism witness: every shard count fires exactly the same events.
 	EventsProcessed uint64
 }
@@ -596,7 +590,7 @@ type ScaleEvent struct {
 // Cluster is a primed multi-replica simulation.
 type Cluster struct {
 	cfg          Config
-	clock        *simclock.Clock
+	clock        coordinator // on shard 0's clock, a routed run's only one
 	replicas     []*replica
 	views        []router.Replica
 	arrivalsDone bool
@@ -619,7 +613,7 @@ type Cluster struct {
 	loads     *loadboard.Board
 	loadDirty []int32
 
-	// Sharded execution (see shards.go): shards[s] owns the sub-clock of
+	// Sharded execution (see shards.go): shards[s] owns the clock of
 	// replicas with id ≡ s (mod len(shards)); there is always at least
 	// one, and exactly one in a routed run.
 	shards []*shard
@@ -681,8 +675,8 @@ type Cluster struct {
 // recFor returns the recorder that must capture an event scoped to the
 // given replica: the owning shard's recorder. Cluster-scoped events
 // (replica < 0) land on the coordinator recorder. The coordinator may
-// write a shard recorder directly — shards are quiescent while a
-// coordinator event runs (shards.go) — and each replica's events live in
+// write a shard recorder directly — a coordinator event runs on a routed
+// run's one goroutine (shards.go) — and each replica's events live in
 // exactly one recorder, so the merged order is independent of the shard
 // count.
 func (c *Cluster) recFor(replica int) *obs.Recorder {
@@ -728,10 +722,11 @@ func New(cfg Config, build BuildEngine) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, clock: simclock.New(), fab: fabric.NewScheduler(topo)}
+	c := &Cluster{cfg: cfg, fab: fabric.NewScheduler(topo)}
 	for s := 0; s < cfg.Shards; s++ {
 		c.shards = append(c.shards, &shard{id: s, clock: simclock.New()})
 	}
+	c.clock = coordinator{c.shards[0].clock}
 	// Flight recorder. Events and Attribution both need lifecycle
 	// emissions; when only attribution is on the recorders run
 	// store-disabled, feeding the span collectors without retaining the
@@ -826,12 +821,13 @@ func (c *Cluster) Run(w trace.Workload) (*Result, error) {
 	// the policy sees live replica state. Under scale-to-zero an arrival
 	// that finds no active replica goes through the gateway instead
 	// (gateway.go): buffered or shed, and always a cold-start trigger.
-	// The arrivals are one stream on the coordinator clock, opened after
-	// the heartbeats and chaos faults and before the sample and control
-	// loops, so at an equal instant they fire after the former and before
-	// the latter (simclock.Stream's tie rule). A run whose configuration
-	// needs no coordinator events at all pre-routes arrivals straight onto
-	// the shard clocks instead.
+	// The arrivals are one stream on the run's clock, on the first lane
+	// with the other coordinator events, opened after the heartbeats and
+	// chaos faults and before the sample and control loops, so at an equal
+	// instant they fire after the former and before the latter
+	// (simclock.Stream's tie rule). A run whose configuration needs no
+	// coordinator events at all pre-routes arrivals straight onto the
+	// shard clocks instead.
 	deadline := simclock.Time(c.cfg.MaxSimTime)
 	if !c.cfg.routed() {
 		c.primeSharded(w)
@@ -839,7 +835,7 @@ func (c *Cluster) Run(w trace.Workload) (*Result, error) {
 	}
 	c.scheduleHeartbeats()
 	c.scheduleChaos()
-	c.clock.Stream(w.Len(),
+	c.shards[0].clock.Stream(w.Len(),
 		func(id int) simclock.Time { return w.Items[id].Arrival },
 		func(id int, now simclock.Time) {
 			it := w.Items[id]

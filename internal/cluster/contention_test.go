@@ -16,7 +16,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/router"
 	"repro/internal/sched"
-	"repro/internal/simclock"
 )
 
 // testPool is the white-box tests' pool: every replica an RTX-4090 /
@@ -109,8 +108,7 @@ func TestPrewarmDrainShareUplinkExtendWarmup(t *testing.T) {
 
 	// End to end: the serialized pins still both arrive, and the ledger
 	// carries one transfer per class.
-	for shared.step(simclock.Forever) {
-	}
+	shared.shards[0].clock.Run()
 	if shared.replicas[1].kv.PeekPrefix(1) != 1024 ||
 		shared.replicas[2].kv.PeekPrefix(2) != 1024 {
 		t.Error("pins did not land on their targets")

@@ -131,9 +131,9 @@ func (c *Cluster) settleIndexTraffic() {
 
 // scheduleHeartbeats installs the digest loop when the spec sets a stride:
 // every HeartbeatEvery the coordinator publishes each in-service replica's
-// outstanding count and bucket-quantized free pages. The loop runs on the
-// coordinator clock — shards are quiescent, so the engine reads are the
-// same safe snapshot the control loop takes.
+// outstanding count and bucket-quantized free pages. The loop is a
+// coordinator event, so the engine reads are the same safe snapshot the
+// control loop takes.
 func (c *Cluster) scheduleHeartbeats() {
 	if c.idx == nil || c.idxSpec.HeartbeatEvery == 0 {
 		return

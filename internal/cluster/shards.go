@@ -1,32 +1,31 @@
 package cluster
 
 // Sharded execution, the cluster's only event loop: replica i lives on
-// shard i mod Shards, and each shard owns a private simclock sub-clock
-// carrying that replica subset's engine events (iterations, end-of-reading
-// events, KV transfers on the replica's own host links). The cluster's
-// coordinator clock keeps everything cross-replica: arrivals and routing,
-// the sampling and autoscale control loops, gateway drains, chaos faults
-// and migration completions.
+// shard i mod Shards, and each shard owns a private simclock carrying that
+// replica subset's engine events (iterations, end-of-reading events, KV
+// transfers on the replica's own host links).
 //
 // A routed run — one that needs coordinator events at all (Config.routed)
-// — has one shard, run inline on the coordinator. Before the coordinator
-// fires its next event at time T, the shard runs its own events strictly
-// before T and then aligns its clock at T (simclock.AdvanceTo), so an
-// effect landing at T — an injected arrival, a migration install —
-// observes one consistent "now". At an exact tie the coordinator goes
-// first. Every write to cross-replica state (the prefix index, the
-// pin-holder table, the load board, the TTFT window) therefore happens on
-// the coordinator's goroutine, in simulated-time order.
+// — has one shard, whose clock is the run's one clock. The coordinator
+// schedules arrivals, routing, control loops, heartbeats, faults, retries
+// and transfer completions on it through its handle (coordinator), on the
+// clock's first lane (simclock.Clock.AtFirst): at an exact instant the
+// coordinator goes first, so an effect landing at T — an injected
+// arrival, a migration install — observes one consistent "now". The lane
+// rests on engine events never scheduling coordinator events, which the
+// clock checks. Every write to cross-replica state (the prefix index, the
+// pin-holder table, the load board, the TTFT window) happens on the one
+// goroutine, in simulated-time order.
 //
 // When the configuration needs no coordinator events — static replica
 // set, round-robin routing, no migration, no sampling, no chaos, no index,
 // no retained events — arrivals are pre-routed at prime time: each shard
 // clock gets one arrival stream (simclock.Stream) over the ids of its
-// replicas' arrivals, and the whole run is one barrier-free drain with a
-// goroutine per busy shard. That drain is the only place shard goroutines
-// run, and it has no index, holder table, load board or TTFT window to
-// share. Fabric class accounting is per-replica-row (single writer), and
-// no interconnect link is booked, so the drain's shards share nothing.
+// replicas' arrivals, and the whole run is one drain with a goroutine per
+// busy shard. That drain is the only place shard goroutines run, and it
+// has no index, holder table, load board or TTFT window to share. Fabric
+// class accounting is per-replica-row (single writer), and no
+// interconnect link is booked, so the drain's shards share nothing.
 //
 // The flight recorder keeps a recorder and profiler per shard, and every
 // emission routes by the event's replica (Cluster.recFor); the per-shard
@@ -42,6 +41,7 @@ package cluster
 import (
 	"runtime"
 	"sync"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/request"
@@ -49,7 +49,22 @@ import (
 	"repro/internal/trace"
 )
 
-// shard is one replica partition: a private sub-clock plus the sinks and
+// coordinator is the cluster's handle on the run's clock: everything it
+// schedules goes on the first lane, ahead of every engine event at its
+// instant, and it offers no other way to schedule, so no coordinator site
+// can fall back to the engines' order.
+type coordinator struct{ clock *simclock.Clock }
+
+func (k coordinator) Now() simclock.Time       { return k.clock.Now() }
+func (k coordinator) Cancel(h simclock.Handle) { k.clock.Cancel(h) }
+func (k coordinator) At(at simclock.Time, fn func(now simclock.Time)) simclock.Handle {
+	return k.clock.AtFirst(at, fn)
+}
+func (k coordinator) After(d time.Duration, fn func(now simclock.Time)) simclock.Handle {
+	return k.clock.AtFirst(k.clock.Now().Add(d), fn)
+}
+
+// shard is one replica partition: a private clock plus the sinks and
 // arena its replicas use.
 type shard struct {
 	id    int
@@ -63,21 +78,16 @@ type shard struct {
 	arena request.Arena
 }
 
-// due reports whether the shard has an event to run before barrier.
-func (sh *shard) due(barrier, deadline simclock.Time) bool {
+// due reports whether the shard has an event to run by the deadline.
+func (sh *shard) due(deadline simclock.Time) bool {
 	t := sh.clock.Peek()
-	return t < barrier && t <= deadline
+	return t != simclock.Forever && t <= deadline
 }
 
-// run executes every shard event strictly before barrier — never past the
-// deadline — then aligns the shard clock at the barrier.
-func (sh *shard) run(barrier, deadline simclock.Time) {
-	clk := sh.clock
-	for sh.due(barrier, deadline) {
-		clk.Step()
-	}
-	if barrier != simclock.Forever && barrier <= deadline {
-		clk.AdvanceTo(barrier)
+// run executes every shard event up to the deadline.
+func (sh *shard) run(deadline simclock.Time) {
+	for sh.due(deadline) {
+		sh.clock.Step()
 	}
 }
 
@@ -123,12 +133,11 @@ func (c *Cluster) primeSharded(w trace.Workload) {
 	c.arrivalsDone = true
 }
 
-// runSharded is the cluster's main loop: step through the coordinator's
-// events up to the deadline, then drain the shards. It reports whether the
-// run timed out — work left on any clock past the deadline.
+// runSharded is the cluster's main loop: drain every shard clock up to the
+// deadline. It reports whether the run timed out — work left on any clock
+// past the deadline.
 func (c *Cluster) runSharded(deadline simclock.Time) (timedOut bool) {
-	for c.step(deadline) {
-	}
+	c.drain(deadline)
 	// A fused decode run's iterations, client read ticks and write-through
 	// sync landings are applied or computed, not events
 	// (engine.SettleUntil, engine.LastReadTick, kvcache.PendingSync): move
@@ -151,7 +160,6 @@ func (c *Cluster) runSharded(deadline simclock.Time) (timedOut bool) {
 	// not depend on its shard assignment. Shards still holding events
 	// (timed out) keep their own position.
 	end := c.endNow()
-	timedOut = c.clock.Peek() != simclock.Forever
 	for _, sh := range c.shards {
 		if sh.clock.Peek() != simclock.Forever || late[sh.id] {
 			timedOut = true
@@ -162,83 +170,56 @@ func (c *Cluster) runSharded(deadline simclock.Time) (timedOut bool) {
 	return timedOut
 }
 
-// step advances the run by one coordinator event: the shards first run
-// their events before it, then the coordinator fires it. When the
-// coordinator has nothing left at or before the deadline, step instead
-// drains the shards up to the deadline and reports false.
-func (c *Cluster) step(deadline simclock.Time) bool {
-	next := c.clock.Peek()
-	if next == simclock.Forever || next > deadline {
-		c.advanceShards(simclock.Forever, deadline)
-		return false
-	}
-	c.advanceShards(next, deadline)
-	c.clock.Step()
-	return true
-}
-
-// advanceShards brings every shard to the barrier: shards with events
-// before it run them, idle shards just align their clocks. The busy shards
-// run inline on the coordinator unless several are busy at once, which only
-// the fast path's single drain brings about: then each runs on its own
-// goroutine, unless GOMAXPROCS is 1.
-func (c *Cluster) advanceShards(barrier, deadline simclock.Time) {
+// drain runs every shard clock up to the deadline: inline when at most
+// one shard has work, which is every routed run, and otherwise — only the
+// fast path's drain — on a goroutine per busy shard, unless GOMAXPROCS
+// is 1.
+func (c *Cluster) drain(deadline simclock.Time) {
 	busy := 0
 	for _, sh := range c.shards {
-		if sh.due(barrier, deadline) {
+		if sh.due(deadline) {
 			busy++
 		}
 	}
-	if busy > 1 && runtime.GOMAXPROCS(0) > 1 {
-		t0 := c.prof.Begin()
-		var wg sync.WaitGroup
+	if busy <= 1 || runtime.GOMAXPROCS(0) == 1 {
 		for _, sh := range c.shards {
-			if !sh.due(barrier, deadline) {
-				sh.run(barrier, deadline)
-				continue
-			}
-			sh := sh
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sh.run(barrier, deadline)
-			}()
-		}
-		wg.Wait()
-		c.prof.End(obs.PhaseBarrierFanout, t0)
-		return
-	}
-	if busy == 0 {
-		for _, sh := range c.shards {
-			sh.run(barrier, deadline)
+			sh.run(deadline)
 		}
 		return
 	}
 	t0 := c.prof.Begin()
+	var wg sync.WaitGroup
 	for _, sh := range c.shards {
-		sh.run(barrier, deadline)
+		if !sh.due(deadline) {
+			continue
+		}
+		sh := sh
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sh.run(deadline)
+		}()
 	}
-	c.prof.End(obs.PhaseBarrierInline, t0)
+	wg.Wait()
+	c.prof.End(obs.PhaseShardDrain, t0)
 }
 
-// endNow is the final simulation instant: the furthest clock across the
-// coordinator and the shards (a drained shard's last event can outlast the
-// last coordinator event).
+// endNow is the final simulation instant: the furthest shard clock (a
+// drained shard's last event can outlast the others').
 func (c *Cluster) endNow() simclock.Time {
-	t := c.clock.Now()
+	var t simclock.Time
 	for _, sh := range c.shards {
-		if n := sh.clock.Now(); n > t {
-			t = n
-		}
+		t = max(t, sh.clock.Now())
 	}
 	return t
 }
 
-// eventsProcessed totals fired events across every clock of the run — a
+// eventsProcessed totals fired events across the shard clocks — a
 // determinism witness: every shard count fires exactly the same events,
-// just distributed over different sub-clocks.
+// just distributed over different clocks. A routed run's coordinator
+// events are on shard 0's clock and count there once.
 func (c *Cluster) eventsProcessed() uint64 {
-	n := c.clock.Processed()
+	var n uint64
 	for _, sh := range c.shards {
 		n += sh.clock.Processed()
 	}

@@ -83,7 +83,7 @@ func requireSameResult(t *testing.T, label string, want, got *cluster.Result) {
 }
 
 // routedReference runs the round-robin fast-path configuration on the
-// routed barrier path instead: event retention is the one layer that
+// routed path instead: event retention is the one layer that
 // makes the configuration routed, so arrivals go through the coordinator's routing
 // step. The capture is then set aside — Result.Obs is observation only —
 // leaving the reference every fast-path run must deep-equal. config builds
@@ -107,11 +107,11 @@ func routedReference(t *testing.T, config func(shards int) (cluster.Config, clus
 	return res
 }
 
-// TestShardedFastPathMatchesBarrierPath exercises the barrier-free fast
-// path — static pool, round-robin routing, no migration, no sampling —
-// where arrivals pre-route straight onto the shard clocks, and requires
-// deep equality with the routed barrier-path run at every shard count.
-func TestShardedFastPathMatchesBarrierPath(t *testing.T) {
+// TestShardedFastPathMatchesRoutedPath exercises the fast path — static
+// pool, round-robin routing, no migration, no sampling — where arrivals
+// pre-route straight onto the shard clocks, and requires deep equality
+// with the routed-path run at every shard count.
+func TestShardedFastPathMatchesRoutedPath(t *testing.T) {
 	w := sessionWorkload(t)
 	config := func(shards int) (cluster.Config, cluster.BuildEngine) {
 		_, build := determinismGrid()[0].Make()
@@ -128,7 +128,7 @@ func TestShardedFastPathMatchesBarrierPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(ref, got) {
-			t.Fatalf("shards=%d: fast-path result diverged from the routed barrier path", shards)
+			t.Fatalf("shards=%d: fast-path result diverged from the routed path", shards)
 		}
 	}
 }
@@ -224,12 +224,12 @@ func requireSameExport(t *testing.T, label string, want, got obsExport) {
 
 // TestShardedRoutedRunsInline: a routed run executes on one shard inline
 // on the coordinator whatever Shards asks for, so a profiled least-queue
-// run at Shards=2 fans no barrier window out; the round-robin fast path
+// run at Shards=2 records no drain fan-out; the round-robin fast path
 // fans out exactly one, its single drain (unless GOMAXPROCS is 1, which
 // runs that drain inline too).
 func TestShardedRoutedRunsInline(t *testing.T) {
 	w := sessionWorkload(t)
-	windows := func(policy router.Policy) (fanned, inline uint64) {
+	drains := func(policy router.Policy) uint64 {
 		_, build := determinismGrid()[0].Make()
 		cl, err := cluster.New(cluster.Config{
 			Replicas: 4,
@@ -244,23 +244,22 @@ func TestShardedRoutedRunsInline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		prof := res.Obs.Profile
-		return prof.Stat(obs.PhaseBarrierFanout).Calls, prof.Stat(obs.PhaseBarrierInline).Calls
+		return res.Obs.Profile.Stat(obs.PhaseShardDrain).Calls
 	}
-	if fanned, inline := windows(router.NewLeastQueue()); fanned != 0 || inline == 0 {
-		t.Errorf("least-queue at Shards=2: %d windows fanned out, %d inline; want 0 and some", fanned, inline)
+	if n := drains(router.NewLeastQueue()); n != 0 {
+		t.Errorf("least-queue at Shards=2: %d drain fan-outs, want 0", n)
 	}
 	if runtime.GOMAXPROCS(0) == 1 {
 		t.Skip("GOMAXPROCS 1 runs the fast path's drain inline")
 	}
-	if fanned, _ := windows(router.NewRoundRobin()); fanned != 1 {
-		t.Errorf("round-robin fast path at Shards=2: %d windows fanned out, want its one drain", fanned)
+	if n := drains(router.NewRoundRobin()); n != 1 {
+		t.Errorf("round-robin fast path at Shards=2: %d drain fan-outs, want its one drain", n)
 	}
 }
 
-// TestShardedAttributionOnFastPath: attribution alone keeps the
-// barrier-free fast path (it needs no coordinator events), and its
-// streaming report still matches the routed barrier path's exactly.
+// TestShardedAttributionOnFastPath: attribution alone keeps the fast path
+// (it needs no coordinator events), and its streaming report still
+// matches the routed path's exactly.
 func TestShardedAttributionOnFastPath(t *testing.T) {
 	w := sessionWorkload(t)
 	config := func(shards int) (cluster.Config, cluster.BuildEngine) {
@@ -289,7 +288,7 @@ func TestShardedAttributionOnFastPath(t *testing.T) {
 			t.Fatalf("shards=%d: attribution-only run retained a capture: %+v", shards, got.Obs)
 		}
 		if !reflect.DeepEqual(ref, got) {
-			t.Fatalf("shards=%d: attribution-only result diverged from the routed barrier path", shards)
+			t.Fatalf("shards=%d: attribution-only result diverged from the routed path", shards)
 		}
 	}
 }
@@ -298,7 +297,7 @@ func TestShardedAttributionOnFastPath(t *testing.T) {
 // count. A workload whose arrivals outlast the deadline times out with no
 // event fired past it, and the timed-out Result — partial reports, censored
 // requests, ledgers — is deep-equal at Shards 0, 1, 2, and 3 and still
-// satisfies every invariant. Covers the determinism grid on the barrier
+// satisfies every invariant. Covers the determinism grid on the routed
 // path plus the round-robin fast path.
 func TestShardedTimeoutDeterminism(t *testing.T) {
 	w := sessionWorkload(t) // arrivals span 60 s

@@ -48,7 +48,7 @@ func tokenFlowConfig() engine.Config {
 }
 
 // TestSingleReplicaMatchesEngine: a one-replica round-robin cluster
-// reproduces the reference driver exactly — on the barrier-free fast path
+// reproduces engine.Drive exactly — on the fast path
 // and, with sampling on, on the routed path.
 func TestSingleReplicaMatchesEngine(t *testing.T) {
 	w := trace.Sessions("test-sessions", trace.SessionConfig{

@@ -288,7 +288,7 @@ func TestTieAtRunEvent(t *testing.T) {
 
 // TestTieDeadlineBetweenVirtualBoundaries: a one-replica cluster whose
 // MaxSimTime falls between two lazily applied boundaries, on the
-// barrier-free fast path and on the routed path with every obs layer on,
+// round-robin fast path and on the routed path with every obs layer on,
 // ends exactly as the unfused loop does: the completion before the
 // deadline applied, the one after it not, and the run timed out.
 func TestTieDeadlineBetweenVirtualBoundaries(t *testing.T) {

@@ -17,10 +17,10 @@ import (
 // workload times the same shape at a fraction of its size.
 
 // scaleShards is the fixed shard count of the round-robin reference run.
-// The scenario is static + round-robin, so it takes the barrier-free fast
+// The scenario is static + round-robin, so it takes the parallel fast
 // path; results are identical at any shard count (the determinism suite
 // proves it) and this only sets the parallelism of the reference
-// measurement. The least-queue pair is routed and runs on one shard.
+// measurement. The least-queue pair is routed: one clock, no barrier.
 const scaleShards = 8
 
 // scaleWorkload generates the ~1M-request trace: scaled(182000) chat

@@ -232,7 +232,7 @@ func (t *Topology) HostH2D(replica int) *gpu.Link {
 // Resolution writes the topology, so only one goroutine may call Path at
 // a time. In a cluster that is the coordinator: interconnect transfers
 // are booked and priced (BookBetween, ETABetween) only from coordinator
-// events, while the shards are quiescent.
+// events, on a routed run's one goroutine.
 func (t *Topology) Path(from, to int) []*gpu.Link {
 	t.checkReplica(from)
 	t.checkReplica(to)

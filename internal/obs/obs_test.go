@@ -158,25 +158,24 @@ func TestProfilerRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBarrierPhases: the two barrier-window phases report under their
-// stable names, merge across profilers like every phase, and on a nil
-// profiler neither read the clock nor allocate.
-func TestBarrierPhases(t *testing.T) {
-	if PhaseBarrierInline.String() != "barrier_inline" || PhaseBarrierFanout.String() != "barrier_fanout" {
-		t.Fatalf("phase names %q, %q", PhaseBarrierInline, PhaseBarrierFanout)
+// TestShardDrainPhase: the shard-drain phase reports under its stable
+// name, merges across profilers like every phase, and on a nil profiler
+// neither reads the clock nor allocates.
+func TestShardDrainPhase(t *testing.T) {
+	if PhaseShardDrain.String() != "shard_drain" {
+		t.Fatalf("phase name %q", PhaseShardDrain)
 	}
 	a, b := NewProfiler(), NewProfiler()
-	a.End(PhaseBarrierInline, a.Begin())
-	a.End(PhaseBarrierInline, a.Begin())
-	b.End(PhaseBarrierFanout, b.Begin())
+	a.End(PhaseShardDrain, a.Begin())
+	a.End(PhaseShardDrain, a.Begin())
+	b.End(PhaseShardDrain, b.Begin())
 	m := MergeProfilers(a, nil, b)
-	if m.Stat(PhaseBarrierInline).Calls != 2 || m.Stat(PhaseBarrierFanout).Calls != 1 {
-		t.Fatalf("merged barrier phases: inline %+v, fanout %+v",
-			m.Stat(PhaseBarrierInline), m.Stat(PhaseBarrierFanout))
+	if m.Stat(PhaseShardDrain).Calls != 3 {
+		t.Fatalf("merged shard-drain phase: %+v", m.Stat(PhaseShardDrain))
 	}
-	rep := m.Report("barrier", 0, 0)
-	if rep.Phases["barrier_inline"].Calls != 2 || rep.Phases["barrier_fanout"].Calls != 1 {
-		t.Fatalf("report lost the barrier phases: %+v", rep.Phases)
+	rep := m.Report("drain", 0, 0)
+	if rep.Phases["shard_drain"].Calls != 3 {
+		t.Fatalf("report lost the shard-drain phase: %+v", rep.Phases)
 	}
 
 	var off *Profiler
@@ -184,14 +183,12 @@ func TestBarrierPhases(t *testing.T) {
 		t.Error("nil profiler read the clock")
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		t0 := off.Begin()
-		off.End(PhaseBarrierInline, t0)
-		off.End(PhaseBarrierFanout, t0)
+		off.End(PhaseShardDrain, off.Begin())
 	}); n != 0 {
-		t.Errorf("nil profiler allocates %.1f per barrier window", n)
+		t.Errorf("nil profiler allocates %.1f per drain", n)
 	}
-	if off.Stat(PhaseBarrierInline).Calls != 0 || off.Stat(PhaseBarrierFanout).Calls != 0 {
-		t.Error("nil profiler retained barrier phases")
+	if off.Stat(PhaseShardDrain).Calls != 0 {
+		t.Error("nil profiler retained the shard-drain phase")
 	}
 }
 

@@ -24,20 +24,17 @@ const (
 	// phase-timed (a wall-clock read per event would dwarf the work);
 	// its cost lands inside engine_step and fabric_settle instead.
 	PhaseAttribution
-	// PhaseBarrierInline is one barrier window whose busy shards ran
-	// inline on the coordinator: every window of a routed run.
-	PhaseBarrierInline
-	// PhaseBarrierFanout is one barrier window fanned out to a goroutine
-	// per busy shard, wait included: the barrier-free fast path's single
-	// drain, when several shards are busy and GOMAXPROCS is above 1.
-	PhaseBarrierFanout
+	// PhaseShardDrain is the round-robin fast path's one drain fanned out
+	// to a goroutine per busy shard, wait included: only when several
+	// shards are busy and GOMAXPROCS is above 1.
+	PhaseShardDrain
 
 	numPhases
 )
 
 var phaseNames = [numPhases]string{
 	"control_tick", "engine_step", "fabric_settle", "attribution",
-	"barrier_inline", "barrier_fanout",
+	"shard_drain",
 }
 
 // String returns the phase's stable report name.

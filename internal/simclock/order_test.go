@@ -7,13 +7,14 @@ import (
 )
 
 // This file checks the clock against a reference model: a naive list kept
-// sorted by (at, seq), where a stream of n arrivals is simply n events with
-// consecutive sequence numbers. The clock orders by (at, scheduling
-// instant, seq), which must give the same order; the model also tracks the
-// scheduling instant of the position (Clock.Position): the last fired
-// event's, the deadline after RunUntil, Before after AdvanceTo moves time.
-// Operation sequences are decoded from bytes, so one decoder serves the
-// seeded random test and the fuzz target.
+// sorted by (at, lane, seq), the first lane before the At lane, where a
+// stream of n arrivals is simply n first-lane events with consecutive
+// sequence numbers. The clock orders by (at, scheduling instant, seq),
+// which must give the same order; the model also tracks the scheduling
+// instant of the position (Clock.Position): the last fired event's (Before
+// for the first lane), the deadline after RunUntil, Before after AdvanceTo
+// moves time. Operation sequences are decoded from bytes, so one decoder
+// serves the seeded random test and the fuzz target.
 
 // firing is one entry of a firing log: which event fired, and when.
 type firing struct {
@@ -35,13 +36,16 @@ const maxReserved = 64
 
 // refEvent is one pending event of the reference model.
 type refEvent struct {
-	at     Time
-	sched  Time // the model's instant when it was scheduled (a stream's opening)
-	seq    uint64
-	id     int
-	child  Time // delay of the child scheduled on firing; negative for none
-	stream bool
-	twin   bool // the At-scheduled twin of a reservation; never cancelled
+	at    Time
+	sched Time // the model's instant when it was scheduled; Before on the first lane
+	seq   uint64
+	id    int
+	child Time // delay of the child scheduled on firing; negative for none
+	// childFirst puts the child on the first lane.
+	childFirst bool
+	stream     bool
+	first      bool // on the first lane: AtFirst, or a stream arrival
+	twin       bool // the At-scheduled twin of a reservation; never cancelled
 }
 
 // refClock is the reference model.
@@ -49,24 +53,34 @@ type refClock struct {
 	now        Time
 	sched      Time // the position's scheduling instant
 	seq        uint64
-	queue      []refEvent // sorted by (at, seq)
+	queue      []refEvent // sorted by (at, lane, seq)
 	streamLeft int
 	log        []firing
-	// ties counts stream arrivals that fired at the same instant as an
-	// event scheduled before (tieBefore) or after (tieAfter) their stream
-	// opened.
-	tieBefore, tieAfter int
-	streamBase          uint64 // first sequence number of the last stream
-	streamEnd           uint64 // one past its last
-	last                refEvent
+	// ties counts stream arrivals that fired back to back, at the same
+	// instant, with a first-lane event scheduled before (tieBefore) or
+	// after (tieAfter) their stream opened, or ahead of an At event
+	// scheduled before it opened (tieAt).
+	tieBefore, tieAfter, tieAt int
+	streamBase                 uint64 // first sequence number of the last stream
+	streamEnd                  uint64 // one past its last
+	last                       refEvent
 }
 
 func (m *refClock) insert(e refEvent) {
 	e.seq, e.sched = m.seq, m.now
+	if e.first {
+		e.sched = Before
+	}
 	m.seq++
 	i, _ := slices.BinarySearchFunc(m.queue, e, func(x, y refEvent) int {
 		if x.at != y.at {
 			if x.at < y.at {
+				return -1
+			}
+			return 1
+		}
+		if x.first != y.first {
+			if x.first {
 				return -1
 			}
 			return 1
@@ -100,14 +114,13 @@ func (m *refClock) step() bool {
 		m.streamLeft--
 	}
 	if e.child >= 0 {
-		m.insert(refEvent{at: m.now + e.child, id: e.id + childBase, child: -1})
+		m.insert(refEvent{at: m.now + e.child, id: e.id + childBase, child: -1, first: e.childFirst})
 	}
 	return true
 }
 
 // countTie records an equal-instant tie between a stream arrival and a
-// heap event on either side of the stream's sequence block, fired back to
-// back.
+// heap event, fired back to back.
 func (m *refClock) countTie(a, b refEvent) {
 	if a.at != b.at || a.stream == b.stream {
 		return
@@ -118,9 +131,14 @@ func (m *refClock) countTie(a, b refEvent) {
 	if b.seq < m.streamBase || b.seq >= m.streamEnd {
 		return // the arrival is from an earlier stream
 	}
-	if a.seq < m.streamBase {
+	switch {
+	case !a.first:
+		if a.seq < m.streamBase {
+			m.tieAt++
+		}
+	case a.seq < m.streamBase:
 		m.tieBefore++
-	} else {
+	default:
 		m.tieAfter++
 	}
 }
@@ -162,11 +180,12 @@ type harness struct {
 	// twin, scheduled right after it, whose firing Fired must track.
 	reserved []reservation
 	// compactions counts Cancel calls that ran a compaction; advancedOpen
-	// counts streams opened after the clock left Zero; reservedTies counts
-	// reservation checks made at the reservation's own instant, by whether
-	// it read as fired.
-	compactions, advancedOpen int
-	reservedTies              [2]int
+	// counts streams opened after the clock left Zero; firstScheduled
+	// counts AtFirst calls that scheduled; reservedTies counts reservation
+	// checks made at the reservation's own instant, by whether it read as
+	// fired.
+	compactions, advancedOpen, firstScheduled int
+	reservedTies                              [2]int
 }
 
 // reservation is one Reserve call and the state of its twin event.
@@ -187,7 +206,7 @@ func (h *harness) reserve(t Time) {
 	h.nextID++
 	h.c.At(t, func(now Time) {
 		h.reserved[i].twinFired = true
-		h.fired(id, -1, now)
+		h.fired(id, -1, false, now)
 	})
 	h.m.insert(refEvent{at: t, id: id, child: -1, twin: true})
 }
@@ -211,23 +230,42 @@ func (h *harness) checkReserved(where string) {
 	}
 }
 
-// fired is the clock-side callback of event id.
-func (h *harness) fired(id int, child, now Time) {
+// fired is the clock-side callback of event id; its child, if any, goes on
+// the first lane when first is set.
+func (h *harness) fired(id int, child Time, first bool, now Time) {
 	h.log = append(h.log, firing{id, now})
 	h.checkReserved("inside an event")
 	if child >= 0 {
 		cid := id + childBase
-		h.handles[cid] = h.c.At(now+child, func(now Time) { h.fired(cid, -1, now) })
+		fn := func(now Time) { h.fired(cid, -1, false, now) }
+		if first {
+			h.handles[cid] = h.c.AtFirst(now+child, fn)
+		} else {
+			h.handles[cid] = h.c.At(now+child, fn)
+		}
 		h.cancelable = append(h.cancelable, cid)
 	}
 }
 
-func (h *harness) at(t, child Time) {
+// at schedules event id at t with At, or with AtFirst when first is set,
+// or checks that AtFirst panics when the model's position is off the
+// first lane. The child stays on its parent's lane.
+func (h *harness) at(t, child Time, first bool) {
+	if first && h.m.sched != Before {
+		mustPanic(h.t, "AtFirst off the first lane", func() { h.c.AtFirst(t, func(Time) {}) })
+		return
+	}
 	id := h.nextID
 	h.nextID++
-	h.handles[id] = h.c.At(t, func(now Time) { h.fired(id, child, now) })
+	fn := func(now Time) { h.fired(id, child, first, now) }
+	if first {
+		h.handles[id] = h.c.AtFirst(t, fn)
+		h.firstScheduled++
+	} else {
+		h.handles[id] = h.c.At(t, fn)
+	}
 	h.cancelable = append(h.cancelable, id)
-	h.m.insert(refEvent{at: t, id: id, child: child})
+	h.m.insert(refEvent{at: t, id: id, child: child, first: first, childFirst: first})
 }
 
 func (h *harness) cancel(id int) {
@@ -254,19 +292,19 @@ func (h *harness) cancelClock(id int) {
 	}
 }
 
-// streamChild is the child delay of stream arrival k: every third arrival
-// schedules a child at the same instant or one tick later.
-func streamChild(k int) Time {
+// streamChild is the child of stream arrival k: every third arrival
+// schedules a child at the same instant or one tick later, on either lane.
+func streamChild(k int) (delay Time, first bool) {
 	if k%3 == 0 {
-		return Time(k % 2)
+		return Time(k % 2), k%4 < 2
 	}
-	return -1
+	return -1, false
 }
 
 // stream opens a stream over times on both sides, or checks that the
 // clock panics when the model says it must.
 func (h *harness) stream(times []Time) {
-	bad := h.m.streamLeft > 0
+	bad := h.m.streamLeft > 0 || h.m.sched != Before
 	prev := h.m.now
 	for _, t := range times {
 		bad = bad || t < prev
@@ -275,11 +313,12 @@ func (h *harness) stream(times []Time) {
 	base := h.nextID
 	open := func() {
 		h.c.Stream(len(times), func(k int) Time { return times[k] }, func(k int, now Time) {
-			h.fired(base+k, streamChild(k), now)
+			child, first := streamChild(k)
+			h.fired(base+k, child, first, now)
 		})
 	}
 	if bad {
-		mustPanic(h.t, "Stream with an open stream or a decreasing or past time", open)
+		mustPanic(h.t, "Stream off the first lane, with an open stream, or with a decreasing or past time", open)
 		return
 	}
 	if h.c.Now() > Zero && len(times) > 0 {
@@ -289,7 +328,8 @@ func (h *harness) stream(times []Time) {
 	h.nextID += len(times)
 	h.m.streamBase, h.m.streamEnd = h.m.seq, h.m.seq+uint64(len(times))
 	for k, t := range times {
-		h.m.insert(refEvent{at: t, id: base + k, child: streamChild(k), stream: true})
+		child, first := streamChild(k)
+		h.m.insert(refEvent{at: t, id: base + k, child: child, childFirst: first, stream: true, first: true})
 	}
 	h.m.streamLeft += len(times)
 }
@@ -322,14 +362,14 @@ func checkClockOrder(t testing.TB, data []byte) *harness {
 	r := &byteReader{data: data}
 	for r.more() {
 		switch op := r.next() % 9; op {
-		case 0, 1: // At, maybe with a child; or a reservation and its twin
+		case 0, 1: // At or AtFirst, maybe with a child; or a reservation and its twin
 			t, x := h.c.Now()+Time(r.next()%8), r.next()
 			if x%6 == 5 && len(h.reserved) < maxReserved {
 				h.reserve(t)
 				h.check("Reserve")
 				break
 			}
-			h.at(t, Time(x%6-2))
+			h.at(t, Time(x%6-2), x/6%2 == 1)
 			h.check("At")
 		case 2: // Cancel of any event ever scheduled, fired ones included
 			if len(h.cancelable) > 0 {
@@ -385,7 +425,7 @@ func checkClockOrder(t testing.TB, data []byte) *harness {
 				n = 0
 			}
 			for k := 0; k < n; k++ {
-				h.at(h.c.Now()+1000+Time(k%16), -1)
+				h.at(h.c.Now()+1000+Time(k%16), -1, false)
 			}
 			h.check("burst")
 		case 8: // cancel three in four of everything ever scheduled
@@ -413,9 +453,9 @@ func mustPanic(t testing.TB, what string, fn func()) {
 
 // Random interleavings of every clock operation fire in exactly the
 // reference model's order, and the runs between them cover the cases the
-// tie rule and lazy cancellation exist for.
+// tie rule, the first lane and lazy cancellation exist for.
 func TestClockMatchesReferenceModel(t *testing.T) {
-	var tieBefore, tieAfter, compactions, advancedOpen int
+	var tieBefore, tieAfter, tieAt, compactions, advancedOpen, firstScheduled int
 	var reservedTies [2]int
 	for seed := int64(0); seed < 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -424,15 +464,17 @@ func TestClockMatchesReferenceModel(t *testing.T) {
 		h := checkClockOrder(t, data)
 		tieBefore += h.m.tieBefore
 		tieAfter += h.m.tieAfter
+		tieAt += h.m.tieAt
 		compactions += h.compactions
 		advancedOpen += h.advancedOpen
+		firstScheduled += h.firstScheduled
 		reservedTies[0] += h.reservedTies[0]
 		reservedTies[1] += h.reservedTies[1]
 	}
-	t.Logf("ties before/after a stream: %d/%d, compactions: %d, streams opened after Zero: %d, reservations read at their instant pending/fired: %d/%d",
-		tieBefore, tieAfter, compactions, advancedOpen, reservedTies[0], reservedTies[1])
-	if tieBefore == 0 || tieAfter == 0 || compactions == 0 || advancedOpen == 0 ||
-		reservedTies[0] == 0 || reservedTies[1] == 0 {
+	t.Logf("arrival ties with first-lane events before/after the stream: %d/%d, with At events scheduled before it: %d, compactions: %d, streams opened after Zero: %d, AtFirst calls: %d, reservations read at their instant pending/fired: %d/%d",
+		tieBefore, tieAfter, tieAt, compactions, advancedOpen, firstScheduled, reservedTies[0], reservedTies[1])
+	if tieBefore == 0 || tieAfter == 0 || tieAt == 0 || compactions == 0 || advancedOpen == 0 ||
+		firstScheduled == 0 || reservedTies[0] == 0 || reservedTies[1] == 0 {
 		t.Fatal("the random interleavings missed a case the model test must cover")
 	}
 }
@@ -448,28 +490,64 @@ func FuzzClockOrder(f *testing.F) {
 	})
 }
 
-// An event scheduled before a stream opens precedes an arrival at the same
-// instant; one scheduled after it — even by an arrival's own callback —
-// follows every arrival at that instant.
+// Arrivals are first-lane events: at their instant they fire before every
+// At event, whenever it was scheduled, and among first-lane events in call
+// order — after one scheduled before the stream opened, before one
+// scheduled after it, even by an arrival's own callback.
 func TestStreamTieRule(t *testing.T) {
 	c := New()
 	var order []string
 	note := func(s string) func(Time) { return func(Time) { order = append(order, s) } }
-	c.At(FromSeconds(1), note("before"))
+	c.At(FromSeconds(1), note("at-before"))
+	c.AtFirst(FromSeconds(1), note("first-before"))
 	c.Stream(2, func(int) Time { return FromSeconds(1) }, func(k int, now Time) {
 		order = append(order, []string{"arrival0", "arrival1"}[k])
 		if k == 0 {
-			c.At(now, note("child"))
+			c.At(now, note("at-child"))
+			c.AtFirst(now, note("first-child"))
 		}
 	})
-	c.At(FromSeconds(1), note("after"))
+	c.At(FromSeconds(1), note("at-after"))
+	c.AtFirst(FromSeconds(1), note("first-after"))
 	c.Run()
-	want := []string{"before", "arrival0", "arrival1", "after", "child"}
+	want := []string{"first-before", "arrival0", "arrival1", "first-after", "first-child",
+		"at-before", "at-after", "at-child"}
 	if !slices.Equal(order, want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
-	if c.Processed() != 5 || c.Len() != 0 {
-		t.Fatalf("processed=%d len=%d, want 5 and 0", c.Processed(), c.Len())
+	if c.Processed() != 8 || c.Len() != 0 {
+		t.Fatalf("processed=%d len=%d, want 8 and 0", c.Processed(), c.Len())
+	}
+}
+
+// The first lane is scheduled only from the first lane: AtFirst and Stream
+// panic inside an At event, at any instant, and after one has fired until
+// AdvanceTo moves the clock; inside a first-lane event or an arrival they
+// schedule.
+func TestFirstLanePremise(t *testing.T) {
+	nop := func(Time) {}
+	fire := func(int, Time) {}
+	at := func(int) Time { return 9 }
+	c := New()
+	c.At(5, func(now Time) {
+		mustPanic(t, "AtFirst inside an At event", func() { c.AtFirst(now, nop) })
+		mustPanic(t, "AtFirst at a later instant inside an At event", func() { c.AtFirst(now+1, nop) })
+		mustPanic(t, "Stream inside an At event", func() { c.Stream(1, at, fire) })
+	})
+	c.Step()
+	mustPanic(t, "AtFirst after an At event fired", func() { c.AtFirst(6, nop) })
+	c.AdvanceTo(6)
+	var inside []Time
+	c.AtFirst(6, func(now Time) {
+		c.AtFirst(now, func(now Time) { inside = append(inside, now) })
+	})
+	c.Step()
+	c.Stream(1, at, func(_ int, now Time) {
+		c.AtFirst(now+1, func(now Time) { inside = append(inside, now) })
+	})
+	c.Run()
+	if !slices.Equal(inside, []Time{6, 10}) || c.Processed() != 5 {
+		t.Fatalf("first-lane children fired at %v, processed %d; want [6 10] and 5", inside, c.Processed())
 	}
 }
 
@@ -479,7 +557,7 @@ func TestStreamPanics(t *testing.T) {
 	mustPanic(t, "Stream with a nil callback", func() { New().Stream(1, at(0), nil) })
 	mustPanic(t, "Stream with a decreasing time", func() { New().Stream(3, at(1, 2, 1), fire) })
 	c := New()
-	c.At(5, func(Time) {})
+	c.AtFirst(5, func(Time) {})
 	c.Run()
 	mustPanic(t, "Stream starting in the past", func() { c.Stream(1, at(4), fire) })
 	c.Stream(2, at(5, 6), fire)

@@ -7,9 +7,9 @@
 // reproducible for a given workload seed regardless of host speed.
 //
 // Every event carries the clock's next sequence number when it is
-// scheduled, and events fire in (time, sequence) order: by time, and at an
-// equal instant in the order they were scheduled. The order is strict and
-// total, so the firing sequence is fully determined by the calls made.
+// scheduled. Events fire by time, at an equal instant the first lane
+// (below) first, and within a lane in the order they were scheduled. The
+// order is strict and total, so the calls made fully determine it.
 //
 // The queue is a 4-ary min-heap of inline (time, sequence, slot) entries,
 // compared without interface calls; a 4-ary heap is half as deep as a
@@ -24,14 +24,21 @@
 // event's firing is always safe — Cancel and Pending on a stale handle are
 // no-ops rather than acting on whatever event reused the slot.
 //
-// A workload's arrivals do not go on the heap. Stream opens an arrival
-// cursor over n pre-sorted instants that holds only the next arrival, so
-// priming a run costs O(1) queue space instead of one heap entry and one
-// closure per arrival. Stream reserves the sequence block [s, s+n) when it
-// is called, and arrival k competes with the heap top as (at(k), s+k). The
-// tie rule therefore matches scheduling each arrival with At in one loop:
-// an event scheduled before the stream opened fires before an arrival at
-// the same instant, and one scheduled after it fires after.
+// The clock has two lanes. At schedules on the engines' lane, AtFirst on
+// the first lane, keyed at scheduling instant Before: at any instant every
+// first-lane event fires before every At event, and first-lane events
+// fire among themselves in call order. The cluster's coordinator, which
+// shares the clock with the engines it drives, so goes first at its
+// instants. Only the first lane schedules into it: AtFirst and Stream
+// panic unless the clock's position is in it — nothing fired yet, left by
+// AdvanceTo, or at a first-lane event or arrival.
+//
+// A workload's arrivals are first-lane events off the heap. Stream opens
+// an arrival cursor over n pre-sorted instants that holds only the next
+// arrival, so priming a run costs O(1) queue space instead of one heap
+// entry and one closure per arrival. Stream reserves the sequence block
+// [s, s+n) when it is called, and arrival k competes with the heap top as
+// (at(k), Before, s+k): exactly as if AtFirst scheduled each in one loop.
 //
 // Reserve takes a sequence number without queueing anything, for work
 // whose only effect is bookkeeping that its readers can apply late (the
@@ -40,18 +47,19 @@
 // the tie order the event would have had, without its cost.
 //
 // Every event also records its scheduling instant, the clock's time when
-// At ran. Sequence numbers are handed out in time order, so the (time,
-// sequence) order is the same as the (time, scheduling instant, sequence)
-// order, and the heap compares keys in that longer form (Key). That lets
-// work applied lazily take its place without a sequence number: the
-// engine's fused decode runs (internal/engine) apply iteration k, due at
-// t_k and launched at t_(k-1), as of the key (t_k, t_(k-1)), and schedule
-// the run's one clock event with AtKey at the key of its last iteration,
-// tagged with the sequence number the run reserved at its launch. The
-// scheduling instant orders such a key against every event at the same
-// instant except one scheduled at the same instant too: that tie is
-// unsplittable, and Fired panics on it, as AdvanceTo does when asked to
-// skip work. Keys of one run are the exception: an item a run booked at an
+// At ran (Before for the first lane). Sequence numbers are handed out in
+// time order, so within a lane the (time, sequence) order is the (time,
+// scheduling instant, sequence) order, and the heap compares keys in that
+// longer form (Key). That lets work applied lazily take its place
+// without a sequence number: the engine's fused decode runs
+// (internal/engine) apply iteration k, due at t_k and launched at
+// t_(k-1), as of the key (t_k, t_(k-1)), and schedule the run's one clock
+// event with AtKey at the key of its last iteration, tagged with the
+// sequence number the run reserved at its launch. The scheduling instant
+// orders such a key against every event at the same instant except an At
+// event scheduled at the same instant too (a first-lane event never is):
+// that tie is unsplittable, and Fired panics on it, as AdvanceTo does when
+// asked to skip work. Keys of one run are the exception: an item a run booked at an
 // instant precedes the iteration the run launched there. Step checks no
 // ties: two events at one key order only where one reads the other's
 // effects (a fused run's engine checks its own), and events of engines
@@ -95,8 +103,8 @@ func (t Time) String() string {
 	return fmt.Sprintf("%.3fs", t.Seconds())
 }
 
-// Before is a scheduling instant earlier than any event's: the position
-// AdvanceTo leaves, ahead of every event at its instant.
+// Before is the first lane's scheduling instant, earlier than any At
+// event's, and the position AdvanceTo leaves, ahead of every event.
 const Before Time = -1 << 63
 
 // Key is a place in the firing order: the instant At, the instant Sched
@@ -159,12 +167,11 @@ func (a entry) before(b entry) bool {
 // stream is the clock's arrival cursor (see Stream). It is open while
 // k < n; the zero value is closed.
 type stream struct {
-	n, k   int
-	base   uint64 // sequence number of arrival 0
-	opened Time   // the instant the stream opened: every arrival's scheduling instant
-	next   Time   // at(k), cached
-	at     func(k int) Time
-	fire   func(k int, now Time)
+	n, k int
+	base uint64 // sequence number of arrival 0
+	next Time   // at(k), cached
+	at   func(k int) Time
+	fire func(k int, now Time)
 }
 
 // Handle identifies a scheduled event. The zero Handle is valid and refers
@@ -270,6 +277,27 @@ func (c *Clock) At(at Time, fn func(now Time)) Handle {
 	return c.push(entry{at: at, sched: c.now, seq: c.seq - 1}, fn, false)
 }
 
+// AtFirst schedules fn at absolute time at on the first lane (see the
+// package comment). It panics where At does, and off the first lane.
+func (c *Clock) AtFirst(at Time, fn func(now Time)) Handle {
+	if fn == nil {
+		panic("simclock: nil event callback")
+	}
+	if at < c.now {
+		panic(fmt.Sprintf("simclock: scheduling event at %v before now %v", at, c.now))
+	}
+	c.mustBeFirst("event")
+	c.seq++
+	return c.push(entry{at: at, sched: Before, seq: c.seq - 1}, fn, false)
+}
+
+// mustBeFirst panics unless the clock's position is in the first lane.
+func (c *Clock) mustBeFirst(what string) {
+	if c.sched != Before {
+		panic(fmt.Sprintf("simclock: first-lane %s scheduled at %v from the At lane (position scheduled at %v)", what, c.now, c.sched))
+	}
+}
+
 // push queues fn at the entry's key.
 func (c *Clock) push(x entry, fn func(now Time), run bool) Handle {
 	e := c.alloc()
@@ -346,11 +374,11 @@ func (c *Clock) After(d time.Duration, fn func(now Time)) Handle {
 // instants must not decrease and must not precede Now; Stream checks all
 // of them before it returns and panics otherwise, as At does for a past
 // time. It also panics while a previous stream still has arrivals to fire
-// (one cursor per clock). Stream holds one pending arrival at a time, so
-// it allocates nothing and queues nothing however large n is. It reserves
-// the sequence block [s, s+n) at the call, so arrival k ties with heap
-// events exactly as if At had scheduled it with sequence s+k (see the
-// package comment).
+// (one cursor per clock), and off the first lane. Stream holds one pending
+// arrival at a time, so it allocates nothing and queues nothing however
+// large n is. It reserves the sequence block [s, s+n) at the call, so
+// arrival k ties with heap events exactly as if AtFirst had scheduled it
+// with sequence s+k (see the package comment).
 func (c *Clock) Stream(n int, at func(k int) Time, fire func(k int, now Time)) {
 	if at == nil || fire == nil {
 		panic("simclock: nil stream callback")
@@ -361,6 +389,7 @@ func (c *Clock) Stream(n int, at func(k int) Time, fire func(k int, now Time)) {
 	if c.stream.k < c.stream.n {
 		panic("simclock: opening a stream while another is open")
 	}
+	c.mustBeFirst("stream")
 	prev := c.now
 	for k := 0; k < n; k++ {
 		t := at(k)
@@ -375,7 +404,7 @@ func (c *Clock) Stream(n int, at func(k int) Time, fire func(k int, now Time)) {
 	if n == 0 {
 		return
 	}
-	c.stream = stream{n: n, base: c.seq, opened: c.now, next: at(0), at: at, fire: fire}
+	c.stream = stream{n: n, base: c.seq, next: at(0), at: at, fire: fire}
 	c.seq += uint64(n)
 }
 
@@ -429,7 +458,7 @@ func (c *Clock) streamFirst() bool {
 	if s.k >= s.n {
 		return false
 	}
-	return len(c.pq) == 0 || entry{at: s.next, sched: s.opened, seq: s.base + uint64(s.k)}.before(c.pq[0])
+	return len(c.pq) == 0 || entry{at: s.next, sched: Before, seq: s.base + uint64(s.k)}.before(c.pq[0])
 }
 
 // Peek reports the time of the next pending event, or Forever if the queue
@@ -453,13 +482,13 @@ func (c *Clock) Step() bool {
 	c.sweep()
 	if c.streamFirst() {
 		s := &c.stream
-		k, now, base, opened, fire := s.k, s.next, s.base, s.opened, s.fire
+		k, now, base, fire := s.k, s.next, s.base, s.fire
 		if s.k++; s.k < s.n {
 			s.next = s.at(s.k)
 		} else {
 			c.stream = stream{} // closed before fire, which may open the next
 		}
-		c.now, c.sched, c.fired, c.posRun = now, opened, base+uint64(k)+1, false
+		c.now, c.sched, c.fired, c.posRun = now, Before, base+uint64(k)+1, false
 		c.processed++
 		fire(k, now)
 		return true
@@ -480,8 +509,8 @@ func (c *Clock) Step() bool {
 // AdvanceTo moves the clock forward to t without firing anything. It
 // panics when t precedes the current time or when a pending event lies
 // before t — skipping scheduled work is always a simulation bug. The
-// sharded cluster runner uses this to align a drained shard clock with the
-// barrier instant before cross-shard work (injects, migrations) lands.
+// cluster calls it only at the end of a run, to align each drained clock
+// with the run's final instant.
 func (c *Clock) AdvanceTo(t Time) {
 	if t < c.now {
 		panic(fmt.Sprintf("simclock: advancing to %v before now %v", t, c.now))

@@ -547,9 +547,10 @@ func BenchmarkStepShardHeap(b *testing.B) {
 
 // Fired reads a reservation as an At-scheduled event with the same
 // sequence number would have fired: Step passes each event it fires,
-// stream arrivals included; AdvanceTo(t) stops before every event at t;
-// RunUntil(deadline) passes every number reserved at or before the
-// deadline, and no number reserved after it.
+// stream arrivals included, which precede every reservation at their
+// instant (they are on the first lane); AdvanceTo(t) stops before every
+// event at t; RunUntil(deadline) passes every number reserved at or before
+// the deadline, and no number reserved after it.
 func TestReserveFired(t *testing.T) {
 	nop := func(Time) {}
 	fired := func(c *Clock, at Time, k Key) bool {
@@ -590,7 +591,7 @@ func TestReserveFired(t *testing.T) {
 			c.Step()
 			return []bool{in, fired(c, 5, s), fired(c, 4, s)}
 		}, []bool{false, false, true}},
-		{"stream arrivals", func(c *Clock) []bool {
+		{"stream arrivals come first", func(c *Clock) []bool {
 			before := c.Reserve()
 			var in []bool
 			c.Stream(2, func(int) Time { return 5 }, func(k int, _ Time) {
@@ -601,7 +602,17 @@ func TestReserveFired(t *testing.T) {
 			mid := fired(c, 5, after)
 			c.Step()
 			return append(in, mid, fired(c, 5, after))
-		}, []bool{true, true, false, false}},
+		}, []bool{false, false, false, false}},
+		{"first-lane events come first", func(c *Clock) []bool {
+			before := c.Reserve()
+			var in bool
+			c.AtFirst(5, func(Time) { in = fired(c, 5, before) })
+			c.At(5, nop)
+			c.Step()
+			mid := fired(c, 5, before)
+			c.Step()
+			return []bool{in, mid, fired(c, 5, before)}
+		}, []bool{false, false, true}},
 		{"AdvanceTo stops before its instant", func(c *Clock) []bool {
 			s := c.Reserve()
 			c.AdvanceTo(5)

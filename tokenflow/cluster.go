@@ -117,18 +117,14 @@ type ClusterConfig struct {
 	// routes exactly like its omniscient twin.
 	PrefixIndex *PrefixIndexSpec
 
-	// Shards partitions the replicas of a barrier-free round-robin run
-	// across parallel worker goroutines (replica i runs on shard i mod
-	// Shards, each on its own sub-clock, and the run is one parallel
-	// drain). A routed run — any router but round-robin, migration,
-	// autoscaling, active chaos, a prefix index, or retained events —
-	// executes on one shard whatever Shards says. The run stays
-	// deterministic and produces results identical to Shards=0 — only
-	// wall-clock time changes. Clamped to the replica count. The flight
-	// recorder is sharded-safe: each shard records into its own sink and
-	// the streams merge deterministically, so every Obs layer — events,
-	// series, profile, attribution — exports byte-identically at every
-	// shard count. 0 or 1 = one shard; negative is an error.
+	// Shards partitions the replicas of a static round-robin run across
+	// parallel goroutines (replica i runs on shard i mod Shards, each with
+	// its own clock, and the run is one parallel drain). A routed run —
+	// any router but round-robin, migration, autoscaling, active chaos, a
+	// prefix index, or retained events — is one clock, with no barrier,
+	// whatever Shards says. Results and every Obs export are identical to
+	// Shards=0; only wall-clock time changes. Clamped to the replica
+	// count. 0 or 1 = one shard; negative is an error.
 	Shards int
 
 	// Chaos injects faults on the virtual clock — replica crashes,
