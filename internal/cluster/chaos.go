@@ -121,6 +121,8 @@ type chaosRuntime struct {
 	repinQueue []repinJob
 	copying    map[copyKey]bool
 	failed     []*request.Request
+	// backups is backupsFor's reused result buffer.
+	backups []*replica
 
 	// linkDown maps a flapped pair to the instant it recovers; flights is
 	// the in-flight pin-transfer registry aborts tear down.
@@ -492,8 +494,11 @@ func (c *Cluster) replicateTick(now simclock.Time) {
 		if c.cfg.Autoscale != nil && src.state != autoscale.Active {
 			continue
 		}
+		// The copies below only book transfers, so the backups stay the
+		// same for every prefix of src.
+		backups := c.backupsFor(src, spec.Redundancy-1)
 		for _, info := range src.kv.HottestPrefixes(0) {
-			for _, dst := range c.backupsFor(src, spec.Redundancy-1) {
+			for _, dst := range backups {
 				if c.chaos.replicationsInFlight >= replicateConcurrency {
 					return
 				}
@@ -533,9 +538,10 @@ func (c *Cluster) replicateTick(now simclock.Time) {
 }
 
 // backupsFor lists the next n in-service replicas after src in id order
-// (wrapping) — the deterministic backup assignment of the redundancy loop.
+// (wrapping) — the deterministic backup assignment of the redundancy loop —
+// into a buffer the cluster reuses, valid until the next call.
 func (c *Cluster) backupsFor(src *replica, n int) []*replica {
-	var out []*replica
+	out := c.chaos.backups[:0]
 	for off := 1; off < len(c.replicas) && len(out) < n; off++ {
 		peer := c.replicas[(src.id+off)%len(c.replicas)]
 		if peer.eng.Crashed() {
@@ -546,5 +552,6 @@ func (c *Cluster) backupsFor(src *replica, n int) []*replica {
 		}
 		out = append(out, peer)
 	}
+	c.chaos.backups = out
 	return out
 }

@@ -862,8 +862,7 @@ func (c *Cluster) Run(w trace.Workload) (*Result, error) {
 			}
 			rep, holders := c.route(id, it)
 			rep.routed++
-			r := request.New(id, now, it.PromptLen, it.OutputLen, it.Rate)
-			r.Session, r.Turn = it.Session, it.Turn
+			r := c.newRequest(id, it, now)
 			if c.maybeMigrate(r, it, rep, holders, now) {
 				return // Inject happens when the KV arrives.
 			}

@@ -13,7 +13,6 @@ package cluster
 import (
 	"repro/internal/autoscale"
 	"repro/internal/obs"
-	"repro/internal/request"
 	"repro/internal/simclock"
 	"repro/internal/trace"
 )
@@ -83,8 +82,7 @@ func (c *Cluster) gatewayAdmit(id int, it trace.Item, now simclock.Time) {
 			int64(it.PromptLen), int64(it.OutputLen), 0, 0, "")
 		return
 	}
-	r := request.New(id, now, it.PromptLen, it.OutputLen, it.Rate)
-	r.Session, r.Turn = it.Session, it.Turn
+	r := c.newRequest(id, it, now)
 	c.gateway = append(c.gateway, r)
 	c.ctr.GatewayBuffered++
 	c.rec.Emit(now, obs.KindGatewayBuffer, -1, id, it.Session,

@@ -73,8 +73,9 @@ type shard struct {
 	// (nil when the layer is off); see Cluster.recFor.
 	rec  *obs.Recorder
 	prof *obs.Profiler
-	// arena batch-allocates fast-path arrival requests on the shard that
-	// will serve them, keeping the hot-path allocator uncontended.
+	// arena batch-allocates arrival requests on the shard that will serve
+	// them: the fast path's on every shard, a routed run's on shard 0
+	// (newRequest), keeping the hot-path allocator uncontended.
 	arena request.Arena
 }
 
@@ -89,6 +90,15 @@ func (sh *shard) run(deadline simclock.Time) {
 	for sh.due(deadline) {
 		sh.clock.Step()
 	}
+}
+
+// newRequest carves a routed arrival's request out of shard 0's arena: a
+// routed run is that one shard, and its coordinator runs on shard 0's
+// clock.
+func (c *Cluster) newRequest(id int, it trace.Item, now simclock.Time) *request.Request {
+	r := c.shards[0].arena.New(id, now, it.PromptLen, it.OutputLen, it.Rate)
+	r.Session, r.Turn = it.Session, it.Turn
+	return r
 }
 
 // shardOf maps a replica id to its owning shard.

@@ -25,14 +25,20 @@ type Scheduler struct {
 	FallbackPasses  int64
 	SwapsApplied    int64
 
-	// Full-pass scratch, grown on first use and reused by every later
-	// pass, so a pass allocates only the Decision it returns. It makes a
-	// Scheduler unsafe for concurrent use: each engine owns its own.
+	// Pass scratch, grown on first use and reused by every later pass, so
+	// a warmed pass allocates nothing. admit and preempt back the returned
+	// Decision's slices, valid until the next Decide (see the sched package
+	// comment); pre is fcfsFallback's arrival-ordered copy of Preempted.
+	// The scratch makes a Scheduler unsafe for concurrent use: each engine
+	// owns its own.
 	admitted  []*request.Request
 	cands     []candidate
 	order     []int
 	sel, best []bool
 	ordered   []candidate
+	admit     []sched.Admission
+	preempt   []*request.Request
+	pre       []*request.Request
 }
 
 // New constructs the scheduler, normalizing the config.
@@ -167,7 +173,7 @@ func (s *Scheduler) canSurviveSwap(v *sched.View, r *request.Request) bool {
 // lightPass is the non-stressed path: prefill-first FCFS admission into
 // free memory, plus urgent resumes of preempted streams about to starve.
 func (s *Scheduler) lightPass(v *sched.View) sched.Decision {
-	var d sched.Decision
+	admit := s.admit[:0]
 	avail := v.FreeTokens - v.BacklogTokens()
 	slots := v.SlotsFree()
 	for _, r := range v.Preempted {
@@ -178,7 +184,7 @@ func (s *Scheduler) lightPass(v *sched.View) sched.Decision {
 		if need > avail || slots <= 0 {
 			continue
 		}
-		d.Admit = append(d.Admit, sched.Admission{Req: r, Mode: s.resumeMode(v, r)})
+		admit = append(admit, sched.Admission{Req: r, Mode: s.resumeMode(v, r)})
 		avail -= need
 		slots--
 	}
@@ -186,9 +192,23 @@ func (s *Scheduler) lightPass(v *sched.View) sched.Decision {
 		if r.PromptLen > avail || slots <= 0 {
 			break
 		}
-		d.Admit = append(d.Admit, sched.Admission{Req: r})
+		admit = append(admit, sched.Admission{Req: r})
 		avail -= r.PromptLen
 		slots--
+	}
+	return s.decision(admit, s.preempt[:0])
+}
+
+// decision keeps the filled buffers for the next pass and returns them as
+// a Decision, an empty one as nil like a slice appended from nil.
+func (s *Scheduler) decision(admit []sched.Admission, preempt []*request.Request) sched.Decision {
+	s.admit, s.preempt = admit, preempt
+	var d sched.Decision
+	if len(admit) > 0 {
+		d.Admit = admit
+	}
+	if len(preempt) > 0 {
+		d.Preempt = preempt
 	}
 	return d
 }
@@ -293,18 +313,19 @@ func (s *Scheduler) overloaded(v *sched.View) bool {
 // fcfsFallback schedules strictly by arrival within device memory (§4.3):
 // no buffer balancing, no new working-set growth beyond what fits.
 func (s *Scheduler) fcfsFallback(v *sched.View) sched.Decision {
-	var d sched.Decision
+	admit := s.admit[:0]
 	avail := v.FreeTokens - v.BacklogTokens()
 	slots := v.SlotsFree()
 	// Resume preempted in arrival order first, then fresh arrivals.
-	pre := append([]*request.Request(nil), v.Preempted...)
+	pre := append(s.pre[:0], v.Preempted...)
+	s.pre = pre
 	slices.SortStableFunc(pre, func(a, b *request.Request) int { return cmp.Compare(a.Arrival, b.Arrival) })
 	for _, r := range pre {
 		need := r.PromptLen + r.Generated
 		if need > avail || slots <= 0 {
 			continue
 		}
-		d.Admit = append(d.Admit, sched.Admission{Req: r, Mode: s.resumeMode(v, r)})
+		admit = append(admit, sched.Admission{Req: r, Mode: s.resumeMode(v, r)})
 		avail -= need
 		slots--
 	}
@@ -312,11 +333,11 @@ func (s *Scheduler) fcfsFallback(v *sched.View) sched.Decision {
 		if r.PromptLen > avail || slots <= 0 {
 			break
 		}
-		d.Admit = append(d.Admit, sched.Admission{Req: r})
+		admit = append(admit, sched.Admission{Req: r})
 		avail -= r.PromptLen
 		slots--
 	}
-	return d
+	return s.decision(admit, s.preempt[:0])
 }
 
 // candidate is one working-set member under buffer balancing.
@@ -496,22 +517,10 @@ func (s *Scheduler) fullPass(v *sched.View) sched.Decision {
 	// candidate position.
 	selected, _ := s.selectCandidates(cands, budget, slots)
 
-	// The Decision's slices are sized up front: they are the only
-	// allocations of a warmed pass.
-	var d sched.Decision
-	victim := func(i int) bool { return cands[i].resident && !selected[i] && !cands[i].committed }
-	nPreempt := 0
-	for i := range cands {
-		if victim(i) {
-			nPreempt++
-		}
-	}
-	if nPreempt > 0 {
-		d.Preempt = make([]*request.Request, 0, nPreempt)
-		for i := range cands {
-			if victim(i) {
-				d.Preempt = append(d.Preempt, cands[i].req)
-			}
+	preempt := s.preempt[:0]
+	for i, c := range cands {
+		if c.resident && !selected[i] && !c.committed {
+			preempt = append(preempt, c.req)
 		}
 	}
 	// Admissions in utility order so the engine applies the most urgent
@@ -524,17 +533,15 @@ func (s *Scheduler) fullPass(v *sched.View) sched.Decision {
 	}
 	s.ordered = ordered
 	slices.SortStableFunc(ordered, func(a, b candidate) int { return orderBy(a, b, utilityBefore) })
-	if len(ordered) > 0 {
-		d.Admit = make([]sched.Admission, 0, len(ordered))
-	}
+	admit := s.admit[:0]
 	for _, c := range ordered {
 		adm := sched.Admission{Req: c.req}
 		if c.req.State == request.StatePreempted {
 			adm.Mode = s.resumeMode(v, c.req)
 		}
-		d.Admit = append(d.Admit, adm)
+		admit = append(admit, adm)
 	}
-	return d
+	return s.decision(admit, preempt)
 }
 
 // orderBy turns a strict "sorts before" predicate into a three-way

@@ -215,6 +215,8 @@ type prefillJob struct {
 	// resume marks a recompute resume (no first-token semantics: the
 	// request already streamed tokens before preemption).
 	resume bool
+	// nextFree links the job into the engine's free list (jobFree).
+	nextFree *prefillJob
 }
 
 // Engine simulates one device.
@@ -252,6 +254,9 @@ type Engine struct {
 	// crashed marks a replica killed by chaos fault injection: the loop
 	// refuses to schedule until the cluster backfills it (ClearCrashed).
 	crashed bool
+	// timedOut records that the driving cluster stopped the run at its
+	// deadline (MarkTimedOut).
+	timedOut bool
 	// slowdown > 1 is a chaos brownout: every launched iteration's duration
 	// multiplies by it (the slow-node model). 0 or 1 is full speed.
 	slowdown float64
@@ -290,9 +295,13 @@ type Engine struct {
 	advancing  bool
 	// unfused turns fused decode runs off, leaving one clock event per
 	// iteration: the test reference (export_test.go), never set outside
-	// tests. The three flags share one word, which keeps Engine (with its
-	// malloc header) in the 1,024-byte size class.
+	// tests. The three flags share one word with iterKind, as timedOut
+	// shares gpuBusy's, which keeps Engine (with its malloc header) in the
+	// 1,024-byte size class.
 	unfused bool
+	// iterKind tags the in-flight iteration (see the completion state
+	// below).
+	iterKind iterKind
 
 	// run is the fused run of quiet decode iterations (run.go), nil until
 	// the engine's first.
@@ -305,11 +314,13 @@ type Engine struct {
 	iterDoneFn  func(simclock.Time)
 	stallDoneFn func(simclock.Time)
 	kickFn      func(simclock.Time)
-	iterKind    iterKind
 	iterJobs    []*prefillJob // prefill: the launched job batch (reused)
 	iterJob     *prefillJob   // mixed: chunked head job, nil when none
-	iterTokens  int           // prefill/mixed: prompt tokens this iteration
-	iterDur     time.Duration
+	// jobFree is the free list of completed prefill jobs, linked through
+	// nextFree (see newJob).
+	jobFree    *prefillJob
+	iterTokens int // prefill/mixed: prompt tokens this iteration
+	iterDur    time.Duration
 
 	// onFirstToken, when set, observes every fresh request's first output
 	// token (the cluster feeds its windowed TTFT estimator from it). Pure
@@ -346,8 +357,6 @@ type Engine struct {
 	decodeIters   int64
 	mixedIters    int64
 	boundaryStall time.Duration
-
-	timedOut bool
 
 	// Session prefix-cache accounting. The cache itself lives in the KV
 	// manager as pinned page-pool reservations (kvcache prefix pins); hits

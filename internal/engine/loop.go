@@ -126,11 +126,11 @@ func (e *Engine) preemptRunning(r *request.Request, now simclock.Time) {
 func (e *Engine) admitFresh(r *request.Request) {
 	e.quietUntil = 0
 	e.waiting = removeReq(e.waiting, r)
-	e.backlog = append(e.backlog, &prefillJob{
+	e.backlog = append(e.backlog, e.newJob(prefillJob{
 		req:    r,
 		target: r.PromptLen - r.CachedPrompt,
 		alloc:  r.PromptLen,
-	})
+	}))
 	e.obs.Emit(e.clock.Now(), obs.KindAdmit, e.obsReplica, r.ID, r.Session,
 		int64(r.PromptLen-r.CachedPrompt), int64(r.PromptLen), 0, 0, "")
 }
@@ -172,12 +172,12 @@ func (e *Engine) resume(r *request.Request, mode sched.ResumeMode, now simclock.
 	r.Resumes++
 	e.quietUntil = 0
 	e.preempted = removeReq(e.preempted, r)
-	e.backlog = append(e.backlog, &prefillJob{
+	e.backlog = append(e.backlog, e.newJob(prefillJob{
 		req:    r,
 		target: r.PromptLen + r.Generated,
 		alloc:  r.PromptLen + r.Generated,
 		resume: true,
-	})
+	}))
 	e.track.Transition(r, request.StateQueued)
 	e.obs.Emit(now, obs.KindResume, e.obsReplica, r.ID, r.Session,
 		int64(r.PromptLen), int64(r.Generated), 0, 0, "recompute")
@@ -332,12 +332,12 @@ func (e *Engine) completeIteration(t simclock.Time) {
 	case iterMixed:
 		e.mixedIters++
 		if j := e.iterJob; j != nil {
+			e.iterJob = nil
 			j.done += e.iterTokens
 			if j.done >= j.target {
 				e.completePrefill(j, t)
 			}
 			e.observePrefill(e.iterDur, e.iterTokens)
-			e.iterJob = nil
 		}
 		e.advanceDecode(e.batchBuf, e.batchKV, t)
 	case iterDecode:
@@ -439,12 +439,29 @@ func (e *Engine) ensureAllocated(j *prefillJob, now simclock.Time) bool {
 	return true
 }
 
+// newJob takes a job from the free list, or allocates one, and sets it.
+func (e *Engine) newJob(v prefillJob) *prefillJob {
+	j := e.jobFree
+	if j == nil {
+		j = new(prefillJob)
+	} else {
+		e.jobFree = j.nextFree
+	}
+	*j = v
+	return j
+}
+
 // completePrefill finishes a prefill job: the prompt (or recomputed
-// context) is resident and the forward pass yields one token.
+// context) is resident and the forward pass yields one token. The job
+// leaves the backlog and goes back to the free list: the caller reads it
+// no more, and the launched batch that still lists it is rebuilt, from
+// [:0], before the next prefill iteration reads it.
 func (e *Engine) completePrefill(j *prefillJob, now simclock.Time) {
 	r := j.req
 	r.PrefilledTokens = r.PromptLen
 	e.backlog = removeJob(e.backlog, j)
+	*j = prefillJob{nextFree: e.jobFree}
+	e.jobFree = j
 	e.addRunning(r)
 	e.track.Transition(r, request.StateRunning)
 	if !r.GenerationDone() {

@@ -32,16 +32,17 @@ func (m *Manager) Crash() (pinsLost, mirrorsLost int) {
 	m.syncOrder = nil
 	// Walk the recency lists, not the maps: unpublication order must be
 	// deterministic for the index traffic ledger and event stream.
-	for el := m.pinOrder.Front(); el != nil; {
-		p := el.Value.(*pin)
-		el = el.Next()
+	for p := m.pinOrder.front; p != nil; {
+		next := p.next
 		m.removePin(p)
+		m.freePin(p)
+		p = next
 		pinsLost++
 	}
-	for el := m.hostPinOrder.Front(); el != nil; {
-		hp := el.Value.(*hostPin)
-		el = el.Next()
+	for hp := m.hostPinOrder.front; hp != nil; {
+		next := hp.next
 		m.dropHostMirror(hp)
+		hp = next
 		mirrorsLost++
 	}
 	m.free = m.cfg.GPUPages

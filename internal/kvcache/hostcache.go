@@ -19,7 +19,6 @@ package kvcache
 // copy remains on this replica even after the device copy leaves).
 
 import (
-	"container/list"
 	"time"
 
 	"repro/internal/fabric"
@@ -38,9 +37,9 @@ type hostPin struct {
 	readyAt simclock.Time
 	// reloading marks a mirror whose h2d transfer is on the wire.
 	reloading bool
-	// elem is the mirror's node in the manager's recency order (budget
-	// drop order under Config.HostCachePages).
-	elem *list.Element
+	// prev and next link the mirror into the manager's recency order
+	// (hostPinLRU; the budget drop order under Config.HostCachePages).
+	prev, next *hostPin
 }
 
 // HostCacheEnabled reports whether evicted pins leave reloadable mirrors.
@@ -75,17 +74,18 @@ func (m *Manager) HostMirrorBytes() int64 {
 }
 
 // dropHostMirror releases one mirror's host pages (budget eviction,
-// replacement by a larger mirror, or consumption by a reload).
+// replacement by a larger mirror, or consumption by a reload) and returns
+// the mirror to the free list.
 func (m *Manager) dropHostMirror(hp *hostPin) {
 	delete(m.hostPins, hp.session)
-	m.hostPinOrder.Remove(hp.elem)
-	hp.elem = nil
+	m.hostPinOrder.remove(hp)
 	m.hostMirroredPages -= hp.pages
 	m.obs.Emit(m.clock.Now(), obs.KindKVMirrorDrop, m.obsReplica, -1, hp.session,
 		int64(hp.tokens), int64(hp.pages), 0, 0, "")
 	if m.pubMirror != nil {
 		m.pubMirror(hp.session, 0)
 	}
+	m.freeHostPin(hp)
 }
 
 // enforceHostBudget drops the oldest non-reloading mirrors until the
@@ -94,13 +94,12 @@ func (m *Manager) enforceHostBudget() {
 	if m.cfg.HostCachePages <= 0 {
 		return
 	}
-	for el := m.hostPinOrder.Back(); el != nil && m.hostMirroredPages > m.cfg.HostCachePages; {
-		hp := el.Value.(*hostPin)
-		el = el.Prev()
-		if hp.reloading {
-			continue
+	for hp := m.hostPinOrder.back; hp != nil && m.hostMirroredPages > m.cfg.HostCachePages; {
+		prev := hp.prev
+		if !hp.reloading {
+			m.dropHostMirror(hp)
 		}
-		m.dropHostMirror(hp)
+		hp = prev
 	}
 }
 
@@ -121,8 +120,8 @@ func (m *Manager) insertMirror(session, tokens, pages int, readyAt simclock.Time
 		}
 		m.dropHostMirror(old)
 	}
-	hp := &hostPin{session: session, tokens: tokens, pages: pages, readyAt: readyAt}
-	hp.elem = m.hostPinOrder.PushFront(hp)
+	hp := m.newHostPin(session, tokens, pages, readyAt)
+	m.hostPinOrder.pushFront(hp)
 	m.hostPins[session] = hp
 	m.hostMirroredPages += pages
 	m.obs.Emit(m.clock.Now(), obs.KindKVMirror, m.obsReplica, -1, session,
@@ -211,13 +210,14 @@ func (m *Manager) ReloadMirror(session int, class fabric.Class, now simclock.Tim
 		}
 		m.touch(true)
 		hp.reloading = false
-		_, pinned := m.pins[hp.session]
-		installed := !pinned && hp.pages <= m.cfg.PrefixPages &&
-			m.placePin(hp.session, hp.tokens, hp.pages, t)
+		session, tokens, pages := hp.session, hp.tokens, hp.pages
+		_, pinned := m.pins[session]
+		installed := !pinned && pages <= m.cfg.PrefixPages &&
+			m.placePin(session, tokens, pages, t)
 		if class == fabric.ClassReload {
 			if installed {
 				m.hostReloads++
-				m.hostReloadTokens += int64(hp.tokens)
+				m.hostReloadTokens += int64(tokens)
 			} else {
 				m.hostReloadDrops++
 			}
@@ -225,7 +225,8 @@ func (m *Manager) ReloadMirror(session int, class fabric.Class, now simclock.Tim
 		// Under a host-memory budget the install consumes the mirror: the
 		// KV is back on the device, and a later eviction re-mirrors it for
 		// free. Unbudgeted tiers keep the historical keep-forever behavior.
-		if installed && m.cfg.HostCachePages > 0 {
+		// placePin's evictions may already have dropped (and recycled) it.
+		if installed && m.cfg.HostCachePages > 0 && m.hostPins[session] == hp {
 			m.dropHostMirror(hp)
 		}
 	})

@@ -7,10 +7,16 @@
 //
 // Each policy is a switch so the Table 2 ablations (w/o offload, w/o
 // write-through, w/o evict-load overlap) run on the same code path.
+//
+// A warmed manager allocates nothing per request: entries, prefix pins and
+// host mirrors come from per-manager free lists, the pin and mirror
+// recency orders are intrusive lists, and resume loads complete through a
+// FIFO (recycle.go). A recycled entry keeps its epoch, and every
+// retirement bumps it, so a Handle, sync landing or load booked for an
+// earlier occupant never matches the next one.
 package kvcache
 
 import (
-	"container/list"
 	"fmt"
 
 	"repro/internal/fabric"
@@ -212,19 +218,30 @@ type Manager struct {
 	// landings is the FIFO of booked sync chunks not yet settled (see
 	// BackgroundSync).
 	landings []landing
+	// pendingLoads[loadHead:] is the FIFO of booked resume loads not yet
+	// complete, and loadDoneFn the one clock callback that completes them
+	// (see bookLoad).
+	pendingLoads []pendingLoad
+	loadHead     int
+	loadDoneFn   func(simclock.Time)
 
 	// Session prefix pins (see prefix.go).
 	pins            map[int]*pin
-	pinOrder        *list.List // Front = most recently used
+	pinOrder        pinLRU
 	pinnedPages     int
 	peakPinnedPages int
 
 	// Host-tier prefix mirrors (see hostcache.go). hostPinOrder keeps
-	// mirror recency (Front = most recently created or refreshed) for the
+	// mirror recency (front = most recently created or refreshed) for the
 	// HostCachePages budget's drop order.
 	hostPins          map[int]*hostPin
-	hostPinOrder      *list.List
+	hostPinOrder      hostPinLRU
 	hostMirroredPages int
+
+	// Free lists of retired entries, pins and host mirrors (recycle.go).
+	entryFree   []*entry
+	pinFree     []*pin
+	hostPinFree []*hostPin
 
 	// obs is the optional flight recorder (nil = off, free); obsReplica
 	// is the replica id stamped on emitted events.
@@ -273,19 +290,17 @@ func New(cfg Config, clock *simclock.Clock, ep *fabric.Endpoint, cb Callbacks) (
 		return nil, fmt.Errorf("kvcache: fabric endpoint %d has no host links", ep.Replica())
 	}
 	return &Manager{
-		cfg:          cfg,
-		clock:        clock,
-		ep:           ep,
-		d2h:          ep.D2H(),
-		h2d:          ep.H2D(),
-		cb:           cb,
-		free:         cfg.GPUPages,
-		entries:      make(map[int]*entry),
-		pins:         make(map[int]*pin),
-		pinOrder:     list.New(),
-		hostPins:     make(map[int]*hostPin),
-		hostPinOrder: list.New(),
-		obsReplica:   -1,
+		cfg:        cfg,
+		clock:      clock,
+		ep:         ep,
+		d2h:        ep.D2H(),
+		h2d:        ep.H2D(),
+		cb:         cb,
+		free:       cfg.GPUPages,
+		entries:    make(map[int]*entry),
+		pins:       make(map[int]*pin),
+		hostPins:   make(map[int]*hostPin),
+		obsReplica: -1,
 	}, nil
 }
 
@@ -461,6 +476,7 @@ func (m *Manager) Discard(r *request.Request) {
 	m.discards++
 	delete(m.entries, r.ID)
 	m.dropFromSyncOrder(e)
+	m.freeEntry(e)
 }
 
 // dropFromSyncOrder removes an entry from the write-through queue.

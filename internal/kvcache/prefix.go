@@ -1,7 +1,6 @@
 package kvcache
 
 import (
-	"container/list"
 	"fmt"
 
 	"repro/internal/fabric"
@@ -37,8 +36,8 @@ type pin struct {
 	// migrating marks a pin whose pages are on the interconnect wire; it
 	// is excluded from eviction, adoption, and hits until released.
 	migrating bool
-	// elem is the pin's node in the manager's LRU order.
-	elem *list.Element
+	// prev and next link the pin into the manager's LRU order (pinLRU).
+	prev, next *pin
 }
 
 // PrefixEnabled reports whether the manager pins session prefixes.
@@ -72,14 +71,14 @@ func (m *Manager) TakePrefix(session int) int {
 
 // touchPin moves a pin to the MRU end of the eviction order.
 func (m *Manager) touchPin(p *pin) {
-	m.pinOrder.MoveToFront(p.elem)
+	m.pinOrder.moveToFront(p)
 }
 
 // insertPin registers a new pin as most recently used and charges its
 // pages to the pinned total.
 func (m *Manager) insertPin(p *pin) {
 	m.pins[p.session] = p
-	p.elem = m.pinOrder.PushFront(p)
+	m.pinOrder.pushFront(p)
 	m.pinnedPages += p.pages
 	if m.pinnedPages > m.peakPinnedPages {
 		m.peakPinnedPages = m.pinnedPages
@@ -97,8 +96,7 @@ func (m *Manager) insertPin(p *pin) {
 // supersession, migration completion, install replacement, crash.
 func (m *Manager) removePin(p *pin) {
 	delete(m.pins, p.session)
-	m.pinOrder.Remove(p.elem)
-	p.elem = nil
+	m.pinOrder.remove(p)
 	m.pinnedPages -= p.pages
 	if m.pubPin != nil {
 		m.pubPin(p.session, 0)
@@ -133,12 +131,10 @@ func (m *Manager) ReleaseAsPrefix(r *request.Request, session int, now simclock.
 		// Superseded: the finishing turn's context extends the old pin.
 		m.removePin(old)
 		m.free += old.pages
+		m.freePin(old)
 	}
 
-	p := &pin{session: session, tokens: tokens, pages: e.gpuHeld}
-	if p.synced = e.synced; p.synced > p.pages {
-		p.synced = p.pages
-	}
+	p := m.newPin(session, tokens, e.gpuHeld, min(e.synced, e.gpuHeld))
 	// Detach the request entry, keeping its pages charged to the pool
 	// (they now belong to the pin). In-flight sync chunks are invalidated;
 	// their progress is not counted.
@@ -147,30 +143,32 @@ func (m *Manager) ReleaseAsPrefix(r *request.Request, session int, now simclock.
 	e.res = ResNone
 	delete(m.entries, r.ID)
 	m.dropFromSyncOrder(e)
+	m.freeEntry(e)
 
 	m.insertPin(p)
 	m.prefixPins++
 	// Enforce the budget: the freshly pinned context is MRU, so overflow
 	// evicts other sessions in LRU order.
 	for m.pinnedPages > m.cfg.PrefixPages {
-		if m.evictLRUPin(now, session) == nil {
+		if _, ok := m.evictLRUPin(now, session); !ok {
 			break
 		}
 	}
 }
 
 // evictLRUPin evicts the least-recently-used non-migrating pin, skipping
-// the excluded session, and returns it (nil when no pin is evictable).
-func (m *Manager) evictLRUPin(now simclock.Time, exclude int) *pin {
-	for el := m.pinOrder.Back(); el != nil; el = el.Prev() {
-		p := el.Value.(*pin)
+// the excluded session, and reports the evicted pin's pages (ok false
+// when no pin is evictable).
+func (m *Manager) evictLRUPin(now simclock.Time, exclude int) (pages int, ok bool) {
+	for p := m.pinOrder.back; p != nil; p = p.prev {
 		if p.migrating || p.session == exclude {
 			continue
 		}
+		pages = p.pages
 		m.evictPin(p, now)
-		return p
+		return pages, true
 	}
-	return nil
+	return 0, false
 }
 
 // evictPin drops one pin under pressure. Synced pages free immediately.
@@ -179,26 +177,29 @@ func (m *Manager) evictLRUPin(now simclock.Time, exclude int) *pin {
 // completes; without offload there is no host tier to mirror into, so the
 // pages discard instantly — the same rule request preemption follows.
 // Under HostCache the completed mirror outlives the pin: a later turn can
-// reload it over h2d instead of recomputing (see hostcache.go).
+// reload it over h2d instead of recomputing (see hostcache.go). The pin
+// goes back to the free list.
 func (m *Manager) evictPin(p *pin, now simclock.Time) {
 	m.removePin(p)
 	m.prefixEvictions++
-	m.obs.Emit(now, obs.KindKVEvict, m.obsReplica, -1, p.session,
-		int64(p.tokens), int64(p.pages), 0, 0, "")
-	dirty := p.pages - p.synced
+	session, tokens, pages, synced := p.session, p.tokens, p.pages, p.synced
+	m.freePin(p)
+	m.obs.Emit(now, obs.KindKVEvict, m.obsReplica, -1, session,
+		int64(tokens), int64(pages), 0, 0, "")
+	dirty := pages - synced
 	if !m.cfg.Offload {
-		m.free += p.pages
+		m.free += pages
 		return
 	}
-	m.free += p.synced
+	m.free += synced
 	if dirty <= 0 {
-		m.insertMirror(p.session, p.tokens, p.pages, now)
+		m.insertMirror(session, tokens, pages, now)
 		return
 	}
 	bytes := int64(dirty) * m.PageBytes()
 	m.prefixBytesDrained += bytes
 	_, done := m.ep.EnqueueD2H(fabric.ClassEvict, now, bytes)
-	m.insertMirror(p.session, p.tokens, p.pages, done)
+	m.insertMirror(session, tokens, pages, done)
 	crashEpoch := m.crashEpoch
 	m.clock.At(done, func(t simclock.Time) {
 		if m.crashEpoch != crashEpoch {
@@ -227,12 +228,12 @@ func (m *Manager) ReclaimPrefixPages(need int, now simclock.Time, exclude int) i
 	freed, draining := 0, 0
 	for freed+draining < need {
 		before := m.free
-		p := m.evictLRUPin(now, exclude)
-		if p == nil {
+		pages, ok := m.evictLRUPin(now, exclude)
+		if !ok {
 			break
 		}
 		freed += m.free - before
-		draining += p.pages - (m.free - before)
+		draining += pages - (m.free - before)
 	}
 	return freed
 }
@@ -284,6 +285,7 @@ func (m *Manager) AllocateWithPrefix(r *request.Request, contextTokens, session 
 			m.free += p.pages
 			adopted = p.synced
 			m.prefixAdopts++
+			m.freePin(p)
 		}
 	}
 	pages := m.Pages(contextTokens)
@@ -291,10 +293,9 @@ func (m *Manager) AllocateWithPrefix(r *request.Request, contextTokens, session 
 		return fmt.Errorf("kvcache: request %d needs %d pages, %d free", r.ID, pages, m.free)
 	}
 	m.free -= pages
-	e := &entry{req: r, res: ResGPU, pages: pages, gpuHeld: pages}
-	if e.synced = adopted; e.synced > pages {
-		e.synced = pages
-	}
+	e := m.newEntry()
+	e.req, e.res, e.pages, e.gpuHeld = r, ResGPU, pages, pages
+	e.synced = min(adopted, pages)
 	m.entries[r.ID] = e
 	m.syncOrder = append(m.syncOrder, e)
 	return nil
@@ -315,12 +316,11 @@ type PrefixInfo struct {
 // most likely to return, and to empty a draining replica. Probing does not
 // perturb the eviction order.
 func (m *Manager) HottestPrefixes(k int) []PrefixInfo {
-	if k <= 0 || k > m.pinOrder.Len() {
-		k = m.pinOrder.Len()
+	if k <= 0 || k > m.pinOrder.n {
+		k = m.pinOrder.n
 	}
 	out := make([]PrefixInfo, 0, k)
-	for el := m.pinOrder.Front(); el != nil && len(out) < k; el = el.Next() {
-		p := el.Value.(*pin)
+	for p := m.pinOrder.front; p != nil && len(out) < k; p = p.next {
 		if p.migrating {
 			continue
 		}
@@ -333,8 +333,8 @@ func (m *Manager) HottestPrefixes(k int) []PrefixInfo {
 // not staked for migration out, without building the list.
 func (m *Manager) ServablePins() int {
 	n := 0
-	for el := m.pinOrder.Front(); el != nil; el = el.Next() {
-		if !el.Value.(*pin).migrating {
+	for p := m.pinOrder.front; p != nil; p = p.next {
+		if !p.migrating {
 			n++
 		}
 	}
@@ -403,6 +403,7 @@ func (m *Manager) CompleteMigrateOut(session int) {
 	m.removePin(p)
 	m.free += p.pages
 	m.migratedOutTokens += int64(p.tokens)
+	m.freePin(p)
 }
 
 // InstallPrefix materializes a migrated-in prefix as a pin on this
@@ -429,6 +430,7 @@ func (m *Manager) InstallPrefix(session, tokens int, now simclock.Time) bool {
 		}
 		m.removePin(old)
 		m.free += old.pages
+		m.freePin(old)
 	}
 	if !m.placePin(session, tokens, pages, now) {
 		m.migrationDrops++
@@ -452,10 +454,10 @@ func (m *Manager) placePin(session, tokens, pages int, now simclock.Time) bool {
 		return false
 	}
 	m.free -= pages
-	m.insertPin(&pin{session: session, tokens: tokens, pages: pages, synced: pages})
+	m.insertPin(m.newPin(session, tokens, pages, pages))
 	m.prefixPins++
 	for m.pinnedPages > m.cfg.PrefixPages {
-		if m.evictLRUPin(now, session) == nil {
+		if _, ok := m.evictLRUPin(now, session); !ok {
 			break
 		}
 	}

@@ -279,20 +279,7 @@ func (m *Manager) StartLoad(r *request.Request, now simclock.Time) (simclock.Tim
 	bytes := int64(e.pages) * m.PageBytes()
 	m.bytesLoaded += bytes
 	_, done := m.ep.EnqueueH2D(fabric.ClassLoad, start, bytes)
-	epoch := e.epoch
-	m.clock.At(done, func(t simclock.Time) {
-		if e.epoch != epoch {
-			return
-		}
-		m.touch(true)
-		e.res = ResGPU
-		// The host copy remains valid: only pages appended after resume
-		// are dirty (the incremental-update benefit of write-through).
-		e.synced = e.pages
-		if m.cb.LoadDone != nil {
-			m.cb.LoadDone(e.req, t)
-		}
-	})
+	m.bookLoad(e, done)
 	return done, nil
 }
 

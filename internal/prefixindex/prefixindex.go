@@ -241,6 +241,9 @@ type Index struct {
 	// mutate in place instead of paying a second map per session.
 	sessions map[int][]holderEnt
 	mirrors  map[int][]holderEnt
+	// spare holds emptied holder slices a session dropped, for setHolder
+	// to hand to the next session that gains its first holder.
+	spare [][]holderEnt
 
 	// pending is the in-flight publication queue, FIFO from head.
 	// Publications arrive in nondecreasing ApplyAt (emission order plus a
@@ -349,9 +352,9 @@ func (x *Index) apply(p *Pub) {
 	x.stats.Applied++
 	switch p.Kind {
 	case EvPin:
-		setHolder(x.sessions, p.Session, p.Replica, int(p.Val))
+		x.setHolder(x.sessions, p.Session, p.Replica, int(p.Val))
 	case EvMirror:
-		setHolder(x.mirrors, p.Session, p.Replica, int(p.Val))
+		x.setHolder(x.mirrors, p.Session, p.Replica, int(p.Val))
 	case EvLoad:
 		x.reps[p.Replica].updatedAt = p.At
 		x.board.SetQueue(p.Replica, int(p.Val))
@@ -375,8 +378,10 @@ type holderEnt struct {
 // setHolder updates a session's holder set, deleting zero entries so
 // holder scans stay proportional to live holders. Updating an existing
 // holder mutates the slice's backing array directly — no map write — so
-// the steady-state pin churn of a long session costs one map read.
-func setHolder(m map[int][]holderEnt, session, replica, tokens int) {
+// the steady-state pin churn of a long session costs one map read. A
+// session's emptied slice goes to spare, and the next session to gain its
+// first holder reuses it, so holder churn allocates nothing once warm.
+func (x *Index) setHolder(m map[int][]holderEnt, session, replica, tokens int) {
 	hs := m[session]
 	if tokens <= 0 {
 		for i := range hs {
@@ -385,6 +390,7 @@ func setHolder(m map[int][]holderEnt, session, replica, tokens int) {
 				hs[i] = hs[last]
 				if last == 0 {
 					delete(m, session)
+					x.spare = append(x.spare, hs[:0])
 				} else {
 					m[session] = hs[:last]
 				}
@@ -397,6 +403,12 @@ func setHolder(m map[int][]holderEnt, session, replica, tokens int) {
 		if int(hs[i].replica) == replica {
 			hs[i].tokens = int32(tokens)
 			return
+		}
+	}
+	if hs == nil {
+		if n := len(x.spare); n > 0 {
+			hs, x.spare[n-1] = x.spare[n-1], nil
+			x.spare = x.spare[:n-1]
 		}
 	}
 	m[session] = append(hs, holderEnt{replica: int32(replica), tokens: int32(tokens)})

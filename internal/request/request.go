@@ -172,7 +172,9 @@ func (r *Request) init(id int, arrival simclock.Time, promptLen, outputLen int, 
 // per-arrival allocator round-trip on million-request traces. Requests
 // live for the whole run (results reference them), so slots are never
 // reused — the arena amortizes allocation, it does not pool. One Arena
-// serves one goroutine: the cluster keeps one per shard.
+// serves one goroutine: the cluster keeps one per shard, and both the
+// round-robin fast path and routed runs (arrivals and the gateway) take
+// their requests from it.
 type Arena struct {
 	slab []Request
 }

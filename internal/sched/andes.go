@@ -25,6 +25,10 @@ import (
 type Andes struct {
 	lastDecision simclock.Time
 	decided      bool
+	// admit and preempt back the returned Decision's slices (see the
+	// package comment).
+	admit   []Admission
+	preempt []*request.Request
 }
 
 // Andes tuning used in the paper's comparisons.
@@ -141,7 +145,7 @@ func (a *Andes) decide(v *View) Decision {
 		slots--
 	}
 
-	var d Decision
+	preempt, admit := a.preempt[:0], a.admit[:0]
 	for _, r := range v.Running {
 		if selected[r.ID] {
 			continue
@@ -149,30 +153,32 @@ func (a *Andes) decide(v *View) Decision {
 		if !r.PrefillDone() || r.BufferSeconds() < andesProtectSeconds {
 			continue // never strand a stream mid-prefill or near-empty
 		}
-		d.Preempt = append(d.Preempt, r)
+		preempt = append(preempt, r)
 	}
 	for _, c := range cands {
 		if c.running || !selected[c.req.ID] {
 			continue
 		}
 		// Andes preemption is recompute-based: no host copy exists.
-		d.Admit = append(d.Admit, Admission{Req: c.req, Mode: ResumeRecompute})
+		admit = append(admit, Admission{Req: c.req, Mode: ResumeRecompute})
 	}
-	return d
+	a.preempt, a.admit = preempt, admit
+	return Decision{Admit: nonEmpty(admit), Preempt: nonEmpty(preempt)}
 }
 
 // admitOnly performs conservative FCFS admission between quanta.
 func (a *Andes) admitOnly(v *View) Decision {
-	var d Decision
+	admit := a.admit[:0]
 	avail := v.FreeTokens - v.BacklogTokens()
 	slots := v.SlotsFree()
 	for _, r := range v.Waiting {
 		if r.PromptLen > avail || slots <= 0 {
 			break
 		}
-		d.Admit = append(d.Admit, Admission{Req: r})
+		admit = append(admit, Admission{Req: r})
 		avail -= r.PromptLen
 		slots--
 	}
-	return d
+	a.admit = admit
+	return Decision{Admit: nonEmpty(admit)}
 }

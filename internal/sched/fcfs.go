@@ -17,6 +17,8 @@ type FCFS struct {
 	// chunkTokens bounds prompt tokens per mixed iteration; 0 disables
 	// chunking.
 	chunkTokens int
+	// admit backs the returned Decision.Admit (see the package comment).
+	admit []Admission
 }
 
 // sglangChunkTokens is the chunked baseline's prompt tokens per mixed
@@ -58,6 +60,7 @@ func (f *FCFS) Decide(v *View) Decision {
 	}
 	avail := v.FreeTokens - v.BacklogTokens() - int(fcfsHeadroom*float64(v.TotalTokens))
 	slots := v.SlotsFree()
+	admit := f.admit[:0]
 
 	// Victims of reactive eviction resume first (FCFS by arrival among
 	// them), otherwise head-of-line blocking would starve them forever.
@@ -70,7 +73,7 @@ func (f *FCFS) Decide(v *View) Decision {
 		if v.Mem != nil && v.Mem.HostBytes(r) > 0 {
 			mode = ResumeLoad
 		}
-		d.Admit = append(d.Admit, Admission{Req: r, Mode: mode})
+		admit = append(admit, Admission{Req: r, Mode: mode})
 		avail -= need
 		slots--
 	}
@@ -78,9 +81,11 @@ func (f *FCFS) Decide(v *View) Decision {
 		if r.PromptLen > avail || slots <= 0 {
 			break // strict FCFS: do not skip the head of the queue
 		}
-		d.Admit = append(d.Admit, Admission{Req: r})
+		admit = append(admit, Admission{Req: r})
 		avail -= r.PromptLen
 		slots--
 	}
+	f.admit = admit
+	d.Admit = nonEmpty(admit)
 	return d
 }

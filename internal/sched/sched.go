@@ -20,6 +20,12 @@
 // iteration boundary before it, skips building the view and calling
 // Decide. Zero makes no promise; simclock.Forever promises quiet until a
 // queue changes.
+//
+// A Decision's slices belong to the scheduler that returned it: a
+// scheduler refills the same buffers on every call, so a decision is valid
+// until the next Decide on the same scheduler. The engine consumes each
+// decision inside the kick that asked for it, before any later Decide; a
+// caller that keeps one past the next call must copy it.
 package sched
 
 import (
@@ -135,6 +141,15 @@ type Decision struct {
 	// QuietUntil is the scheduler's quiet horizon (zero: no promise). See
 	// the package documentation.
 	QuietUntil simclock.Time
+}
+
+// nonEmpty returns s, or nil when it is empty, so a decision built in a
+// reused buffer reads exactly like one built by appending to nil.
+func nonEmpty[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
 }
 
 // Scheduler makes admission/preemption decisions at iteration boundaries.

@@ -79,14 +79,70 @@ func (w Workload) Duration() simclock.Time {
 }
 
 // Merge combines workloads into one, re-sorted by arrival time. Merging is
-// stable for equal arrivals.
+// stable for equal arrivals: the result is the stable sort of the inputs'
+// concatenation. It is built as a k-way merge, since the generators' inputs
+// are already sorted: an input that is not is stable-sorted (in a copy)
+// first, and a heap of the inputs' heads breaks arrival ties by input
+// index. The inputs are not modified.
 func Merge(name string, ws ...Workload) Workload {
-	var out Workload
-	out.Name = name
+	out := Workload{Name: name}
+	byArrival := func(a, b Item) int { return cmp.Compare(a.Arrival, b.Arrival) }
+	var ins [][]Item
+	n := 0
 	for _, w := range ws {
-		out.Items = append(out.Items, w.Items...)
+		items := w.Items
+		if len(items) == 0 {
+			continue
+		}
+		if !slices.IsSortedFunc(items, byArrival) {
+			items = slices.Clone(items)
+			slices.SortStableFunc(items, byArrival)
+		}
+		ins = append(ins, items)
+		n += len(items)
 	}
-	slices.SortStableFunc(out.Items, func(a, b Item) int { return cmp.Compare(a.Arrival, b.Arrival) })
+	if n == 0 {
+		return out
+	}
+	out.Items = make([]Item, 0, n)
+	// h is a binary min-heap of indices into ins, ordered by head arrival
+	// and then by input index.
+	before := func(i, j int) bool {
+		a, b := ins[i][0].Arrival, ins[j][0].Arrival
+		return a < b || (a == b && i < j)
+	}
+	h := make([]int, len(ins))
+	for i := range h {
+		h[i] = i
+	}
+	down := func(k int) {
+		for {
+			c := 2*k + 1
+			if c >= len(h) {
+				return
+			}
+			if c+1 < len(h) && before(h[c+1], h[c]) {
+				c++
+			}
+			if !before(h[c], h[k]) {
+				return
+			}
+			h[k], h[c] = h[c], h[k]
+			k = c
+		}
+	}
+	for k := len(h)/2 - 1; k >= 0; k-- {
+		down(k)
+	}
+	for len(h) > 0 {
+		i := h[0]
+		out.Items = append(out.Items, ins[i][0])
+		if ins[i] = ins[i][1:]; len(ins[i]) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
+	}
 	return out
 }
 

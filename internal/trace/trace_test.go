@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -379,5 +381,42 @@ func TestPropertyMergeValid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMergeMatchesStableSort holds the k-way Merge to the stable sort of
+// the inputs' concatenation on random inputs with many equal arrivals,
+// some of them unsorted, and checks that it leaves the inputs alone.
+func TestMergeMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for iter := 0; iter < 300; iter++ {
+		ws := make([]Workload, rng.Intn(8))
+		var want, before []Item
+		id := 0
+		for i := range ws {
+			items := make([]Item, rng.Intn(12))
+			for k := range items {
+				items[k] = Item{Arrival: simclock.Time(rng.Intn(6)), PromptLen: id}
+				id++
+			}
+			if rng.Intn(3) > 0 {
+				slices.SortStableFunc(items, func(a, b Item) int { return cmp.Compare(a.Arrival, b.Arrival) })
+			}
+			ws[i].Items = items
+			want = append(want, items...)
+		}
+		before = slices.Clone(want)
+		slices.SortStableFunc(want, func(a, b Item) int { return cmp.Compare(a.Arrival, b.Arrival) })
+		got := Merge("m", ws...)
+		if !slices.Equal(got.Items, want) {
+			t.Fatalf("iteration %d: merge %v, want %v", iter, got.Items, want)
+		}
+		var after []Item
+		for _, w := range ws {
+			after = append(after, w.Items...)
+		}
+		if !slices.Equal(after, before) {
+			t.Fatalf("iteration %d: merge modified its inputs", iter)
+		}
 	}
 }
