@@ -136,3 +136,39 @@ func TestLoadCompletionOutOfOrderPanics(t *testing.T) {
 	}()
 	m.bookLoad(e, 5)
 }
+
+// TestEvictionCycleAllocatesNothing holds a warmed release as prefix →
+// LRU eviction → host mirror → budget drop cycle to zero allocations. The
+// pins are fully synced, so an eviction books no drain.
+func TestEvictionCycleAllocatesNothing(t *testing.T) {
+	cfg := fullConfig()
+	cfg.PrefixPages, cfg.HostCache, cfg.HostCachePages = 20, true, 20
+	m, clock := quietManager(t, cfg)
+	const runs = 100
+	reqs := make([]*request.Request, runs+3) // AllocsPerRun adds one warm-up run
+	for i := range reqs {
+		reqs[i] = newReq(i+1, 160, 10)
+		reqs[i].PrefilledTokens = 160
+	}
+	turn := 0
+	cycle := func() {
+		r := reqs[turn]
+		turn++
+		if err := m.AllocateResident(r, 160); err != nil {
+			t.Fatal(err)
+		}
+		m.BackgroundSync(clock.Now(), time.Hour)
+		clock.RunUntil(m.d2h.BusyUntil())
+		m.ReleaseAsPrefix(r, turn, clock.Now()) // a new session each turn
+	}
+	cycle()
+	cycle()
+	evictions := m.Stats().PrefixEvictions
+	if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
+		t.Errorf("warmed eviction cycle allocated %v times, want 0", allocs)
+	}
+	if m.Stats().PrefixEvictions-evictions < runs || m.HostMirroredPages() == 0 {
+		t.Fatalf("the cycle did not evict into the host tier: %d evictions, %d mirrored pages",
+			m.Stats().PrefixEvictions-evictions, m.HostMirroredPages())
+	}
+}
