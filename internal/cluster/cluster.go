@@ -652,14 +652,13 @@ type Cluster struct {
 	// absent or inactive, which gates every chaos hook off the hot path.
 	chaos *chaosRuntime
 
-	// Flight recorder (see observe.go). rec/reg/prof are the nil-safe
-	// coordinator-side layers, cached so every emission site is one
-	// nil-guarded call. Each shard adds its own recorder and profiler:
-	// every emission routes by the event's replica (recFor / profFor) so
-	// each sink has exactly one writing goroutine, and the streams merge
-	// deterministically at collect. repSeries and linkSeries cache the
-	// per-replica and per-link series names, so per-tick recording builds
-	// no strings.
+	// Flight recorder (see observe.go). Each shard clock has one recorder
+	// and one profiler (shard.rec, shard.prof); rec and prof are shard 0's,
+	// cached so every coordinator emission site is one nil-guarded call.
+	// The coordinator runs on shard 0's clock, so its events land in the
+	// same sink as the engines' there. reg is the nil-safe series registry.
+	// repSeries and linkSeries cache the per-replica and per-link series
+	// names, so per-tick recording builds no strings.
 	rec        *obs.Recorder
 	reg        *obs.Registry
 	prof       *obs.Profiler
@@ -672,34 +671,15 @@ type Cluster struct {
 	ctr Counters
 }
 
-// recFor returns the recorder that must capture an event scoped to the
-// given replica: the owning shard's recorder. Cluster-scoped events
-// (replica < 0) land on the coordinator recorder. The coordinator may
-// write a shard recorder directly — a coordinator event runs on a routed
-// run's one goroutine (shards.go) — and each replica's events live in
-// exactly one recorder, so the merged order is independent of the shard
-// count.
+// recFor returns the recorder of the shard that owns the replica. Only
+// the round-robin fast path has several shards, and it retains no
+// events, so a run's exported stream is the one recorder of shard 0.
 func (c *Cluster) recFor(replica int) *obs.Recorder {
-	if replica < 0 {
-		return c.rec
-	}
 	return c.shardOf(replica).rec
-}
-
-// recorders lists the coordinator recorder followed by the shards'.
-func (c *Cluster) recorders() []*obs.Recorder {
-	recs := []*obs.Recorder{c.rec}
-	for _, sh := range c.shards {
-		recs = append(recs, sh.rec)
-	}
-	return recs
 }
 
 // profFor mirrors recFor for the phase profiler.
 func (c *Cluster) profFor(replica int) *obs.Profiler {
-	if replica < 0 {
-		return c.prof
-	}
 	return c.shardOf(replica).prof
 }
 
@@ -727,44 +707,34 @@ func New(cfg Config, build BuildEngine) (*Cluster, error) {
 		c.shards = append(c.shards, &shard{id: s, clock: simclock.New()})
 	}
 	c.clock = coordinator{c.shards[0].clock}
-	// Flight recorder. Events and Attribution both need lifecycle
-	// emissions; when only attribution is on the recorders run
-	// store-disabled, feeding the span collectors without retaining the
-	// stream. Each shard gets its own recorder/profiler so each sink has a
-	// single writing goroutine (recFor/profFor route every emission by the
-	// event's replica); collect merges them back into one canonical
-	// capture.
-	if cfg.Obs.Events || cfg.Obs.Attribution {
-		c.rec = obs.NewRecorder()
-		for _, sh := range c.shards {
-			sh.rec = obs.NewShardRecorder(1 + sh.id)
-		}
-		for _, r := range c.recorders() {
+	// Flight recorder: one recorder and one profiler per shard clock, so
+	// each sink has a single writing goroutine. Events and Attribution both
+	// need lifecycle emissions; when only attribution is on the recorders
+	// run store-disabled, feeding the span collectors without retaining
+	// the stream.
+	for _, sh := range c.shards {
+		if cfg.Obs.Events || cfg.Obs.Attribution {
+			sh.rec = obs.NewRecorder()
 			if !cfg.Obs.Events {
-				r.DisableStore()
+				sh.rec.DisableStore()
 			}
 		}
-	}
-	if cfg.Obs.Series {
-		c.reg = obs.NewRegistry()
-	}
-	if cfg.Obs.Profile {
-		c.prof = obs.NewProfiler()
-		for _, sh := range c.shards {
-			sh.prof = obs.NewProfiler()
-		}
-	}
-	if cfg.Obs.Attribution {
-		// One collector per shard recorder: lifecycle events are
-		// replica-scoped, so each shard's collector sees complete request
-		// histories and the per-shard aggregators fold at collect.
-		for _, sh := range c.shards {
+		if cfg.Obs.Attribution {
+			// Lifecycle events are replica-scoped, so each shard's
+			// collector sees complete request histories; the per-shard
+			// aggregators fold at collect.
 			col := attribution.NewCollector(attribution.NewAggregator(cfg.Replicas))
 			sh.rec.SetTap(col.Observe)
 			c.collectors = append(c.collectors, col)
 		}
+		if cfg.Obs.Profile {
+			sh.prof = obs.NewProfiler()
+		}
 	}
-	c.fab.SetObs(c.rec, c.prof)
+	c.rec, c.prof = c.shards[0].rec, c.shards[0].prof
+	if cfg.Obs.Series {
+		c.reg = obs.NewRegistry()
+	}
 	for i := 0; i < cfg.Replicas; i++ {
 		c.fab.SetReplicaObs(i, c.recFor(i), c.profFor(i))
 		eng, err := build(i, c.shardOf(i).clock, c.fab.Endpoint(i))
@@ -1202,10 +1172,10 @@ func (c *Cluster) collect(timedOut bool) *Result {
 	c.settleIndexTraffic()
 	res.TransferClasses = c.fab.ClassStats()
 	res.ScaleEvents = c.scaleEvents
-	// Attribution report first (timed on the coordinator profiler, so the
-	// finalize cost lands in the merged profile), then the capture: the
-	// per-shard recorder and profiler streams fold into one canonical
-	// view, byte-identical at every shard count.
+	// Attribution report first (timed on shard 0's profiler, so the
+	// finalize cost lands in the merged profile), then the capture. A run
+	// that retains events has one shard, whose recorder holds them all;
+	// the fast path's per-shard profilers fold into one profile.
 	if len(c.collectors) > 0 {
 		t0 := c.prof.Begin()
 		agg := c.collectors[0].Aggregator()
@@ -1218,12 +1188,12 @@ func (c *Cluster) collect(timedOut bool) *Result {
 	if c.cfg.Obs.Events || c.cfg.Obs.Series || c.cfg.Obs.Profile {
 		cap := &obs.Capture{Series: c.reg}
 		if c.cfg.Obs.Events {
-			cap.Events = obs.Merge(c.recorders()...)
+			cap.Events = c.rec
 		}
 		if c.cfg.Obs.Profile {
-			profs := []*obs.Profiler{c.prof}
-			for _, sh := range c.shards {
-				profs = append(profs, sh.prof)
+			profs := make([]*obs.Profiler, len(c.shards))
+			for i, sh := range c.shards {
+				profs[i] = sh.prof
 			}
 			cap.Profile = obs.MergeProfilers(profs...)
 		}

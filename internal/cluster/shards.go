@@ -27,11 +27,11 @@ package cluster
 // class accounting is per-replica-row (single writer), and no
 // interconnect link is booked, so the drain's shards share nothing.
 //
-// The flight recorder keeps a recorder and profiler per shard, and every
-// emission routes by the event's replica (Cluster.recFor); the per-shard
-// streams merge deterministically at collect on the total (time, replica,
-// recorder, sequence) order, so exports are byte-identical at any shard
-// count.
+// The flight recorder keeps one recorder and one profiler per shard
+// clock, written only by the goroutine that runs the clock. The
+// coordinator writes shard 0's, since it runs on that clock, so a routed
+// run — every run that retains its events — records into one sink. The
+// fast path's drain leaves a profiler per shard, which collect sums.
 //
 // The result is deterministic and identical at every shard count; the
 // determinism suite asserts deep equality, timed-out runs included. No
@@ -69,8 +69,9 @@ func (k coordinator) After(d time.Duration, fn func(now simclock.Time)) simclock
 type shard struct {
 	id    int
 	clock *simclock.Clock
-	// rec and prof are the flight-recorder sinks of this shard's replicas
-	// (nil when the layer is off); see Cluster.recFor.
+	// rec and prof are the flight-recorder sinks of this shard's clock:
+	// its replicas' and, on shard 0, the coordinator's (nil when the layer
+	// is off).
 	rec  *obs.Recorder
 	prof *obs.Profiler
 	// arena batch-allocates arrival requests on the shard that will serve

@@ -133,14 +133,14 @@ func TestShardedFastPathMatchesRoutedPath(t *testing.T) {
 	}
 }
 
-// TestShardedObsByteIdentity is the sharded-safe-recording acceptance
-// gate: for every determinism-grid row, a sharded run with the full
-// flight recorder on must export the exact bytes of the one-shard run —
-// the JSONL event stream, the Chrome trace, and the series CSV — and
-// derive a deeply identical attribution report. Per-shard recorders
-// plus the deterministic (time, replica, recorder, sequence) merge are
-// what make this hold; CI runs it under -race so a shard writing a sink
-// it does not own fails even when the merged bytes happen to match.
+// TestShardedObsByteIdentity: for every determinism-grid row, a run
+// configured with several shards and the full flight recorder on must
+// export the exact bytes of the one-shard run — the JSONL event stream,
+// the Chrome trace, and the series CSV — and derive a deeply identical
+// attribution report. Retained events make a run routed, so at any
+// Shards it records into shard 0's one recorder in the canonical (time,
+// replica, sequence) order; CI runs it under -race so a shard writing a
+// sink it does not own fails even when the bytes happen to match.
 func TestShardedObsByteIdentity(t *testing.T) {
 	w := sessionWorkload(t)
 	for _, row := range determinismGrid() {

@@ -384,15 +384,11 @@ type TransferScheduler struct {
 	// shards never contend; ClassStats sums the rows on read.
 	classes [][numClasses]ClassStats
 
-	// obs/prof are the optional flight-recorder sinks; both default nil
-	// (free). Booking emits one KindTransfer event per transfer and
-	// charges the settle scan to PhaseFabricSettle. Under sharded cluster
-	// execution repObs/repProf route each booking to the sink owned by
-	// the booking replica's shard (mirroring the classes-row single-writer
-	// discipline); obs/prof then serve only replica-less direct bookings,
-	// issued by the coordinator.
-	obs     *obs.Recorder
-	prof    *obs.Profiler
+	// repObs/repProf are the optional per-replica flight-recorder sinks,
+	// the ones of the booking replica's shard (mirroring the classes-row
+	// single-writer discipline); nil entries, and direct Book calls with
+	// no replica, record nothing. Booking emits one KindTransfer event per
+	// transfer and charges the settle scan to PhaseFabricSettle.
 	repObs  []*obs.Recorder
 	repProf []*obs.Profiler
 }
@@ -408,16 +404,10 @@ func NewScheduler(topo *Topology) *TransferScheduler {
 // Topology exposes the scheduler's link set.
 func (s *TransferScheduler) Topology() *Topology { return s.topo }
 
-// SetObs installs the flight-recorder sinks. Pure observation: booking
+// SetReplicaObs installs the flight-recorder sinks of the replica's
+// shard: bookings attributed to the replica record there, so each
+// recorder keeps a single writing goroutine. Pure observation: booking
 // behavior is identical with or without them.
-func (s *TransferScheduler) SetObs(rec *obs.Recorder, prof *obs.Profiler) {
-	s.obs = rec
-	s.prof = prof
-}
-
-// SetReplicaObs installs per-replica flight-recorder sinks for sharded
-// runs: bookings attributed to the replica record there instead of the
-// shared sinks, so each recorder keeps a single writing goroutine.
 func (s *TransferScheduler) SetReplicaObs(replica int, rec *obs.Recorder, prof *obs.Profiler) {
 	s.topo.checkReplica(replica)
 	if s.repObs == nil {
@@ -466,7 +456,8 @@ func (s *TransferScheduler) Book(class Class, path []*gpu.Link, now simclock.Tim
 // book is Book with the booking side's replica attached for event
 // attribution (-1 when the caller books an explicit path directly).
 func (s *TransferScheduler) book(class Class, path []*gpu.Link, now simclock.Time, bytes int64, replica int) (start, done simclock.Time) {
-	rec, prof := s.obs, s.prof
+	var rec *obs.Recorder
+	var prof *obs.Profiler
 	if replica >= 0 && replica < len(s.repObs) {
 		rec, prof = s.repObs[replica], s.repProf[replica]
 	}

@@ -306,9 +306,9 @@ func New(cfg Config, clock *simclock.Clock, ep *fabric.Endpoint, cb Callbacks) (
 
 // SetObs installs the flight recorder, stamping events with the given
 // replica id. Pure observation: cache behavior is identical with or
-// without it. Under sharded execution rec must be the owning shard's
-// recorder (the engine passes its own sink through), preserving the
-// single-writer discipline the deterministic merge depends on.
+// without it. In a cluster rec is the recorder of the replica's shard
+// clock (the engine passes its own sink through), so every write to it
+// comes from the goroutine that runs that clock.
 func (m *Manager) SetObs(rec *obs.Recorder, replica int) {
 	m.obs = rec
 	m.obsReplica = replica

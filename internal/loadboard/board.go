@@ -22,8 +22,9 @@
 //
 // The gateway's prefix index keeps its published digests in a board, and
 // the cluster feeds one from the engines' live load signal for the
-// scanning policies, folding the changes its shards recorded through the
-// board's sync hook at each read. A board is not safe for concurrent use.
+// scanning policies, folding the replicas its engines marked dirty
+// through the board's sync hook at each read. A board is not safe for
+// concurrent use.
 package loadboard
 
 // Board is one pool's load state and its two winner trees.
@@ -124,7 +125,7 @@ func (b *Board) SetActive(i int, active bool) {
 
 // SetSync installs fn to run at the start of every LeastQueue, LeastLoad
 // and MinQueue read, so an owner that records changes elsewhere — the
-// cluster's shards, which must not write the board — folds them in
+// cluster's dirty list of replicas whose load moved — folds them in
 // before the board answers. fn may call the setters.
 func (b *Board) SetSync(fn func()) { b.sync = fn }
 

@@ -14,10 +14,10 @@ import (
 )
 
 // WriteJSONL writes the recorded events as one JSON object per line, in
-// the canonical (At, Replica, recorder rank, Seq) order with Seq
-// renumbered to the canonical position. The encoder emits a fixed field
-// order and fixed number formatting, so output is byte-stable across
-// runs of the same scenario — and across shard counts.
+// the canonical (At, Replica, Seq) order with Seq renumbered to the
+// canonical position. The encoder emits a fixed field order and fixed
+// number formatting, so output is byte-stable across runs of the same
+// scenario.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	for _, e := range r.Events() {

@@ -212,10 +212,6 @@ type Event struct {
 	// Label is a constant string payload (policy name, transfer class,
 	// decision name); emitting one never allocates.
 	Label string
-	// rec is the rank of the recorder that captured the event — the final
-	// tie-break when per-shard streams merge. Zero in single-recorder
-	// runs, so it never perturbs their ordering.
-	rec int32
 }
 
 // eventChunk is the arena granularity: one allocation per this many
@@ -242,28 +238,18 @@ type Options struct {
 // every method nil-guards, so subsystems emit unconditionally through
 // their (possibly nil) recorder pointer.
 //
-// The recorder is not goroutine-safe; one recorder serves one
-// single-goroutine simulation run, matching the simclock discipline.
-// Sharded runs give each shard its own recorder (NewShardRecorder) and
-// merge the streams afterwards (Merge); the per-recorder rank makes the
-// merged order total.
+// The recorder is not goroutine-safe: it has one writing goroutine, like
+// the simclock it runs beside. A cluster keeps one recorder per shard
+// clock, and a run that retains its events has one shard.
 type Recorder struct {
 	chunks [][]Event
 	seq    uint64
-	rank   int32
 	tap    func(Event)
 	store  bool
 }
 
-// NewRecorder returns an empty event recorder (rank 0).
+// NewRecorder returns an empty event recorder.
 func NewRecorder() *Recorder { return &Recorder{store: true} }
-
-// NewShardRecorder returns a recorder carrying the given rank, stamped
-// on every event it records as the final merge tie-break. Sharded runs
-// use rank 0 for the coordinator and 1+s for shard s.
-func NewShardRecorder(rank int) *Recorder {
-	return &Recorder{rank: int32(rank), store: true}
-}
 
 // SetTap installs fn, invoked with every emitted event (by value, before
 // storage). Streaming consumers — the attribution collector — ride the
@@ -311,7 +297,6 @@ func (r *Recorder) Emit(at simclock.Time, kind Kind, replica, request, session i
 		Seq: r.seq, At: at, Kind: kind,
 		Replica: int32(replica), Request: int32(request), Session: int32(session),
 		A: a, B: b, C: c, F: f, Label: label,
-		rec: r.rank,
 	}
 	r.seq++
 	if r.tap != nil {
@@ -329,12 +314,10 @@ func (r *Recorder) Emit(at simclock.Time, kind Kind, replica, request, session i
 }
 
 // Events returns the recorded events in canonical order — sorted by
-// (At, Replica, recorder rank, per-recorder Seq), a total tie-break that
-// keeps exported output byte-stable across runs and across shard counts
-// even when several subsystems emit at the same virtual instant. Seq is
-// renumbered to the canonical position, so a merged stream exports
-// byte-identically whatever the shard count. The returned
-// slice is a fresh copy.
+// (At, Replica, emission Seq), a total tie-break that keeps exported
+// output byte-stable across runs even when several subsystems emit at
+// the same virtual instant. Seq is renumbered to the canonical position.
+// The returned slice is a fresh copy.
 func (r *Recorder) Events() []Event {
 	if r == nil {
 		return nil
@@ -350,37 +333,9 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// Merge returns a read-only recorder aggregating every event recorded
-// by recs (nil entries are skipped; all-nil input yields nil). Chunks
-// are shared, not copied — do not emit through the sources or the
-// merged recorder afterwards. Events() on the result interleaves the
-// per-shard streams into the canonical order.
-func Merge(recs ...*Recorder) *Recorder {
-	any := false
-	for _, r := range recs {
-		if r != nil {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return nil
-	}
-	m := &Recorder{store: true}
-	for _, r := range recs {
-		if r == nil {
-			continue
-		}
-		m.chunks = append(m.chunks, r.chunks...)
-		m.seq += r.seq
-	}
-	return m
-}
-
-// sortEvents orders events by (At, Replica, rec, Seq). The per-recorder
-// Seq is unique within a rank, so the order is total. Each recorder
-// already emits in nondecreasing At (its clock never runs backwards);
-// the sort only interleaves streams and reorders same-instant runs.
+// sortEvents orders events by (At, Replica, Seq). Seq is unique, so the
+// order is total. The recorder emits in nondecreasing At (its clock
+// never runs backwards); the sort only reorders same-instant runs.
 func sortEvents(ev []Event) {
 	sort.Slice(ev, func(i, j int) bool { return eventLess(ev[i], ev[j]) })
 }
@@ -391,9 +346,6 @@ func eventLess(a, b Event) bool {
 	}
 	if a.Replica != b.Replica {
 		return a.Replica < b.Replica
-	}
-	if a.rec != b.rec {
-		return a.rec < b.rec
 	}
 	return a.Seq < b.Seq
 }
