@@ -2,7 +2,7 @@ package kvcache
 
 // Chaos support: the cache-side half of replica crash recovery. Crash
 // wipes the device instantly (every residency, pin, and host mirror dies
-// with the replica) and bumps the crash epoch so completion closures from
+// with the replica) and bumps the crash epoch so completions of
 // transfers booked before the crash cannot resurrect state on the
 // backfilled manager. AdoptMirror and ReloadMirror on ClassReplicate are
 // the pin-redundancy mechanics: a backup replica adopts host-tier copies

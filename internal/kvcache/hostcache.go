@@ -203,32 +203,35 @@ func (m *Manager) ReloadMirror(session int, class fabric.Class, now simclock.Tim
 			int64(hp.tokens), bytes, 0, 0, "")
 	}
 	_, done = m.ep.EnqueueH2D(class, max(now, hp.readyAt), bytes)
-	crashEpoch := m.crashEpoch
-	m.clock.At(done, func(t simclock.Time) {
-		if m.crashEpoch != crashEpoch {
-			return // the mirror died with the replica mid-flight
-		}
-		m.touch(true)
-		hp.reloading = false
-		session, tokens, pages := hp.session, hp.tokens, hp.pages
-		_, pinned := m.pins[session]
-		installed := !pinned && pages <= m.cfg.PrefixPages &&
-			m.placePin(session, tokens, pages, t)
-		if class == fabric.ClassReload {
-			if installed {
-				m.hostReloads++
-				m.hostReloadTokens += int64(tokens)
-			} else {
-				m.hostReloadDrops++
-			}
-		}
-		// Under a host-memory budget the install consumes the mirror: the
-		// KV is back on the device, and a later eviction re-mirrors it for
-		// free. Unbudgeted tiers keep the historical keep-forever behavior.
-		// placePin's evictions may already have dropped (and recycled) it.
-		if installed && m.cfg.HostCachePages > 0 && m.hostPins[session] == hp {
-			m.dropHostMirror(hp)
-		}
-	})
+	m.book(&m.h2dDone, completion{kind: doneReload, class: class, hp: hp, epoch: m.crashEpoch, done: done})
 	return done, hp.tokens, bytes, true
+}
+
+// reloadDone installs a reloaded mirror as a pin (see ReloadMirror).
+func (m *Manager) reloadDone(c completion, t simclock.Time) {
+	if m.crashEpoch != c.epoch {
+		return // the mirror died with the replica mid-flight
+	}
+	m.touch(true)
+	hp := c.hp
+	hp.reloading = false
+	session, tokens, pages := hp.session, hp.tokens, hp.pages
+	_, pinned := m.pins[session]
+	installed := !pinned && pages <= m.cfg.PrefixPages &&
+		m.placePin(session, tokens, pages, t)
+	if c.class == fabric.ClassReload {
+		if installed {
+			m.hostReloads++
+			m.hostReloadTokens += int64(tokens)
+		} else {
+			m.hostReloadDrops++
+		}
+	}
+	// Under a host-memory budget the install consumes the mirror: the KV
+	// is back on the device, and a later eviction re-mirrors it for free.
+	// Unbudgeted tiers keep the historical keep-forever behavior.
+	// placePin's evictions may already have dropped (and recycled) it.
+	if installed && m.cfg.HostCachePages > 0 && m.hostPins[session] == hp {
+		m.dropHostMirror(hp)
+	}
 }

@@ -218,12 +218,9 @@ type Manager struct {
 	// landings is the FIFO of booked sync chunks not yet settled (see
 	// BackgroundSync).
 	landings []landing
-	// pendingLoads[loadHead:] is the FIFO of booked resume loads not yet
-	// complete, and loadDoneFn the one clock callback that completes them
-	// (see bookLoad).
-	pendingLoads []pendingLoad
-	loadHead     int
-	loadDoneFn   func(simclock.Time)
+	// h2dDone and d2hDone are the booked host-link completions not yet
+	// fired, one queue per link direction (see book in recycle.go).
+	h2dDone, d2hDone completionQueue
 
 	// Session prefix pins (see prefix.go).
 	pins            map[int]*pin
@@ -259,9 +256,9 @@ type Manager struct {
 	pubMirror func(session, tokens int)
 
 	// crashEpoch is the manager's generation counter: Crash bumps it, and
-	// completion closures that outlive per-entry epochs (pin eviction
-	// drains, host reloads) capture it so a transfer booked before a crash
-	// cannot mutate the post-crash (backfilled) manager state.
+	// completions that outlive per-entry epochs (pin eviction drains, host
+	// reloads) record it so a transfer booked before a crash cannot mutate
+	// the post-crash (backfilled) manager state.
 	crashEpoch uint64
 
 	// stats

@@ -200,17 +200,19 @@ func (m *Manager) evictPin(p *pin, now simclock.Time) {
 	m.prefixBytesDrained += bytes
 	_, done := m.ep.EnqueueD2H(fabric.ClassEvict, now, bytes)
 	m.insertMirror(session, tokens, pages, done)
-	crashEpoch := m.crashEpoch
-	m.clock.At(done, func(t simclock.Time) {
-		if m.crashEpoch != crashEpoch {
-			return // the drain's pages died with the replica
-		}
-		m.touch(true)
-		m.free += dirty
-		if m.cb.PinDrained != nil {
-			m.cb.PinDrained(t)
-		}
-	})
+	m.book(&m.d2hDone, completion{kind: doneDrain, pages: dirty, epoch: m.crashEpoch, done: done})
+}
+
+// drainDone returns a drained pin's dirty pages to the pool.
+func (m *Manager) drainDone(c completion, t simclock.Time) {
+	if m.crashEpoch != c.epoch {
+		return // the drain's pages died with the replica
+	}
+	m.touch(true)
+	m.free += c.pages
+	if m.cb.PinDrained != nil {
+		m.cb.PinDrained(t)
+	}
 }
 
 // ReclaimPrefixPages evicts prefix pins (LRU first, excluding the given

@@ -3,6 +3,7 @@ package kvcache
 import (
 	"fmt"
 
+	"repro/internal/fabric"
 	"repro/internal/simclock"
 )
 
@@ -15,7 +16,7 @@ import (
 //
 // The epoch rule: a recycled entry keeps its epoch, and every transition
 // that retires it (Discard, ReleaseAsPrefix) bumps it first. A Handle, a
-// sync landing or a pending load booked under an older epoch therefore
+// sync landing or a load or eviction booked under an older epoch therefore
 // never matches the entry's next occupant.
 
 // newEntry takes a cleared entry from the free list, or allocates one.
@@ -150,55 +151,88 @@ func (l *hostPinLRU) remove(hp *hostPin) {
 	hp.prev, hp.next = nil, nil
 }
 
-// pendingLoad is one booked resume load: its entry and the entry's epoch
-// at booking, and the instant the transfer completes.
-type pendingLoad struct {
-	e     *entry
+// Host-link completions. Four transfers end in a clock event: a resume
+// load and a mirror reload on the host-to-device link, a dirty eviction
+// and a dirty pin drain on the device-to-host one. A link is FIFO and
+// never rewinds, so each direction's completions fire in the order they
+// were booked: one queue per direction records them in that order, and
+// one callback bound on the queue's first use serves every event, so no
+// completion allocates a closure.
+
+// doneKind says which transfer a completion ends.
+type doneKind uint8
+
+const (
+	doneLoad   doneKind = iota // h2d: a preempted request's KV is back (loadDone)
+	doneReload                 // h2d: a host mirror lands as a pin (reloadDone)
+	doneEvict                  // d2h: a preempted request's dirty pages left (evictDone)
+	doneDrain                  // d2h: an evicted pin's dirty pages left (drainDone)
+)
+
+// completion is one booked host-link transfer and its guard: epoch is the
+// entry's epoch at booking for a load or an eviction, and the manager's
+// crashEpoch for a reload or a drain. A completion whose guard moved on
+// does nothing.
+type completion struct {
+	kind  doneKind
+	class fabric.Class // reload: ClassReload or ClassReplicate
+	pages int          // drain: the dirty pages it returns to the pool
+	e     *entry       // load, evict
+	hp    *hostPin     // reload
 	epoch uint64
 	done  simclock.Time
 }
 
-// bookLoad queues a load completing at done. The host-to-device link is
-// FIFO and never rewinds, so completions are booked in firing order, and
-// one method value bound on first use serves every load's clock event.
-func (m *Manager) bookLoad(e *entry, done simclock.Time) {
-	if n := len(m.pendingLoads); n > m.loadHead && done < m.pendingLoads[n-1].done {
-		panic(fmt.Sprintf("kvcache: load completing at %v booked after one completing at %v", done, m.pendingLoads[n-1].done))
-	}
-	if m.loadDoneFn == nil {
-		m.loadDoneFn = m.loadDone
-	}
-	m.pendingLoads = append(m.pendingLoads, pendingLoad{e: e, epoch: e.epoch, done: done})
-	m.clock.At(done, m.loadDoneFn)
+// completionQueue is one link direction's booked completions,
+// pending[head:] in firing order.
+type completionQueue struct {
+	pending []completion
+	head    int
+	fire    func(simclock.Time)
 }
 
-// loadDone completes the oldest booked load. A preemption, discard or
-// crash since the booking bumped the entry's epoch, and the load then
-// does nothing.
-func (m *Manager) loadDone(t simclock.Time) {
-	l := m.pendingLoads[m.loadHead]
-	if l.done != t {
-		panic(fmt.Sprintf("kvcache: load completion at %v, but the oldest load completes at %v", t, l.done))
+// book queues c on q and schedules its clock event at c.done. A
+// completion earlier than the last one queued means the link rewound,
+// which panics.
+func (m *Manager) book(q *completionQueue, c completion) {
+	if n := len(q.pending); n > q.head && c.done < q.pending[n-1].done {
+		panic(fmt.Sprintf("kvcache: host-link completion at %v booked after one at %v", c.done, q.pending[n-1].done))
 	}
-	m.pendingLoads[m.loadHead] = pendingLoad{}
-	if m.loadHead++; m.loadHead == len(m.pendingLoads) {
-		m.pendingLoads, m.loadHead = m.pendingLoads[:0], 0
-	} else if m.loadHead > 64 && 2*m.loadHead > len(m.pendingLoads) {
-		// A FIFO that never empties still reuses its front.
-		n := copy(m.pendingLoads, m.pendingLoads[m.loadHead:])
-		clear(m.pendingLoads[n:])
-		m.pendingLoads, m.loadHead = m.pendingLoads[:n], 0
+	if q.fire == nil {
+		q.fire = func(t simclock.Time) { m.complete(q.pop(t), t) }
 	}
-	e := l.e
-	if e.epoch != l.epoch {
-		return
+	q.pending = append(q.pending, c)
+	m.clock.At(c.done, q.fire)
+}
+
+// pop takes the oldest completion, which must be the one firing at t.
+func (q *completionQueue) pop(t simclock.Time) completion {
+	c := q.pending[q.head]
+	if c.done != t {
+		panic(fmt.Sprintf("kvcache: host-link completion at %v, but the oldest completes at %v", t, c.done))
 	}
-	m.touch(true)
-	e.res = ResGPU
-	// The host copy remains valid: only pages appended after resume are
-	// dirty (the incremental-update benefit of write-through).
-	e.synced = e.pages
-	if m.cb.LoadDone != nil {
-		m.cb.LoadDone(e.req, t)
+	q.pending[q.head] = completion{}
+	if q.head++; q.head == len(q.pending) {
+		q.pending, q.head = q.pending[:0], 0
+	} else if q.head > 64 && 2*q.head > len(q.pending) {
+		// A queue that never empties still reuses its front.
+		n := copy(q.pending, q.pending[q.head:])
+		clear(q.pending[n:])
+		q.pending, q.head = q.pending[:n], 0
+	}
+	return c
+}
+
+// complete applies one fired completion.
+func (m *Manager) complete(c completion, t simclock.Time) {
+	switch c.kind {
+	case doneLoad:
+		m.loadDone(c, t)
+	case doneReload:
+		m.reloadDone(c, t)
+	case doneEvict:
+		m.evictDone(c, t)
+	case doneDrain:
+		m.drainDone(c, t)
 	}
 }

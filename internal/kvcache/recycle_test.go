@@ -124,51 +124,145 @@ func TestLoadCycleAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestLoadCompletionOutOfOrderPanics checks the load FIFO's order check.
+// TestDirtyEvictionCycleAllocatesNothing holds a warmed allocate →
+// preempt with dirty pages → StartLoad → discard cycle to zero
+// allocations: the eviction drains over the device-to-host link and
+// completes through the manager's queue, like the load after it.
+func TestDirtyEvictionCycleAllocatesNothing(t *testing.T) {
+	m, clock := quietManager(t, fullConfig())
+	r := newReq(1, 256, 10)
+	r.PrefilledTokens = 256
+	cycle := func() {
+		if err := m.AllocateResident(r, 256); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Preempt(r, clock.Now()); err != nil {
+			t.Fatal(err)
+		}
+		clock.Run()
+		if m.Residency(r) != ResHost {
+			t.Fatalf("residency after the eviction = %v", m.Residency(r))
+		}
+		if _, err := m.StartLoad(r, clock.Now()); err != nil {
+			t.Fatal(err)
+		}
+		clock.Run()
+		m.Discard(r)
+	}
+	cycle()
+	evicted := m.Stats().BytesEvicted
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("warmed dirty eviction cycle allocated %v times, want 0", allocs)
+	}
+	if m.Stats().BytesEvicted == evicted {
+		t.Fatal("the cycle evicted no dirty pages")
+	}
+}
+
+// TestLoadCompletionOutOfOrderPanics checks the completion queue's order
+// check.
 func TestLoadCompletionOutOfOrderPanics(t *testing.T) {
 	m, _ := quietManager(t, fullConfig())
 	e := m.newEntry()
-	m.bookLoad(e, 10)
+	m.book(&m.h2dDone, completion{kind: doneLoad, e: e, done: 10})
 	defer func() {
 		if recover() == nil {
 			t.Error("a load booked before the last one's completion did not panic")
 		}
 	}()
-	m.bookLoad(e, 5)
+	m.book(&m.h2dDone, completion{kind: doneLoad, e: e, done: 5})
 }
 
 // TestEvictionCycleAllocatesNothing holds a warmed release as prefix →
-// LRU eviction → host mirror → budget drop cycle to zero allocations. The
-// pins are fully synced, so an eviction books no drain.
+// LRU eviction → host mirror → budget drop cycle to zero allocations,
+// with fully synced pins (the eviction books nothing) and with dirty ones
+// (the eviction books a drain on the device-to-host link, which completes
+// through the manager's queue, not a closure).
 func TestEvictionCycleAllocatesNothing(t *testing.T) {
-	cfg := fullConfig()
-	cfg.PrefixPages, cfg.HostCache, cfg.HostCachePages = 20, true, 20
-	m, clock := quietManager(t, cfg)
-	const runs = 100
-	reqs := make([]*request.Request, runs+3) // AllocsPerRun adds one warm-up run
-	for i := range reqs {
-		reqs[i] = newReq(i+1, 160, 10)
-		reqs[i].PrefilledTokens = 160
+	for _, dirty := range []bool{false, true} {
+		name := "synced"
+		if dirty {
+			name = "dirty"
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := fullConfig()
+			cfg.PrefixPages, cfg.HostCache, cfg.HostCachePages = 20, true, 20
+			m, clock := quietManager(t, cfg)
+			const runs = 100
+			reqs := make([]*request.Request, runs+3) // AllocsPerRun adds one warm-up run
+			for i := range reqs {
+				reqs[i] = newReq(i+1, 160, 10)
+				reqs[i].PrefilledTokens = 160
+			}
+			turn := 0
+			cycle := func() {
+				r := reqs[turn]
+				turn++
+				if err := m.AllocateResident(r, 160); err != nil {
+					t.Fatal(err)
+				}
+				if !dirty {
+					m.BackgroundSync(clock.Now(), time.Hour)
+					clock.RunUntil(m.d2h.BusyUntil())
+				}
+				m.ReleaseAsPrefix(r, turn, clock.Now()) // a new session each turn
+				clock.Run()                             // a dirty eviction's drain lands
+			}
+			cycle()
+			cycle()
+			before := m.Stats()
+			if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
+				t.Errorf("warmed eviction cycle allocated %v times, want 0", allocs)
+			}
+			after := m.Stats()
+			if after.PrefixEvictions-before.PrefixEvictions < runs || m.HostMirroredPages() == 0 {
+				t.Fatalf("the cycle did not evict into the host tier: %d evictions, %d mirrored pages",
+					after.PrefixEvictions-before.PrefixEvictions, m.HostMirroredPages())
+			}
+			if drained := after.PrefixBytesDrained > before.PrefixBytesDrained; drained != dirty {
+				t.Fatalf("dirty pins %v, but drained bytes grew %v", dirty, drained)
+			}
+		})
 	}
-	turn := 0
-	cycle := func() {
-		r := reqs[turn]
-		turn++
+}
+
+// TestReloadCycleAllocatesNothing holds a warmed host-mirror reload →
+// install cycle to zero allocations. The prefix budget holds one pin, so
+// each install evicts the other session's pin into the host tier, which
+// the next cycle reloads; the install consumes its mirror under the host
+// budget. The reload completes through the manager's queue.
+func TestReloadCycleAllocatesNothing(t *testing.T) {
+	cfg := fullConfig()
+	cfg.PrefixPages, cfg.HostCache, cfg.HostCachePages = 10, true, 20
+	m, clock := quietManager(t, cfg)
+	for i, session := range []int{1, 2} {
+		r := newReq(i+1, 160, 10)
+		r.PrefilledTokens = 160
 		if err := m.AllocateResident(r, 160); err != nil {
 			t.Fatal(err)
 		}
 		m.BackgroundSync(clock.Now(), time.Hour)
 		clock.RunUntil(m.d2h.BusyUntil())
-		m.ReleaseAsPrefix(r, turn, clock.Now()) // a new session each turn
+		m.ReleaseAsPrefix(r, session, clock.Now())
+	}
+	session := 1 // evicted into the host tier by session 2's pin
+	cycle := func() {
+		if _, _, _, ok := m.ReloadMirror(session, fabric.ClassReload, clock.Now()); !ok {
+			t.Fatalf("session %d: no mirror to reload", session)
+		}
+		clock.Run()
+		if m.PeekPrefix(session) == 0 {
+			t.Fatalf("session %d: the reload did not install a pin", session)
+		}
+		session = 3 - session
 	}
 	cycle()
 	cycle()
-	evictions := m.Stats().PrefixEvictions
-	if allocs := testing.AllocsPerRun(runs, cycle); allocs != 0 {
-		t.Errorf("warmed eviction cycle allocated %v times, want 0", allocs)
+	reloads := m.Stats().HostReloads
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("warmed reload cycle allocated %v times, want 0", allocs)
 	}
-	if m.Stats().PrefixEvictions-evictions < runs || m.HostMirroredPages() == 0 {
-		t.Fatalf("the cycle did not evict into the host tier: %d evictions, %d mirrored pages",
-			m.Stats().PrefixEvictions-evictions, m.HostMirroredPages())
+	if got := m.Stats().HostReloads - reloads; got < 100 {
+		t.Fatalf("%d reloads installed, want at least 100", got)
 	}
 }

@@ -231,16 +231,20 @@ func (m *Manager) Preempt(r *request.Request, now simclock.Time) (simclock.Time,
 	bytes := int64(dirty) * m.PageBytes()
 	m.bytesEvicted += bytes
 	_, done := m.ep.EnqueueD2H(fabric.ClassEvict, now, bytes)
-	epoch := e.epoch
-	m.clock.At(done, func(t simclock.Time) {
-		if e.epoch != epoch {
-			return
-		}
-		m.touch(true)
-		e.synced = e.pages
-		m.finishEvict(e, t)
-	})
+	m.book(&m.d2hDone, completion{kind: doneEvict, e: e, epoch: e.epoch, done: done})
 	return done, nil
+}
+
+// evictDone completes a dirty eviction, unless a discard, crash or reuse
+// bumped the entry's epoch since the booking.
+func (m *Manager) evictDone(c completion, t simclock.Time) {
+	e := c.e
+	if e.epoch != c.epoch {
+		return
+	}
+	m.touch(true)
+	e.synced = e.pages
+	m.finishEvict(e, t)
 }
 
 // finishEvict releases any still-held pages and notifies the engine.
@@ -279,8 +283,25 @@ func (m *Manager) StartLoad(r *request.Request, now simclock.Time) (simclock.Tim
 	bytes := int64(e.pages) * m.PageBytes()
 	m.bytesLoaded += bytes
 	_, done := m.ep.EnqueueH2D(fabric.ClassLoad, start, bytes)
-	m.bookLoad(e, done)
+	m.book(&m.h2dDone, completion{kind: doneLoad, e: e, epoch: e.epoch, done: done})
 	return done, nil
+}
+
+// loadDone completes a resume load. A preemption, discard or crash since
+// the booking bumped the entry's epoch, and the load then does nothing.
+func (m *Manager) loadDone(c completion, t simclock.Time) {
+	e := c.e
+	if e.epoch != c.epoch {
+		return
+	}
+	m.touch(true)
+	e.res = ResGPU
+	// The host copy remains valid: only pages appended after resume are
+	// dirty (the incremental-update benefit of write-through).
+	e.synced = e.pages
+	if m.cb.LoadDone != nil {
+		m.cb.LoadDone(e.req, t)
+	}
 }
 
 // HostBytes reports the size of a request's host copy (0 when none).
