@@ -204,7 +204,7 @@ func (c *Cluster) injectCrash(rep *replica, now simclock.Time) {
 	}
 	// Snapshot the pinned sessions before the engine wipes them: these are
 	// the pins whose surviving host mirrors re-pin after detection.
-	lost := rep.kv.HottestPrefixes(0)
+	lost := rep.kv.HottestPrefixes(nil, 0)
 	orphans, pinsLost, mirrorsLost := rep.eng.Crash(now)
 	if rep.state.InService() {
 		rep.busy += now.Sub(rep.sinceOn)
@@ -497,7 +497,8 @@ func (c *Cluster) replicateTick(now simclock.Time) {
 		// The copies below only book transfers, so the backups stay the
 		// same for every prefix of src.
 		backups := c.backupsFor(src, spec.Redundancy-1)
-		for _, info := range src.kv.HottestPrefixes(0) {
+		c.pinScratch = src.kv.HottestPrefixes(c.pinScratch[:0], 0)
+		for _, info := range c.pinScratch {
 			for _, dst := range backups {
 				if c.chaos.replicationsInFlight >= replicateConcurrency {
 					return

@@ -607,7 +607,12 @@ type Cluster struct {
 	holdersForPick bool
 	holderScratch  []int
 
-	// loads is the live load board the scanning load policies read
+	// pinScratch is the pin list replicateTick, prewarm and drainPins
+	// walk (kvcache.Manager.HottestPrefixes), valid until the next of
+	// them fills it.
+	pinScratch []kvcache.PrefixInfo
+
+	// loads is the live load board the board-fed policies read
 	// (loads.go); nil for every other policy. loadDirty lists the
 	// replicas whose outstanding count moved since its last read.
 	loads     *loadboard.Board

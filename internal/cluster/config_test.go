@@ -9,6 +9,8 @@ import (
 	"repro/internal/autoscale"
 	"repro/internal/chaos"
 	"repro/internal/cluster"
+	"repro/internal/obs"
+	"repro/internal/prefixindex"
 	"repro/internal/router"
 )
 
@@ -81,6 +83,21 @@ func TestConfigNormalizeDefaults(t *testing.T) {
 		{"active-chaos-one-shard",
 			cluster.Config{Policy: rr, Replicas: 4, Shards: 3, Chaos: &chaos.Spec{Redundancy: 2}},
 			with(static, func(v *configView) { v.Replicas = 4 })},
+		{"migrate-one-shard", cluster.Config{Policy: rr, Replicas: 4, Shards: 3, Migrate: true},
+			with(static, func(v *configView) { v.Replicas = 4 })},
+		{"events-one-shard", cluster.Config{Policy: rr, Replicas: 4, Shards: 3, Obs: obs.Options{Events: true}},
+			with(static, func(v *configView) { v.Replicas = 4 })},
+		{"prefix-index-one-shard",
+			cluster.Config{Policy: rr, Replicas: 4, Shards: 3, PrefixIndex: &prefixindex.Spec{}},
+			with(static, func(v *configView) { v.Replicas = 4 })},
+		{"indexed-policy-one-shard", cluster.Config{Policy: router.NewIndexedLeastQueue(), Replicas: 4, Shards: 3},
+			with(static, func(v *configView) { v.Replicas = 4 })},
+		// The obs layers that need no coordinator events keep the fast
+		// path's shards.
+		{"obs-without-events-keeps-fast-path",
+			cluster.Config{Policy: rr, Replicas: 4, Shards: 3,
+				Obs: obs.Options{Attribution: true, Series: true, Profile: true}},
+			with(static, func(v *configView) { v.Replicas, v.Shards = 4, 3 })},
 		{"autoscale-defaults", cluster.Config{Policy: rr, Replicas: 4, Autoscale: auto(cluster.AutoscaleConfig{})},
 			scaled(4)},
 		{"autoscale-max-sizes-the-pool",

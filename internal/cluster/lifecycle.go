@@ -159,7 +159,8 @@ func (c *Cluster) prewarm(target *replica, now simclock.Time) {
 		if rep.state != autoscale.Active {
 			continue
 		}
-		for rank, info := range rep.kv.HottestPrefixes(prewarmTopK) {
+		c.pinScratch = rep.kv.HottestPrefixes(c.pinScratch[:0], prewarmTopK)
+		for rank, info := range c.pinScratch {
 			cands = append(cands, candidate{donor: rep, info: info, rank: rank})
 		}
 	}
@@ -220,7 +221,8 @@ func (c *Cluster) scaleDown(now simclock.Time, active int) {
 // drain.
 func (c *Cluster) drainPins(rep *replica, now simclock.Time) {
 	planned := make(map[*replica]int)
-	for _, info := range rep.kv.HottestPrefixes(0) {
+	c.pinScratch = rep.kv.HottestPrefixes(c.pinScratch[:0], 0)
+	for _, info := range c.pinScratch {
 		var dst *replica
 		head := 0
 		for _, peer := range c.replicas {

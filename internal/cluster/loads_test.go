@@ -9,7 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/prefixindex"
 	"repro/internal/router"
-	"repro/internal/simtest"
+	"repro/internal/trace"
 )
 
 // boardPolicies are the policies the cluster feeds its live load board.
@@ -19,34 +19,93 @@ var boardPolicies = []func() router.Policy{
 	func() router.Policy { return router.NewSessionAffinity() },
 }
 
-// runBoardPair runs cfg once with the live load board and once with it
-// withheld, so every pick scans the routing view, and requires deep-equal
-// Results and byte-identical exports.
-func runBoardPair(t *testing.T, mk func() (cluster.Config, cluster.BuildEngine), run func(cluster.Config, cluster.BuildEngine, func(*cluster.Cluster)) quietRun) {
+// loadCheck wraps a board-fed policy the way an outside wrapper would —
+// forwarding Name, so the cluster keeps the board for it — and at every
+// routing decision compares the board's three answers with a scan of the
+// routing view.
+type loadCheck struct {
+	router.Policy
+	t     *testing.T
+	picks int
+}
+
+// wrapLoadCheck returns the checking wrapper, keeping the wrapped
+// policy's Scorer (every board-fed policy is one; the cluster scores
+// route decisions by type assertion).
+func wrapLoadCheck(t *testing.T, p router.Policy) (router.Policy, *loadCheck) {
+	l := &loadCheck{Policy: p, t: t}
+	return struct {
+		*loadCheck
+		router.Scorer
+	}{l, p.(router.Scorer)}, l
+}
+
+// scanLoads is the reference: the view's least-queue and capacity-weighted
+// winners (replica IDs, ties as the policies break them) and its smallest
+// outstanding count.
+func scanLoads(views []router.Replica) (leastQueue, leastLoad, minQueue int) {
+	q, ll := views[0], views[0]
+	for _, r := range views[1:] {
+		if r.QueueDepth() < q.QueueDepth() || (r.QueueDepth() == q.QueueDepth() && r.ID() < q.ID()) {
+			q = r
+		}
+		li, lb := r.QueueDepth()*ll.TotalKVPages(), ll.QueueDepth()*r.TotalKVPages()
+		ci, cb := r.TotalKVPages(), ll.TotalKVPages()
+		if li < lb || (li == lb && (ci > cb || (ci == cb && r.ID() < ll.ID()))) {
+			ll = r
+		}
+	}
+	return q.ID(), ll.ID(), q.QueueDepth()
+}
+
+func (l *loadCheck) Pick(req router.Request, views []router.Replica) int {
+	l.picks++
+	for i := 1; i < len(views); i++ {
+		if views[i-1].ID() >= views[i].ID() {
+			l.t.Errorf("request %d: view out of ascending ID order at %d: replica %d after %d",
+				req.ID, i, views[i].ID(), views[i-1].ID())
+		}
+	}
+	wq, wl, wm := scanLoads(views)
+	if q, ld, m := req.Loads.LeastQueue(), req.Loads.LeastLoad(), req.Loads.MinQueue(); q != wq || ld != wl || m != wm {
+		l.t.Errorf("request %d: board says least-queue %d, least-load %d, min queue %d; the view scan %d, %d, %d",
+			req.ID, q, ld, m, wq, wl, wm)
+	}
+	return l.Policy.Pick(req, views)
+}
+
+// runLoadCheck runs one configuration with the checking wrapper.
+func runLoadCheck(t *testing.T, cfg cluster.Config, build cluster.BuildEngine, w trace.Workload) {
 	t.Helper()
-	withBoard := func(cl *cluster.Cluster) {
-		if !cl.HasLoadBoard() {
-			t.Fatal("the cluster keeps no load board for a board-fed policy")
-		}
+	var l *loadCheck
+	cfg.Policy, l = wrapLoadCheck(t, cfg.Policy)
+	if n, err := cfg.Normalize(); err != nil || n.Shards != 1 {
+		t.Fatalf("a board-fed run normalizes to %d shards (%v), want 1: the board is read on one clock", n.Shards, err)
 	}
-	withheld := func(cl *cluster.Cluster) {
-		cl.WithholdLoadBoard()
-		if cl.HasLoadBoard() {
-			t.Fatal("the load board was not withheld")
-		}
+	cl, err := cluster.New(cfg, build)
+	if err != nil {
+		t.Fatal(err)
 	}
-	cfg, build := mk()
-	board := run(cfg, build, withBoard)
-	cfg, build = mk()
-	simtest.SameRuns(t, board, run(cfg, build, withheld))
+	res, err := cl.Run(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.CheckInvariants(res, w.Len()); err != nil {
+		t.Fatal(err)
+	}
+	if l.picks == 0 {
+		t.Fatal("no routing decision was checked")
+	}
 }
 
 // TestLoadBoardExact holds the live load board to the view scan it
-// replaced: least-queue, weighted-capacity and session-affinity, forced
-// onto the determinism grid and 16 random scenarios (chaos, autoscaling,
-// the gateway, per-change and heartbeat prefix indexes, one and two
-// shards), give deep-equal Results and byte-identical event and series
-// exports whether they read the board or scan the view.
+// replaced, at every routing decision: least-queue, weighted-capacity and
+// session-affinity, forced onto the determinism grid and 16 random
+// scenarios (chaos, autoscaling, the gateway, per-change and heartbeat
+// prefix indexes), must find the board's least-queue, least-load and
+// min-queue answers equal to a scan of the view they are handed, and that
+// view in ascending ID order. The shard count each name carries is the
+// one the configuration asks for; a board-fed run normalizes it to one.
 func TestLoadBoardExact(t *testing.T) {
 	w := sessionWorkload(t)
 	for r, row := range determinismGrid() {
@@ -55,17 +114,12 @@ func TestLoadBoardExact(t *testing.T) {
 				index := (r+p)%2 == 1
 				name := fmt.Sprintf("%s/%s/shards-%d/index-%v", row.Name, policy().Name(), shards, index)
 				t.Run(name, func(t *testing.T) {
-					mk := func() (cluster.Config, cluster.BuildEngine) {
-						cfg, build := row.Make()
-						cfg.Policy, cfg.Shards = policy(), shards
-						if index {
-							cfg.PrefixIndex = &prefixindex.Spec{}
-						}
-						return cfg, build
+					cfg, build := row.Make()
+					cfg.Policy, cfg.Shards = policy(), shards
+					if index {
+						cfg.PrefixIndex = &prefixindex.Spec{}
 					}
-					runBoardPair(t, mk, func(cfg cluster.Config, build cluster.BuildEngine, prep func(*cluster.Cluster)) quietRun {
-						return runPrepared(t, cfg, build, w, prep)
-					})
+					runLoadCheck(t, cfg, build, w)
 				})
 			}
 		}
@@ -83,15 +137,9 @@ func TestLoadBoardExact(t *testing.T) {
 		}
 		name := fmt.Sprintf("random-%d/%s/shards-%d/index-%v", seed, policy().Name(), shards, index != nil)
 		t.Run(name, func(t *testing.T) {
-			var wl = cluster.RandomScenario(rand.New(rand.NewSource(seed))).Workload
-			mk := func() (cluster.Config, cluster.BuildEngine) {
-				sc := cluster.RandomScenario(rand.New(rand.NewSource(seed)))
-				sc.Config.Policy, sc.Config.Shards, sc.Config.PrefixIndex = policy(), shards, index
-				return sc.Config, sc.Build
-			}
-			runBoardPair(t, mk, func(cfg cluster.Config, build cluster.BuildEngine, prep func(*cluster.Cluster)) quietRun {
-				return runPrepared(t, cfg, build, wl, prep)
-			})
+			sc := cluster.RandomScenario(rand.New(rand.NewSource(seed)))
+			sc.Config.Policy, sc.Config.Shards, sc.Config.PrefixIndex = policy(), shards, index
+			runLoadCheck(t, sc.Config, sc.Build, sc.Workload)
 		})
 	}
 }

@@ -17,14 +17,7 @@ type quietRun = simtest.Capture
 
 func runWithObs(t *testing.T, cfg cluster.Config, build cluster.BuildEngine, w trace.Workload) quietRun {
 	t.Helper()
-	return simtest.Run(t, cfg, build, w, nil)
-}
-
-// runPrepared is runWithObs with prep, when set, applied to the built
-// cluster before it runs.
-func runPrepared(t *testing.T, cfg cluster.Config, build cluster.BuildEngine, w trace.Workload, prep func(*cluster.Cluster)) quietRun {
-	t.Helper()
-	return simtest.Run(t, cfg, build, w, prep)
+	return simtest.Run(t, cfg, build, w)
 }
 
 // TestQuietHorizonExact holds the engine's skipped decisions to the

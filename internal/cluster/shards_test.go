@@ -13,9 +13,9 @@ package cluster_test
 
 import (
 	"fmt"
+	"io"
 	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -133,92 +133,44 @@ func TestShardedFastPathMatchesRoutedPath(t *testing.T) {
 	}
 }
 
-// TestShardedObsByteIdentity: for every determinism-grid row, a run
-// configured with several shards and the full flight recorder on must
-// export the exact bytes of the one-shard run — the JSONL event stream,
-// the Chrome trace, and the series CSV — and derive a deeply identical
-// attribution report. Retained events make a run routed, so at any
-// Shards it records into shard 0's one recorder in the canonical (time,
-// replica, sequence) order; CI runs it under -race so a shard writing a
-// sink it does not own fails even when the bytes happen to match.
+// TestShardedObsByteIdentity: for every determinism-grid row, a run with
+// the full flight recorder on records events into shard 0's one recorder,
+// serializes every export, and satisfies the cluster invariants. Retained
+// events make a run routed, so Normalize clamps it to one shard whatever
+// Shards asks for (TestConfigNormalizeDefaults pins that), and a shard
+// count cannot change the exports' bytes; TestExportDigests pins those
+// bytes for two routed scenarios. CI runs this under -race, so a sink
+// written from a goroutine that does not own it fails.
 func TestShardedObsByteIdentity(t *testing.T) {
 	w := sessionWorkload(t)
 	for _, row := range determinismGrid() {
 		row := row
 		t.Run(row.Name, func(t *testing.T) {
-			single := runObsExport(t, row.Make, w, 0)
-			if single.events == 0 {
-				t.Fatal("one-shard run recorded no events")
-			}
-			if err := cluster.CheckInvariants(single.res, w.Len()); err != nil {
+			cfg, build := row.Make()
+			cfg.SampleEvery = 250 * time.Millisecond
+			cfg.Obs = obs.Options{Events: true, Series: true, Profile: true, Attribution: true}
+			cl, err := cluster.New(cfg, build)
+			if err != nil {
 				t.Fatal(err)
 			}
-			for _, shards := range []int{2, 3, 8} {
-				got := runObsExport(t, row.Make, w, shards)
-				requireSameExport(t, fmt.Sprintf("shards=%d", shards), single, got)
-				if err := cluster.CheckInvariants(got.res, w.Len()); err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
+			res, err := cl.Run(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Obs.Events.Len() == 0 {
+				t.Fatal("the run recorded no events")
+			}
+			for _, write := range []func(io.Writer) error{
+				res.Obs.Events.WriteJSONL, res.Obs.Events.WriteChromeTrace, res.Obs.Series.WriteCSV,
+			} {
+				if err := write(io.Discard); err != nil {
+					t.Fatal(err)
 				}
 			}
+			if err := cluster.CheckInvariants(res, w.Len()); err != nil {
+				t.Fatal(err)
+			}
 		})
-	}
-}
-
-// obsExport is one fully recorded run and its serialized exports.
-type obsExport struct {
-	res    *cluster.Result
-	jsonl  string
-	trace  string
-	csv    string
-	events int
-}
-
-// runObsExport runs one determinism-grid row at a shard count with the
-// whole flight recorder on, and serializes its event stream, Chrome trace
-// and series.
-func runObsExport(t *testing.T, mk func() (cluster.Config, cluster.BuildEngine), w trace.Workload, shards int) obsExport {
-	t.Helper()
-	cfg, build := mk()
-	cfg.Shards = shards
-	cfg.SampleEvery = 250 * time.Millisecond
-	cfg.Obs = obs.Options{Events: true, Series: true, Profile: true, Attribution: true}
-	cl, err := cluster.New(cfg, build)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := cl.Run(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := res.Obs.Events
-	var jsonl, chrome, csv strings.Builder
-	if err := rec.WriteJSONL(&jsonl); err != nil {
-		t.Fatal(err)
-	}
-	if err := rec.WriteChromeTrace(&chrome); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Obs.Series.WriteCSV(&csv); err != nil {
-		t.Fatal(err)
-	}
-	return obsExport{res, jsonl.String(), chrome.String(), csv.String(), rec.Len()}
-}
-
-// requireSameExport fails unless got's exports are byte-identical to
-// want's and its attribution report deep-equal.
-func requireSameExport(t *testing.T, label string, want, got obsExport) {
-	t.Helper()
-	if got.jsonl != want.jsonl {
-		t.Fatalf("%s: JSONL export differs from the reference run", label)
-	}
-	if got.trace != want.trace {
-		t.Fatalf("%s: Chrome trace export differs from the reference run", label)
-	}
-	if got.csv != want.csv {
-		t.Fatalf("%s: series CSV export differs from the reference run", label)
-	}
-	if !reflect.DeepEqual(got.res.Attribution, want.res.Attribution) {
-		t.Fatalf("%s: attribution report differs:\n%+v\n%+v", label, got.res.Attribution, want.res.Attribution)
 	}
 }
 

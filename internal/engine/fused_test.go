@@ -42,7 +42,7 @@ func sameFusedRun(t testing.TB, mk func() (cluster.Config, cluster.BuildEngine, 
 	t.Helper()
 	run := func(wrap func(cluster.BuildEngine) cluster.BuildEngine) simtest.Capture {
 		cfg, build, w := mk()
-		return simtest.Run(t, cfg, wrap(build), w, nil)
+		return simtest.Run(t, cfg, wrap(build), w)
 	}
 	fused, ref := run(fusedOf), run(unfused)
 	simtest.SameOutputs(t, fused, ref)

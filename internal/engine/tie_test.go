@@ -356,7 +356,7 @@ func TestTieDeadlineBetweenVirtualBoundaries(t *testing.T) {
 			c := cfg
 			c.MaxSimTime = time.Duration(deadline)
 			if sampled {
-				return simtest.Run(t, c, build(fused, nil), w, nil)
+				return simtest.Run(t, c, build(fused, nil), w)
 			}
 			cl, err := cluster.New(c, build(fused, nil))
 			if err != nil {

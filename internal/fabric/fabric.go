@@ -186,12 +186,6 @@ func linkName(prefix string, ids ...int) string {
 	return string(b)
 }
 
-// Spec reports the topology's resolved layout.
-func (t *Topology) Spec() Spec { return t.spec }
-
-// Replicas reports the replica count the topology was built for.
-func (t *Topology) Replicas() int { return t.n }
-
 // AttachHost creates replica i's host link pair (device-to-host and
 // host-to-device, PCIe full duplex) at the given per-direction bandwidth.
 // Each engine attaches its own, since the bandwidth is a device property.
@@ -207,18 +201,6 @@ func (t *Topology) attachHost(replica int, d2h, h2d float64) {
 	}
 	t.hostD2H[replica] = gpu.NewLink(linkName("host-d2h-", replica), d2h)
 	t.hostH2D[replica] = gpu.NewLink(linkName("host-h2d-", replica), h2d)
-}
-
-// HostD2H returns replica i's device-to-host link (nil until attached).
-func (t *Topology) HostD2H(replica int) *gpu.Link {
-	t.checkReplica(replica)
-	return t.hostD2H[replica]
-}
-
-// HostH2D returns replica i's host-to-device link (nil until attached).
-func (t *Topology) HostH2D(replica int) *gpu.Link {
-	t.checkReplica(replica)
-	return t.hostH2D[replica]
 }
 
 // Path resolves the interconnect link sequence a transfer from one replica
@@ -559,10 +541,10 @@ func (e *Endpoint) HostAttached() bool {
 // D2H returns the replica's device-to-host link for read-only estimation
 // (queue delay, wire time, backlog). Book transfers through EnqueueD2H so
 // they are class-accounted.
-func (e *Endpoint) D2H() *gpu.Link { return e.s.topo.HostD2H(e.replica) }
+func (e *Endpoint) D2H() *gpu.Link { return e.s.topo.hostD2H[e.replica] }
 
 // H2D returns the replica's host-to-device link for read-only estimation.
-func (e *Endpoint) H2D() *gpu.Link { return e.s.topo.HostH2D(e.replica) }
+func (e *Endpoint) H2D() *gpu.Link { return e.s.topo.hostH2D[e.replica] }
 
 // EnqueueD2H books a device-to-host transfer submitted at now.
 func (e *Endpoint) EnqueueD2H(class Class, now simclock.Time, bytes int64) (start, done simclock.Time) {

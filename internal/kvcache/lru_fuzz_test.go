@@ -147,7 +147,7 @@ func TestHottestPrefixesFollowsPinOrder(t *testing.T) {
 		if n != len(m.pins) || n != m.pinOrder.n {
 			t.Fatalf("%s: %d pins in the order, %d in the set, length %d", step, n, len(m.pins), m.pinOrder.n)
 		}
-		if got := m.HottestPrefixes(0); !slices.Equal(got, walk) {
+		if got := m.HottestPrefixes(nil, 0); !slices.Equal(got, walk) {
 			t.Fatalf("%s: HottestPrefixes %v, walk %v", step, got, walk)
 		}
 	}

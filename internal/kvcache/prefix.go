@@ -312,26 +312,30 @@ type PrefixInfo struct {
 	Tokens, Pages int
 }
 
-// HottestPrefixes lists up to k pinned prefixes in most-recently-used
-// order, skipping pins already on the interconnect wire; k <= 0 lists all.
-// The cluster uses it to pre-warm a scaling-up replica with the sessions
-// most likely to return, and to empty a draining replica. Probing does not
-// perturb the eviction order.
-func (m *Manager) HottestPrefixes(k int) []PrefixInfo {
-	if k <= 0 || k > m.pinOrder.n {
+// HottestPrefixes appends up to k pinned prefixes to dst in
+// most-recently-used order, skipping pins already on the interconnect
+// wire, and returns the extended slice; k <= 0 lists all. The list is a
+// copy, so the caller may migrate or drop the pins it names while walking
+// it. The cluster uses it to pre-warm a scaling-up replica with the
+// sessions most likely to return, to empty a draining replica, and to
+// replicate pins to peers' host tiers. Probing does not perturb the
+// eviction order.
+func (m *Manager) HottestPrefixes(dst []PrefixInfo, k int) []PrefixInfo {
+	if k <= 0 {
 		k = m.pinOrder.n
 	}
-	out := make([]PrefixInfo, 0, k)
-	for p := m.pinOrder.front; p != nil && len(out) < k; p = p.next {
+	n := 0
+	for p := m.pinOrder.front; p != nil && n < k; p = p.next {
 		if p.migrating {
 			continue
 		}
-		out = append(out, PrefixInfo{Session: p.session, Tokens: p.tokens, Pages: p.pages})
+		dst = append(dst, PrefixInfo{Session: p.session, Tokens: p.tokens, Pages: p.pages})
+		n++
 	}
-	return out
+	return dst
 }
 
-// ServablePins counts the pins HottestPrefixes(0) would list, every pin
+// ServablePins counts the pins HottestPrefixes(nil, 0) would list, every pin
 // not staked for migration out, without building the list.
 func (m *Manager) ServablePins() int {
 	n := 0

@@ -362,7 +362,7 @@ func TestHottestPrefixesMRUOrder(t *testing.T) {
 		t.Fatal("take should hit")
 	}
 
-	got := rig.m.HottestPrefixes(2)
+	got := rig.m.HottestPrefixes(nil, 2)
 	if len(got) != 2 || got[0].Session != 7 || got[1].Session != 9 {
 		t.Fatalf("top-2 = %+v, want sessions [7 9]", got)
 	}
@@ -370,7 +370,7 @@ func TestHottestPrefixesMRUOrder(t *testing.T) {
 		t.Errorf("session 7 info = %+v, want 160 tokens / 10 pages", got[0])
 	}
 
-	all := rig.m.HottestPrefixes(0)
+	all := rig.m.HottestPrefixes(nil, 0)
 	if len(all) != 3 || all[2].Session != 8 {
 		t.Fatalf("all pins = %+v, want [7 9 8]", all)
 	}
@@ -379,8 +379,24 @@ func TestHottestPrefixesMRUOrder(t *testing.T) {
 	if _, _, ok := rig.m.BeginMigrateOut(9); !ok {
 		t.Fatal("migrate-out should start")
 	}
-	if got := rig.m.HottestPrefixes(0); len(got) != 2 {
+	if got := rig.m.HottestPrefixes(nil, 0); len(got) != 2 {
 		t.Fatalf("migrating pin listed: %+v", got)
+	}
+}
+
+// TestHottestPrefixesAllocs: listing into a warmed buffer allocates
+// nothing, and the list appends after what the buffer holds.
+func TestHottestPrefixesAllocs(t *testing.T) {
+	rig := prefixRig(t)
+	finishAs(t, rig, 1, 7, 160, 0)
+	finishAs(t, rig, 2, 8, 96, 0)
+	buf := rig.m.HottestPrefixes(nil, 0)
+	if allocs := testing.AllocsPerRun(100, func() { buf = rig.m.HottestPrefixes(buf[:0], 0) }); allocs != 0 {
+		t.Errorf("a warmed HottestPrefixes made %v allocations, want 0", allocs)
+	}
+	got := rig.m.HottestPrefixes(buf[:1], 1)
+	if len(got) != 2 || got[0].Session != 8 || got[1].Session != 8 {
+		t.Errorf("appending the top-1 after [8] = %+v, want sessions [8 8]", got)
 	}
 }
 
@@ -405,7 +421,7 @@ func TestServablePins(t *testing.T) {
 	}
 	for _, s := range steps {
 		s.do()
-		got, list := rig.m.ServablePins(), len(rig.m.HottestPrefixes(0))
+		got, list := rig.m.ServablePins(), len(rig.m.HottestPrefixes(nil, 0))
 		if got != s.want || got != list {
 			t.Errorf("%s: ServablePins = %d, HottestPrefixes lists %d; want %d", s.name, got, list, s.want)
 		}

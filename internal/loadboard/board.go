@@ -12,7 +12,7 @@
 // next LeastLoad. A batch of leaf repairs yields the same tree whatever
 // the replay order, so deferral never changes a winner a reader observes.
 //
-// The orders are the scanning policies' own: least-queue wins on the
+// The orders are the load policies' own: least-queue wins on the
 // fewest outstanding requests, then the lowest replica ID;
 // weighted-capacity on the lowest queue per KV page (exact cross-multiplied
 // integers), then the larger capacity, then the lowest ID. Inactive
@@ -22,7 +22,7 @@
 //
 // The gateway's prefix index keeps its published digests in a board, and
 // the cluster feeds one from the engines' live load signal for the
-// scanning policies, folding the replicas its engines marked dirty
+// board-fed policies, folding the replicas its engines marked dirty
 // through the board's sync hook at each read. A board is not safe for
 // concurrent use.
 package loadboard

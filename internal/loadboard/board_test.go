@@ -3,7 +3,7 @@ package loadboard
 import "testing"
 
 // refBoard is the brute-force model: plain arrays, every answer a scan over
-// the active replicas with the scanning policies' tie rules.
+// the active replicas with the load policies' tie rules.
 type refBoard struct {
 	queue, capPages []int
 	active          []bool

@@ -1,37 +1,78 @@
 package router
 
 import (
+	"math/rand"
 	"testing"
 )
 
-// refSessionAffinity is the pool-scanning SessionAffinity.Pick that the
-// holder-based one replaced: it probes CachedPrefixTokens on every replica
-// in the view. It is the reference the production policy must match,
-// decision for decision, whenever Request.PrefixHolders lists exactly the
-// replicas with a positive probe.
-type refSessionAffinity struct {
-	fallback WeightedCapacity
+// The references: the pool-scanning picks the production policies
+// replaced. Each reads every replica in the view, in any view order, and
+// ignores Request.Loads and Request.PrefixHolders; the board-fed and
+// holder-based policies must match them decision for decision whenever
+// the request's board covers exactly the view (withLoads) and its holders
+// list exactly the replicas with a positive probe (withHolders).
+
+// refLeastQueue is the view index of the replica with the fewest
+// outstanding requests, ties by lowest ID: LeastQueue's pick.
+func refLeastQueue(replicas []Replica) int {
+	best := 0
+	for i := 1; i < len(replicas); i++ {
+		r := replicas[i]
+		qi, qb := r.QueueDepth(), replicas[best].QueueDepth()
+		if qi < qb || (qi == qb && r.ID() < replicas[best].ID()) {
+			best = i
+		}
+	}
+	return best
 }
 
-func (p *refSessionAffinity) Pick(req Request, replicas []Replica) int {
+// refLeastLoad is the view index of the replica with the lowest
+// outstanding count per KV page, ties by larger capacity, then lowest ID:
+// WeightedCapacity's pick.
+func refLeastLoad(replicas []Replica) int {
+	best := 0
+	for i := 1; i < len(replicas); i++ {
+		r := replicas[i]
+		// Compare q_i/cap_i < q_best/cap_best by cross-multiplying (exact
+		// integer arithmetic keeps picks deterministic).
+		qi, ci := r.QueueDepth(), r.TotalKVPages()
+		qb, cb := replicas[best].QueueDepth(), replicas[best].TotalKVPages()
+		li, lb := qi*cb, qb*ci
+		if li < lb || (li == lb && (ci > cb || (ci == cb && r.ID() < replicas[best].ID()))) {
+			best = i
+		}
+	}
+	return best
+}
+
+// refMinQueue is the smallest outstanding count in the view.
+func refMinQueue(replicas []Replica) int {
+	m := replicas[0].QueueDepth()
+	for _, r := range replicas[1:] {
+		m = min(m, r.QueueDepth())
+	}
+	return m
+}
+
+// refSessionAffinity is SessionAffinity's pick: the replica with the
+// largest pinned prefix, found by probing CachedPrefixTokens on every
+// replica in the view, behind the memory and overload guards, else the
+// capacity-weighted pick.
+func refSessionAffinity(req Request, replicas []Replica) int {
 	if req.Session != 0 {
 		best, bestTokens := -1, 0
-		minQueue := replicas[0].QueueDepth()
 		for i, r := range replicas {
-			if q := r.QueueDepth(); q < minQueue {
-				minQueue = q
-			}
 			if t := r.CachedPrefixTokens(req.Session); t > bestTokens {
 				best, bestTokens = i, t
 			}
 		}
 		if best >= 0 &&
 			replicas[best].FreeKVTokens()+bestTokens >= req.PromptLen+req.OutputLen &&
-			replicas[best].QueueDepth() <= 2*minQueue+affinityOverloadSlack {
+			replicas[best].QueueDepth() <= 2*refMinQueue(replicas)+affinityOverloadSlack {
 			return best
 		}
 	}
-	return p.fallback.Pick(req, replicas)
+	return refLeastLoad(replicas)
 }
 
 // affinityCase is one pool, the subset of it in the routing view, and a
@@ -44,8 +85,9 @@ type affinityCase struct {
 	want   int // view index
 }
 
-// views builds the case's routing view and fills the request's holders
-// from the whole pool, as the cluster's pin-holder table does.
+// views builds the case's routing view, fills the request's holders from
+// the whole pool, as the cluster's pin-holder table does, and gives it a
+// load board whose routable replicas are the view, as the cluster's is.
 func (c affinityCase) views() ([]Replica, Request) {
 	var view []Replica
 	if c.inView == nil {
@@ -55,7 +97,7 @@ func (c affinityCase) views() ([]Replica, Request) {
 			view = append(view, c.pool[id])
 		}
 	}
-	return view, withHolders(c.req, replicas(c.pool...))
+	return view, withLoads(withHolders(c.req, replicas(c.pool...)), view)
 }
 
 // TestSessionAffinityMatchesReference: hand-picked edges of the holder
@@ -126,7 +168,7 @@ func TestSessionAffinityMatchesReference(t *testing.T) {
 	for _, c := range cases {
 		view, r := c.views()
 		got := NewSessionAffinity().Pick(r, view)
-		want := (&refSessionAffinity{}).Pick(r, view)
+		want := refSessionAffinity(r, view)
 		if got != c.want || want != c.want {
 			t.Errorf("%s: Pick = %d, reference = %d, want %d", c.name, got, want, c.want)
 		}
@@ -188,7 +230,8 @@ func decodeAffinityCase(data []byte) affinityCase {
 }
 
 // FuzzSessionAffinityPick: on any decoded pool, view and request, the
-// holder-based Pick chooses the same view index as the pool scan.
+// holder-based, board-fed Pick chooses the same view index as the pool
+// scan.
 func FuzzSessionAffinityPick(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 1, 2, 4, 40, 4, 3, 40, 6, 10, 40, 0, 1, 50, 10})
@@ -197,7 +240,7 @@ func FuzzSessionAffinityPick(f *testing.F) {
 		c := decodeAffinityCase(data)
 		view, req := c.views()
 		got := NewSessionAffinity().Pick(req, view)
-		want := (&refSessionAffinity{}).Pick(req, view)
+		want := refSessionAffinity(req, view)
 		if got != want {
 			t.Fatalf("Pick = %d (replica %d), reference = %d (replica %d)\nrequest %+v",
 				got, view[got].ID(), want, view[want].ID(), req)
@@ -205,14 +248,39 @@ func FuzzSessionAffinityPick(f *testing.F) {
 	})
 }
 
-// TestSessionAffinityPickAllocs: a pick with holders allocates nothing.
+// TestBoardPicksMatchReferences: on random decoded pools, views and
+// requests, least-queue and weighted-capacity read from the board the
+// view index their view scans pick.
+func TestBoardPicksMatchReferences(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	data := make([]byte, 64)
+	for i := 0; i < 2000; i++ {
+		rng.Read(data)
+		view, req := decodeAffinityCase(data).views()
+		for _, c := range []struct {
+			p   Policy
+			ref func([]Replica) int
+		}{{NewLeastQueue(), refLeastQueue}, {NewWeightedCapacity(), refLeastLoad}} {
+			if got, want := c.p.Pick(req, view), c.ref(view); got != want {
+				t.Fatalf("case %d: %s picked %d (replica %d), reference %d (replica %d)",
+					i, c.p.Name(), got, view[got].ID(), want, view[want].ID())
+			}
+		}
+		if got, want := req.Loads.MinQueue(), refMinQueue(view); got != want {
+			t.Fatalf("case %d: board MinQueue %d, reference %d", i, got, want)
+		}
+	}
+}
+
+// TestSessionAffinityPickAllocs: a pick with holders and a board allocates
+// nothing.
 func TestSessionAffinityPickAllocs(t *testing.T) {
 	pool := replicas(
 		&fakeReplica{id: 0, queue: 2, freeKV: 100, cached: map[int]int{}},
 		&fakeReplica{id: 1, queue: 1, freeKV: 100, cached: map[int]int{5: 320}},
 		&fakeReplica{id: 2, queue: 0, freeKV: 100, cached: map[int]int{5: 160}},
 	)
-	req := withHolders(Request{Session: 5, PromptLen: 400, OutputLen: 32}, pool)
+	req := withLoads(withHolders(Request{Session: 5, PromptLen: 400, OutputLen: 32}, pool), pool)
 	p := NewSessionAffinity()
 	if allocs := testing.AllocsPerRun(100, func() { _ = p.Pick(req, pool) }); allocs != 0 {
 		t.Errorf("SessionAffinity.Pick made %v allocations, want 0", allocs)

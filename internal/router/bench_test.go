@@ -44,48 +44,51 @@ func benchState(n int) ([]Replica, *prefixindex.Index, *loadboard.Board, []int) 
 }
 
 // benchRequest is the i-th benchmark request over n replicas, carrying its
-// session's holder and the load board (nil: scan the view) as the cluster
-// would.
+// session's holder and the load board as the cluster would.
 func benchRequest(i, n int, holders []int, loads *loadboard.Board) Request {
 	s := 1 + i%n
 	return Request{ID: i, Session: s, PromptLen: 512, OutputLen: 128,
 		PrefixHolders: holders[s-1 : s], Loads: loads}
 }
 
-// benchPolicy is one policy under measurement: whether it reads the load
-// board, and its constructor over the bench state's index.
+// benchPolicy is one policy under measurement: whether it scans the view,
+// and its constructor over the bench state's index.
 type benchPolicy struct {
-	name  string
-	board bool
-	make  func(*prefixindex.Index) Policy
+	name string
+	scan bool
+	make func(*prefixindex.Index) Policy
 }
 
+// refPolicy routes by a test reference's view scan.
+type refPolicy func(Request, []Replica) int
+
+func (refPolicy) Name() string                           { return "reference" }
+func (p refPolicy) Pick(req Request, reps []Replica) int { return p(req, reps) }
+
 func benchPolicies() []benchPolicy {
-	var ps []benchPolicy
-	for _, board := range []bool{true, false} {
-		mode := "board"
-		if !board {
-			mode = "scan"
-		}
-		ps = append(ps,
-			benchPolicy{NameLeastQueue + "/" + mode, board, func(*prefixindex.Index) Policy { return NewLeastQueue() }},
-			benchPolicy{NameWeightedCapacity + "/" + mode, board, func(*prefixindex.Index) Policy { return NewWeightedCapacity() }},
-			benchPolicy{NameSessionAffinity + "/" + mode, board, func(*prefixindex.Index) Policy { return NewSessionAffinity() }},
-		)
-	}
-	return append(ps,
-		benchPolicy{NameLeastKV, false, func(*prefixindex.Index) Policy { return NewLeastKV() }},
-		benchPolicy{NameIndexedLeastQueue, false, func(x *prefixindex.Index) Policy {
+	return []benchPolicy{
+		{NameLeastQueue + "/board", false, func(*prefixindex.Index) Policy { return NewLeastQueue() }},
+		{NameWeightedCapacity + "/board", false, func(*prefixindex.Index) Policy { return NewWeightedCapacity() }},
+		{NameSessionAffinity + "/board", false, func(*prefixindex.Index) Policy { return NewSessionAffinity() }},
+		{NameLeastQueue + "/scan", true, func(*prefixindex.Index) Policy {
+			return refPolicy(func(_ Request, reps []Replica) int { return refLeastQueue(reps) })
+		}},
+		{NameWeightedCapacity + "/scan", true, func(*prefixindex.Index) Policy {
+			return refPolicy(func(_ Request, reps []Replica) int { return refLeastLoad(reps) })
+		}},
+		{NameSessionAffinity + "/scan", true, func(*prefixindex.Index) Policy { return refPolicy(refSessionAffinity) }},
+		{NameLeastKV, true, func(*prefixindex.Index) Policy { return NewLeastKV() }},
+		{NameIndexedLeastQueue, false, func(x *prefixindex.Index) Policy {
 			p := NewIndexedLeastQueue()
 			p.BindIndex(x)
 			return p
 		}},
-		benchPolicy{NameIndexedSessionAffinity, false, func(x *prefixindex.Index) Policy {
+		{NameIndexedSessionAffinity, false, func(x *prefixindex.Index) Policy {
 			p := NewIndexedSessionAffinity()
 			p.BindIndex(x)
 			return p
 		}},
-	)
+	}
 }
 
 // pickLoop returns a benchmark body routing through p over the bench
@@ -93,21 +96,17 @@ func benchPolicies() []benchPolicy {
 func pickLoop(bp benchPolicy, n int) func(b *testing.B) {
 	reps, x, board, holders := benchState(n)
 	p := bp.make(x)
-	var loads *loadboard.Board
-	if bp.board {
-		loads = board
-	}
 	return func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = p.Pick(benchRequest(i, n, holders, loads), reps)
+			_ = p.Pick(benchRequest(i, n, holders, board), reps)
 		}
 	}
 }
 
 // BenchmarkRouterPick measures one routing decision at 4, 64, and 500
 // replicas. Least-queue, weighted-capacity and session-affinity run twice:
-// reading a load board's tree roots, as the cluster routes them, and
-// scanning the view, as they do when no board is supplied. Least-kv always
+// reading a load board's tree roots, as the cluster routes them, and as
+// their test references, which scan the view (the /scan rows). Least-kv
 // scans, so its per-decision cost grows with N; the board-fed and indexed
 // policies must stay flat — the property TestRouterPickFlatness gates in
 // CI.
@@ -124,8 +123,8 @@ func BenchmarkRouterPick(b *testing.B) {
 // session-affinity) and the indexed ones, the per-decision cost at 500
 // replicas must stay within 1.5× of the 4-replica cost. Least-kv is
 // exempt: its key, the free KV pages, moves on every page grow, so it
-// stays a scan, and so do the board-fed policies when no board is
-// supplied; BenchmarkRouterPick shows the gap. Timing-sensitive, so it is
+// stays a scan, and so are the test references' scans;
+// BenchmarkRouterPick shows the gap. Timing-sensitive, so it is
 // opt-in via ROUTER_FLATNESS_GATE=1 and rides the CI bench-smoke step
 // rather than the unit suite; each cost is the best of three
 // testing.Benchmark runs to damp scheduler noise.
@@ -147,8 +146,8 @@ func TestRouterPickFlatness(t *testing.T) {
 		return best
 	}
 	for _, bp := range benchPolicies() {
-		if !bp.board && bp.name != NameIndexedLeastQueue && bp.name != NameIndexedSessionAffinity {
-			continue // a scan: O(N) by design
+		if bp.scan {
+			continue // O(N) by design
 		}
 		small, large := cost(bp, 4), cost(bp, 500)
 		t.Logf("%s: %.1f ns/op at 4 replicas, %.1f ns/op at 500 (%.2fx)",

@@ -15,6 +15,11 @@ import (
 // Bounded staleness: when the chosen replica's digest is older than the
 // spec's staleness bound the policy diverts to the capacity-weighted tree
 // winner — a fallback that is itself O(1), never a rescan of the pool.
+//
+// The index is the policies' one source: a winner the view does not hold
+// (an index/view disagreement; in cluster runs the index's active set is
+// the view) makes Pick return -1, which the cluster's route step rejects
+// with the policy's name.
 
 // IndexBinder is implemented by policies that route against a prefix
 // index. The cluster binds its index to the policy before the run starts.
@@ -24,58 +29,16 @@ type IndexBinder interface {
 	BindIndex(x *prefixindex.Index)
 }
 
-// viewIndexOf locates the replica with the given ID in the router's view
-// slice. The cluster passes views in ascending ID order with IDs dense
-// from 0, so the direct probe or the binary search resolves in O(1) /
-// O(log N) on the hot path; the linear sweep only backstops synthetic
-// test views that shuffle replicas arbitrarily.
-func viewIndexOf(replicas []Replica, id int) int {
-	if i := sortedViewIndexOf(replicas, id); i >= 0 {
-		return i
-	}
-	for i, r := range replicas {
-		if r.ID() == id {
-			return i
-		}
-	}
-	return -1
-}
-
-// sortedViewIndexOf is viewIndexOf for a view in ascending ID order: the
-// direct probe, then a binary search, and -1 when the replica is not in
-// the view.
-func sortedViewIndexOf(replicas []Replica, id int) int {
-	if id >= 0 && id < len(replicas) && replicas[id].ID() == id {
-		return id
-	}
-	lo, hi := 0, len(replicas)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if replicas[mid].ID() < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(replicas) && replicas[lo].ID() == id {
-		return lo
-	}
-	return -1
-}
-
 // IndexedLeastQueue routes to the index's least-queue tree winner — the
-// same replica the omniscient LeastQueue scan would pick when the index is
+// same replica the omniscient LeastQueue would pick when the index is
 // current — without touching any replica state. A stale winner digest
 // diverts to the capacity-weighted winner.
 type IndexedLeastQueue struct {
 	idx *prefixindex.Index
-	// scan is the safety net for a winner that is not in the caller's
-	// view (an index/view disagreement no cluster run produces; synthetic
-	// router tests can).
-	scan LeastQueue
 }
 
-// NewIndexedLeastQueue returns an unbound indexed least-queue policy.
+// NewIndexedLeastQueue returns an indexed least-queue policy; BindIndex
+// must run before its first Pick.
 func NewIndexedLeastQueue() *IndexedLeastQueue { return &IndexedLeastQueue{} }
 
 // Name implements Policy.
@@ -87,30 +50,17 @@ func (p *IndexedLeastQueue) BindIndex(x *prefixindex.Index) { p.idx = x }
 // Pick implements Policy.
 func (p *IndexedLeastQueue) Pick(req Request, replicas []Replica) int {
 	x := p.idx
-	if x == nil {
-		// Unbound (constructed outside a cluster run): behave as the
-		// omniscient policy rather than crash.
-		return p.scan.Pick(req, replicas)
-	}
 	w := x.LeastQueue()
 	if w >= 0 && !x.Fresh(w) {
 		x.Note(prefixindex.OutcomeStale)
 		w = x.LeastLoad()
 	}
-	if w >= 0 {
-		if vi := viewIndexOf(replicas, w); vi >= 0 {
-			return vi
-		}
-	}
-	return p.scan.Pick(req, replicas)
+	return viewIndexOf(replicas, w)
 }
 
 // Score implements Scorer: the index's view of the replica's queue depth
 // (lower wins).
 func (p *IndexedLeastQueue) Score(_ Request, r Replica) float64 {
-	if p.idx == nil {
-		return float64(r.QueueDepth())
-	}
 	return float64(p.idx.QueueOf(r.ID()))
 }
 
@@ -124,12 +74,10 @@ func (p *IndexedLeastQueue) Score(_ Request, r Replica) float64 {
 // guards divert to the capacity-weighted tree winner.
 type IndexedSessionAffinity struct {
 	idx *prefixindex.Index
-	// scan backstops unbound use and index/view disagreement; like any
-	// SessionAffinity it reads the holders from Request.PrefixHolders.
-	scan SessionAffinity
 }
 
-// NewIndexedSessionAffinity returns an unbound indexed affinity policy.
+// NewIndexedSessionAffinity returns an indexed affinity policy; BindIndex
+// must run before its first Pick.
 func NewIndexedSessionAffinity() *IndexedSessionAffinity {
 	return &IndexedSessionAffinity{}
 }
@@ -143,9 +91,6 @@ func (p *IndexedSessionAffinity) BindIndex(x *prefixindex.Index) { p.idx = x }
 // Pick implements Policy.
 func (p *IndexedSessionAffinity) Pick(req Request, replicas []Replica) int {
 	x := p.idx
-	if x == nil {
-		return p.scan.Pick(req, replicas)
-	}
 	if req.Session != 0 {
 		if holder, tokens, ok := x.HolderFor(req.Session); !ok {
 			x.Note(prefixindex.OutcomeMiss)
@@ -169,21 +114,13 @@ func (p *IndexedSessionAffinity) Pick(req Request, replicas []Replica) int {
 			}
 		}
 	}
-	if w := x.LeastLoad(); w >= 0 {
-		if vi := viewIndexOf(replicas, w); vi >= 0 {
-			return vi
-		}
-	}
-	return p.scan.Pick(req, replicas)
+	return viewIndexOf(replicas, x.LeastLoad())
 }
 
 // Score implements Scorer: the indexed prefix tokens the replica holds for
 // the session (higher wins), else the index's capacity-weighted load score.
 func (p *IndexedSessionAffinity) Score(req Request, r Replica) float64 {
 	x := p.idx
-	if x == nil {
-		return p.scan.Score(req, r)
-	}
 	if req.Session != 0 {
 		if holder, tokens, ok := x.HolderFor(req.Session); ok && holder == r.ID() {
 			return float64(tokens)

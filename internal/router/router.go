@@ -33,9 +33,9 @@ type Request struct {
 	PrefixHolders []int
 	// Loads answers the load questions of least-queue, weighted-capacity
 	// and session-affinity — LeastQueue, LeastLoad and MinQueue — over
-	// exactly the replicas in the view, as a scan of the view would
-	// (leastQueue, leastLoad, minQueue). The cluster sets it to its live
-	// load board for those policies; when it is nil, they scan the view.
+	// exactly the replicas in the view. The cluster sets it to its live
+	// load board for those policies, which read it on every pick; it is
+	// nil for every other policy.
 	//
 	// Request is passed by value on every pick, so it is kept to eight
 	// machine words: the Go register ABI passes it in registers, where a
@@ -73,7 +73,7 @@ type Policy interface {
 	// Name identifies the policy in reports and CLI flags.
 	Name() string
 	// Pick returns the index into replicas of the chosen replica. The
-	// slice is never empty.
+	// slice is never empty and is in ascending ID order.
 	Pick(req Request, replicas []Replica) int
 }
 
@@ -155,9 +155,9 @@ func (p *RoundRobin) Score(_ Request, _ Replica) float64 { return 0 }
 
 // LeastQueue routes to the replica with the fewest outstanding requests
 // (queued + running), breaking ties by lowest replica ID. Tie-breaking on
-// the ID rather than the slice position keeps picks stable however the
-// caller orders its view (an autoscaled cluster routes over the shifting
-// subset of active replicas). The winner comes from Request.Loads.
+// the ID rather than the slice position keeps picks stable as an
+// autoscaled cluster's view, the shifting subset of active replicas,
+// changes. The winner comes from Request.Loads.
 type LeastQueue struct{}
 
 // NewLeastQueue returns the least-queue policy.
@@ -168,7 +168,7 @@ func (p *LeastQueue) Name() string { return NameLeastQueue }
 
 // Pick implements Policy.
 func (p *LeastQueue) Pick(req Request, replicas []Replica) int {
-	return viewIndexOf(replicas, leastQueue(req.Loads, replicas))
+	return viewIndexOf(replicas, req.Loads.LeastQueue())
 }
 
 // Score implements Scorer: the replica's outstanding queue depth (lower
@@ -208,8 +208,8 @@ func (p *LeastKV) Score(_ Request, r Replica) float64 {
 // per unit of KV capacity — the heterogeneous-pool load balancer: a
 // replica with twice the pool absorbs twice the queue before it looks as
 // busy as its smaller peer. Ties break by larger capacity, then lowest
-// replica ID (stable under any view ordering, including an autoscaled
-// cluster's shifting active subset). The winner comes from Request.Loads.
+// replica ID (stable as an autoscaled cluster's active subset shifts).
+// The winner comes from Request.Loads.
 type WeightedCapacity struct{}
 
 // NewWeightedCapacity returns the capacity-weighted policy.
@@ -220,7 +220,7 @@ func (p *WeightedCapacity) Name() string { return NameWeightedCapacity }
 
 // Pick implements Policy.
 func (p *WeightedCapacity) Pick(req Request, replicas []Replica) int {
-	return viewIndexOf(replicas, leastLoad(req.Loads, replicas))
+	return viewIndexOf(replicas, req.Loads.LeastLoad())
 }
 
 // Score implements Scorer: outstanding load per unit of KV capacity (lower
@@ -259,11 +259,9 @@ func (p *WeightedCapacity) Score(_ Request, r Replica) float64 {
 // The prefix lookup is O(holders): Pick probes only the replicas named in
 // Request.PrefixHolders (usually zero to two), each located in the view by
 // ID, and the holder in the view with the most pinned tokens is the target
-// (the lowest ID on a tie). The view must be in ascending ID order, as the
-// cluster passes it. The load side — the lightest queue behind the
+// (the lowest ID on a tie). The load side — the lightest queue behind the
 // overload guard, read only once a holder passes the memory check, and
-// the capacity-weighted fallback — comes from Request.Loads: tree-root
-// reads when the cluster supplies its load board, a view scan otherwise.
+// the capacity-weighted fallback — is tree-root reads of Request.Loads.
 type SessionAffinity struct {
 	fallback WeightedCapacity
 }
@@ -284,7 +282,7 @@ func (p *SessionAffinity) Pick(req Request, replicas []Replica) int {
 	if req.Session != 0 {
 		best, bestTokens := -1, 0
 		for _, id := range req.PrefixHolders {
-			i := sortedViewIndexOf(replicas, id)
+			i := viewIndexOf(replicas, id)
 			if i < 0 {
 				continue // warming, draining, or crashed: not routable
 			}
@@ -297,66 +295,11 @@ func (p *SessionAffinity) Pick(req Request, replicas []Replica) int {
 		// output during decode.
 		if best >= 0 &&
 			replicas[best].FreeKVTokens()+bestTokens >= req.PromptLen+req.OutputLen &&
-			replicas[best].QueueDepth() <= 2*minQueue(req.Loads, replicas)+affinityOverloadSlack {
+			replicas[best].QueueDepth() <= 2*req.Loads.MinQueue()+affinityOverloadSlack {
 			return best
 		}
 	}
 	return p.fallback.Pick(req, replicas)
-}
-
-// leastQueue, leastLoad and minQueue ask the load board, or scan the view
-// when the caller supplied none: each scan is one O(N) pass over the
-// view's live signals, in any view order. The two winners are replica
-// IDs.
-
-// leastQueue is the replica with the fewest outstanding requests, ties by
-// lowest ID.
-func leastQueue(loads *loadboard.Board, replicas []Replica) int {
-	if loads != nil {
-		return loads.LeastQueue()
-	}
-	best := replicas[0]
-	for _, r := range replicas[1:] {
-		qi, qb := r.QueueDepth(), best.QueueDepth()
-		if qi < qb || (qi == qb && r.ID() < best.ID()) {
-			best = r
-		}
-	}
-	return best.ID()
-}
-
-// leastLoad is the replica with the lowest outstanding count per KV page,
-// ties by larger capacity, then lowest ID.
-func leastLoad(loads *loadboard.Board, replicas []Replica) int {
-	if loads != nil {
-		return loads.LeastLoad()
-	}
-	best := replicas[0]
-	for _, r := range replicas[1:] {
-		// Compare q_i/cap_i < q_best/cap_best by cross-multiplying (exact
-		// integer arithmetic keeps picks deterministic).
-		qi, ci := r.QueueDepth(), r.TotalKVPages()
-		qb, cb := best.QueueDepth(), best.TotalKVPages()
-		li, lb := qi*cb, qb*ci
-		if li < lb || (li == lb && (ci > cb || (ci == cb && r.ID() < best.ID()))) {
-			best = r
-		}
-	}
-	return best.ID()
-}
-
-// minQueue is the smallest outstanding count in the view.
-func minQueue(loads *loadboard.Board, replicas []Replica) int {
-	if loads != nil {
-		return loads.MinQueue()
-	}
-	m := replicas[0].QueueDepth()
-	for _, r := range replicas[1:] {
-		if q := r.QueueDepth(); q < m {
-			m = q
-		}
-	}
-	return m
 }
 
 // Score implements Scorer: the pinned prefix tokens the replica holds for
@@ -371,4 +314,27 @@ func (p *SessionAffinity) Score(req Request, r Replica) float64 {
 		}
 	}
 	return p.fallback.Score(req, r)
+}
+
+// viewIndexOf locates the replica with the given ID in a view in
+// ascending ID order: the direct probe (the cluster's IDs are dense from
+// 0, so an unscaled view holds replica i at i), then a binary search, and
+// -1 when the replica is not in the view.
+func viewIndexOf(replicas []Replica, id int) int {
+	if id >= 0 && id < len(replicas) && replicas[id].ID() == id {
+		return id
+	}
+	lo, hi := 0, len(replicas)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if replicas[mid].ID() < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(replicas) && replicas[lo].ID() == id {
+		return lo
+	}
+	return -1
 }

@@ -4,6 +4,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/loadboard"
 	"repro/internal/prefixindex"
 )
 
@@ -55,6 +56,23 @@ func withHolders(req Request, reps []Replica) Request {
 	return req
 }
 
+// withLoads sets req.Loads the way the cluster does: a load board over the
+// pool's IDs whose routable replicas are exactly the view.
+func withLoads(req Request, view []Replica) Request {
+	n := 0
+	for _, r := range view {
+		n = max(n, r.ID()+1)
+	}
+	b := loadboard.New(n)
+	for _, r := range view {
+		b.SetCapacity(r.ID(), r.TotalKVPages())
+		b.SetQueue(r.ID(), r.QueueDepth())
+		b.SetActive(r.ID(), true)
+	}
+	req.Loads = b
+	return req
+}
+
 func TestPoliciesPick(t *testing.T) {
 	// Three replicas: 0 busy but memory-rich, 1 idle but memory-poor,
 	// 2 middling but holding session 7's prefix.
@@ -86,7 +104,7 @@ func TestPoliciesPick(t *testing.T) {
 	}
 	for _, c := range cases {
 		views := state()
-		if got := c.policy.Pick(withHolders(c.req, views), views); got != c.want {
+		if got := c.policy.Pick(withLoads(withHolders(c.req, views), views), views); got != c.want {
 			t.Errorf("%s.Pick(session=%d) = %d, want %d", c.policy.Name(), c.req.Session, got, c.want)
 		}
 	}
@@ -112,7 +130,7 @@ func TestTiesBreakByLowestIndex(t *testing.T) {
 		&fakeReplica{id: 0, queue: 2, freeKV: 50},
 		&fakeReplica{id: 1, queue: 2, freeKV: 50},
 	)
-	if got := NewLeastQueue().Pick(Request{}, reps); got != 0 {
+	if got := NewLeastQueue().Pick(withLoads(Request{}, reps), reps); got != 0 {
 		t.Errorf("least-queue tie = %d, want 0", got)
 	}
 	if got := NewLeastKV().Pick(Request{}, reps); got != 0 {
@@ -126,7 +144,7 @@ func TestAffinityPrefersLargestPrefix(t *testing.T) {
 		&fakeReplica{id: 1, freeKV: 500, cached: map[int]int{5: 800}},
 		&fakeReplica{id: 2, freeKV: 500, queue: 0},
 	)
-	if got := NewSessionAffinity().Pick(withHolders(Request{Session: 5, PromptLen: 900}, reps), reps); got != 1 {
+	if got := NewSessionAffinity().Pick(withLoads(withHolders(Request{Session: 5, PromptLen: 900}, reps), reps), reps); got != 1 {
 		t.Errorf("affinity = %d, want 1 (largest cached prefix)", got)
 	}
 }
@@ -141,18 +159,18 @@ func TestAffinityFallsBackWhenTargetFull(t *testing.T) {
 		&fakeReplica{id: 1, queue: 5, freeKV: 2, cached: map[int]int{5: 800}},
 		&fakeReplica{id: 2, queue: 1, freeKV: 500},
 	)
-	req := withHolders(Request{Session: 5, PromptLen: 900}, reps)
+	req := withLoads(withHolders(Request{Session: 5, PromptLen: 900}, reps), reps)
 	if got := NewSessionAffinity().Pick(req, reps); got != 2 {
 		t.Errorf("affinity with full target = %d, want 2 (least-queue fallback)", got)
 	}
 	// A prompt the target can still hold sticks as before.
-	small := withHolders(Request{Session: 5, PromptLen: 32}, reps)
+	small := withLoads(withHolders(Request{Session: 5, PromptLen: 32}, reps), reps)
 	if got := NewSessionAffinity().Pick(small, reps); got != 1 {
 		t.Errorf("affinity with fitting prompt = %d, want 1", got)
 	}
 	// The pinned prefix itself counts as headroom: 32 free tokens + 800
 	// adoptable cover an 830-token prompt.
-	adoptable := withHolders(Request{Session: 5, PromptLen: 830}, reps)
+	adoptable := withLoads(withHolders(Request{Session: 5, PromptLen: 830}, reps), reps)
 	if got := NewSessionAffinity().Pick(adoptable, reps); got != 1 {
 		t.Errorf("affinity with adoptable pin = %d, want 1", got)
 	}
@@ -166,13 +184,13 @@ func TestAffinityFallsBackWhenTargetOverloaded(t *testing.T) {
 		&fakeReplica{id: 0, queue: 0, freeKV: 500},
 		&fakeReplica{id: 1, queue: 12, freeKV: 500, cached: map[int]int{5: 800}},
 	)
-	req := withHolders(Request{Session: 5, PromptLen: 900}, reps)
+	req := withLoads(withHolders(Request{Session: 5, PromptLen: 900}, reps), reps)
 	if got := NewSessionAffinity().Pick(req, reps); got != 0 {
 		t.Errorf("affinity with overloaded target = %d, want 0 (least-queue fallback)", got)
 	}
 	// A moderately busy target still wins: affinity tolerates 2×min+slack.
 	reps[1].(*fakeReplica).queue = 4
-	if got := NewSessionAffinity().Pick(req, reps); got != 1 {
+	if got := NewSessionAffinity().Pick(withLoads(req, reps), reps); got != 1 {
 		t.Errorf("affinity with tolerable queue = %d, want 1", got)
 	}
 }
@@ -184,7 +202,7 @@ func TestWeightedCapacityNormalizesByPool(t *testing.T) {
 		&fakeReplica{id: 0, queue: 3, totalKV: 4000}, // 3/4000
 		&fakeReplica{id: 1, queue: 1, totalKV: 1000}, // 4/4000
 	)
-	if got := NewWeightedCapacity().Pick(Request{}, reps); got != 0 {
+	if got := NewWeightedCapacity().Pick(withLoads(Request{}, reps), reps); got != 0 {
 		t.Errorf("weighted = %d, want 0 (lower load per capacity)", got)
 	}
 	// Equal normalized load ties toward the larger pool.
@@ -192,7 +210,7 @@ func TestWeightedCapacityNormalizesByPool(t *testing.T) {
 		&fakeReplica{id: 0, queue: 1, totalKV: 1000},
 		&fakeReplica{id: 1, queue: 4, totalKV: 4000},
 	)
-	if got := NewWeightedCapacity().Pick(Request{}, tied); got != 1 {
+	if got := NewWeightedCapacity().Pick(withLoads(Request{}, tied), tied); got != 1 {
 		t.Errorf("weighted tie = %d, want 1 (larger capacity)", got)
 	}
 	// Empty cluster-wide queue also ties toward capacity.
@@ -200,7 +218,7 @@ func TestWeightedCapacityNormalizesByPool(t *testing.T) {
 		&fakeReplica{id: 0, totalKV: 1000},
 		&fakeReplica{id: 1, totalKV: 4000},
 	)
-	if got := NewWeightedCapacity().Pick(Request{}, idle); got != 1 {
+	if got := NewWeightedCapacity().Pick(withLoads(Request{}, idle), idle); got != 1 {
 		t.Errorf("weighted idle = %d, want 1 (larger capacity)", got)
 	}
 }
@@ -223,38 +241,40 @@ func TestByName(t *testing.T) {
 // TestTieBreakStableByID: when two replicas report identical load signals,
 // every selection policy must break the tie by the lower replica ID — not
 // by slice position, which shifts as an autoscaled cluster's active subset
-// changes. The views here are deliberately NOT in ID order.
+// changes. The board-fed and indexed policies read views in ascending ID
+// order, as the cluster passes them; least-kv scans, so it must also pick
+// the same replica from a view out of ID order.
 func TestTieBreakStableByID(t *testing.T) {
 	// Replicas 5 and 2 are indistinguishable on every signal; replica 9 is
 	// strictly worse (deeper queue, less memory).
 	state := func() []Replica {
 		return replicas(
+			&fakeReplica{id: 2, queue: 3, freeKV: 400, totalKV: 800},
 			&fakeReplica{id: 5, queue: 3, freeKV: 400, totalKV: 800},
 			&fakeReplica{id: 9, queue: 7, freeKV: 100, totalKV: 800},
-			&fakeReplica{id: 2, queue: 3, freeKV: 400, totalKV: 800},
 		)
 	}
 	req := Request{ID: 1, PromptLen: 256, OutputLen: 128}
+	pickedID := func(p Policy, views []Replica) int {
+		return views[p.Pick(withLoads(req, views), views)].ID()
+	}
 
 	for _, p := range []Policy{NewLeastQueue(), NewLeastKV(), NewWeightedCapacity(), NewSessionAffinity()} {
-		views := state()
-		pick := p.Pick(req, views)
-		if got := views[pick].ID(); got != 2 {
+		if got := pickedID(p, state()); got != 2 {
 			t.Errorf("%s: tied pick went to replica %d, want lowest ID 2", p.Name(), got)
 		}
-		// The same state permuted must pick the same replica.
-		views = state()
-		views[0], views[2] = views[2], views[0]
-		pick = p.Pick(req, views)
-		if got := views[pick].ID(); got != 2 {
-			t.Errorf("%s: permuted tied pick went to replica %d, want 2", p.Name(), got)
-		}
+	}
+	// The same state permuted must pick the same replica.
+	views := state()
+	views[0], views[2] = views[2], views[0]
+	views[1], views[2] = views[2], views[1]
+	if got := pickedID(NewLeastKV(), views); got != 2 {
+		t.Errorf("least-kv: permuted tied pick went to replica %d, want 2", got)
 	}
 
 	// The indexed variants must break the same tie the same way through the
-	// prefix-index view: replicas 2 and 5 publish identical load, the
-	// tournament trees must crown the lowest ID, and the pick must survive
-	// view permutation (the tree returns a replica ID, not a slice slot).
+	// prefix-index view: replicas 2 and 5 publish identical load, and the
+	// tournament trees must crown the lowest ID.
 	bindIndex := func(t *testing.T) *prefixindex.Index {
 		t.Helper()
 		x, err := prefixindex.New(prefixindex.Spec{}, 10)
@@ -273,15 +293,32 @@ func TestTieBreakStableByID(t *testing.T) {
 	for _, p := range []Policy{NewIndexedLeastQueue(), NewIndexedSessionAffinity()} {
 		p.(IndexBinder).BindIndex(bindIndex(t))
 		views := state()
-		pick := p.Pick(req, views)
-		if got := views[pick].ID(); got != 2 {
+		if got := views[p.Pick(req, views)].ID(); got != 2 {
 			t.Errorf("%s: tied pick went to replica %d, want lowest ID 2", p.Name(), got)
 		}
-		views = state()
-		views[0], views[2] = views[2], views[0]
-		pick = p.Pick(req, views)
-		if got := views[pick].ID(); got != 2 {
-			t.Errorf("%s: permuted tied pick went to replica %d, want 2", p.Name(), got)
+	}
+}
+
+// TestIndexedWinnerOutsideViewPicksNothing: an index winner the view does
+// not hold is an index/view disagreement, which the indexed policies
+// report as -1 rather than rescanning the view.
+func TestIndexedWinnerOutsideViewPicksNothing(t *testing.T) {
+	x, err := prefixindex.New(prefixindex.Spec{}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := 0; id < 3; id++ {
+		x.SeedReplica(id, 1000, 16)
+		x.SetActive(id, true)
+	}
+	x.Publish(prefixindex.Pub{Replica: 1, Kind: prefixindex.EvLoad, Session: -1, Val: 5})
+	x.Publish(prefixindex.Pub{Replica: 2, Kind: prefixindex.EvLoad, Session: -1, Val: 5})
+	// Replica 0, the least loaded in the index, is missing from the view.
+	view := replicas(&fakeReplica{id: 1, queue: 5}, &fakeReplica{id: 2, queue: 5})
+	for _, p := range []Policy{NewIndexedLeastQueue(), NewIndexedSessionAffinity()} {
+		p.(IndexBinder).BindIndex(x)
+		if got := p.Pick(Request{ID: 1, Session: 3, PromptLen: 64}, view); got != -1 {
+			t.Errorf("%s: picked %d with the index winner outside the view, want -1", p.Name(), got)
 		}
 	}
 }

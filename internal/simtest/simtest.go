@@ -154,18 +154,14 @@ type Capture struct {
 }
 
 // Run runs w on a cluster built from cfg and build with every obs layer on
-// and a 250 ms sampling loop, applying prep, when set, to the built
-// cluster before it runs.
-func Run(t testing.TB, cfg cluster.Config, build cluster.BuildEngine, w trace.Workload, prep func(*cluster.Cluster)) Capture {
+// and a 250 ms sampling loop.
+func Run(t testing.TB, cfg cluster.Config, build cluster.BuildEngine, w trace.Workload) Capture {
 	t.Helper()
 	cfg.SampleEvery = 250 * time.Millisecond
 	cfg.Obs = obs.Options{Events: true, Series: true, Profile: true, Attribution: true}
 	cl, err := cluster.New(cfg, build)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if prep != nil {
-		prep(cl)
 	}
 	res, err := cl.Run(w)
 	if err != nil {
@@ -188,22 +184,12 @@ func Run(t testing.TB, cfg cluster.Config, build cluster.BuildEngine, w trace.Wo
 	return c
 }
 
-// SameRuns requires got to be ref: deep-equal Results, byte-identical
-// event JSONL, Chrome trace and series CSV, and equal attribution.
-func SameRuns(t testing.TB, got, ref Capture) {
-	t.Helper()
-	sameRuns(t, got, ref, false)
-}
-
-// SameOutputs is SameRuns with the clock's event count excepted: the one
-// field a run may change without changing what it simulates (a fused
-// decode run fires one clock event where the unfused loop fires several).
+// SameOutputs requires got to be ref but for the clock's event count:
+// deep-equal Results, byte-identical event JSONL, Chrome trace and series
+// CSV, and equal attribution. The event count is the one field a run may
+// change without changing what it simulates (a fused decode run fires one
+// clock event where the unfused loop fires several).
 func SameOutputs(t testing.TB, got, ref Capture) {
-	t.Helper()
-	sameRuns(t, got, ref, true)
-}
-
-func sameRuns(t testing.TB, got, ref Capture, anyEventCount bool) {
 	t.Helper()
 	if len(got.Events) == 0 {
 		t.Fatal("the run recorded no events")
@@ -224,9 +210,7 @@ func sameRuns(t testing.TB, got, ref Capture, anyEventCount bool) {
 		t.Fatalf("reports differ:\n%+v\n%+v", got.Res.Report, ref.Res.Report)
 	}
 	g, r := *got.Res, *ref.Res
-	if anyEventCount {
-		g.EventsProcessed, r.EventsProcessed = 0, 0
-	}
+	g.EventsProcessed, r.EventsProcessed = 0, 0
 	if !reflect.DeepEqual(g, r) {
 		t.Fatal("results differ from the reference run's")
 	}
